@@ -47,6 +47,7 @@ chaos:
 # multiprocess and simulated at every parallelism and spill threshold; the
 # multiprocess sweep auto-trims under -race via a build tag — worker
 # processes are race-instrumented binaries and slow to spawn), the
+# pipeline's own JSON oracle across backends, the
 # SIGKILL-mid-task chaos tests with exact retry/waste accounting, the
 # out-of-core spill/merge test, and one fuzz-seed pass over the spill
 # codec and the k-way merge.
@@ -94,19 +95,20 @@ trace-diff:
 		/tmp/p3c-archive-a /tmp/p3c-archive-a
 
 # Benchmarks with a machine-readable summary: benchjson tees the raw
-# output through and writes BENCH_PR10.json for cross-PR baseline diffs.
+# output through and writes BENCH_PR12.json for cross-PR baseline diffs.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/mr/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_PR10.json
+		| $(GO) run ./cmd/benchjson -o BENCH_PR12.json
 
-# Compare this PR's benchmark baseline against the previous PR's; exits
-# nonzero on a regression beyond the (deliberately loose, -benchtime 1x is
-# noisy) thresholds. PR 10's archive/convergence telemetry is driver-side
-# and guarded by the nil-tracer contract, so the engine micro-benchmarks
-# are held to PR 9's ns/op and allocs/op envelopes.
+# Compare this PR's benchmark baseline against the previous engine
+# baseline; exits nonzero on a regression beyond the (deliberately loose,
+# -benchtime 1x is noisy) thresholds. Every Run now resolves its job
+# through the impl registry, which costs a few allocations per job; the
+# micro-benchmarks stay within the previous allocs/op envelope, and the
+# deleted boxed-reducer benchmark reports as removed.
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff -threshold 0.75 -alloc-threshold 0.25 \
-		BENCH_PR9.json BENCH_PR10.json
+		BENCH_PR10.json BENCH_PR12.json
 
 # End-to-end trace demo: generate a small data set, cluster it with
 # tracing, the per-job report, and the cost model enabled, then show the
@@ -129,12 +131,12 @@ ops-demo:
 	curl -sf http://127.0.0.1:19095/metrics | head -n 20; \
 	wait
 
-# Multi-process backend demo: run the built-in histogram job on real
-# worker OS processes with an aggressive spill budget and seeded worker
+# Multi-process backend demo: run the full P3C+-MR (MVB) pipeline on real
+# worker OS processes with the smallest spill budget and seeded worker
 # SIGKILLs, then show the per-worker attribution from the trace.
 proc-demo:
 	$(GO) run ./cmd/p3cgen -out /tmp/p3c-proc-demo.bin -n 50000 -dim 10 -clusters 4
-	$(GO) run ./cmd/p3crun -in /tmp/p3c-proc-demo.bin -normalize -demo \
+	$(GO) run ./cmd/p3crun -in /tmp/p3c-proc-demo.bin -normalize -algo mr-mvb \
 		-backend multiprocess -spill-dir /tmp -spill-mb 1 -chaos 0.3 \
 		-trace /tmp/p3c-proc-demo.jsonl
 	$(GO) run ./cmd/p3ctrace -top 5 /tmp/p3c-proc-demo.jsonl

@@ -66,7 +66,6 @@ func main() {
 		chaosStragS = flag.Float64("chaos-straggler-s", 2, "simulated seconds charged per injected straggler")
 		archiveDir  = flag.String("archive", "", "seal the traced run into this content-addressed archive directory (implies tracing)")
 		archiveKeep = flag.Int("archive-keep", 0, "archive retention: keep only the newest N records (0 = keep all)")
-		demo        = flag.Bool("demo", false, "run the built-in histogram demo job on the selected backend instead of clustering")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -119,7 +118,7 @@ func main() {
 	}
 	if *jobStats || *simulate || *traceOut != "" || *report || *metrics ||
 		*opsAddr != "" || *flightN > 0 || *backend != "" || *spillDir != "" ||
-		*spillMB > 0 || *chaos > 0 || *chaosStrag > 0 || *demo {
+		*spillMB > 0 || *chaos > 0 || *chaosStrag > 0 {
 		ec := mr.Config{Backend: *backend, SpillDir: *spillDir}
 		if *spillMB > 0 {
 			ec.SpillThresholdBytes = int64(*spillMB) << 20
@@ -229,7 +228,7 @@ func main() {
 	wallStart := obs.Now()
 	// finishObs flushes the trace file, prints the report and metrics
 	// snapshot (when requested), and seals the run into the archive.
-	// Shared by the demo, JSON and text paths.
+	// Shared by the JSON and text paths.
 	finishObs := func() {
 		if jsonl != nil {
 			if err := jsonl.Close(); err != nil {
@@ -238,16 +237,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
 		}
 		if arch != nil {
-			name := "p3c-pipeline"
-			if *demo {
-				name = "demo"
-			}
 			backendName := *backend
 			if backendName == "" {
 				backendName = "inprocess"
 			}
 			m := archive.Manifest{
-				Name:               name,
+				Name:               "p3c-pipeline",
 				Backend:            backendName,
 				SpillDir:           *spillDir,
 				SpillLimitBytes:    int64(*spillMB) << 20,
@@ -298,14 +293,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ops server lingering for %s\n", *opsLinger)
 			time.Sleep(*opsLinger)
 		}
-	}
-
-	if *demo {
-		if err := runDemo(data, engine, *splits); err != nil {
-			fatal(err)
-		}
-		finishObs()
-		return
 	}
 
 	cfg := p3cmr.Config{Algorithm: alg, SimulateCluster: *simulate, Engine: engine}

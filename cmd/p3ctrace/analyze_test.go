@@ -228,10 +228,12 @@ func TestMain(m *testing.M) {
 func init() {
 	mr.RegisterJobImpl("trace-wordcount", func(spec []byte) (mr.JobFuncs, error) {
 		return mr.JobFuncs{
-			Mapper: mr.MapperFunc(func(ctx *mr.TaskContext, global int, row []float64) error {
-				ctx.EmitI64(strconv.Itoa(int(row[0])%13), 1)
-				return nil
-			}),
+			NewMapper: func() mr.Mapper {
+				return mr.MapperFunc(func(ctx *mr.TaskContext, global int, row []float64) error {
+					ctx.EmitI64(strconv.Itoa(int(row[0])%13), 1)
+					return nil
+				})
+			},
 			TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
 				var s int64
 				for i := 0; i < values.Len(); i++ {

@@ -1,11 +1,10 @@
-// Command p3cvet runs the project's contract-enforcing static analyzers
-// over the module: detclock (wall clock is observability-only), detrand
+// Command p3cvet runs the project's nine contract-enforcing static
+// analyzers over the module: detclock (wall clock is observability-only), detrand
 // (randomness is seeded per identity), hotpath (no scalar any-boxing or
 // per-emit fmt.Sprintf keys on the data plane), implreg (Job.Impl sites and
 // RegisterJobImpl registrations form a bijection with pure builders),
 // maporder (no output in map iteration order), poolsafe (pooled buffers
-// stay inside their lifecycle barrier), reducermut (reducers treat shuffled
-// values as read-only), spanbalance (every obs span Begin is Ended on all
+// stay inside their lifecycle barrier), spanbalance (every obs span Begin is Ended on all
 // control-flow paths), tracenil (Tracer/Metrics calls are nil-guarded), and
 // wirelock (the wire protocol evolves append-only against the committed
 // wire.lock). Findings print as

@@ -228,16 +228,7 @@ func assign(engine *mr.Engine, data *dataset.Dataset, merged []signature.Signatu
 		return labels, clusters, nil
 	}
 
-	rssc := signature.NewRSSC(merged)
-	job := &mr.Job{
-		Name:   "bow-assign",
-		Splits: data.Splits(16),
-		Cache:  map[string]any{"rssc": rssc},
-		NewMapper: func() mr.Mapper {
-			return &assignMapper{}
-		},
-	}
-	out, err := engine.Run(job)
+	out, err := engine.Run(&mr.Job{Name: "bow-assign", Splits: data.Splits(16), Impl: "bow-assign", Spec: signature.AppendSet(nil, merged)})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -259,15 +250,29 @@ type assignRecord struct {
 	Cores  []int
 }
 
+// The assignment job is registered by name, the merged rectangles shipped
+// as its Spec (signature.AppendSet form), so BoW's final pass runs on every
+// backend.
+func init() {
+	mr.RegisterWireValue(assignRecord{})
+	mr.RegisterJobImpl("bow-assign", buildAssignJob)
+}
+
+func buildAssignJob(spec []byte) (mr.JobFuncs, error) {
+	merged, _, err := signature.DecodeSet(spec)
+	if err != nil {
+		return mr.JobFuncs{}, err
+	}
+	rssc := signature.NewRSSC(merged)
+	return mr.JobFuncs{NewMapper: func() mr.Mapper { return &assignMapper{rssc: rssc} }}, nil
+}
+
 type assignMapper struct {
 	rssc *signature.RSSC
 	mask []uint64
 }
 
-func (m *assignMapper) Setup(ctx *mr.TaskContext) error {
-	m.rssc = ctx.MustCache("rssc").(*signature.RSSC)
-	return nil
-}
+func (m *assignMapper) Setup(*mr.TaskContext) error { return nil }
 
 func (m *assignMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
 	m.mask = m.rssc.Query(m.mask, row)

@@ -420,17 +420,13 @@ func (p *pipeline) finishFull(res *Result) (*Result, error) {
 // lightMembership computes, with one map-only job, the core membership list
 // of every point (empty lists are not emitted).
 func (p *pipeline) lightMembership() ([][]int, error) {
-	rssc := signature.NewRSSC(p.cores)
-	job := &mr.Job{
-		Name:   "light-membership",
-		Splits: p.splits,
-		Cache:  map[string]any{"rssc": rssc},
-		NewMapper: func() mr.Mapper {
-			return &membershipMapper{}
-		},
+	out, err := p.engine.Run(&mr.Job{
+		Name:        "light-membership",
+		Splits:      p.splits,
+		Impl:        "light-membership",
+		Spec:        sigSpec{Sigs: p.cores}.encode(),
 		TraceParent: p.phaseSpan,
-	}
-	out, err := p.engine.Run(job)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -447,15 +443,20 @@ type memberRecord struct {
 	Cores  []int
 }
 
+func buildMembershipJob(spec []byte) (mr.JobFuncs, error) {
+	_, rssc, err := decodeRSSC(spec)
+	if err != nil {
+		return mr.JobFuncs{}, err
+	}
+	return mr.JobFuncs{NewMapper: func() mr.Mapper { return &membershipMapper{rssc: rssc} }}, nil
+}
+
 type membershipMapper struct {
 	rssc *signature.RSSC
 	mask []uint64
 }
 
-func (m *membershipMapper) Setup(ctx *mr.TaskContext) error {
-	m.rssc = ctx.MustCache("rssc").(*signature.RSSC)
-	return nil
-}
+func (m *membershipMapper) Setup(*mr.TaskContext) error { return nil }
 
 func (m *membershipMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
 	m.mask = m.rssc.Query(m.mask, row)

@@ -39,59 +39,60 @@ func relevantAttrs(cores []signature.Signature) []int {
 // model carries mixing weights proportional to the member counts.
 func initEMModel(engine *mr.Engine, splits []*mr.Split, cores []signature.Signature, n int, trace obs.SpanID) (*em.Model, error) {
 	attrs := relevantAttrs(cores)
-	rssc := signature.NewRSSC(cores)
 
-	model1, err := estimateCoreModel(engine, splits, rssc, attrs, nil, n, trace)
+	model1, err := estimateCoreModel(engine, splits, cores, attrs, nil, n, trace)
 	if err != nil {
 		return nil, fmt.Errorf("core: EM init pass 1: %w", err)
 	}
-	model2, err := estimateCoreModel(engine, splits, rssc, attrs, model1, n, trace)
+	model2, err := estimateCoreModel(engine, splits, cores, attrs, model1, n, trace)
 	if err != nil {
 		return nil, fmt.Errorf("core: EM init pass 2: %w", err)
 	}
 	return model2, nil
 }
 
+// initSpec is the EM initialization jobs' Spec: the cores (the builder
+// builds their RSSC), the relevant attributes, the optional fallback model
+// and, for the covariance job, the means the scatter is taken around.
+type initSpec struct {
+	Cores    []signature.Signature
+	Attrs    []int
+	Fallback *em.ModelSpec
+	Means    [][]float64
+}
+
+// coreSumStat is one core's linear sum and member count, as the means
+// job's reducer commits it.
+type coreSumStat struct {
+	Sum   []float64
+	Count int64
+}
+
 // estimateCoreModel runs one means job and one covariances job. When
 // fallback is non-nil, points outside every core support set are assigned
 // to their Mahalanobis-nearest fallback component; otherwise they are
 // ignored.
-func estimateCoreModel(engine *mr.Engine, splits []*mr.Split, rssc *signature.RSSC, attrs []int, fallback *em.Model, n int, trace obs.SpanID) (*em.Model, error) {
-	if fallback != nil {
-		if err := fallback.Prepare(); err != nil {
-			return nil, err
-		}
-	}
-	k := rssc.NumSignatures()
+func estimateCoreModel(engine *mr.Engine, splits []*mr.Split, cores []signature.Signature, attrs []int, fallback *em.Model, n int, trace obs.SpanID) (*em.Model, error) {
+	k := len(cores)
 	d := len(attrs)
+	sp := initSpec{Cores: cores, Attrs: attrs}
+	if fallback != nil {
+		fs := em.SpecOf(fallback)
+		sp.Fallback = &fs
+	}
 
 	// Job 1: per-core linear sums and counts.
-	type sumStat struct {
-		Sum   []float64
-		Count int64
+	spec1, err := mr.EncodeSpec(sp)
+	if err != nil {
+		return nil, err
 	}
-	job1 := &mr.Job{
+	out1, err := engine.Run(&mr.Job{
 		Name:        "em-init-means",
 		Splits:      splits,
+		Impl:        "em-init-means",
+		Spec:        spec1,
 		TraceParent: trace,
-		Cache:       map[string]any{"rssc": rssc},
-		NewMapper: func() mr.Mapper {
-			return &coreMomentMapper{attrs: attrs, fallback: fallback, k: k}
-		},
-		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-			agg := sumStat{Sum: make([]float64, d)}
-			for i := 0; i < values.Len(); i++ {
-				st := values.Value(i).([2]any)
-				agg.Count += st[1].(int64)
-				for j, x := range st[0].([]float64) {
-					agg.Sum[j] += x
-				}
-			}
-			ctx.Emit(key, agg)
-			return nil
-		}),
-	}
-	out1, err := engine.Run(job1)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +104,7 @@ func estimateCoreModel(engine *mr.Engine, splits []*mr.Split, rssc *signature.RS
 	for _, p := range out1.Pairs {
 		var c int
 		fmt.Sscanf(p.Key, "c%d", &c)
-		st := p.Value.(sumStat)
+		st := p.Value.(coreSumStat)
 		counts[c] = st.Count
 		if st.Count > 0 {
 			for j := range means[c] {
@@ -113,30 +114,18 @@ func estimateCoreModel(engine *mr.Engine, splits []*mr.Split, rssc *signature.RS
 	}
 
 	// Job 2: per-core scatter around the means.
-	job2 := &mr.Job{
+	sp.Means = means
+	spec2, err := mr.EncodeSpec(sp)
+	if err != nil {
+		return nil, err
+	}
+	out2, err := engine.Run(&mr.Job{
 		Name:        "em-init-cov",
 		Splits:      splits,
+		Impl:        "em-init-cov",
+		Spec:        spec2,
 		TraceParent: trace,
-		Cache:       map[string]any{"rssc": rssc},
-		NewMapper: func() mr.Mapper {
-			return &coreScatterMapper{attrs: attrs, fallback: fallback, k: k, means: means}
-		},
-		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-			var agg []float64
-			for i := 0; i < values.Len(); i++ {
-				s := values.Value(i).([]float64)
-				if agg == nil {
-					agg = make([]float64, len(s))
-				}
-				for j, x := range s {
-					agg[j] += x
-				}
-			}
-			ctx.Emit(key, agg)
-			return nil
-		}),
-	}
-	out2, err := engine.Run(job2)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -177,14 +166,82 @@ func estimateCoreModel(engine *mr.Engine, splits []*mr.Split, rssc *signature.RS
 	return model, nil
 }
 
+// decodeInitSpec decodes an initSpec into a fresh coreMomentMapper
+// template (RSSC and prepared fallback model built) plus the spec's means.
+func decodeInitSpec(spec []byte) (coreMomentMapper, [][]float64, error) {
+	var sp initSpec
+	if err := mr.DecodeSpec(spec, &sp); err != nil {
+		return coreMomentMapper{}, nil, err
+	}
+	m := coreMomentMapper{attrs: sp.Attrs, k: len(sp.Cores), rssc: signature.NewRSSC(sp.Cores)}
+	if sp.Fallback != nil {
+		fb, err := sp.Fallback.Model()
+		if err != nil {
+			return coreMomentMapper{}, nil, err
+		}
+		m.fallback = fb
+	}
+	return m, sp.Means, nil
+}
+
+func buildInitMeansJob(spec []byte) (mr.JobFuncs, error) {
+	tmpl, _, err := decodeInitSpec(spec)
+	if err != nil {
+		return mr.JobFuncs{}, err
+	}
+	d := len(tmpl.attrs)
+	return mr.JobFuncs{
+		NewMapper: func() mr.Mapper {
+			m := tmpl
+			return &m
+		},
+		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
+			agg := coreSumStat{Sum: make([]float64, d)}
+			for i := 0; i < values.Len(); i++ {
+				st := values.Value(i).([2]any)
+				agg.Count += st[1].(int64)
+				for j, x := range st[0].([]float64) {
+					agg.Sum[j] += x
+				}
+			}
+			ctx.Emit(key, agg)
+			return nil
+		}),
+	}, nil
+}
+
+func buildInitCovJob(spec []byte) (mr.JobFuncs, error) {
+	tmpl, means, err := decodeInitSpec(spec)
+	if err != nil {
+		return mr.JobFuncs{}, err
+	}
+	return mr.JobFuncs{
+		NewMapper: func() mr.Mapper { return &coreScatterMapper{inner: tmpl, means: means} },
+		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
+			var agg []float64
+			for i := 0; i < values.Len(); i++ {
+				s := values.Value(i).([]float64)
+				if agg == nil {
+					agg = make([]float64, len(s))
+				}
+				for j, x := range s {
+					agg[j] += x
+				}
+			}
+			ctx.Emit(key, agg)
+			return nil
+		}),
+	}, nil
+}
+
 // coreMomentMapper accumulates per-core linear sums over the core support
 // sets (plus fallback assignments for out-of-core points when enabled).
 type coreMomentMapper struct {
 	attrs    []int
 	fallback *em.Model
 	k        int
+	rssc     *signature.RSSC
 
-	rssc   *signature.RSSC
 	sums   [][]float64
 	counts []int64
 	keys   []string
@@ -195,8 +252,7 @@ type coreMomentMapper struct {
 	ids    []int
 }
 
-func (m *coreMomentMapper) Setup(ctx *mr.TaskContext) error {
-	m.rssc = ctx.MustCache("rssc").(*signature.RSSC)
+func (m *coreMomentMapper) Setup(*mr.TaskContext) error {
 	d := len(m.attrs)
 	m.sums = make([][]float64, m.k)
 	for i := range m.sums {
@@ -261,24 +317,20 @@ func (m *coreMomentMapper) Cleanup(ctx *mr.TaskContext) error {
 }
 
 // coreScatterMapper accumulates per-core scatter matrices around fixed
-// means.
+// means, reusing the moment mapper's membership and projection.
 type coreScatterMapper struct {
-	attrs    []int
-	fallback *em.Model
-	k        int
-	means    [][]float64
+	inner coreMomentMapper
+	means [][]float64
 
-	inner    coreMomentMapper
 	scatters [][]float64
 }
 
 func (m *coreScatterMapper) Setup(ctx *mr.TaskContext) error {
-	m.inner = coreMomentMapper{attrs: m.attrs, fallback: m.fallback, k: m.k}
 	if err := m.inner.Setup(ctx); err != nil {
 		return err
 	}
-	d := len(m.attrs)
-	m.scatters = make([][]float64, m.k)
+	d := len(m.inner.attrs)
+	m.scatters = make([][]float64, m.inner.k)
 	for i := range m.scatters {
 		m.scatters[i] = make([]float64, d*d)
 	}
@@ -290,7 +342,7 @@ func (m *coreScatterMapper) Map(ctx *mr.TaskContext, global int, row []float64) 
 	if len(ids) == 0 {
 		return nil
 	}
-	d := len(m.attrs)
+	d := len(m.inner.attrs)
 	x := m.inner.project(row)
 	for _, c := range ids {
 		mu := m.means[c]
@@ -310,7 +362,7 @@ func (m *coreScatterMapper) Map(ctx *mr.TaskContext, global int, row []float64) 
 }
 
 func (m *coreScatterMapper) Cleanup(ctx *mr.TaskContext) error {
-	for c := 0; c < m.k; c++ {
+	for c := 0; c < m.inner.k; c++ {
 		ctx.Emit(m.inner.keys[c], m.scatters[c])
 	}
 	return nil

@@ -16,30 +16,18 @@ import (
 // membership (negative = no cluster). bins[c] is the per-cluster bin count
 // (derived from the member count by the configured rule).
 func clusterHistograms(engine *mr.Engine, splits []*mr.Split, membership []int, k, dim int, bins []int, trace obs.SpanID) ([][]*histogram.Histogram, error) {
-	job := &mr.Job{
+	spec, err := mr.EncodeSpec(aiHistSpec{K: k, Dim: dim, Bins: bins})
+	if err != nil {
+		return nil, err
+	}
+	out, err := engine.Run(&mr.Job{
 		Name:        "attribute-inspection-histograms",
 		Splits:      splits,
+		Impl:        "attribute-inspection-histograms",
+		Spec:        spec,
+		Cache:       map[string]any{"membership": membership},
 		TraceParent: trace,
-		Cache:       map[string]any{"membership": membership, "bins": bins},
-		NewMapper: func() mr.Mapper {
-			return &aiHistMapper{k: k, dim: dim}
-		},
-		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-			var agg []int64
-			for i := 0; i < values.Len(); i++ {
-				counts := values.Value(i).([]int64)
-				if agg == nil {
-					agg = make([]int64, len(counts))
-				}
-				for j, c := range counts {
-					agg[j] += c
-				}
-			}
-			ctx.Emit(key, agg)
-			return nil
-		}),
-	}
-	out, err := engine.Run(job)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -62,6 +50,22 @@ func clusterHistograms(engine *mr.Engine, splits []*mr.Split, membership []int, 
 	return hists, nil
 }
 
+type aiHistSpec struct {
+	K, Dim int
+	Bins   []int
+}
+
+func buildAIHistogramJob(spec []byte) (mr.JobFuncs, error) {
+	var sp aiHistSpec
+	if err := mr.DecodeSpec(spec, &sp); err != nil {
+		return mr.JobFuncs{}, err
+	}
+	return mr.JobFuncs{
+		NewMapper:    func() mr.Mapper { return &aiHistMapper{k: sp.K, dim: sp.Dim, bins: sp.Bins} },
+		TypedReducer: sumVectors,
+	}, nil
+}
+
 type aiHistMapper struct {
 	k, dim     int
 	membership []int
@@ -72,7 +76,6 @@ type aiHistMapper struct {
 
 func (m *aiHistMapper) Setup(ctx *mr.TaskContext) error {
 	m.membership = ctx.MustCache("membership").([]int)
-	m.bins = ctx.MustCache("bins").([]int)
 	m.counts = make([][][]int64, m.k)
 	m.keys = make([][]string, m.k)
 	for c := range m.keys {

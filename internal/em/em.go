@@ -235,7 +235,7 @@ func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, it int, tr
 	d := len(model.Attrs)
 
 	// Job 1: weights and means.
-	spec1, err := encodeModelSpec(model, nil)
+	spec1, err := mr.EncodeSpec(jobSpec{Model: SpecOf(model)})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -279,7 +279,7 @@ func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, it int, tr
 
 	// Job 2: covariances around the new means (weights from the old model's
 	// responsibilities, matching the standard M-step).
-	spec2, err := encodeModelSpec(model, newMeans)
+	spec2, err := mr.EncodeSpec(jobSpec{Model: SpecOf(model), NewMeans: newMeans})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,10 +1,6 @@
 package em
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
 	"p3cmr/internal/linalg"
 	"p3cmr/internal/mr"
 )
@@ -24,38 +20,31 @@ func init() {
 	mr.RegisterJobImpl("em-cov", buildCovJob)
 }
 
-// modelSpec is the wire form of a Model plus, for the covariance job, the
-// freshly estimated means the scatter is taken around.
-type modelSpec struct {
-	Attrs    []int
-	Weights  []float64
-	Means    [][]float64
-	Covs     [][]float64 // flattened d×d covariance per component
-	NewMeans [][]float64 // cov job only
+// ModelSpec is the wire form of a Model: what a job Spec carries so a
+// registered job rebuilds the mixture on any backend. Other packages'
+// jobs (EM initialization, outlier detection) embed it in their own specs.
+type ModelSpec struct {
+	Attrs   []int
+	Weights []float64
+	Means   [][]float64
+	Covs    [][]float64 // flattened d×d covariance per component
 }
 
-// encodeModelSpec serializes the mixture (and optional new means) for the
-// job Spec blob.
-func encodeModelSpec(model *Model, newMeans [][]float64) ([]byte, error) {
-	sp := modelSpec{Attrs: model.Attrs, NewMeans: newMeans}
+// SpecOf returns the wire form of model.
+func SpecOf(model *Model) ModelSpec {
+	sp := ModelSpec{Attrs: model.Attrs}
 	for _, c := range model.Components {
 		sp.Weights = append(sp.Weights, c.Weight)
 		sp.Means = append(sp.Means, c.Mean)
 		sp.Covs = append(sp.Covs, c.Cov.Data)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&sp); err != nil {
-		return nil, fmt.Errorf("em: encoding model spec: %w", err)
-	}
-	return buf.Bytes(), nil
+	return sp
 }
 
-// decodeModelSpec rebuilds the prepared mixture from a job Spec blob.
-func decodeModelSpec(spec []byte) (*Model, [][]float64, error) {
-	var sp modelSpec
-	if err := gob.NewDecoder(bytes.NewReader(spec)).Decode(&sp); err != nil {
-		return nil, nil, fmt.Errorf("em: decoding model spec: %w", err)
-	}
+// Model rebuilds the prepared mixture. Prepare is deterministic in the
+// parameters, so the result computes bit-identically to the model the spec
+// was taken from.
+func (sp ModelSpec) Model() (*Model, error) {
 	d := len(sp.Attrs)
 	m := &Model{Attrs: sp.Attrs}
 	for i := range sp.Weights {
@@ -68,16 +57,33 @@ func decodeModelSpec(spec []byte) (*Model, [][]float64, error) {
 		})
 	}
 	if err := m.Prepare(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// jobSpec is the EM jobs' Spec: the current mixture plus, for the
+// covariance job, the freshly estimated means the scatter is taken around.
+type jobSpec struct {
+	Model    ModelSpec
+	NewMeans [][]float64
+}
+
+// decodeJobSpec rebuilds the prepared mixture and the new means.
+func decodeJobSpec(spec []byte) (*Model, [][]float64, error) {
+	var sp jobSpec
+	if err := mr.DecodeSpec(spec, &sp); err != nil {
 		return nil, nil, err
 	}
-	return m, sp.NewMeans, nil
+	m, err := sp.Model.Model()
+	return m, sp.NewMeans, err
 }
 
 // buildMomentsJob resolves the E-step/moments job: per-component Σr, Σr²,
 // Σr·x and the convergence stats (log-likelihood, responsibility entropy)
 // on component key 0.
 func buildMomentsJob(spec []byte) (mr.JobFuncs, error) {
-	model, _, err := decodeModelSpec(spec)
+	model, _, err := decodeJobSpec(spec)
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}
@@ -105,7 +111,7 @@ func buildMomentsJob(spec []byte) (mr.JobFuncs, error) {
 // buildCovJob resolves the M-step/covariance job: per-component scatter
 // around the new means carried in the spec.
 func buildCovJob(spec []byte) (mr.JobFuncs, error) {
-	model, newMeans, err := decodeModelSpec(spec)
+	model, newMeans, err := decodeJobSpec(spec)
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}

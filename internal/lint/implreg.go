@@ -21,7 +21,8 @@ import (
 // the same binary, so package state exists on the worker too).
 //
 // This is a module-level pass: uses and registrations legitimately live in
-// different packages (cmd/p3crun registers what internal/mr resolves).
+// different packages (a command may register an impl that a library's Job
+// literal names).
 var ImplReg = &Analyzer{
 	Name:      "implreg",
 	Doc:       "Job{Impl: \"x\"} sites and RegisterJobImpl(\"x\", ...) must form a bijection; builders must not capture locals",
@@ -157,4 +158,16 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// calleeName extracts the bare name of a called identifier
+// (mr.RegisterJobImpl → "RegisterJobImpl").
+func calleeName(fun ast.Expr) string {
+	switch f := fun.(type) {
+	case *ast.Ident:
+		return f.Name
+	case *ast.SelectorExpr:
+		return f.Sel.Name
+	}
+	return ""
 }

@@ -1,24 +1,29 @@
 // Package lint is the project's contract-enforcing static-analysis suite,
 // driven by cmd/p3cvet. The engine's correctness story rests on conventions
 // that ordinary review cannot reliably police: bit-identical output at any
-// Parallelism (so every chaos oracle stays meaningful), the read-only-values
-// reducer contract that makes the retry path safe, and the guarantee that a
-// nil tracer adds zero clock reads and allocations to the hot path. Each
-// convention is machine-checked by one analyzer:
+// Parallelism (so every chaos oracle stays meaningful), jobs that can cross
+// a process boundary, pooled buffers that never outlive their barrier, and
+// the guarantee that a nil tracer adds zero clock reads and allocations to
+// the hot path. Each convention is machine-checked by one of nine
+// analyzers:
 //
-//   - detclock:   no time.Now/time.Since outside internal/obs — wall-clock
+//   - detclock:    no time.Now/time.Since outside internal/obs — wall-clock
 //     reads are observability-only and live behind obs.Now/obs.Since.
-//   - detrand:    no global math/rand state — randomness is seeded per
+//   - detrand:     no global math/rand state — randomness is seeded per
 //     identity tuple (the FaultPlan.Decide discipline).
-//   - hotpath:    no scalar any-boxing or fmt.Sprintf key construction at
+//   - hotpath:     no scalar any-boxing or fmt.Sprintf key construction at
 //     emit sites — scalars ride the typed lanes (EmitF64/EmitI64/EmitInt)
 //     and keys come from precomputed tables (mr.IntKeys).
-//   - maporder:   no emitting/accumulating output from a `range` over a map
+//   - implreg:     Job.Impl sites and RegisterJobImpl registrations form a
+//     bijection, and builders capture no driver-local state.
+//   - maporder:    no emitting/accumulating output from a `range` over a map
 //     without an intervening sort (Go randomizes map iteration order).
-//   - reducermut: reducer/combiner bodies must not write through, or leak
-//     aliases of, their shared values slice (retry safety).
-//   - tracenil:   calls through Tracer/Metrics handles must be nil-guarded
+//   - poolsafe:    pooled buffers must not escape their lifecycle barrier.
+//   - spanbalance: every obs span Begin is Ended on all control-flow paths.
+//   - tracenil:    calls through Tracer/Metrics handles must be nil-guarded
 //     (the zero-cost-when-off contract).
+//   - wirelock:    the wire protocol evolves append-only against the
+//     committed wire.lock.
 //
 // Findings can be suppressed with a `//lint:allow <analyzer> <reason>`
 // comment on the finding's line or the line directly above it; allows that
@@ -313,7 +318,7 @@ func analyzerSeconds(start time.Time) float64 { return obs.Since(start).Seconds(
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{DetClock, DetRand, HotPath, ImplReg, MapOrder, PoolSafe, ReducerMut, SpanBalance, TraceNil, WireLock}
+	return []*Analyzer{DetClock, DetRand, HotPath, ImplReg, MapOrder, PoolSafe, SpanBalance, TraceNil, WireLock}
 }
 
 // ByName resolves a comma-separated analyzer list ("detclock,maporder").

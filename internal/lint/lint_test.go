@@ -102,10 +102,6 @@ func TestMapOrderCorpus(t *testing.T) {
 	runCorpus(t, []*Analyzer{MapOrder}, "testdata/src/maporder")
 }
 
-func TestReducerMutCorpus(t *testing.T) {
-	runCorpus(t, []*Analyzer{ReducerMut}, "testdata/src/reducermut")
-}
-
 func TestTraceNilCorpus(t *testing.T) {
 	runCorpus(t, []*Analyzer{TraceNil}, "testdata/src/tracenil")
 }

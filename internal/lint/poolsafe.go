@@ -469,3 +469,17 @@ func isPackageLevel(pass *Pass, obj types.Object) bool {
 func declaredWithin(body *ast.BlockStmt, obj types.Object) bool {
 	return obj.Pos() >= body.Pos() && obj.Pos() <= body.End()
 }
+
+// typeName returns the name of t's named type (through pointers), or "".
+func typeName(t types.Type) string {
+	if t == nil {
+		return ""
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
+}

@@ -54,7 +54,7 @@ func pickBackend(name string) (Backend, error) {
 // call.
 type runContext struct {
 	e   *Engine
-	job *Job
+	job *boundJob
 	// mapOnly is true when the job has no reducer; nb is the number of
 	// shuffle buckets (1 for map-only jobs, numReducers otherwise).
 	mapOnly     bool

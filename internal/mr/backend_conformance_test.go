@@ -25,12 +25,20 @@ import (
 // file survives the teardown.
 
 func init() {
-	// conf-wordcount: wordcount with a combiner; spec picks the boxed or
-	// typed surface (same data either way).
+	// conf-wordcount: wordcount with a combiner; spec picks the boxed emit
+	// lane ("boxed": Emit with int64 values) or the scalar lanes ("typed":
+	// EmitI64). Same data either way.
 	RegisterJobImpl("conf-wordcount", func(spec []byte) (JobFuncs, error) {
-		typed := string(spec) == "typed"
-		f := JobFuncs{
-			Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+		var typed bool
+		switch string(spec) {
+		case "typed":
+			typed = true
+		case "boxed":
+		default:
+			return JobFuncs{}, fmt.Errorf("conf-wordcount: spec %q, want boxed or typed", spec)
+		}
+		return JobFuncs{
+			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 				k := fmt.Sprintf("k%02d", int(row[0])%17)
 				if typed {
 					ctx.EmitI64(k, 1)
@@ -41,42 +49,20 @@ func init() {
 				}
 				return nil
 			}),
-		}
-		if typed {
-			f.TypedCombiner = TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
+			TypedCombiner: TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
 				var s int64
 				for i := 0; i < values.Len(); i++ {
 					s += values.Int64(i)
 				}
-				out.EmitI64(s)
-				return nil
-			})
-			f.TypedReducer = TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
-				var s int64
-				for i := 0; i < values.Len(); i++ {
-					s += values.Int64(i)
+				if typed {
+					out.EmitI64(s)
+				} else {
+					out.Emit(s)
 				}
-				ctx.EmitI64(key, s)
 				return nil
-			})
-		} else {
-			f.Combiner = CombinerFunc(func(key string, values []any) ([]any, error) {
-				var s int64
-				for _, v := range values {
-					s += v.(int64)
-				}
-				return []any{s}, nil
-			})
-			f.Reducer = ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
-				var s int64
-				for _, v := range values {
-					s += v.(int64)
-				}
-				ctx.Emit(key, s)
-				return nil
-			})
-		}
-		return f, nil
+			}),
+			TypedReducer: sumInt64,
+		}, nil
 	})
 
 	// conf-nocombine: no combiner — the config under which the multiprocess
@@ -85,7 +71,7 @@ func init() {
 	// the tagF64 and tagInt lanes round-trip through the spill codec.
 	RegisterJobImpl("conf-nocombine", func(spec []byte) (JobFuncs, error) {
 		return JobFuncs{
-			Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 				ctx.EmitF64(fmt.Sprintf("g%03d", int(row[0])%97), row[0]*0.5)
 				return nil
 			}),
@@ -105,7 +91,7 @@ func init() {
 	// slice), exercising the pairs wire codec instead of the spill path.
 	RegisterJobImpl("conf-maponly", func(spec []byte) (JobFuncs, error) {
 		return JobFuncs{
-			Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 				ctx.EmitF64(fmt.Sprintf("p%05d", global), row[0]*0.25)
 				if global%7 == 0 {
 					ctx.Emit("vec", []float64{row[0], row[0] + 1})
@@ -123,7 +109,7 @@ func init() {
 	// that crossed the process boundary via the wire value codec.
 	RegisterJobImpl("conf-cache", func(spec []byte) (JobFuncs, error) {
 		return JobFuncs{
-			Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 				scale := ctx.MustCache("scale").(float64)
 				labels := ctx.MustCache("labels").([]string)
 				bias := ctx.MustCache("bias").(int64)
@@ -131,10 +117,10 @@ func init() {
 				ctx.Emit(k, []float64{row[0] * scale, float64(bias)})
 				return nil
 			}),
-			Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
+			TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
 				var s float64
-				for _, v := range values {
-					for _, x := range v.([]float64) {
+				for i := 0; i < values.Len(); i++ {
+					for _, x := range values.Value(i).([]float64) {
 						s += x
 					}
 				}
@@ -152,7 +138,7 @@ func init() {
 	RegisterJobImpl("conf-crash", func(spec []byte) (JobFuncs, error) {
 		sentinel := string(spec)
 		return JobFuncs{
-			Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 				if sentinel != "" && global == 7 && os.Getenv(workerEnv) != "" {
 					if _, err := os.Stat(sentinel); os.IsNotExist(err) {
 						os.WriteFile(sentinel, []byte("x"), 0o644)
@@ -162,14 +148,7 @@ func init() {
 				ctx.EmitI64(fmt.Sprintf("c%d", int(row[0])%5), 1)
 				return nil
 			}),
-			TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
-				var s int64
-				for i := 0; i < values.Len(); i++ {
-					s += values.Int64(i)
-				}
-				ctx.EmitI64(key, s)
-				return nil
-			}),
+			TypedReducer: sumInt64,
 		}, nil
 	})
 }
@@ -526,13 +505,16 @@ func TestChaosPoisonedPoolsMultiprocess(t *testing.T) {
 	auditProcRun(t, "poison", engine, spillBase)
 }
 
-// TestMultiprocessRequiresImpl pins the seam's error contract: a closure
-// job cannot cross the process boundary and must fail loudly, not hang.
-func TestMultiprocessRequiresImpl(t *testing.T) {
-	engine := NewEngine(Config{Backend: "multiprocess", SpillDir: t.TempDir()})
-	_, err := engine.Run(chaosJob(100, 2, 2))
-	if err == nil || !strings.Contains(err.Error(), "Job.Impl") {
-		t.Fatalf("closure job on multiprocess backend: err = %v, want Job.Impl guidance", err)
+// TestJobRequiresImpl pins the engine-wide job form: a Job without an Impl
+// names no code any backend can run, so every backend rejects it with the
+// same guidance instead of hanging or crashing a worker.
+func TestJobRequiresImpl(t *testing.T) {
+	for _, backend := range BackendNames() {
+		engine := NewEngine(Config{Backend: backend, SpillDir: t.TempDir()})
+		_, err := engine.Run(&Job{Name: "implless", Splits: makeSplits(100, 2)})
+		if err == nil || !strings.Contains(err.Error(), "requires Job.Impl") {
+			t.Errorf("%s: Impl-less job: err = %v, want Job.Impl guidance", backend, err)
+		}
 	}
 }
 

@@ -197,7 +197,7 @@ type mapResult struct {
 // fleet, the spill directory, and the pre-encoded job frame.
 type procRun struct {
 	e           *Engine
-	job         *Job
+	job         *boundJob
 	dir         string
 	exe         string
 	jf          jobFrame
@@ -225,7 +225,7 @@ func newProcRun(rc *runContext) (*procRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mr: multiprocess backend: spill dir: %w", err)
 	}
-	hasCombiner := job.Combiner != nil || job.TypedCombiner != nil
+	hasCombiner := job.TypedCombiner != nil
 	telSample := e.cfg.TelemetrySample
 	if telSample <= 0 {
 		telSample = 250 * time.Millisecond
@@ -636,10 +636,6 @@ func (p *procRun) reduceAttempt(w *workerProc, taskID int, segs []segmentRef, re
 func (multiprocBackend) execute(rc *runContext) ([]Pair, Counters, faultCharge, error) {
 	e, job := rc.e, rc.job
 	tr := e.cfg.Tracer
-	if job.Impl == "" {
-		return nil, Counters{}, faultCharge{}, fmt.Errorf(
-			"mr: job %q: the multiprocess backend requires Job.Impl (a RegisterJobImpl name): function values cannot cross the process boundary", job.Name)
-	}
 	p, err := newProcRun(rc)
 	if err != nil {
 		return nil, Counters{}, faultCharge{}, err

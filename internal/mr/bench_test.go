@@ -3,6 +3,8 @@ package mr
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -22,14 +24,14 @@ import (
 //   - WideKey: shuffle-heavy with ~64-byte keys. Measures the per-byte cost
 //     of key interning and grouping.
 //
-// The primary benchmarks drive the typed emit plane (EmitF64 +
-// TypedReducer/TypedCombiner) — the path the pipeline's own jobs use.
-// ShuffleHeavyBoxed keeps the boxed-compat shim measurable so its overhead
-// stays visible in bench diffs.
+// The benchmarks drive the typed emit plane (EmitF64 +
+// TypedReducer/TypedCombiner) through registered impls — the path the
+// pipeline's own jobs use, including impl resolution on every Run.
 //
-// Each engine benchmark runs one untimed warmup job before ResetTimer so the
-// engine's buffer pools reach steady state; at -benchtime 1x the first
-// iteration would otherwise be charged the one-off pool population cost.
+// Each engine benchmark runs untimed warmup jobs before ResetTimer so the
+// engine's buffer pools reach steady state (see benchRunJob); at
+// -benchtime 1x the first iteration would otherwise be charged the one-off
+// pool population cost.
 //
 // Run with: go test -bench=. -benchmem ./internal/mr/
 const (
@@ -73,33 +75,75 @@ func benchKeys(n int, width int) []string {
 	return keys
 }
 
-func benchSumTypedReducer() TypedReducer {
-	return TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
-		var s float64
-		for i := 0; i < values.Len(); i++ {
-			s += values.Float64(i)
+// benchShape is one shuffle benchmark's input: a key table and matching
+// value table, built once at package init so fmt allocations never pollute
+// the engine measurement, plus whether the job combines.
+type benchShape struct {
+	keys    []string
+	vals    []float64
+	combine bool
+}
+
+func newBenchShape(numKeys, width int, combine bool) benchShape {
+	return benchShape{keys: benchKeys(numKeys, width), vals: benchVals(numKeys), combine: combine}
+}
+
+// benchShapes are the bench-shuffle impl's inputs; a job's Spec names one.
+var benchShapes = map[string]benchShape{
+	"shuffle-heavy": newBenchShape(512, 0, false),
+	"combiner-off":  newBenchShape(64, 0, false),
+	"combiner-on":   newBenchShape(64, 0, true),
+	"wide-key":      newBenchShape(512, 64, false),
+}
+
+var benchSumCombiner = TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
+	var s float64
+	for i := 0; i < values.Len(); i++ {
+		s += values.Float64(i)
+	}
+	out.EmitF64(s)
+	return nil
+})
+
+func init() {
+	RegisterJobImpl("bench-map-heavy", func([]byte) (JobFuncs, error) {
+		return JobFuncs{
+			NewMapper:    func() Mapper { return &benchSumTaskMapper{} },
+			TypedReducer: sumFloat64,
+		}, nil
+	})
+	RegisterJobImpl("bench-shuffle", func(spec []byte) (JobFuncs, error) {
+		sh, ok := benchShapes[string(spec)]
+		if !ok {
+			return JobFuncs{}, fmt.Errorf("bench-shuffle: unknown shape %q", spec)
 		}
-		ctx.EmitF64(key, s)
-		return nil
+		f := JobFuncs{
+			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
+				ctx.EmitF64(sh.keys[global%len(sh.keys)], sh.vals[global%len(sh.vals)])
+				return nil
+			}),
+			TypedReducer: sumFloat64,
+		}
+		if sh.combine {
+			f.TypedCombiner = benchSumCombiner
+		}
+		return f, nil
 	})
 }
 
-func benchSumBoxedReducer() Reducer {
-	return ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
-		var s float64
-		for _, v := range values {
-			s += v.(float64)
-		}
-		ctx.Emit(key, s)
-		return nil
-	})
-}
-
-// benchRunJob drives mkJob through the engine with one untimed warmup run
-// (pool steady state) and then b.N timed runs.
+// benchRunJob drives mkJob through the engine with untimed warmup runs
+// (pool steady state) and then b.N timed runs. One warmup is not enough
+// for a steady state: a sync.Pool's per-P private slot is invisible to the
+// other Ps, and a collection empties the pools, so at -benchtime 1x
+// allocs/op flipped from run to run between the steady state and a cold
+// start (~610 vs ~830 on ShuffleHeavy). Five warmups with the collector
+// off until the timed runs end stock every P. The allocation gate
+// measures the steady state.
 func benchRunJob(b *testing.B, engine *Engine, mkJob func() *Job, wantPairs int) {
 	b.Helper()
 	b.ReportAllocs()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run := func() {
 		out, err := engine.Run(mkJob())
 		if err != nil {
@@ -109,7 +153,9 @@ func benchRunJob(b *testing.B, engine *Engine, mkJob func() *Job, wantPairs int)
 			b.Fatalf("output = %d pairs, want %d", len(out.Pairs), wantPairs)
 		}
 	}
-	run()
+	for i := 0; i < 5; i++ {
+		run()
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
@@ -120,12 +166,7 @@ func BenchmarkMapHeavy(b *testing.B) {
 	splits := benchMakeSplits(benchRows, benchDim, benchSplits)
 	engine := NewEngine(Config{Parallelism: benchPar, NumReducers: 4})
 	benchRunJob(b, engine, func() *Job {
-		return &Job{
-			Name:         "bench-map-heavy",
-			Splits:       splits,
-			NewMapper:    func() Mapper { return &benchSumTaskMapper{} },
-			TypedReducer: benchSumTypedReducer(),
-		}
+		return &Job{Name: "bench-map-heavy", Splits: splits, Impl: "bench-map-heavy"}
 	}, 1)
 }
 
@@ -151,75 +192,32 @@ func benchVals(n int) []float64 {
 	return vals
 }
 
-func benchShuffle(b *testing.B, keys []string, combiner TypedCombiner) {
-	benchShuffleEngine(b, keys, combiner, NewEngine(Config{Parallelism: benchPar, NumReducers: 4}))
+func benchShuffle(b *testing.B, shape string) {
+	benchShuffleEngine(b, shape, NewEngine(Config{Parallelism: benchPar, NumReducers: 4}))
 }
 
-func benchShuffleEngine(b *testing.B, keys []string, combiner TypedCombiner, engine *Engine) {
+func benchShuffleEngine(b *testing.B, shape string, engine *Engine) {
 	splits := benchMakeSplits(benchRows, benchDim, benchSplits)
-	vals := benchVals(len(keys))
+	spec := []byte(shape)
 	benchRunJob(b, engine, func() *Job {
-		return &Job{
-			Name:   "bench-shuffle",
-			Splits: splits,
-			Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
-				ctx.EmitF64(keys[global%len(keys)], vals[global%len(vals)])
-				return nil
-			}),
-			TypedReducer:  benchSumTypedReducer(),
-			TypedCombiner: combiner,
-		}
-	}, len(keys))
+		return &Job{Name: "bench-shuffle", Splits: splits, Impl: "bench-shuffle", Spec: spec}
+	}, len(benchShapes[shape].keys))
 }
 
 func BenchmarkShuffleHeavy(b *testing.B) {
-	benchShuffle(b, benchKeys(512, 0), nil)
-}
-
-// BenchmarkShuffleHeavyBoxed is the same shape on the boxed-compat shim:
-// record-at-a-time any emission plus a []any reducer. The gap between this
-// and ShuffleHeavy is the price legacy jobs pay for staying unmigrated.
-func BenchmarkShuffleHeavyBoxed(b *testing.B) {
-	keys := benchKeys(512, 0)
-	splits := benchMakeSplits(benchRows, benchDim, benchSplits)
-	// Pre-boxed values: interface boxing of a fresh float64 per emit is a
-	// mapper-side cost, and folding it in would mask the engine's own
-	// allocation behaviour (the thing under test).
-	vals := make([]any, len(keys))
-	for i := range vals {
-		vals[i] = float64(i%13) * 0.25
-	}
-	engine := NewEngine(Config{Parallelism: benchPar, NumReducers: 4})
-	benchRunJob(b, engine, func() *Job {
-		return &Job{
-			Name:   "bench-shuffle-boxed",
-			Splits: splits,
-			Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
-				ctx.Emit(keys[global%len(keys)], vals[global%len(vals)])
-				return nil
-			}),
-			Reducer: benchSumBoxedReducer(),
-		}
-	}, len(keys))
+	benchShuffle(b, "shuffle-heavy")
 }
 
 func BenchmarkCombinerOff(b *testing.B) {
-	benchShuffle(b, benchKeys(64, 0), nil)
+	benchShuffle(b, "combiner-off")
 }
 
 func BenchmarkCombinerOn(b *testing.B) {
-	benchShuffle(b, benchKeys(64, 0), TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
-		var s float64
-		for i := 0; i < values.Len(); i++ {
-			s += values.Float64(i)
-		}
-		out.EmitF64(s)
-		return nil
-	}))
+	benchShuffle(b, "combiner-on")
 }
 
 func BenchmarkWideKey(b *testing.B) {
-	benchShuffle(b, benchKeys(512, 64), nil)
+	benchShuffle(b, "wide-key")
 }
 
 // BenchmarkShuffleHeavyTraced prices the tracing overhead: same shape as
@@ -229,7 +227,7 @@ func BenchmarkWideKey(b *testing.B) {
 func BenchmarkShuffleHeavyTraced(b *testing.B) {
 	tr := obs.NewJSONLTracer(io.Discard)
 	engine := NewEngine(Config{Parallelism: benchPar, NumReducers: 4, Tracer: tr})
-	benchShuffleEngine(b, benchKeys(512, 0), nil, engine)
+	benchShuffleEngine(b, "shuffle-heavy", engine)
 }
 
 // BenchmarkMapHeavyTraced mirrors MapHeavy with tracing enabled.
@@ -238,12 +236,7 @@ func BenchmarkMapHeavyTraced(b *testing.B) {
 	tr := obs.NewJSONLTracer(io.Discard)
 	engine := NewEngine(Config{Parallelism: benchPar, NumReducers: 4, Tracer: tr})
 	benchRunJob(b, engine, func() *Job {
-		return &Job{
-			Name:         "bench-map-heavy",
-			Splits:       splits,
-			NewMapper:    func() Mapper { return &benchSumTaskMapper{} },
-			TypedReducer: benchSumTypedReducer(),
-		}
+		return &Job{Name: "bench-map-heavy", Splits: splits, Impl: "bench-map-heavy"}
 	}, 1)
 }
 

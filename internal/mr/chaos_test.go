@@ -10,69 +10,29 @@ import (
 	"time"
 )
 
-// chaosJob builds the reference job for engine-level chaos runs: a
-// wordcount-shaped map/combine/reduce over sequential data with enough keys
-// to spread across reducers. Retry-safe by construction (stateless mapper,
-// non-mutating combiner/reducer).
+// chaosJob builds the reference job for engine-level chaos runs: the
+// conformance wordcount (map/combine/reduce over sequential data with
+// enough keys to spread across reducers) on the boxed emit lane.
+// Retry-safe by construction (stateless mapper, non-mutating
+// combiner/reducer).
 func chaosJob(n, numSplits, numReducers int) *Job {
 	return &Job{
-		Name:   "chaos-wordcount",
-		Splits: makeSplits(n, numSplits),
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
-			ctx.Emit(fmt.Sprintf("k%02d", int(row[0])%17), int64(1))
-			ctx.Emit("total", int64(1))
-			return nil
-		}),
-		Combiner: CombinerFunc(func(key string, values []any) ([]any, error) {
-			var s int64
-			for _, v := range values {
-				s += v.(int64)
-			}
-			return []any{s}, nil
-		}),
-		Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
-			var s int64
-			for _, v := range values {
-				s += v.(int64)
-			}
-			ctx.Emit(key, s)
-			return nil
-		}),
+		Name:        "chaos-wordcount",
+		Splits:      makeSplits(n, numSplits),
+		Impl:        "conf-wordcount",
+		Spec:        []byte("boxed"),
 		NumReducers: numReducers,
 	}
 }
 
-// chaosTypedJob is chaosJob on the typed plane: same keys and counts, with
-// int64 values riding the unboxed lanes through a typed combiner and typed
-// reducer. It must produce bit-identical output and counters to chaosJob
-// (same job name, so fault plans inject the identical failure schedule).
+// chaosTypedJob is chaosJob on the scalar lanes: same keys and counts, with
+// int64 values riding the unboxed lanes. It must produce bit-identical
+// output and counters to chaosJob (same job name, so fault plans inject
+// the identical failure schedule).
 func chaosTypedJob(n, numSplits, numReducers int) *Job {
-	return &Job{
-		Name:   "chaos-wordcount",
-		Splits: makeSplits(n, numSplits),
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
-			ctx.EmitI64(fmt.Sprintf("k%02d", int(row[0])%17), 1)
-			ctx.EmitI64("total", 1)
-			return nil
-		}),
-		TypedCombiner: TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
-			var s int64
-			for i := 0; i < values.Len(); i++ {
-				s += values.Int64(i)
-			}
-			out.EmitI64(s)
-			return nil
-		}),
-		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
-			var s int64
-			for i := 0; i < values.Len(); i++ {
-				s += values.Int64(i)
-			}
-			ctx.EmitI64(key, s)
-			return nil
-		}),
-		NumReducers: numReducers,
-	}
+	j := chaosJob(n, numSplits, numReducers)
+	j.Spec = []byte("typed")
+	return j
 }
 
 // normalized strips the retry count, which legitimately differs between a
@@ -327,17 +287,15 @@ func TestChaosCancellationStopsSiblings(t *testing.T) {
 		return FaultDecision{}
 	})
 	var processed atomic.Int64
-	job := &Job{
-		Name:   "doomed-siblings",
-		Splits: makeSplits(rows, 2),
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+	job := funcJob("doomed-siblings", makeSplits(rows, 2), JobFuncs{
+		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 			if ctx.TaskID == 1 {
 				processed.Add(1)
 				time.Sleep(50 * time.Microsecond)
 			}
 			return nil
 		}),
-	}
+	})
 	engine := NewEngine(Config{Parallelism: 2, Faults: plan, MaxAttempts: 1})
 	_, err := engine.Run(job)
 	if err == nil {

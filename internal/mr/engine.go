@@ -270,28 +270,19 @@ func cancelled(cancel <-chan struct{}) bool {
 }
 
 // Run executes the job and collects its output.
-func (e *Engine) Run(job *Job) (*Output, error) {
+func (e *Engine) Run(j *Job) (*Output, error) {
 	if e.backendErr != nil {
 		return nil, e.backendErr
 	}
-	job, rerr := resolveJob(job)
+	job, rerr := resolveJob(j)
 	if rerr != nil {
 		return nil, rerr
-	}
-	if job.Mapper == nil && job.NewMapper == nil {
-		return nil, fmt.Errorf("mr: job %q has no mapper", job.Name)
-	}
-	if job.Reducer != nil && job.TypedReducer != nil {
-		return nil, fmt.Errorf("mr: job %q sets both Reducer and TypedReducer", job.Name)
-	}
-	if job.Combiner != nil && job.TypedCombiner != nil {
-		return nil, fmt.Errorf("mr: job %q sets both Combiner and TypedCombiner", job.Name)
 	}
 	numReducers := job.NumReducers
 	if numReducers <= 0 {
 		numReducers = e.cfg.NumReducers
 	}
-	mapOnly := job.Reducer == nil && job.TypedReducer == nil
+	mapOnly := job.TypedReducer == nil
 	nb := numReducers
 	if mapOnly {
 		nb = 1
@@ -347,7 +338,7 @@ func (e *Engine) Run(job *Job) (*Output, error) {
 	}
 
 	out := &Output{Pairs: outPairs, Counters: counters, Wasted: fault.Wasted}
-	out.SimulatedSeconds = e.cfg.Cost.jobSeconds(job, counters, fault, numReducers)
+	out.SimulatedSeconds = e.cfg.Cost.jobSeconds(job.Job, counters, fault, numReducers)
 	e.mu.Lock()
 	e.totalSimulated += out.SimulatedSeconds
 	e.jobsRun++
@@ -425,7 +416,7 @@ func (e *Engine) point(span obs.SpanID, kind obs.PointKind, name string, task, a
 // worker, when non-nil, names the worker process the just-finished attempt
 // ran on (multiprocess backend); it is read after try returns, so the
 // backend can bind a worker per attempt. In-process backends pass nil.
-func runTaskAttempts[T any](e *Engine, job *Job, phase TaskPhase, taskID int, parent obs.SpanID, cancel <-chan struct{},
+func runTaskAttempts[T any](e *Engine, job *boundJob, phase TaskPhase, taskID int, parent obs.SpanID, cancel <-chan struct{},
 	worker func() string,
 	try func(attempt int, span obs.SpanID) (T, Counters, float64, error)) (T, Counters, faultCharge, error) {
 	var zero T
@@ -502,7 +493,7 @@ func runTaskAttempts[T any](e *Engine, job *Job, phase TaskPhase, taskID int, pa
 // the task lives) — and recycled here on failure/cancellation, when no one
 // outside the task has ever observed it. On success the state transfers to
 // the caller, which recycles it after the merge copies its records out.
-func (e *Engine) runMapTask(job *Job, split *Split, mapOnly bool, nb, numReducers int, jobSpan obs.SpanID, cancel <-chan struct{}) (*mapState, Counters, faultCharge, error) {
+func (e *Engine) runMapTask(job *boundJob, split *Split, mapOnly bool, nb, numReducers int, jobSpan obs.SpanID, cancel <-chan struct{}) (*mapState, Counters, faultCharge, error) {
 	st := e.pools.getMapState(nb)
 	out, c, fc, err := runTaskAttempts(e, job, PhaseMap, split.ID, jobSpan, cancel, nil, func(attempt int, span obs.SpanID) (*mapState, Counters, float64, error) {
 		ac, straggler, err := e.tryMapTask(job, split, st, mapOnly, nb, attempt, span, cancel)
@@ -519,7 +510,7 @@ func (e *Engine) runMapTask(job *Job, split *Split, mapOnly bool, nb, numReducer
 // st.buckets with task-locally interned keys (see TaskContext.emitRec), and
 // the optional combiner folds each bucket in place before the attempt
 // commits.
-func (e *Engine) tryMapTask(job *Job, split *Split, st *mapState, mapOnly bool, nb, attempt int, span obs.SpanID, cancel <-chan struct{}) (Counters, float64, error) {
+func (e *Engine) tryMapTask(job *boundJob, split *Split, st *mapState, mapOnly bool, nb, attempt int, span obs.SpanID, cancel <-chan struct{}) (Counters, float64, error) {
 	var c Counters
 	// A retried attempt starts from an empty state; attempt 0's state came
 	// reset from the pool, so this only walks empty buffers.
@@ -538,14 +529,11 @@ func (e *Engine) tryMapTask(job *Job, split *Split, st *mapState, mapOnly bool, 
 		}
 	}
 
-	mapper := job.Mapper
-	if job.NewMapper != nil {
-		mapper = job.NewMapper()
-	}
+	mapper := job.NewMapper()
 	// Shuffle accounting is folded into emit so records are traversed once;
 	// with a combiner the charge moves to combineBucket instead, because
 	// only post-combine records cross the (modeled) network.
-	hasCombiner := job.Combiner != nil || job.TypedCombiner != nil
+	hasCombiner := job.TypedCombiner != nil
 	ctx := &TaskContext{
 		JobName:      job.Name,
 		TaskID:       split.ID,
@@ -612,49 +600,24 @@ func (e *Engine) tryMapTask(job *Job, split *Split, st *mapState, mapOnly bool, 
 }
 
 // combineBucket folds one reducer-bound buffer through the combiner via the
-// counting group over task-local key ids — no map[string][]any staging and,
-// on the typed path, no boxing. It charges ShuffledBytes for the surviving
-// records (the combiner's whole point is that only its output crosses the
-// network), then swaps the combined output in as the new bucket, recycling
-// the old bucket's storage as the next bucket's output buffer.
-func combineBucket(job *Job, st *mapState, r int, c *Counters) error {
+// counting group over task-local key ids — no map[string][]any staging and
+// no boxing. It charges ShuffledBytes for the surviving records (the
+// combiner's whole point is that only its output crosses the network),
+// then swaps the combined output in as the new bucket, recycling the old
+// bucket's storage as the next bucket's output buffer.
+func combineBucket(job *boundJob, st *mapState, r int, c *Counters) error {
 	bucket := st.buckets[r]
 	if len(bucket) == 0 {
 		return nil
 	}
 	c.CombineInput += int64(len(bucket))
 	out := st.combineOut[:0]
-	var err error
-	if job.TypedCombiner != nil {
-		ce := CombineEmit{out: &out, c: c}
-		err = groupLocal(bucket, &st.tab, &st.sc, func(id uint32, grouped []rec) error {
-			ce.key = id
-			ce.keyLen = int64(len(st.tab.keys[id]))
-			return job.TypedCombiner.CombineTyped(st.tab.keys[id], Values{recs: grouped}, &ce)
-		})
-	} else {
-		// Boxed-compat path: box the bucket's values into one shared backing
-		// array (capacity-clamped per key), exactly like the pre-typed
-		// engine's groupSorted staging.
-		backing := make([]any, 0, len(bucket))
-		err = groupLocal(bucket, &st.tab, &st.sc, func(id uint32, grouped []rec) error {
-			start := len(backing)
-			for i := range grouped {
-				backing = append(backing, grouped[i].value())
-			}
-			k := st.tab.keys[id]
-			vs, err := job.Combiner.Combine(k, backing[start:len(backing):len(backing)])
-			if err != nil {
-				return err
-			}
-			for _, v := range vs {
-				out = append(out, rec{key: id, tag: tagAny, val: v})
-				c.CombineOutput++
-				c.ShuffledBytes += int64(len(k)) + approxValueBytes(v)
-			}
-			return nil
-		})
-	}
+	ce := CombineEmit{out: &out, c: c}
+	err := groupLocal(bucket, &st.tab, &st.sc, func(id uint32, grouped []rec) error {
+		ce.key = id
+		ce.keyLen = int64(len(st.tab.keys[id]))
+		return job.TypedCombiner.CombineTyped(st.tab.keys[id], Values{recs: grouped}, &ce)
+	})
 	if err != nil {
 		return err
 	}
@@ -668,7 +631,7 @@ func combineBucket(job *Job, st *mapState, r int, c *Counters) error {
 // task's pooled group scratch is shared across its attempts (each attempt
 // re-scatters from the run) and recycled when the attempt loop ends —
 // nothing outside the task ever sees it.
-func (e *Engine) runReduceTask(job *Job, taskID int, run []rec, keys []string, jobSpan obs.SpanID, cancel <-chan struct{}) ([]Pair, Counters, faultCharge, error) {
+func (e *Engine) runReduceTask(job *boundJob, taskID int, run []rec, keys []string, jobSpan obs.SpanID, cancel <-chan struct{}) ([]Pair, Counters, faultCharge, error) {
 	sc := e.pools.getScratch()
 	out, c, fc, err := runTaskAttempts(e, job, PhaseReduce, taskID, jobSpan, cancel, nil, func(attempt int, span obs.SpanID) ([]Pair, Counters, float64, error) {
 		return e.tryReduceTask(job, taskID, run, keys, sc, attempt, span, cancel)
@@ -684,7 +647,7 @@ func (e *Engine) runReduceTask(job *Job, taskID int, run []rec, keys []string, j
 // An injected failure aborts the key loop at a plan-chosen position,
 // discarding the attempt's partial output and counters exactly like a dying
 // Hadoop reduce attempt.
-func (e *Engine) tryReduceTask(job *Job, taskID int, run []rec, keys []string, sc *groupScratch, attempt int, span obs.SpanID, cancel <-chan struct{}) ([]Pair, Counters, float64, error) {
+func (e *Engine) tryReduceTask(job *boundJob, taskID int, run []rec, keys []string, sc *groupScratch, attempt int, span obs.SpanID, cancel <-chan struct{}) ([]Pair, Counters, float64, error) {
 	var c Counters
 	var straggler float64
 	failAt := -1 // threshold in consumed input records, -1 = never
@@ -705,15 +668,6 @@ func (e *Engine) tryReduceTask(job *Job, taskID int, run []rec, keys []string, s
 		cache:    job.Cache,
 		outPairs: &out,
 	}
-	// Boxed-compat reducers get values boxed into one backing array per
-	// attempt (capacity-clamped per key). It is freshly allocated — never
-	// pooled — because the legacy Reducer contract predates the typed
-	// plane's no-retention rule, so a reducer may legitimately keep the
-	// slice it was handed.
-	var backing []any
-	if job.Reducer != nil {
-		backing = make([]any, 0, len(run))
-	}
 	consumed := 0
 	err := groupRun(run, keys, sc, func(k string, grouped []rec) error {
 		if failAt >= 0 && consumed >= failAt {
@@ -728,14 +682,7 @@ func (e *Engine) tryReduceTask(job *Job, taskID int, run []rec, keys []string, s
 		consumed += len(grouped)
 		c.ReduceInputKeys++
 		c.ReduceInputVals += int64(len(grouped))
-		if job.TypedReducer != nil {
-			return job.TypedReducer.ReduceTyped(ctx, k, Values{recs: grouped})
-		}
-		start := len(backing)
-		for i := range grouped {
-			backing = append(backing, grouped[i].value())
-		}
-		return job.Reducer.Reduce(ctx, k, backing[start:len(backing):len(backing)])
+		return job.TypedReducer.ReduceTyped(ctx, k, Values{recs: grouped})
 	})
 	if err != nil {
 		return nil, c, straggler, err

@@ -3,6 +3,7 @@ package mr
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -28,13 +29,62 @@ func makeSplits(n, numSplits int) []*Split {
 	return splits
 }
 
+// implSeq numbers the impls funcJob registers, so every call gets a fresh
+// registry name.
+var implSeq atomic.Int64
+
+// funcJob registers f under a fresh impl name and returns a Job naming it:
+// in-process tests use it to run functions built from test state through
+// the ordinary Impl path. Tests that run on worker processes register in
+// init instead — a re-exec'd worker knows only what init registered.
+func funcJob(name string, splits []*Split, f JobFuncs) *Job {
+	impl := fmt.Sprintf("test-%s-%d", name, implSeq.Add(1))
+	RegisterJobImpl(impl, func([]byte) (JobFuncs, error) { return f, nil })
+	return &Job{Name: name, Splits: splits, Impl: impl}
+}
+
+// mapFn adapts a stateless map function to JobFuncs.NewMapper.
+func mapFn(f MapperFunc) func() Mapper { return func() Mapper { return f } }
+
+// byKey indexes output pairs by key (the last value wins).
+func byKey(out *Output) map[string]any {
+	m := make(map[string]any, len(out.Pairs))
+	for _, p := range out.Pairs {
+		m[p.Key] = p.Value
+	}
+	return m
+}
+
+// sumInt64 and sumFloat64 are the test suite's plain sum reducers.
+var (
+	sumInt64 = TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
+		var s int64
+		for i := 0; i < values.Len(); i++ {
+			s += values.Int64(i)
+		}
+		ctx.EmitI64(key, s)
+		return nil
+	})
+	sumFloat64 = TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
+		var s float64
+		for i := 0; i < values.Len(); i++ {
+			s += values.Float64(i)
+		}
+		ctx.EmitF64(key, s)
+		return nil
+	})
+)
+
+func init() {
+	// test-no-mapper: a builder that forgets the mapper.
+	RegisterJobImpl("test-no-mapper", func([]byte) (JobFuncs, error) { return JobFuncs{TypedReducer: sumInt64}, nil })
+}
+
 func TestWordCountStyleJob(t *testing.T) {
 	// Classic even/odd count: exercises map, shuffle, grouping, reduce.
 	engine := Default()
-	job := &Job{
-		Name:   "evenodd",
-		Splits: makeSplits(1000, 7),
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+	job := funcJob("evenodd", makeSplits(1000, 7), JobFuncs{
+		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 			if int(row[0])%2 == 0 {
 				ctx.Emit("even", int64(1))
 			} else {
@@ -42,22 +92,15 @@ func TestWordCountStyleJob(t *testing.T) {
 			}
 			return nil
 		}),
-		Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
-			var sum int64
-			for _, v := range values {
-				sum += v.(int64)
-			}
-			ctx.Emit(key, sum)
-			return nil
-		}),
-		NumReducers: 3,
-	}
+		TypedReducer: sumInt64,
+	})
+	job.NumReducers = 3
 	out, err := engine.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := out.Grouped()
-	if g["even"][0].(int64) != 500 || g["odd"][0].(int64) != 500 {
+	g := byKey(out)
+	if g["even"].(int64) != 500 || g["odd"].(int64) != 500 {
 		t.Fatalf("counts = %v", g)
 	}
 	if out.Counters.MapInputRecords != 1000 {
@@ -70,14 +113,12 @@ func TestWordCountStyleJob(t *testing.T) {
 
 func TestMapOnlyJob(t *testing.T) {
 	engine := Default()
-	job := &Job{
-		Name:   "maponly",
-		Splits: makeSplits(100, 4),
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+	job := funcJob("maponly", makeSplits(100, 4), JobFuncs{
+		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 			ctx.Emit(fmt.Sprintf("p%d", global), row[0])
 			return nil
 		}),
-	}
+	})
 	out, err := engine.Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -90,36 +131,28 @@ func TestMapOnlyJob(t *testing.T) {
 func TestCombinerReducesShuffleVolume(t *testing.T) {
 	run := func(withCombiner bool) Counters {
 		engine := Default()
-		job := &Job{
-			Name:   "combine",
-			Splits: makeSplits(1000, 8),
-			Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+		f := JobFuncs{
+			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 				ctx.Emit("sum", int64(1))
 				return nil
 			}),
-			Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
-				var s int64
-				for _, v := range values {
-					s += v.(int64)
-				}
-				ctx.Emit(key, s)
-				return nil
-			}),
+			TypedReducer: sumInt64,
 		}
 		if withCombiner {
-			job.Combiner = CombinerFunc(func(key string, values []any) ([]any, error) {
+			f.TypedCombiner = TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
 				var s int64
-				for _, v := range values {
-					s += v.(int64)
+				for i := 0; i < values.Len(); i++ {
+					s += values.Int64(i)
 				}
-				return []any{s}, nil
+				out.Emit(s)
+				return nil
 			})
 		}
-		out, err := engine.Run(job)
+		out, err := engine.Run(funcJob("combine", makeSplits(1000, 8), f))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := out.Grouped()["sum"][0].(int64); got != 1000 {
+		if got := byKey(out)["sum"].(int64); got != 1000 {
 			t.Fatalf("sum = %d", got)
 		}
 		return out.Counters
@@ -137,13 +170,11 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 func TestSetupCleanupHooks(t *testing.T) {
 	engine := Default()
 	var setups, cleanups atomic.Int64
-	job := &Job{
-		Name:   "hooks",
-		Splits: makeSplits(100, 5),
+	job := funcJob("hooks", makeSplits(100, 5), JobFuncs{
 		NewMapper: func() Mapper {
 			return &hookMapper{setups: &setups, cleanups: &cleanups}
 		},
-	}
+	})
 	if _, err := engine.Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -170,29 +201,20 @@ func (m *hookMapper) Cleanup(ctx *TaskContext) error {
 
 func TestDistributedCache(t *testing.T) {
 	engine := Default()
-	job := &Job{
-		Name:   "cache",
-		Splits: makeSplits(10, 2),
-		Cache:  map[string]any{"factor": 3.0},
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+	job := funcJob("cache", makeSplits(10, 2), JobFuncs{
+		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 			f := ctx.MustCache("factor").(float64)
 			ctx.Emit("sum", row[0]*f)
 			return nil
 		}),
-		Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
-			s := 0.0
-			for _, v := range values {
-				s += v.(float64)
-			}
-			ctx.Emit(key, s)
-			return nil
-		}),
-	}
+		TypedReducer: sumFloat64,
+	})
+	job.Cache = map[string]any{"factor": 3.0}
 	out, err := engine.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Grouped()["sum"][0].(float64); got != 135 { // 3·(0+..+9)
+	if got := byKey(out)["sum"].(float64); got != 135 { // 3·(0+..+9)
 		t.Fatalf("sum = %g", got)
 	}
 }
@@ -213,26 +235,32 @@ func TestCacheValueMissing(t *testing.T) {
 func TestMapperErrorPropagates(t *testing.T) {
 	engine := Default()
 	boom := errors.New("boom")
-	job := &Job{
-		Name:   "err",
-		Splits: makeSplits(10, 2),
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+	job := funcJob("err", makeSplits(10, 2), JobFuncs{
+		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 			if global == 7 {
 				return boom
 			}
 			return nil
 		}),
-	}
+	})
 	_, err := engine.Run(job)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
+// TestNoMapperRejected pins the resolution errors: an impl whose builder
+// yields no mapper, an unregistered impl name, and a builder error.
 func TestNoMapperRejected(t *testing.T) {
 	engine := Default()
-	if _, err := engine.Run(&Job{Name: "nil"}); err == nil {
-		t.Fatal("job without mapper must fail")
+	if _, err := engine.Run(&Job{Name: "nil", Impl: "test-no-mapper"}); err == nil || !strings.Contains(err.Error(), "no mapper") {
+		t.Fatalf("job without mapper: err = %v", err)
+	}
+	if _, err := engine.Run(&Job{Name: "ghost", Impl: "test-not-registered"}); err == nil || !strings.Contains(err.Error(), "not registered") {
+		t.Fatalf("unregistered impl: err = %v", err)
+	}
+	if _, err := engine.Run(&Job{Name: "bad-spec", Impl: "conf-wordcount", Spec: []byte("neither")}); err == nil || !strings.Contains(err.Error(), "bad-spec") {
+		t.Fatalf("builder error: err = %v", err)
 	}
 }
 
@@ -240,29 +268,20 @@ func TestNoMapperRejected(t *testing.T) {
 // mappers per attempt, the job must still produce exact results.
 func TestFaultInjectionRetrySucceeds(t *testing.T) {
 	engine := NewEngine(Config{Faults: UniformFaults(0.5, 99), MaxAttempts: 10})
-	job := &Job{
-		Name:   "flaky",
-		Splits: makeSplits(1000, 10),
+	job := funcJob("flaky", makeSplits(1000, 10), JobFuncs{
 		NewMapper: func() Mapper {
 			// Stateful mapper: accumulates locally, emits in cleanup — a
 			// retry must restart from zero.
 			return &sumMapper{}
 		},
-		Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
-			var s float64
-			for _, v := range values {
-				s += v.(float64)
-			}
-			ctx.Emit(key, s)
-			return nil
-		}),
-	}
+		TypedReducer: sumFloat64,
+	})
 	out, err := engine.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := float64(999*1000) / 2
-	if got := out.Grouped()["sum"][0].(float64); got != want {
+	if got := byKey(out)["sum"].(float64); got != want {
 		t.Fatalf("sum = %g, want %g (retries corrupted state)", got, want)
 	}
 	if out.Counters.TaskRetries == 0 {
@@ -282,13 +301,12 @@ func (m *sumMapper) Cleanup(ctx *TaskContext) error {
 	return nil
 }
 
+// nopMapper maps every record to nothing.
+var nopMapper = mapFn(func(ctx *TaskContext, global int, row []float64) error { return nil })
+
 func TestFaultInjectionExhaustsAttempts(t *testing.T) {
 	engine := NewEngine(Config{Faults: UniformFaults(1.0, 1), MaxAttempts: 3})
-	job := &Job{
-		Name:   "doomed",
-		Splits: makeSplits(10, 1),
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error { return nil }),
-	}
+	job := funcJob("doomed", makeSplits(10, 1), JobFuncs{NewMapper: nopMapper})
 	if _, err := engine.Run(job); err == nil {
 		t.Fatal("certain failure must exhaust attempts")
 	}
@@ -296,15 +314,13 @@ func TestFaultInjectionExhaustsAttempts(t *testing.T) {
 
 func TestEngineAccounting(t *testing.T) {
 	engine := NewEngine(Config{Cost: DefaultCostModel()})
-	job := &Job{
-		Name:   "cost",
-		Splits: makeSplits(100, 4),
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+	job := funcJob("cost", makeSplits(100, 4), JobFuncs{
+		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 			ctx.Emit("k", int64(1))
 			return nil
 		}),
-		Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error { return nil }),
-	}
+		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error { return nil }),
+	})
 	out, err := engine.Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -326,16 +342,16 @@ func TestEngineAccounting(t *testing.T) {
 
 func TestJobStatsByName(t *testing.T) {
 	engine := NewEngine(Config{Cost: DefaultCostModel()})
-	mapper := MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+	f := JobFuncs{NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 		ctx.Emit("k", int64(1))
 		return nil
-	})
+	})}
 	for i := 0; i < 3; i++ {
-		if _, err := engine.Run(&Job{Name: "alpha", Splits: makeSplits(50, 2), Mapper: mapper}); err != nil {
+		if _, err := engine.Run(funcJob("alpha", makeSplits(50, 2), f)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := engine.Run(&Job{Name: "beta", Splits: makeSplits(10, 1), Mapper: mapper}); err != nil {
+	if _, err := engine.Run(funcJob("beta", makeSplits(10, 1), f)); err != nil {
 		t.Fatal(err)
 	}
 	stats := engine.JobStatsByName()
@@ -356,11 +372,7 @@ func TestJobStatsByName(t *testing.T) {
 
 func TestCostModelDisabled(t *testing.T) {
 	engine := Default()
-	out, err := engine.Run(&Job{
-		Name:   "free",
-		Splits: makeSplits(10, 1),
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error { return nil }),
-	})
+	out, err := engine.Run(funcJob("free", makeSplits(10, 1), JobFuncs{NewMapper: nopMapper}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,10 +423,7 @@ func TestSplitAccessors(t *testing.T) {
 
 func TestEmptySplitsJob(t *testing.T) {
 	engine := Default()
-	out, err := engine.Run(&Job{
-		Name:   "empty",
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error { return nil }),
-	})
+	out, err := engine.Run(funcJob("empty", nil, JobFuncs{NewMapper: nopMapper}))
 	if err != nil {
 		t.Fatal(err)
 	}

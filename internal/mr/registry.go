@@ -1,32 +1,41 @@
 package mr
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
 )
 
-// The job-impl registry names executable job code so a Job can be described
-// by data alone: an Impl name plus an opaque Spec blob. That is what lets
-// the multiprocess backend run a job inside a worker OS process — closures
+// The job-impl registry names executable job code so a Job is described by
+// data alone: an Impl name plus an opaque Spec blob. That is what lets the
+// multiprocess backend run a job inside a worker OS process — closures
 // cannot cross a process boundary, but a registered builder compiled into
 // the binary can, and the re-exec'd worker resolves the same name to the
 // same code.
 //
-// The in-process and simulated backends resolve Impl too (resolveJob), so
-// one registered job definition runs identically on every backend — which
-// is exactly what the conformance suite exercises.
+// Every backend resolves Impl the same way (resolveJob), so one registered
+// job definition runs identically everywhere — which is exactly what the
+// conformance suite exercises.
 
 // JobFuncs bundles the executable pieces of a Job, as produced by a
-// registered impl builder. Field semantics match the Job fields of the same
-// names.
+// registered impl builder. NewMapper is required and is called once per
+// task attempt, so a retried attempt starts from a fresh mapper.
+// TypedReducer is optional: a map-only job (paper: the OD job of §5.5)
+// leaves it nil and the mapper output is the job output. TypedCombiner is
+// optional.
 type JobFuncs struct {
-	Mapper        Mapper
 	NewMapper     func() Mapper
-	Reducer       Reducer
 	TypedReducer  TypedReducer
-	Combiner      Combiner
 	TypedCombiner TypedCombiner
+}
+
+// boundJob is a Job together with its resolved implementation: what the
+// backends and the worker loop execute.
+type boundJob struct {
+	*Job
+	JobFuncs
 }
 
 var (
@@ -77,23 +86,39 @@ func buildImpl(name string, spec []byte) (JobFuncs, error) {
 	return build(spec)
 }
 
-// resolveJob materializes a Job's Impl reference into concrete funcs,
-// returning a shallow copy so the caller's Job is never mutated. Jobs
-// without an Impl (or with funcs already set) pass through unchanged.
-func resolveJob(job *Job) (*Job, error) {
-	if job.Impl == "" || job.Mapper != nil || job.NewMapper != nil {
-		return job, nil
+// resolveJob builds a Job's registered implementation. A Job without an
+// Impl is rejected on every backend, not only where it would have to cross
+// a process boundary, so a job that runs in-process also runs on workers.
+func resolveJob(job *Job) (*boundJob, error) {
+	if job.Impl == "" {
+		return nil, fmt.Errorf(
+			"mr: job %q requires Job.Impl (a RegisterJobImpl name): function values cannot cross the process boundary", job.Name)
 	}
 	funcs, err := buildImpl(job.Impl, job.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("mr: job %q: %w", job.Name, err)
 	}
-	j := *job
-	j.Mapper = funcs.Mapper
-	j.NewMapper = funcs.NewMapper
-	j.Reducer = funcs.Reducer
-	j.TypedReducer = funcs.TypedReducer
-	j.Combiner = funcs.Combiner
-	j.TypedCombiner = funcs.TypedCombiner
-	return &j, nil
+	if funcs.NewMapper == nil {
+		return nil, fmt.Errorf("mr: job %q: impl %q has no mapper", job.Name, job.Impl)
+	}
+	return &boundJob{Job: job, JobFuncs: funcs}, nil
+}
+
+// EncodeSpec gob-encodes a job's parameters into a Job.Spec blob. gob
+// round-trips float64 bit-exactly, so a builder that decodes the spec
+// (DecodeSpec) computes exactly what the driver's live values would.
+func EncodeSpec(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("mr: encoding job spec %T: %w", v, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeSpec decodes a Job.Spec blob written by EncodeSpec into v.
+func DecodeSpec(spec []byte, v any) error {
+	if err := gob.NewDecoder(bytes.NewReader(spec)).Decode(v); err != nil {
+		return fmt.Errorf("mr: decoding job spec %T: %w", v, err)
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,11 +108,9 @@ func TestParallelismCapSharedAcrossConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			job := &Job{
-				Name:      fmt.Sprintf("capped-%d", j),
-				Splits:    makeSplits(36, 12),
+			job := funcJob(fmt.Sprintf("capped-%d", j), makeSplits(36, 12), JobFuncs{
 				NewMapper: func() Mapper { return &capMapper{inFlight: &inFlight, peak: &peak} },
-			}
+			})
 			if _, err := engine.Run(job); err != nil {
 				t.Error(err)
 			}
@@ -137,16 +136,14 @@ func TestShuffleDeterministicAcrossParallelism(t *testing.T) {
 		engine := NewEngine(Config{Parallelism: par, NumReducers: 5})
 		var mu sync.Mutex
 		lastKey := make(map[int]string)
-		job := &Job{
-			Name:   "determinism",
-			Splits: makeSplits(5000, 16),
-			Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+		job := funcJob("determinism", makeSplits(5000, 16), JobFuncs{
+			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 				// Irrational-ish increments make float sums order-sensitive,
 				// so any nondeterministic value order shows up in the bits.
 				ctx.Emit(fmt.Sprintf("k%03d", global%97), row[0]*0.1+0.3)
 				return nil
 			}),
-			Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
+			TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
 				mu.Lock()
 				if prev, ok := lastKey[ctx.TaskID]; ok && key <= prev {
 					mu.Unlock()
@@ -155,13 +152,13 @@ func TestShuffleDeterministicAcrossParallelism(t *testing.T) {
 				lastKey[ctx.TaskID] = key
 				mu.Unlock()
 				var s float64
-				for _, v := range values {
-					s += v.(float64)
+				for i := 0; i < values.Len(); i++ {
+					s += values.Float64(i)
 				}
 				ctx.Emit(key, s)
 				return nil
 			}),
-		}
+		})
 		out, err := engine.Run(job)
 		if err != nil {
 			t.Fatal(err)
@@ -170,9 +167,15 @@ func TestShuffleDeterministicAcrossParallelism(t *testing.T) {
 		for _, p := range out.Pairs {
 			raw += fmt.Sprintf("%s=%x;", p.Key, p.Value.(float64))
 		}
+		got := byKey(out)
+		keys := make([]string, 0, len(got))
+		for k := range got {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
 		sorted := ""
-		for _, g := range out.Groups() {
-			sorted += fmt.Sprintf("%s=%x;", g.Key, g.Values[0].(float64))
+		for _, k := range keys {
+			sorted += fmt.Sprintf("%s=%x;", k, got[k].(float64))
 		}
 		return raw, sorted, out.Counters
 	}
@@ -196,14 +199,12 @@ func TestShuffleDeterministicAcrossParallelism(t *testing.T) {
 // order, not task completion order.
 func TestMapOnlyOutputDeterministicOrder(t *testing.T) {
 	engine := NewEngine(Config{Parallelism: 8})
-	job := &Job{
-		Name:   "maponly-order",
-		Splits: makeSplits(200, 16),
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+	job := funcJob("maponly-order", makeSplits(200, 16), JobFuncs{
+		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 			ctx.Emit("p", global)
 			return nil
 		}),
-	}
+	})
 	out, err := engine.Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -212,45 +213,5 @@ func TestMapOnlyOutputDeterministicOrder(t *testing.T) {
 		if p.Value.(int) != i {
 			t.Fatalf("pair %d carries global index %d — map-only output not in split order", i, p.Value)
 		}
-	}
-}
-
-// TestOutputGroups: Groups returns ascending keys with values in pair
-// order, leaving Pairs untouched.
-func TestOutputGroups(t *testing.T) {
-	out := &Output{Pairs: []Pair{
-		{Key: "b", Value: 1}, {Key: "a", Value: 2}, {Key: "b", Value: 3}, {Key: "a", Value: 4},
-	}}
-	groups := out.Groups()
-	if len(groups) != 2 || groups[0].Key != "a" || groups[1].Key != "b" {
-		t.Fatalf("groups = %+v", groups)
-	}
-	if groups[0].Values[0].(int) != 2 || groups[0].Values[1].(int) != 4 {
-		t.Fatalf("value order not preserved: %+v", groups[0].Values)
-	}
-	if groups[1].Values[0].(int) != 1 || groups[1].Values[1].(int) != 3 {
-		t.Fatalf("value order not preserved: %+v", groups[1].Values)
-	}
-	if out.Pairs[0].Key != "b" {
-		t.Fatal("Groups mutated o.Pairs")
-	}
-	if (&Output{}).Groups() != nil {
-		t.Fatal("empty output must group to nil")
-	}
-}
-
-// TestGroupedSharedBackingIsAppendSafe: Grouped's value slices share one
-// backing array; appending to one key's slice must not clobber another's.
-func TestGroupedSharedBackingIsAppendSafe(t *testing.T) {
-	out := &Output{Pairs: []Pair{
-		{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "a", Value: 3}, {Key: "c", Value: 4},
-	}}
-	g := out.Grouped()
-	if len(g) != 3 || len(g["a"]) != 2 || g["a"][0].(int) != 1 || g["a"][1].(int) != 3 {
-		t.Fatalf("grouped = %v", g)
-	}
-	_ = append(g["a"], 99)
-	if g["b"][0].(int) != 2 || g["c"][0].(int) != 4 {
-		t.Fatalf("append through shared backing clobbered neighbours: %v", g)
 	}
 }

@@ -169,16 +169,14 @@ func TestTraceFaultOutcomesAndPoints(t *testing.T) {
 func TestTraceErrorPathsCloseSpans(t *testing.T) {
 	t.Run("real-error", func(t *testing.T) {
 		mem := obs.NewMemTracer()
-		job := &Job{
-			Name:   "doomed",
-			Splits: makeSplits(100, 2),
-			Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+		job := funcJob("doomed", makeSplits(100, 2), JobFuncs{
+			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 				if ctx.TaskID == 1 {
 					return errors.New("boom")
 				}
 				return nil
 			}),
-		}
+		})
 		_, err := NewEngine(Config{Parallelism: 2, Tracer: mem}).Run(job)
 		if err == nil {
 			t.Fatal("job must fail")

@@ -24,57 +24,46 @@ func typedTestSplits(splits, rows, dim int) []*Split {
 }
 
 // TestTypedEmitMatchesBoxed runs the same logical job once through the
-// boxed-compat lane (ctx.Emit + Reducer) and once through the typed lane
-// (EmitF64 + TypedReducer) and requires byte-for-byte identical Output:
-// same pairs in the same order, same counters. This is the core compat
-// oracle of the typed plane.
+// boxed emit lane (ctx.Emit, values read back through Values.Value) and
+// once through the scalar lane (EmitF64, Values.Float64) and requires
+// byte-for-byte identical Output: same pairs in the same order, same
+// counters. This is the core compat oracle of the typed plane.
 func TestTypedEmitMatchesBoxed(t *testing.T) {
 	splits := typedTestSplits(4, 32, 3)
 	key := func(g int) string { return fmt.Sprintf("k%d", g%7) }
 
-	boxed := &Job{
-		Name:   "boxed",
-		Splits: splits,
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+	boxed := JobFuncs{
+		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 			ctx.Emit(key(global), row[0]+row[1])
-			return nil
-		}),
-		Reducer: ReducerFunc(func(ctx *TaskContext, k string, values []any) error {
-			sum := 0.0
-			for _, v := range values {
-				sum += v.(float64)
-			}
-			ctx.Emit(k, sum)
-			return nil
-		}),
-		NumReducers: 3,
-	}
-	typed := &Job{
-		Name:   "boxed", // same name: counters embed no name, spans do; keep apples-to-apples
-		Splits: splits,
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
-			ctx.EmitF64(key(global), row[0]+row[1])
 			return nil
 		}),
 		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, k string, values Values) error {
 			sum := 0.0
 			for i := 0; i < values.Len(); i++ {
-				sum += values.Float64(i)
+				sum += values.Value(i).(float64)
 			}
-			ctx.EmitF64(k, sum)
+			ctx.Emit(k, sum)
 			return nil
 		}),
-		NumReducers: 3,
+	}
+	typed := JobFuncs{
+		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
+			ctx.EmitF64(key(global), row[0]+row[1])
+			return nil
+		}),
+		TypedReducer: sumFloat64,
 	}
 
 	for _, par := range []int{1, 4} {
-		e1 := NewEngine(Config{Parallelism: par})
-		e2 := NewEngine(Config{Parallelism: par})
-		o1, err := e1.Run(boxed)
+		// Same job name: counters embed no name, spans do; keep
+		// apples-to-apples.
+		j1, j2 := funcJob("boxed", splits, boxed), funcJob("boxed", splits, typed)
+		j1.NumReducers, j2.NumReducers = 3, 3
+		o1, err := NewEngine(Config{Parallelism: par}).Run(j1)
 		if err != nil {
 			t.Fatalf("par %d: boxed: %v", par, err)
 		}
-		o2, err := e2.Run(typed)
+		o2, err := NewEngine(Config{Parallelism: par}).Run(j2)
 		if err != nil {
 			t.Fatalf("par %d: typed: %v", par, err)
 		}
@@ -89,36 +78,34 @@ func TestTypedEmitMatchesBoxed(t *testing.T) {
 
 // TestTypedScalarRoundTrip pins the boxed dynamic type of every scalar lane:
 // an emitted int must come back as int (not int64), an int64 as int64, a
-// float64 as float64 — through map-only output, reducers, and combiners.
+// float64 as float64 — through map-only output.
 func TestTypedScalarRoundTrip(t *testing.T) {
 	splits := typedTestSplits(1, 4, 1)
-	job := &Job{
-		Name:   "roundtrip",
-		Splits: splits,
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+	job := funcJob("roundtrip", splits, JobFuncs{
+		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 			Emit(ctx, "f", 1.5)
 			Emit(ctx, "i", int64(-7))
 			Emit(ctx, "n", 42)
 			Emit(ctx, "s", []float64{1, 2})
 			return nil
 		}),
-	}
+	})
 	out, err := Default().Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := out.Grouped()
-	if v := byKey["f"][0]; v != any(1.5) {
+	got := byKey(out)
+	if v := got["f"]; v != any(1.5) {
 		t.Fatalf("float64 round-trip: got %T %v", v, v)
 	}
-	if v := byKey["i"][0]; v != any(int64(-7)) {
+	if v := got["i"]; v != any(int64(-7)) {
 		t.Fatalf("int64 round-trip: got %T %v", v, v)
 	}
-	if v := byKey["n"][0]; v != any(42) {
+	if v := got["n"]; v != any(42) {
 		t.Fatalf("int round-trip: got %T %v (must stay int, not int64)", v, v)
 	}
-	if v, ok := byKey["s"][0].([]float64); !ok || len(v) != 2 {
-		t.Fatalf("slice round-trip: got %T", byKey["s"][0])
+	if v, ok := got["s"].([]float64); !ok || len(v) != 2 {
+		t.Fatalf("slice round-trip: got %T", got["s"])
 	}
 }
 
@@ -126,10 +113,8 @@ func TestTypedScalarRoundTrip(t *testing.T) {
 // mixed-lane input.
 func TestValuesAccessors(t *testing.T) {
 	splits := typedTestSplits(1, 1, 1)
-	job := &Job{
-		Name:   "accessors",
-		Splits: splits,
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+	job := funcJob("accessors", splits, JobFuncs{
+		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 			ctx.EmitF64("k", 0.5)
 			ctx.EmitI64("k", 9)
 			ctx.EmitInt("k", 3)
@@ -149,18 +134,16 @@ func TestValuesAccessors(t *testing.T) {
 			if got := values.Int(2); got != 3 {
 				t.Errorf("Int(2) = %v", got)
 			}
-			if got := values.Value(3); got != any("str") {
-				t.Errorf("Value(3) = %v", got)
-			}
-			boxed := values.AppendBoxed(nil)
 			want := []any{0.5, int64(9), 3, "str"}
-			if !reflect.DeepEqual(boxed, want) {
-				t.Errorf("AppendBoxed = %#v, want %#v", boxed, want)
+			for i, w := range want {
+				if got := values.Value(i); got != w {
+					t.Errorf("Value(%d) = %#v, want %#v", i, got, w)
+				}
 			}
 			ctx.EmitInt(k, values.Len())
 			return nil
 		}),
-	}
+	})
 	out, err := Default().Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -170,48 +153,34 @@ func TestValuesAccessors(t *testing.T) {
 	}
 }
 
-// TestTypedCombinerMatchesBoxed runs the same sum job with a boxed Combiner
-// and a TypedCombiner and requires identical output and counters —
-// including CombineInput/CombineOutput and the post-combine ShuffledBytes.
+// TestTypedCombinerMatchesBoxed runs the same sum job with a combiner that
+// emits on the boxed lane and one that emits on the scalar lane and
+// requires identical output and counters — including
+// CombineInput/CombineOutput and the post-combine ShuffledBytes.
 func TestTypedCombinerMatchesBoxed(t *testing.T) {
 	splits := typedTestSplits(3, 40, 2)
 	key := func(g int) string { return fmt.Sprintf("k%d", g%5) }
-	mapF64 := MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+	mapF64 := mapFn(func(ctx *TaskContext, global int, row []float64) error {
 		ctx.EmitF64(key(global), row[1])
 		return nil
 	})
-	reduce := TypedReducerFunc(func(ctx *TaskContext, k string, values Values) error {
-		sum := 0.0
-		for i := 0; i < values.Len(); i++ {
-			sum += values.Float64(i)
-		}
-		ctx.EmitF64(k, sum)
-		return nil
-	})
-
-	boxed := &Job{
-		Name: "combine", Splits: splits, Mapper: mapF64, TypedReducer: reduce,
-		Combiner: CombinerFunc(func(k string, values []any) ([]any, error) {
-			sum := 0.0
-			for _, v := range values {
-				sum += v.(float64)
-			}
-			return []any{sum}, nil
-		}),
-		NumReducers: 2,
-	}
-	typed := &Job{
-		Name: "combine", Splits: splits, Mapper: mapF64, TypedReducer: reduce,
-		TypedCombiner: TypedCombinerFunc(func(k string, values Values, out *CombineEmit) error {
+	combine := func(boxed bool) TypedCombiner {
+		return TypedCombinerFunc(func(k string, values Values, out *CombineEmit) error {
 			sum := 0.0
 			for i := 0; i < values.Len(); i++ {
 				sum += values.Float64(i)
 			}
-			out.EmitF64(sum)
+			if boxed {
+				out.Emit(sum)
+			} else {
+				out.EmitF64(sum)
+			}
 			return nil
-		}),
-		NumReducers: 2,
+		})
 	}
+	boxed := funcJob("combine", splits, JobFuncs{NewMapper: mapF64, TypedReducer: sumFloat64, TypedCombiner: combine(true)})
+	typed := funcJob("combine", splits, JobFuncs{NewMapper: mapF64, TypedReducer: sumFloat64, TypedCombiner: combine(false)})
+	boxed.NumReducers, typed.NumReducers = 2, 2
 	o1, err := Default().Run(boxed)
 	if err != nil {
 		t.Fatal(err)
@@ -231,20 +200,32 @@ func TestTypedCombinerMatchesBoxed(t *testing.T) {
 	}
 }
 
-// TestJobValidation pins the at-most-one-of constraints on the dual
-// reducer/combiner surfaces.
+// TestJobValidation pins the registry's registration contract: an empty
+// name, a nil builder and a duplicate name are programmer errors that
+// panic at registration, and a registered job never mutates the caller's
+// Job.
 func TestJobValidation(t *testing.T) {
-	splits := typedTestSplits(1, 1, 1)
-	m := MapperFunc(func(ctx *TaskContext, global int, row []float64) error { return nil })
-	red := ReducerFunc(func(ctx *TaskContext, k string, values []any) error { return nil })
-	tred := TypedReducerFunc(func(ctx *TaskContext, k string, values Values) error { return nil })
-	if _, err := Default().Run(&Job{Name: "both-red", Splits: splits, Mapper: m, Reducer: red, TypedReducer: tred}); err == nil {
-		t.Fatal("want error when both Reducer and TypedReducer are set")
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: RegisterJobImpl did not panic", name)
+			}
+		}()
+		f()
 	}
-	cb := CombinerFunc(func(k string, values []any) ([]any, error) { return values, nil })
-	tcb := TypedCombinerFunc(func(k string, values Values, out *CombineEmit) error { return nil })
-	if _, err := Default().Run(&Job{Name: "both-cb", Splits: splits, Mapper: m, TypedReducer: tred, Combiner: cb, TypedCombiner: tcb}); err == nil {
-		t.Fatal("want error when both Combiner and TypedCombiner are set")
+	build := func([]byte) (JobFuncs, error) { return JobFuncs{NewMapper: nopMapper}, nil }
+	mustPanic("empty name", func() { RegisterJobImpl("", build) })
+	mustPanic("nil builder", func() { RegisterJobImpl("test-nil-builder", nil) })
+	mustPanic("duplicate", func() { RegisterJobImpl("conf-wordcount", build) })
+
+	job := chaosJob(100, 2, 2)
+	before := *job
+	if _, err := Default().Run(job); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*job, before) {
+		t.Errorf("Run mutated the caller's Job:\n got %+v\nwant %+v", *job, before)
 	}
 }
 
@@ -253,13 +234,12 @@ func TestJobValidation(t *testing.T) {
 // reducer — on both lanes, identically.
 func TestCombinerDropsAllValuesOfKey(t *testing.T) {
 	splits := typedTestSplits(2, 10, 1)
-	mk := MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
-		ctx.EmitInt(fmt.Sprintf("k%d", global%4), 1)
-		return nil
-	})
 	seen := map[string]bool{}
-	job := &Job{
-		Name: "drop", Splits: splits, Mapper: mk,
+	job := funcJob("drop", splits, JobFuncs{
+		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
+			ctx.EmitInt(fmt.Sprintf("k%d", global%4), 1)
+			return nil
+		}),
 		TypedCombiner: TypedCombinerFunc(func(k string, values Values, out *CombineEmit) error {
 			if k == "k1" {
 				return nil // fold the key away entirely
@@ -271,8 +251,8 @@ func TestCombinerDropsAllValuesOfKey(t *testing.T) {
 			seen[k] = true
 			return nil
 		}),
-		NumReducers: 1, // single reducer, sequential: the seen map is safe
-	}
+	})
+	job.NumReducers = 1 // single reducer, sequential: the seen map is safe
 	if _, err := NewEngine(Config{Parallelism: 1}).Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -293,23 +273,14 @@ func TestPoolReuseAcrossJobs(t *testing.T) {
 		e := NewEngine(Config{Parallelism: 4, DebugPoisonPools: poison})
 		var first *Output
 		for iter := 0; iter < 5; iter++ {
-			job := &Job{
-				Name:   "steady",
-				Splits: typedTestSplits(4, 25, 2),
-				Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+			job := funcJob("steady", typedTestSplits(4, 25, 2), JobFuncs{
+				NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 					ctx.EmitF64(fmt.Sprintf("k%d", global%9), row[0])
 					return nil
 				}),
-				TypedReducer: TypedReducerFunc(func(ctx *TaskContext, k string, values Values) error {
-					sum := 0.0
-					for i := 0; i < values.Len(); i++ {
-						sum += values.Float64(i)
-					}
-					ctx.EmitF64(k, sum)
-					return nil
-				}),
-				NumReducers: 3,
-			}
+				TypedReducer: sumFloat64,
+			})
+			job.NumReducers = 3
 			out, err := e.Run(job)
 			if err != nil {
 				t.Fatalf("poison=%v iter %d: %v", poison, iter, err)

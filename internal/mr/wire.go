@@ -149,8 +149,8 @@ type reduceTaskFrame struct {
 	// Segments are every map task's runs for this partition, ordered by
 	// (map task, Seq): the merge preserves that order within each key.
 	Segments []segmentRef
-	// TotalRecords is the summed record count (sizes the boxed-reducer
-	// backing array exactly like the in-process engine).
+	// TotalRecords is the summed record count. Workers no longer read it;
+	// it stays because frames are append-only.
 	TotalRecords int64
 }
 

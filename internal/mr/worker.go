@@ -72,9 +72,9 @@ type workerState struct {
 	// job is the materialized current job (registry funcs + decoded cache);
 	// jobErr defers an impl-resolution failure to the first task frame, so
 	// it surfaces as a task error instead of a dead worker.
-	job    *Job
-	jobErr error
-	nb     int
+	job         *boundJob
+	jobErr      error
+	nb          int
 	mapOnly     bool
 	hasCombiner bool
 	spillDir    string
@@ -234,16 +234,9 @@ func (w *workerState) setJob(data []byte) error {
 			cache[k] = v
 		}
 	}
-	w.job = &Job{
-		Name:          jf.Name,
-		Mapper:        funcs.Mapper,
-		NewMapper:     funcs.NewMapper,
-		Reducer:       funcs.Reducer,
-		TypedReducer:  funcs.TypedReducer,
-		Combiner:      funcs.Combiner,
-		TypedCombiner: funcs.TypedCombiner,
-		NumReducers:   jf.NumReducers,
-		Cache:         cache,
+	w.job = &boundJob{
+		Job:      &Job{Name: jf.Name, NumReducers: jf.NumReducers, Cache: cache},
+		JobFuncs: funcs,
 	}
 	w.nb = jf.NB
 	w.mapOnly = jf.MapOnly
@@ -282,10 +275,7 @@ func (w *workerState) runMap(data []byte) error {
 	}
 
 	var c Counters
-	mapper := w.job.Mapper
-	if w.job.NewMapper != nil {
-		mapper = w.job.NewMapper()
-	}
+	mapper := w.job.NewMapper()
 	ctx := &TaskContext{
 		JobName:      w.job.Name,
 		TaskID:       f.Task,
@@ -457,14 +447,6 @@ func (w *workerState) runReduce(data []byte) error {
 		cache:    w.job.Cache,
 		outPairs: &out,
 	}
-	// Boxed-compat reducers get a fresh, never-pooled backing array — the
-	// rule the pool-lifecycle audit pinned: state handed to code that may
-	// retain it is freshly allocated; state crossing the process boundary
-	// is serialized, never shared.
-	var backing []any
-	if w.job.Reducer != nil {
-		backing = make([]any, 0, f.TotalRecords)
-	}
 	consumed := 0
 	merge := w.tel.StartStep("segment-merge", "reduce")
 	err := mergeSegments(readers, &w.batch, func(k string, grouped []rec) error {
@@ -474,14 +456,7 @@ func (w *workerState) runReduce(data []byte) error {
 		consumed += len(grouped)
 		c.ReduceInputKeys++
 		c.ReduceInputVals += int64(len(grouped))
-		if w.job.TypedReducer != nil {
-			return w.job.TypedReducer.ReduceTyped(ctx, k, Values{recs: grouped})
-		}
-		start := len(backing)
-		for i := range grouped {
-			backing = append(backing, grouped[i].value())
-		}
-		return w.job.Reducer.Reduce(ctx, k, backing[start:len(backing):len(backing)])
+		return w.job.TypedReducer.ReduceTyped(ctx, k, Values{recs: grouped})
 	})
 	if err != nil {
 		if errors.Is(err, errInjectedFailure) {

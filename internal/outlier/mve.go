@@ -111,24 +111,13 @@ func mveEstimate(points []float64, d int, rng *rand.Rand) (mu []float64, cov *li
 // jobs re-estimate mean/covariance from the points inside each cluster's
 // ellipsoid core (mirroring the MVB jobs of §5.5).
 func mveModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.SpanID) (*em.Model, error) {
-	if err := model.Prepare(); err != nil {
-		return nil, err
-	}
 	k := model.K()
 	d := len(model.Attrs)
 
 	// Job: per-cluster reservoir samples. Each mapper samples its split;
 	// the driver merges (a merged reservoir of reservoirs is not a uniform
 	// sample, but the MVE only needs a representative spread).
-	job := &mr.Job{
-		Name:        "mve-sample",
-		Splits:      splits,
-		TraceParent: trace,
-		NewMapper: func() mr.Mapper {
-			return &sampleMapper{model: model, cap: mveSampleCap}
-		},
-	}
-	out, err := engine.Run(job)
+	out, err := runModelJob(engine, &mr.Job{Name: "mve-sample", Splits: splits, Impl: "mve-sample", TraceParent: trace}, em.SpecOf(model))
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +132,6 @@ func mveModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.
 
 	robust := model.Clone()
 	rng := rand.New(rand.NewSource(7))
-	balls := make([]*ballStat, k)
 	for c := 0; c < k; c++ {
 		if len(samples[c])/d < d+2 {
 			continue // keep EM statistics for starved clusters
@@ -154,22 +142,19 @@ func mveModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.
 		}
 		robust.Components[c].Mean = mu
 		robust.Components[c].Cov = cov
-		// Reuse the in-ball re-estimation jobs with an ellipsoid core: the
-		// "ball" is expressed in the Mahalanobis metric of the MVE.
-		balls[c] = &ballStat{Center: mu, Radius: -1} // marker; see inEllipsoid
 	}
 
 	// Re-estimate mean/cov from the points inside each MVE core with the
-	// same two jobs the MVB detector uses, but with ellipsoid membership.
-	if err := robust.Prepare(); err != nil {
-		return nil, err
-	}
+	// same two jobs the MVB detector uses, but with ellipsoid membership:
+	// the core is expressed in the Mahalanobis metric of the MVE.
 	core := stats.ChiSquareCritical(0.5, d)
-	means, counts, err := ellipsoidMeans(engine, splits, robust, core, trace)
+	sp := robustSpec{Model: em.SpecOf(robust), Radius2: core}
+	means, counts, err := inCoreMeans(engine, &mr.Job{Name: "mve-mean", Splits: splits, Impl: "mve-mean", TraceParent: trace}, robust, sp)
 	if err != nil {
 		return nil, err
 	}
-	covs, err := ellipsoidCovariances(engine, splits, robust, core, means, trace)
+	sp.Means = means
+	covs, err := inCoreCovariances(engine, &mr.Job{Name: "mve-cov", Splits: splits, Impl: "mve-cov", TraceParent: trace}, robust, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -186,6 +171,18 @@ func mveModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.
 		}
 	}
 	return robust, nil
+}
+
+func buildSampleJob(spec []byte) (mr.JobFuncs, error) {
+	var sp em.ModelSpec
+	if err := mr.DecodeSpec(spec, &sp); err != nil {
+		return mr.JobFuncs{}, err
+	}
+	model, err := sp.Model()
+	if err != nil {
+		return mr.JobFuncs{}, err
+	}
+	return mr.JobFuncs{NewMapper: func() mr.Mapper { return &sampleMapper{model: model, cap: mveSampleCap} }}, nil
 }
 
 // sampleMapper reservoir-samples projected points per most-likely cluster.
@@ -239,104 +236,9 @@ func (m *sampleMapper) Cleanup(ctx *mr.TaskContext) error {
 	return nil
 }
 
-// ellipsoidMeans/ellipsoidCovariances mirror ballMeans/ballCovariances with
-// Mahalanobis-ellipsoid membership: x belongs to its cluster's core when
-// (x−µ)ᵀΣ⁻¹(x−µ) ≤ radius2 under the robust model.
-func ellipsoidMeans(engine *mr.Engine, splits []*mr.Split, robust *em.Model, radius2 float64, trace obs.SpanID) ([][]float64, []int64, error) {
-	d := len(robust.Attrs)
-	k := robust.K()
-	job := &mr.Job{
-		Name:        "mve-mean",
-		Splits:      splits,
-		TraceParent: trace,
-		NewMapper: func() mr.Mapper {
-			return &inEllipsoidMapper{model: robust, radius2: radius2, emitCov: false}
-		},
-		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-			agg := meanStat{Sum: make([]float64, d)}
-			for i := 0; i < values.Len(); i++ {
-				st := values.Value(i).(meanStat)
-				agg.Count += st.Count
-				for j := range agg.Sum {
-					agg.Sum[j] += st.Sum[j]
-				}
-			}
-			ctx.Emit(key, agg)
-			return nil
-		}),
-	}
-	out, err := engine.Run(job)
-	if err != nil {
-		return nil, nil, err
-	}
-	means := make([][]float64, k)
-	counts := make([]int64, k)
-	for i := range means {
-		means[i] = append([]float64(nil), robust.Components[i].Mean...)
-	}
-	for _, p := range out.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
-		st := p.Value.(meanStat)
-		counts[c] = st.Count
-		if st.Count > 0 {
-			mu := make([]float64, d)
-			for j := range mu {
-				mu[j] = st.Sum[j] / float64(st.Count)
-			}
-			means[c] = mu
-		}
-	}
-	return means, counts, nil
-}
-
-func ellipsoidCovariances(engine *mr.Engine, splits []*mr.Split, robust *em.Model, radius2 float64, means [][]float64, trace obs.SpanID) ([]*linalg.Matrix, error) {
-	d := len(robust.Attrs)
-	k := robust.K()
-	job := &mr.Job{
-		Name:        "mve-cov",
-		Splits:      splits,
-		TraceParent: trace,
-		NewMapper: func() mr.Mapper {
-			return &inEllipsoidMapper{model: robust, radius2: radius2, emitCov: true, means: means}
-		},
-		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-			agg := scatterStat{S: make([]float64, d*d)}
-			for i := 0; i < values.Len(); i++ {
-				st := values.Value(i).(scatterStat)
-				agg.Count += st.Count
-				for j := range agg.S {
-					agg.S[j] += st.S[j]
-				}
-			}
-			ctx.Emit(key, agg)
-			return nil
-		}),
-	}
-	out, err := engine.Run(job)
-	if err != nil {
-		return nil, err
-	}
-	covs := make([]*linalg.Matrix, k)
-	for i := range covs {
-		covs[i] = robust.Components[i].Cov.Clone()
-	}
-	for _, p := range out.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
-		st := p.Value.(scatterStat)
-		if st.Count >= 2 {
-			cov := linalg.NewMatrix(d, d)
-			f := 1 / float64(st.Count-1)
-			for j := range cov.Data {
-				cov.Data[j] = st.S[j] * f
-			}
-			covs[c] = cov
-		}
-	}
-	return covs, nil
-}
-
+// inEllipsoidMapper accumulates sums (or scatter) of the points inside each
+// cluster's core under Mahalanobis-ellipsoid membership: x belongs to its
+// cluster's core when (x−µ)ᵀΣ⁻¹(x−µ) ≤ radius2 under the robust model.
 type inEllipsoidMapper struct {
 	model   *em.Model
 	radius2 float64

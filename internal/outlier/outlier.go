@@ -53,6 +53,54 @@ func (m Method) String() string {
 // OutlierLabel marks a point that belongs to no cluster.
 const OutlierLabel = -1
 
+// The outlier jobs are registered by name, their models shipped in a gob
+// Spec (em.ModelSpec), so detection runs unchanged on every backend —
+// worker processes included. Each builder rebuilds the prepared mixture
+// from the spec; gob round-trips float64 bit-exactly, so assignments and
+// distances match the driver's model to the bit.
+func init() {
+	mr.RegisterWireValue([2]int{})
+	mr.RegisterWireValue(ballStat{})
+	mr.RegisterWireValue(meanStat{})
+	mr.RegisterWireValue(scatterStat{})
+	mr.RegisterJobImpl("outlier-detect", buildDetectJob)
+	mr.RegisterJobImpl("mvb-ball", buildBallJob)
+	mr.RegisterJobImpl("mvb-mean", buildInCoreJob(false, false))
+	mr.RegisterJobImpl("mvb-cov", buildInCoreJob(false, true))
+	mr.RegisterJobImpl("mve-sample", buildSampleJob)
+	mr.RegisterJobImpl("mve-mean", buildInCoreJob(true, false))
+	mr.RegisterJobImpl("mve-cov", buildInCoreJob(true, true))
+}
+
+// odSpec is the OD job's Spec: the mixture that assigns each point to a
+// cluster, the (possibly robust) statistics it is tested against, and the
+// chi-square critical value.
+type odSpec struct {
+	Assign, Test em.ModelSpec
+	Crit         float64
+}
+
+// robustSpec is the Spec of the in-core re-estimation jobs (mvb-mean/cov,
+// mve-mean/cov): the mixture, each cluster's core — an MVB ball, or for
+// the MVE jobs a squared Mahalanobis radius under the model — and, for the
+// covariance jobs, the means the scatter is taken around.
+type robustSpec struct {
+	Model   em.ModelSpec
+	Balls   []ballStat // MVB: Count 0 marks a cluster without a ball
+	Radius2 float64    // MVE
+	Means   [][]float64
+}
+
+// runModelJob encodes sp as the job's Spec and runs the job.
+func runModelJob(engine *mr.Engine, job *mr.Job, sp any) (*mr.Output, error) {
+	spec, err := mr.EncodeSpec(sp)
+	if err != nil {
+		return nil, err
+	}
+	job.Spec = spec
+	return engine.Run(job)
+}
+
 // Detect runs the OD job (§5.5): every point is assigned to its most likely
 // component and flagged as an outlier when its squared Mahalanobis distance
 // exceeds the chi-square critical value with |Arel| degrees of freedom at
@@ -76,25 +124,10 @@ func Detect(engine *mr.Engine, splits []*mr.Split, model *em.Model, n int, metho
 		}
 		testModel = robust
 	}
-	if err := testModel.Prepare(); err != nil {
-		return nil, err
-	}
 	// Assignment always follows the EM mixture; only the distance test uses
 	// the (possibly robust) statistics.
-	if err := model.Prepare(); err != nil {
-		return nil, err
-	}
-	crit := stats.ChiSquareCritical(alpha, len(model.Attrs))
-
-	job := &mr.Job{
-		Name:        "outlier-detect",
-		Splits:      splits,
-		TraceParent: trace,
-		NewMapper: func() mr.Mapper {
-			return &odMapper{assign: model, test: testModel, crit: crit}
-		},
-	}
-	out, err := engine.Run(job)
+	sp := odSpec{Assign: em.SpecOf(model), Test: em.SpecOf(testModel), Crit: stats.ChiSquareCritical(alpha, len(model.Attrs))}
+	out, err := runModelJob(engine, &mr.Job{Name: "outlier-detect", Splits: splits, Impl: "outlier-detect", TraceParent: trace}, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -135,6 +168,22 @@ func emitOutlierStats(engine *mr.Engine, span obs.SpanID, labels []int, n int) {
 		reg.Counter("p3c_quality_outliers_total").Add(int64(outliers))
 		reg.Gauge("p3c_quality_outlier_mass").Set(mass)
 	}
+}
+
+func buildDetectJob(spec []byte) (mr.JobFuncs, error) {
+	var sp odSpec
+	if err := mr.DecodeSpec(spec, &sp); err != nil {
+		return mr.JobFuncs{}, err
+	}
+	assign, err := sp.Assign.Model()
+	if err != nil {
+		return mr.JobFuncs{}, err
+	}
+	test, err := sp.Test.Model()
+	if err != nil {
+		return mr.JobFuncs{}, err
+	}
+	return mr.JobFuncs{NewMapper: func() mr.Mapper { return &odMapper{assign: assign, test: test, crit: sp.Crit} }}, nil
 }
 
 // odMapper is the map-only OD job: it emits (global index, label).
@@ -179,26 +228,62 @@ type ballStat struct {
 // robustModel performs the three MVB jobs of §5.5 and returns a model with
 // the robust means/covariances (weights and Attrs copied from model).
 func robustModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.SpanID) (*em.Model, error) {
-	if err := model.Prepare(); err != nil {
-		return nil, err
-	}
 	k := model.K()
-	d := len(model.Attrs)
 
 	// Job 1: per-split medians and radii per cluster; reducer aggregates by
 	// dimension-wise median of means and median of radii.
-	job1 := &mr.Job{
-		Name:        "mvb-ball",
-		Splits:      splits,
-		TraceParent: trace,
-		NewMapper: func() mr.Mapper {
-			return &ballMapper{model: model}
-		},
+	out1, err := runModelJob(engine, &mr.Job{Name: "mvb-ball", Splits: splits, Impl: "mvb-ball", TraceParent: trace}, em.SpecOf(model))
+	if err != nil {
+		return nil, err
+	}
+	balls := make([]ballStat, k)
+	for _, p := range out1.Pairs {
+		var c int
+		fmt.Sscanf(p.Key, "c%d", &c)
+		balls[c] = p.Value.(ballStat)
+	}
+
+	// Jobs 2+3: mean then covariance of the in-ball points per cluster,
+	// exactly as the EM initialization computes its statistics.
+	sp := robustSpec{Model: em.SpecOf(model), Balls: balls}
+	means, counts, err := inCoreMeans(engine, &mr.Job{Name: "mvb-mean", Splits: splits, Impl: "mvb-mean", TraceParent: trace}, model, sp)
+	if err != nil {
+		return nil, err
+	}
+	sp.Means = means
+	covs, err := inCoreCovariances(engine, &mr.Job{Name: "mvb-cov", Splits: splits, Impl: "mvb-cov", TraceParent: trace}, model, sp)
+	if err != nil {
+		return nil, err
+	}
+
+	robust := model.Clone()
+	for i := 0; i < k; i++ {
+		if counts[i] >= 2 {
+			robust.Components[i].Mean = means[i]
+			robust.Components[i].Cov = covs[i]
+		}
+		// Clusters whose ball captured <2 points keep the EM statistics.
+	}
+	return robust, nil
+}
+
+func buildBallJob(spec []byte) (mr.JobFuncs, error) {
+	var sp em.ModelSpec
+	if err := mr.DecodeSpec(spec, &sp); err != nil {
+		return mr.JobFuncs{}, err
+	}
+	model, err := sp.Model()
+	if err != nil {
+		return mr.JobFuncs{}, err
+	}
+	return mr.JobFuncs{
+		NewMapper: func() mr.Mapper { return &ballMapper{model: model} },
 		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
 			per := make([]ballStat, 0, values.Len())
 			for i := 0; i < values.Len(); i++ {
 				per = append(per, values.Value(i).(ballStat))
 			}
+			d := len(model.Attrs)
 			agg := ballStat{Center: make([]float64, d)}
 			col := make([]float64, 0, len(per))
 			for j := 0; j < d; j++ {
@@ -217,39 +302,7 @@ func robustModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace o
 			ctx.Emit(key, agg)
 			return nil
 		}),
-	}
-	out1, err := engine.Run(job1)
-	if err != nil {
-		return nil, err
-	}
-	balls := make([]*ballStat, k)
-	for _, p := range out1.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
-		st := p.Value.(ballStat)
-		balls[c] = &st
-	}
-
-	// Jobs 2+3: mean then covariance of the in-ball points per cluster,
-	// exactly as the EM initialization computes its statistics.
-	means, counts, err := ballMeans(engine, splits, model, balls, trace)
-	if err != nil {
-		return nil, err
-	}
-	covs, err := ballCovariances(engine, splits, model, balls, means, trace)
-	if err != nil {
-		return nil, err
-	}
-
-	robust := model.Clone()
-	for i := 0; i < k; i++ {
-		if counts[i] >= 2 {
-			robust.Components[i].Mean = means[i]
-			robust.Components[i].Cov = covs[i]
-		}
-		// Clusters whose ball captured <2 points keep the EM statistics.
-	}
-	return robust, nil
+	}, nil
 }
 
 // ballMapper caches its split's points grouped by most-likely cluster and in
@@ -322,30 +375,13 @@ type meanStat struct {
 	Count int64
 }
 
-func ballMeans(engine *mr.Engine, splits []*mr.Split, model *em.Model, balls []*ballStat, trace obs.SpanID) ([][]float64, []int64, error) {
+// inCoreMeans runs an in-core mean job (mvb-mean or mve-mean) and returns
+// the per-cluster means — the model's own mean where the core captured no
+// point — and in-core counts.
+func inCoreMeans(engine *mr.Engine, job *mr.Job, model *em.Model, sp robustSpec) ([][]float64, []int64, error) {
 	d := len(model.Attrs)
 	k := model.K()
-	job := &mr.Job{
-		Name:        "mvb-mean",
-		Splits:      splits,
-		TraceParent: trace,
-		NewMapper: func() mr.Mapper {
-			return &inBallMapper{model: model, balls: balls, emitCov: false}
-		},
-		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-			agg := meanStat{Sum: make([]float64, d)}
-			for i := 0; i < values.Len(); i++ {
-				st := values.Value(i).(meanStat)
-				agg.Count += st.Count
-				for j := range agg.Sum {
-					agg.Sum[j] += st.Sum[j]
-				}
-			}
-			ctx.Emit(key, agg)
-			return nil
-		}),
-	}
-	out, err := engine.Run(job)
+	out, err := runModelJob(engine, job, sp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -370,36 +406,19 @@ func ballMeans(engine *mr.Engine, splits []*mr.Split, model *em.Model, balls []*
 	return means, counts, nil
 }
 
-// scatterStat ships per-cluster in-ball scatter.
+// scatterStat ships per-cluster in-core scatter.
 type scatterStat struct {
 	S     []float64
 	Count int64
 }
 
-func ballCovariances(engine *mr.Engine, splits []*mr.Split, model *em.Model, balls []*ballStat, means [][]float64, trace obs.SpanID) ([]*linalg.Matrix, error) {
+// inCoreCovariances runs an in-core covariance job (mvb-cov or mve-cov)
+// around sp.Means and returns the per-cluster covariances — the model's own
+// where the core captured fewer than two points.
+func inCoreCovariances(engine *mr.Engine, job *mr.Job, model *em.Model, sp robustSpec) ([]*linalg.Matrix, error) {
 	d := len(model.Attrs)
 	k := model.K()
-	job := &mr.Job{
-		Name:        "mvb-cov",
-		Splits:      splits,
-		TraceParent: trace,
-		NewMapper: func() mr.Mapper {
-			return &inBallMapper{model: model, balls: balls, emitCov: true, means: means}
-		},
-		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-			agg := scatterStat{S: make([]float64, d*d)}
-			for i := 0; i < values.Len(); i++ {
-				st := values.Value(i).(scatterStat)
-				agg.Count += st.Count
-				for j := range agg.S {
-					agg.S[j] += st.S[j]
-				}
-			}
-			ctx.Emit(key, agg)
-			return nil
-		}),
-	}
-	out, err := engine.Run(job)
+	out, err := runModelJob(engine, job, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -422,6 +441,72 @@ func ballCovariances(engine *mr.Engine, splits []*mr.Split, model *em.Model, bal
 	}
 	return covs, nil
 }
+
+// buildInCoreJob returns the builder of one in-core re-estimation job: the
+// core is an MVB ball (ellipsoid false) or an MVE ellipsoid, and the job
+// sums either the in-core points (cov false) or their scatter around
+// spec.Means.
+func buildInCoreJob(ellipsoid, cov bool) func(spec []byte) (mr.JobFuncs, error) {
+	return func(spec []byte) (mr.JobFuncs, error) {
+		var sp robustSpec
+		if err := mr.DecodeSpec(spec, &sp); err != nil {
+			return mr.JobFuncs{}, err
+		}
+		model, err := sp.Model.Model()
+		if err != nil {
+			return mr.JobFuncs{}, err
+		}
+		f := mr.JobFuncs{TypedReducer: sumMeanStats}
+		if cov {
+			f.TypedReducer = sumScatterStats
+		}
+		if ellipsoid {
+			f.NewMapper = func() mr.Mapper {
+				return &inEllipsoidMapper{model: model, radius2: sp.Radius2, emitCov: cov, means: sp.Means}
+			}
+			return f, nil
+		}
+		balls := make([]*ballStat, len(sp.Balls))
+		for c := range sp.Balls {
+			if sp.Balls[c].Count > 0 {
+				balls[c] = &sp.Balls[c]
+			}
+		}
+		f.NewMapper = func() mr.Mapper {
+			return &inBallMapper{model: model, balls: balls, emitCov: cov, means: sp.Means}
+		}
+		return f, nil
+	}
+}
+
+// sumMeanStats and sumScatterStats are the in-core jobs' reducers: they
+// sum per-split partials into a fresh accumulator.
+var (
+	sumMeanStats = mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
+		agg := meanStat{Sum: make([]float64, len(values.Value(0).(meanStat).Sum))}
+		for i := 0; i < values.Len(); i++ {
+			st := values.Value(i).(meanStat)
+			agg.Count += st.Count
+			for j := range agg.Sum {
+				agg.Sum[j] += st.Sum[j]
+			}
+		}
+		ctx.Emit(key, agg)
+		return nil
+	})
+	sumScatterStats = mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
+		agg := scatterStat{S: make([]float64, len(values.Value(0).(scatterStat).S))}
+		for i := 0; i < values.Len(); i++ {
+			st := values.Value(i).(scatterStat)
+			agg.Count += st.Count
+			for j := range agg.S {
+				agg.S[j] += st.S[j]
+			}
+		}
+		ctx.Emit(key, agg)
+		return nil
+	})
+)
 
 // inBallMapper accumulates sums (or scatter) of the points inside each
 // cluster's MVB.

@@ -17,7 +17,7 @@ import (
 // singleton region and the gaps between endpoints become open regions —
 // points exactly on a boundary are classified correctly.
 type RSSC struct {
-	sigs  []Signature
+	n     int // number of indexed signatures
 	words int
 	// attrs lists the constrained attributes in ascending order; per attr:
 	// boundaries (sorted unique endpoint values) and masks[region] bit sets.
@@ -37,7 +37,7 @@ type rsscAttr struct {
 func NewRSSC(sigs []Signature) *RSSC {
 	n := len(sigs)
 	words := (n + 63) / 64
-	r := &RSSC{sigs: sigs, words: words, full: make([]uint64, words)}
+	r := &RSSC{n: n, words: words, full: make([]uint64, words)}
 	for j := 0; j < n; j++ {
 		r.full[j/64] |= 1 << (j % 64)
 	}
@@ -119,10 +119,7 @@ func regionInside(reg int, bs []float64, iv Interval) bool {
 }
 
 // NumSignatures returns the number of indexed signatures.
-func (r *RSSC) NumSignatures() int { return len(r.sigs) }
-
-// Signatures returns the indexed signatures (shared storage).
-func (r *RSSC) Signatures() []Signature { return r.sigs }
+func (r *RSSC) NumSignatures() int { return r.n }
 
 // Query ANDs the per-attribute masks for point x into dst (allocated when
 // nil or of the wrong size) and returns it. Bit j set means x ∈

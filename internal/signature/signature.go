@@ -7,8 +7,12 @@
 package signature
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -335,4 +339,84 @@ func FilterMaximal(sigs []Signature) []Signature {
 		}
 	}
 	return out
+}
+
+// AppendSet appends the compact binary form of sigs to dst and returns the
+// extended slice: a uvarint signature count, then per signature a uvarint
+// interval count and per interval a uvarint attribute and the Lo and Hi
+// float64 bits, little-endian. Signature sets travel in MapReduce job specs
+// in this form: candidate sets run to hundreds of thousands of intervals,
+// and it costs one allocation each way where gob's buffers and
+// per-signature decoding measurably raised peak memory.
+func AppendSet(dst []byte, sigs []Signature) []byte {
+	size := uvarintLen(uint64(len(sigs)))
+	for _, s := range sigs {
+		size += uvarintLen(uint64(len(s.Intervals)))
+		for _, iv := range s.Intervals {
+			size += uvarintLen(uint64(iv.Attr)) + 16
+		}
+	}
+	dst = slices.Grow(dst, size)
+	dst = binary.AppendUvarint(dst, uint64(len(sigs)))
+	for _, s := range sigs {
+		dst = binary.AppendUvarint(dst, uint64(len(s.Intervals)))
+		for _, iv := range s.Intervals {
+			dst = binary.AppendUvarint(dst, uint64(iv.Attr))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(iv.Lo))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(iv.Hi))
+		}
+	}
+	return dst
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+var errCorruptSet = errors.New("signature: corrupt set encoding")
+
+// DecodeSet decodes a set written by AppendSet from the front of b and
+// returns it with the rest of b. The signatures share one interval backing
+// array, each capacity-clamped so extending one cannot clobber another.
+func DecodeSet(b []byte) ([]Signature, []byte, error) {
+	k, n := binary.Uvarint(b)
+	if n <= 0 || k > uint64(len(b)) {
+		return nil, nil, errCorruptSet
+	}
+	b = b[n:]
+	// First pass: validate and count the intervals, so the backing array
+	// is allocated once.
+	total := 0
+	rest := b
+	for i := uint64(0); i < k; i++ {
+		p, n := binary.Uvarint(rest)
+		if n <= 0 || p > uint64(len(rest)) {
+			return nil, nil, errCorruptSet
+		}
+		rest = rest[n:]
+		for j := uint64(0); j < p; j++ {
+			_, n := binary.Uvarint(rest)
+			if n <= 0 || len(rest)-n < 16 {
+				return nil, nil, errCorruptSet
+			}
+			rest = rest[n+16:]
+		}
+		total += int(p)
+	}
+	ivs := make([]Interval, 0, total)
+	sigs := make([]Signature, k)
+	for i := range sigs {
+		p, n := binary.Uvarint(b)
+		b = b[n:]
+		lo := len(ivs)
+		for j := uint64(0); j < p; j++ {
+			a, n := binary.Uvarint(b)
+			ivs = append(ivs, Interval{
+				Attr: int(a),
+				Lo:   math.Float64frombits(binary.LittleEndian.Uint64(b[n:])),
+				Hi:   math.Float64frombits(binary.LittleEndian.Uint64(b[n+8:])),
+			})
+			b = b[n+16:]
+		}
+		sigs[i] = Signature{Intervals: ivs[lo:len(ivs):len(ivs)]}
+	}
+	return sigs, rest, nil
 }

@@ -1,6 +1,7 @@
 package signature
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -270,5 +271,49 @@ func TestLessIsStrictWeakOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSetRoundTrip pins the job-spec codec: AppendSet/DecodeSet round-trip
+// signatures bit-exactly (negative zero and NaN bounds included), keep
+// the bytes after the set, and reject every truncation.
+func TestSetRoundTrip(t *testing.T) {
+	nan := math.NaN()
+	sigs := []Signature{
+		New(iv(3, 0.2, 0.5)),
+		New(iv(0, math.Copysign(0, -1), 0.25), iv(300, 0.5, nan), iv(7, 0.1, 1)),
+		{},
+	}
+	b := AppendSet([]byte("head"), sigs)
+	b = append(b, "tail"...)
+	got, rest, err := DecodeSet(b[len("head"):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rest) != "tail" {
+		t.Fatalf("rest = %q, want %q", rest, "tail")
+	}
+	if len(got) != len(sigs) {
+		t.Fatalf("decoded %d signatures, want %d", len(got), len(sigs))
+	}
+	for i, s := range sigs {
+		if len(got[i].Intervals) != len(s.Intervals) {
+			t.Fatalf("signature %d: %d intervals, want %d", i, len(got[i].Intervals), len(s.Intervals))
+		}
+		for j, w := range s.Intervals {
+			g := got[i].Intervals[j]
+			if g.Attr != w.Attr || math.Float64bits(g.Lo) != math.Float64bits(w.Lo) || math.Float64bits(g.Hi) != math.Float64bits(w.Hi) {
+				t.Errorf("signature %d interval %d = %+v, want %+v", i, j, g, w)
+			}
+		}
+	}
+	if cap(got[0].Intervals) != len(got[0].Intervals) {
+		t.Error("decoded intervals not capacity-clamped")
+	}
+	full := AppendSet(nil, sigs)
+	for n := 0; n < len(full); n++ {
+		if _, _, err := DecodeSet(full[:n]); err == nil {
+			t.Fatalf("truncation to %d of %d bytes decoded without error", n, len(full))
+		}
 	}
 }
