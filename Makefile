@@ -1,14 +1,15 @@
 # Build/test entry points. `make ci` is the full PR gate: vet, the p3cvet
 # contract analyzers, build, the whole test suite (with test-order
-# shuffling so order dependence can't creep in), the race detector over the
-# engine's concurrent merge path, the chaos/fault suite under -race, and
-# one pass of the engine micro-benchmarks (compile + smoke, not timing).
+# shuffling so order dependence can't creep in), the benchmark harness's
+# own tests, the race detector over the engine's concurrent merge path,
+# the chaos/fault suite under -race, and one pass of the engine
+# micro-benchmarks (compile + smoke, not timing).
 
 GO ?= go
 
-.PHONY: ci vet lint lint-fix-check build test race bench bench-diff chaos chaos-proc trace ops ops-proc trace-diff trace-demo ops-demo trace-analyze proc-demo
+.PHONY: ci vet lint lint-fix-check build test bench-module race bench bench-diff chaos chaos-proc trace ops ops-proc trace-diff trace-demo ops-demo trace-analyze proc-demo
 
-ci: vet lint build test race chaos chaos-proc trace ops ops-proc trace-diff bench bench-diff
+ci: vet lint build test bench-module race chaos chaos-proc trace ops ops-proc trace-diff bench bench-diff
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +32,13 @@ build:
 
 test:
 	$(GO) test -shuffle=on ./...
+
+# The benchmark harness (bench/) is a nested module with its own go.mod,
+# so the root `go test ./...` skips it. Its tests fold traces of the real
+# pipeline into per-job-family ledger entries and must see every change to
+# the pipeline's job graph.
+bench-module:
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

@@ -20,6 +20,13 @@ type diffGates struct {
 	faster        []string
 }
 
+// nsFloor is the smallest absolute ns/op increase that can count as a
+// regression. At -benchtime 1x a sub-microsecond benchmark is one call
+// dominated by timer overhead, so its fractional delta is noise: 305 ns
+// becoming 700 ns is +130% and still says nothing. A regression must exceed
+// both the fractional threshold and this floor.
+const nsFloor = 10_000
+
 // splitNames parses a comma-separated benchmark list, dropping empties.
 func splitNames(s string) []string {
 	var out []string
@@ -34,7 +41,7 @@ func splitNames(s string) []string {
 // runDiff compares two benchjson baselines and reports per-benchmark
 // deltas. It exits nonzero when any benchmark present in both files
 // regressed beyond the thresholds: ns/op by more than nsThreshold
-// (fractional, e.g. 0.20 = +20%), or allocs/op by more than
+// (fractional, e.g. 0.20 = +20%) and more than nsFloor, or allocs/op by more than
 // allocThreshold — or when an improvement gate fails. Benchmarks added or
 // removed between the files are reported but never fatal — suites grow
 // across PRs.
@@ -71,7 +78,7 @@ func runDiff(oldPath, newPath string, nsThreshold, allocThreshold float64, gates
 			nsDelta = (n.NsPerOp - o.NsPerOp) / o.NsPerOp
 		}
 		verdict := "ok"
-		if nsDelta > nsThreshold {
+		if nsDelta > nsThreshold && n.NsPerOp-o.NsPerOp > nsFloor {
 			verdict = fmt.Sprintf("REGRESSION ns/op +%.0f%% > %.0f%%", nsDelta*100, nsThreshold*100)
 			regressions++
 		}

@@ -24,9 +24,7 @@ import (
 func init() {
 	mr.RegisterWireValue(signature.Signature{})
 	mr.RegisterWireValue([2]float64{})
-	mr.RegisterWireValue([2]any{})
 	mr.RegisterWireValue(memberRecord{})
-	mr.RegisterWireValue(coreSumStat{})
 	mr.RegisterJobImpl("histograms", buildHistogramJob)
 	mr.RegisterJobImpl("count-supports", buildSupportJob)
 	mr.RegisterJobImpl("candidate-generation", buildCandidateJob)
@@ -35,7 +33,6 @@ func init() {
 	mr.RegisterJobImpl("light-membership", buildMembershipJob)
 	mr.RegisterJobImpl("attribute-inspection-histograms", buildAIHistogramJob)
 	mr.RegisterJobImpl("em-init-means", buildInitMeansJob)
-	mr.RegisterJobImpl("em-init-cov", buildInitCovJob)
 }
 
 // sigSpec is the Spec of the jobs parameterized by a signature set:

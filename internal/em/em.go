@@ -1,9 +1,10 @@
 // Package em implements the expectation-maximization refinement phase of
 // the P3C/P3C+ pipeline: a Gaussian mixture model fitted in the projected
 // subspace Arel of all cluster-core-relevant attributes (paper §3.2.2,
-// §5.4). Both a serial fitter and a MapReduce fitter (two jobs per
-// iteration, after Chu et al., NIPS 2006) are provided; they compute the
-// same estimates.
+// §5.4). FitMR runs it on the MapReduce engine with one job per iteration:
+// the E-step's responsibilities feed one-pass weighted moment accumulators
+// (linalg.Moments) whose per-split partials the reducer merges — the
+// summation form of Chu et al., NIPS 2006.
 package em
 
 import (
@@ -176,10 +177,11 @@ func (o FitOptions) withDefaults() FitOptions {
 	return o
 }
 
-// FitMR runs EM on the MapReduce engine: per iteration, job one computes the
-// responsibility-weighted sums for the new means and weights, job two the
-// new covariances (exactly the two-job scheme of §5.4). The model is
-// updated in place; the iteration count actually run is returned.
+// FitMR runs EM on the MapReduce engine, one job per iteration: the job
+// computes every point's responsibilities once and folds them into each
+// component's weight sum, mean and centred scatter (§5.4 in the summation
+// form of Chu et al., which needs a single pass). The model is updated in
+// place; the iteration count actually run is returned.
 func FitMR(engine *mr.Engine, splits []*mr.Split, model *Model, opts FitOptions) (int, error) {
 	opts = opts.withDefaults()
 	if err := model.Prepare(); err != nil {
@@ -195,7 +197,7 @@ func FitMR(engine *mr.Engine, splits []*mr.Split, model *Model, opts FitOptions)
 	prevLL := math.Inf(-1)
 	iters := 0
 	for it := 0; it < opts.MaxIterations; it++ {
-		ll, h, err := emIteration(engine, splits, model, it, opts.TraceParent)
+		ll, h, err := emIteration(engine, splits, model, n, it, opts.TraceParent)
 		if err != nil {
 			return iters, err
 		}
@@ -211,52 +213,42 @@ func FitMR(engine *mr.Engine, splits []*mr.Split, model *Model, opts FitOptions)
 	return iters, nil
 }
 
-// momentStat carries one component's weighted sums through the shuffle.
+// momentStat carries one component's responsibility-weighted moments
+// through the shuffle. The convergence sums ride on component key 0 only.
 type momentStat struct {
-	W  float64   // Σ r_i
-	W2 float64   // Σ r_i²
-	L  []float64 // Σ r_i x_i
-	LL float64   // Σ log p(x) (only on component key 0, for convergence)
-	H  float64   // Σ −Σ_i r_i·ln r_i (only on key 0: responsibility entropy)
+	linalg.Moments
+	LL float64 // Σ log p(x)
+	H  float64 // Σ −Σ_i r_i·ln r_i (responsibility entropy)
 }
 
-// covStat carries one component's weighted scatter matrix.
-type covStat struct {
-	S []float64 // flattened d×d Σ r_i (x−µ)(x−µ)ᵀ
-}
-
-// emIteration runs one E+M cycle as two MR jobs and returns the data
-// log-likelihood and total responsibility entropy under the pre-update
-// model. Both jobs are registry-resolved (Impl + a gob model spec, no
-// closures) so one iteration runs identically on every backend, worker
-// processes included.
-func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, it int, trace obs.SpanID) (float64, float64, error) {
+// emIteration runs one E+M cycle as one MR job over the n points and
+// returns the data log-likelihood and total responsibility entropy under
+// the pre-update model. The job is registry-resolved (Impl + a gob model
+// spec, no closures) so one iteration runs identically on every backend,
+// worker processes included.
+func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, n int64, it int, trace obs.SpanID) (float64, float64, error) {
 	k := model.K()
 	d := len(model.Attrs)
-
-	// Job 1: weights and means.
-	spec1, err := mr.EncodeSpec(jobSpec{Model: SpecOf(model)})
+	spec, err := mr.EncodeSpec(SpecOf(model))
 	if err != nil {
 		return 0, 0, err
 	}
-	job1 := &mr.Job{
+	out, err := engine.Run(&mr.Job{
 		Name:        fmt.Sprintf("em-moments-%d", it),
 		Splits:      splits,
 		TraceParent: trace,
 		Impl:        "em-moments",
-		Spec:        spec1,
-	}
-	out1, err := engine.Run(job1)
+		Spec:        spec,
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	var n int64
-	for _, s := range splits {
-		n += int64(s.NumRows())
-	}
 	stats := make([]momentStat, k)
+	for i := range stats {
+		stats[i].Moments = linalg.NewMoments(d)
+	}
 	var totalLL, totalH float64
-	for _, p := range out1.Pairs {
+	for _, p := range out.Pairs {
 		var ci int
 		fmt.Sscanf(p.Key, "c%d", &ci)
 		st := p.Value.(momentStat)
@@ -264,58 +256,16 @@ func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, it int, tr
 		totalLL += st.LL
 		totalH += st.H
 	}
-	newMeans := make([][]float64, k)
-	for i := 0; i < k; i++ {
-		mu := make([]float64, d)
-		if stats[i].W > 0 {
-			for j := range mu {
-				mu[j] = stats[i].L[j] / stats[i].W
-			}
-		} else {
-			copy(mu, model.Components[i].Mean)
-		}
-		newMeans[i] = mu
-	}
 
-	// Job 2: covariances around the new means (weights from the old model's
-	// responsibilities, matching the standard M-step).
-	spec2, err := mr.EncodeSpec(jobSpec{Model: SpecOf(model), NewMeans: newMeans})
-	if err != nil {
-		return 0, 0, err
-	}
-	job2 := &mr.Job{
-		Name:        fmt.Sprintf("em-cov-%d", it),
-		Splits:      splits,
-		TraceParent: trace,
-		Impl:        "em-cov",
-		Spec:        spec2,
-	}
-	out2, err := engine.Run(job2)
-	if err != nil {
-		return 0, 0, err
-	}
-	scatters := make([]covStat, k)
-	for _, p := range out2.Pairs {
-		var ci int
-		fmt.Sscanf(p.Key, "c%d", &ci)
-		scatters[ci] = p.Value.(covStat)
-	}
-
-	// M-step: install the new parameters.
-	for i := 0; i < k; i++ {
-		c := model.Components[i]
-		c.Weight = stats[i].W / float64(n)
-		c.Mean = newMeans[i]
-		w, w2 := stats[i].W, stats[i].W2
-		denom := w*w - w2
-		cov := linalg.NewMatrix(d, d)
-		if denom > 0 && scatters[i].S != nil {
-			f := w / denom
-			for j := range cov.Data {
-				cov.Data[j] = scatters[i].S[j] * f
-			}
+	// M-step: install the new parameters. A component no point is
+	// responsible for keeps its mean.
+	for i, c := range model.Components {
+		st := &stats[i]
+		c.Weight = st.W / float64(n)
+		if st.W > 0 {
+			c.Mean = st.Mean
 		}
-		c.Cov = cov
+		c.Cov = st.WeightedCov()
 	}
 	if err := model.Prepare(); err != nil {
 		return 0, 0, err
@@ -323,8 +273,8 @@ func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, it int, tr
 	return totalLL, totalH, nil
 }
 
-// momentsMapper accumulates per-component weighted sums over its split and
-// emits them in Cleanup, keeping shuffle volume at O(k·d) per split.
+// momentsMapper accumulates per-component weighted moments over its split
+// and emits them in Cleanup, keeping shuffle volume at O(k·d²) per split.
 type momentsMapper struct {
 	model *Model
 	stats []momentStat
@@ -340,7 +290,7 @@ func (m *momentsMapper) Setup(*mr.TaskContext) error {
 	d := len(m.model.Attrs)
 	m.stats = make([]momentStat, k)
 	for i := range m.stats {
-		m.stats[i].L = make([]float64, d)
+		m.stats[i].Moments = linalg.NewMoments(d)
 	}
 	m.keys = mr.IntKeys("c", k)
 	m.resp = make([]float64, k)
@@ -362,76 +312,13 @@ func (m *momentsMapper) Map(ctx *mr.TaskContext, global int, row []float64) erro
 	}
 	m.stats[0].H += h
 	for i, r := range m.resp {
-		st := &m.stats[i]
-		st.W += r
-		st.W2 += r * r
-		for j, v := range x {
-			st.L[j] += r * v
-		}
+		m.stats[i].Add(x, r)
 	}
 	return nil
 }
 
 func (m *momentsMapper) Cleanup(ctx *mr.TaskContext) error {
 	for i, st := range m.stats {
-		ctx.Emit(m.keys[i], st)
-	}
-	return nil
-}
-
-// covMapper accumulates responsibility-weighted scatter around fixed means.
-type covMapper struct {
-	model    *Model
-	means    [][]float64
-	scatters []covStat
-	keys     []string
-	resp     []float64
-	proj     []float64
-	sc1      []float64
-	sc2      []float64
-}
-
-func (m *covMapper) Setup(*mr.TaskContext) error {
-	k := m.model.K()
-	d := len(m.model.Attrs)
-	m.scatters = make([]covStat, k)
-	for i := range m.scatters {
-		m.scatters[i].S = make([]float64, d*d)
-	}
-	m.keys = mr.IntKeys("c", k)
-	m.resp = make([]float64, k)
-	m.proj = make([]float64, d)
-	m.sc1 = make([]float64, d)
-	m.sc2 = make([]float64, d)
-	return nil
-}
-
-func (m *covMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	d := len(m.model.Attrs)
-	x := m.model.Project(m.proj, row)
-	m.model.Responsibilities(m.resp, x, m.sc1, m.sc2)
-	for i, r := range m.resp {
-		if r == 0 {
-			continue
-		}
-		mu := m.means[i]
-		s := m.scatters[i].S
-		for a := 0; a < d; a++ {
-			da := r * (x[a] - mu[a])
-			if da == 0 {
-				continue
-			}
-			base := a * d
-			for b := 0; b < d; b++ {
-				s[base+b] += da * (x[b] - mu[b])
-			}
-		}
-	}
-	return nil
-}
-
-func (m *covMapper) Cleanup(ctx *mr.TaskContext) error {
-	for i, st := range m.scatters {
 		ctx.Emit(m.keys[i], st)
 	}
 	return nil

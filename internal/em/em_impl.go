@@ -5,19 +5,18 @@ import (
 	"p3cmr/internal/mr"
 )
 
-// The EM jobs are registered by name (not passed as closures) so the
+// The EM job is registered by name (not passed as a closure) so the
 // fitter runs on every backend, including multiprocess: a worker process
-// cannot receive a closure, but it can receive this spec and resolve
-// "em-moments"/"em-cov" through its own copy of the registry. gob
+// cannot receive a closure, but it can receive the model spec and resolve
+// "em-moments" through its own copy of the registry. gob
 // round-trips float64 bit-exactly, so a model rebuilt from the spec
 // computes the same responsibilities — to the bit — as the driver's live
 // model, which is what keeps EM output (and the convergence metric points
 // derived from it) identical across backends.
 func init() {
 	mr.RegisterWireValue(momentStat{})
-	mr.RegisterWireValue(covStat{})
+	mr.RegisterWireValue(linalg.Moments{})
 	mr.RegisterJobImpl("em-moments", buildMomentsJob)
-	mr.RegisterJobImpl("em-cov", buildCovJob)
 }
 
 // ModelSpec is the wire form of a Model: what a job Spec carries so a
@@ -62,28 +61,16 @@ func (sp ModelSpec) Model() (*Model, error) {
 	return m, nil
 }
 
-// jobSpec is the EM jobs' Spec: the current mixture plus, for the
-// covariance job, the freshly estimated means the scatter is taken around.
-type jobSpec struct {
-	Model    ModelSpec
-	NewMeans [][]float64
-}
-
-// decodeJobSpec rebuilds the prepared mixture and the new means.
-func decodeJobSpec(spec []byte) (*Model, [][]float64, error) {
-	var sp jobSpec
-	if err := mr.DecodeSpec(spec, &sp); err != nil {
-		return nil, nil, err
-	}
-	m, err := sp.Model.Model()
-	return m, sp.NewMeans, err
-}
-
-// buildMomentsJob resolves the E-step/moments job: per-component Σr, Σr²,
-// Σr·x and the convergence stats (log-likelihood, responsibility entropy)
-// on component key 0.
+// buildMomentsJob resolves the one-pass E+M job: per component, the
+// responsibility-weighted moments, and the convergence stats
+// (log-likelihood, responsibility entropy) on component key 0. Its spec is
+// the current mixture.
 func buildMomentsJob(spec []byte) (mr.JobFuncs, error) {
-	model, _, err := decodeJobSpec(spec)
+	var sp ModelSpec
+	if err := mr.DecodeSpec(spec, &sp); err != nil {
+		return mr.JobFuncs{}, err
+	}
+	model, err := sp.Model()
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}
@@ -91,16 +78,12 @@ func buildMomentsJob(spec []byte) (mr.JobFuncs, error) {
 	return mr.JobFuncs{
 		NewMapper: func() mr.Mapper { return &momentsMapper{model: model} },
 		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-			agg := momentStat{L: make([]float64, d)}
+			agg := momentStat{Moments: linalg.NewMoments(d)}
 			for i := 0; i < values.Len(); i++ {
 				st := values.Value(i).(momentStat)
-				agg.W += st.W
-				agg.W2 += st.W2
+				agg.Merge(st.Moments)
 				agg.LL += st.LL
 				agg.H += st.H
-				for j := range agg.L {
-					agg.L[j] += st.L[j]
-				}
 			}
 			ctx.Emit(key, agg)
 			return nil
@@ -108,26 +91,15 @@ func buildMomentsJob(spec []byte) (mr.JobFuncs, error) {
 	}, nil
 }
 
-// buildCovJob resolves the M-step/covariance job: per-component scatter
-// around the new means carried in the spec.
-func buildCovJob(spec []byte) (mr.JobFuncs, error) {
-	model, newMeans, err := decodeJobSpec(spec)
-	if err != nil {
-		return mr.JobFuncs{}, err
+// MergeMoments is the reducer of every job whose mappers emit one
+// linalg.Moments partial per key (EM initialization, the robust in-core
+// estimators): it merges the partials in the engine's fixed value order,
+// so the estimate is bit-identical on every backend.
+var MergeMoments = mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
+	agg := linalg.NewMoments(len(values.Value(0).(linalg.Moments).Mean))
+	for i := 0; i < values.Len(); i++ {
+		agg.Merge(values.Value(i).(linalg.Moments))
 	}
-	d := len(model.Attrs)
-	return mr.JobFuncs{
-		NewMapper: func() mr.Mapper { return &covMapper{model: model, means: newMeans} },
-		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-			agg := covStat{S: make([]float64, d*d)}
-			for i := 0; i < values.Len(); i++ {
-				st := values.Value(i).(covStat)
-				for j := range agg.S {
-					agg.S[j] += st.S[j]
-				}
-			}
-			ctx.Emit(key, agg)
-			return nil
-		}),
-	}, nil
-}
+	ctx.Emit(key, agg)
+	return nil
+})

@@ -23,7 +23,7 @@ var Fig7Variants = []Variant{VariantBoWLight, VariantBoWMVB, VariantMRLight, Var
 // pipelines really run (locally), and every MapReduce job is charged
 // startup, map, shuffle and reduce costs as a 112-reducer cluster would
 // incur them. Expected shape: MR (MVB) is slowest (most jobs: EM
-// iterations plus the three MVB jobs), MR (Naive) 10–20% cheaper, BoW
+// iterations plus the two MVB jobs), MR (Naive) about 10% cheaper, BoW
 // scales linearly with size, and MR (Light) is comparable to BoW (Light)
 // and wins at the largest sizes.
 func Figure7(scale Scale, samplesPerReducer int) ([]Fig7Row, error) {

@@ -122,7 +122,7 @@ func WeightedCovariance(rows []float64, dim int, weights, mu []float64) *Matrix 
 	}
 	denom := w*w - w2
 	if denom <= 0 {
-		return cov
+		return NewMatrix(dim, dim)
 	}
 	f := w / denom
 	for a := 0; a < dim; a++ {

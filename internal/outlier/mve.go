@@ -20,8 +20,8 @@ import (
 // ellipsoid to a random (d+1)-subset, inflate it to cover half the points,
 // and keep the minimum-volume one. On MapReduce the estimator runs on a
 // bounded per-cluster reservoir sample (one extra job), followed by the
-// usual robust mean/covariance re-estimation restricted to the ellipsoid
-// core.
+// usual one-job robust mean/covariance re-estimation restricted to the
+// ellipsoid core.
 
 // MVE selects the resampling minimum-volume-ellipsoid estimator.
 const MVE Method = 2
@@ -107,9 +107,9 @@ func mveEstimate(points []float64, d int, rng *rand.Rand) (mu []float64, cov *li
 }
 
 // mveModel runs the MVE pipeline: one job collects a bounded per-cluster
-// reservoir sample, the driver fits the resampling MVE per cluster, and two
-// jobs re-estimate mean/covariance from the points inside each cluster's
-// ellipsoid core (mirroring the MVB jobs of §5.5).
+// reservoir sample, the driver fits the resampling MVE per cluster, and one
+// job re-estimates mean/covariance from the points inside each cluster's
+// ellipsoid core (mirroring the MVB in-ball job of §5.5).
 func mveModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.SpanID) (*em.Model, error) {
 	k := model.K()
 	d := len(model.Attrs)
@@ -145,16 +145,11 @@ func mveModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.
 	}
 
 	// Re-estimate mean/cov from the points inside each MVE core with the
-	// same two jobs the MVB detector uses, but with ellipsoid membership:
-	// the core is expressed in the Mahalanobis metric of the MVE.
+	// same one-pass job the MVB detector uses, but with ellipsoid
+	// membership: the core is expressed in the Mahalanobis metric of the MVE.
 	core := stats.ChiSquareCritical(0.5, d)
 	sp := robustSpec{Model: em.SpecOf(robust), Radius2: core}
-	means, counts, err := inCoreMeans(engine, &mr.Job{Name: "mve-mean", Splits: splits, Impl: "mve-mean", TraceParent: trace}, robust, sp)
-	if err != nil {
-		return nil, err
-	}
-	sp.Means = means
-	covs, err := inCoreCovariances(engine, &mr.Job{Name: "mve-cov", Splits: splits, Impl: "mve-cov", TraceParent: trace}, robust, sp)
+	acc, err := inCoreMoments(engine, &mr.Job{Name: "mve-mean", Splits: splits, Impl: "mve-mean", TraceParent: trace}, k, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -164,10 +159,11 @@ func mveModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.
 	// test is calibrated (Croux & Haesbroeck correction for reweighted
 	// robust estimators).
 	consistency := 0.5 / stats.ChiSquareCDF(core, d+2)
-	for c := 0; c < k; c++ {
-		if counts[c] >= int64(d)+2 {
-			robust.Components[c].Mean = means[c]
-			robust.Components[c].Cov = linalg.Scale(covs[c], consistency, covs[c])
+	for c := range acc {
+		if acc[c].W >= float64(d+2) {
+			cov := acc[c].SampleCov()
+			robust.Components[c].Mean = acc[c].Mean
+			robust.Components[c].Cov = linalg.Scale(cov, consistency, cov)
 		}
 	}
 	return robust, nil
@@ -236,89 +232,21 @@ func (m *sampleMapper) Cleanup(ctx *mr.TaskContext) error {
 	return nil
 }
 
-// inEllipsoidMapper accumulates sums (or scatter) of the points inside each
+// inEllipsoidMapper accumulates the moments of the points inside each
 // cluster's core under Mahalanobis-ellipsoid membership: x belongs to its
 // cluster's core when (x−µ)ᵀΣ⁻¹(x−µ) ≤ radius2 under the robust model.
 type inEllipsoidMapper struct {
-	model   *em.Model
+	inCore
 	radius2 float64
-	emitCov bool
-	means   [][]float64
-
-	sums     []meanStat
-	scatters []scatterStat
-	keys     []string
-	proj     []float64
-	sc1      []float64
-	sc2      []float64
-}
-
-func (m *inEllipsoidMapper) Setup(*mr.TaskContext) error {
-	d := len(m.model.Attrs)
-	k := m.model.K()
-	m.keys = mr.IntKeys("c", k)
-	if m.emitCov {
-		m.scatters = make([]scatterStat, k)
-		for i := range m.scatters {
-			m.scatters[i].S = make([]float64, d*d)
-		}
-	} else {
-		m.sums = make([]meanStat, k)
-		for i := range m.sums {
-			m.sums[i].Sum = make([]float64, d)
-		}
-	}
-	m.proj = make([]float64, d)
-	m.sc1 = make([]float64, d)
-	m.sc2 = make([]float64, d)
-	return nil
 }
 
 func (m *inEllipsoidMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	d := len(m.model.Attrs)
 	x := m.model.Project(m.proj, row)
 	c := m.model.MostLikely(x, m.sc1, m.sc2)
 	md := m.model.Mahalanobis(c, x, m.sc1, m.sc2)
 	if md*md > m.radius2 {
 		return nil
 	}
-	if m.emitCov {
-		mu := m.means[c]
-		s := m.scatters[c].S
-		for a := 0; a < d; a++ {
-			da := x[a] - mu[a]
-			if da == 0 {
-				continue
-			}
-			base := a * d
-			for b := 0; b < d; b++ {
-				s[base+b] += da * (x[b] - mu[b])
-			}
-		}
-		m.scatters[c].Count++
-	} else {
-		st := &m.sums[c]
-		for j := 0; j < d; j++ {
-			st.Sum[j] += x[j]
-		}
-		st.Count++
-	}
-	return nil
-}
-
-func (m *inEllipsoidMapper) Cleanup(ctx *mr.TaskContext) error {
-	if m.emitCov {
-		for c, st := range m.scatters {
-			if st.Count > 0 {
-				ctx.Emit(m.keys[c], st)
-			}
-		}
-		return nil
-	}
-	for c, st := range m.sums {
-		if st.Count > 0 {
-			ctx.Emit(m.keys[c], st)
-		}
-	}
+	m.acc[c].Add(x, 1)
 	return nil
 }

@@ -61,15 +61,11 @@ const OutlierLabel = -1
 func init() {
 	mr.RegisterWireValue([2]int{})
 	mr.RegisterWireValue(ballStat{})
-	mr.RegisterWireValue(meanStat{})
-	mr.RegisterWireValue(scatterStat{})
 	mr.RegisterJobImpl("outlier-detect", buildDetectJob)
 	mr.RegisterJobImpl("mvb-ball", buildBallJob)
-	mr.RegisterJobImpl("mvb-mean", buildInCoreJob(false, false))
-	mr.RegisterJobImpl("mvb-cov", buildInCoreJob(false, true))
+	mr.RegisterJobImpl("mvb-mean", buildInCoreJob(false))
 	mr.RegisterJobImpl("mve-sample", buildSampleJob)
-	mr.RegisterJobImpl("mve-mean", buildInCoreJob(true, false))
-	mr.RegisterJobImpl("mve-cov", buildInCoreJob(true, true))
+	mr.RegisterJobImpl("mve-mean", buildInCoreJob(true))
 }
 
 // odSpec is the OD job's Spec: the mixture that assigns each point to a
@@ -80,15 +76,13 @@ type odSpec struct {
 	Crit         float64
 }
 
-// robustSpec is the Spec of the in-core re-estimation jobs (mvb-mean/cov,
-// mve-mean/cov): the mixture, each cluster's core — an MVB ball, or for
-// the MVE jobs a squared Mahalanobis radius under the model — and, for the
-// covariance jobs, the means the scatter is taken around.
+// robustSpec is the Spec of the in-core re-estimation jobs (mvb-mean,
+// mve-mean): the mixture and each cluster's core — an MVB ball, or for the
+// MVE job a squared Mahalanobis radius under the model.
 type robustSpec struct {
 	Model   em.ModelSpec
 	Balls   []ballStat // MVB: Count 0 marks a cluster without a ball
 	Radius2 float64    // MVE
-	Means   [][]float64
 }
 
 // runModelJob encodes sp as the job's Spec and runs the job.
@@ -105,7 +99,7 @@ func runModelJob(engine *mr.Engine, job *mr.Job, sp any) (*mr.Output, error) {
 // component and flagged as an outlier when its squared Mahalanobis distance
 // exceeds the chi-square critical value with |Arel| degrees of freedom at
 // level alpha. With method MVB the cluster statistics are first re-estimated
-// robustly with three additional MR jobs. The returned labels hold a cluster
+// robustly with two additional MR jobs. The returned labels hold a cluster
 // index or OutlierLabel per global point index; n must be the total point
 // count across splits. trace is the span the jobs nest under (0 = untraced).
 func Detect(engine *mr.Engine, splits []*mr.Split, model *em.Model, n int, method Method, alpha float64, trace obs.SpanID) ([]int, error) {
@@ -225,8 +219,9 @@ type ballStat struct {
 	Count  int64
 }
 
-// robustModel performs the three MVB jobs of §5.5 and returns a model with
-// the robust means/covariances (weights and Attrs copied from model).
+// robustModel performs the MVB jobs of §5.5 — the ball job, then one job
+// for the in-ball means and covariances — and returns a model with the
+// robust means/covariances (weights and Attrs copied from model).
 func robustModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.SpanID) (*em.Model, error) {
 	k := model.K()
 
@@ -243,24 +238,19 @@ func robustModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace o
 		balls[c] = p.Value.(ballStat)
 	}
 
-	// Jobs 2+3: mean then covariance of the in-ball points per cluster,
-	// exactly as the EM initialization computes its statistics.
+	// Job 2: mean and covariance of the in-ball points per cluster, in one
+	// pass, exactly as the EM initialization computes its statistics.
 	sp := robustSpec{Model: em.SpecOf(model), Balls: balls}
-	means, counts, err := inCoreMeans(engine, &mr.Job{Name: "mvb-mean", Splits: splits, Impl: "mvb-mean", TraceParent: trace}, model, sp)
-	if err != nil {
-		return nil, err
-	}
-	sp.Means = means
-	covs, err := inCoreCovariances(engine, &mr.Job{Name: "mvb-cov", Splits: splits, Impl: "mvb-cov", TraceParent: trace}, model, sp)
+	acc, err := inCoreMoments(engine, &mr.Job{Name: "mvb-mean", Splits: splits, Impl: "mvb-mean", TraceParent: trace}, k, sp)
 	if err != nil {
 		return nil, err
 	}
 
 	robust := model.Clone()
-	for i := 0; i < k; i++ {
-		if counts[i] >= 2 {
-			robust.Components[i].Mean = means[i]
-			robust.Components[i].Cov = covs[i]
+	for i := range acc {
+		if acc[i].W >= 2 {
+			robust.Components[i].Mean = acc[i].Mean
+			robust.Components[i].Cov = acc[i].SampleCov()
 		}
 		// Clusters whose ball captured <2 points keep the EM statistics.
 	}
@@ -369,84 +359,27 @@ func (m *ballMapper) Cleanup(ctx *mr.TaskContext) error {
 	return nil
 }
 
-// meanStat ships per-cluster in-ball sums.
-type meanStat struct {
-	Sum   []float64
-	Count int64
-}
-
-// inCoreMeans runs an in-core mean job (mvb-mean or mve-mean) and returns
-// the per-cluster means — the model's own mean where the core captured no
-// point — and in-core counts.
-func inCoreMeans(engine *mr.Engine, job *mr.Job, model *em.Model, sp robustSpec) ([][]float64, []int64, error) {
-	d := len(model.Attrs)
-	k := model.K()
-	out, err := runModelJob(engine, job, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	means := make([][]float64, k)
-	counts := make([]int64, k)
-	for i := range means {
-		means[i] = append([]float64(nil), model.Components[i].Mean...)
-	}
-	for _, p := range out.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
-		st := p.Value.(meanStat)
-		counts[c] = st.Count
-		if st.Count > 0 {
-			mu := make([]float64, d)
-			for j := range mu {
-				mu[j] = st.Sum[j] / float64(st.Count)
-			}
-			means[c] = mu
-		}
-	}
-	return means, counts, nil
-}
-
-// scatterStat ships per-cluster in-core scatter.
-type scatterStat struct {
-	S     []float64
-	Count int64
-}
-
-// inCoreCovariances runs an in-core covariance job (mvb-cov or mve-cov)
-// around sp.Means and returns the per-cluster covariances — the model's own
-// where the core captured fewer than two points.
-func inCoreCovariances(engine *mr.Engine, job *mr.Job, model *em.Model, sp robustSpec) ([]*linalg.Matrix, error) {
-	d := len(model.Attrs)
-	k := model.K()
+// inCoreMoments runs an in-core job (mvb-mean or mve-mean) and returns
+// each cluster's unit-weight moments over its core: W is the in-core
+// count, zero where the core captured no point.
+func inCoreMoments(engine *mr.Engine, job *mr.Job, k int, sp robustSpec) ([]linalg.Moments, error) {
 	out, err := runModelJob(engine, job, sp)
 	if err != nil {
 		return nil, err
 	}
-	covs := make([]*linalg.Matrix, k)
-	for i := range covs {
-		covs[i] = model.Components[i].Cov.Clone()
-	}
+	acc := make([]linalg.Moments, k)
 	for _, p := range out.Pairs {
 		var c int
 		fmt.Sscanf(p.Key, "c%d", &c)
-		st := p.Value.(scatterStat)
-		if st.Count >= 2 {
-			cov := linalg.NewMatrix(d, d)
-			f := 1 / float64(st.Count-1)
-			for j := range cov.Data {
-				cov.Data[j] = st.S[j] * f
-			}
-			covs[c] = cov
-		}
+		acc[c] = p.Value.(linalg.Moments)
 	}
-	return covs, nil
+	return acc, nil
 }
 
 // buildInCoreJob returns the builder of one in-core re-estimation job: the
 // core is an MVB ball (ellipsoid false) or an MVE ellipsoid, and the job
-// sums either the in-core points (cov false) or their scatter around
-// spec.Means.
-func buildInCoreJob(ellipsoid, cov bool) func(spec []byte) (mr.JobFuncs, error) {
+// accumulates the moments of the in-core points.
+func buildInCoreJob(ellipsoid bool) func(spec []byte) (mr.JobFuncs, error) {
 	return func(spec []byte) (mr.JobFuncs, error) {
 		var sp robustSpec
 		if err := mr.DecodeSpec(spec, &sp); err != nil {
@@ -456,13 +389,10 @@ func buildInCoreJob(ellipsoid, cov bool) func(spec []byte) (mr.JobFuncs, error) 
 		if err != nil {
 			return mr.JobFuncs{}, err
 		}
-		f := mr.JobFuncs{TypedReducer: sumMeanStats}
-		if cov {
-			f.TypedReducer = sumScatterStats
-		}
+		f := mr.JobFuncs{TypedReducer: em.MergeMoments}
 		if ellipsoid {
 			f.NewMapper = func() mr.Mapper {
-				return &inEllipsoidMapper{model: model, radius2: sp.Radius2, emitCov: cov, means: sp.Means}
+				return &inEllipsoidMapper{inCore: inCore{model: model}, radius2: sp.Radius2}
 			}
 			return f, nil
 		}
@@ -473,71 +403,31 @@ func buildInCoreJob(ellipsoid, cov bool) func(spec []byte) (mr.JobFuncs, error) 
 			}
 		}
 		f.NewMapper = func() mr.Mapper {
-			return &inBallMapper{model: model, balls: balls, emitCov: cov, means: sp.Means}
+			return &inBallMapper{inCore: inCore{model: model}, balls: balls}
 		}
 		return f, nil
 	}
 }
 
-// sumMeanStats and sumScatterStats are the in-core jobs' reducers: they
-// sum per-split partials into a fresh accumulator.
-var (
-	sumMeanStats = mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-		agg := meanStat{Sum: make([]float64, len(values.Value(0).(meanStat).Sum))}
-		for i := 0; i < values.Len(); i++ {
-			st := values.Value(i).(meanStat)
-			agg.Count += st.Count
-			for j := range agg.Sum {
-				agg.Sum[j] += st.Sum[j]
-			}
-		}
-		ctx.Emit(key, agg)
-		return nil
-	})
-	sumScatterStats = mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-		agg := scatterStat{S: make([]float64, len(values.Value(0).(scatterStat).S))}
-		for i := 0; i < values.Len(); i++ {
-			st := values.Value(i).(scatterStat)
-			agg.Count += st.Count
-			for j := range agg.S {
-				agg.S[j] += st.S[j]
-			}
-		}
-		ctx.Emit(key, agg)
-		return nil
-	})
-)
-
-// inBallMapper accumulates sums (or scatter) of the points inside each
-// cluster's MVB.
-type inBallMapper struct {
-	model   *em.Model
-	balls   []*ballStat
-	emitCov bool
-	means   [][]float64
-
-	sums     []meanStat
-	scatters []scatterStat
-	keys     []string
-	proj     []float64
-	sc1      []float64
-	sc2      []float64
+// inCore is the state shared by the in-core mappers: the mixture that
+// assigns each point to a cluster, and one moments accumulator per cluster
+// that Cleanup emits.
+type inCore struct {
+	model *em.Model
+	acc   []linalg.Moments
+	keys  []string
+	proj  []float64
+	sc1   []float64
+	sc2   []float64
 }
 
-func (m *inBallMapper) Setup(*mr.TaskContext) error {
+func (m *inCore) Setup(*mr.TaskContext) error {
 	d := len(m.model.Attrs)
 	k := m.model.K()
 	m.keys = mr.IntKeys("c", k)
-	if m.emitCov {
-		m.scatters = make([]scatterStat, k)
-		for i := range m.scatters {
-			m.scatters[i].S = make([]float64, d*d)
-		}
-	} else {
-		m.sums = make([]meanStat, k)
-		for i := range m.sums {
-			m.sums[i].Sum = make([]float64, d)
-		}
+	m.acc = make([]linalg.Moments, k)
+	for i := range m.acc {
+		m.acc[i] = linalg.NewMoments(d)
 	}
 	m.proj = make([]float64, d)
 	m.sc1 = make([]float64, d)
@@ -545,8 +435,23 @@ func (m *inBallMapper) Setup(*mr.TaskContext) error {
 	return nil
 }
 
+func (m *inCore) Cleanup(ctx *mr.TaskContext) error {
+	for c := range m.acc {
+		if m.acc[c].W > 0 {
+			ctx.Emit(m.keys[c], m.acc[c])
+		}
+	}
+	return nil
+}
+
+// inBallMapper accumulates the moments of the points inside each
+// cluster's MVB.
+type inBallMapper struct {
+	inCore
+	balls []*ballStat
+}
+
 func (m *inBallMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	d := len(m.model.Attrs)
 	x := m.model.Project(m.proj, row)
 	c := m.model.MostLikely(x, m.sc1, m.sc2)
 	ball := m.balls[c]
@@ -554,50 +459,13 @@ func (m *inBallMapper) Map(ctx *mr.TaskContext, global int, row []float64) error
 		return nil
 	}
 	s := 0.0
-	for j := 0; j < d; j++ {
-		diff := x[j] - ball.Center[j]
+	for j, v := range x {
+		diff := v - ball.Center[j]
 		s += diff * diff
 	}
 	if math.Sqrt(s) > ball.Radius {
 		return nil
 	}
-	if m.emitCov {
-		mu := m.means[c]
-		sc := m.scatters[c].S
-		for a := 0; a < d; a++ {
-			da := x[a] - mu[a]
-			if da == 0 {
-				continue
-			}
-			base := a * d
-			for b := 0; b < d; b++ {
-				sc[base+b] += da * (x[b] - mu[b])
-			}
-		}
-		m.scatters[c].Count++
-	} else {
-		st := &m.sums[c]
-		for j := 0; j < d; j++ {
-			st.Sum[j] += x[j]
-		}
-		st.Count++
-	}
-	return nil
-}
-
-func (m *inBallMapper) Cleanup(ctx *mr.TaskContext) error {
-	if m.emitCov {
-		for c, st := range m.scatters {
-			if st.Count > 0 {
-				ctx.Emit(m.keys[c], st)
-			}
-		}
-		return nil
-	}
-	for c, st := range m.sums {
-		if st.Count > 0 {
-			ctx.Emit(m.keys[c], st)
-		}
-	}
+	m.acc[c].Add(x, 1)
 	return nil
 }
