@@ -444,7 +444,7 @@ type memberRecord struct {
 }
 
 func buildMembershipJob(spec []byte) (mr.JobFuncs, error) {
-	_, rssc, err := decodeRSSC(spec)
+	rssc, err := decodeRSSC(spec)
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}

@@ -17,10 +17,10 @@ import (
 // processes included, which resolve the same names through their own copy
 // of this registry. Small parameters and models ride the Spec (gob, or
 // sigSpec for signature sets), decoded once per job in the builder, which
-// also builds derived structures such as the RSSC; per-point columns ride
-// the distributed cache, which passes them by reference in-process. Values
-// that cross the shuffle outside the wire codec's built-in lanes are
-// registered here too.
+// also builds derived structures such as the RSSC or the support index;
+// per-point columns ride the distributed cache, which passes them by
+// reference in-process. Values that cross the shuffle outside the wire
+// codec's built-in lanes are registered here too.
 func init() {
 	mr.RegisterWireValue(signature.Signature{})
 	mr.RegisterWireValue([2]float64{})
@@ -92,12 +92,12 @@ func decodeSigSpec(spec []byte) (sigSpec, error) {
 }
 
 // decodeRSSC decodes a sigSpec and builds the RSSC over its signatures.
-func decodeRSSC(spec []byte) (sigSpec, *signature.RSSC, error) {
+func decodeRSSC(spec []byte) (*signature.RSSC, error) {
 	sp, err := decodeSigSpec(spec)
 	if err != nil {
-		return sp, nil, err
+		return nil, err
 	}
-	return sp, signature.NewRSSC(sp.Sigs), nil
+	return signature.NewRSSC(sp.Sigs), nil
 }
 
 // --- Histogram job (§5.1) -------------------------------------------------------
@@ -201,8 +201,8 @@ var sumVectors = mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, value
 
 // --- Support counting job (§5.3, "Prove Candidates") ------------------------------
 
-// countSupports measures the support of every signature with one MR job
-// using the RSSC: mappers query the bitmap index per point and accumulate
+// countSupports measures the support of every signature with one MR job:
+// mappers count their split vertically (signature.SupportIndex) and emit
 // local counts; a single reducer sums the count vectors. name is the job
 // name: the same impl proves core candidates and attribute-inspection
 // suggestions.
@@ -229,35 +229,38 @@ func countSupports(engine *mr.Engine, splits []*mr.Split, sigs []signature.Signa
 }
 
 func buildSupportJob(spec []byte) (mr.JobFuncs, error) {
-	_, rssc, err := decodeRSSC(spec)
+	sp, err := decodeSigSpec(spec)
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}
+	ix := signature.NewSupportIndex(sp.Sigs)
 	return mr.JobFuncs{
-		NewMapper:    func() mr.Mapper { return &supportMapper{rssc: rssc} },
+		NewMapper:    func() mr.Mapper { return &countingMapper{ix: ix, key: "supports"} },
 		TypedReducer: sumVectors,
 	}, nil
 }
 
-type supportMapper struct {
-	rssc   *signature.RSSC
-	counts []int64
-	mask   []uint64
+// countingMapper feeds its split to a vertical counter and emits the
+// counts under key: supports, or uncovered counts for a coverage-mode
+// index.
+type countingMapper struct {
+	ix      *signature.SupportIndex
+	key     string
+	counter *signature.SupportCounter
 }
 
-func (m *supportMapper) Setup(*mr.TaskContext) error {
-	m.counts = make([]int64, m.rssc.NumSignatures())
+func (m *countingMapper) Setup(*mr.TaskContext) error {
+	m.counter = m.ix.NewCounter()
 	return nil
 }
 
-func (m *supportMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	m.mask = m.rssc.Query(m.mask, row)
-	signature.AddTo(m.counts, m.mask)
+func (m *countingMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
+	m.counter.Add(row)
 	return nil
 }
 
-func (m *supportMapper) Cleanup(ctx *mr.TaskContext) error {
-	ctx.Emit("supports", m.counts)
+func (m *countingMapper) Cleanup(ctx *mr.TaskContext) error {
+	ctx.Emit(m.key, m.counter.Counts())
 	return nil
 }
 
@@ -366,35 +369,15 @@ func uncoveredCounts(engine *mr.Engine, splits []*mr.Split, sigs []signature.Sig
 }
 
 func buildUncoveredJob(spec []byte) (mr.JobFuncs, error) {
-	sp, rssc, err := decodeRSSC(spec)
+	sp, err := decodeSigSpec(spec)
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}
+	ix := signature.NewCoverageIndex(sp.Sigs, sp.Ratios)
 	return mr.JobFuncs{
-		NewMapper: func() mr.Mapper {
-			return &uncoveredMapper{rssc: rssc, acc: signature.NewCoverageAccumulator(sp.Sigs, sp.Ratios)}
-		},
+		NewMapper:    func() mr.Mapper { return &countingMapper{ix: ix, key: "uncovered"} },
 		TypedReducer: sumVectors,
 	}, nil
-}
-
-type uncoveredMapper struct {
-	rssc *signature.RSSC
-	acc  *signature.CoverageAccumulator
-	mask []uint64
-}
-
-func (m *uncoveredMapper) Setup(*mr.TaskContext) error { return nil }
-
-func (m *uncoveredMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	m.mask = m.rssc.Query(m.mask, row)
-	m.acc.Add(m.mask)
-	return nil
-}
-
-func (m *uncoveredMapper) Cleanup(ctx *mr.TaskContext) error {
-	ctx.Emit("uncovered", m.acc.Counts())
-	return nil
 }
 
 // --- Min/max interval-tightening job (§5.7) -----------------------------------------

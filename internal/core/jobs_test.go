@@ -175,12 +175,9 @@ func TestUncoveredCountsJobMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Serial reference.
-	acc := signature.NewCoverageAccumulator(sigs, ratios)
-	rssc := signature.NewRSSC(sigs)
-	var mask []uint64
+	acc := signature.NewCoverageIndex(sigs, ratios).NewCounter()
 	for i := 0; i < n; i++ {
-		mask = rssc.Query(mask, d.Row(i))
-		acc.Add(mask)
+		acc.Add(d.Row(i))
 	}
 	want := acc.Counts()
 	for i := range sigs {

@@ -58,6 +58,30 @@ func BenchmarkRSSCQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkSupportCounter is the vertical counter's per-row cost, block
+// flushes included: one op is one Add.
+func BenchmarkSupportCounter(b *testing.B) {
+	for _, n := range []int{100, 1000, 5000} {
+		sigs := benchSigs(n, 20)
+		ix := NewSupportIndex(sigs)
+		rng := rand.New(rand.NewSource(2))
+		rows := make([]float64, 4*blockRows*20)
+		for i := range rows {
+			rows[i] = rng.Float64()
+		}
+		b.Run(itoa(n), func(b *testing.B) {
+			c := ix.NewCounter()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := i % (4 * blockRows)
+				c.Add(rows[p*20 : (p+1)*20])
+			}
+			c.Counts()
+		})
+	}
+}
+
 func BenchmarkNaiveContainment(b *testing.B) {
 	for _, n := range []int{100, 1000, 5000} {
 		sigs := benchSigs(n, 20)

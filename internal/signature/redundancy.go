@@ -29,8 +29,8 @@ type RedundancyInput struct {
 
 // Uncovered holds, per signature, how many of its support-set points are not
 // contained in any strictly more interesting signature's support set. The
-// core package fills it with one data pass (an RSSC query per point); this
-// package only decides redundancy from the counts.
+// core package fills it with one data pass over a coverage-mode
+// SupportIndex; DecideRedundant decides redundancy from the counts.
 type Uncovered struct {
 	// Count[j] is the number of points in SuppSet(sigs[j]) that no
 	// signature with a strictly higher interest ratio covers.
@@ -55,79 +55,6 @@ func DecideRedundant(in []RedundancyInput, unc Uncovered, coverage float64) []bo
 	}
 	return red
 }
-
-// CoverageAccumulator counts, per signature, the support points not covered
-// by any strictly more interesting signature. Two refinements over a naive
-// reading of Eq. 5 make the filter robust on real (noisy, overlapping)
-// data:
-//
-//   - A lattice superset Si ⊃ S never covers S. Overlapping clusters spawn
-//     "slab" artifacts — a low-dimensional true core extended by another
-//     cluster's dense attributes — whose interest ratio exceeds the true
-//     core's. Counting them as cover would cascade the redundancy filter
-//     down the lattice and delete the true core; excluding supersets is
-//     safe because genuine subset pruning is the maximality filter's job.
-//   - Coverage is fractional (see DecideRedundant): uniform noise inside an
-//     artifact's box breaks exact set containment on any realistic data.
-type CoverageAccumulator struct {
-	ratios []float64
-	// coveredBy[j] holds the candidate coverers of j: higher ratio, not a
-	// lattice superset.
-	coveredBy [][]int32
-	unc       []int64
-	scratch   []int
-}
-
-// NewCoverageAccumulator prepares the coverage relation for the given
-// signatures and their interest ratios.
-func NewCoverageAccumulator(sigs []Signature, ratios []float64) *CoverageAccumulator {
-	n := len(sigs)
-	a := &CoverageAccumulator{
-		ratios:    ratios,
-		coveredBy: make([][]int32, n),
-		unc:       make([]int64, n),
-	}
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if i == j || ratios[i] <= ratios[j] {
-				continue
-			}
-			if sigs[j].SubsetOf(sigs[i]) {
-				continue // lattice superset: not a coverer
-			}
-			a.coveredBy[j] = append(a.coveredBy[j], int32(i))
-		}
-	}
-	return a
-}
-
-// Add processes one point's membership mask: every member signature with no
-// eligible coverer among the members gets an uncovered increment.
-func (a *CoverageAccumulator) Add(mask []uint64) {
-	members := Ones(a.scratch[:0], mask)
-	a.scratch = members
-	if len(members) == 0 {
-		return
-	}
-	inMask := func(i int32) bool {
-		return mask[i/64]&(1<<(uint(i)%64)) != 0
-	}
-	for _, j := range members {
-		covered := false
-		for _, i := range a.coveredBy[j] {
-			if inMask(i) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			a.unc[j]++
-		}
-	}
-}
-
-// Counts returns the accumulated uncovered counts (shared storage).
-func (a *CoverageAccumulator) Counts() []int64 { return a.unc }
 
 // SortByRatioDesc orders inputs by decreasing interest ratio (ties broken by
 // canonical signature order), the presentation order used in results.

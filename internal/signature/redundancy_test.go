@@ -55,19 +55,13 @@ func TestRedundancyPaperExample(t *testing.T) {
 		t.Fatalf("ratio ordering wrong: %v", ratios)
 	}
 
-	acc := NewCoverageAccumulator(sigs, ratios)
-	r := NewRSSC(sigs)
-	var mask []uint64
-	for i := 0; i < n; i++ {
-		mask = r.Query(mask, rows[i*3:(i+1)*3])
-		acc.Add(mask)
-	}
-	red := DecideRedundant(in, Uncovered{Count: acc.Counts()}, 1.0)
+	unc := countVertically(NewCoverageIndex(sigs, ratios), rows, 3)
+	red := DecideRedundant(in, Uncovered{Count: unc}, 1.0)
 	if !red[2] {
-		t.Errorf("S3 must be redundant (uncovered=%d)", acc.Counts()[2])
+		t.Errorf("S3 must be redundant (uncovered=%d)", unc[2])
 	}
 	if red[0] || red[1] {
-		t.Errorf("S1/S2 must not be redundant (uncovered=%v)", acc.Counts())
+		t.Errorf("S1/S2 must not be redundant (uncovered=%v)", unc)
 	}
 }
 
@@ -92,17 +86,14 @@ func TestCoverageSupersetExcluded(t *testing.T) {
 	super := New(iv(0, 0, 0.5), iv(1, 0, 0.5))
 	sigs := []Signature{sub, super}
 	ratios := []float64{2, 10}
-	acc := NewCoverageAccumulator(sigs, ratios)
-	r := NewRSSC(sigs)
 	// A point in both: sub must still count as uncovered.
-	mask := r.Query(nil, []float64{0.25, 0.25})
-	acc.Add(mask)
-	if acc.Counts()[0] != 1 {
-		t.Errorf("subset covered by its superset: counts=%v", acc.Counts())
+	unc := countVertically(NewCoverageIndex(sigs, ratios), []float64{0.25, 0.25}, 2)
+	if unc[0] != 1 {
+		t.Errorf("subset covered by its superset: counts=%v", unc)
 	}
 	// The superset is uncovered too (nothing else covers it).
-	if acc.Counts()[1] != 1 {
-		t.Errorf("superset should be uncovered: counts=%v", acc.Counts())
+	if unc[1] != 1 {
+		t.Errorf("superset should be uncovered: counts=%v", unc)
 	}
 }
 
@@ -111,17 +102,14 @@ func TestCoverageByUnrelatedHigherRatio(t *testing.T) {
 	b := New(iv(1, 0, 0.5)) // different subspace, higher ratio
 	sigs := []Signature{a, b}
 	ratios := []float64{2, 10}
-	acc := NewCoverageAccumulator(sigs, ratios)
-	r := NewRSSC(sigs)
-	mask := r.Query(nil, []float64{0.25, 0.25}) // in both
-	acc.Add(mask)
-	if acc.Counts()[0] != 0 {
-		t.Errorf("a must be covered by b: counts=%v", acc.Counts())
+	c := NewCoverageIndex(sigs, ratios).NewCounter()
+	c.Add([]float64{0.25, 0.25}) // in both
+	if unc := c.Counts(); unc[0] != 0 {
+		t.Errorf("a must be covered by b: counts=%v", unc)
 	}
-	mask = r.Query(mask, []float64{0.25, 0.75}) // only in a
-	acc.Add(mask)
-	if acc.Counts()[0] != 1 {
-		t.Errorf("a alone must be uncovered: counts=%v", acc.Counts())
+	c.Add([]float64{0.25, 0.75}) // only in a
+	if unc := c.Counts(); unc[0] != 1 {
+		t.Errorf("a alone must be uncovered: counts=%v", unc)
 	}
 }
 

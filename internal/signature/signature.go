@@ -2,11 +2,14 @@
 // attributes (paper Definition 2) — with the operations the P3C+ pipeline
 // needs: support semantics, expected supports under the uniformity
 // assumption, a-priori candidate joins, maximality filtering, the
-// interest-ratio redundancy filter of §4.2.1, and the Rapid Signature
-// Support Counter (RSSC) bitmap structure of §5.3.
+// interest-ratio redundancy filter of §4.2.1, the Rapid Signature Support
+// Counter (RSSC) bitmap structure of §5.3 for per-point membership, and a
+// vertical support counter (per-block interval bitmaps ANDed down a prefix
+// trie) for the support counts themselves.
 package signature
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -208,24 +211,25 @@ func Join(a, b Signature) (Signature, bool) {
 
 // Less orders signatures by their canonical interval sequence; it makes
 // candidate generation deterministic.
-func Less(a, b Signature) bool {
-	na, nb := len(a.Intervals), len(b.Intervals)
-	n := na
-	if nb < n {
-		n = nb
-	}
-	for i := 0; i < n; i++ {
-		ia, ib := a.Intervals[i], b.Intervals[i]
-		switch {
-		case ia.Attr != ib.Attr:
-			return ia.Attr < ib.Attr
-		case ia.Lo != ib.Lo:
-			return ia.Lo < ib.Lo
-		case ia.Hi != ib.Hi:
-			return ia.Hi < ib.Hi
+func Less(a, b Signature) bool { return compare(a, b) < 0 }
+
+// compare orders signatures lexicographically by (attribute, Lo, Hi) per
+// interval, a prefix before its extensions. NaN endpoints sort first, so
+// the order is total.
+func compare(a, b Signature) int {
+	for k := range min(len(a.Intervals), len(b.Intervals)) {
+		x, y := a.Intervals[k], b.Intervals[k]
+		if c := cmp.Compare(x.Attr, y.Attr); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.Lo, y.Lo); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.Hi, y.Hi); c != 0 {
+			return c
 		}
 	}
-	return na < nb
+	return cmp.Compare(len(a.Intervals), len(b.Intervals))
 }
 
 // Sort orders a slice of signatures canonically, in place.
