@@ -85,14 +85,12 @@ func main() {
 		fatal(fmt.Errorf("unknown algorithm %q", *algo))
 	}
 	var (
-		engine    *mr.Engine
-		jsonl     *obs.JSONLTracer
-		collector *obs.ReportCollector
-		registry  *obs.Registry
-		progress  *obs.Progress
-		workers   *obs.WorkerStats
-		flight    *obs.FlightRecorder
-		ops       *obs.OpsServer
+		engine   *mr.Engine
+		jsonl    *obs.JSONLTracer
+		forest   *obs.Forest
+		registry *obs.Registry
+		flight   *obs.FlightRecorder
+		ops      *obs.OpsServer
 	)
 	if *flightOut != "" && *flightN == 0 {
 		*flightN = obs.DefaultFlightLimit
@@ -144,16 +142,10 @@ func main() {
 			jsonl = obs.NewJSONLTracer(f)
 			tracers = append(tracers, jsonl)
 		}
-		if *report {
-			collector = obs.NewReportCollector()
-			tracers = append(tracers, collector)
-		}
-		if *opsAddr != "" {
-			progress = obs.NewProgress()
-			progress.SetPhasePlan("p3c-pipeline", paramsFor(alg).PhasePlan())
-			tracers = append(tracers, progress)
-			workers = obs.NewWorkerStats()
-			tracers = append(tracers, workers)
+		if *report || *opsAddr != "" {
+			forest = obs.NewForest()
+			forest.SetPhasePlan("p3c-pipeline", paramsFor(alg).PhasePlan())
+			tracers = append(tracers, forest)
 		}
 		if *flightN > 0 {
 			flight = obs.NewFlightRecorder(*flightN)
@@ -177,7 +169,7 @@ func main() {
 		if arch != nil {
 			lister = arch
 		}
-		ops, err = obs.StartOps(*opsAddr, registry, progress, workers, lister)
+		ops, err = obs.StartOps(*opsAddr, registry, forest, lister)
 		if err != nil {
 			fatal(err)
 		}
@@ -267,8 +259,8 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "run archived as %s (seq %d) under %s\n", sealed.ID, sealed.Seq, arch.Root())
 		}
-		if collector != nil {
-			collector.WriteReport(os.Stderr)
+		if *report {
+			forest.WriteReport(os.Stderr)
 		}
 		if registry != nil && *metrics {
 			snap := registry.Snapshot()

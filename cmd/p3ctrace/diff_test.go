@@ -191,11 +191,11 @@ func TestConvergenceSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spans, roots, events, err := parseTrace(&buf)
+	forest, err := obs.ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := analyze(spans, roots, events, 5)
+	a := forest.Analyze(5)
 	if len(a.Runs) != 1 {
 		t.Fatalf("got %d runs", len(a.Runs))
 	}
@@ -242,7 +242,7 @@ func TestConvergenceSeries(t *testing.T) {
 	}
 	var decoded struct {
 		Runs []struct {
-			Convergence []ConvergenceRow `json:"convergence"`
+			Convergence []obs.ConvergenceRow `json:"convergence"`
 		} `json:"runs"`
 	}
 	if err := json.Unmarshal(payload, &decoded); err != nil {
@@ -253,12 +253,12 @@ func TestConvergenceSeries(t *testing.T) {
 	}
 }
 
-// TestJSONWorkersReconcileWithWorkerStats is the satellite oracle for the
-// -json worker table: the same multiprocess event stream feeds a JSONL
-// trace (what p3ctrace -json analyzes) and a live obs.WorkerStats sink (the
-// /workers payload), and the two per-worker views must agree field by
-// field on everything both track.
-func TestJSONWorkersReconcileWithWorkerStats(t *testing.T) {
+// TestJSONWorkersMatchSpanStream pins the -json worker table against the
+// span stream itself: the same multiprocess event stream feeds a JSONL
+// trace (what p3ctrace -json analyzes) and a MemTracer (the ground-truth
+// event log), and every per-worker figure of the -json payload must equal
+// the total of the worker-attributed events the MemTracer recorded.
+func TestJSONWorkersMatchSpanStream(t *testing.T) {
 	rows := make([]float64, 600)
 	for i := range rows {
 		rows[i] = float64(i)
@@ -271,11 +271,11 @@ func TestJSONWorkersReconcileWithWorkerStats(t *testing.T) {
 
 	var buf bytes.Buffer
 	jsonl := obs.NewJSONLTracer(&buf)
-	ws := obs.NewWorkerStats()
+	mem := obs.NewMemTracer()
 	engine := mr.NewEngine(mr.Config{
 		Parallelism: 4, Backend: "multiprocess", SpillDir: t.TempDir(), SpillThresholdBytes: 1,
 		Faults:      mr.RateFaultPlan{MapRate: 0.4, ReduceRate: 0.4, StragglerRate: 0.3, StragglerSeconds: 3, Seed: 11},
-		MaxAttempts: 12, Cost: mr.DefaultCostModel(), Tracer: obs.Multi(jsonl, ws),
+		MaxAttempts: 12, Cost: mr.DefaultCostModel(), Tracer: obs.Multi(jsonl, mem),
 	})
 	if _, err := engine.Run(job); err != nil {
 		t.Fatal(err)
@@ -284,22 +284,22 @@ func TestJSONWorkersReconcileWithWorkerStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spans, roots, events, err := parseTrace(&buf)
+	forest, err := obs.ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := analyze(spans, roots, events, 10)
+	a := forest.Analyze(10)
 	if len(a.Runs) != 1 {
 		t.Fatalf("got %d runs", len(a.Runs))
 	}
 
-	// Round-trip the analysis through its JSON form — the reconciliation
-	// must hold for what -json actually emits, not the in-memory struct.
+	// Round-trip the analysis through its JSON form — the figures must hold
+	// for what -json actually emits, not the in-memory struct.
 	payload, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded Analysis
+	var decoded obs.Analysis
 	if err := json.Unmarshal(payload, &decoded); err != nil {
 		t.Fatal(err)
 	}
@@ -307,49 +307,69 @@ func TestJSONWorkersReconcileWithWorkerStats(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("-json payload carries no worker rows for a multiprocess trace")
 	}
-	byName := make(map[string]WorkerRow, len(got))
-	for _, r := range got {
-		byName[r.Worker] = r
-	}
 
-	snaps := ws.Snapshot()
-	if len(snaps) != len(got) {
-		t.Fatalf("-json has %d worker rows, WorkerStats has %d", len(got), len(snaps))
+	want := make(map[string]*obs.WorkerRow)
+	row := func(name string) *obs.WorkerRow {
+		if want[name] == nil {
+			want[name] = &obs.WorkerRow{Worker: name, StepSeconds: map[string]float64{}}
+		}
+		return want[name]
 	}
-	for _, snap := range snaps {
-		row, ok := byName[snap.Worker]
+	for _, e := range mem.Ends() {
+		switch {
+		case e.Worker == "":
+		case e.Kind == obs.KindTask:
+			r := row(e.Worker)
+			r.Attempts++
+			r.WallSeconds += e.RealSeconds
+			if e.Outcome == obs.OutcomeFault {
+				r.Faults++
+				r.WastedRecords += e.Wasted.MapInputRecords + e.Wasted.ReduceInputVals
+			}
+		case e.Kind == obs.KindStep:
+			row(e.Worker).StepSeconds[e.Name] += e.RealSeconds
+		}
+	}
+	for _, p := range mem.Points() {
+		switch {
+		case p.Worker == "":
+		case p.Kind == obs.PointStraggler:
+			row(p.Worker).StragglerSeconds += p.Seconds
+		case p.Kind == obs.PointSample:
+			r := row(p.Worker)
+			r.Samples++
+			r.PeakRSSBytes = max(r.PeakRSSBytes, p.Sample.RSSBytes)
+			r.PeakQueueBytes = max(r.PeakQueueBytes, p.Sample.QueueBytes)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("-json has %d worker rows, the span stream names %d workers", len(got), len(want))
+	}
+	near := func(a, b float64) bool { return a-b <= 1e-9 && b-a <= 1e-9 }
+	for _, g := range got {
+		w, ok := want[g.Worker]
 		if !ok {
-			t.Errorf("worker %q in WorkerStats but not in -json rows", snap.Worker)
+			t.Errorf("worker %q in -json rows but not in the span stream", g.Worker)
 			continue
 		}
-		if int64(row.Attempts) != snap.Attempts {
-			t.Errorf("worker %q: -json attempts %d, WorkerStats %d", snap.Worker, row.Attempts, snap.Attempts)
+		if g.Attempts != w.Attempts || g.Faults != w.Faults || g.Samples != w.Samples {
+			t.Errorf("worker %q: -json attempts/faults/samples %d/%d/%d, span stream %d/%d/%d",
+				g.Worker, g.Attempts, g.Faults, g.Samples, w.Attempts, w.Faults, w.Samples)
 		}
-		if int64(row.Faults) != snap.Faults {
-			t.Errorf("worker %q: -json faults %d, WorkerStats %d", snap.Worker, row.Faults, snap.Faults)
+		if !near(g.WallSeconds, w.WallSeconds) || !near(g.StragglerSeconds, w.StragglerSeconds) {
+			t.Errorf("worker %q: -json wall/straggler %g/%g, span stream %g/%g",
+				g.Worker, g.WallSeconds, g.StragglerSeconds, w.WallSeconds, w.StragglerSeconds)
 		}
-		if diff := row.WallSeconds - snap.BusySeconds; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("worker %q: -json wall %g, WorkerStats busy %g", snap.Worker, row.WallSeconds, snap.BusySeconds)
+		if g.WastedRecords != w.WastedRecords {
+			t.Errorf("worker %q: -json wasted records %d, span stream %d", g.Worker, g.WastedRecords, w.WastedRecords)
 		}
-		if diff := row.StragglerSeconds - snap.StragglerSeconds; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("worker %q: -json straggler %g, WorkerStats %g", snap.Worker, row.StragglerSeconds, snap.StragglerSeconds)
+		if g.PeakRSSBytes != w.PeakRSSBytes || g.PeakQueueBytes != w.PeakQueueBytes {
+			t.Errorf("worker %q: -json peak rss/queue %d/%d, span stream %d/%d",
+				g.Worker, g.PeakRSSBytes, g.PeakQueueBytes, w.PeakRSSBytes, w.PeakQueueBytes)
 		}
-		if row.WastedRecords != snap.Wasted.MapInputRecords+snap.Wasted.ReduceInputVals {
-			t.Errorf("worker %q: -json wasted records %d, WorkerStats %d",
-				snap.Worker, row.WastedRecords, snap.Wasted.MapInputRecords+snap.Wasted.ReduceInputVals)
-		}
-		if int64(row.Samples) != snap.Samples {
-			t.Errorf("worker %q: -json samples %d, WorkerStats %d", snap.Worker, row.Samples, snap.Samples)
-		}
-		if row.PeakRSSBytes != snap.PeakRSSBytes {
-			t.Errorf("worker %q: -json peak rss %d, WorkerStats %d", snap.Worker, row.PeakRSSBytes, snap.PeakRSSBytes)
-		}
-		if row.PeakQueueBytes != snap.PeakQueueBytes {
-			t.Errorf("worker %q: -json peak queue %d, WorkerStats %d", snap.Worker, row.PeakQueueBytes, snap.PeakQueueBytes)
-		}
-		for name, s := range snap.StepSeconds {
-			if diff := row.StepSeconds[name] - s; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("worker %q step %q: -json %g, WorkerStats %g", snap.Worker, name, row.StepSeconds[name], s)
+		for name, s := range w.StepSeconds {
+			if !near(g.StepSeconds[name], s) {
+				t.Errorf("worker %q step %q: -json %g, span stream %g", g.Worker, name, g.StepSeconds[name], s)
 			}
 		}
 	}

@@ -15,8 +15,8 @@ import (
 // TestChaosOpsServerLiveReads runs the ops plane against a live chaos
 // pipeline: while the Light pipeline retries its way through an aggressive
 // fault plan, a poller goroutine hammers /metrics, /runs and /healthz. Under
-// -race this pins the snapshot isolation of the whole read path (Progress,
-// Registry, Prometheus rendering) against concurrent span and counter
+// -race this pins the snapshot isolation of the whole read path (the span
+// forest's views, Registry, Prometheus rendering) against concurrent span and counter
 // writes; afterwards the final /runs payload must agree with the pipeline's
 // own statistics.
 func TestChaosOpsServerLiveReads(t *testing.T) {
@@ -25,17 +25,17 @@ func TestChaosOpsServerLiveReads(t *testing.T) {
 	params.NumSplits = 12
 
 	reg := obs.NewRegistry()
-	prog := obs.NewProgress()
-	prog.SetPhasePlan("p3c-pipeline", params.PhasePlan())
+	forest := obs.NewForest()
+	forest.SetPhasePlan("p3c-pipeline", params.PhasePlan())
 	engine := mr.NewEngine(mr.Config{
 		Parallelism: 8, NumReducers: 3,
 		Faults:      mr.RateFaultPlan{MapRate: 0.25, ReduceRate: 0.3, StragglerRate: 0.4, StragglerSeconds: 7, Seed: 107},
 		MaxAttempts: 12,
-		Tracer:      obs.Multi(prog),
+		Tracer:      forest,
 		Metrics:     reg,
 	})
 
-	srv, err := obs.StartOps("127.0.0.1:0", reg, prog, nil, nil)
+	srv, err := obs.StartOps("127.0.0.1:0", reg, forest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

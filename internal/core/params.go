@@ -189,8 +189,9 @@ func LightParams() Params {
 }
 
 // PhasePlan lists the pipeline phases Run will execute under these
-// parameters, in order, matching the phase span names Run emits. Progress
-// sinks use it to estimate completion before a learned profile exists.
+// parameters, in order, matching the phase span names Run emits. The span
+// forest's /runs view uses it to estimate completion before a learned
+// profile exists.
 func (p Params) PhasePlan() []string {
 	plan := []string{"histograms", "core-generation"}
 	if p.UseRedundancyFilter {

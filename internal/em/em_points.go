@@ -22,8 +22,9 @@ func activeClusters(model *Model) int {
 }
 
 // emitConvergence publishes one iteration's convergence state: typed
-// metric points on the EM phase span (per-iteration series for traces,
-// Progress, the flight recorder and `p3ctrace`) and the p3c_em_* registry
+// metric points on the EM phase span (per-iteration series for traces, the
+// span forest's /runs view, the flight recorder and `p3ctrace`) and the
+// p3c_em_* registry
 // families (latest-value gauges for /metrics). Driver-side only, after the
 // iteration's jobs have reduced — the values are deterministic functions
 // of the reduced stats, so they are bit-identical across backends, and

@@ -16,25 +16,24 @@ import (
 // TestOpsProcLiveReads runs the full ops plane against a live multiprocess
 // chaos run: while injected faults SIGKILL real worker processes, poller
 // goroutines hammer /metrics, /runs, /workers and /healthz. Under -race this
-// pins the read path (Progress, Registry, WorkerStats, Prometheus
+// pins the read path (the span forest's views, Registry, Prometheus
 // rendering) against the driver folding worker telemetry frames
 // concurrently; afterwards the /runs and /workers payloads must reconcile
 // with the driver's own counters.
 func TestOpsProcLiveReads(t *testing.T) {
 	reg := obs.NewRegistry()
-	prog := obs.NewProgress()
-	workers := obs.NewWorkerStats()
+	forest := obs.NewForest()
 	mem := obs.NewMemTracer()
 	engine := NewEngine(Config{
 		Parallelism: 4, Backend: "multiprocess",
 		SpillDir: t.TempDir(), SpillThresholdBytes: 1,
 		Faults:      RateFaultPlan{MapRate: 0.3, ReduceRate: 0.3, Seed: 23},
 		MaxAttempts: 12,
-		Tracer:      obs.Multi(prog, workers, mem),
+		Tracer:      obs.Multi(forest, mem),
 		Metrics:     reg, TelemetrySample: 2 * time.Millisecond,
 	})
 
-	srv, err := obs.StartOps("127.0.0.1:0", reg, prog, workers, nil)
+	srv, err := obs.StartOps("127.0.0.1:0", reg, forest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestOpsProcLiveReads(t *testing.T) {
 		}(path)
 	}
 
-	// Two multiprocess jobs under one hand-rolled run span, so Progress
+	// Two multiprocess jobs under one hand-rolled run span, so the forest
 	// tracks a run while worker fleets spawn, die and respawn beneath it.
 	runSpan := obs.NewSpanID()
 	tr := engine.Tracer()

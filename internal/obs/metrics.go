@@ -56,7 +56,7 @@ type Histogram struct {
 
 // newHistogram builds a histogram with the given (copied, sorted) bucket
 // upper bounds — shared by Registry.Histogram and standalone users like
-// ReportCollector.
+// Forest.WriteReport.
 func newHistogram(bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)

@@ -13,10 +13,12 @@
 // internal/mr/bench_test.go and the chaos trace-identity tests).
 //
 // Built-in sinks: JSONLTracer (one JSON object per event, a replayable
-// trace file), MemTracer (in-memory capture with structural validation, for
-// tests), and ReportCollector (aggregates job/phase spans into a
-// human-readable end-of-run report — a one-machine job-tracker page).
-// Multi fans one event stream out to several sinks.
+// trace file; ReadJSONL decodes it), Forest (the one fold of the stream,
+// behind the -report tables, the ops server's /runs and /workers, and
+// p3ctrace's analysis), FlightRecorder (the last N events for
+// post-mortems), and MemTracer (in-memory capture with structural
+// validation, for tests). Multi fans one event stream out to several
+// sinks.
 package obs
 
 import (

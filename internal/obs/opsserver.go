@@ -96,18 +96,18 @@ type ArchiveLister interface {
 //
 //	/healthz            liveness probe ("ok")
 //	/metrics            Prometheus text exposition of reg (503 when nil),
-//	                    followed by the per-worker p3c_worker_* families
-//	                    when a WorkerStats sink is attached
+//	                    followed by the forest's per-worker p3c_worker_*
+//	                    families
 //	/runs               JSON array of live + recent run progress snapshots
 //	/runs/{id}          one run's snapshot (404 unknown)
 //	/workers            JSON array of per-worker telemetry snapshots
 //	/archive            JSON array of archived run manifests
 //	/debug/pprof/...    the standard runtime profiles
 //
-// reg, prog, workers and arch may each be nil; the corresponding endpoints
-// then report 503. The handler only reads snapshots, so it is safe to
+// reg, forest and arch may each be nil; the corresponding endpoints then
+// report 503. The handler only reads views of the forest, so it is safe to
 // serve while runs are in flight.
-func NewOpsMux(reg *Registry, prog *Progress, workers *WorkerStats, arch ArchiveLister) *http.ServeMux {
+func NewOpsMux(reg *Registry, forest *Forest, arch ArchiveLister) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -120,41 +120,39 @@ func NewOpsMux(reg *Registry, prog *Progress, workers *WorkerStats, arch Archive
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.Snapshot().WritePrometheus(w)
-		if workers != nil {
-			workers.WritePrometheus(w)
+		if forest != nil {
+			forest.WritePrometheus(w)
 		}
 	})
-	mux.HandleFunc("GET /workers", func(w http.ResponseWriter, _ *http.Request) {
-		if workers == nil {
-			http.Error(w, "worker telemetry not configured", http.StatusServiceUnavailable)
-			return
+	// withForest serves a forest view, or 503 when no forest is attached.
+	withForest := func(view func(w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if forest == nil {
+				http.Error(w, "span forest not configured", http.StatusServiceUnavailable)
+				return
+			}
+			view(w, r)
 		}
-		writeJSON(w, workers.Snapshot())
-	})
-	mux.HandleFunc("GET /runs", func(w http.ResponseWriter, _ *http.Request) {
-		if prog == nil {
-			http.Error(w, "progress aggregator not configured", http.StatusServiceUnavailable)
-			return
-		}
-		writeJSON(w, prog.Snapshot())
-	})
-	mux.HandleFunc("GET /runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if prog == nil {
-			http.Error(w, "progress aggregator not configured", http.StatusServiceUnavailable)
-			return
-		}
+	}
+	mux.HandleFunc("GET /workers", withForest(func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, forest.Workers())
+	}))
+	mux.HandleFunc("GET /runs", withForest(func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, forest.Runs())
+	}))
+	mux.HandleFunc("GET /runs/{id}", withForest(func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 		if err != nil {
 			http.Error(w, "run id must be an integer", http.StatusBadRequest)
 			return
 		}
-		snap, ok := prog.Run(id)
+		snap, ok := forest.Run(id)
 		if !ok {
 			http.Error(w, "no such run", http.StatusNotFound)
 			return
 		}
 		writeJSON(w, snap)
-	})
+	}))
 	mux.HandleFunc("GET /archive", func(w http.ResponseWriter, _ *http.Request) {
 		if arch == nil {
 			http.Error(w, "run archive not configured", http.StatusServiceUnavailable)
@@ -191,12 +189,12 @@ type OpsServer struct {
 
 // StartOps listens on addr (":0" picks a free port) and serves the ops mux
 // in a background goroutine until Close.
-func StartOps(addr string, reg *Registry, prog *Progress, workers *WorkerStats, arch ArchiveLister) (*OpsServer, error) {
+func StartOps(addr string, reg *Registry, forest *Forest, arch ArchiveLister) (*OpsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: ops server: %w", err)
 	}
-	s := &OpsServer{ln: ln, srv: &http.Server{Handler: NewOpsMux(reg, prog, workers, arch)}}
+	s := &OpsServer{ln: ln, srv: &http.Server{Handler: NewOpsMux(reg, forest, arch)}}
 	go s.srv.Serve(ln)
 	return s, nil
 }

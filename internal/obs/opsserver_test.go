@@ -191,12 +191,12 @@ func checkPromText(t *testing.T, text string) {
 
 func TestOpsMuxEndpoints(t *testing.T) {
 	reg := goldenRegistry()
-	prog := NewProgress()
-	run := playRun(prog, "p3c-pipeline", OutcomeOK)
+	forest := NewForest()
+	run := playRun(forest, "p3c-pipeline", OutcomeOK)
 	live := NewSpanID()
-	prog.Begin(Start{ID: live, Kind: KindRun, Name: "in-flight"})
+	forest.Begin(Start{ID: live, Kind: KindRun, Name: "in-flight"})
 
-	srv := httptest.NewServer(NewOpsMux(reg, prog, nil, nil))
+	srv := httptest.NewServer(NewOpsMux(reg, forest, nil))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -262,7 +262,7 @@ type fakeLister struct {
 func (f fakeLister) ListJSON() ([]byte, error) { return []byte(f.payload), f.err }
 
 func TestOpsMuxArchiveEndpoint(t *testing.T) {
-	srv := httptest.NewServer(NewOpsMux(nil, nil, nil, fakeLister{payload: `[{"id":"abc"}]`}))
+	srv := httptest.NewServer(NewOpsMux(nil, nil, fakeLister{payload: `[{"id":"abc"}]`}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/archive")
 	if err != nil {
@@ -277,7 +277,7 @@ func TestOpsMuxArchiveEndpoint(t *testing.T) {
 		t.Errorf("/archive Content-Type = %q", ct)
 	}
 
-	broken := httptest.NewServer(NewOpsMux(nil, nil, nil, fakeLister{err: fmt.Errorf("index unreadable")}))
+	broken := httptest.NewServer(NewOpsMux(nil, nil, fakeLister{err: fmt.Errorf("index unreadable")}))
 	defer broken.Close()
 	resp2, err := http.Get(broken.URL + "/archive")
 	if err != nil {
@@ -290,7 +290,7 @@ func TestOpsMuxArchiveEndpoint(t *testing.T) {
 }
 
 func TestOpsMuxUnconfigured(t *testing.T) {
-	srv := httptest.NewServer(NewOpsMux(nil, nil, nil, nil))
+	srv := httptest.NewServer(NewOpsMux(nil, nil, nil))
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/runs", "/runs/1", "/workers", "/archive"} {
 		resp, err := http.Get(srv.URL + path)
@@ -305,7 +305,7 @@ func TestOpsMuxUnconfigured(t *testing.T) {
 }
 
 func TestStartOps(t *testing.T) {
-	srv, err := StartOps("127.0.0.1:0", goldenRegistry(), NewProgress(), nil, nil)
+	srv, err := StartOps("127.0.0.1:0", goldenRegistry(), NewForest(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

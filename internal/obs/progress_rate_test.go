@@ -6,7 +6,7 @@ import "testing"
 // wall time is essentially zero must report zero records/sec, not a
 // counter-delta divided by a microsecond reading.
 func TestProgressInstantPhaseRate(t *testing.T) {
-	p := NewProgress()
+	p := NewForest()
 	run := NewSpanID()
 	p.Begin(Start{ID: run, Kind: KindRun, Name: "instant"})
 	job := NewSpanID()
@@ -44,7 +44,7 @@ func TestProgressInstantPhaseRate(t *testing.T) {
 // Quality map (latest value per name) and survive into the finished
 // snapshot.
 func TestProgressQualityPoints(t *testing.T) {
-	p := NewProgress()
+	p := NewForest()
 	run := NewSpanID()
 	p.Begin(Start{ID: run, Kind: KindRun, Name: "q"})
 	phase := NewSpanID()

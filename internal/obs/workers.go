@@ -4,21 +4,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 )
 
-// WorkerStats is a Tracer sink that aggregates the worker-attributed slice
-// of the span stream — task-attempt closings, step closings and point
-// events carrying a non-empty Worker — into live per-worker state: the data
-// behind the ops server's /workers endpoint and the p3c_worker_* Prometheus
-// families. Events without a Worker (driver-side spans, in-process
-// execution) are ignored, so the sink is harmless on non-multiprocess runs.
-type WorkerStats struct {
-	mu      sync.Mutex
-	workers map[string]*workerAgg
-}
-
-// workerAgg accumulates one worker process.
+// workerAgg accumulates one worker process over the forest's lifetime —
+// every task-attempt closing, step closing and point event that carries
+// its name, whether or not the span is still retained.
 type workerAgg struct {
 	attempts, ok, faults, cancels, errors int64
 	busySeconds                           float64
@@ -31,32 +21,23 @@ type workerAgg struct {
 	peakRSS, peakQB int64
 }
 
-// NewWorkerStats returns an empty aggregator.
-func NewWorkerStats() *WorkerStats {
-	return &WorkerStats{workers: make(map[string]*workerAgg)}
-}
-
-func (ws *WorkerStats) agg(worker string) *workerAgg {
-	a := ws.workers[worker]
+func (f *Forest) worker(name string) *workerAgg {
+	a := f.workers[name]
 	if a == nil {
 		a = &workerAgg{stepSeconds: make(map[string]float64)}
-		ws.workers[worker] = a
+		f.workers[name] = a
 	}
 	return a
 }
 
-// Begin implements Tracer. Openings carry no worker attribution to
-// aggregate — attempts are counted at closing, when the outcome is known.
-func (ws *WorkerStats) Begin(Start) {}
-
-// End implements Tracer.
-func (ws *WorkerStats) End(e End) {
+// foldWorkerEnd adds a worker-attributed closing to its worker's totals.
+// Events without a Worker (driver-side spans, in-process execution) carry
+// nothing to attribute. Caller holds f.mu.
+func (f *Forest) foldWorkerEnd(e End) {
 	if e.Worker == "" {
 		return
 	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	a := ws.agg(e.Worker)
+	a := f.worker(e.Worker)
 	switch e.Kind {
 	case KindTask:
 		a.attempts++
@@ -77,14 +58,13 @@ func (ws *WorkerStats) End(e End) {
 	}
 }
 
-// Point implements Tracer.
-func (ws *WorkerStats) Point(p Point) {
+// foldWorkerPoint adds a worker-attributed point to its worker's totals.
+// Caller holds f.mu.
+func (f *Forest) foldWorkerPoint(p Point) {
 	if p.Worker == "" {
 		return
 	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	a := ws.agg(p.Worker)
+	a := f.worker(p.Worker)
 	switch p.Kind {
 	case PointSample:
 		if p.Sample == nil {
@@ -92,19 +72,15 @@ func (ws *WorkerStats) Point(p Point) {
 		}
 		a.samples++
 		a.last = *p.Sample
-		if p.Sample.RSSBytes > a.peakRSS {
-			a.peakRSS = p.Sample.RSSBytes
-		}
-		if p.Sample.QueueBytes > a.peakQB {
-			a.peakQB = p.Sample.QueueBytes
-		}
+		a.peakRSS = max(a.peakRSS, p.Sample.RSSBytes)
+		a.peakQB = max(a.peakQB, p.Sample.QueueBytes)
 	case PointStraggler:
 		a.stragglerSeconds += p.Seconds
 	}
 }
 
-// WorkerSnapshot is the point-in-time state of one worker — the /workers
-// payload element.
+// WorkerSnapshot is the lifetime state of one worker process — the
+// /workers payload element.
 type WorkerSnapshot struct {
 	Worker           string             `json:"worker"`
 	Attempts         int64              `json:"attempts"`
@@ -119,18 +95,21 @@ type WorkerSnapshot struct {
 	CPUSeconds       float64            `json:"cpu_s"`
 	RSSBytes         int64              `json:"rss_b"`
 	PeakRSSBytes     int64              `json:"peak_rss_b"`
-	SpillBytes       int64              `json:"spill_b"`
-	QueueBytes       int64              `json:"queue_b"`
-	PeakQueueBytes   int64              `json:"peak_queue_b"`
-	Wasted           Counters           `json:"wasted"`
+	// SpillBytes is the spill-directory size in the worker's last resource
+	// sample (a gauge: it drops when merged runs are removed). p3ctrace's
+	// WorkerRow.SpillBytes is the high-water mark instead.
+	SpillBytes     int64    `json:"spill_b"`
+	QueueBytes     int64    `json:"queue_b"`
+	PeakQueueBytes int64    `json:"peak_queue_b"`
+	Wasted         Counters `json:"wasted"`
 }
 
-// Snapshot returns every worker's state, sorted by worker name.
-func (ws *WorkerStats) Snapshot() []WorkerSnapshot {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	out := make([]WorkerSnapshot, 0, len(ws.workers))
-	for name, a := range ws.workers {
+// Workers returns every worker's lifetime state, sorted by worker name.
+func (f *Forest) Workers() []WorkerSnapshot {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]WorkerSnapshot, 0, len(f.workers))
+	for name, a := range f.workers {
 		snap := WorkerSnapshot{
 			Worker: name, Attempts: a.attempts, OK: a.ok, Faults: a.faults,
 			Cancelled: a.cancels, Errors: a.errors,
@@ -152,28 +131,17 @@ func (ws *WorkerStats) Snapshot() []WorkerSnapshot {
 	return out
 }
 
-// WritePrometheus renders the per-worker families in the text exposition
-// format. Deterministic: workers and step names are sorted, floats use the
-// shortest round-trip form. Empty state renders nothing (a TYPE line with
-// no samples is pointless).
-func (ws *WorkerStats) WritePrometheus(w io.Writer) error {
-	snaps := ws.Snapshot()
+// WritePrometheus renders the per-worker families (p3c_worker_*) in the
+// text exposition format. Deterministic: workers and step names are
+// sorted, floats use the shortest round-trip form. A forest that has seen
+// no worker renders nothing (a TYPE line with no samples is pointless).
+func (f *Forest) WritePrometheus(w io.Writer) error {
+	snaps := f.Workers()
 	if len(snaps) == 0 {
 		return nil
 	}
-	counter := func(name string, value func(*WorkerSnapshot) string) error {
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", name); err != nil {
-			return err
-		}
-		for i := range snaps {
-			if _, err := fmt.Fprintf(w, "%s{worker=%q} %s\n", name, snaps[i].Worker, value(&snaps[i])); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	gauge := func(name string, value func(*WorkerSnapshot) string) error {
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", name); err != nil {
+	family := func(name, typ string, value func(*WorkerSnapshot) string) error {
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ); err != nil {
 			return err
 		}
 		for i := range snaps {
@@ -184,54 +152,36 @@ func (ws *WorkerStats) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	itoa := func(v int64) string { return fmt.Sprintf("%d", v) }
-
-	if err := counter("p3c_worker_attempts_total", func(s *WorkerSnapshot) string { return itoa(s.Attempts) }); err != nil {
-		return err
-	}
-	if err := counter("p3c_worker_busy_seconds_total", func(s *WorkerSnapshot) string { return promFloat(s.BusySeconds) }); err != nil {
-		return err
-	}
-	if err := counter("p3c_worker_cancelled_total", func(s *WorkerSnapshot) string { return itoa(s.Cancelled) }); err != nil {
-		return err
-	}
-	if err := counter("p3c_worker_cpu_seconds_total", func(s *WorkerSnapshot) string { return promFloat(s.CPUSeconds) }); err != nil {
-		return err
-	}
-	if err := counter("p3c_worker_faults_total", func(s *WorkerSnapshot) string { return itoa(s.Faults) }); err != nil {
-		return err
-	}
-	if err := gauge("p3c_worker_queue_bytes", func(s *WorkerSnapshot) string { return itoa(s.QueueBytes) }); err != nil {
-		return err
-	}
-	if err := gauge("p3c_worker_rss_bytes", func(s *WorkerSnapshot) string { return itoa(s.RSSBytes) }); err != nil {
-		return err
-	}
-	if err := counter("p3c_worker_samples_total", func(s *WorkerSnapshot) string { return itoa(s.Samples) }); err != nil {
-		return err
-	}
-	if err := gauge("p3c_worker_spill_bytes", func(s *WorkerSnapshot) string { return itoa(s.SpillBytes) }); err != nil {
-		return err
+	for _, fam := range []struct {
+		name, typ string
+		value     func(*WorkerSnapshot) string
+	}{
+		{"p3c_worker_attempts_total", "counter", func(s *WorkerSnapshot) string { return itoa(s.Attempts) }},
+		{"p3c_worker_busy_seconds_total", "counter", func(s *WorkerSnapshot) string { return promFloat(s.BusySeconds) }},
+		{"p3c_worker_cancelled_total", "counter", func(s *WorkerSnapshot) string { return itoa(s.Cancelled) }},
+		{"p3c_worker_cpu_seconds_total", "counter", func(s *WorkerSnapshot) string { return promFloat(s.CPUSeconds) }},
+		{"p3c_worker_faults_total", "counter", func(s *WorkerSnapshot) string { return itoa(s.Faults) }},
+		{"p3c_worker_queue_bytes", "gauge", func(s *WorkerSnapshot) string { return itoa(s.QueueBytes) }},
+		{"p3c_worker_rss_bytes", "gauge", func(s *WorkerSnapshot) string { return itoa(s.RSSBytes) }},
+		{"p3c_worker_samples_total", "counter", func(s *WorkerSnapshot) string { return itoa(s.Samples) }},
+		{"p3c_worker_spill_bytes", "gauge", func(s *WorkerSnapshot) string { return itoa(s.SpillBytes) }},
+	} {
+		if err := family(fam.name, fam.typ, fam.value); err != nil {
+			return err
+		}
 	}
 	// Step seconds carry a second label; emit one family with every
 	// (worker, step) pair, both dimensions sorted.
 	hasSteps := false
 	for i := range snaps {
-		if len(snaps[i].StepSeconds) > 0 {
-			hasSteps = true
-			break
-		}
+		hasSteps = hasSteps || len(snaps[i].StepSeconds) > 0
 	}
 	if hasSteps {
 		if _, err := fmt.Fprintf(w, "# TYPE p3c_worker_step_seconds_total counter\n"); err != nil {
 			return err
 		}
 		for i := range snaps {
-			steps := make([]string, 0, len(snaps[i].StepSeconds))
-			for name := range snaps[i].StepSeconds {
-				steps = append(steps, name)
-			}
-			sort.Strings(steps)
-			for _, name := range steps {
+			for _, name := range sortedKeys(snaps[i].StepSeconds) {
 				if _, err := fmt.Fprintf(w, "p3c_worker_step_seconds_total{worker=%q,step=%q} %s\n",
 					snaps[i].Worker, name, promFloat(snaps[i].StepSeconds[name])); err != nil {
 					return err
@@ -239,5 +189,5 @@ func (ws *WorkerStats) WritePrometheus(w io.Writer) error {
 			}
 		}
 	}
-	return counter("p3c_worker_straggler_seconds_total", func(s *WorkerSnapshot) string { return promFloat(s.StragglerSeconds) })
+	return family("p3c_worker_straggler_seconds_total", "counter", func(s *WorkerSnapshot) string { return promFloat(s.StragglerSeconds) })
 }

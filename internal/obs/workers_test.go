@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// feedWorkerStats drives a small two-worker history through the sink: w2
+// feedWorkerStats drives a small two-worker history through a forest: w2
 // runs clean, w1 faults once, runs a step, straggles and reports samples.
-func feedWorkerStats() *WorkerStats {
-	ws := NewWorkerStats()
+func feedWorkerStats() *Forest {
+	ws := NewForest()
 	// Driver-side events without worker attribution must be ignored.
 	ws.End(End{ID: 1, Kind: KindTask, Outcome: OutcomeOK, RealSeconds: 9})
 	ws.Point(Point{Kind: PointSample, Sample: &ResourceSample{CPUSeconds: 9}})
@@ -96,11 +96,11 @@ func TestWorkerStatsPrometheusGolden(t *testing.T) {
 	// Empty state renders nothing — no dangling TYPE lines on /metrics of
 	// runs without worker telemetry.
 	var empty bytes.Buffer
-	if err := NewWorkerStats().WritePrometheus(&empty); err != nil {
+	if err := NewForest().WritePrometheus(&empty); err != nil {
 		t.Fatal(err)
 	}
 	if empty.Len() != 0 {
-		t.Errorf("empty WorkerStats rendered %q, want nothing", empty.String())
+		t.Errorf("a forest without workers rendered %q, want nothing", empty.String())
 	}
 }
 
@@ -108,7 +108,7 @@ func TestWorkerStatsPrometheusGolden(t *testing.T) {
 // into the ops mux, including the appended worker families on /metrics.
 func TestWorkersEndpoint(t *testing.T) {
 	ws := feedWorkerStats()
-	mux := NewOpsMux(NewRegistry(), NewProgress(), ws, nil)
+	mux := NewOpsMux(NewRegistry(), ws, nil)
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/workers", nil))
