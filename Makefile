@@ -78,7 +78,7 @@ ops:
 # Worker telemetry plane under the race detector: the multiprocess
 # telemetry/clock-alignment tests, the live ops-server-during-proc-kill-chaos
 # test (pollers on /metrics, /runs, /workers while worker fleets die and
-# respawn), the WorkerStats golden families, and the p3ctrace merge/timeline
+# respawn), the per-worker golden families, and the p3ctrace merge/timeline
 # regressions.
 ops-proc:
 	$(GO) test -race -run 'MultiprocTelemetry|OpsProc|Workers|WorkerTelemetry|ParseTrace|ClassifyAndTimeline' \
