@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"p3cmr/internal/dataset"
@@ -215,32 +216,33 @@ func (p *pipeline) run() (*Result, error) {
 	gen.trace = p.phaseSpan
 	proven, err := gen.run(intervals, supports)
 	if err == nil {
-		p.metric(p.phaseSpan, "quality_candidates_tested", float64(gen.tested))
+		p.metric(p.phaseSpan, "quality_candidates_tested", float64(len(gen.lattice)))
 	}
 	ps.end(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: cluster-core generation: %w", err)
 	}
 	p.observe(PhaseCoreGeneration, len(proven))
-	coresBefore := len(signature.FilterMaximal(proven))
 
 	var cores []signature.Signature
+	var coresBefore int
 	if p.params.UseRedundancyFilter {
 		ps = p.beginPhase("redundancy-filter")
-		cores, err = p.redundancyRescue(gen, proven)
+		cores, coresBefore, err = p.redundancyRescue(gen, proven)
 		ps.end(err)
 		if err != nil {
 			return nil, fmt.Errorf("core: redundancy filter: %w", err)
 		}
 	} else {
 		cores = signature.FilterMaximal(proven)
+		coresBefore = len(cores)
 	}
 	p.observe(PhaseRedundancyFilter, len(cores))
 	signature.Sort(cores)
 	coreSupports := make([]int64, len(cores))
 	ratios := make([]float64, len(cores))
 	for i, c := range cores {
-		coreSupports[i] = gen.support[c.Key()]
+		coreSupports[i] = gen.supportOf(c)
 		ratios[i] = signature.InterestRatio(float64(coreSupports[i]), c, p.n)
 	}
 	p.cores, p.coreSupports, p.coreRatios = cores, coreSupports, ratios
@@ -258,7 +260,7 @@ func (p *pipeline) run() (*Result, error) {
 	if len(cores) > 0 {
 		res.RelevantAttrs = relevantAttrs(cores)
 	}
-	res.Stats.CandidatesProven = gen.tested
+	res.Stats.CandidatesProven = len(gen.lattice)
 	res.Stats.LevelsTruncated = gen.truncated
 	res.Stats.CoresBeforeRedundancy = coresBefore
 	res.Stats.Cores = len(cores)
@@ -289,44 +291,40 @@ func (p *pipeline) run() (*Result, error) {
 // not subsets of an accepted core re-enter; the shadowed true core
 // resurfaces as maximal in a later round and, being genuinely uncovered,
 // survives. The loop terminates because every round permanently removes its
-// maximal candidates from the pool.
-func (p *pipeline) redundancyRescue(gen *coreGenerator, proven []signature.Signature) ([]signature.Signature, error) {
+// maximal candidates from the pool. It also returns round one's maximal
+// count. Every pool is convex, as FilterMaximal requires: for s ⊂ u ⊂ t with
+// s, t pooled, u is proven, shadowed only if s is, and was never maximal
+// while t was pooled.
+func (p *pipeline) redundancyRescue(gen *coreGenerator, proven []signature.Signature) ([]signature.Signature, int, error) {
 	var kept []signature.Signature
-	pool := append([]signature.Signature(nil), proven...)
-	for len(pool) > 0 {
+	before := 0
+	pool := slices.Clone(proven)
+	for round := 0; ; round++ {
 		// Drop pool signatures already represented by an accepted core.
-		var next []signature.Signature
-		for _, s := range pool {
-			shadowed := false
-			for _, c := range kept {
-				if s.SubsetOf(c) {
-					shadowed = true
-					break
-				}
-			}
-			if !shadowed {
-				next = append(next, s)
-			}
-		}
-		pool = next
+		pool = slices.DeleteFunc(pool, func(s signature.Signature) bool {
+			return slices.ContainsFunc(kept, s.SubsetOf)
+		})
 		if len(pool) == 0 {
 			break
 		}
 		cands := signature.FilterMaximal(pool)
+		if round == 0 {
+			before = len(cands)
+		}
 
 		// Coverage is evaluated against accepted cores plus this round's
 		// candidates.
-		all := append(append([]signature.Signature(nil), kept...), cands...)
+		all := append(slices.Clip(kept), cands...)
 		ratios := make([]float64, len(all))
 		in := make([]signature.RedundancyInput, len(all))
 		for i, s := range all {
-			supp := gen.support[s.Key()]
+			supp := gen.supportOf(s)
 			ratios[i] = signature.InterestRatio(float64(supp), s, p.n)
 			in[i] = signature.RedundancyInput{Sig: s, Support: supp, Ratio: ratios[i]}
 		}
 		unc, err := uncoveredCounts(p.engine, p.splits, all, ratios, p.phaseSpan)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		red := signature.DecideRedundant(in, signature.Uncovered{Count: unc}, p.params.RedundancyCoverage)
 		for i := len(kept); i < len(all); i++ {
@@ -336,20 +334,18 @@ func (p *pipeline) redundancyRescue(gen *coreGenerator, proven []signature.Signa
 		}
 		// This round's candidates leave the pool for good: survivors are
 		// cores, casualties are artifacts whose subsets get their chance
-		// next round.
-		candSet := make(map[string]bool, len(cands))
-		for _, c := range cands {
-			candSet[c.Key()] = true
-		}
-		var rest []signature.Signature
-		for _, s := range pool {
-			if !candSet[s.Key()] {
-				rest = append(rest, s)
+		// next round. FilterMaximal keeps pool order, so the candidates
+		// are a subsequence of the pool.
+		next := 0
+		pool = slices.DeleteFunc(pool, func(s signature.Signature) bool {
+			if next < len(cands) && s.Equal(cands[next]) {
+				next++
+				return true
 			}
-		}
-		pool = rest
+			return false
+		})
 	}
-	return kept, nil
+	return kept, before, nil
 }
 
 // relevantIntervals extracts the candidate intervals of every attribute

@@ -12,29 +12,34 @@ import (
 // effect-size) test, multi-level candidate collection to batch proving jobs
 // (§5.3), and the final maximality filter.
 type coreGenerator struct {
-	params    Params
-	engine    *mr.Engine
-	splits    []*mr.Split
-	n         int
-	support   map[string]int64 // signature key → measured support
-	proven    map[string]bool  // signature key → passed all tests
-	failed    map[string]bool  // signature key → tested and rejected
-	tested    int
-	truncated int // levels cut by LevelCap
+	params Params
+	engine *mr.Engine
+	splits []*mr.Split
+	n      int
+	// lattice holds every tested signature, keyed on its interval-ID list.
+	// proveLevel1 interns the relevant intervals first, so an interval's ID
+	// is its index in relevantIntervals' output.
+	lattice   map[string]verdict
+	ids       signature.Interner
+	proven    []signature.Signature // in proving order
+	truncated int                   // levels cut by LevelCap
 	// trace is the phase span the generator's jobs nest under (0 = untraced).
 	trace obs.SpanID
 }
 
+// verdict is a tested signature's measured support and test outcome.
+type verdict struct {
+	support int64
+	proven  bool
+}
+
 func newCoreGenerator(params Params, engine *mr.Engine, splits []*mr.Split, n int) *coreGenerator {
-	return &coreGenerator{
-		params:  params,
-		engine:  engine,
-		splits:  splits,
-		n:       n,
-		support: make(map[string]int64),
-		proven:  make(map[string]bool),
-		failed:  make(map[string]bool),
-	}
+	return &coreGenerator{params: params, engine: engine, splits: splits, n: n, lattice: make(map[string]verdict)}
+}
+
+// supportOf returns the measured support of a tested signature.
+func (g *coreGenerator) supportOf(s signature.Signature) int64 {
+	return g.lattice[string(g.ids.Key(s, -1))].support
 }
 
 // passes applies the combined support test of §4.1.2: the observed support
@@ -54,21 +59,16 @@ func (g *coreGenerator) passes(observed int64, expected float64) bool {
 // 1-signature tested against the uniform expectation n·width (supports are
 // already known from the histograms).
 func (g *coreGenerator) proveLevel1(intervals []signature.Interval, supports []int64) []signature.Signature {
-	var proven []signature.Signature
 	for i, iv := range intervals {
 		s := signature.New(iv)
-		key := s.Key()
-		g.support[key] = supports[i]
-		g.tested++
-		if g.passes(supports[i], s.ExpectedSupport(g.n)) {
-			g.proven[key] = true
-			proven = append(proven, s)
-		} else {
-			g.failed[key] = true
+		ok := g.passes(supports[i], s.ExpectedSupport(g.n))
+		g.lattice[string(g.ids.Key(s, -1))] = verdict{support: supports[i], proven: ok}
+		if ok {
+			g.proven = append(g.proven, s)
 		}
 	}
-	signature.Sort(proven)
-	return proven
+	signature.Sort(g.proven)
+	return g.proven
 }
 
 // batch is one collected level of unproven candidates.
@@ -79,9 +79,7 @@ type batch struct {
 
 // run executes the generation loop and returns all proven signatures.
 func (g *coreGenerator) run(intervals []signature.Interval, supports []int64) ([]signature.Signature, error) {
-	level1 := g.proveLevel1(intervals, supports)
-	allProven := append([]signature.Signature(nil), level1...)
-	current := level1
+	current := g.proveLevel1(intervals, supports)
 	k := 2
 	for len(current) > 0 && (g.params.MaxP == 0 || k <= g.params.MaxP) {
 		// Multi-level candidate collection (§5.3): generate successive
@@ -132,28 +130,20 @@ func (g *coreGenerator) run(intervals []signature.Interval, supports []int64) ([
 		if err != nil {
 			return nil, err
 		}
-		for _, b := range collected {
-			for _, c := range b.cands {
-				if g.proven[c.Key()] {
-					allProven = append(allProven, c)
-				}
-			}
-		}
 		// Continue the a-priori sweep from the proven signatures of the
 		// topmost collected level; when that set is empty no higher level
 		// can satisfy the downward closure and the loop terminates.
 		current = newTop
 		k = collected[len(collected)-1].level + 1
 	}
-	return allProven, nil
+	return g.proven, nil
 }
 
 // filterKnown drops candidates that were already tested.
 func (g *coreGenerator) filterKnown(cands []signature.Signature) []signature.Signature {
 	out := cands[:0]
 	for _, c := range cands {
-		key := c.Key()
-		if !g.proven[key] && !g.failed[key] {
+		if _, ok := g.lattice[string(g.ids.Key(c, -1))]; !ok {
 			out = append(out, c)
 		}
 	}
@@ -164,65 +154,43 @@ func (g *coreGenerator) filterKnown(cands []signature.Signature) []signature.Sig
 // single MR job (§5.3) and evaluates the tests level by level, enforcing
 // the downward closure of Definition 5: a candidate passes only when every
 // immediate (p−1)-sub-signature is itself proven and the candidate's
-// support is significant against each of them (Eq. 1). It returns the
-// proven signatures of the topmost batch level.
+// support is significant against each of them (Eq. 1). The candidates are
+// distinct: each level is deduplicated when generated and filtered against
+// the lattice, and levels differ in p. It returns the proven signatures of
+// the topmost batch level.
 func (g *coreGenerator) proveBatches(collected []batch) ([]signature.Signature, error) {
 	var need []signature.Signature
 	for _, b := range collected {
-		for _, c := range b.cands {
-			if _, ok := g.support[c.Key()]; !ok {
-				need = append(need, c)
-			}
-		}
+		need = append(need, b.cands...)
 	}
-	need = signature.Dedup(need)
 	counts, err := countSupports(g.engine, g.splits, need, "prove-candidates", g.trace)
 	if err != nil {
 		return nil, err
 	}
-	for i, s := range need {
-		g.support[s.Key()] = counts[i]
-	}
-
 	var top []signature.Signature
-	for bi, b := range collected {
-		var provenHere []signature.Signature
+	for _, b := range collected {
+		top = nil
 		for _, cand := range b.cands {
-			g.tested++
-			if g.candidatePasses(cand) {
-				g.proven[cand.Key()] = true
-				provenHere = append(provenHere, cand)
-			} else {
-				g.failed[cand.Key()] = true
+			supp := counts[0]
+			counts = counts[1:]
+			ok := g.candidatePasses(cand, supp)
+			g.lattice[string(g.ids.Key(cand, -1))] = verdict{support: supp, proven: ok}
+			if ok {
+				top = append(top, cand)
+				g.proven = append(g.proven, cand)
 			}
-		}
-		if bi == len(collected)-1 {
-			top = provenHere
 		}
 	}
 	signature.Sort(top)
 	return top, nil
 }
 
-// candidatePasses evaluates Eq. 1 for one candidate against each immediate
-// sub-signature.
-func (g *coreGenerator) candidatePasses(cand signature.Signature) bool {
-	supp, ok := g.support[cand.Key()]
-	if !ok {
-		return false
-	}
-	for idx := range cand.Intervals {
-		sub := cand.Without(idx)
-		subKey := sub.Key()
-		if !g.proven[subKey] {
-			return false
-		}
-		subSupp, ok := g.support[subKey]
-		if !ok {
-			return false
-		}
-		expected := signature.ExpectedSupportGiven(float64(subSupp), cand.Intervals[idx])
-		if !g.passes(supp, expected) {
+// candidatePasses evaluates Eq. 1 for a candidate of support supp against
+// each immediate sub-signature, which must itself be proven.
+func (g *coreGenerator) candidatePasses(cand signature.Signature, supp int64) bool {
+	for idx, iv := range cand.Intervals {
+		sub, ok := g.lattice[string(g.ids.Key(cand, idx))]
+		if !ok || !sub.proven || !g.passes(supp, signature.ExpectedSupportGiven(float64(sub.support), iv)) {
 			return false
 		}
 	}

@@ -302,14 +302,11 @@ func generateCandidatesMR(engine *mr.Engine, level []signature.Signature, tgen i
 	}
 	// The main program collects candidates, ignoring duplicates across
 	// mappers (§5.3).
-	seen := make(map[string]bool)
-	var cands []signature.Signature
-	for _, p := range out.Pairs {
-		if !seen[p.Key] {
-			seen[p.Key] = true
-			cands = append(cands, p.Value.(signature.Signature))
-		}
+	cands := make([]signature.Signature, len(out.Pairs))
+	for i, p := range out.Pairs {
+		cands[i] = p.Value.(signature.Signature)
 	}
+	cands = signature.Dedup(cands)
 	signature.Sort(cands)
 	return cands, nil
 }

@@ -165,8 +165,8 @@ func (s Signature) Equal(t Signature) bool {
 	return true
 }
 
-// Key returns a canonical string identity usable as a map key and as a
-// MapReduce shuffle key.
+// Key returns a canonical text identity: the candidate-generation job's
+// shuffle key. The driver keys signatures on Interner keys instead.
 func (s Signature) Key() string {
 	var b strings.Builder
 	for i, iv := range s.Intervals {
@@ -176,6 +176,40 @@ func (s Signature) Key() string {
 		fmt.Fprintf(&b, "%d:%.17g:%.17g", iv.Attr, iv.Lo, iv.Hi)
 	}
 	return b.String()
+}
+
+// Interner assigns dense IDs to intervals in first-seen order, making a
+// signature's identity the list of its interval IDs. Intervals are equal
+// when their attribute and endpoint bits are, as in Key. The zero value is
+// ready to use; an Interner is not safe for concurrent use.
+type Interner struct {
+	ids map[[3]uint64]uint32
+	buf []byte
+}
+
+// Key returns the uvarint IDs of s's intervals in attribute order, leaving
+// out the interval at position skip (−1 keeps all): the key of s, or of its
+// immediate subset without interval skip. Keys of one Interner are equal
+// iff their signatures are. The key lives in a buffer the next call
+// overwrites.
+func (in *Interner) Key(s Signature, skip int) []byte {
+	if in.ids == nil {
+		in.ids = make(map[[3]uint64]uint32)
+	}
+	in.buf = in.buf[:0]
+	for i, iv := range s.Intervals {
+		if i == skip {
+			continue
+		}
+		k := [3]uint64{uint64(iv.Attr), math.Float64bits(iv.Lo), math.Float64bits(iv.Hi)}
+		id, ok := in.ids[k]
+		if !ok {
+			id = uint32(len(in.ids))
+			in.ids[k] = id
+		}
+		in.buf = binary.AppendUvarint(in.buf, uint64(id))
+	}
+	return in.buf
 }
 
 // String renders the signature for humans.
@@ -252,11 +286,10 @@ func GenerateCandidates(level []Signature, lo, hi int64) []Signature {
 	if lo < 0 {
 		lo = 0
 	}
-	seen := make(map[string]bool)
-	var out []Signature
 	if lo >= hi {
 		return nil
 	}
+	var out []Signature
 	i, j := PairFromIndex(lo, k)
 	for idx := lo; idx < hi; idx++ {
 		joined, ok := Join(level[i], level[j])
@@ -264,11 +297,7 @@ func GenerateCandidates(level []Signature, lo, hi int64) []Signature {
 			joined, ok = Join(level[j], level[i])
 		}
 		if ok {
-			key := joined.Key()
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, joined)
-			}
+			out = append(out, joined)
 		}
 		// Advance to the next pair incrementally: O(1) per index instead of
 		// re-deriving the row each time.
@@ -278,7 +307,7 @@ func GenerateCandidates(level []Signature, lo, hi int64) []Signature {
 			j = i + 1
 		}
 	}
-	return out
+	return Dedup(out)
 }
 
 // PairFromIndex maps a linear index in [0, k(k−1)/2) to the (i,j) pair with
@@ -305,40 +334,50 @@ func PairFromIndex(idx, k int64) (int, int) {
 	return int(i), int(j)
 }
 
-// Dedup removes duplicate signatures (by Key), preserving first occurrence.
+// Dedup removes duplicate signatures, preserving first occurrence.
 func Dedup(sigs []Signature) []Signature {
+	var ids Interner
 	seen := make(map[string]bool, len(sigs))
 	out := sigs[:0]
 	for _, s := range sigs {
-		k := s.Key()
-		if !seen[k] {
-			seen[k] = true
+		if k := ids.Key(s, -1); !seen[string(k)] {
+			seen[string(k)] = true
 			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// FilterMaximal returns the signatures with no strict superset in the same
-// slice — the practical "Filter maximal Cluster Cores" of Algorithm 1,
-// line 11: Definition 5's condition 2 (no extension is significant) holds
-// for exactly the proven signatures that are not contained in another
-// proven signature, because every significant extension would itself have
-// been generated and proven by the a-priori sweep.
+// FilterMaximal returns, in input order, the signatures with no strict
+// superset in the same slice — the practical "Filter maximal Cluster
+// Cores" of Algorithm 1, line 11: Definition 5's condition 2 (no extension
+// is significant) holds for exactly the proven signatures that are not
+// contained in another proven signature, because every significant
+// extension would itself have been generated and proven by the a-priori
+// sweep.
+//
+// Precondition: sigs holds distinct signatures and is convex — whenever
+// s ⊂ t are both in sigs, so is every u with s ⊂ u ⊂ t. Then s has a strict
+// superset in sigs iff it has an immediate one (one interval more), so one
+// pass that marks every member's immediate subsets finds them all. A
+// downward-closed set, such as the proven lattice, is convex.
 func FilterMaximal(sigs []Signature) []Signature {
-	var out []Signature
+	var ids Interner
+	index := make(map[string]int, len(sigs))
 	for i, s := range sigs {
-		maximal := true
-		for j, t := range sigs {
-			if i == j {
-				continue
-			}
-			if s.P() < t.P() && s.SubsetOf(t) {
-				maximal = false
-				break
+		index[string(ids.Key(s, -1))] = i
+	}
+	covered := make([]bool, len(sigs))
+	for _, t := range sigs {
+		for skip := range t.Intervals {
+			if i, ok := index[string(ids.Key(t, skip))]; ok {
+				covered[i] = true
 			}
 		}
-		if maximal {
+	}
+	var out []Signature
+	for i, s := range sigs {
+		if !covered[i] {
 			out = append(out, s)
 		}
 	}
