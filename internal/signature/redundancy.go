@@ -41,8 +41,8 @@ type Uncovered struct {
 // redundant when at most (1−coverage)·Supp(j) of its support points are
 // uncovered by strictly more interesting signatures. coverage = 1 demands
 // exact set containment (the paper's noise-free example); the pipeline
-// default of 0.95 tolerates the uniform background noise that real data
-// sets add to every support set.
+// default of 0.5 (core.Params.RedundancyCoverage) tolerates the noise and
+// cluster tails that real data sets add to every support set.
 func DecideRedundant(in []RedundancyInput, unc Uncovered, coverage float64) []bool {
 	red := make([]bool, len(in))
 	for j := range in {
