@@ -38,7 +38,7 @@ func TestChaosJSONResultBitIdentical(t *testing.T) {
 	}{
 		{"map-only", mr.RateFaultPlan{MapRate: 0.4, Seed: 19}},
 		{"reduce-only", mr.RateFaultPlan{ReduceRate: 0.45, Seed: 11}},
-		{"mixed-stragglers", mr.RateFaultPlan{MapRate: 0.25, CombineRate: 0.25, ReduceRate: 0.25,
+		{"mixed-stragglers", mr.RateFaultPlan{MapRate: 0.25, ReduceRate: 0.25,
 			StragglerRate: 0.5, StragglerSeconds: 9, Seed: 29}},
 	}
 	for _, pc := range plans {

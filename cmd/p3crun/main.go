@@ -123,7 +123,7 @@ func main() {
 		}
 		if *chaos > 0 || *chaosStrag > 0 {
 			ec.Faults = mr.RateFaultPlan{
-				MapRate: *chaos, CombineRate: *chaos, ReduceRate: *chaos,
+				MapRate: *chaos, ReduceRate: *chaos,
 				StragglerRate: *chaosStrag, StragglerSeconds: *chaosStragS,
 				Seed: 1,
 			}

@@ -44,7 +44,7 @@ func main() {
 	fmt.Printf("read %d x %d points from %s\n", data.N(), data.Dim, csvPath)
 
 	// Stage 2: cluster with a tuned parameter set on an engine with fault
-	// injection — every map, combine and reduce attempt fails with 20%
+	// injection — every map and reduce attempt fails with 20%
 	// probability and is retried, exactly as a lossy Hadoop cluster would
 	// behave.
 	engine := mr.NewEngine(mr.Config{

@@ -10,78 +10,92 @@ import (
 
 // TestPipelineTraceStructure: a traced pipeline run must produce one run
 // span at the root, phase spans under it (in execution order), every job
-// span under a phase span, and a structurally valid stream overall.
+// span under a phase span, and a structurally valid stream overall — for
+// both the Light variant and the full MVB variant (EM + outlier detection).
 func TestPipelineTraceStructure(t *testing.T) {
 	data, _ := genData(t, 1500, 10, 2, 0.05, 31)
-	mem := obs.NewMemTracer()
-	engine := mr.NewEngine(mr.Config{Parallelism: 4, Tracer: mem, Cost: mr.DefaultCostModel()})
-	params := LightParams()
-	res, err := Run(engine, data, params)
-	if err != nil {
-		t.Fatal(err)
+	variants := []struct {
+		name       string
+		params     Params
+		wantPhases []string
+	}{
+		{"light", LightParams(), []string{
+			"histograms", "core-generation", "redundancy-filter",
+			"light-membership", "attribute-inspection", "tightening",
+		}},
+		{"mvb", NewParams(), []string{
+			"histograms", "core-generation", "redundancy-filter",
+			"em", "outlier-detection", "attribute-inspection", "tightening",
+		}},
 	}
-	if err := mem.Validate(); err != nil {
-		t.Fatalf("invalid span stream: %v", err)
-	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			mem := obs.NewMemTracer()
+			engine := mr.NewEngine(mr.Config{Parallelism: 4, Tracer: mem, Cost: mr.DefaultCostModel()})
+			res, err := Run(engine, data, v.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mem.Validate(); err != nil {
+				t.Fatalf("invalid span stream: %v", err)
+			}
 
-	runs := mem.SpansOf(obs.KindRun)
-	if len(runs) != 1 || runs[0].Parent != 0 || runs[0].Name != "p3c-pipeline" {
-		t.Fatalf("run spans = %+v, want one root p3c-pipeline span", runs)
-	}
-	runID := runs[0].ID
+			runs := mem.SpansOf(obs.KindRun)
+			if len(runs) != 1 || runs[0].Parent != 0 || runs[0].Name != "p3c-pipeline" {
+				t.Fatalf("run spans = %+v, want one root p3c-pipeline span", runs)
+			}
+			runID := runs[0].ID
 
-	phaseIDs := make(map[obs.SpanID]string)
-	var phaseOrder []string
-	for _, s := range mem.SpansOf(obs.KindPhase) {
-		if s.Parent != runID {
-			t.Errorf("phase %q not parented by the run span", s.Name)
-		}
-		phaseIDs[s.ID] = s.Name
-		phaseOrder = append(phaseOrder, s.Name)
-	}
-	wantPhases := []string{
-		"histograms", "core-generation", "redundancy-filter",
-		"light-membership", "attribute-inspection", "tightening",
-	}
-	if fmt.Sprint(phaseOrder) != fmt.Sprint(wantPhases) {
-		t.Errorf("phase order = %v, want %v", phaseOrder, wantPhases)
-	}
+			phaseIDs := make(map[obs.SpanID]string)
+			var phaseOrder []string
+			for _, s := range mem.SpansOf(obs.KindPhase) {
+				if s.Parent != runID {
+					t.Errorf("phase %q not parented by the run span", s.Name)
+				}
+				phaseIDs[s.ID] = s.Name
+				phaseOrder = append(phaseOrder, s.Name)
+			}
+			if fmt.Sprint(phaseOrder) != fmt.Sprint(v.wantPhases) {
+				t.Errorf("phase order = %v, want %v", phaseOrder, v.wantPhases)
+			}
 
-	jobSpans := mem.SpansOf(obs.KindJob)
-	if len(jobSpans) == 0 {
-		t.Fatal("no job spans recorded")
-	}
-	for _, s := range jobSpans {
-		if _, ok := phaseIDs[s.Parent]; !ok {
-			t.Errorf("job span %q (parent %d) not nested in a phase span", s.Name, s.Parent)
-		}
-	}
-	if len(jobSpans) != res.Stats.Jobs {
-		t.Errorf("job spans = %d, Stats.Jobs = %d", len(jobSpans), res.Stats.Jobs)
-	}
+			jobSpans := mem.SpansOf(obs.KindJob)
+			if len(jobSpans) == 0 {
+				t.Fatal("no job spans recorded")
+			}
+			for _, s := range jobSpans {
+				if _, ok := phaseIDs[s.Parent]; !ok {
+					t.Errorf("job span %q (parent %d) not nested in a phase span", s.Name, s.Parent)
+				}
+			}
+			if len(jobSpans) != res.Stats.Jobs {
+				t.Errorf("job spans = %d, Stats.Jobs = %d", len(jobSpans), res.Stats.Jobs)
+			}
 
-	// The run span's end must carry the pipeline's engine deltas.
-	runEnd, ok := mem.EndOf(runID)
-	if !ok {
-		t.Fatal("run span never closed")
-	}
-	if runEnd.Counters != res.Stats.Counters {
-		t.Errorf("run span counters %+v != Stats.Counters %+v", runEnd.Counters, res.Stats.Counters)
-	}
-	if runEnd.SimulatedSeconds != res.Stats.SimulatedSeconds {
-		t.Errorf("run span sim s = %g, Stats = %g", runEnd.SimulatedSeconds, res.Stats.SimulatedSeconds)
-	}
+			// The run span's end must carry the pipeline's engine deltas.
+			runEnd, ok := mem.EndOf(runID)
+			if !ok {
+				t.Fatal("run span never closed")
+			}
+			if runEnd.Counters != res.Stats.Counters {
+				t.Errorf("run span counters %+v != Stats.Counters %+v", runEnd.Counters, res.Stats.Counters)
+			}
+			if runEnd.SimulatedSeconds != res.Stats.SimulatedSeconds {
+				t.Errorf("run span sim s = %g, Stats = %g", runEnd.SimulatedSeconds, res.Stats.SimulatedSeconds)
+			}
 
-	// Phase counter deltas must sum to the run's counters: every job belongs
-	// to exactly one phase.
-	var phaseSum mr.Counters
-	for _, e := range mem.Ends() {
-		if e.Kind == obs.KindPhase {
-			phaseSum.Add(e.Counters)
-		}
-	}
-	if phaseSum != runEnd.Counters {
-		t.Errorf("phase counter deltas sum to %+v, run span has %+v", phaseSum, runEnd.Counters)
+			// Phase counter deltas must sum to the run's counters: every job
+			// belongs to exactly one phase.
+			var phaseSum mr.Counters
+			for _, e := range mem.Ends() {
+				if e.Kind == obs.KindPhase {
+					phaseSum.Add(e.Counters)
+				}
+			}
+			if phaseSum != runEnd.Counters {
+				t.Errorf("phase counter deltas sum to %+v, run span has %+v", phaseSum, runEnd.Counters)
+			}
+		})
 	}
 }
 
@@ -92,7 +106,7 @@ func TestPipelineChaosTraceIdentity(t *testing.T) {
 	data, _ := genData(t, 2000, 12, 2, 0.1, 53)
 	params := LightParams()
 	params.NumSplits = 8
-	plan := mr.RateFaultPlan{MapRate: 0.3, CombineRate: 0.2, ReduceRate: 0.3,
+	plan := mr.RateFaultPlan{MapRate: 0.3, ReduceRate: 0.3,
 		StragglerRate: 0.4, StragglerSeconds: 5, Seed: 211}
 
 	for _, par := range []int{1, 8} {

@@ -65,10 +65,10 @@ func scalarLane(t types.Type) (kind, lane string) {
 	return "", ""
 }
 
-// isEmitReceiver reports whether the receiver expression is a TaskContext or
-// CombineEmit — the two types whose Emit methods feed the shuffle. Unknown
-// types count as emitters (conservative: flag), matching the suite's
-// tolerance for incomplete type information.
+// isEmitReceiver reports whether the receiver expression is a TaskContext,
+// the type whose Emit method feeds the shuffle. Unknown types count as
+// emitters (conservative: flag), matching the suite's tolerance for
+// incomplete type information.
 func isEmitReceiver(pass *Pass, x ast.Expr) bool {
 	t := pass.TypeOf(x)
 	if t == nil {
@@ -81,8 +81,7 @@ func isEmitReceiver(pass *Pass, x ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	name := named.Obj().Name()
-	return name == "TaskContext" || name == "CombineEmit"
+	return named.Obj().Name() == "TaskContext"
 }
 
 // isSprintfCall recognizes a direct fmt.Sprintf(...) expression.
@@ -100,19 +99,11 @@ func isSprintfCall(pass *Pass, e ast.Expr) bool {
 
 func checkEmitCall(pass *Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Emit" || !isEmitReceiver(pass, sel.X) {
+	if !ok || sel.Sel.Name != "Emit" || len(call.Args) != 2 || !isEmitReceiver(pass, sel.X) {
 		return
 	}
-	var key, val ast.Expr
-	switch len(call.Args) {
-	case 1: // CombineEmit.Emit(value)
-		val = call.Args[0]
-	case 2: // TaskContext.Emit(key, value)
-		key, val = call.Args[0], call.Args[1]
-	default:
-		return
-	}
-	if key != nil && isSprintfCall(pass, key) {
+	key, val := call.Args[0], call.Args[1] // TaskContext.Emit(key, value)
+	if isSprintfCall(pass, key) {
 		pass.Reportf(call.Pos(),
 			"Emit builds its key with fmt.Sprintf at the call site — precompute a key table (mr.IntKeys) in Setup and index it here")
 	}

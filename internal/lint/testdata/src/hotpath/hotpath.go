@@ -15,18 +15,13 @@ func (*TaskContext) Emit(key string, value any)        {}
 func (*TaskContext) EmitF64(key string, value float64) {}
 func (*TaskContext) EmitI64(key string, value int64)   {}
 
-type CombineEmit struct{}
-
-func (*CombineEmit) Emit(value any)        {}
-func (*CombineEmit) EmitF64(value float64) {}
-
 type Pair struct {
 	Key   string
 	Value any
 }
 
-// notAnEmitter has an Emit method but is neither TaskContext nor
-// CombineEmit; its scalar emissions are not the engine's concern.
+// notAnEmitter has an Emit method but is not TaskContext; its scalar
+// emissions are not the engine's concern.
 type notAnEmitter struct{}
 
 func (notAnEmitter) Emit(key string, value any) {}
@@ -43,11 +38,6 @@ func scalarValues(ctx *TaskContext, f float64, n int64, c int) {
 	ctx.Emit("k", [2]int{1, 2}) // array aggregate: fine
 	var boxed any = f
 	ctx.Emit("k", boxed) // already any: the box happened elsewhere, fine
-}
-
-func combineScalars(out *CombineEmit, f float64) {
-	out.Emit(f)    // want "boxes a float64 .* EmitF64"
-	out.EmitF64(f) // typed lane: fine
 }
 
 func sprintfKeys(ctx *TaskContext, keys []string, c int, payload []int64) {

@@ -25,9 +25,9 @@ import (
 // file survives the teardown.
 
 func init() {
-	// conf-wordcount: wordcount with a combiner; spec picks the boxed emit
-	// lane ("boxed": Emit with int64 values) or the scalar lanes ("typed":
-	// EmitI64). Same data either way.
+	// conf-wordcount: wordcount; spec picks the boxed emit lane ("boxed":
+	// Emit with int64 values) or the scalar lanes ("typed": EmitI64). Same
+	// data either way.
 	RegisterJobImpl("conf-wordcount", func(spec []byte) (JobFuncs, error) {
 		var typed bool
 		switch string(spec) {
@@ -49,26 +49,14 @@ func init() {
 				}
 				return nil
 			}),
-			TypedCombiner: TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
-				var s int64
-				for i := 0; i < values.Len(); i++ {
-					s += values.Int64(i)
-				}
-				if typed {
-					out.EmitI64(s)
-				} else {
-					out.Emit(s)
-				}
-				return nil
-			}),
 			TypedReducer: sumInt64,
 		}, nil
 	})
 
-	// conf-nocombine: no combiner — the config under which the multiprocess
-	// map side takes the mid-task (out-of-core) spill path. Emits float64
-	// records; the reducer commits both a float64 sum and an int count, so
-	// the tagF64 and tagInt lanes round-trip through the spill codec.
+	// conf-nocombine: emits float64 records; the reducer commits both a
+	// float64 sum and an int count, so the tagF64 and tagInt lanes
+	// round-trip through the spill codec. (The name predates the engine's
+	// combiner removal; it is kept so test row names stay stable.)
 	RegisterJobImpl("conf-nocombine", func(spec []byte) (JobFuncs, error) {
 		return JobFuncs{
 			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
@@ -236,7 +224,7 @@ func TestBackendConformance(t *testing.T) {
 		plan FaultPlan
 	}{
 		{"clean", nil},
-		{"chaos", RateFaultPlan{MapRate: 0.3, CombineRate: 0.2, ReduceRate: 0.3, Seed: 13}},
+		{"chaos", RateFaultPlan{MapRate: 0.3, ReduceRate: 0.3, Seed: 13}},
 	}
 
 	for _, jc := range jobs {
@@ -334,7 +322,7 @@ func TestProcKillChaos(t *testing.T) {
 	}{
 		{"mid-map", RateFaultPlan{MapRate: 0.5, Seed: 17}},
 		{"mid-reduce", RateFaultPlan{ReduceRate: 0.5, Seed: 3}},
-		{"mixed", RateFaultPlan{MapRate: 0.3, CombineRate: 0.2, ReduceRate: 0.3, Seed: 13}},
+		{"mixed", RateFaultPlan{MapRate: 0.3, ReduceRate: 0.3, Seed: 13}},
 	}
 	for _, pc := range plans {
 		inproc, err := NewEngine(Config{Parallelism: 4, Faults: pc.plan, MaxAttempts: 12}).Run(job())
@@ -421,43 +409,56 @@ func TestProcKillRawCrash(t *testing.T) {
 // TestBackendSpillOutOfCore pins that a dataset larger than the spill
 // threshold actually runs through the disk-backed sorted-run merge: a tiny
 // threshold must force mid-task spills whose on-disk volume exceeds it by
-// orders of magnitude, while output stays bit-identical.
+// orders of magnitude, while output stays bit-identical. The two jobs push
+// the float64/int lanes (conf-nocombine) and the int64 lane
+// (conf-wordcount, typed) through the out-of-core merge.
 func TestBackendSpillOutOfCore(t *testing.T) {
 	const n, numSplits, numReducers = 20000, 4, 3
 	const threshold = 32 << 10
-	job := func() *Job { return confJob("conf-nocombine", "", n, numSplits, numReducers) }
-	baseline, err := NewEngine(Config{Parallelism: 4}).Run(job())
-	if err != nil {
-		t.Fatal(err)
+	jobs := []struct {
+		name       string
+		impl, spec string
+	}{
+		{"nocombine", "conf-nocombine", ""},
+		{"wordcount-typed", "conf-wordcount", "typed"},
 	}
-	spillBase := t.TempDir()
-	engine := NewEngine(Config{
-		Parallelism: 4, Backend: "multiprocess",
-		SpillDir: spillBase, SpillThresholdBytes: threshold,
-	})
-	out, err := engine.Run(job())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out.Pairs, baseline.Pairs) {
-		t.Error("out-of-core output differs from in-process baseline")
-	}
-	if got, want := normalized(out.Counters), normalized(baseline.Counters); got != want {
-		t.Errorf("counters differ:\n got %+v\nwant %+v", got, want)
-	}
-	stats := auditProcRun(t, "out-of-core", engine, spillBase)
-	if stats.MidTaskSpills == 0 {
-		t.Error("no mid-task spill happened — the run was not out-of-core")
-	}
-	if stats.SpilledBytes <= threshold {
-		t.Errorf("SpilledBytes = %d, want > threshold %d", stats.SpilledBytes, threshold)
-	}
-	if stats.MergedSegments <= stats.SpillFiles {
-		t.Errorf("MergedSegments = %d with %d spill files — reduce did not merge multiple runs",
-			stats.MergedSegments, stats.SpillFiles)
-	}
-	if out.Counters.ShuffledBytes != baseline.Counters.ShuffledBytes {
-		t.Errorf("ShuffledBytes = %d, want %d", out.Counters.ShuffledBytes, baseline.Counters.ShuffledBytes)
+	for _, jc := range jobs {
+		t.Run(jc.name, func(t *testing.T) {
+			job := func() *Job { return confJob(jc.impl, jc.spec, n, numSplits, numReducers) }
+			baseline, err := NewEngine(Config{Parallelism: 4}).Run(job())
+			if err != nil {
+				t.Fatal(err)
+			}
+			spillBase := t.TempDir()
+			engine := NewEngine(Config{
+				Parallelism: 4, Backend: "multiprocess",
+				SpillDir: spillBase, SpillThresholdBytes: threshold,
+			})
+			out, err := engine.Run(job())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(out.Pairs, baseline.Pairs) {
+				t.Error("out-of-core output differs from in-process baseline")
+			}
+			if got, want := normalized(out.Counters), normalized(baseline.Counters); got != want {
+				t.Errorf("counters differ:\n got %+v\nwant %+v", got, want)
+			}
+			stats := auditProcRun(t, "out-of-core", engine, spillBase)
+			if stats.MidTaskSpills == 0 {
+				t.Error("no mid-task spill happened — the run was not out-of-core")
+			}
+			if stats.SpilledBytes <= threshold {
+				t.Errorf("SpilledBytes = %d, want > threshold %d", stats.SpilledBytes, threshold)
+			}
+			if stats.MergedSegments <= stats.SpillFiles {
+				t.Errorf("MergedSegments = %d with %d spill files — reduce did not merge multiple runs",
+					stats.MergedSegments, stats.SpillFiles)
+			}
+			if out.Counters.ShuffledBytes != baseline.Counters.ShuffledBytes {
+				t.Errorf("ShuffledBytes = %d, want %d", out.Counters.ShuffledBytes, baseline.Counters.ShuffledBytes)
+			}
+		})
 	}
 }
 
@@ -476,7 +477,7 @@ func TestChaosPoisonedPoolsMultiprocess(t *testing.T) {
 	}
 	spillBase := t.TempDir()
 	engine := NewEngine(Config{
-		Parallelism: 8, Faults: RateFaultPlan{MapRate: 0.4, CombineRate: 0.3, ReduceRate: 0.4, Seed: 21},
+		Parallelism: 8, Faults: RateFaultPlan{MapRate: 0.4, ReduceRate: 0.4, Seed: 21},
 		MaxAttempts: 12, DebugPoisonPools: true,
 		Backend: "multiprocess", SpillDir: spillBase, SpillThresholdBytes: 1,
 	})

@@ -46,7 +46,7 @@ mapLaunch:
 		go func(i int, split *Split) {
 			defer wg.Done()
 			defer func() { <-e.sem }()
-			st, c, fc, err := e.runMapTask(job, split, mapOnly, nb, numReducers, jobSpan, cancelCh)
+			st, c, fc, err := e.runMapTask(job, split, nb, jobSpan, cancelCh)
 			mapFaults[i] = fc
 			if err != nil {
 				if !errors.Is(err, errTaskCancelled) {

@@ -196,12 +196,11 @@ type mapResult struct {
 // procRun is the per-Run state of the multiprocess backend: the worker
 // fleet, the spill directory, and the pre-encoded job frame.
 type procRun struct {
-	e           *Engine
-	job         *boundJob
-	dir         string
-	exe         string
-	jf          jobFrame
-	hasCombiner bool
+	e   *Engine
+	job *boundJob
+	dir string
+	exe string
+	jf  jobFrame
 	// tel enables worker telemetry (driver has a Tracer); telSample is the
 	// sampler cadence shipped to workers via telemetryEnv.
 	tel       bool
@@ -225,13 +224,12 @@ func newProcRun(rc *runContext) (*procRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mr: multiprocess backend: spill dir: %w", err)
 	}
-	hasCombiner := job.TypedCombiner != nil
 	telSample := e.cfg.TelemetrySample
 	if telSample <= 0 {
 		telSample = 250 * time.Millisecond
 	}
 	p := &procRun{
-		e: e, job: job, dir: dir, exe: exe, hasCombiner: hasCombiner,
+		e: e, job: job, dir: dir, exe: exe,
 		tel: e.cfg.Tracer != nil, telSample: telSample,
 		jf: jobFrame{
 			Name:        job.Name,
@@ -240,7 +238,6 @@ func newProcRun(rc *runContext) (*procRun, error) {
 			NumReducers: job.NumReducers,
 			NB:          rc.nb,
 			MapOnly:     rc.mapOnly,
-			HasCombiner: hasCombiner,
 			Poison:      e.cfg.DebugPoisonPools,
 			SpillDir:    dir,
 			SpillLimit:  resolveSpillThreshold(e.cfg.SpillThresholdBytes),
@@ -416,7 +413,7 @@ func (p *procRun) sendTask(w *workerProc, typ byte, frame any) error {
 
 // runMapTask is the multiprocess mirror of Engine.runMapTask: the same
 // retry loop, with each attempt bound to a worker process.
-func (p *procRun) runMapTask(split *Split, mapOnly bool, jobSpan obs.SpanID, cancel <-chan struct{}) (mapResult, Counters, faultCharge, error) {
+func (p *procRun) runMapTask(split *Split, jobSpan obs.SpanID, cancel <-chan struct{}) (mapResult, Counters, faultCharge, error) {
 	var cur string
 	return runTaskAttempts(p.e, p.job, PhaseMap, split.ID, jobSpan, cancel,
 		func() string { return cur },
@@ -426,20 +423,18 @@ func (p *procRun) runMapTask(split *Split, mapOnly bool, jobSpan obs.SpanID, can
 				return mapResult{}, Counters{}, 0, err
 			}
 			cur = w.name
-			return p.mapAttempt(w, split, attempt, span, mapOnly)
+			return p.mapAttempt(w, split, attempt, span)
 		})
 }
 
-// mapAttempt runs one map attempt on w. Fault decisions happen here, in
-// the driver, at the same plan decision points as tryMapTask — the map
-// decision first, the combine decision only if the map loop would survive
-// — and ship to the worker as exact kill indices, so a multiprocess run
-// consumes the FaultPlan identically to an in-process one.
-func (p *procRun) mapAttempt(w *workerProc, split *Split, attempt int, span obs.SpanID, mapOnly bool) (mapResult, Counters, float64, error) {
+// mapAttempt runs one map attempt on w. The fault decision happens here, in
+// the driver, at the same plan decision point as tryMapTask, and ships to
+// the worker as an exact kill index, so a multiprocess run consumes the
+// FaultPlan identically to an in-process one.
+func (p *procRun) mapAttempt(w *workerProc, split *Split, attempt int, span obs.SpanID) (mapResult, Counters, float64, error) {
 	e, job := p.e, p.job
 	var straggler float64
 	killAt := -1
-	combineKill := false
 	if e.cfg.Faults != nil {
 		d := e.cfg.Faults.Decide(job.Name, PhaseMap, split.ID, attempt)
 		straggler = d.StragglerSeconds
@@ -449,19 +444,11 @@ func (p *procRun) mapAttempt(w *workerProc, split *Split, attempt int, span obs.
 		if d.Fail {
 			killAt = failIndex(d.FailFrac, split.NumRows())
 		}
-		if killAt == -1 && p.hasCombiner && !mapOnly {
-			dc := e.cfg.Faults.Decide(job.Name, PhaseCombine, split.ID, attempt)
-			straggler += dc.StragglerSeconds
-			if dc.StragglerSeconds > 0 && e.cfg.Tracer != nil {
-				e.pointW(span, obs.PointStraggler, job.Name, split.ID, attempt, PhaseCombine, dc.StragglerSeconds, w.name)
-			}
-			combineKill = dc.Fail
-		}
 	}
 	err := p.sendTask(w, fMapTask, mapTaskFrame{
 		Task: split.ID, Attempt: attempt,
 		Offset: split.Offset, Dim: split.Dim, Rows: split.Rows,
-		KillAt: killAt, CombineKill: combineKill,
+		KillAt: killAt,
 	})
 	if err != nil {
 		p.reap(w)
@@ -512,11 +499,7 @@ func (p *procRun) mapAttempt(w *workerProc, split *Split, attempt int, span obs.
 				return mapResult{}, Counters{}, straggler, errInjectedFailure
 			}
 			if e.cfg.Tracer != nil {
-				phase := PhaseMap
-				if combineKill {
-					phase = PhaseCombine
-				}
-				e.pointW(span, obs.PointFault, job.Name, split.ID, attempt, phase, 0, w.name)
+				e.pointW(span, obs.PointFault, job.Name, split.ID, attempt, PhaseMap, 0, w.name)
 			}
 			p.reap(w)
 			return mapResult{}, df.Counters, straggler, errInjectedFailure
@@ -658,7 +641,7 @@ mapLaunch:
 		go func(i int, split *Split) {
 			defer wg.Done()
 			defer func() { <-e.sem }()
-			res, c, fc, err := p.runMapTask(split, rc.mapOnly, rc.jobSpan, rc.cancelCh)
+			res, c, fc, err := p.runMapTask(split, rc.jobSpan, rc.cancelCh)
 			mapFaults[i] = fc
 			if err != nil {
 				if !errors.Is(err, errTaskCancelled) {

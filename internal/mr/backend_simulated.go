@@ -39,7 +39,7 @@ func (simulatedBackend) execute(rc *runContext) ([]Pair, Counters, faultCharge, 
 		st.ready(nb)
 		_, c, fc, err := runTaskAttempts(e, job, PhaseMap, split.ID, jobSpan, cancelCh, nil,
 			func(attempt int, span obs.SpanID) (*mapState, Counters, float64, error) {
-				ac, straggler, err := e.tryMapTask(job, split, st, mapOnly, nb, attempt, span, cancelCh)
+				ac, straggler, err := e.tryMapTask(job, split, st, nb, attempt, span, cancelCh)
 				return st, ac, straggler, err
 			})
 		fault.add(fc)

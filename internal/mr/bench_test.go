@@ -11,22 +11,23 @@ import (
 	"p3cmr/internal/obs"
 )
 
-// Micro-benchmarks for the engine's hot paths. The four shapes mirror the
-// traffic the P3C+-MR pipeline actually generates:
+// Micro-benchmarks for the engine's hot paths:
 //
-//   - MapHeavy: per-record compute with one emit per task (histogram-style
-//     jobs — §5.1, §5.3 — where mappers accumulate locally and emit in
-//     Cleanup). Measures task scheduling + barrier overhead.
-//   - ShuffleHeavy: one emit per record across many keys (EM refinement
-//     style, §5.4). Measures partition + collection + grouping cost.
-//   - Combiner{Off,On}: word-count shape with and without map-side folding.
-//     Measures combine-side grouping cost and shuffle-volume accounting.
+//   - MapHeavy: per-record compute with one emit per task — the shape of
+//     the P3C+-MR pipeline's jobs, whose mappers accumulate locally
+//     (histograms §5.1, supports §5.3, moments §5.4, min/max §5.7) and
+//     emit partials in Cleanup. Measures task scheduling + barrier overhead.
+//   - ShuffleHeavy: one emit per record across 512 keys. Measures
+//     partition + collection + grouping cost.
+//   - CombinerOff: the same one-emit-per-record shape over 64 keys. The
+//     name is historical (its twin measured the retired map-side combiner)
+//     and is kept so its baseline key carries over.
 //   - WideKey: shuffle-heavy with ~64-byte keys. Measures the per-byte cost
 //     of key interning and grouping.
 //
-// The benchmarks drive the typed emit plane (EmitF64 +
-// TypedReducer/TypedCombiner) through registered impls — the path the
-// pipeline's own jobs use, including impl resolution on every Run.
+// The benchmarks drive the scalar emit lane (EmitF64 + TypedReducer)
+// through registered impls, including impl resolution on every Run. The
+// pipeline's own jobs emit their aggregates on the boxed lane (Emit).
 //
 // Each engine benchmark runs untimed warmup jobs before ResetTimer so the
 // engine's buffer pools reach steady state (see benchRunJob); at
@@ -77,33 +78,22 @@ func benchKeys(n int, width int) []string {
 
 // benchShape is one shuffle benchmark's input: a key table and matching
 // value table, built once at package init so fmt allocations never pollute
-// the engine measurement, plus whether the job combines.
+// the engine measurement.
 type benchShape struct {
-	keys    []string
-	vals    []float64
-	combine bool
+	keys []string
+	vals []float64
 }
 
-func newBenchShape(numKeys, width int, combine bool) benchShape {
-	return benchShape{keys: benchKeys(numKeys, width), vals: benchVals(numKeys), combine: combine}
+func newBenchShape(numKeys, width int) benchShape {
+	return benchShape{keys: benchKeys(numKeys, width), vals: benchVals(numKeys)}
 }
 
 // benchShapes are the bench-shuffle impl's inputs; a job's Spec names one.
 var benchShapes = map[string]benchShape{
-	"shuffle-heavy": newBenchShape(512, 0, false),
-	"combiner-off":  newBenchShape(64, 0, false),
-	"combiner-on":   newBenchShape(64, 0, true),
-	"wide-key":      newBenchShape(512, 64, false),
+	"shuffle-heavy": newBenchShape(512, 0),
+	"combiner-off":  newBenchShape(64, 0),
+	"wide-key":      newBenchShape(512, 64),
 }
-
-var benchSumCombiner = TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
-	var s float64
-	for i := 0; i < values.Len(); i++ {
-		s += values.Float64(i)
-	}
-	out.EmitF64(s)
-	return nil
-})
 
 func init() {
 	RegisterJobImpl("bench-map-heavy", func([]byte) (JobFuncs, error) {
@@ -117,17 +107,13 @@ func init() {
 		if !ok {
 			return JobFuncs{}, fmt.Errorf("bench-shuffle: unknown shape %q", spec)
 		}
-		f := JobFuncs{
+		return JobFuncs{
 			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
 				ctx.EmitF64(sh.keys[global%len(sh.keys)], sh.vals[global%len(sh.vals)])
 				return nil
 			}),
 			TypedReducer: sumFloat64,
-		}
-		if sh.combine {
-			f.TypedCombiner = benchSumCombiner
-		}
-		return f, nil
+		}, nil
 	})
 }
 
@@ -210,10 +196,6 @@ func BenchmarkShuffleHeavy(b *testing.B) {
 
 func BenchmarkCombinerOff(b *testing.B) {
 	benchShuffle(b, "combiner-off")
-}
-
-func BenchmarkCombinerOn(b *testing.B) {
-	benchShuffle(b, "combiner-on")
 }
 
 func BenchmarkWideKey(b *testing.B) {

@@ -58,8 +58,8 @@ func (m CostModel) Enabled() bool {
 }
 
 // approxValueBytes estimates the serialized size of a shuffle value for the
-// I/O accounting (charged inline at emit / combine time, so shuffle buffers
-// are traversed exactly once). It understands the value types the pipeline
+// I/O accounting (charged inline at emit time, so shuffle buffers are
+// traversed exactly once). It understands the value types the pipeline
 // actually ships; anything else is charged a flat 16 bytes.
 func approxValueBytes(v any) int64 {
 	switch x := v.(type) {

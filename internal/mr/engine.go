@@ -23,7 +23,7 @@ type Config struct {
 	// map and reduce tasks. Zero means 4.
 	MaxAttempts int
 	// Faults, when non-nil, injects deterministic failures and simulated
-	// straggler delays into map, combine and reduce attempts. Injected
+	// straggler delays into map and reduce attempts. Injected
 	// failures are retried up to MaxAttempts; real task errors are not (a
 	// deterministic bug would fail every attempt anyway, and surfacing it
 	// fast keeps tests honest). Plans must be pure and concurrency-safe —
@@ -493,10 +493,10 @@ func runTaskAttempts[T any](e *Engine, job *boundJob, phase TaskPhase, taskID in
 // the task lives) — and recycled here on failure/cancellation, when no one
 // outside the task has ever observed it. On success the state transfers to
 // the caller, which recycles it after the merge copies its records out.
-func (e *Engine) runMapTask(job *boundJob, split *Split, mapOnly bool, nb, numReducers int, jobSpan obs.SpanID, cancel <-chan struct{}) (*mapState, Counters, faultCharge, error) {
+func (e *Engine) runMapTask(job *boundJob, split *Split, nb int, jobSpan obs.SpanID, cancel <-chan struct{}) (*mapState, Counters, faultCharge, error) {
 	st := e.pools.getMapState(nb)
 	out, c, fc, err := runTaskAttempts(e, job, PhaseMap, split.ID, jobSpan, cancel, nil, func(attempt int, span obs.SpanID) (*mapState, Counters, float64, error) {
-		ac, straggler, err := e.tryMapTask(job, split, st, mapOnly, nb, attempt, span, cancel)
+		ac, straggler, err := e.tryMapTask(job, split, st, nb, attempt, span, cancel)
 		return st, ac, straggler, err
 	})
 	if err != nil {
@@ -507,10 +507,9 @@ func (e *Engine) runMapTask(job *boundJob, split *Split, mapOnly bool, nb, numRe
 }
 
 // tryMapTask runs one map attempt into st: records land pre-partitioned in
-// st.buckets with task-locally interned keys (see TaskContext.emitRec), and
-// the optional combiner folds each bucket in place before the attempt
-// commits.
-func (e *Engine) tryMapTask(job *boundJob, split *Split, st *mapState, mapOnly bool, nb, attempt int, span obs.SpanID, cancel <-chan struct{}) (Counters, float64, error) {
+// st.buckets with task-locally interned keys (see TaskContext.emitRec),
+// each charged to ShuffledBytes as it is emitted.
+func (e *Engine) tryMapTask(job *boundJob, split *Split, st *mapState, nb, attempt int, span obs.SpanID, cancel <-chan struct{}) (Counters, float64, error) {
 	var c Counters
 	// A retried attempt starts from an empty state; attempt 0's state came
 	// reset from the pool, so this only walks empty buffers.
@@ -530,19 +529,14 @@ func (e *Engine) tryMapTask(job *boundJob, split *Split, st *mapState, mapOnly b
 	}
 
 	mapper := job.NewMapper()
-	// Shuffle accounting is folded into emit so records are traversed once;
-	// with a combiner the charge moves to combineBucket instead, because
-	// only post-combine records cross the (modeled) network.
-	hasCombiner := job.TypedCombiner != nil
 	ctx := &TaskContext{
-		JobName:      job.Name,
-		TaskID:       split.ID,
-		Split:        split,
-		cache:        job.Cache,
-		ms:           st,
-		counters:     &c,
-		numReducers:  nb,
-		chargeOnEmit: mapOnly || !hasCombiner,
+		JobName:     job.Name,
+		TaskID:      split.ID,
+		Split:       split,
+		cache:       job.Cache,
+		ms:          st,
+		counters:    &c,
+		numReducers: nb,
 	}
 	if err := mapper.Setup(ctx); err != nil {
 		return c, straggler, err
@@ -575,55 +569,7 @@ func (e *Engine) tryMapTask(job *boundJob, split *Split, st *mapState, mapOnly b
 	if err := mapper.Cleanup(ctx); err != nil {
 		return c, straggler, err
 	}
-
-	if hasCombiner && !mapOnly {
-		if e.cfg.Faults != nil {
-			d := e.cfg.Faults.Decide(job.Name, PhaseCombine, split.ID, attempt)
-			straggler += d.StragglerSeconds
-			if d.StragglerSeconds > 0 && e.cfg.Tracer != nil {
-				e.point(span, obs.PointStraggler, job.Name, split.ID, attempt, PhaseCombine, d.StragglerSeconds)
-			}
-			if d.Fail {
-				if e.cfg.Tracer != nil {
-					e.point(span, obs.PointFault, job.Name, split.ID, attempt, PhaseCombine, 0)
-				}
-				return c, straggler, errInjectedFailure
-			}
-		}
-		for r := range st.buckets {
-			if err := combineBucket(job, st, r, &c); err != nil {
-				return c, straggler, err
-			}
-		}
-	}
 	return c, straggler, nil
-}
-
-// combineBucket folds one reducer-bound buffer through the combiner via the
-// counting group over task-local key ids — no map[string][]any staging and
-// no boxing. It charges ShuffledBytes for the surviving records (the
-// combiner's whole point is that only its output crosses the network),
-// then swaps the combined output in as the new bucket, recycling the old
-// bucket's storage as the next bucket's output buffer.
-func combineBucket(job *boundJob, st *mapState, r int, c *Counters) error {
-	bucket := st.buckets[r]
-	if len(bucket) == 0 {
-		return nil
-	}
-	c.CombineInput += int64(len(bucket))
-	out := st.combineOut[:0]
-	ce := CombineEmit{out: &out, c: c}
-	err := groupLocal(bucket, &st.tab, &st.sc, func(id uint32, grouped []rec) error {
-		ce.key = id
-		ce.keyLen = int64(len(st.tab.keys[id]))
-		return job.TypedCombiner.CombineTyped(st.tab.keys[id], Values{recs: grouped}, &ce)
-	})
-	if err != nil {
-		return err
-	}
-	st.buckets[r] = out
-	st.combineOut = bucket[:0]
-	return nil
 }
 
 // runReduceTask executes one reduce task with the same retry loop as map

@@ -128,45 +128,6 @@ func TestMapOnlyJob(t *testing.T) {
 	}
 }
 
-func TestCombinerReducesShuffleVolume(t *testing.T) {
-	run := func(withCombiner bool) Counters {
-		engine := Default()
-		f := JobFuncs{
-			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-				ctx.Emit("sum", int64(1))
-				return nil
-			}),
-			TypedReducer: sumInt64,
-		}
-		if withCombiner {
-			f.TypedCombiner = TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
-				var s int64
-				for i := 0; i < values.Len(); i++ {
-					s += values.Int64(i)
-				}
-				out.Emit(s)
-				return nil
-			})
-		}
-		out, err := engine.Run(funcJob("combine", makeSplits(1000, 8), f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := byKey(out)["sum"].(int64); got != 1000 {
-			t.Fatalf("sum = %d", got)
-		}
-		return out.Counters
-	}
-	plain := run(false)
-	combined := run(true)
-	if combined.ShuffledBytes >= plain.ShuffledBytes {
-		t.Errorf("combiner did not reduce shuffle: %d vs %d", combined.ShuffledBytes, plain.ShuffledBytes)
-	}
-	if combined.CombineInput != 1000 || combined.CombineOutput != 8 {
-		t.Errorf("combine counters: in=%d out=%d", combined.CombineInput, combined.CombineOutput)
-	}
-}
-
 func TestSetupCleanupHooks(t *testing.T) {
 	engine := Default()
 	var setups, cleanups atomic.Int64

@@ -3,19 +3,19 @@ package mr
 import "math/rand"
 
 // TaskPhase identifies the lifecycle stage of a task attempt for fault
-// injection. Combine is a sub-phase of a map attempt (as in Hadoop, where
-// the combiner runs inside the map task), so a combine-phase failure retries
-// the whole map attempt.
+// injection.
 type TaskPhase int
 
+// The phase values are explicit because faultSeed hashes them: value 1
+// belonged to a retired combine phase, and renumbering PhaseReduce would
+// silently redraw every reduce fault and straggler of every seeded plan
+// (pinned by TestFaultDecisionsPinned).
 const (
 	// PhaseMap covers the record loop of a map attempt, including Setup and
 	// Cleanup.
-	PhaseMap TaskPhase = iota
-	// PhaseCombine covers the combiner pass at the end of a map attempt.
-	PhaseCombine
+	PhaseMap TaskPhase = 0
 	// PhaseReduce covers the grouped reduce loop of a reduce attempt.
-	PhaseReduce
+	PhaseReduce TaskPhase = 2
 )
 
 // String names the phase.
@@ -23,8 +23,6 @@ func (p TaskPhase) String() string {
 	switch p {
 	case PhaseMap:
 		return "map"
-	case PhaseCombine:
-		return "combine"
 	case PhaseReduce:
 		return "reduce"
 	default:
@@ -39,8 +37,7 @@ type FaultDecision struct {
 	// FailFrac in [0,1] positions the abort within the attempt's work:
 	// 0 fails before the first record (or reduce key), 1 after the last —
 	// exercising partial-output discard at every point of the lifecycle.
-	// Values outside [0,1] are clamped. Ignored for PhaseCombine, which
-	// fails before the combiner runs.
+	// Values outside [0,1] are clamped.
 	FailFrac float64
 	// StragglerSeconds charges a simulated straggler delay for this attempt
 	// to the job's cost model (when one is configured). No wall clock
@@ -72,10 +69,10 @@ func (f FaultPlanFunc) Decide(job string, phase TaskPhase, task, attempt int) Fa
 // from Seed and the attempt identity. It is the drop-in replacement for the
 // old Config.FailureRate knob, extended to the full task lifecycle.
 type RateFaultPlan struct {
-	// MapRate, CombineRate and ReduceRate are the per-phase probabilities in
-	// [0,1] that an attempt fails. A failing attempt aborts at a
-	// plan-chosen position within its records (map) or keys (reduce).
-	MapRate, CombineRate, ReduceRate float64
+	// MapRate and ReduceRate are the per-phase probabilities in [0,1] that
+	// an attempt fails. A failing attempt aborts at a plan-chosen position
+	// within its records (map) or keys (reduce).
+	MapRate, ReduceRate float64
 	// StragglerRate is the probability that an attempt is charged a
 	// simulated straggler delay of StragglerSeconds.
 	StragglerRate    float64
@@ -90,8 +87,6 @@ func (p RateFaultPlan) Decide(job string, phase TaskPhase, task, attempt int) Fa
 	switch phase {
 	case PhaseMap:
 		rate = p.MapRate
-	case PhaseCombine:
-		rate = p.CombineRate
 	case PhaseReduce:
 		rate = p.ReduceRate
 	}
@@ -110,10 +105,10 @@ func (p RateFaultPlan) Decide(job string, phase TaskPhase, task, attempt int) Fa
 	return d
 }
 
-// UniformFaults returns a RateFaultPlan that fails map, combine and reduce
-// attempts with the same probability.
+// UniformFaults returns a RateFaultPlan that fails map and reduce attempts
+// with the same probability.
 func UniformFaults(rate float64, seed int64) RateFaultPlan {
-	return RateFaultPlan{MapRate: rate, CombineRate: rate, ReduceRate: rate, Seed: seed}
+	return RateFaultPlan{MapRate: rate, ReduceRate: rate, Seed: seed}
 }
 
 // faultSeed mixes the full attempt identity into an FNV-1a 64-bit hash, so

@@ -1,9 +1,11 @@
 // Package mr is a from-scratch, in-process MapReduce engine with Hadoop-like
 // semantics: input splits, record-at-a-time mappers with setup/cleanup
-// hooks, an optional combiner, hash partitioning, per-key grouping, and
-// reducers. It exists because the reproduced paper (P3C+-MR, EDBT 2014)
-// expresses every phase of its clustering pipeline as MapReduce jobs; this
-// engine runs those jobs with real goroutine parallelism on one machine.
+// hooks, hash partitioning, per-key grouping, and reducers. Jobs that
+// aggregate do so inside the mapper and emit partials from Cleanup, so no
+// combiner pass sits between map and shuffle. It exists because the
+// reproduced paper (P3C+-MR, EDBT 2014) expresses every phase of its
+// clustering pipeline as MapReduce jobs; this engine runs those jobs with
+// real goroutine parallelism on one machine.
 //
 // Beyond execution, the engine keeps the bookkeeping a cluster would:
 //   - a distributed cache (read-only job-scoped side data),
@@ -11,8 +13,8 @@
 //   - a cost model charging per-job startup overhead and per-byte I/O, so
 //     that runtime *shape* experiments ("more MR jobs ⇒ slower") reproduce
 //     the paper's Figure 7 without a physical cluster,
-//   - deterministic fault injection across the full task lifecycle — map,
-//     combine and reduce attempts can be failed mid-flight or delayed as
+//   - deterministic fault injection across the full task lifecycle — map
+//     and reduce attempts can be failed mid-flight or delayed as
 //     simulated stragglers by a pluggable FaultPlan — with per-task retry,
 //     cooperative cancellation of sibling tasks on permanent failure, and
 //     wasted-attempt cost accounting, mirroring Hadoop's error tolerance
@@ -99,22 +101,6 @@ type TypedReducerFunc func(ctx *TaskContext, key string, values Values) error
 // ReduceTyped implements TypedReducer.
 func (f TypedReducerFunc) ReduceTyped(ctx *TaskContext, key string, values Values) error {
 	return f(ctx, key, values)
-}
-
-// TypedCombiner optionally folds mapper-local values of a key before the
-// shuffle, cutting shuffle volume exactly like a Hadoop combiner: inputs
-// arrive as a Values view, outputs leave through the key-bound CombineEmit.
-// Like Values everywhere, the view must not be retained after the call.
-type TypedCombiner interface {
-	CombineTyped(key string, values Values, out *CombineEmit) error
-}
-
-// TypedCombinerFunc adapts a plain function to the TypedCombiner interface.
-type TypedCombinerFunc func(key string, values Values, out *CombineEmit) error
-
-// CombineTyped implements TypedCombiner.
-func (f TypedCombinerFunc) CombineTyped(key string, values Values, out *CombineEmit) error {
-	return f(key, values, out)
 }
 
 // Job describes one MapReduce execution as data: a registered
@@ -204,10 +190,9 @@ type TaskContext struct {
 
 	// Map-side emit state (nil in reduce tasks): records accumulate into
 	// the attempt's per-partition typed buffers.
-	ms           *mapState
-	counters     *Counters
-	numReducers  int
-	chargeOnEmit bool
+	ms          *mapState
+	counters    *Counters
+	numReducers int
 	// trackBuf makes emits maintain ms.bufBytes, the spill-threshold
 	// watermark of the multiprocess backend's map workers. Off (free) for
 	// in-process execution.
@@ -228,11 +213,10 @@ func (ctx *TaskContext) emitRec(key string, tag valueTag, num uint64, val any) {
 	c := ctx.counters
 	c.MapOutputRecords++
 	r := rec{tag: tag, num: num, val: val}
-	if ctx.chargeOnEmit {
-		c.ShuffledBytes += int64(len(key)) + r.bytes()
-	}
+	size := int64(len(key)) + r.bytes()
+	c.ShuffledBytes += size
 	if ctx.trackBuf {
-		ctx.ms.bufBytes += int64(len(key)) + r.bytes()
+		ctx.ms.bufBytes += size
 	}
 	id := ctx.ms.tab.intern(key, ctx.numReducers)
 	p := ctx.ms.tab.part[id]
@@ -287,7 +271,7 @@ func Emit[V any](ctx *TaskContext, key string, value V) {
 // boxing; Value boxes on demand for mixed or structured payloads.
 //
 // The view borrows the engine's pooled shuffle buffers: it is valid only
-// for the duration of the ReduceTyped/CombineTyped call it was passed to
+// for the duration of the ReduceTyped call it was passed to
 // and must not be retained or written through.
 type Values struct {
 	recs []rec
@@ -328,35 +312,6 @@ func (v Values) Int(i int) int {
 // structured payloads (slices, structs). Scalar lanes pay their boxing
 // allocation here, per call.
 func (v Values) Value(i int) any { return v.recs[i].value() }
-
-// CombineEmit collects a typed combiner's output for the one key being
-// combined, charging shuffle accounting for its output records (only
-// post-combine records cross the modeled network).
-type CombineEmit struct {
-	out    *[]rec
-	key    uint32
-	keyLen int64
-	c      *Counters
-}
-
-func (ce *CombineEmit) push(tag valueTag, num uint64, val any) {
-	r := rec{key: ce.key, tag: tag, num: num, val: val}
-	ce.c.CombineOutput++
-	ce.c.ShuffledBytes += ce.keyLen + r.bytes()
-	*ce.out = append(*ce.out, r)
-}
-
-// Emit outputs one combined value on the boxed lane.
-func (ce *CombineEmit) Emit(value any) { ce.push(tagAny, 0, value) }
-
-// EmitF64 outputs one combined float64 with no boxing.
-func (ce *CombineEmit) EmitF64(value float64) { ce.push(tagF64, math.Float64bits(value), nil) }
-
-// EmitI64 outputs one combined int64 with no boxing.
-func (ce *CombineEmit) EmitI64(value int64) { ce.push(tagI64, uint64(value), nil) }
-
-// EmitInt outputs one combined int with no boxing.
-func (ce *CombineEmit) EmitInt(value int) { ce.push(tagInt, uint64(int64(value)), nil) }
 
 // CacheValue fetches a distributed-cache entry; ok is false when missing.
 func (ctx *TaskContext) CacheValue(name string) (any, bool) {

@@ -8,7 +8,7 @@ import (
 
 // This file is the typed shuffle plane: the internal record representation
 // that carries every (key, value) pair from map emit through partition,
-// combine, merge and group to reduce without boxing scalar values into
+// merge and group to reduce without boxing scalar values into
 // `any` and without re-hashing key strings per record.
 //
 // Three ideas, in order of leverage:
@@ -30,7 +30,7 @@ import (
 //     contract. Config.DebugPoisonPools overwrites buffers on return so any
 //     violation of that barrier corrupts output visibly in chaos tests.
 //
-// The boxed surface (Pair, Reducer, Combiner, Output.Pairs) is unchanged:
+// The boxed surface (Pair, Values.Value, Output.Pairs) is unchanged:
 // it is materialized from recs at the edges, so external jobs run as
 // before and all bit-identity oracles apply to the typed plane verbatim.
 
@@ -203,7 +203,8 @@ func clearRecs(recs []rec) {
 }
 
 // groupLocal walks one task-local bucket grouped by key in ascending key
-// order — the combiner-side counterpart of the reduce counting group. Ids
+// order — the map-side counterpart of the reduce counting group, used to
+// write a bucket as a sorted spill segment. Ids
 // are task-local, so the distinct ids present in the bucket are sorted by
 // their key string here; values keep emission order within a key.
 func groupLocal(bucket []rec, tab *keyTab, sc *groupScratch, fn func(id uint32, grouped []rec) error) error {
@@ -253,9 +254,6 @@ func groupLocal(bucket []rec, tab *keyTab, sc *groupScratch, fn func(id uint32, 
 type mapState struct {
 	tab     keyTab
 	buckets [][]rec
-	// combineOut is the swap buffer of the in-place combiner pass.
-	combineOut []rec
-	sc         groupScratch
 	// bufBytes approximates the buffered record bytes (key + payload, the
 	// ShuffledBytes size rule) — maintained only when the owning
 	// TaskContext sets trackBuf, i.e. by multiprocess map workers deciding
@@ -283,15 +281,7 @@ func (m *mapState) reset(poison bool) {
 		}
 		m.buckets[r] = m.buckets[r][:0]
 	}
-	full := m.combineOut[:cap(m.combineOut)]
-	if poison {
-		poisonRecs(full)
-	} else {
-		clearRecs(full)
-	}
-	m.combineOut = m.combineOut[:0]
 	m.tab.reset(poison)
-	m.sc.release(poison)
 	m.bufBytes = 0
 }
 
@@ -489,6 +479,8 @@ func mergeShuffle(sh *shuffleState, states []*mapState, nb, numReducers int) {
 // partition-local ids. keys[id] is the key string; values keep run order
 // (split order, then emission order), and each callback slice is
 // capacity-clamped so an appending callback cannot clobber a neighbour.
+// Every key has at least one record, since a key enters a map task's table
+// only when a record is emitted under it.
 func groupRun(run []rec, keys []string, sc *groupScratch, fn func(key string, grouped []rec) error) error {
 	if len(run) == 0 {
 		return nil
@@ -511,12 +503,6 @@ func groupRun(run []rec, keys []string, sc *groupScratch, fn func(key string, gr
 	lo := int32(0)
 	for id := range keys {
 		hi := sc.counts[id]
-		if hi == lo {
-			// A key can end up with zero records when a combiner folded all
-			// of its values away; the boxed plane never surfaced such keys
-			// to the reducer, so neither does this one.
-			continue
-		}
 		if err := fn(keys[id], sc.recs[lo:hi:hi]); err != nil {
 			return err
 		}

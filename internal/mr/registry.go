@@ -23,12 +23,10 @@ import (
 // registered impl builder. NewMapper is required and is called once per
 // task attempt, so a retried attempt starts from a fresh mapper.
 // TypedReducer is optional: a map-only job (paper: the OD job of §5.5)
-// leaves it nil and the mapper output is the job output. TypedCombiner is
-// optional.
+// leaves it nil and the mapper output is the job output.
 type JobFuncs struct {
-	NewMapper     func() Mapper
-	TypedReducer  TypedReducer
-	TypedCombiner TypedCombiner
+	NewMapper    func() Mapper
+	TypedReducer TypedReducer
 }
 
 // boundJob is a Job together with its resolved implementation: what the

@@ -62,8 +62,8 @@ func newSpillWriter(path string) *spillWriter {
 }
 
 // spillBucket writes one partition bucket as one segment, grouping it by
-// key via the same counting group the combiner path uses (groupLocal walks
-// ids in ascending key order — the sorted run comes for free). Empty
+// key with groupLocal, which walks ids in ascending key order, so the
+// sorted run comes for free. Empty
 // buckets write nothing.
 func (sw *spillWriter) spillBucket(part, seq int, bucket []rec, tab *keyTab) error {
 	if len(bucket) == 0 {
@@ -267,9 +267,9 @@ func (h segHeap) Less(i, j int) bool {
 	}
 	return h[i].ord < h[j].ord
 }
-func (h segHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *segHeap) Push(x any) { *h = append(*h, x.(*segReader)) }
-func (h *segHeap) Pop() any   { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h segHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *segHeap) Push(x any)   { *h = append(*h, x.(*segReader)) }
+func (h *segHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // mergeSegments k-way merges the readers (pre-ordered by ord) and calls fn
 // once per key with that key's records: keys arrive in globally ascending

@@ -85,15 +85,12 @@ func TestTraceSpanStructure(t *testing.T) {
 
 // TestTraceFaultOutcomesAndPoints: injected failures must show up as
 // fault-outcome attempt spans carrying the discarded counters, point events
-// at the actual decision sites (with combine faults attributed to the
-// combine phase), retry markers, and straggler charges.
+// at the actual decision sites, retry markers, and straggler charges.
 func TestTraceFaultOutcomesAndPoints(t *testing.T) {
 	plan := FaultPlanFunc(func(j string, phase TaskPhase, task, attempt int) FaultDecision {
 		switch {
 		case phase == PhaseMap && task == 2 && attempt == 0:
 			return FaultDecision{Fail: true, FailFrac: 1} // dies after the full split
-		case phase == PhaseCombine && task == 4 && attempt == 0:
-			return FaultDecision{Fail: true}
 		case phase == PhaseReduce && task == 1 && attempt == 0:
 			return FaultDecision{StragglerSeconds: 2.5}
 		}
@@ -148,15 +145,14 @@ func TestTraceFaultOutcomesAndPoints(t *testing.T) {
 			stragglerSeconds += p.Seconds
 		}
 	}
-	for _, want := range []string{"fault/map", "fault/combine", "straggler/reduce"} {
+	for _, want := range []string{"fault/map", "straggler/reduce"} {
 		if points[want] == 0 {
 			t.Errorf("no %s point event (got %v)", want, points)
 		}
 	}
-	// Retry points carry the task's phase (a combine fault retries the whole
-	// map task), so both faults above surface as map retries.
-	if points["retry/map"] != 2 {
-		t.Errorf("retry/map points = %d, want 2 (got %v)", points["retry/map"], points)
+	// Retry points carry the task's phase.
+	if points["retry/map"] != 1 {
+		t.Errorf("retry/map points = %d, want 1 (got %v)", points["retry/map"], points)
 	}
 	if stragglerSeconds != 2.5 {
 		t.Errorf("straggler points carry %g s, want 2.5", stragglerSeconds)
@@ -236,7 +232,7 @@ func TestChaosTraceIdentity(t *testing.T) {
 		plan FaultPlan
 	}{
 		{"fault-free", nil},
-		{"mixed", RateFaultPlan{MapRate: 0.4, CombineRate: 0.3, ReduceRate: 0.4,
+		{"mixed", RateFaultPlan{MapRate: 0.4, ReduceRate: 0.4,
 			StragglerRate: 0.5, StragglerSeconds: 2, Seed: 21}},
 	}
 	for _, pc := range plans {

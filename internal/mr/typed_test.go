@@ -153,53 +153,6 @@ func TestValuesAccessors(t *testing.T) {
 	}
 }
 
-// TestTypedCombinerMatchesBoxed runs the same sum job with a combiner that
-// emits on the boxed lane and one that emits on the scalar lane and
-// requires identical output and counters — including
-// CombineInput/CombineOutput and the post-combine ShuffledBytes.
-func TestTypedCombinerMatchesBoxed(t *testing.T) {
-	splits := typedTestSplits(3, 40, 2)
-	key := func(g int) string { return fmt.Sprintf("k%d", g%5) }
-	mapF64 := mapFn(func(ctx *TaskContext, global int, row []float64) error {
-		ctx.EmitF64(key(global), row[1])
-		return nil
-	})
-	combine := func(boxed bool) TypedCombiner {
-		return TypedCombinerFunc(func(k string, values Values, out *CombineEmit) error {
-			sum := 0.0
-			for i := 0; i < values.Len(); i++ {
-				sum += values.Float64(i)
-			}
-			if boxed {
-				out.Emit(sum)
-			} else {
-				out.EmitF64(sum)
-			}
-			return nil
-		})
-	}
-	boxed := funcJob("combine", splits, JobFuncs{NewMapper: mapF64, TypedReducer: sumFloat64, TypedCombiner: combine(true)})
-	typed := funcJob("combine", splits, JobFuncs{NewMapper: mapF64, TypedReducer: sumFloat64, TypedCombiner: combine(false)})
-	boxed.NumReducers, typed.NumReducers = 2, 2
-	o1, err := Default().Run(boxed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := Default().Run(typed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(o1.Pairs, o2.Pairs) {
-		t.Fatalf("typed combiner pairs diverge\nboxed: %v\ntyped: %v", o1.Pairs, o2.Pairs)
-	}
-	if o1.Counters != o2.Counters {
-		t.Fatalf("typed combiner counters diverge\nboxed: %+v\ntyped: %+v", o1.Counters, o2.Counters)
-	}
-	if o1.Counters.CombineInput == 0 || o1.Counters.CombineOutput == 0 {
-		t.Fatalf("combiner never ran: %+v", o1.Counters)
-	}
-}
-
 // TestJobValidation pins the registry's registration contract: an empty
 // name, a nil builder and a duplicate name are programmer errors that
 // panic at registration, and a registered job never mutates the caller's
@@ -226,41 +179,6 @@ func TestJobValidation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*job, before) {
 		t.Errorf("Run mutated the caller's Job:\n got %+v\nwant %+v", *job, before)
-	}
-}
-
-// TestCombinerDropsAllValuesOfKey pins the empty-group contract: a combiner
-// that folds every value of a key away must make the key invisible to the
-// reducer — on both lanes, identically.
-func TestCombinerDropsAllValuesOfKey(t *testing.T) {
-	splits := typedTestSplits(2, 10, 1)
-	seen := map[string]bool{}
-	job := funcJob("drop", splits, JobFuncs{
-		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-			ctx.EmitInt(fmt.Sprintf("k%d", global%4), 1)
-			return nil
-		}),
-		TypedCombiner: TypedCombinerFunc(func(k string, values Values, out *CombineEmit) error {
-			if k == "k1" {
-				return nil // fold the key away entirely
-			}
-			out.EmitInt(values.Len())
-			return nil
-		}),
-		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, k string, values Values) error {
-			seen[k] = true
-			return nil
-		}),
-	})
-	job.NumReducers = 1 // single reducer, sequential: the seen map is safe
-	if _, err := NewEngine(Config{Parallelism: 1}).Run(job); err != nil {
-		t.Fatal(err)
-	}
-	if seen["k1"] {
-		t.Fatal("key k1 reached the reducer although the combiner dropped all its values")
-	}
-	if !seen["k0"] || !seen["k2"] || !seen["k3"] {
-		t.Fatalf("surviving keys missing from reducer: %v", seen)
 	}
 }
 

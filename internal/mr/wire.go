@@ -82,8 +82,10 @@ type jobFrame struct {
 	Spec        []byte
 	NumReducers int
 	// NB is the shuffle bucket count (1 for map-only jobs).
-	NB          int
-	MapOnly     bool
+	NB      int
+	MapOnly bool
+	// HasCombiner is retired: the engine has no combiner, so it is always
+	// false. It stays because the protocol is append-only (wire.lock).
 	HasCombiner bool
 	// Poison forwards Config.DebugPoisonPools into the worker's pools.
 	Poison   bool
@@ -109,9 +111,8 @@ type mapTaskFrame struct {
 	// injected map failure at the same position. Decided by the driver so
 	// the fault plan stays a pure driver-side function.
 	KillAt int
-	// CombineKill makes the worker die before its combiner pass (KillAt
-	// must be -1; a map-phase kill precedes the combine decision, exactly
-	// like the in-process attempt lifecycle).
+	// CombineKill is retired: the engine has no combiner, so it is always
+	// false. It stays because the protocol is append-only (wire.lock).
 	CombineKill bool
 }
 

@@ -72,18 +72,14 @@ type workerState struct {
 	// job is the materialized current job (registry funcs + decoded cache);
 	// jobErr defers an impl-resolution failure to the first task frame, so
 	// it surfaces as a task error instead of a dead worker.
-	job         *boundJob
-	jobErr      error
-	nb          int
-	mapOnly     bool
-	hasCombiner bool
-	spillDir    string
-	spillLimit  int64
-	// spillMid enables threshold-triggered mid-task spills. Combiner jobs
-	// keep their buckets whole (the combiner must see every value of a key
-	// to produce the same post-combine records and ShuffledBytes as the
-	// in-process engine), so they spill only at commit.
-	spillMid bool
+	job    *boundJob
+	jobErr error
+	nb     int
+	// mapOnly jobs return their output over the wire; every other job
+	// spills its buckets whenever they pass spillLimit, and at commit.
+	mapOnly    bool
+	spillDir   string
+	spillLimit int64
 	// pools recycles map states across tasks, mirroring the engine pools —
 	// including poison-on-return when the driver forwards DebugPoisonPools.
 	pools *enginePools
@@ -240,10 +236,8 @@ func (w *workerState) setJob(data []byte) error {
 	}
 	w.nb = jf.NB
 	w.mapOnly = jf.MapOnly
-	w.hasCombiner = jf.HasCombiner
 	w.spillDir = jf.SpillDir
 	w.spillLimit = jf.SpillLimit
-	w.spillMid = !jf.MapOnly && !jf.HasCombiner
 	w.pools = newEnginePools(jf.Poison)
 	// (Re)start the resource sampler against this job's spill directory. The
 	// sampler writes into the telemetry buffer only; its snapshots reach the
@@ -255,8 +249,8 @@ func (w *workerState) setJob(data []byte) error {
 
 // runMap executes one map task attempt — the worker-side mirror of
 // tryMapTask, with the same record-loop kill points (before record KillAt,
-// after the last record, before the combiner) and the same counter and
-// ShuffledBytes accounting, plus threshold-triggered spills to disk.
+// or after the last record) and the same counter and ShuffledBytes
+// accounting, plus threshold-triggered spills to disk.
 func (w *workerState) runMap(data []byte) error {
 	var f mapTaskFrame
 	if err := decodeFrame(data, &f); err != nil {
@@ -277,17 +271,16 @@ func (w *workerState) runMap(data []byte) error {
 	var c Counters
 	mapper := w.job.NewMapper()
 	ctx := &TaskContext{
-		JobName:      w.job.Name,
-		TaskID:       f.Task,
-		Split:        split,
-		cache:        w.job.Cache,
-		ms:           st,
-		counters:     &c,
-		numReducers:  w.nb,
-		chargeOnEmit: w.mapOnly || !w.hasCombiner,
-		trackBuf:     w.spillMid,
+		JobName:     w.job.Name,
+		TaskID:      f.Task,
+		Split:       split,
+		cache:       w.job.Cache,
+		ms:          st,
+		counters:    &c,
+		numReducers: w.nb,
+		trackBuf:    !w.mapOnly,
 	}
-	// Telemetry steps: map-exec spans the record loop through the combiner;
+	// Telemetry steps: map-exec spans Setup through Cleanup;
 	// each spill pass gets its own overlapping spill-write sibling. Open
 	// steps are closed by AbortOpen on the die/sendTaskErr paths.
 	exec := w.tel.StartStep("map-exec", "map")
@@ -304,7 +297,7 @@ func (w *workerState) runMap(data []byte) error {
 		if err := mapper.Map(ctx, split.Offset+i, split.Row(i)); err != nil {
 			return fail(err)
 		}
-		if w.spillMid && st.bufBytes >= w.spillLimit {
+		if !w.mapOnly && st.bufBytes >= w.spillLimit {
 			sp := w.tel.StartStep("spill-write", "map")
 			if err := sw.spillAll(st, seq, true); err != nil {
 				return fail(err)
@@ -318,16 +311,6 @@ func (w *workerState) runMap(data []byte) error {
 	}
 	if err := mapper.Cleanup(ctx); err != nil {
 		return fail(err)
-	}
-	if w.hasCombiner && !w.mapOnly {
-		if f.CombineKill {
-			w.die(c)
-		}
-		for r := range st.buckets {
-			if err := combineBucket(w.job, st, r, &c); err != nil {
-				return fail(err)
-			}
-		}
 	}
 	exec.Done()
 

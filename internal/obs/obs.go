@@ -113,7 +113,7 @@ type PointKind uint8
 
 const (
 	// PointFault marks the position where an injected failure killed the
-	// attempt; Phase distinguishes map, combine and reduce faults.
+	// attempt; Phase distinguishes map and reduce faults.
 	PointFault PointKind = 1 + iota
 	// PointRetry marks that a failed attempt will be retried.
 	PointRetry

@@ -14,16 +14,14 @@ func TestCountersStringCoversEveryField(t *testing.T) {
 	c := Counters{
 		MapInputRecords:  1,
 		MapOutputRecords: 2,
-		CombineInput:     3,
-		CombineOutput:    4,
-		ReduceInputKeys:  5,
-		ReduceInputVals:  6,
-		OutputRecords:    7,
-		ShuffledBytes:    8,
-		TaskRetries:      9,
+		ReduceInputKeys:  3,
+		ReduceInputVals:  4,
+		OutputRecords:    5,
+		ShuffledBytes:    6,
+		TaskRetries:      7,
 	}
 	got := c.String()
-	want := "mapIn=1 mapOut=2 combIn=3 combOut=4 redKeys=5 redVals=6 out=7 shuffledB=8 retries=9"
+	want := "mapIn=1 mapOut=2 redKeys=3 redVals=4 out=5 shuffledB=6 retries=7"
 	if got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
@@ -219,7 +217,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	job, task := NewSpanID(), NewSpanID()
 	tr.Begin(Start{ID: job, Kind: KindJob, Name: "j"})
 	tr.Begin(Start{ID: task, Parent: job, Kind: KindTask, Name: "j", Task: 0, Attempt: 1, Phase: "map"})
-	tr.Point(Point{Span: task, Kind: PointFault, Name: "j", Task: 0, Attempt: 1, Phase: "combine"})
+	tr.Point(Point{Span: task, Kind: PointFault, Name: "j", Task: 0, Attempt: 1, Phase: "map"})
 	tr.End(End{ID: task, Kind: KindTask, Name: "j", Task: 0, Attempt: 1, Phase: "map",
 		Outcome: OutcomeFault, Err: "injected", RealSeconds: 0.25,
 		Wasted: Counters{MapInputRecords: 7}})
@@ -250,8 +248,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if _, ok := lines[0]["task"]; ok {
 		t.Errorf("job begin line has a task field: %v", lines[0])
 	}
-	// Point line carries the combine phase.
-	if lines[2]["point"] != "fault" || lines[2]["phase"] != "combine" {
+	// Point line carries the fault's phase.
+	if lines[2]["point"] != "fault" || lines[2]["phase"] != "map" {
 		t.Errorf("point line: %v", lines[2])
 	}
 	// Fault end has wasted counters but no committed counters.
