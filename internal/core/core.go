@@ -153,13 +153,6 @@ func (ps *phaseScope) end(err error) {
 	p.phaseSpan = 0
 }
 
-// observe notifies the configured Observer, if any.
-func (p *pipeline) observe(phase Phase, detail int) {
-	if p.params.Observer != nil {
-		p.params.Observer.PhaseDone(phase, detail)
-	}
-}
-
 // metric publishes one algorithm-quality scalar: a typed metric point on
 // the given span (the open phase span, or the run span for cross-phase
 // aggregates) and the matching p3c_<name> registry gauge. Driver-side
@@ -199,7 +192,6 @@ func (p *pipeline) run() (*Result, error) {
 		ps.end(err)
 		return nil, fmt.Errorf("core: histogram job: %w", err)
 	}
-	p.observe(PhaseHistograms, bins)
 	intervals, supports := relevantIntervals(hists, p.params.AlphaChi2)
 	var supportMass int64
 	for _, s := range supports {
@@ -208,7 +200,6 @@ func (p *pipeline) run() (*Result, error) {
 	p.metric(p.phaseSpan, "quality_relevant_intervals", float64(len(intervals)))
 	p.metric(p.phaseSpan, "quality_interval_support_frac", float64(supportMass)/float64(p.n*p.dim))
 	ps.end(nil)
-	p.observe(PhaseRelevantIntervals, len(intervals))
 
 	// --- Cluster-core generation (§5.3) --------------------------------------
 	ps = p.beginPhase("core-generation")
@@ -222,7 +213,6 @@ func (p *pipeline) run() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: cluster-core generation: %w", err)
 	}
-	p.observe(PhaseCoreGeneration, len(proven))
 
 	var cores []signature.Signature
 	var coresBefore int
@@ -237,7 +227,6 @@ func (p *pipeline) run() (*Result, error) {
 		cores = signature.FilterMaximal(proven)
 		coresBefore = len(cores)
 	}
-	p.observe(PhaseRedundancyFilter, len(cores))
 	signature.Sort(cores)
 	coreSupports := make([]int64, len(cores))
 	ratios := make([]float64, len(cores))
@@ -379,7 +368,6 @@ func (p *pipeline) finishFull(res *Result) (*Result, error) {
 		return nil, fmt.Errorf("core: EM: %w", err)
 	}
 	res.Stats.EMIterations = iters
-	p.observe(PhaseEM, iters)
 
 	ps = p.beginPhase("outlier-detection")
 	labels, err := outlier.Detect(p.engine, p.splits, model, p.n, p.params.OutlierMethod, p.params.AlphaChi2, p.phaseSpan)
@@ -388,13 +376,6 @@ func (p *pipeline) finishFull(res *Result) (*Result, error) {
 		return nil, fmt.Errorf("core: outlier detection: %w", err)
 	}
 	res.Labels = labels
-	numOutliers := 0
-	for _, l := range labels {
-		if l == outlier.OutlierLabel {
-			numOutliers++
-		}
-	}
-	p.observe(PhaseOutlierDetection, numOutliers)
 
 	k := len(p.cores)
 	memberCounts := make([]int64, k)
@@ -407,7 +388,6 @@ func (p *pipeline) finishFull(res *Result) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: attribute inspection: %w", err)
 	}
-	p.observe(PhaseAttributeInspection, len(attrs))
 	return p.finish(res, labels, attrs)
 }
 
@@ -507,7 +487,6 @@ func (p *pipeline) finishLight(res *Result) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: light attribute inspection: %w", err)
 	}
-	p.observe(PhaseAttributeInspection, len(attrs))
 
 	res2, err := p.finish(res, unique, attrs)
 	if err != nil {
@@ -539,7 +518,6 @@ func (p *pipeline) finish(res *Result, membership []int, attrs [][]int) (*Result
 	if err != nil {
 		return nil, fmt.Errorf("core: interval tightening: %w", err)
 	}
-	p.observe(PhaseTightening, k)
 	for c := 0; c < k; c++ {
 		out := OutputSignature{ClusterID: c}
 		for _, a := range attrs[c] {

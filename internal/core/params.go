@@ -111,39 +111,7 @@ type Params struct {
 	// NumSplits is the number of input splits the data set is partitioned
 	// into (0 = one split per engine parallelism unit).
 	NumSplits int
-	// Observer, when non-nil, receives a callback at the end of every
-	// pipeline phase — operational visibility into long runs. Callbacks
-	// happen on the driver goroutine; implementations must be fast.
-	Observer Observer
 }
-
-// Phase identifies a pipeline stage for Observer callbacks.
-type Phase string
-
-// The pipeline phases, in execution order.
-const (
-	PhaseHistograms          Phase = "histograms"
-	PhaseRelevantIntervals   Phase = "relevant-intervals"
-	PhaseCoreGeneration      Phase = "core-generation"
-	PhaseRedundancyFilter    Phase = "redundancy-filter"
-	PhaseEM                  Phase = "em"
-	PhaseOutlierDetection    Phase = "outlier-detection"
-	PhaseAttributeInspection Phase = "attribute-inspection"
-	PhaseTightening          Phase = "interval-tightening"
-)
-
-// Observer receives phase-completion callbacks. Detail carries a
-// phase-specific count: intervals found, candidates proven, cores kept, EM
-// iterations run, outliers marked.
-type Observer interface {
-	PhaseDone(phase Phase, detail int)
-}
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(phase Phase, detail int)
-
-// PhaseDone implements Observer.
-func (f ObserverFunc) PhaseDone(phase Phase, detail int) { f(phase, detail) }
 
 // NewParams returns the paper's default parameterization (§7.3) for the
 // P3C+ model with MVB outlier detection.
