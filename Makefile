@@ -1,4 +1,4 @@
-# Build/test entry points. `make ci` is the full PR gate: vet, the p3cvet
+# Build/test entry points. `make ci` is the full PR gate: gofmt, vet, the p3cvet
 # contract analyzers, build, the whole test suite (with test-order
 # shuffling so order dependence can't creep in), the benchmark harness's
 # own tests, the race detector over the engine's concurrent merge path,
@@ -7,9 +7,14 @@
 
 GO ?= go
 
-.PHONY: ci vet lint lint-fix-check build test bench-module race bench bench-diff chaos chaos-proc trace ops ops-proc trace-diff trace-demo ops-demo trace-analyze proc-demo
+.PHONY: ci fmt-check vet lint lint-fix-check build test bench-module race bench bench-diff chaos chaos-proc trace ops ops-proc trace-diff trace-demo ops-demo trace-analyze proc-demo
 
-ci: vet lint build test bench-module race chaos chaos-proc trace ops ops-proc trace-diff bench bench-diff
+ci: fmt-check vet lint build test bench-module race chaos chaos-proc trace ops ops-proc trace-diff bench bench-diff
+
+# Fails when any tracked Go file is not gofmt-formatted, naming the files.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -64,10 +69,10 @@ chaos-proc:
 	$(GO) test -run 'FuzzSpillRoundTrip|FuzzKWayMergeOrder' ./internal/mr/
 
 # Observability suite under the race detector: tracer/metrics unit tests,
-# span-structure tests, trace-vs-untraced identity oracles, and the
-# Observer ordering/composition tests.
+# span-structure tests (including the pipeline's phase order), and
+# trace-vs-untraced identity oracles.
 trace:
-	$(GO) test -race -run 'Trace|Obs|Observer|Metrics|Report|JSONL' ./...
+	$(GO) test -race -run 'Trace|Obs|Metrics|Report|JSONL' ./...
 
 # Ops-plane and trace-analysis suite under the race detector: progress
 # aggregation, Prometheus exposition (golden + validator), flight-recorder
@@ -103,20 +108,18 @@ trace-diff:
 		/tmp/p3c-archive-a /tmp/p3c-archive-a
 
 # Benchmarks with a machine-readable summary: benchjson tees the raw
-# output through and writes BENCH_PR12.json for cross-PR baseline diffs.
+# output through and writes BENCH_PR17.json for cross-PR baseline diffs.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/mr/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_PR12.json
+		| $(GO) run ./cmd/benchjson -o BENCH_PR17.json
 
 # Compare this PR's benchmark baseline against the previous engine
 # baseline; exits nonzero on a regression beyond the (deliberately loose,
-# -benchtime 1x is noisy) thresholds. Every Run now resolves its job
-# through the impl registry, which costs a few allocations per job; the
-# micro-benchmarks stay within the previous allocs/op envelope, and the
-# deleted boxed-reducer benchmark reports as removed.
+# -benchtime 1x is noisy) thresholds. The map-side combiner is gone, so
+# BenchmarkCombinerOn reports as removed; the rest run the same shapes.
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff -threshold 0.75 -alloc-threshold 0.25 \
-		BENCH_PR10.json BENCH_PR12.json
+		BENCH_PR12.json BENCH_PR17.json
 
 # End-to-end trace demo: generate a small data set, cluster it with
 # tracing, the per-job report, and the cost model enabled, then show the
