@@ -108,18 +108,18 @@ trace-diff:
 		/tmp/p3c-archive-a /tmp/p3c-archive-a
 
 # Benchmarks with a machine-readable summary: benchjson tees the raw
-# output through and writes BENCH_PR17.json for cross-PR baseline diffs.
+# output through and writes BENCH_PR18.json for cross-PR baseline diffs.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/mr/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_PR17.json
+		| $(GO) run ./cmd/benchjson -o BENCH_PR18.json
 
 # Compare this PR's benchmark baseline against the previous engine
 # baseline; exits nonzero on a regression beyond the (deliberately loose,
-# -benchtime 1x is noisy) thresholds. The map-side combiner is gone, so
-# BenchmarkCombinerOn reports as removed; the rest run the same shapes.
+# -benchtime 1x is noisy) thresholds. The benchmarks keep their names and
+# shapes; they emit through the one boxed Emit lane.
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff -threshold 0.75 -alloc-threshold 0.25 \
-		BENCH_PR12.json BENCH_PR17.json
+		BENCH_PR17.json BENCH_PR18.json
 
 # End-to-end trace demo: generate a small data set, cluster it with
 # tracing, the per-job report, and the cost model enabled, then show the

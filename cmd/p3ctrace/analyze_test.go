@@ -260,16 +260,16 @@ func init() {
 		return mr.JobFuncs{
 			NewMapper: func() mr.Mapper {
 				return mr.MapperFunc(func(ctx *mr.TaskContext, global int, row []float64) error {
-					ctx.EmitI64(strconv.Itoa(int(row[0])%13), 1)
+					ctx.Emit(strconv.Itoa(int(row[0])%13), int64(1))
 					return nil
 				})
 			},
 			TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
 				var s int64
 				for i := 0; i < values.Len(); i++ {
-					s += values.Int64(i)
+					s += values.Value(i).(int64)
 				}
-				ctx.EmitI64(key, s)
+				ctx.Emit(key, s)
 				return nil
 			}),
 		}, nil

@@ -5,23 +5,24 @@ import (
 	"go/types"
 )
 
-// HotPath polices the typed data plane's allocation contract: the engine's
-// shuffle carries scalars unboxed (tagged records, see internal/mr), so an
-// emit site that passes a bare float64/int64/int through the boxed `any`
-// surface silently reintroduces one heap allocation per record — exactly the
-// cost the typed plane exists to remove, and invisible in review because the
-// code still compiles and produces identical output. The analyzer flags the
-// three shapes that put boxing or key formatting back on the per-record path:
+// HotPath polices the data plane's allocation contract: every job
+// aggregates in its mapper (histograms, supports, moments) and emits
+// partials from Cleanup, so the shuffle carries few, structured values. An
+// emit site that passes a bare float64/int64/int through the `any` surface
+// boxes one heap allocation per call — per record on a map path — and is
+// invisible in review because the code still compiles and produces
+// identical output. The analyzer flags the three shapes that put boxing or
+// key formatting back on the per-record path:
 //
-//   - an Emit call whose value argument has static scalar type (use the
-//     EmitF64/EmitI64/EmitInt lane, or the generic mr.Emit, instead);
+//   - an Emit call whose value argument has static scalar type;
 //   - a Pair composite literal whose Value field is a scalar (pairs box at
-//     construction — produce them through the typed emit surface);
+//     construction);
 //   - an Emit call whose key argument is built by fmt.Sprintf at the call
 //     site (precompute a key table, e.g. mr.IntKeys, in the mapper's Setup).
 //
-// Deliberate uses of the boxed-compat shim carry a //lint:allow hotpath
-// comment with the justification.
+// The fix for the first two is to aggregate in the mapper and emit the
+// partial from Cleanup. Deliberate per-call scalars carry a
+// //lint:allow hotpath comment with the justification.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "forbid scalar any-boxing and per-emit key formatting on the data-plane hot path",
@@ -42,27 +43,26 @@ func runHotPath(pass *Pass) {
 	}
 }
 
-// scalarLane maps a value type to its typed emit lane ("" when the type is
-// not a boxing-prone scalar). Only the lanes the record format actually
-// carries unboxed are flagged; aggregates (slices, structs, arrays) must box
-// regardless and are left alone.
-func scalarLane(t types.Type) (kind, lane string) {
+// scalarKind names a value type that boxes on every emit ("" for any
+// other type). Aggregates (slices, structs, arrays) are what jobs should
+// emit and are left alone.
+func scalarKind(t types.Type) string {
 	if t == nil {
-		return "", ""
+		return ""
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	if !ok {
-		return "", ""
+		return ""
 	}
 	switch b.Kind() {
 	case types.Float64:
-		return "float64", "EmitF64"
+		return "float64"
 	case types.Int64:
-		return "int64", "EmitI64"
+		return "int64"
 	case types.Int:
-		return "int", "EmitInt"
+		return "int"
 	}
-	return "", ""
+	return ""
 }
 
 // isEmitReceiver reports whether the receiver expression is a TaskContext,
@@ -107,10 +107,10 @@ func checkEmitCall(pass *Pass, call *ast.CallExpr) {
 		pass.Reportf(call.Pos(),
 			"Emit builds its key with fmt.Sprintf at the call site — precompute a key table (mr.IntKeys) in Setup and index it here")
 	}
-	if kind, lane := scalarLane(pass.TypeOf(val)); kind != "" {
+	if kind := scalarKind(pass.TypeOf(val)); kind != "" {
 		pass.Reportf(call.Pos(),
-			"Emit boxes a %s into any on the hot path — use %s (or the generic mr.Emit) to keep the scalar unboxed",
-			kind, lane)
+			"Emit boxes a %s into any on the hot path — aggregate in the mapper and emit the partial from Cleanup",
+			kind)
 	}
 }
 
@@ -136,9 +136,9 @@ func checkPairLit(pass *Pass, lit *ast.CompositeLit) {
 	if val == nil {
 		return
 	}
-	if kind, lane := scalarLane(pass.TypeOf(val)); kind != "" {
+	if kind := scalarKind(pass.TypeOf(val)); kind != "" {
 		pass.Reportf(lit.Pos(),
-			"Pair literal boxes a %s into Value — emit through the typed plane (%s) instead of constructing boxed pairs",
-			kind, lane)
+			"Pair literal boxes a %s into Value — aggregate in the mapper and emit the partial from Cleanup",
+			kind)
 	}
 }

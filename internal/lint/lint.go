@@ -12,8 +12,8 @@
 //   - detrand:     no global math/rand state — randomness is seeded per
 //     identity tuple (the FaultPlan.Decide discipline).
 //   - hotpath:     no scalar any-boxing or fmt.Sprintf key construction at
-//     emit sites — scalars ride the typed lanes (EmitF64/EmitI64/EmitInt)
-//     and keys come from precomputed tables (mr.IntKeys).
+//     emit sites — mappers aggregate and emit partials from Cleanup, and
+//     keys come from precomputed tables (mr.IntKeys).
 //   - implreg:     Job.Impl sites and RegisterJobImpl registrations form a
 //     bijection, and builders capture no driver-local state.
 //   - maporder:    no emitting/accumulating output from a `range` over a map

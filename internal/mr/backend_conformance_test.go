@@ -25,28 +25,16 @@ import (
 // file survives the teardown.
 
 func init() {
-	// conf-wordcount: wordcount; spec picks the boxed emit lane ("boxed":
-	// Emit with int64 values) or the scalar lanes ("typed": EmitI64). Same
-	// data either way.
+	// conf-wordcount: wordcount with int64 counts. It takes no spec; a
+	// non-empty one is a builder error.
 	RegisterJobImpl("conf-wordcount", func(spec []byte) (JobFuncs, error) {
-		var typed bool
-		switch string(spec) {
-		case "typed":
-			typed = true
-		case "boxed":
-		default:
-			return JobFuncs{}, fmt.Errorf("conf-wordcount: spec %q, want boxed or typed", spec)
+		if len(spec) != 0 {
+			return JobFuncs{}, fmt.Errorf("conf-wordcount: spec %q, want none", spec)
 		}
 		return JobFuncs{
 			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-				k := fmt.Sprintf("k%02d", int(row[0])%17)
-				if typed {
-					ctx.EmitI64(k, 1)
-					ctx.EmitI64("total", 1)
-				} else {
-					ctx.Emit(k, int64(1))
-					ctx.Emit("total", int64(1))
-				}
+				ctx.Emit(fmt.Sprintf("k%02d", int(row[0])%17), int64(1))
+				ctx.Emit("total", int64(1))
 				return nil
 			}),
 			TypedReducer: sumInt64,
@@ -54,22 +42,22 @@ func init() {
 	})
 
 	// conf-nocombine: emits float64 records; the reducer commits both a
-	// float64 sum and an int count, so the tagF64 and tagInt lanes
-	// round-trip through the spill codec. (The name predates the engine's
-	// combiner removal; it is kept so test row names stay stable.)
+	// float64 sum and an int count, so both wire kinds round-trip through
+	// the spill codec. (The name predates the engine's combiner removal; it
+	// is kept so test row names stay stable.)
 	RegisterJobImpl("conf-nocombine", func(spec []byte) (JobFuncs, error) {
 		return JobFuncs{
 			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-				ctx.EmitF64(fmt.Sprintf("g%03d", int(row[0])%97), row[0]*0.5)
+				ctx.Emit(fmt.Sprintf("g%03d", int(row[0])%97), row[0]*0.5)
 				return nil
 			}),
 			TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
 				var s float64
 				for i := 0; i < values.Len(); i++ {
-					s += values.Float64(i)
+					s += values.Value(i).(float64)
 				}
-				ctx.EmitF64(key, s)
-				ctx.EmitInt(key, values.Len())
+				ctx.Emit(key, s)
+				ctx.Emit(key, values.Len())
 				return nil
 			}),
 		}, nil
@@ -80,7 +68,7 @@ func init() {
 	RegisterJobImpl("conf-maponly", func(spec []byte) (JobFuncs, error) {
 		return JobFuncs{
 			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-				ctx.EmitF64(fmt.Sprintf("p%05d", global), row[0]*0.25)
+				ctx.Emit(fmt.Sprintf("p%05d", global), row[0]*0.25)
 				if global%7 == 0 {
 					ctx.Emit("vec", []float64{row[0], row[0] + 1})
 				}
@@ -93,7 +81,7 @@ func init() {
 	})
 
 	// conf-cache: distributed-cache consumer shipping slice payloads through
-	// the shuffle (tagAny through the spill codec) and reading cache entries
+	// the shuffle (through the spill codec) and reading cache entries
 	// that crossed the process boundary via the wire value codec.
 	RegisterJobImpl("conf-cache", func(spec []byte) (JobFuncs, error) {
 		return JobFuncs{
@@ -112,7 +100,7 @@ func init() {
 						s += x
 					}
 				}
-				ctx.EmitF64(key, s)
+				ctx.Emit(key, s)
 				return nil
 			}),
 		}, nil
@@ -133,7 +121,7 @@ func init() {
 						selfKill()
 					}
 				}
-				ctx.EmitI64(fmt.Sprintf("c%d", int(row[0])%5), 1)
+				ctx.Emit(fmt.Sprintf("c%d", int(row[0])%5), int64(1))
 				return nil
 			}),
 			TypedReducer: sumInt64,
@@ -142,12 +130,11 @@ func init() {
 }
 
 // confJob instantiates a registry job over the standard conformance input.
-func confJob(impl, spec string, n, numSplits, numReducers int) *Job {
+func confJob(impl string, n, numSplits, numReducers int) *Job {
 	j := &Job{
 		Name:        "conf-" + impl,
 		Splits:      makeSplits(n, numSplits),
 		Impl:        impl,
-		Spec:        []byte(spec),
 		NumReducers: numReducers,
 	}
 	if impl == "conf-cache" {
@@ -213,11 +200,10 @@ func TestBackendConformance(t *testing.T) {
 		name string
 		mk   func() *Job
 	}{
-		{"wordcount-boxed", func() *Job { return confJob("conf-wordcount", "boxed", n, numSplits, numReducers) }},
-		{"wordcount-typed", func() *Job { return confJob("conf-wordcount", "typed", n, numSplits, numReducers) }},
-		{"nocombine", func() *Job { return confJob("conf-nocombine", "", n, numSplits, numReducers) }},
-		{"maponly", func() *Job { return confJob("conf-maponly", "", n, numSplits, 0) }},
-		{"cache", func() *Job { return confJob("conf-cache", "", n, numSplits, numReducers) }},
+		{"wordcount-boxed", func() *Job { return confJob("conf-wordcount", n, numSplits, numReducers) }},
+		{"nocombine", func() *Job { return confJob("conf-nocombine", n, numSplits, numReducers) }},
+		{"maponly", func() *Job { return confJob("conf-maponly", n, numSplits, 0) }},
+		{"cache", func() *Job { return confJob("conf-cache", n, numSplits, numReducers) }},
 	}
 	plans := []struct {
 		name string
@@ -311,7 +297,7 @@ func TestBackendConformance(t *testing.T) {
 // Wasted accounting — plus actual worker deaths observed.
 func TestProcKillChaos(t *testing.T) {
 	const n, numSplits, numReducers = 1500, 8, 4
-	job := func() *Job { return confJob("conf-wordcount", "typed", n, numSplits, numReducers) }
+	job := func() *Job { return confJob("conf-wordcount", n, numSplits, numReducers) }
 	clean, err := NewEngine(Config{Parallelism: 4}).Run(job())
 	if err != nil {
 		t.Fatal(err)
@@ -369,13 +355,13 @@ func TestProcKillChaos(t *testing.T) {
 // unknowable, so Wasted stays empty.
 func TestProcKillRawCrash(t *testing.T) {
 	const n, numSplits = 900, 3
-	clean, err := NewEngine(Config{Parallelism: 2}).Run(confJob("conf-crash", "", n, numSplits, 2))
+	clean, err := NewEngine(Config{Parallelism: 2}).Run(confJob("conf-crash", n, numSplits, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sentinel := filepath.Join(t.TempDir(), "crashed-once")
 	spillBase := t.TempDir()
-	job := confJob("conf-crash", "", n, numSplits, 2)
+	job := confJob("conf-crash", n, numSplits, 2)
 	job.Spec = []byte(sentinel)
 	engine := NewEngine(Config{
 		Parallelism: 2, MaxAttempts: 3,
@@ -410,21 +396,20 @@ func TestProcKillRawCrash(t *testing.T) {
 // threshold actually runs through the disk-backed sorted-run merge: a tiny
 // threshold must force mid-task spills whose on-disk volume exceeds it by
 // orders of magnitude, while output stays bit-identical. The two jobs push
-// the float64/int lanes (conf-nocombine) and the int64 lane
-// (conf-wordcount, typed) through the out-of-core merge.
+// float64 and int values (conf-nocombine) and int64 values
+// (conf-wordcount) through the out-of-core merge.
 func TestBackendSpillOutOfCore(t *testing.T) {
 	const n, numSplits, numReducers = 20000, 4, 3
 	const threshold = 32 << 10
 	jobs := []struct {
-		name       string
-		impl, spec string
+		name, impl string
 	}{
-		{"nocombine", "conf-nocombine", ""},
-		{"wordcount-typed", "conf-wordcount", "typed"},
+		{"nocombine", "conf-nocombine"},
+		{"wordcount-boxed", "conf-wordcount"},
 	}
 	for _, jc := range jobs {
 		t.Run(jc.name, func(t *testing.T) {
-			job := func() *Job { return confJob(jc.impl, jc.spec, n, numSplits, numReducers) }
+			job := func() *Job { return confJob(jc.impl, n, numSplits, numReducers) }
 			baseline, err := NewEngine(Config{Parallelism: 4}).Run(job())
 			if err != nil {
 				t.Fatal(err)
@@ -470,7 +455,7 @@ func TestBackendSpillOutOfCore(t *testing.T) {
 // engine under kills at tiny spill threshold must stay bit-identical.
 func TestChaosPoisonedPoolsMultiprocess(t *testing.T) {
 	const n, numSplits, numReducers = 1200, 6, 4
-	job := func() *Job { return confJob("conf-wordcount", "typed", n, numSplits, numReducers) }
+	job := func() *Job { return confJob("conf-wordcount", n, numSplits, numReducers) }
 	baseline, err := NewEngine(Config{Parallelism: 4}).Run(job())
 	if err != nil {
 		t.Fatal(err)
@@ -491,10 +476,10 @@ func TestChaosPoisonedPoolsMultiprocess(t *testing.T) {
 			t.Fatalf("round %d: output differs from clean baseline — poisoned buffer observed", round)
 		}
 		for _, p := range out.Pairs {
-			if strings.Contains(p.Key, "\x00poisoned\x00") {
+			if strings.Contains(p.Key, poisonedKey) {
 				t.Fatalf("round %d: poisoned key sentinel in output: %q", round, p.Key)
 			}
-			if v, ok := p.Value.(int64); ok && v == 0x7ff0dead7ff0dead {
+			if p.Value == any(poisonedKey) {
 				t.Fatalf("round %d: poison value sentinel in output for key %q", round, p.Key)
 			}
 		}

@@ -11,7 +11,7 @@ import (
 
 // inprocessBackend is the default execution backend: map and reduce tasks
 // run as goroutines gated by the engine-wide semaphore, the shuffle merges
-// in RAM through the typed record plane (plane.go), and buffers recycle
+// in RAM through the record plane (plane.go), and buffers recycle
 // through the engine pools. This is the PR 1–6 engine core, extracted
 // behind the Backend seam unchanged.
 type inprocessBackend struct{}
@@ -28,7 +28,7 @@ func (inprocessBackend) execute(rc *runContext) ([]Pair, Counters, faultCharge, 
 	// Lock-free collection: every map task owns one slot of mapStates /
 	// mapCounters (single writer per slot, synchronized by wg.Wait's
 	// happens-before edge), so the shuffle needs no global mutex. Task i's
-	// slot holds its typed output pre-partitioned into per-reducer buffers
+	// slot holds its output pre-partitioned into per-reducer buffers
 	// plus the task-local key table (see plane.go).
 	mapStates := make([]*mapState, len(job.Splits))
 	mapCounters := make([]Counters, len(job.Splits))
@@ -74,23 +74,10 @@ mapLaunch:
 		fault.add(mapFaults[i])
 	}
 
-	var outPairs []Pair
 	if mapOnly {
-		// Map-only jobs materialize the boxed output straight from the task
-		// buffers (bucket 0 holds every record), in split order.
-		total := 0
-		for _, st := range mapStates {
-			total += len(st.buckets[0])
-		}
-		outPairs = make([]Pair, 0, total)
-		for _, st := range mapStates {
-			for i := range st.buckets[0] {
-				r := &st.buckets[0][i]
-				outPairs = append(outPairs, Pair{Key: st.tab.keys[r.key], Value: r.value()})
-			}
-		}
-		// Pairs hold their own boxed values and (immutable) key strings, so
-		// the states can recycle immediately.
+		// Bucket 0 holds every record of a map-only job; the pairs own their
+		// values, so the states recycle right away.
+		outPairs := mapOnlyPairs(mapStates)
 		for _, st := range mapStates {
 			e.pools.putMapState(st)
 		}
@@ -181,7 +168,7 @@ redLaunch:
 		fault.add(redFaults[r])
 		total += len(redOuts[r])
 	}
-	outPairs = make([]Pair, 0, total)
+	outPairs := make([]Pair, 0, total)
 	for r := range redOuts {
 		outPairs = append(outPairs, redOuts[r]...)
 	}

@@ -52,19 +52,8 @@ func (simulatedBackend) execute(rc *runContext) ([]Pair, Counters, faultCharge, 
 		counters.Add(c)
 	}
 
-	var outPairs []Pair
 	if mapOnly {
-		total := 0
-		for _, st := range mapStates {
-			total += len(st.buckets[0])
-		}
-		outPairs = make([]Pair, 0, total)
-		for _, st := range mapStates {
-			for i := range st.buckets[0] {
-				r := &st.buckets[0][i]
-				outPairs = append(outPairs, Pair{Key: st.tab.keys[r.key], Value: r.value()})
-			}
-		}
+		outPairs := mapOnlyPairs(mapStates)
 		counters.OutputRecords = int64(len(outPairs))
 		return outPairs, counters, fault, nil
 	}
@@ -89,7 +78,7 @@ func (simulatedBackend) execute(rc *runContext) ([]Pair, Counters, faultCharge, 
 
 	// --- Reduce phase, sequential in partition order ------------------------
 	sc := new(groupScratch)
-	outPairs = make([]Pair, 0)
+	outPairs := make([]Pair, 0)
 	for r := 0; r < numReducers; r++ {
 		if len(sh.runs[r]) == 0 {
 			continue

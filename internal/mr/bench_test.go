@@ -25,9 +25,10 @@ import (
 //   - WideKey: shuffle-heavy with ~64-byte keys. Measures the per-byte cost
 //     of key interning and grouping.
 //
-// The benchmarks drive the scalar emit lane (EmitF64 + TypedReducer)
-// through registered impls, including impl resolution on every Run. The
-// pipeline's own jobs emit their aggregates on the boxed lane (Emit).
+// The benchmarks drive Emit and a TypedReducer through registered impls,
+// including impl resolution on every Run. The shuffle benchmarks emit from
+// a value table boxed once at init, so allocs/op counts the engine's
+// allocations rather than the mapper's interface conversions.
 //
 // Each engine benchmark runs untimed warmup jobs before ResetTimer so the
 // engine's buffer pools reach steady state (see benchRunJob); at
@@ -77,11 +78,11 @@ func benchKeys(n int, width int) []string {
 }
 
 // benchShape is one shuffle benchmark's input: a key table and matching
-// value table, built once at package init so fmt allocations never pollute
-// the engine measurement.
+// value table, built once at package init so fmt allocations and value
+// boxing never pollute the engine measurement.
 type benchShape struct {
 	keys []string
-	vals []float64
+	vals []any
 }
 
 func newBenchShape(numKeys, width int) benchShape {
@@ -109,7 +110,7 @@ func init() {
 		}
 		return JobFuncs{
 			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-				ctx.EmitF64(sh.keys[global%len(sh.keys)], sh.vals[global%len(sh.vals)])
+				ctx.Emit(sh.keys[global%len(sh.keys)], sh.vals[global%len(sh.vals)])
 				return nil
 			}),
 			TypedReducer: sumFloat64,
@@ -166,12 +167,12 @@ func (m *benchSumTaskMapper) Map(ctx *TaskContext, global int, row []float64) er
 	return nil
 }
 func (m *benchSumTaskMapper) Cleanup(ctx *TaskContext) error {
-	ctx.EmitF64("sum", m.s)
+	ctx.Emit("sum", m.s)
 	return nil
 }
 
-func benchVals(n int) []float64 {
-	vals := make([]float64, n)
+func benchVals(n int) []any {
+	vals := make([]any, n)
 	for i := range vals {
 		vals[i] = float64(i%13) * 0.25
 	}

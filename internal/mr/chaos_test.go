@@ -12,26 +12,15 @@ import (
 
 // chaosJob builds the reference job for engine-level chaos runs: the
 // conformance wordcount (map/reduce over sequential data with enough keys
-// to spread across reducers) on the boxed emit lane. Retry-safe by
-// construction (stateless mapper, non-mutating reducer).
+// to spread across reducers). Retry-safe by construction (stateless mapper,
+// non-mutating reducer).
 func chaosJob(n, numSplits, numReducers int) *Job {
 	return &Job{
 		Name:        "chaos-wordcount",
 		Splits:      makeSplits(n, numSplits),
 		Impl:        "conf-wordcount",
-		Spec:        []byte("boxed"),
 		NumReducers: numReducers,
 	}
-}
-
-// chaosTypedJob is chaosJob on the scalar lanes: same keys and counts, with
-// int64 values riding the unboxed lanes. It must produce bit-identical
-// output and counters to chaosJob (same job name, so fault plans inject
-// the identical failure schedule).
-func chaosTypedJob(n, numSplits, numReducers int) *Job {
-	j := chaosJob(n, numSplits, numReducers)
-	j.Spec = []byte("typed")
-	return j
 }
 
 // normalized strips the retry count, which legitimately differs between a
@@ -87,13 +76,13 @@ func TestChaosJobBitIdenticalAcrossPlans(t *testing.T) {
 // TestChaosPoisonedPoolsRetrySafety is the pooled-buffer retry-safety
 // oracle. With DebugPoisonPools on, every buffer returned to an engine pool
 // is overwritten with sentinel garbage (poisoned key table entries, records
-// with key ^uint32(0) and value bits 0x7ff0dead7ff0dead) instead of being
+// with key ^uint32(0) and the poisoned-key string as value) instead of being
 // cleared — so an attempt that reads a buffer it no longer owns, or a pool
 // return that races a live retry, corrupts output visibly rather than
 // passing by luck on zeroed memory. Back-to-back jobs on one engine under an
-// aggressive fault plan at parallelism {1,8}, boxed and typed, must stay
-// bit-identical to the clean un-poisoned baseline, and no poison sentinel
-// may ever surface in job output.
+// aggressive fault plan at parallelism {1,8} must stay bit-identical to the
+// clean un-poisoned baseline, and no poison sentinel may ever surface in
+// job output.
 func TestChaosPoisonedPoolsRetrySafety(t *testing.T) {
 	const n, numSplits, numReducers = 2000, 9, 4
 	baseline, err := NewEngine(Config{Parallelism: 4}).Run(chaosJob(n, numSplits, numReducers))
@@ -101,44 +90,35 @@ func TestChaosPoisonedPoolsRetrySafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := RateFaultPlan{MapRate: 0.4, ReduceRate: 0.4, Seed: 21}
-	jobs := []struct {
-		name string
-		mk   func() *Job
-	}{
-		{"boxed", func() *Job { return chaosJob(n, numSplits, numReducers) }},
-		{"typed", func() *Job { return chaosTypedJob(n, numSplits, numReducers) }},
-	}
 	for _, par := range []int{1, 8} {
-		for _, jc := range jobs {
-			name := fmt.Sprintf("%s/par=%d", jc.name, par)
-			// One engine across rounds: round 2+ consumes buffers round 1
-			// poisoned at return time.
-			engine := NewEngine(Config{Parallelism: par, Faults: plan, MaxAttempts: 12, DebugPoisonPools: true})
-			var retries int64
-			for round := 0; round < 3; round++ {
-				out, err := engine.Run(jc.mk())
-				if err != nil {
-					t.Fatalf("%s round %d: %v", name, round, err)
-				}
-				if !reflect.DeepEqual(out.Pairs, baseline.Pairs) {
-					t.Fatalf("%s round %d: output differs from clean baseline — a task read a recycled (poisoned) buffer", name, round)
-				}
-				if got, want := normalized(out.Counters), normalized(baseline.Counters); got != want {
-					t.Errorf("%s round %d: counters differ:\n got %+v\nwant %+v", name, round, got, want)
-				}
-				for _, p := range out.Pairs {
-					if strings.Contains(p.Key, "\x00poisoned\x00") {
-						t.Fatalf("%s round %d: poisoned key sentinel surfaced in output: %q", name, round, p.Key)
-					}
-					if v, ok := p.Value.(int64); ok && v == 0x7ff0dead7ff0dead {
-						t.Fatalf("%s round %d: poison value sentinel surfaced in output for key %q", name, round, p.Key)
-					}
-				}
-				retries += out.Counters.TaskRetries
+		name := fmt.Sprintf("par=%d", par)
+		// One engine across rounds: round 2+ consumes buffers round 1
+		// poisoned at return time.
+		engine := NewEngine(Config{Parallelism: par, Faults: plan, MaxAttempts: 12, DebugPoisonPools: true})
+		var retries int64
+		for round := 0; round < 3; round++ {
+			out, err := engine.Run(chaosJob(n, numSplits, numReducers))
+			if err != nil {
+				t.Fatalf("%s round %d: %v", name, round, err)
 			}
-			if retries == 0 {
-				t.Errorf("%s: fault plan injected no retries — the oracle exercised nothing", name)
+			if !reflect.DeepEqual(out.Pairs, baseline.Pairs) {
+				t.Fatalf("%s round %d: output differs from clean baseline — a task read a recycled (poisoned) buffer", name, round)
 			}
+			if got, want := normalized(out.Counters), normalized(baseline.Counters); got != want {
+				t.Errorf("%s round %d: counters differ:\n got %+v\nwant %+v", name, round, got, want)
+			}
+			for _, p := range out.Pairs {
+				if strings.Contains(p.Key, poisonedKey) {
+					t.Fatalf("%s round %d: poisoned key sentinel surfaced in output: %q", name, round, p.Key)
+				}
+				if p.Value == any(poisonedKey) {
+					t.Fatalf("%s round %d: poison value sentinel surfaced in output for key %q", name, round, p.Key)
+				}
+			}
+			retries += out.Counters.TaskRetries
+		}
+		if retries == 0 {
+			t.Errorf("%s: fault plan injected no retries — the oracle exercised nothing", name)
 		}
 	}
 }

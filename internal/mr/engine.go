@@ -58,7 +58,7 @@ type Config struct {
 	// way.
 	DebugPoisonPools bool
 	// Backend selects the execution backend by name: "" or "inprocess" (the
-	// typed-lane goroutine backend), "multiprocess" (worker OS processes
+	// goroutine backend), "multiprocess" (worker OS processes
 	// with disk-spilled shuffle; see backend_multiproc.go), or "simulated"
 	// (single-goroutine sequential reference). All backends produce
 	// bit-identical output, counters and ShuffledBytes for the same job and
@@ -118,7 +118,7 @@ type Engine struct {
 	sem chan struct{}
 	// met caches metric handles when Config.Metrics is set.
 	met *engineMetrics
-	// pools recycles typed-plane shuffle buffers across jobs and tasks.
+	// pools recycles shuffle buffers across jobs and tasks.
 	pools *enginePools
 	// backend executes the map/shuffle/reduce core (see Backend); backendErr
 	// defers an unknown-name error from NewEngine to the first Run.

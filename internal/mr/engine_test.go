@@ -60,17 +60,17 @@ var (
 	sumInt64 = TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
 		var s int64
 		for i := 0; i < values.Len(); i++ {
-			s += values.Int64(i)
+			s += values.Value(i).(int64)
 		}
-		ctx.EmitI64(key, s)
+		ctx.Emit(key, s)
 		return nil
 	})
 	sumFloat64 = TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
 		var s float64
 		for i := 0; i < values.Len(); i++ {
-			s += values.Float64(i)
+			s += values.Value(i).(float64)
 		}
-		ctx.EmitF64(key, s)
+		ctx.Emit(key, s)
 		return nil
 	})
 )

@@ -23,7 +23,6 @@ package mr
 
 import (
 	"fmt"
-	"math"
 
 	"p3cmr/internal/obs"
 )
@@ -174,12 +173,9 @@ func (o *Output) Single(key string) (any, bool) {
 // this alias keeps `mr.Counters` the engine-facing name.
 type Counters = obs.Counters
 
-// TaskContext is handed to every task attempt. The Emit family routes a
-// (key, value) record into the shuffle (for mappers) or into the job output
-// (for reducers). EmitF64/EmitI64/EmitInt — and the generic Emit function,
-// which dispatches to them — carry scalar payloads through the shuffle
-// without boxing them into `any`; the Emit method is the boxed lane for
-// structured payloads.
+// TaskContext is handed to every task attempt. Emit routes a (key, value)
+// record into the shuffle (for mappers) or into the job output (for
+// reducers).
 type TaskContext struct {
 	// JobName and TaskID identify the attempt.
 	JobName string
@@ -189,7 +185,7 @@ type TaskContext struct {
 	cache map[string]any
 
 	// Map-side emit state (nil in reduce tasks): records accumulate into
-	// the attempt's per-partition typed buffers.
+	// the attempt's per-partition buffers.
 	ms          *mapState
 	counters    *Counters
 	numReducers int
@@ -201,74 +197,29 @@ type TaskContext struct {
 	outPairs *[]Pair
 }
 
-// emitRec is the single funnel of every emit lane.
-func (ctx *TaskContext) emitRec(key string, tag valueTag, num uint64, val any) {
+// Emit outputs a (key, value) pair. Mappers should aggregate and emit
+// partials from Cleanup rather than one fresh scalar per record: a scalar
+// boxes at the call site.
+func (ctx *TaskContext) Emit(key string, value any) {
 	if ctx.ms == nil {
-		// Reduce side: job output is the boxed surface, so scalar lanes box
-		// exactly once, here at the edge.
-		r := rec{tag: tag, num: num, val: val}
-		*ctx.outPairs = append(*ctx.outPairs, Pair{Key: key, Value: r.value()})
+		*ctx.outPairs = append(*ctx.outPairs, Pair{Key: key, Value: value})
 		return
 	}
 	c := ctx.counters
 	c.MapOutputRecords++
-	r := rec{tag: tag, num: num, val: val}
-	size := int64(len(key)) + r.bytes()
+	size := int64(len(key)) + approxValueBytes(value)
 	c.ShuffledBytes += size
 	if ctx.trackBuf {
 		ctx.ms.bufBytes += size
 	}
 	id := ctx.ms.tab.intern(key, ctx.numReducers)
 	p := ctx.ms.tab.part[id]
-	r.key = id
-	ctx.ms.buckets[p] = append(ctx.ms.buckets[p], r)
+	ctx.ms.buckets[p] = append(ctx.ms.buckets[p], rec{key: id, val: value})
 }
 
-// Emit outputs a (key, value) pair on the boxed lane. Values the
-// caller already holds as `any` ship as-is; fresh scalars passed here box
-// at the call site — use EmitF64/EmitI64/EmitInt (or the generic Emit) on
-// hot paths instead.
-func (ctx *TaskContext) Emit(key string, value any) {
-	ctx.emitRec(key, tagAny, 0, value)
-}
-
-// EmitF64 outputs a (key, float64) record with no boxing.
-func (ctx *TaskContext) EmitF64(key string, value float64) {
-	ctx.emitRec(key, tagF64, math.Float64bits(value), nil)
-}
-
-// EmitI64 outputs a (key, int64) record with no boxing.
-func (ctx *TaskContext) EmitI64(key string, value int64) {
-	ctx.emitRec(key, tagI64, uint64(value), nil)
-}
-
-// EmitInt outputs a (key, int) record with no boxing. The value round-trips
-// as an int (not int64) in Output.Pairs and Values.Value.
-func (ctx *TaskContext) EmitInt(key string, value int) {
-	ctx.emitRec(key, tagInt, uint64(int64(value)), nil)
-}
-
-// Emit is the generic typed emit: scalar types dispatch to the unboxed
-// lanes at compile time, everything else ships on the boxed lane exactly
-// like ctx.Emit. Equivalent outputs either way — the typed lanes only
-// change what allocates, never what the reducer or Output.Pairs observes.
-func Emit[V any](ctx *TaskContext, key string, value V) {
-	switch v := any(value).(type) {
-	case float64:
-		ctx.EmitF64(key, v)
-	case int64:
-		ctx.EmitI64(key, v)
-	case int:
-		ctx.EmitInt(key, v)
-	default:
-		ctx.emitRec(key, tagAny, 0, v)
-	}
-}
-
-// Values is a typed, read-only view over one key's shuffled values, in the
+// Values is a read-only view over one key's shuffled values, in the
 // engine's deterministic delivery order (map-task order, then emission
-// order within a task). Scalar accessors read payloads without interface
-// boxing; Value boxes on demand for mixed or structured payloads.
+// order within a task).
 //
 // The view borrows the engine's pooled shuffle buffers: it is valid only
 // for the duration of the ReduceTyped call it was passed to
@@ -280,38 +231,8 @@ type Values struct {
 // Len returns the number of values.
 func (v Values) Len() int { return len(v.recs) }
 
-// Float64 returns value i as a float64, panicking when the value is not a
-// float64.
-func (v Values) Float64(i int) float64 {
-	r := &v.recs[i]
-	if r.tag == tagF64 {
-		return math.Float64frombits(r.num)
-	}
-	return r.val.(float64)
-}
-
-// Int64 returns value i as an int64, panicking on type mismatch.
-func (v Values) Int64(i int) int64 {
-	r := &v.recs[i]
-	if r.tag == tagI64 {
-		return int64(r.num)
-	}
-	return r.val.(int64)
-}
-
-// Int returns value i as an int, panicking on type mismatch.
-func (v Values) Int(i int) int {
-	r := &v.recs[i]
-	if r.tag == tagInt {
-		return int(int64(r.num))
-	}
-	return r.val.(int)
-}
-
-// Value returns value i boxed as `any` — the accessor for
-// structured payloads (slices, structs). Scalar lanes pay their boxing
-// allocation here, per call.
-func (v Values) Value(i int) any { return v.recs[i].value() }
+// Value returns value i as emitted.
+func (v Values) Value(i int) any { return v.recs[i].val }
 
 // CacheValue fetches a distributed-cache entry; ok is false when missing.
 func (ctx *TaskContext) CacheValue(name string) (any, bool) {

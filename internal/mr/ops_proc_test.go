@@ -77,7 +77,7 @@ func TestOpsProcLiveReads(t *testing.T) {
 	var totalRetries int64
 	var runErr error
 	for i := 0; i < 2 && runErr == nil; i++ {
-		job := confJob("conf-wordcount", "typed", 600, 6, 3)
+		job := confJob("conf-wordcount", 600, 6, 3)
 		job.TraceParent = runSpan
 		var out *Output
 		out, runErr = engine.Run(job)

@@ -1,88 +1,39 @@
 package mr
 
 import (
-	"math"
 	"sort"
 	"sync"
 )
 
-// This file is the typed shuffle plane: the internal record representation
-// that carries every (key, value) pair from map emit through partition,
-// merge and group to reduce without boxing scalar values into
-// `any` and without re-hashing key strings per record.
+// This file is the shuffle plane: the internal record representation that
+// carries every (key, value) pair from map emit through partition, merge
+// and group to reduce without re-hashing key strings per record.
 //
-// Three ideas, in order of leverage:
+// Two ideas:
 //
-//   - Tagged records. A rec stores float64/int64/int payloads inline as raw
-//     bits next to a one-byte tag; only genuinely structured values (slices,
-//     structs) ride in an interface. The paper's pipeline is numeric almost
-//     everywhere, so the common case allocates nothing.
 //   - Interned keys. Each map task interns key strings into a small table
 //     once per *distinct* key, computing the FNV-1a reduce partition at the
-//     same time; records carry a uint32 id. The shuffle then renumbers
-//     task-local ids into per-partition ids assigned in ascending key order,
-//     which turns reduce-side grouping into a counting sort over dense ids —
-//     zero string hashing or comparison per record.
+//     same time; records carry a uint32 id next to the boxed value. The
+//     shuffle then renumbers task-local ids into per-partition ids assigned
+//     in ascending key order, which turns reduce-side grouping into a
+//     counting sort over dense ids — zero string hashing or comparison per
+//     record.
 //   - Pooled buffers. Task buffers, the job-wide shuffle state and reduce
 //     scratch are recycled through sync.Pools. Recycling is barriered on
 //     attempt commitment (see enginePools): a buffer is returned only when
-//     no retried attempt can still observe it, preserving the PR 2 retry
+//     no retried attempt can still observe it, preserving the retry
 //     contract. Config.DebugPoisonPools overwrites buffers on return so any
 //     violation of that barrier corrupts output visibly in chaos tests.
 //
-// The boxed surface (Pair, Values.Value, Output.Pairs) is unchanged:
-// it is materialized from recs at the edges, so external jobs run as
-// before and all bit-identity oracles apply to the typed plane verbatim.
-
-// valueTag discriminates the payload lanes of a rec.
-type valueTag uint8
-
-const (
-	// tagAny carries the value in rec.val (the boxed-compat lane).
-	tagAny valueTag = iota
-	// tagF64 carries math.Float64bits of a float64 in rec.num.
-	tagF64
-	// tagI64 carries an int64 in rec.num.
-	tagI64
-	// tagInt carries an int in rec.num (kept distinct from tagI64 so the
-	// boxed type round-trips exactly: an emitted int must reduce as an int).
-	tagInt
-)
+// Values ride as the `any` the job emitted. Every job aggregates in its
+// mapper and emits partials (histograms, moments, per-point records) from
+// Cleanup, so a value boxes once per partial, not once per input record.
 
 // rec is one shuffle record. key indexes a keyTab (task-local before the
-// merge, partition-local after); scalar payloads live in num, everything
-// else in val.
+// merge, partition-local after); val is the emitted value.
 type rec struct {
 	key uint32
-	tag valueTag
-	num uint64
 	val any
-}
-
-// value boxes the payload back into the `any` the boxed-compat surface
-// expects. Scalar lanes pay their interface allocation here — at the edges
-// (Output.Pairs, legacy reducers) — never inside the shuffle.
-func (r *rec) value() any {
-	switch r.tag {
-	case tagF64:
-		return math.Float64frombits(r.num)
-	case tagI64:
-		return int64(r.num)
-	case tagInt:
-		return int(int64(r.num))
-	default:
-		return r.val
-	}
-}
-
-// bytes is the shuffle-accounting size of the payload, matching
-// approxValueBytes on the boxed lane so ShuffledBytes stays bit-identical
-// to the pre-typed engine.
-func (r *rec) bytes() int64 {
-	if r.tag == tagAny {
-		return approxValueBytes(r.val)
-	}
-	return 8
 }
 
 // keyTab interns key strings to dense uint32 ids. Map tasks intern lazily
@@ -140,11 +91,12 @@ func (t *keyTab) reset(poison bool) {
 const poisonedKey = "\x00poisoned\x00"
 
 // poisonRecs overwrites a rec slice with garbage markers (an out-of-range id
-// and a NaN-patterned payload), dropping interface references like clearRecs
-// but leaving values a stale reader cannot mistake for live data.
+// and the poisoned-key string as payload), dropping interface references
+// like clearRecs but leaving values a stale reader cannot mistake for live
+// data.
 func poisonRecs(recs []rec) {
 	for i := range recs {
-		recs[i] = rec{key: ^uint32(0), num: 0x7ff0dead7ff0dead}
+		recs[i] = rec{key: ^uint32(0), val: poisonedKey}
 	}
 }
 
@@ -285,6 +237,24 @@ func (m *mapState) reset(poison bool) {
 	m.bufBytes = 0
 }
 
+// mapOnlyPairs materializes a map-only job's output from its committed
+// task states: bucket 0 holds every record, and tasks concatenate in split
+// order. Pairs hold the boxed values and immutable key strings, so the
+// states may recycle as soon as it returns.
+func mapOnlyPairs(states []*mapState) []Pair {
+	total := 0
+	for _, st := range states {
+		total += len(st.buckets[0])
+	}
+	out := make([]Pair, 0, total)
+	for _, st := range states {
+		for _, r := range st.buckets[0] {
+			out = append(out, Pair{Key: st.tab.keys[r.key], Value: r.val})
+		}
+	}
+	return out
+}
+
 // shuffleState is the job-wide merge workspace: the job-global key table,
 // per-task id remaps, per-partition merged runs and their sorted key lists.
 // One Run owns it from the map barrier to output materialization.
@@ -390,9 +360,8 @@ func (p *enginePools) putScratch(sc *groupScratch) {
 
 // mergeShuffle renumbers every successful map task's records into
 // partition-local ids and concatenates them into one contiguous run per
-// partition, in split order — the same deterministic order the boxed plane
-// produced, so value order within a key is a pure function of the split
-// layout.
+// partition, in split order, so value order within a key is a pure
+// function of the split layout.
 //
 // Ids are assigned in ascending key order within each partition, which is
 // what lets groupRun iterate ids 0..K-1 with no sorting: the renumbering

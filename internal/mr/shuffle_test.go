@@ -153,7 +153,7 @@ func TestShuffleDeterministicAcrossParallelism(t *testing.T) {
 				mu.Unlock()
 				var s float64
 				for i := 0; i < values.Len(); i++ {
-					s += values.Float64(i)
+					s += values.Value(i).(float64)
 				}
 				ctx.Emit(key, s)
 				return nil

@@ -29,11 +29,10 @@ import (
 //
 //   numKeys numRecs
 //   numKeys × (keyLen, keyBytes)      — ascending key order
-//   numRecs × (keyIdx, tagByte, payload)
+//   numRecs × (keyIdx, value)
 //
-// keyIdx indexes the segment's key table; scalar tag payloads are 8-byte
-// little-endian raw bits (the rec.num lane, so float64/int64/int round-trip
-// exactly); tagAny payloads use the wire value codec.
+// keyIdx indexes the segment's key table; values use the wire value codec,
+// whose scalar kinds keep float64, int64 and int distinct.
 
 // spillWriter accumulates the segments of one map task attempt in a single
 // spill file.
@@ -98,16 +97,10 @@ func (sw *spillWriter) spillBucket(part, seq int, bucket []rec, tab *keyTab) err
 		e.buf.WriteString(k)
 	}
 	for ki, span := range e.spans {
-		for i := range span {
-			r := &span[i]
+		for _, r := range span {
 			putUvarint(&e.buf, uint64(ki))
-			e.buf.WriteByte(byte(r.tag))
-			if r.tag == tagAny {
-				if err := appendValue(&e.buf, r.val); err != nil {
-					return err
-				}
-			} else {
-				putU64(&e.buf, r.num)
+			if err := appendValue(&e.buf, r.val); err != nil {
+				return err
 			}
 		}
 	}
@@ -234,24 +227,11 @@ func (s *segReader) next() (bool, error) {
 	if ki >= len(s.keys) {
 		return false, fmt.Errorf("mr: segment record key index %d out of range", ki)
 	}
-	tb, err := s.br.ReadByte()
+	v, err := readValue(s.br)
 	if err != nil {
 		return false, err
 	}
-	tag := valueTag(tb)
-	r := rec{tag: tag}
-	switch tag {
-	case tagF64, tagI64, tagInt:
-		r.num, err = getU64(s.br)
-	case tagAny:
-		r.val, err = readValue(s.br)
-	default:
-		return false, fmt.Errorf("mr: segment record tag 0x%02x unknown", tb)
-	}
-	if err != nil {
-		return false, err
-	}
-	s.cur = r
+	s.cur = rec{val: v}
 	s.curKey = s.keys[ki]
 	return true, nil
 }

@@ -2,7 +2,6 @@ package mr
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,43 +10,37 @@ import (
 )
 
 // fuzzRecs derives a deterministic record stream from fuzz bytes: each
-// input byte becomes one record whose key, lane tag and payload are bit
-// mixes of the byte, its position and the mix seed — covering all four
-// value tags, including tagAny slices and strings.
+// input byte becomes one record whose key, value type and payload are bit
+// mixes of the byte, its position and the mix seed — covering boxed
+// float64, int64 and int scalars, []float64 slices and strings.
 func fuzzRecs(data []byte, mix uint64, tab *keyTab) []rec {
 	bucket := make([]rec, 0, len(data))
 	for i, b := range data {
 		key := fmt.Sprintf("k%02x", b%37)
-		id := tab.intern(key, 1)
 		x := mix ^ (uint64(b) << 8) ^ uint64(i)
-		r := rec{key: id}
+		var v any
 		switch b % 5 {
 		case 0:
-			r.tag = tagF64
-			r.num = math.Float64bits(float64(x) * 0.5)
+			v = float64(x) * 0.5
 		case 1:
-			r.tag = tagI64
-			r.num = uint64(int64(x) - 1000)
+			v = int64(x) - 1000
 		case 2:
-			r.tag = tagInt
-			r.num = uint64(int64(b) * -7)
+			v = int(b) * -7
 		case 3:
-			r.tag = tagAny
-			r.val = []float64{float64(b), float64(i)}
+			v = []float64{float64(b), float64(i)}
 		default:
-			r.tag = tagAny
-			r.val = fmt.Sprintf("v%d", x%100)
+			v = fmt.Sprintf("v%d", x%100)
 		}
-		bucket = append(bucket, r)
+		bucket = append(bucket, rec{key: tab.intern(key, 1), val: v})
 	}
 	return bucket
 }
 
-// boxedStream flattens recs to comparable (key, boxed value) pairs.
+// boxedStream flattens recs to comparable (key, value) pairs.
 func boxedStream(tab *keyTab, recs []rec) []Pair {
 	out := make([]Pair, 0, len(recs))
-	for i := range recs {
-		out = append(out, Pair{Key: tab.keys[recs[i].key], Value: recs[i].value()})
+	for _, r := range recs {
+		out = append(out, Pair{Key: tab.keys[r.key], Value: r.val})
 	}
 	return out
 }
@@ -118,7 +111,7 @@ func FuzzSpillRoundTrip(f *testing.F) {
 				t.Fatalf("segment keys not ascending: %q after %q", sr.curKey, prevKey)
 			}
 			prevKey = sr.curKey
-			got = append(got, Pair{Key: sr.curKey, Value: sr.cur.value()})
+			got = append(got, Pair{Key: sr.curKey, Value: sr.cur.val})
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip mismatch:\n got %v\nwant %v", got, want)
@@ -154,7 +147,7 @@ func FuzzKWayMergeOrder(f *testing.F) {
 			key := fmt.Sprintf("k%02x", b%29)
 			prov := int64(run)<<32 | int64(len(runs[run]))
 			id := tab.intern(key, 1)
-			runs[run] = append(runs[run], rec{key: id, tag: tagI64, num: uint64(prov)})
+			runs[run] = append(runs[run], rec{key: id, val: prov})
 			perRun[run] = append(perRun[run], provRec{key: key, prov: prov})
 			if !seen[key] {
 				seen[key] = true
@@ -208,8 +201,8 @@ func FuzzKWayMergeOrder(f *testing.F) {
 				t.Fatalf("merged keys not strictly ascending: %q after %q", key, gotKeys[n-1])
 			}
 			gotKeys = append(gotKeys, key)
-			for i := range grouped {
-				got[key] = append(got[key], int64(grouped[i].num))
+			for _, r := range grouped {
+				got[key] = append(got[key], r.val.(int64))
 			}
 			return nil
 		})

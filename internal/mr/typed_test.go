@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // typedTestSplits builds a small deterministic input.
@@ -23,124 +24,87 @@ func typedTestSplits(splits, rows, dim int) []*Split {
 	return out
 }
 
-// TestTypedEmitMatchesBoxed runs the same logical job once through the
-// boxed emit lane (ctx.Emit, values read back through Values.Value) and
-// once through the scalar lane (EmitF64, Values.Float64) and requires
-// byte-for-byte identical Output: same pairs in the same order, same
-// counters. This is the core compat oracle of the typed plane.
-func TestTypedEmitMatchesBoxed(t *testing.T) {
-	splits := typedTestSplits(4, 32, 3)
-	key := func(g int) string { return fmt.Sprintf("k%d", g%7) }
-
-	boxed := JobFuncs{
-		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-			ctx.Emit(key(global), row[0]+row[1])
-			return nil
-		}),
-		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, k string, values Values) error {
-			sum := 0.0
-			for i := 0; i < values.Len(); i++ {
-				sum += values.Value(i).(float64)
-			}
-			ctx.Emit(k, sum)
-			return nil
-		}),
-	}
-	typed := JobFuncs{
-		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-			ctx.EmitF64(key(global), row[0]+row[1])
-			return nil
-		}),
-		TypedReducer: sumFloat64,
-	}
-
-	for _, par := range []int{1, 4} {
-		// Same job name: counters embed no name, spans do; keep
-		// apples-to-apples.
-		j1, j2 := funcJob("boxed", splits, boxed), funcJob("boxed", splits, typed)
-		j1.NumReducers, j2.NumReducers = 3, 3
-		o1, err := NewEngine(Config{Parallelism: par}).Run(j1)
-		if err != nil {
-			t.Fatalf("par %d: boxed: %v", par, err)
-		}
-		o2, err := NewEngine(Config{Parallelism: par}).Run(j2)
-		if err != nil {
-			t.Fatalf("par %d: typed: %v", par, err)
-		}
-		if !reflect.DeepEqual(o1.Pairs, o2.Pairs) {
-			t.Fatalf("par %d: typed pairs diverge from boxed\nboxed: %v\ntyped: %v", par, o1.Pairs, o2.Pairs)
-		}
-		if o1.Counters != o2.Counters {
-			t.Fatalf("par %d: counters diverge\nboxed: %+v\ntyped: %+v", par, o1.Counters, o2.Counters)
-		}
-	}
+// scalarValues is what conf-scalars emits per input row: one value of each
+// scalar wire kind plus a slice, each under its own key.
+var scalarValues = []Pair{
+	{Key: "f", Value: 1.5},
+	{Key: "i", Value: int64(-7)},
+	{Key: "n", Value: 42},
+	{Key: "s", Value: []float64{1, 2}},
 }
 
-// TestTypedScalarRoundTrip pins the boxed dynamic type of every scalar lane:
-// an emitted int must come back as int (not int64), an int64 as int64, a
-// float64 as float64 — through map-only output.
-func TestTypedScalarRoundTrip(t *testing.T) {
-	splits := typedTestSplits(1, 4, 1)
-	job := funcJob("roundtrip", splits, JobFuncs{
-		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-			Emit(ctx, "f", 1.5)
-			Emit(ctx, "i", int64(-7))
-			Emit(ctx, "n", 42)
-			Emit(ctx, "s", []float64{1, 2})
-			return nil
-		}),
+func init() {
+	// conf-scalars: the reducer fails on any value whose dynamic type or
+	// content drifted in the shuffle, then commits one value per key, so
+	// the output crosses the pairs codec as well.
+	RegisterJobImpl("conf-scalars", func([]byte) (JobFuncs, error) {
+		want := make(map[string]any, len(scalarValues))
+		for _, p := range scalarValues {
+			want[p.Key] = p.Value
+		}
+		return JobFuncs{
+			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
+				for _, p := range scalarValues {
+					ctx.Emit(p.Key, p.Value)
+				}
+				return nil
+			}),
+			TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
+				for i := 0; i < values.Len(); i++ {
+					if v := values.Value(i); !reflect.DeepEqual(v, want[key]) {
+						return fmt.Errorf("key %q value %d: got %T %v, want %T %v", key, i, v, v, want[key], want[key])
+					}
+				}
+				ctx.Emit(key, values.Value(0))
+				return nil
+			}),
+		}, nil
 	})
-	out, err := Default().Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := byKey(out)
-	if v := got["f"]; v != any(1.5) {
-		t.Fatalf("float64 round-trip: got %T %v", v, v)
-	}
-	if v := got["i"]; v != any(int64(-7)) {
-		t.Fatalf("int64 round-trip: got %T %v", v, v)
-	}
-	if v := got["n"]; v != any(42) {
-		t.Fatalf("int round-trip: got %T %v (must stay int, not int64)", v, v)
-	}
-	if v, ok := got["s"].([]float64); !ok || len(v) != 2 {
-		t.Fatalf("slice round-trip: got %T", got["s"])
+}
+
+// TestTypedScalarRoundTrip pins the dynamic type of every scalar value: an
+// emitted int must come back as int (not int64), an int64 as int64, a
+// float64 as float64 — through the shuffle and into the job output, on
+// every backend. On worker processes only the wire value kinds keep int
+// and int64 apart.
+func TestTypedScalarRoundTrip(t *testing.T) {
+	for _, backend := range BackendNames() {
+		job := &Job{Name: "roundtrip", Splits: typedTestSplits(2, 4, 1), Impl: "conf-scalars", NumReducers: 2}
+		out, err := NewEngine(Config{Backend: backend, SpillDir: t.TempDir()}).Run(job)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		got := byKey(out)
+		for _, w := range scalarValues {
+			if v := got[w.Key]; !reflect.DeepEqual(v, w.Value) {
+				t.Errorf("%s: key %q: got %T %v, want %T %v", backend, w.Key, v, v, w.Value, w.Value)
+			}
+		}
 	}
 }
 
-// TestValuesAccessors exercises every Values accessor against a reducer's
-// mixed-lane input.
+// TestValuesAccessors exercises the Values accessors against a reducer's
+// mixed-type input.
 func TestValuesAccessors(t *testing.T) {
 	splits := typedTestSplits(1, 1, 1)
+	want := []any{0.5, int64(9), 3, "str"}
 	job := funcJob("accessors", splits, JobFuncs{
 		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-			ctx.EmitF64("k", 0.5)
-			ctx.EmitI64("k", 9)
-			ctx.EmitInt("k", 3)
-			ctx.Emit("k", "str")
+			for _, v := range want {
+				ctx.Emit("k", v)
+			}
 			return nil
 		}),
 		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, k string, values Values) error {
-			if values.Len() != 4 {
-				t.Errorf("Len = %d, want 4", values.Len())
+			if values.Len() != len(want) {
+				t.Errorf("Len = %d, want %d", values.Len(), len(want))
 			}
-			if got := values.Float64(0); got != 0.5 {
-				t.Errorf("Float64(0) = %v", got)
-			}
-			if got := values.Int64(1); got != 9 {
-				t.Errorf("Int64(1) = %v", got)
-			}
-			if got := values.Int(2); got != 3 {
-				t.Errorf("Int(2) = %v", got)
-			}
-			want := []any{0.5, int64(9), 3, "str"}
 			for i, w := range want {
 				if got := values.Value(i); got != w {
 					t.Errorf("Value(%d) = %#v, want %#v", i, got, w)
 				}
 			}
-			ctx.EmitInt(k, values.Len())
+			ctx.Emit(k, values.Len())
 			return nil
 		}),
 	})
@@ -148,8 +112,18 @@ func TestValuesAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := out.Single("k"); !ok || v != any(4) {
+	if v, ok := out.Single("k"); !ok || v != any(len(want)) {
 		t.Fatalf("output = %v", out.Pairs)
+	}
+}
+
+// TestRecFootprint pins a shuffle record at a key id plus one interface.
+// Map-only jobs (light membership, outlier detection, BoW) hold one rec
+// per input point, so a field added to rec costs memory per point.
+func TestRecFootprint(t *testing.T) {
+	got := unsafe.Sizeof(rec{})
+	if limit := unsafe.Sizeof(uintptr(0)) + unsafe.Sizeof(any(nil)); got > limit {
+		t.Fatalf("unsafe.Sizeof(rec{}) = %d bytes, want <= %d", got, limit)
 	}
 }
 
@@ -193,7 +167,7 @@ func TestPoolReuseAcrossJobs(t *testing.T) {
 		for iter := 0; iter < 5; iter++ {
 			job := funcJob("steady", typedTestSplits(4, 25, 2), JobFuncs{
 				NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-					ctx.EmitF64(fmt.Sprintf("k%d", global%9), row[0])
+					ctx.Emit(fmt.Sprintf("k%d", global%9), row[0])
 					return nil
 				}),
 				TypedReducer: sumFloat64,

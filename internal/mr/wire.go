@@ -13,7 +13,7 @@ import (
 
 // This file is the multiprocess backend's wire layer: length-prefixed
 // control frames between the driver and its worker processes, and the
-// typed-value codec shared by those frames and the spill files (spill.go).
+// value codec shared by those frames and the spill files (spill.go).
 //
 // Framing: one byte of frame type, a little-endian uint32 payload length,
 // then a gob-encoded payload struct. gob state is per-frame (each frame is
@@ -22,11 +22,11 @@ import (
 // as a clean EOF instead of stream corruption.
 //
 // Values: pair and record payloads do NOT ride gob. They use a hand-rolled
-// tagged codec (appendValue/readValue) whose scalar lanes mirror the typed
-// record plane, so a float64/int64/int round-trips to the exact dynamic
-// type the in-process engine would deliver — the bit-identity contract.
-// Types outside the built-in lanes fall back to gob and must be registered
-// with RegisterWireValue.
+// codec (appendValue/readValue) that writes one kind byte per value, with
+// distinct kinds for float64, int64 and int, so a boxed scalar round-trips
+// to the exact dynamic type the in-process engine would deliver — the
+// bit-identity contract. Types outside the built-in kinds fall back to gob
+// and must be registered with RegisterWireValue.
 
 // Frame types, driver→worker (ctl) and worker→driver (results).
 const (

@@ -26,7 +26,7 @@ import (
 // fault decisions, straggler charges, spans — stays in the driver. A worker
 // receives fully-resolved task frames (including the exact record index at
 // which to kill itself) and executes the same record loops as the
-// in-process backend, emitting into the same typed plane. Injected faults
+// in-process backend, emitting into the same record plane. Injected faults
 // become real process deaths: the worker flushes a dying frame carrying the
 // attempt's partial counters, then SIGKILLs itself, giving the driver the
 // exact Wasted accounting of an in-process injected failure plus a genuine
@@ -355,9 +355,8 @@ func (w *workerState) sendBucketPairs(st *mapState) error {
 		pairs = pairs[:0]
 		return w.send(fPairs, pairsFrame{Data: data})
 	}
-	for i := range st.buckets[0] {
-		r := &st.buckets[0][i]
-		pairs = append(pairs, Pair{Key: st.tab.keys[r.key], Value: r.value()})
+	for _, r := range st.buckets[0] {
+		pairs = append(pairs, Pair{Key: st.tab.keys[r.key], Value: r.val})
 		if len(pairs) == pairsChunk {
 			if err := flush(); err != nil {
 				return err
