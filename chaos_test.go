@@ -55,3 +55,40 @@ func TestChaosJSONResultBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosCountingJobsJSONBitIdentical aims faults at the jobs that count
+// over the splits' cached interval bitmaps: the first map attempt of every
+// prove-candidates and redundancy-uncovered task fails — before its first
+// record, mid-split, or after its last record but before Cleanup — on every
+// backend, for Light and MVB. The WriteJSON output must equal the
+// fault-free in-process run's, so a failed attempt can leave nothing
+// behind in a split's memo.
+func TestChaosCountingJobsJSONBitIdentical(t *testing.T) {
+	data, _ := genAPITestData(t, 2000, 6)
+	data.Normalize()
+	plan := mr.FaultPlanFunc(func(job string, phase mr.TaskPhase, task, attempt int) mr.FaultDecision {
+		if phase != mr.PhaseMap || attempt > 0 || (job != "prove-candidates" && job != "redundancy-uncovered") {
+			return mr.FaultDecision{}
+		}
+		return mr.FaultDecision{Fail: true, FailFrac: float64(task%3) / 2}
+	})
+	algs := []Algorithm{P3CPlusMRLight, P3CPlusMR}
+	if raceDetectorEnabled {
+		algs = algs[:1]
+	}
+	for _, alg := range algs {
+		baseline := renderJSON(t, data, alg, mr.NewEngine(mr.Config{Parallelism: 4}))
+		for _, backend := range mr.BackendNames() {
+			if backend == "multiprocess" && raceDetectorEnabled {
+				continue
+			}
+			engine := mr.NewEngine(mr.Config{Backend: backend, Parallelism: 4, SpillDir: t.TempDir(), Faults: plan, MaxAttempts: 2})
+			if got := renderJSON(t, data, alg, engine); !bytes.Equal(got, baseline) {
+				t.Errorf("%s/%s: JSON result differs from the fault-free in-process run", alg, backend)
+			}
+			if engine.TotalCounters().TaskRetries == 0 {
+				t.Errorf("%s/%s: no retries injected — oracle exercised nothing", alg, backend)
+			}
+		}
+	}
+}

@@ -240,27 +240,27 @@ func buildSupportJob(spec []byte) (mr.JobFuncs, error) {
 	}, nil
 }
 
-// countingMapper feeds its split to a vertical counter and emits the
-// counts under key: supports, or uncovered counts for a coverage-mode
-// index.
+// countingMapper counts its split vertically and emits the counts under
+// key: supports, or uncovered counts for a coverage-mode index. It reads
+// the split's interval bitmaps from the split's memo, which the first
+// counting job over the split builds and every later one reuses, so Map
+// has nothing to do: the engine's record loop still charges the scan.
 type countingMapper struct {
-	ix      *signature.SupportIndex
-	key     string
-	counter *signature.SupportCounter
+	ix  *signature.SupportIndex
+	key string
 }
 
-func (m *countingMapper) Setup(*mr.TaskContext) error {
-	m.counter = m.ix.NewCounter()
-	return nil
-}
+// rowBitsKey is the Split.Memo key of a split's *signature.RowBits.
+type rowBitsKey struct{}
 
-func (m *countingMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	m.counter.Add(row)
-	return nil
-}
+func (*countingMapper) Setup(*mr.TaskContext) error { return nil }
+
+func (*countingMapper) Map(*mr.TaskContext, int, []float64) error { return nil }
 
 func (m *countingMapper) Cleanup(ctx *mr.TaskContext) error {
-	ctx.Emit(m.key, m.counter.Counts())
+	s := ctx.Split
+	rb := s.Memo(rowBitsKey{}, func() any { return signature.NewRowBits(s.Rows, s.Dim) }).(*signature.RowBits)
+	ctx.Emit(m.key, m.ix.NewCounter().Count(rb))
 	return nil
 }
 

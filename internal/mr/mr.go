@@ -23,18 +23,53 @@ package mr
 
 import (
 	"fmt"
+	"sync"
 
 	"p3cmr/internal/obs"
 )
 
 // Split is one input partition of a vector data set. Rows holds
 // len(Rows)/Dim row-major points; Offset is the global index of the first
-// row, so a mapper can address points globally.
+// row, so a mapper can address points globally. Rows are read-only once a
+// job has run over the split: mappers may cache what they derive from
+// them in the split's Memo.
+//
+// A Split must not be copied after first use.
 type Split struct {
 	ID     int
 	Offset int
 	Dim    int
 	Rows   []float64
+
+	memoMu sync.Mutex
+	memo   map[any]*memoEntry
+}
+
+type memoEntry struct {
+	once sync.Once
+	v    any
+}
+
+// Memo returns the value stored under key, first storing build() there if
+// there is none; concurrent callers with one key get one value. It is for
+// data derived from Rows alone, which every attempt of every job may share,
+// so a retried or failed attempt cannot leave a wrong entry. An entry lives
+// as long as the Split: for the whole run in-process and on the simulated
+// backend, whose jobs share the caller's splits, but for one task on a
+// multiprocess worker, which builds its own Split per task frame.
+func (s *Split) Memo(key any, build func() any) any {
+	s.memoMu.Lock()
+	e := s.memo[key]
+	if e == nil {
+		if s.memo == nil {
+			s.memo = make(map[any]*memoEntry)
+		}
+		e = new(memoEntry)
+		s.memo[key] = e
+	}
+	s.memoMu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
 }
 
 // NumRows returns the number of points in the split.

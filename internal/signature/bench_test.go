@@ -58,26 +58,41 @@ func BenchmarkRSSCQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkSupportCounter is the vertical counter's per-row cost, block
-// flushes included: one op is one Add.
+// BenchmarkSupportCounter counts one split of 4·blockRows rows per op,
+// and reports the cost per row. The "build" arm makes the split's interval
+// bitmaps in the op, as the first counting job over a split (and every
+// counting task on a worker process) does; the "cached" arm counts over
+// bitmaps that exist, as every later job over an in-process split does.
 func BenchmarkSupportCounter(b *testing.B) {
-	for _, n := range []int{100, 1000, 5000} {
-		sigs := benchSigs(n, 20)
-		ix := NewSupportIndex(sigs)
-		rng := rand.New(rand.NewSource(2))
-		rows := make([]float64, 4*blockRows*20)
-		for i := range rows {
-			rows[i] = rng.Float64()
+	const dim, n = 20, 4 * blockRows
+	rng := rand.New(rand.NewSource(2))
+	rows := make([]float64, n*dim)
+	for i := range rows {
+		rows[i] = rng.Float64()
+	}
+	for _, numSigs := range []int{100, 1000, 5000} {
+		ix := NewSupportIndex(benchSigs(numSigs, dim))
+		perRow := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 		}
-		b.Run(itoa(n), func(b *testing.B) {
+		b.Run(itoa(numSigs)+"/build", func(b *testing.B) {
 			c := ix.NewCounter()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Count(NewRowBits(rows, dim))
+			}
+			perRow(b)
+		})
+		b.Run(itoa(numSigs)+"/cached", func(b *testing.B) {
+			c := ix.NewCounter()
+			rb := NewRowBits(rows, dim)
+			c.Count(rb)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := i % (4 * blockRows)
-				c.Add(rows[p*20 : (p+1)*20])
+				c.Count(rb)
 			}
-			c.Counts()
+			perRow(b)
 		})
 	}
 }

@@ -1,44 +1,39 @@
 package signature
 
 import (
-	"cmp"
+	"fmt"
+	"math"
 	"slices"
+	"sync"
 )
 
-// blockRows is the number of rows a SupportCounter buffers before it counts
-// them, so every bitmap of a block is blockWords words: a few KB per
-// interval keeps a block's bitmaps cache-resident while amortising the trie
-// walk over thousands of rows.
+// blockRows is the number of rows a SupportCounter counts at a time, so
+// every bitmap of a block is blockWords words: a few KB per interval keeps
+// a block's bitmaps cache-resident while amortising the trie walk over
+// thousands of rows.
 const (
 	blockRows  = 4096
 	blockWords = blockRows / 64
 )
 
 // SupportIndex counts signature supports vertically, the tid-bitmap form of
-// a-priori support counting (Zaki's Eclat). A counter sets, per buffered
-// row and constrained attribute, the row's bit in the bitmap of the region
-// its value falls in. Per block of rows it ORs each distinct interval's
-// bitmap from the regions the interval contains, then walks a prefix trie
-// of the signatures, in which every node's bitmap is its parent's AND its
-// own interval's, so a signature's support in the block is the popcount of
-// the node it ends at. An empty node skips its subtree. The RSSC answers the
-// per-point question "which signatures hold x"; this index answers "how
-// many points does each signature hold" without asking it per point.
+// a-priori support counting (Zaki's Eclat). A counter reads each distinct
+// interval's row bitmap over a split from a RowBits and, per block of rows,
+// walks a prefix trie of the signatures, in which every node's bitmap is
+// its parent's AND its own interval's, so a signature's support in the
+// block is the popcount of the node it ends at. An empty node skips its
+// subtree. The RSSC answers the per-point question "which signatures hold
+// x"; this index answers "how many points does each signature hold"
+// without asking it per point.
 //
-// Rows are classified into the RSSC's exact closed-interval regions
-// (regionIndex/regionInside), so points on an endpoint count exactly as
+// An interval's bitmap sets a row's bit iff Interval.Contains holds for the
+// row's value, so points on an endpoint count exactly as
 // Signature.Contains says. The index is read-only once built and is shared
 // by every counter of a job; each mapper owns its counter.
 type SupportIndex struct {
-	n      int
-	numIvs int
-	attrs  []countAttr
-	// numSlots counts the region bitmaps: slot 0 collects the regions no
-	// interval contains and is never read. The slots inside distinct
-	// interval id are ivSlots[ivOff[id]:ivOff[id+1]].
-	numSlots int
-	ivOff    []int32
-	ivSlots  []int32
+	n int
+	// ivs are the distinct intervals of the signatures, by id.
+	ivs []Interval
 
 	// The trie over the signatures' distinct-interval sequences, in
 	// attribute order, stored in DFS preorder. Node i tests interval
@@ -60,15 +55,7 @@ type SupportIndex struct {
 	coverers [][]int32
 }
 
-// countAttr is one constrained attribute: the RSSC region scheme over its
-// sorted unique endpoints, and the bitmap slot of each region.
-type countAttr struct {
-	attr       int
-	boundaries []float64
-	slot       []int32
-}
-
-// NewSupportIndex builds the counting index over sigs. Its counters' Counts
+// NewSupportIndex builds the counting index over sigs. Its counters' counts
 // are the signatures' supports, in sigs order.
 func NewSupportIndex(sigs []Signature) *SupportIndex {
 	ix := &SupportIndex{n: len(sigs)}
@@ -76,19 +63,21 @@ func NewSupportIndex(sigs []Signature) *SupportIndex {
 	// The trie, built in preorder from the signatures in canonical order
 	// (as Less): signatures sharing a prefix are adjacent, and a prefix
 	// sorts before its extensions. Intervals are numbered by value as they
-	// first appear; one with a NaN endpoint equals nothing, not even
-	// itself, so it gets an id of its own each time.
+	// first appear. A signature with a NaN endpoint holds no row, so it
+	// stays out of the trie and counts 0.
 	order := make([]int32, len(sigs))
 	for j := range order {
 		order[j] = int32(j)
 	}
 	slices.SortFunc(order, func(a, b int32) int { return compare(sigs[a], sigs[b]) })
 	ids := make(map[Interval]int32)
-	var ivs []Interval
 	var open []int32 // the nodes on the path of the previous signature
 	var prev []Interval
 	for _, j := range order {
 		p := sigs[j].Intervals
+		if slices.ContainsFunc(p, func(iv Interval) bool { return math.IsNaN(iv.Lo) || math.IsNaN(iv.Hi) }) {
+			continue
+		}
 		ix.maxDepth = max(ix.maxDepth, len(p))
 		k := 0
 		for k < len(open) && k < len(p) && prev[k] == p[k] {
@@ -101,9 +90,9 @@ func NewSupportIndex(sigs []Signature) *SupportIndex {
 		for _, v := range p[k:] {
 			id, ok := ids[v]
 			if !ok {
-				id = int32(len(ivs))
+				id = int32(len(ix.ivs))
 				ids[v] = id
-				ivs = append(ivs, v)
+				ix.ivs = append(ix.ivs, v)
 			}
 			open = append(open, int32(len(ix.nodeIv)))
 			ix.nodeIv = append(ix.nodeIv, id)
@@ -125,52 +114,10 @@ func NewSupportIndex(sigs []Signature) *SupportIndex {
 		ix.nodeEnd[nd] = int32(len(ix.nodeIv))
 	}
 	ix.endOff = append(ix.endOff, int32(len(ix.endSigs)))
-	ix.numIvs = len(ivs)
-
-	// Regions per attribute; a region gets a bitmap slot when an interval
-	// contains it.
-	byAttr := make([]int32, len(ivs))
-	for id := range byAttr {
-		byAttr[id] = int32(id)
-	}
-	slices.SortFunc(byAttr, func(a, b int32) int { return cmp.Compare(ivs[a].Attr, ivs[b].Attr) })
-	inside := make([][]int32, len(ivs))
-	ix.numSlots = 1
-	for lo := 0; lo < len(byAttr); {
-		attr := ivs[byAttr[lo]].Attr
-		hi := lo
-		var ends []float64
-		for hi < len(byAttr) && ivs[byAttr[hi]].Attr == attr {
-			ends = append(ends, ivs[byAttr[hi]].Lo, ivs[byAttr[hi]].Hi)
-			hi++
-		}
-		ca := countAttr{attr: attr, boundaries: dedupFloats(ends)}
-		ca.slot = make([]int32, 2*len(ca.boundaries)+1)
-		for reg := range ca.slot {
-			for _, id := range byAttr[lo:hi] {
-				if !regionInside(reg, ca.boundaries, ivs[id]) {
-					continue
-				}
-				if ca.slot[reg] == 0 {
-					ca.slot[reg] = int32(ix.numSlots)
-					ix.numSlots++
-				}
-				inside[id] = append(inside[id], ca.slot[reg])
-			}
-		}
-		ix.attrs = append(ix.attrs, ca)
-		lo = hi
-	}
-	ix.ivOff = make([]int32, 0, len(ivs)+1)
-	for _, s := range inside {
-		ix.ivOff = append(ix.ivOff, int32(len(ix.ivSlots)))
-		ix.ivSlots = append(ix.ivSlots, s...)
-	}
-	ix.ivOff = append(ix.ivOff, int32(len(ix.ivSlots)))
 	return ix
 }
 
-// NewCoverageIndex builds the index in coverage mode: its counters' Counts
+// NewCoverageIndex builds the index in coverage mode: its counters' counts
 // are, per signature, how many of its support points no coverer holds
 // (Uncovered.Count). Signature i covers j when it has a strictly higher
 // interest ratio and is not a lattice superset of j. The two refinements
@@ -199,13 +146,106 @@ func NewCoverageIndex(sigs []Signature, ratios []float64) *SupportIndex {
 	return ix
 }
 
-// SupportCounter accumulates one mapper's counts over an index. Add rows,
-// then read Counts.
+// Intervals returns the index's distinct intervals: the ones whose row
+// bitmaps its counters read. The slice is the index's own.
+func (ix *SupportIndex) Intervals() []Interval { return ix.ivs }
+
+// RowBits holds one split's interval bitmaps: bit r of an interval's
+// bitmap is set iff the interval contains row r's value on its attribute.
+// A bitmap is built the first time a counter asks for it and then shared by
+// every later count over the split, so jobs that count the same intervals
+// read the rows once between them. The rows must not change while the
+// RowBits is in use. It is safe for concurrent use.
+type RowBits struct {
+	rows []float64
+	dim  int
+	n    int
+
+	mu     sync.Mutex
+	bits   map[Interval][]uint64
+	passes int // build passes over the rows
+}
+
+// NewRowBits returns an empty bitmap cache over the row-major rows of
+// width dim.
+func NewRowBits(rows []float64, dim int) *RowBits {
+	n := 0
+	if dim > 0 {
+		n = len(rows) / dim
+	}
+	return &RowBits{rows: rows, dim: dim, n: n, bits: make(map[Interval][]uint64)}
+}
+
+// Bitmaps appends the bitmaps of ivs to dst, in ivs order, and returns it.
+// The intervals not built yet are built together, in one pass over the
+// rows. ivs must be distinct and free of NaN endpoints, which no map
+// lookup matches. The bitmaps are read-only.
+func (b *RowBits) Bitmaps(dst [][]uint64, ivs []Interval) [][]uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var miss []Interval
+	for _, iv := range ivs {
+		if _, ok := b.bits[iv]; !ok {
+			miss = append(miss, iv)
+		}
+	}
+	if len(miss) > 0 {
+		b.build(miss)
+	}
+	for _, iv := range ivs {
+		dst = append(dst, b.bits[iv])
+	}
+	return dst
+}
+
+// b2u is 1 for true and 0 for false; it compiles to a flag-to-register
+// move, not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// build makes the bitmaps of ivs in one pass over the rows, 64 rows at a
+// time: the rows of one bitmap word are tested against every interval
+// while they are cache-resident, and each word is stored once.
+func (b *RowBits) build(ivs []Interval) {
+	for _, iv := range ivs {
+		if iv.Attr < 0 || iv.Attr >= b.dim {
+			panic(fmt.Sprintf("signature: interval %v outside %d attributes", iv, b.dim))
+		}
+	}
+	words := (b.n + 63) / 64
+	slab := make([]uint64, len(ivs)*words)
+	for k, iv := range ivs {
+		b.bits[iv] = slab[k*words : (k+1)*words : (k+1)*words]
+	}
+	dim := b.dim
+	for w := range words {
+		first := w * 64
+		rows := min(64, b.n-first)
+		chunk := b.rows[first*dim : (first+rows)*dim]
+		for k, iv := range ivs {
+			// Each row shifts its bit in at the top, so after the chunk's
+			// last row the first row's bit sits at 64-rows.
+			var word uint64
+			for p := iv.Attr; p < len(chunk); p += dim {
+				x := chunk[p]
+				word = word>>1 | b2u(x >= iv.Lo)&b2u(x <= iv.Hi)<<63
+			}
+			slab[k*words+w] = word >> (64 - rows)
+		}
+	}
+	b.passes++
+}
+
+// SupportCounter counts the rows of a RowBits over an index. Each mapper
+// owns its counter.
 type SupportCounter struct {
-	ix      *SupportIndex
-	rows    int      // rows buffered in the current block
-	regBits []uint64 // blockWords per region slot
-	ivBits  []uint64 // blockWords per distinct interval
+	ix *SupportIndex
+	// bm holds the split's bitmap per distinct interval id.
+	bm [][]uint64
 	// stack holds the walk's bitmaps: level 0 is the root (all ones), level
 	// d+1 the current node at depth d.
 	stack  []uint64
@@ -220,15 +260,12 @@ type SupportCounter struct {
 	remWord []int32
 }
 
-// NewCounter returns a counter with zero counts. Counters of one index may
-// run concurrently.
+// NewCounter returns a counter. Counters of one index may run concurrently.
 func (ix *SupportIndex) NewCounter() *SupportCounter {
 	c := &SupportCounter{
-		ix:      ix,
-		regBits: make([]uint64, ix.numSlots*blockWords),
-		ivBits:  make([]uint64, ix.numIvs*blockWords),
-		stack:   make([]uint64, (ix.maxDepth+1)*blockWords),
-		counts:  make([]int64, ix.n),
+		ix:     ix,
+		stack:  make([]uint64, (ix.maxDepth+1)*blockWords),
+		counts: make([]int64, ix.n),
 	}
 	for w := range blockWords {
 		c.stack[w] = ^uint64(0)
@@ -242,60 +279,38 @@ func (ix *SupportIndex) NewCounter() *SupportCounter {
 	return c
 }
 
-// Add counts one row (full-dimensional). Every blockRows rows it flushes
-// the block into the counts.
-func (c *SupportCounter) Add(row []float64) {
-	w, bit := c.rows>>6, uint64(1)<<(c.rows&63)
-	for i := range c.ix.attrs {
-		a := &c.ix.attrs[i]
-		r := a.slot[regionIndex(row[a.attr], a.boundaries)]
-		c.regBits[int(r)*blockWords+w] |= bit
-	}
-	c.rows++
-	if c.rows == blockRows {
-		c.flush()
-	}
-}
-
-// Counts flushes the buffered rows and returns the accumulated counts,
-// indexed like the signatures the index was built from: supports, or
-// uncovered counts in coverage mode. The slice is the counter's own.
-func (c *SupportCounter) Counts() []int64 {
-	if c.rows > 0 {
-		c.flush()
+// Count returns the counts over the rows of rb, indexed like the
+// signatures the index was built from: supports, or uncovered counts in
+// coverage mode. rb builds the bitmaps it lacks first. The slice is the
+// counter's own, overwritten by the next Count.
+func (c *SupportCounter) Count(rb *RowBits) []int64 {
+	c.bm = rb.Bitmaps(c.bm[:0], c.ix.ivs)
+	clear(c.counts)
+	for lo := 0; lo < rb.n; lo += blockRows {
+		c.countBlock(lo/64, min(blockRows, rb.n-lo))
 	}
 	return c.counts
 }
 
-// flush walks the trie over the buffered block and resets it.
-func (c *SupportCounter) flush() {
+// countBlock walks the trie over the block of rows rows whose bitmap words
+// start at word w0.
+func (c *SupportCounter) countBlock(w0, rows int) {
 	ix := c.ix
-	nw := (c.rows + 63) / 64
-	for id := 0; id < ix.numIvs; id++ {
-		dst := c.ivBits[id*blockWords:][:nw]
-		clear(dst)
-		for _, r := range ix.ivSlots[ix.ivOff[id]:ix.ivOff[id+1]] {
-			src := c.regBits[int(r)*blockWords:][:nw]
-			for w := range dst {
-				dst[w] |= src[w]
-			}
-		}
-	}
-	clear(c.regBits[blockWords:]) // slot 0 is never read
+	nw := (rows + 63) / 64
 	coverage := c.live != nil
 	if coverage {
 		clear(c.live)
 	}
 	for _, j := range ix.empty {
 		if !coverage {
-			c.counts[j] += int64(c.rows)
+			c.counts[j] += int64(rows)
 			continue
 		}
 		m := c.member[int(j)*blockWords:][:nw]
 		for w := range m {
 			m[w] = ^uint64(0)
 		}
-		if tail := c.rows & 63; tail != 0 {
+		if tail := rows & 63; tail != 0 {
 			m[nw-1] = 1<<tail - 1
 		}
 		c.live[j] = true
@@ -303,7 +318,7 @@ func (c *SupportCounter) flush() {
 	for i := 0; i < len(ix.nodeIv); {
 		d := int(ix.nodeDepth[i])
 		parent := c.stack[d*blockWords:][:nw]
-		iv := c.ivBits[int(ix.nodeIv[i])*blockWords:][:nw]
+		iv := c.bm[ix.nodeIv[i]][w0:][:nw]
 		cur := c.stack[(d+1)*blockWords:][:nw]
 		var nz uint64
 		for w := range cur {
@@ -330,7 +345,6 @@ func (c *SupportCounter) flush() {
 	if coverage {
 		c.countUncovered(nw)
 	}
-	c.rows = 0
 }
 
 // countUncovered adds, per signature j with members in the block,

@@ -1,15 +1,18 @@
 package signature
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
-// counterRowCounts straddle the counter's block boundaries.
-var counterRowCounts = []int{0, 1, blockRows - 1, blockRows, blockRows + 1, 3*blockRows + 5}
+// counterRowCounts straddle the bitmaps' word boundaries and the counter's
+// block boundaries.
+var counterRowCounts = []int{0, 1, 63, 64, blockRows - 1, blockRows, blockRows + 1, 3*blockRows + 5}
 
 // randomCounterSigs draws signatures with endpoints on a 0.1 grid and adds
 // the shapes the trie must handle: an empty signature, duplicates, and
@@ -56,12 +59,9 @@ func randomCounterRows(rng *rand.Rand, n, dim int) []float64 {
 	return rows
 }
 
+// countVertically counts rows on a fresh counter over fresh bitmaps.
 func countVertically(ix *SupportIndex, rows []float64, dim int) []int64 {
-	c := ix.NewCounter()
-	for i := 0; i+dim <= len(rows); i += dim {
-		c.Add(rows[i : i+dim])
-	}
-	return c.Counts()
+	return ix.NewCounter().Count(NewRowBits(rows, dim))
 }
 
 func TestSupportCounterMatchesNaive(t *testing.T) {
@@ -81,8 +81,8 @@ func TestSupportCounterMatchesNaive(t *testing.T) {
 }
 
 // TestSupportCounterSplitsSum pins order independence: counting the rows
-// in arbitrary chunks on separate counters, whose block boundaries fall
-// anywhere, sums to the single-counter counts.
+// in arbitrary chunks, each over its own bitmaps and counter, so word and
+// block boundaries fall anywhere, sums to the single-counter counts.
 func TestSupportCounterSplitsSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const dim, n = 4, 3*blockRows + 5
@@ -104,9 +104,7 @@ func TestSupportCounterSplitsSum(t *testing.T) {
 }
 
 func TestSupportCounterEmptyIndex(t *testing.T) {
-	c := NewSupportIndex(nil).NewCounter()
-	c.Add([]float64{0.5})
-	if got := c.Counts(); len(got) != 0 {
+	if got := countVertically(NewSupportIndex(nil), []float64{0.5}, 1); len(got) != 0 {
 		t.Fatalf("counts = %v", got)
 	}
 }
@@ -157,26 +155,27 @@ func TestCoverageCounterMatchesHorizontal(t *testing.T) {
 	}
 }
 
-// TestSupportCounterAddAllocs gates the per-row path: Add allocates
-// nothing, including the block flushes it triggers.
-func TestSupportCounterAddAllocs(t *testing.T) {
+// TestSupportCounterCountAllocs gates the count pass once the bitmaps
+// exist: a counter's second Count allocates nothing, block walks included,
+// and a reused counter counts afresh.
+func TestSupportCounterCountAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const dim = 5
 	sigs := randomCounterSigs(rng, dim)
-	rows := randomCounterRows(rng, 2*blockRows, dim)
+	rows := randomCounterRows(rng, 2*blockRows+3, dim)
+	rb := NewRowBits(rows, dim)
 	ratios := make([]float64, len(sigs))
 	for i := range ratios {
 		ratios[i] = rng.Float64()
 	}
 	for name, ix := range map[string]*SupportIndex{"support": NewSupportIndex(sigs), "coverage": NewCoverageIndex(sigs, ratios)} {
 		c := ix.NewCounter()
-		p := 0
-		allocs := testing.AllocsPerRun(3*blockRows, func() {
-			c.Add(rows[p*dim : (p+1)*dim])
-			p = (p + 1) % (2 * blockRows)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: Add allocates %.3f per row", name, allocs)
+		c.Count(rb)
+		if allocs := testing.AllocsPerRun(10, func() { c.Count(rb) }); allocs != 0 {
+			t.Errorf("%s: Count allocates %.1f per pass", name, allocs)
+		}
+		if got, want := c.Count(rb), countVertically(ix, rows, dim); !slices.Equal(got, want) {
+			t.Errorf("%s: reused counter %v, fresh one %v", name, got, want)
 		}
 	}
 }
@@ -260,5 +259,135 @@ func TestCoverageCounterSparseMembers(t *testing.T) {
 		if got := countVertically(ix, rows, dim); !slices.Equal(got, want) {
 			t.Fatalf("%d rows: vertical %v, horizontal %v", n, got, want)
 		}
+	}
+}
+
+// TestSupportCounterNonFiniteValues: NaN and ±Inf data values count as
+// Signature.Contains says, also against intervals with infinite endpoints.
+func TestSupportCounterNonFiniteValues(t *testing.T) {
+	inf := math.Inf(1)
+	sigs := []Signature{
+		New(iv(0, 0.2, 0.6)),
+		New(iv(0, -inf, 0.3)),
+		New(iv(1, 0.5, inf)),
+		New(iv(0, -inf, inf), iv(1, 0, 1)),
+		New(iv(0, 0.2, 0.6), iv(1, 0.5, inf)),
+	}
+	rng := rand.New(rand.NewSource(6))
+	rows := randomCounterRows(rng, blockRows+70, 2)
+	for i := range rows {
+		switch rng.Intn(12) {
+		case 0:
+			rows[i] = math.NaN()
+		case 1:
+			rows[i] = inf
+		case 2:
+			rows[i] = -inf
+		}
+	}
+	want := CountSupportsNaive(sigs, rows, 2)
+	if got := countVertically(NewSupportIndex(sigs), rows, 2); !slices.Equal(got, want) {
+		t.Fatalf("vertical %v, naive %v", got, want)
+	}
+}
+
+// TestRowBitsBuildsOnce: a second count over the same bitmaps, on a fresh
+// counter of a fresh index over the same intervals, makes no build pass
+// and reads the very bitmaps the first count built.
+func TestRowBitsBuildsOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const dim = 4
+	sigs := randomCounterSigs(rng, dim)
+	rows := randomCounterRows(rng, 2*blockRows+9, dim)
+	rb := NewRowBits(rows, dim)
+	first := NewSupportIndex(sigs).NewCounter().Count(rb)
+	ix := NewSupportIndex(sigs)
+	built := rb.Bitmaps(nil, ix.Intervals())
+	if rb.passes != 1 {
+		t.Fatalf("%d build passes after one count, want 1", rb.passes)
+	}
+	if got := ix.NewCounter().Count(rb); !slices.Equal(got, first) || !slices.Equal(got, CountSupportsNaive(sigs, rows, dim)) {
+		t.Fatalf("second count %v, first %v", got, first)
+	}
+	if rb.passes != 1 {
+		t.Fatalf("%d build passes after the second count, want 1", rb.passes)
+	}
+	for k, bm := range rb.Bitmaps(nil, ix.Intervals()) {
+		if &bm[0] != &built[k][0] {
+			t.Fatalf("interval %v: bitmap rebuilt", ix.Intervals()[k])
+		}
+	}
+}
+
+// TestRowBitsBuildsOnlyMisses: a request mixing built and new intervals
+// keeps the built bitmaps and builds the new ones in one pass.
+func TestRowBitsBuildsOnlyMisses(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const dim = 3
+	rows := randomCounterRows(rng, blockRows+1, dim)
+	a := []Signature{New(iv(0, 0.1, 0.4)), New(iv(0, 0.1, 0.4), iv(2, 0.3, 0.9))}
+	b := []Signature{New(iv(0, 0.1, 0.4), iv(1, 0, 0.5)), New(iv(1, 0.2, 0.3)), New(iv(2, 0.3, 0.9), iv(1, 0.2, 0.3))}
+	rb := NewRowBits(rows, dim)
+	NewSupportIndex(a).NewCounter().Count(rb)
+	old := map[Interval]*uint64{}
+	ixA := NewSupportIndex(a)
+	for k, bm := range rb.Bitmaps(nil, ixA.Intervals()) {
+		old[ixA.Intervals()[k]] = &bm[0]
+	}
+	ixB := NewSupportIndex(b)
+	if got, want := ixB.NewCounter().Count(rb), CountSupportsNaive(b, rows, dim); !slices.Equal(got, want) {
+		t.Fatalf("vertical %v, naive %v", got, want)
+	}
+	if rb.passes != 2 {
+		t.Fatalf("%d build passes, want 2: one per request with misses", rb.passes)
+	}
+	kept := 0
+	for k, bm := range rb.Bitmaps(nil, ixB.Intervals()) {
+		if p, ok := old[ixB.Intervals()[k]]; ok {
+			if p != &bm[0] {
+				t.Errorf("interval %v: built bitmap replaced", ixB.Intervals()[k])
+			}
+			kept++
+		}
+	}
+	if kept != 2 {
+		t.Fatalf("%d of b's intervals were a's, want 2", kept)
+	}
+}
+
+// TestRowBitsConcurrentCounts: counters of different indexes share one
+// RowBits from many goroutines (run under -race), each getting its exact
+// counts, and each distinct request builds at most once.
+func TestRowBitsConcurrentCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	const dim, workers = 4, 8
+	rows := randomCounterRows(rng, blockRows+33, dim)
+	rb := NewRowBits(rows, dim)
+	sets := make([][]Signature, workers)
+	for i := range sets {
+		sets[i] = randomCounterSigs(rng, dim)
+	}
+	var wg sync.WaitGroup
+	errs := make([]string, workers)
+	for i := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				got := NewSupportIndex(sets[i]).NewCounter().Count(rb)
+				if want := CountSupportsNaive(sets[i], rows, dim); !slices.Equal(got, want) {
+					errs[i] = fmt.Sprintf("worker %d: vertical %v, naive %v", i, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != "" {
+			t.Error(e)
+		}
+	}
+	if rb.passes > workers {
+		t.Errorf("%d build passes for %d distinct requests", rb.passes, workers)
 	}
 }

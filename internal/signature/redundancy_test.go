@@ -102,13 +102,15 @@ func TestCoverageByUnrelatedHigherRatio(t *testing.T) {
 	b := New(iv(1, 0, 0.5)) // different subspace, higher ratio
 	sigs := []Signature{a, b}
 	ratios := []float64{2, 10}
-	c := NewCoverageIndex(sigs, ratios).NewCounter()
-	c.Add([]float64{0.25, 0.25}) // in both
-	if unc := c.Counts(); unc[0] != 0 {
+	ix := NewCoverageIndex(sigs, ratios)
+	rows := []float64{
+		0.25, 0.25, // in both
+		0.25, 0.75, // only in a
+	}
+	if unc := countVertically(ix, rows[:2], 2); unc[0] != 0 {
 		t.Errorf("a must be covered by b: counts=%v", unc)
 	}
-	c.Add([]float64{0.25, 0.75}) // only in a
-	if unc := c.Counts(); unc[0] != 1 {
+	if unc := countVertically(ix, rows, 2); unc[0] != 1 {
 		t.Errorf("a alone must be uncovered: counts=%v", unc)
 	}
 }

@@ -100,16 +100,12 @@ func dedupFloats(xs []float64) []float64 {
 // first), they are exactly the ones a binary search passes over, so NaN x
 // lands past the last boundary either way. The scan is linear in len(bs),
 // which is at most twice the number of distinct intervals on the
-// attribute; in the support counter it beats sort.SearchFloat64s up to
-// about 32 boundaries.
+// attribute; per row it beats sort.SearchFloat64s up to about 32
+// boundaries.
 func regionIndex(x float64, bs []float64) int {
 	i := 0
 	for _, b := range bs {
-		below := 0
-		if !(b >= x) {
-			below = 1
-		}
-		i += below
+		i += int(b2u(!(b >= x)))
 	}
 	if i < len(bs) && bs[i] == x {
 		return 2*i + 1

@@ -1,11 +1,14 @@
 package p3cmr
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"p3cmr/internal/signature"
 )
 
 // TestPipelineInvariants is a property test over random generator
@@ -172,5 +175,137 @@ func TestPermutedRowsAndSplitsInvariant(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPermutedAttributesInvariant is a metamorphic check on the column
+// order: attribute a of the data moves to perm[a], which renumbers every
+// interval's attribute — and so every counting index's intervals and the
+// splits' cached interval bitmaps. The cores and their supports must be
+// the original ones renumbered, and the clusters the same up to
+// relabelling, with each cluster's attributes mapped back: E4SC exactly 1.
+func TestPermutedAttributesInvariant(t *testing.T) {
+	data, _, err := GenerateSynthetic(SyntheticConfig{N: 10000, Dim: 12, Clusters: 3, NoiseFraction: 0.1, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := rand.New(rand.NewSource(14)).Perm(data.Dim)
+	permuted := &Dataset{Dim: data.Dim, Rows: make([]float64, len(data.Rows))}
+	for i := 0; i < data.N(); i++ {
+		for a, v := range data.Row(i) {
+			permuted.Rows[i*data.Dim+perm[a]] = v
+		}
+	}
+	orig := make([]int, data.Dim) // orig[perm[a]] = a
+	for a, p := range perm {
+		orig[p] = a
+	}
+	for _, algo := range []Algorithm{P3CPlusMRLight, P3CPlusMR} {
+		t.Run(algo.String(), func(t *testing.T) {
+			base, err := Run(data, Config{Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(base.Core.Cores) == 0 {
+				t.Fatal("no cluster cores found: the invariant is vacuous")
+			}
+			moved, err := Run(permuted, Config{Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Cores keyed by their signature, renumbered back.
+			cores := func(res *Result, attr func(int) int) map[string]int64 {
+				m := map[string]int64{}
+				for i, c := range res.Core.Cores {
+					ivs := slices.Clone(c.Intervals)
+					for k := range ivs {
+						ivs[k].Attr = attr(ivs[k].Attr)
+					}
+					m[signature.New(ivs...).Key()] = res.Core.CoreSupports[i]
+				}
+				return m
+			}
+			same := func(a int) int { return a }
+			if got, want := cores(moved, func(a int) int { return orig[a] }), cores(base, same); !maps.Equal(got, want) {
+				t.Fatalf("cores moved: %v, want %v", got, want)
+			}
+			want, err := FoundClustering(base, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped := make([]*Cluster, len(moved.Clusters))
+			for c, cl := range moved.Clusters {
+				attrs := make([]int, len(cl.Attrs))
+				for k, a := range cl.Attrs {
+					attrs[k] = orig[a]
+				}
+				slices.Sort(attrs)
+				mapped[c] = &Cluster{Objects: cl.Objects, Attrs: attrs}
+			}
+			got, err := FoundClustering(&Result{Clusters: mapped}, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := E4SC(got, want)
+			t.Logf("%d cores, %d clusters, E4SC %v", len(base.Core.Cores), len(base.Clusters), e)
+			if e != 1 {
+				t.Errorf("%d clusters vs %d: E4SC = %v against the unpermuted run, want 1", len(moved.Clusters), len(base.Clusters), e)
+			}
+		})
+	}
+}
+
+// TestAffineRescalingInvariant is a metamorphic check on units: each
+// attribute rescaled by its own positive factor and shifted, then
+// min-max normalized as p3crun -normalize does, must cluster like the
+// normalized original — E4SC exactly 1 for Light and MVB. The factors and
+// shifts are not powers of two, so the two normalized data sets differ in
+// their last bits; the check is that no cluster boundary is that fragile.
+func TestAffineRescalingInvariant(t *testing.T) {
+	data, _, err := GenerateSynthetic(SyntheticConfig{N: 10000, Dim: 12, Clusters: 3, NoiseFraction: 0.1, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(16))
+	scale, shift := make([]float64, data.Dim), make([]float64, data.Dim)
+	for a := range scale {
+		scale[a] = 0.01 + 1000*rng.Float64()
+		shift[a] = 2000*rng.Float64() - 1000
+	}
+	rescaled := &Dataset{Dim: data.Dim, Rows: make([]float64, len(data.Rows))}
+	for i, v := range data.Rows {
+		a := i % data.Dim
+		rescaled.Rows[i] = scale[a]*v + shift[a]
+	}
+	normalized := &Dataset{Dim: data.Dim, Rows: slices.Clone(data.Rows)}
+	normalized.Normalize()
+	rescaled.Normalize()
+	for _, algo := range []Algorithm{P3CPlusMRLight, P3CPlusMR} {
+		t.Run(algo.String(), func(t *testing.T) {
+			base, err := Run(normalized, Config{Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(base.Clusters) == 0 {
+				t.Fatal("no clusters found: the invariant is vacuous")
+			}
+			moved, err := Run(rescaled, Config{Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := FoundClustering(base, normalized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := FoundClustering(moved, normalized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := E4SC(got, want)
+			t.Logf("%d clusters, E4SC %v", len(base.Clusters), e)
+			if e != 1 {
+				t.Errorf("%d clusters vs %d: E4SC = %v against the original units, want 1", len(moved.Clusters), len(base.Clusters), e)
+			}
+		})
 	}
 }
