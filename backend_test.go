@@ -86,6 +86,39 @@ func TestBackendJSONResultBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBackendBoWBitIdentical runs BoW, whose final assignment job is the
+// one that runs on the caller's engine, on every backend with and without
+// seeded faults: the labels and clusters in the WriteJSON output must equal
+// the fault-free in-process run's.
+func TestBackendBoWBitIdentical(t *testing.T) {
+	data, _ := genAPITestData(t, 2000, 6)
+	data.Normalize()
+	plan := mr.RateFaultPlan{MapRate: 0.3, Seed: 23}
+	for _, alg := range []Algorithm{BoWLight, BoWMVB} {
+		baseline := renderJSON(t, data, alg, mr.NewEngine(mr.Config{Parallelism: 4}))
+		for _, backend := range mr.BackendNames() {
+			if backend == "multiprocess" && raceDetectorEnabled {
+				continue
+			}
+			for _, faulty := range []bool{false, true} {
+				cfg := mr.Config{Backend: backend, Parallelism: 4, SpillDir: t.TempDir()}
+				name := fmt.Sprintf("%s/%s", alg, backend)
+				if faulty {
+					cfg.Faults, cfg.MaxAttempts = plan, 12
+					name += "/chaos"
+				}
+				engine := mr.NewEngine(cfg)
+				if got := renderJSON(t, data, alg, engine); !bytes.Equal(got, baseline) {
+					t.Errorf("%s: JSON result differs from the fault-free in-process run", name)
+				}
+				if faulty && engine.TotalCounters().TaskRetries == 0 {
+					t.Errorf("%s: no retries injected — oracle exercised nothing", name)
+				}
+			}
+		}
+	}
+}
+
 // TestDegenerateInputs pins the inputs that break naive projected
 // clustering — a constant attribute, 500 identical rows, a single point,
 // and far fewer points than dimensions (40 × 400) — on Light and MVB: every

@@ -56,18 +56,21 @@ func TestChaosJSONResultBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosCountingJobsJSONBitIdentical aims faults at the jobs that count
-// over the splits' cached interval bitmaps: the first map attempt of every
-// prove-candidates and redundancy-uncovered task fails — before its first
-// record, mid-split, or after its last record but before Cleanup — on every
-// backend, for Light and MVB. The WriteJSON output must equal the
-// fault-free in-process run's, so a failed attempt can leave nothing
-// behind in a split's memo.
+// TestChaosCountingJobsJSONBitIdentical aims faults at the jobs that read
+// the splits' cached interval bitmaps: the first map attempt of every
+// prove-candidates, redundancy-uncovered, light-membership and
+// em-init-means task fails — before its first record, mid-split, or after
+// its last record but before Cleanup — on every backend, for Light and
+// MVB. The WriteJSON output must equal the fault-free in-process run's, so
+// a failed attempt can leave nothing behind in a split's memo.
 func TestChaosCountingJobsJSONBitIdentical(t *testing.T) {
 	data, _ := genAPITestData(t, 2000, 6)
 	data.Normalize()
 	plan := mr.FaultPlanFunc(func(job string, phase mr.TaskPhase, task, attempt int) mr.FaultDecision {
-		if phase != mr.PhaseMap || attempt > 0 || (job != "prove-candidates" && job != "redundancy-uncovered") {
+		switch {
+		case phase != mr.PhaseMap || attempt > 0:
+			return mr.FaultDecision{}
+		case job != "prove-candidates" && job != "redundancy-uncovered" && job != "light-membership" && job != "em-init-means":
 			return mr.FaultDecision{}
 		}
 		return mr.FaultDecision{Fail: true, FailFrac: float64(task%3) / 2}

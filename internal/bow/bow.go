@@ -11,7 +11,6 @@ package bow
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"p3cmr/internal/core"
@@ -228,62 +227,21 @@ func assign(engine *mr.Engine, data *dataset.Dataset, merged []signature.Signatu
 		return labels, clusters, nil
 	}
 
-	out, err := engine.Run(&mr.Job{Name: "bow-assign", Splits: data.Splits(16), Impl: "bow-assign", Spec: signature.AppendSet(nil, merged)})
+	members, err := core.Memberships(engine, "bow-assign", data.Splits(16), merged, n, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, p := range out.Pairs {
-		rec := p.Value.(assignRecord)
-		labels[rec.Global] = rec.Cores[0]
-		for _, c := range rec.Cores {
-			clusters[c].Objects = append(clusters[c].Objects, rec.Global)
+	for i, ids := range members {
+		if len(ids) == 0 {
+			continue
 		}
-	}
-	for _, c := range clusters {
-		sort.Ints(c.Objects)
+		labels[i] = ids[0]
+		for _, c := range ids {
+			clusters[c].Objects = append(clusters[c].Objects, i)
+		}
 	}
 	return labels, clusters, nil
 }
-
-type assignRecord struct {
-	Global int
-	Cores  []int
-}
-
-// The assignment job is registered by name, the merged rectangles shipped
-// as its Spec (signature.AppendSet form), so BoW's final pass runs on every
-// backend.
-func init() {
-	mr.RegisterWireValue(assignRecord{})
-	mr.RegisterJobImpl("bow-assign", buildAssignJob)
-}
-
-func buildAssignJob(spec []byte) (mr.JobFuncs, error) {
-	merged, _, err := signature.DecodeSet(spec)
-	if err != nil {
-		return mr.JobFuncs{}, err
-	}
-	rssc := signature.NewRSSC(merged)
-	return mr.JobFuncs{NewMapper: func() mr.Mapper { return &assignMapper{rssc: rssc} }}, nil
-}
-
-type assignMapper struct {
-	rssc *signature.RSSC
-	mask []uint64
-}
-
-func (m *assignMapper) Setup(*mr.TaskContext) error { return nil }
-
-func (m *assignMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	m.mask = m.rssc.Query(m.mask, row)
-	ids := signature.Ones(nil, m.mask)
-	if len(ids) > 0 {
-		ctx.Emit("a", assignRecord{Global: global, Cores: ids})
-	}
-	return nil
-}
-
-func (m *assignMapper) Cleanup(*mr.TaskContext) error { return nil }
 
 // ScheduleSeconds models BoW's wall clock under a MapReduce cost model: one
 // job startup, a map pass routing every point to its block, and then the

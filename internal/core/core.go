@@ -393,20 +393,22 @@ func (p *pipeline) finishFull(res *Result) (*Result, error) {
 
 // --- Light variant (§6) ---------------------------------------------------------
 
-// lightMembership computes, with one map-only job, the core membership list
-// of every point (empty lists are not emitted).
-func (p *pipeline) lightMembership() ([][]int, error) {
-	out, err := p.engine.Run(&mr.Job{
-		Name:        "light-membership",
-		Splits:      p.splits,
+// Memberships computes, with one map-only job named name, the list of
+// sigs containing each of the n points of the splits, ascending (nil for
+// none). Light runs it over the cores as light-membership; BoW's final
+// assignment runs it over the merged rectangles.
+func Memberships(engine *mr.Engine, name string, splits []*mr.Split, sigs []signature.Signature, n int, trace obs.SpanID) ([][]int, error) {
+	out, err := engine.Run(&mr.Job{
+		Name:        name,
+		Splits:      splits,
 		Impl:        "light-membership",
-		Spec:        sigSpec{Sigs: p.cores}.encode(),
-		TraceParent: p.phaseSpan,
+		Spec:        sigSpec{Sigs: sigs}.encode(),
+		TraceParent: trace,
 	})
 	if err != nil {
 		return nil, err
 	}
-	members := make([][]int, p.n)
+	members := make([][]int, n)
 	for _, pr := range out.Pairs {
 		rec := pr.Value.(memberRecord)
 		members[rec.Global] = rec.Cores
@@ -420,24 +422,29 @@ type memberRecord struct {
 }
 
 func buildMembershipJob(spec []byte) (mr.JobFuncs, error) {
-	rssc, err := decodeRSSC(spec)
+	sp, err := decodeSigSpec(spec)
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}
-	return mr.JobFuncs{NewMapper: func() mr.Mapper { return &membershipMapper{rssc: rssc} }}, nil
+	ix := signature.NewSupportIndex(sp.Sigs)
+	return mr.JobFuncs{NewMapper: func() mr.Mapper { return &membershipMapper{ix: ix} }}, nil
 }
 
+// membershipMapper emits a memberRecord per point that some signature
+// holds. Setup reads the member bitmaps off the split's interval bitmaps,
+// which the counting jobs over the split have built.
 type membershipMapper struct {
-	rssc *signature.RSSC
-	mask []uint64
+	ix      *signature.SupportIndex
+	members splitMembers
 }
 
-func (m *membershipMapper) Setup(*mr.TaskContext) error { return nil }
+func (m *membershipMapper) Setup(ctx *mr.TaskContext) error {
+	m.members = newSplitMembers(m.ix, ctx.Split)
+	return nil
+}
 
 func (m *membershipMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	m.mask = m.rssc.Query(m.mask, row)
-	ids := signature.Ones(nil, m.mask)
-	if len(ids) > 0 {
+	if ids := m.members.of(nil, global); len(ids) > 0 {
 		ctx.Emit("m", memberRecord{Global: global, Cores: ids})
 	}
 	return nil
@@ -447,7 +454,7 @@ func (m *membershipMapper) Cleanup(*mr.TaskContext) error { return nil }
 
 func (p *pipeline) finishLight(res *Result) (*Result, error) {
 	ps := p.beginPhase("light-membership")
-	members, err := p.lightMembership()
+	members, err := Memberships(p.engine, "light-membership", p.splits, p.cores, p.n, p.phaseSpan)
 	ps.end(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: light membership: %w", err)

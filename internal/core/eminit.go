@@ -53,8 +53,8 @@ func initEMModel(engine *mr.Engine, splits []*mr.Split, cores []signature.Signat
 }
 
 // initSpec is the EM initialization job's Spec: the cores (the builder
-// builds their RSSC), the relevant attributes and the optional fallback
-// model.
+// builds their support index), the relevant attributes and the optional
+// fallback model.
 type initSpec struct {
 	Cores    []signature.Signature
 	Attrs    []int
@@ -128,7 +128,7 @@ func buildInitMeansJob(spec []byte) (mr.JobFuncs, error) {
 	if err := mr.DecodeSpec(spec, &sp); err != nil {
 		return mr.JobFuncs{}, err
 	}
-	tmpl := coreMomentMapper{attrs: sp.Attrs, k: len(sp.Cores), rssc: signature.NewRSSC(sp.Cores)}
+	tmpl := coreMomentMapper{attrs: sp.Attrs, k: len(sp.Cores), ix: signature.NewSupportIndex(sp.Cores)}
 	if sp.Fallback != nil {
 		fb, err := sp.Fallback.Model()
 		if err != nil {
@@ -146,23 +146,25 @@ func buildInitMeansJob(spec []byte) (mr.JobFuncs, error) {
 }
 
 // coreMomentMapper accumulates per-core moments over the core support
-// sets (plus fallback assignments for out-of-core points when enabled).
+// sets (plus fallback assignments for out-of-core points when enabled),
+// reading the cores' member bitmaps over the split in Setup.
 type coreMomentMapper struct {
 	attrs    []int
 	fallback *em.Model
 	k        int
-	rssc     *signature.RSSC
+	ix       *signature.SupportIndex
 
-	acc  []linalg.Moments
-	keys []string
-	mask []uint64
-	proj []float64
-	sc1  []float64
-	sc2  []float64
-	ids  []int
+	members splitMembers
+	acc     []linalg.Moments
+	keys    []string
+	proj    []float64
+	sc1     []float64
+	sc2     []float64
+	ids     []int
 }
 
-func (m *coreMomentMapper) Setup(*mr.TaskContext) error {
+func (m *coreMomentMapper) Setup(ctx *mr.TaskContext) error {
+	m.members = newSplitMembers(m.ix, ctx.Split)
 	d := len(m.attrs)
 	m.acc = make([]linalg.Moments, m.k)
 	for i := range m.acc {
@@ -184,9 +186,8 @@ func (m *coreMomentMapper) project(row []float64) []float64 {
 
 // membership returns the core indices containing the point, or the fallback
 // assignment when the point is in no core and a fallback model exists.
-func (m *coreMomentMapper) membership(row []float64) []int {
-	m.mask = m.rssc.Query(m.mask, row)
-	m.ids = signature.Ones(m.ids[:0], m.mask)
+func (m *coreMomentMapper) membership(global int, row []float64) []int {
+	m.ids = m.members.of(m.ids[:0], global)
 	if len(m.ids) == 0 && m.fallback != nil {
 		x := m.project(row)
 		best, bestD := -1, 0.0
@@ -202,7 +203,7 @@ func (m *coreMomentMapper) membership(row []float64) []int {
 }
 
 func (m *coreMomentMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	ids := m.membership(row)
+	ids := m.membership(global, row)
 	if len(ids) == 0 {
 		return nil
 	}

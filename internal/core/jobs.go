@@ -17,7 +17,7 @@ import (
 // processes included, which resolve the same names through their own copy
 // of this registry. Small parameters and models ride the Spec (gob, or
 // sigSpec for signature sets), decoded once per job in the builder, which
-// also builds derived structures such as the RSSC or the support index;
+// also builds derived structures such as the support index;
 // per-point columns ride the distributed cache, which passes them by
 // reference in-process. Values that cross the shuffle outside the wire
 // codec's built-in lanes are registered here too.
@@ -89,15 +89,6 @@ func decodeSigSpec(spec []byte) (sigSpec, error) {
 	}
 	sp.Sigs = sigs
 	return sp, nil
-}
-
-// decodeRSSC decodes a sigSpec and builds the RSSC over its signatures.
-func decodeRSSC(spec []byte) (*signature.RSSC, error) {
-	sp, err := decodeSigSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return signature.NewRSSC(sp.Sigs), nil
 }
 
 // --- Histogram job (§5.1) -------------------------------------------------------
@@ -253,14 +244,42 @@ type countingMapper struct {
 // rowBitsKey is the Split.Memo key of a split's *signature.RowBits.
 type rowBitsKey struct{}
 
+// rowBits returns the split's interval bitmaps, which every counting and
+// membership job over the split shares.
+func rowBits(s *mr.Split) *signature.RowBits {
+	return s.Memo(rowBitsKey{}, func() any { return signature.NewRowBits(s.Rows, s.Dim) }).(*signature.RowBits)
+}
+
+// splitMembers holds the member bitmaps of a signature set over one split:
+// bit r of bits[j] is set iff signature j holds the split's row r.
+type splitMembers struct {
+	bits   [][]uint64
+	offset int
+}
+
+func newSplitMembers(ix *signature.SupportIndex, s *mr.Split) splitMembers {
+	return splitMembers{bits: ix.Members(rowBits(s)), offset: s.Offset}
+}
+
+// of appends the signatures holding the point of global index global to
+// dst, ascending, and returns it.
+func (sm splitMembers) of(dst []int, global int) []int {
+	r := global - sm.offset
+	w, b := r/64, uint(r%64)
+	for j, m := range sm.bits {
+		if m[w]>>b&1 != 0 {
+			dst = append(dst, j)
+		}
+	}
+	return dst
+}
+
 func (*countingMapper) Setup(*mr.TaskContext) error { return nil }
 
 func (*countingMapper) Map(*mr.TaskContext, int, []float64) error { return nil }
 
 func (m *countingMapper) Cleanup(ctx *mr.TaskContext) error {
-	s := ctx.Split
-	rb := s.Memo(rowBitsKey{}, func() any { return signature.NewRowBits(s.Rows, s.Dim) }).(*signature.RowBits)
-	ctx.Emit(m.key, m.ix.NewCounter().Count(rb))
+	ctx.Emit(m.key, m.ix.NewCounter().Count(rowBits(ctx.Split)))
 	return nil
 }
 

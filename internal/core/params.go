@@ -3,7 +3,7 @@
 // parameterized pipeline over the internal MapReduce engine:
 //
 //	histograms → relevant intervals → cluster-core generation (a-priori with
-//	multi-level candidate collection and RSSC support counting) →
+//	multi-level candidate collection and vertical support counting) →
 //	redundancy filter → EM refinement → outlier detection → attribute
 //	inspection (+ AI proving) → interval tightening.
 //

@@ -27,37 +27,6 @@ func benchSigs(numSigs, dim int) []Signature {
 	return Dedup(sigs)
 }
 
-func BenchmarkRSSCBuild(b *testing.B) {
-	for _, n := range []int{100, 1000, 5000} {
-		sigs := benchSigs(n, 20)
-		b.Run(itoa(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				NewRSSC(sigs)
-			}
-		})
-	}
-}
-
-func BenchmarkRSSCQuery(b *testing.B) {
-	for _, n := range []int{100, 1000, 5000} {
-		sigs := benchSigs(n, 20)
-		r := NewRSSC(sigs)
-		rng := rand.New(rand.NewSource(2))
-		x := make([]float64, 20)
-		for i := range x {
-			x[i] = rng.Float64()
-		}
-		var mask []uint64
-		b.Run(itoa(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mask = r.Query(mask, x)
-			}
-		})
-	}
-}
-
 // BenchmarkSupportCounter counts one split of 4·blockRows rows per op,
 // and reports the cost per row. The "build" arm makes the split's interval
 // bitmaps in the op, as the first counting job over a split (and every
@@ -93,6 +62,30 @@ func BenchmarkSupportCounter(b *testing.B) {
 				c.Count(rb)
 			}
 			perRow(b)
+		})
+	}
+}
+
+// BenchmarkMembers builds the member bitmaps of one split of 4·blockRows
+// rows per op over bitmaps that exist, as the membership jobs do after the
+// counting jobs over the split, and reports the cost per row.
+func BenchmarkMembers(b *testing.B) {
+	const dim, n = 20, 4 * blockRows
+	rng := rand.New(rand.NewSource(2))
+	rows := make([]float64, n*dim)
+	for i := range rows {
+		rows[i] = rng.Float64()
+	}
+	for _, numSigs := range []int{100, 1000, 5000} {
+		ix := NewSupportIndex(benchSigs(numSigs, dim))
+		rb := NewRowBits(rows, dim)
+		ix.Members(rb)
+		b.Run(itoa(numSigs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ix.Members(rb)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 		})
 	}
 }

@@ -3,6 +3,7 @@ package signature
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -22,9 +23,9 @@ const (
 // walks a prefix trie of the signatures, in which every node's bitmap is
 // its parent's AND its own interval's, so a signature's support in the
 // block is the popcount of the node it ends at. An empty node skips its
-// subtree. The RSSC answers the per-point question "which signatures hold
-// x"; this index answers "how many points does each signature hold"
-// without asking it per point.
+// subtree. The same walk gives each signature's member bitmap over the
+// split (Members), the transposed form of the paper's per-point bit
+// vectors (Fig. 3), for the jobs that ask which signatures hold a point.
 //
 // An interval's bitmap sets a row's bit iff Interval.Contains holds for the
 // row's value, so points on an endpoint count exactly as
@@ -246,8 +247,8 @@ type SupportCounter struct {
 	ix *SupportIndex
 	// bm holds the split's bitmap per distinct interval id.
 	bm [][]uint64
-	// stack holds the walk's bitmaps: level 0 is the root (all ones), level
-	// d+1 the current node at depth d.
+	// stack holds the walk's bitmaps: level 0 is the root (every row of the
+	// block), level d+1 the current node at depth d.
 	stack  []uint64
 	counts []int64
 
@@ -267,9 +268,6 @@ func (ix *SupportIndex) NewCounter() *SupportCounter {
 		stack:  make([]uint64, (ix.maxDepth+1)*blockWords),
 		counts: make([]int64, ix.n),
 	}
-	for w := range blockWords {
-		c.stack[w] = ^uint64(0)
-	}
 	if ix.coverers != nil {
 		c.member = make([]uint64, ix.n*blockWords)
 		c.live = make([]bool, ix.n)
@@ -287,33 +285,71 @@ func (c *SupportCounter) Count(rb *RowBits) []int64 {
 	c.bm = rb.Bitmaps(c.bm[:0], c.ix.ivs)
 	clear(c.counts)
 	for lo := 0; lo < rb.n; lo += blockRows {
-		c.countBlock(lo/64, min(blockRows, rb.n-lo))
+		rows := min(blockRows, rb.n-lo)
+		if c.live == nil {
+			c.walk(lo/64, rows, func(sigs []int32, m []uint64) {
+				pc := int64(popCount(m))
+				for _, j := range sigs {
+					c.counts[j] += pc
+				}
+			})
+			continue
+		}
+		clear(c.live)
+		c.walk(lo/64, rows, func(sigs []int32, m []uint64) {
+			for _, j := range sigs {
+				copy(c.member[int(j)*blockWords:], m)
+				c.live[j] = true
+			}
+		})
+		c.countUncovered((rows + 63) / 64)
 	}
 	return c.counts
 }
 
-// countBlock walks the trie over the block of rows rows whose bitmap words
-// start at word w0.
-func (c *SupportCounter) countBlock(w0, rows int) {
+// Members returns, per signature of the index, its member bitmap over the
+// rows of rb: bit r%64 of word r/64 is set iff the signature holds row r,
+// as Signature.Contains says. A signature without intervals holds every
+// row and one with a NaN endpoint none. rb builds the bitmaps it lacks
+// first. The bitmaps are the caller's.
+func (ix *SupportIndex) Members(rb *RowBits) [][]uint64 {
+	words := (rb.n + 63) / 64
+	slab := make([]uint64, ix.n*words)
+	members := make([][]uint64, ix.n)
+	for j := range members {
+		members[j] = slab[j*words : (j+1)*words : (j+1)*words]
+	}
+	c := ix.NewCounter()
+	c.bm = rb.Bitmaps(nil, ix.ivs)
+	for lo := 0; lo < rb.n; lo += blockRows {
+		w0 := lo / 64
+		c.walk(w0, min(blockRows, rb.n-lo), func(sigs []int32, m []uint64) {
+			for _, j := range sigs {
+				copy(members[j][w0:], m)
+			}
+		})
+	}
+	return members
+}
+
+// walk walks the trie over the block of rows rows whose bitmap words start
+// at word w0. It calls visit with the signatures without intervals and
+// the root's bitmap, then with the signatures ending at each node that
+// holds rows and the node's bitmap: nw words, the bits past rows clear.
+// A node without rows skips its subtree. m is the walk's own, valid until
+// visit returns.
+func (c *SupportCounter) walk(w0, rows int, visit func(sigs []int32, m []uint64)) {
 	ix := c.ix
 	nw := (rows + 63) / 64
-	coverage := c.live != nil
-	if coverage {
-		clear(c.live)
+	root := c.stack[:nw]
+	for w := range root {
+		root[w] = ^uint64(0)
 	}
-	for _, j := range ix.empty {
-		if !coverage {
-			c.counts[j] += int64(rows)
-			continue
-		}
-		m := c.member[int(j)*blockWords:][:nw]
-		for w := range m {
-			m[w] = ^uint64(0)
-		}
-		if tail := rows & 63; tail != 0 {
-			m[nw-1] = 1<<tail - 1
-		}
-		c.live[j] = true
+	if tail := rows & 63; tail != 0 {
+		root[nw-1] = 1<<tail - 1
+	}
+	if len(ix.empty) > 0 {
+		visit(ix.empty, root)
 	}
 	for i := 0; i < len(ix.nodeIv); {
 		d := int(ix.nodeDepth[i])
@@ -329,21 +365,10 @@ func (c *SupportCounter) countBlock(w0, rows int) {
 			i = int(ix.nodeEnd[i])
 			continue
 		}
-		if ends := ix.endSigs[ix.endOff[i]:ix.endOff[i+1]]; coverage {
-			for _, j := range ends {
-				copy(c.member[int(j)*blockWords:], cur)
-				c.live[j] = true
-			}
-		} else if len(ends) > 0 {
-			pc := int64(PopCount(cur))
-			for _, j := range ends {
-				c.counts[j] += pc
-			}
+		if ends := ix.endSigs[ix.endOff[i]:ix.endOff[i+1]]; len(ends) > 0 {
+			visit(ends, cur)
 		}
 		i++
-	}
-	if coverage {
-		c.countUncovered(nw)
 	}
 }
 
@@ -384,6 +409,32 @@ func (c *SupportCounter) countUncovered(nw int) {
 			}
 			rem, words = rem[:k], words[:k]
 		}
-		c.counts[j] += int64(PopCount(rem))
+		c.counts[j] += int64(popCount(rem))
 	}
+}
+
+// popCount returns the number of set bits in mask.
+func popCount(mask []uint64) int {
+	n := 0
+	for _, w := range mask {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// CountSupportsNaive computes the supports of sigs over row-major data by
+// direct containment checks — the "simple approach" of §5.3; kept as the
+// reference implementation for tests.
+func CountSupportsNaive(sigs []Signature, rows []float64, dim int) []int64 {
+	counts := make([]int64, len(sigs))
+	n := len(rows) / dim
+	for i := 0; i < n; i++ {
+		x := rows[i*dim : (i+1)*dim]
+		for j, s := range sigs {
+			if s.Contains(x) {
+				counts[j]++
+			}
+		}
+	}
+	return counts
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -109,20 +108,24 @@ func TestSupportCounterEmptyIndex(t *testing.T) {
 	}
 }
 
-// horizontalUncovered is the per-point oracle of the coverage mode: an RSSC
-// membership mask per point, then a scan of each member's coverers — a
-// strictly higher ratio that is not a lattice superset — within the mask.
+// horizontalUncovered is the per-point oracle of the coverage mode: the
+// signatures that contain a point by Signature.Contains, then a scan of
+// each one's coverers — a strictly higher ratio that is not a lattice
+// superset — among them.
 func horizontalUncovered(sigs []Signature, ratios []float64, rows []float64, dim int) []int64 {
-	r := NewRSSC(sigs)
 	unc := make([]int64, len(sigs))
-	var mask []uint64
-	in := func(i int) bool { return mask[i/64]&(1<<(uint(i)%64)) != 0 }
+	in := make([]bool, len(sigs))
 	for p := 0; p+dim <= len(rows); p += dim {
-		mask = r.Query(mask, rows[p:p+dim])
-		for _, j := range Ones(nil, mask) {
+		for i, s := range sigs {
+			in[i] = s.Contains(rows[p : p+dim])
+		}
+		for j := range sigs {
+			if !in[j] {
+				continue
+			}
 			covered := false
 			for i := range sigs {
-				if i != j && ratios[i] > ratios[j] && !sigs[j].SubsetOf(sigs[i]) && in(i) {
+				if i != j && ratios[i] > ratios[j] && !sigs[j].SubsetOf(sigs[i]) && in[i] {
 					covered = true
 					break
 				}
@@ -176,35 +179,6 @@ func TestSupportCounterCountAllocs(t *testing.T) {
 		}
 		if got, want := c.Count(rb), countVertically(ix, rows, dim); !slices.Equal(got, want) {
 			t.Errorf("%s: reused counter %v, fresh one %v", name, got, want)
-		}
-	}
-}
-
-// TestRegionIndexMatchesBinarySearch pins the linear scan to the binary
-// search it replaced, on short lists and on a long one.
-func TestRegionIndexMatchesBinarySearch(t *testing.T) {
-	ref := func(x float64, bs []float64) int {
-		i := sort.SearchFloat64s(bs, x)
-		if i < len(bs) && bs[i] == x {
-			return 2*i + 1
-		}
-		return 2 * i
-	}
-	long := make([]float64, 32)
-	for i := range long {
-		long[i] = float64(i) / 10
-	}
-	lists := [][]float64{nil, {}, {0.5}, {0.1, 0.4}, {0, 0.2, 0.3, 0.7, 1}, {math.Inf(-1), 0.5, math.Inf(1)}, long}
-	for _, bs := range lists {
-		xs := []float64{math.NaN(), math.Inf(-1), math.Inf(1), -1, 2, 0.25, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1)}
-		xs = append(xs, bs...) // exact boundary hits
-		if len(bs) > 0 {
-			xs = append(xs, bs[0]-0.01, bs[len(bs)-1]+0.01) // below the first, above the last
-		}
-		for _, x := range xs {
-			if got, want := regionIndex(x, bs), ref(x, bs); got != want {
-				t.Errorf("bs=%v x=%v: region %d, binary search %d", bs, x, got, want)
-			}
 		}
 	}
 }

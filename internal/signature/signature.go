@@ -2,10 +2,10 @@
 // attributes (paper Definition 2) — with the operations the P3C+ pipeline
 // needs: support semantics, expected supports under the uniformity
 // assumption, a-priori candidate joins, maximality filtering, the
-// interest-ratio redundancy filter of §4.2.1, the Rapid Signature Support
-// Counter (RSSC) bitmap structure of §5.3 for per-point membership, and a
-// vertical support counter (per-block interval bitmaps ANDed down a prefix
-// trie) for the support counts themselves.
+// interest-ratio redundancy filter of §4.2.1, and a vertical support
+// counter (per-block interval bitmaps ANDed down a prefix trie) that gives
+// both the support counts and, per signature, the bitmap of the rows it
+// holds: the per-point membership of §5.3's bit vectors, transposed.
 package signature
 
 import (
