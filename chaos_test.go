@@ -2,6 +2,7 @@ package p3cmr
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"p3cmr/internal/mr"
@@ -57,20 +58,26 @@ func TestChaosJSONResultBitIdentical(t *testing.T) {
 }
 
 // TestChaosCountingJobsJSONBitIdentical aims faults at the jobs that read
-// the splits' cached interval bitmaps: the first map attempt of every
-// prove-candidates, redundancy-uncovered, light-membership and
-// em-init-means task fails — before its first record, mid-split, or after
+// a split's memo — the cached interval bitmaps (prove-candidates,
+// redundancy-uncovered, light-membership, em-init-means) or the MVB jobs'
+// shared assignment column (mvb-ball, mvb-mean, outlier-detect) — and at
+// the em-moments jobs, which buffer rows into panels: the first map attempt
+// of every such task fails — before its first record, mid-split, or after
 // its last record but before Cleanup — on every backend, for Light and
 // MVB. The WriteJSON output must equal the fault-free in-process run's, so
-// a failed attempt can leave nothing behind in a split's memo.
+// a failed attempt can leave nothing behind in a split's memo or a panel.
 func TestChaosCountingJobsJSONBitIdentical(t *testing.T) {
+	faultedJobs := map[string]bool{
+		"prove-candidates": true, "redundancy-uncovered": true, "light-membership": true, "em-init-means": true,
+		"mvb-ball": true, "mvb-mean": true, "outlier-detect": true,
+	}
 	data, _ := genAPITestData(t, 2000, 6)
 	data.Normalize()
 	plan := mr.FaultPlanFunc(func(job string, phase mr.TaskPhase, task, attempt int) mr.FaultDecision {
 		switch {
 		case phase != mr.PhaseMap || attempt > 0:
 			return mr.FaultDecision{}
-		case job != "prove-candidates" && job != "redundancy-uncovered" && job != "light-membership" && job != "em-init-means":
+		case !faultedJobs[job] && !strings.HasPrefix(job, "em-moments-"):
 			return mr.FaultDecision{}
 		}
 		return mr.FaultDecision{Fail: true, FailFrac: float64(task%3) / 2}

@@ -91,8 +91,10 @@ func estimateCoreModel(engine *mr.Engine, splits []*mr.Split, cores []signature.
 		acc[i] = linalg.NewMoments(d)
 	}
 	for _, p := range out.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
+		c, err := mr.ParseIntKey(p.Key, "c", k)
+		if err != nil {
+			return nil, err
+		}
 		acc[c] = p.Value.(linalg.Moments)
 	}
 	// Unit weights: W is the exact member count.

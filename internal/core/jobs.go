@@ -118,9 +118,9 @@ func histogramJob(engine *mr.Engine, splits []*mr.Split, dim, bins int, trace ob
 		hists[d] = histogram.New(bins)
 	}
 	for _, p := range out.Pairs {
-		var d int
-		if _, err := fmt.Sscanf(p.Key, "h%d", &d); err != nil {
-			return nil, fmt.Errorf("core: bad histogram key %q: %w", p.Key, err)
+		d, err := mr.ParseIntKey(p.Key, "h", dim)
+		if err != nil {
+			return nil, err
 		}
 		counts := p.Value.([]int64)
 		for b, c := range counts {

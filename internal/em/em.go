@@ -26,8 +26,10 @@ type Component struct {
 	// Cov is the |Arel|×|Arel| covariance.
 	Cov *linalg.Matrix
 
-	chol   *linalg.Cholesky
-	logDet float64
+	chol *linalg.Cholesky
+	// norm = k·log 2π + log det Σ and logW = log π are the per-component
+	// constants of the log-density, computed once by prepare.
+	norm, logW float64
 }
 
 // Model is a Gaussian mixture over the projected subspace.
@@ -50,7 +52,8 @@ func (c *Component) prepare() error {
 		chol, err := linalg.CholeskyDecompose(linalg.RegularizeSPD(cov, r))
 		if err == nil {
 			c.chol = chol
-			c.logDet = chol.LogDet()
+			c.norm = float64(c.Cov.Rows)*math.Log(2*math.Pi) + chol.LogDet()
+			c.logW = math.Log(c.Weight)
 			return nil
 		}
 		r *= 100
@@ -86,7 +89,7 @@ func (m *Model) Project(dst, row []float64) []float64 {
 // LogPDF returns log p(x|G_i) for the projected point x.
 func (m *Model) LogPDF(i int, x []float64, diffScratch, solveScratch []float64) float64 {
 	c := m.Components[i]
-	return linalg.GaussianLogPDF(x, c.Mean, c.chol, c.logDet, diffScratch, solveScratch)
+	return -0.5 * (c.norm + linalg.MahalanobisSq(x, c.Mean, c.chol, diffScratch, solveScratch))
 }
 
 // MostLikely returns argmax_i p(x|G_i) — the paper's cluster assignment rule
@@ -104,32 +107,40 @@ func (m *Model) MostLikely(x []float64, diffScratch, solveScratch []float64) int
 // Responsibilities fills resp[i] with the posterior p(G_i|x) ∝ π_i·p(x|G_i)
 // for the projected point x, returning the total log-likelihood log p(x).
 func (m *Model) Responsibilities(resp, x []float64, diffScratch, solveScratch []float64) float64 {
-	k := m.K()
-	maxLL := math.Inf(-1)
-	for i := 0; i < k; i++ {
-		w := m.Components[i].Weight
-		if w <= 0 {
+	for i, c := range m.Components {
+		if c.Weight <= 0 {
 			resp[i] = math.Inf(-1)
 			continue
 		}
-		resp[i] = math.Log(w) + m.LogPDF(i, x, diffScratch, solveScratch)
-		if resp[i] > maxLL {
-			maxLL = resp[i]
+		resp[i] = c.logW + m.LogPDF(i, x, diffScratch, solveScratch)
+	}
+	return normalize(resp)
+}
+
+// normalize turns resp, holding log π_i + log p(x|G_i) (−∞ for a
+// component of weight 0), into the posteriors p(G_i|x) and returns
+// log p(x).
+func normalize(resp []float64) float64 {
+	k := len(resp)
+	maxLL := math.Inf(-1)
+	for _, r := range resp {
+		if r > maxLL {
+			maxLL = r
 		}
 	}
 	if math.IsInf(maxLL, -1) {
 		// All components degenerate: uniform responsibilities.
-		for i := 0; i < k; i++ {
+		for i := range resp {
 			resp[i] = 1 / float64(k)
 		}
 		return math.Inf(-1)
 	}
 	sum := 0.0
-	for i := 0; i < k; i++ {
+	for i := range resp {
 		resp[i] = math.Exp(resp[i] - maxLL)
 		sum += resp[i]
 	}
-	for i := 0; i < k; i++ {
+	for i := range resp {
 		resp[i] /= sum
 	}
 	return maxLL + math.Log(sum)
@@ -249,8 +260,10 @@ func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, n int64, i
 	}
 	var totalLL, totalH float64
 	for _, p := range out.Pairs {
-		var ci int
-		fmt.Sscanf(p.Key, "c%d", &ci)
+		ci, err := mr.ParseIntKey(p.Key, "c", k)
+		if err != nil {
+			return 0, 0, err
+		}
 		st := p.Value.(momentStat)
 		stats[ci] = st
 		totalLL += st.LL
@@ -275,12 +288,15 @@ func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, n int64, i
 
 // momentsMapper accumulates per-component weighted moments over its split
 // and emits them in Cleanup, keeping shuffle volume at O(k·d²) per split.
+// It buffers rows into a panel and, once it is full, evaluates the four
+// points' densities together and folds the points in row order, exactly
+// as the per-point path would; Cleanup folds the remainder per point.
 type momentsMapper struct {
 	model *Model
 	stats []momentStat
 	keys  []string
 	resp  []float64
-	proj  []float64
+	panel *panel
 	sc1   []float64
 	sc2   []float64
 }
@@ -294,15 +310,28 @@ func (m *momentsMapper) Setup(*mr.TaskContext) error {
 	}
 	m.keys = mr.IntKeys("c", k)
 	m.resp = make([]float64, k)
-	m.proj = make([]float64, d)
+	m.panel = newPanel(m.model)
 	m.sc1 = make([]float64, d)
 	m.sc2 = make([]float64, d)
 	return nil
 }
 
 func (m *momentsMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	x := m.model.Project(m.proj, row)
-	ll := m.model.Responsibilities(m.resp, x, m.sc1, m.sc2)
+	b := m.panel
+	if !b.add(row) {
+		return nil
+	}
+	b.logPDFs()
+	for p := 0; p < panelRows; p++ {
+		m.fold(b.point(p), b.responsibilities(m.resp, p))
+	}
+	b.n = 0
+	return nil
+}
+
+// fold adds the projected point x, whose responsibilities are in m.resp
+// and log-likelihood is ll, to the per-component stats.
+func (m *momentsMapper) fold(x []float64, ll float64) {
 	m.stats[0].LL += ll
 	h := 0.0
 	for _, r := range m.resp {
@@ -314,10 +343,14 @@ func (m *momentsMapper) Map(ctx *mr.TaskContext, global int, row []float64) erro
 	for i, r := range m.resp {
 		m.stats[i].Add(x, r)
 	}
-	return nil
 }
 
 func (m *momentsMapper) Cleanup(ctx *mr.TaskContext) error {
+	for p := 0; p < m.panel.n; p++ {
+		x := m.panel.point(p)
+		m.fold(x, m.model.Responsibilities(m.resp, x, m.sc1, m.sc2))
+	}
+	m.panel.n = 0
 	for i, st := range m.stats {
 		ctx.Emit(m.keys[i], st)
 	}

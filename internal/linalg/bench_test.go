@@ -47,6 +47,23 @@ func BenchmarkMahalanobisSq(b *testing.B) {
 				MahalanobisSq(x, mu, ch, diff, solve)
 			}
 		})
+		// The panel arm solves four points per op against one factor, as
+		// the EM and outlier kernels do: compare its ns/op with four times
+		// the per-point arm's.
+		xs := make([][4]float64, n)
+		for j := range x {
+			for p := range xs[j] {
+				xs[j][p] = x[j] - mu[j]
+			}
+		}
+		panel := make([][4]float64, n)
+		b.Run(sizeName(n)+"/panel", func(b *testing.B) {
+			b.ReportAllocs()
+			var q [4]float64
+			for i := 0; i < b.N; i++ {
+				ch.QuadForm4(&q, xs, panel)
+			}
+		})
 	}
 }
 
@@ -91,5 +108,27 @@ func sizeName(n int) string {
 		return "d=16"
 	default:
 		return "d=50"
+	}
+}
+
+// BenchmarkMomentsAdd folds one point per op into a d-dimensional
+// accumulator, the E-step's per-point, per-component update.
+func BenchmarkMomentsAdd(b *testing.B) {
+	for _, n := range []int{4, 16, 50} {
+		rng := rand.New(rand.NewSource(4))
+		pts := make([][]float64, 64)
+		for i := range pts {
+			pts[i] = make([]float64, n)
+			for j := range pts[i] {
+				pts[i][j] = rng.Float64()
+			}
+		}
+		b.Run(sizeName(n), func(b *testing.B) {
+			b.ReportAllocs()
+			m := NewMoments(n)
+			for i := 0; i < b.N; i++ {
+				m.Add(pts[i%len(pts)], 0.5)
+			}
+		})
 	}
 }

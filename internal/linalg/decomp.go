@@ -242,3 +242,43 @@ func (c *Cholesky) QuadForm(x, scratch []float64) float64 {
 	}
 	return q
 }
+
+// QuadForm4 is QuadForm for four points at once: it fills q[p] with
+// xₚᵀ·A⁻¹·xₚ. xs is the n × 4 panel of the points, xs[j][p] = coordinate j
+// of point p, and scratch (nil or length ≥ n) receives the four solves in
+// the same layout. Each element of L is loaded once for four independent
+// dependency chains, while each point sees exactly QuadForm's operations in
+// QuadForm's order, so q[p] is bit-identical to QuadForm of point p.
+func (c *Cholesky) QuadForm4(q *[4]float64, xs, scratch [][4]float64) {
+	n := c.l.Rows
+	if len(xs) != n {
+		panic(ErrShape)
+	}
+	if scratch == nil {
+		scratch = make([][4]float64, n)
+	}
+	y := scratch[:n]
+	var q0, q1, q2, q3 float64
+	for i := range y {
+		row := c.l.Data[i*n : i*n+i+1]
+		x := &xs[i]
+		s0, s1, s2, s3 := x[0], x[1], x[2], x[3]
+		lrow := row[:i]
+		yy := y[:len(lrow)]
+		for j, l := range lrow {
+			yj := &yy[j]
+			s0 -= l * yj[0]
+			s1 -= l * yj[1]
+			s2 -= l * yj[2]
+			s3 -= l * yj[3]
+		}
+		diag := row[i]
+		yi := &y[i]
+		yi[0], yi[1], yi[2], yi[3] = s0/diag, s1/diag, s2/diag, s3/diag
+		q0 += yi[0] * yi[0]
+		q1 += yi[1] * yi[1]
+		q2 += yi[2] * yi[2]
+		q3 += yi[3] * yi[3]
+	}
+	*q = [4]float64{q0, q1, q2, q3}
+}

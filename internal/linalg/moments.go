@@ -19,6 +19,10 @@ type Moments struct {
 	// S is the upper triangle of the weighted scatter Σw(x−µ)(x−µ)ᵀ,
 	// packed row by row: row a holds the entries (a, a..d−1).
 	S []float64
+
+	// e is Add's scratch, x − µ_new per coordinate. It does not cross the
+	// shuffle, and a copy of the value shares it, so only one copy may Add.
+	e []float64
 }
 
 // NewMoments returns an empty accumulator for d-dimensional points.
@@ -37,19 +41,36 @@ func (m *Moments) Add(x []float64, w float64) {
 	r := w / m.W
 	// S += w·(x − µ_old)(x − µ_new)ᵀ. Walking the rows from the last one
 	// down, row a updates µ_a just before it is used, and the entries
-	// b > a already see the new mean — so no copy of the old mean is needed.
+	// b > a already see the new mean — so no copy of the old mean is
+	// needed, and x_b − µ_new,b, the same for every row, is formed once
+	// into e.
 	d := len(m.Mean)
+	if len(m.e) != d {
+		m.e = make([]float64, d)
+	}
+	e, mean, x := m.e, m.Mean, x[:d]
 	for a := d - 1; a >= 0; a-- {
-		delta := x[a] - m.Mean[a]
-		m.Mean[a] += delta * r
+		delta := x[a] - mean[a]
+		mean[a] += delta * r
+		e[a] = x[a] - mean[a]
 		da := w * delta
 		if da == 0 {
 			continue
 		}
 		off := a * (2*d - a + 1) / 2
 		row := m.S[off : off+d-a]
+		ea := e[a:]
+		ea = ea[:len(row)]
+		for len(row) >= 4 {
+			r4, e4 := (*[4]float64)(row), (*[4]float64)(ea)
+			r4[0] += da * e4[0]
+			r4[1] += da * e4[1]
+			r4[2] += da * e4[2]
+			r4[3] += da * e4[3]
+			row, ea = row[4:], ea[4:]
+		}
 		for i := range row {
-			row[i] += da * (x[a+i] - m.Mean[a+i])
+			row[i] += da * ea[i]
 		}
 	}
 }

@@ -201,3 +201,64 @@ func TestMomentsFewerThanTwoPoints(t *testing.T) {
 		t.Errorf("one-point mean = %v", one.Mean)
 	}
 }
+
+// addReference is the West/Welford update Add performs, written as the
+// direct per-entry loop: each S entry recomputes x_b − µ_new,b.
+func addReference(m *Moments, x []float64, w float64) {
+	if w == 0 {
+		return
+	}
+	m.W += w
+	m.W2 += w * w
+	r := w / m.W
+	d := len(m.Mean)
+	for a := d - 1; a >= 0; a-- {
+		delta := x[a] - m.Mean[a]
+		m.Mean[a] += delta * r
+		da := w * delta
+		if da == 0 {
+			continue
+		}
+		off := a * (2*d - a + 1) / 2
+		row := m.S[off : off+d-a]
+		for i := range row {
+			row[i] += da * (x[a+i] - m.Mean[a+i])
+		}
+	}
+}
+
+// TestMomentsAddMatchesReferenceBits pins Add, with its shared x − µ_new
+// row and unrolled update, to the direct loop bit for bit, at every row
+// length modulo the unroll width, on offset data, with zero, tiny and
+// non-finite weights and coordinates.
+func TestMomentsAddMatchesReferenceBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for d := 1; d <= 11; d++ {
+		for _, nonFinite := range []bool{false, true} {
+			got, want := NewMoments(d), NewMoments(d)
+			for i := 0; i < 200; i++ {
+				x := make([]float64, d)
+				for j := range x {
+					x[j] = 1e6 + 1e-3*rng.NormFloat64()
+					if nonFinite && rng.Intn(8*d) == 0 {
+						x[j] = special[rng.Intn(len(special))]
+					}
+				}
+				w := []float64{0, 1e-300, rng.Float64(), 1}[rng.Intn(4)]
+				got.Add(x, w)
+				addReference(&want, x, w)
+			}
+			for _, c := range []struct {
+				name      string
+				got, want []float64
+			}{{"W", []float64{got.W, got.W2}, []float64{want.W, want.W2}}, {"Mean", got.Mean, want.Mean}, {"S", got.S, want.S}} {
+				for j := range c.want {
+					if math.Float64bits(c.got[j]) != math.Float64bits(c.want[j]) {
+						t.Fatalf("d=%d nonFinite=%v: %s[%d] = %v, reference %v", d, nonFinite, c.name, j, c.got[j], c.want[j])
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,7 +1,5 @@
 package linalg
 
-import "math"
-
 // Mean computes the column-wise mean of the rows. Rows is a row-major flat
 // slice with the given dimensionality; n = len(rows)/dim samples.
 func Mean(rows []float64, dim int) []float64 {
@@ -163,12 +161,4 @@ func MahalanobisSq(x, mu []float64, chol *Cholesky, diffScratch, solveScratch []
 		d[i] = x[i] - mu[i]
 	}
 	return chol.QuadForm(d, solveScratch)
-}
-
-// GaussianLogPDF evaluates the log density of N(µ, Σ) at x, given the
-// Cholesky factor of Σ and its log determinant.
-func GaussianLogPDF(x, mu []float64, chol *Cholesky, logDet float64, diffScratch, solveScratch []float64) float64 {
-	k := float64(len(x))
-	m2 := MahalanobisSq(x, mu, chol, diffScratch, solveScratch)
-	return -0.5 * (k*math.Log(2*math.Pi) + logDet + m2)
 }

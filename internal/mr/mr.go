@@ -52,11 +52,13 @@ type memoEntry struct {
 
 // Memo returns the value stored under key, first storing build() there if
 // there is none; concurrent callers with one key get one value. It is for
-// data derived from Rows alone, which every attempt of every job may share,
-// so a retried or failed attempt cannot leave a wrong entry. An entry lives
-// as long as the Split: for the whole run in-process and on the simulated
-// backend, whose jobs share the caller's splits, but for one task on a
-// multiprocess worker, which builds its own Split per task frame.
+// data derived from Rows alone, or from Rows plus a job's model spec, in
+// which case the key must contain that spec; every attempt of every job
+// may share such data, so a retried or failed attempt cannot leave a wrong
+// entry. An entry lives as long as the Split: for the whole run in-process
+// and on the simulated backend, whose jobs share the caller's splits, but
+// for one task on a multiprocess worker, which builds its own Split per
+// task frame.
 func (s *Split) Memo(key any, build func() any) any {
 	s.memoMu.Lock()
 	e := s.memo[key]

@@ -123,8 +123,10 @@ func mveModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.
 	}
 	samples := make([][]float64, k)
 	for _, p := range out.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
+		c, err := mr.ParseIntKey(p.Key, "c", k)
+		if err != nil {
+			return nil, err
+		}
 		if len(samples[c]) < mveSampleCap*d {
 			samples[c] = append(samples[c], p.Value.([]float64)...)
 		}
@@ -174,7 +176,7 @@ func buildSampleJob(spec []byte) (mr.JobFuncs, error) {
 	if err := mr.DecodeSpec(spec, &sp); err != nil {
 		return mr.JobFuncs{}, err
 	}
-	model, err := sp.Model()
+	model, err := sp.Assigner()
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}
@@ -183,34 +185,31 @@ func buildSampleJob(spec []byte) (mr.JobFuncs, error) {
 
 // sampleMapper reservoir-samples projected points per most-likely cluster.
 type sampleMapper struct {
-	model *em.Model
+	model *em.Assigner
 	cap   int
 
 	rng     *rand.Rand
+	labels  splitLabels
 	buffers [][]float64
 	seen    []int
 	keys    []string
 	proj    []float64
-	sc1     []float64
-	sc2     []float64
 }
 
 func (m *sampleMapper) Setup(ctx *mr.TaskContext) error {
-	d := len(m.model.Attrs)
 	m.rng = rand.New(rand.NewSource(int64(ctx.TaskID) + 13))
+	m.labels = newSplitLabels(m.model, ctx.Split)
 	m.buffers = make([][]float64, m.model.K())
 	m.seen = make([]int, m.model.K())
 	m.keys = mr.IntKeys("c", m.model.K())
-	m.proj = make([]float64, d)
-	m.sc1 = make([]float64, d)
-	m.sc2 = make([]float64, d)
+	m.proj = make([]float64, len(m.model.Attrs))
 	return nil
 }
 
 func (m *sampleMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
 	d := len(m.model.Attrs)
 	x := m.model.Project(m.proj, row)
-	c := m.model.MostLikely(x, m.sc1, m.sc2)
+	c := m.labels.of(global)
 	m.seen[c]++
 	if len(m.buffers[c]) < m.cap*d {
 		m.buffers[c] = append(m.buffers[c], x...)
@@ -242,7 +241,7 @@ type inEllipsoidMapper struct {
 
 func (m *inEllipsoidMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
 	x := m.model.Project(m.proj, row)
-	c := m.model.MostLikely(x, m.sc1, m.sc2)
+	c := m.labels.of(global)
 	md := m.model.Mahalanobis(c, x, m.sc1, m.sc2)
 	if md*md > m.radius2 {
 		return nil

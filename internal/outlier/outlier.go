@@ -17,7 +17,6 @@ package outlier
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"p3cmr/internal/em"
 	"p3cmr/internal/linalg"
@@ -169,7 +168,7 @@ func buildDetectJob(spec []byte) (mr.JobFuncs, error) {
 	if err := mr.DecodeSpec(spec, &sp); err != nil {
 		return mr.JobFuncs{}, err
 	}
-	assign, err := sp.Assign.Model()
+	assign, err := sp.Assign.Assigner()
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}
@@ -182,15 +181,17 @@ func buildDetectJob(spec []byte) (mr.JobFuncs, error) {
 
 // odMapper is the map-only OD job: it emits (global index, label).
 type odMapper struct {
-	assign *em.Model
+	assign *em.Assigner
 	test   *em.Model
 	crit   float64
+	labels splitLabels
 	proj   []float64
 	sc1    []float64
 	sc2    []float64
 }
 
-func (m *odMapper) Setup(*mr.TaskContext) error {
+func (m *odMapper) Setup(ctx *mr.TaskContext) error {
+	m.labels = newSplitLabels(m.assign, ctx.Split)
 	d := len(m.assign.Attrs)
 	m.proj = make([]float64, d)
 	m.sc1 = make([]float64, d)
@@ -200,7 +201,7 @@ func (m *odMapper) Setup(*mr.TaskContext) error {
 
 func (m *odMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
 	x := m.assign.Project(m.proj, row)
-	c := m.assign.MostLikely(x, m.sc1, m.sc2)
+	c := m.labels.of(global)
 	d := m.test.Mahalanobis(c, x, m.sc1, m.sc2)
 	label := c
 	if d*d > m.crit {
@@ -233,8 +234,10 @@ func robustModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace o
 	}
 	balls := make([]ballStat, k)
 	for _, p := range out1.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
+		c, err := mr.ParseIntKey(p.Key, "c", k)
+		if err != nil {
+			return nil, err
+		}
 		balls[c] = p.Value.(ballStat)
 	}
 
@@ -262,7 +265,7 @@ func buildBallJob(spec []byte) (mr.JobFuncs, error) {
 	if err := mr.DecodeSpec(spec, &sp); err != nil {
 		return mr.JobFuncs{}, err
 	}
-	model, err := sp.Model()
+	model, err := sp.Assigner()
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}
@@ -299,28 +302,24 @@ func buildBallJob(spec []byte) (mr.JobFuncs, error) {
 // Cleanup computes each cluster's split-local MVB approximation: the
 // dimension-wise median centre and the median distance radius.
 type ballMapper struct {
-	model  *em.Model
+	model  *em.Assigner
+	labels splitLabels
 	groups [][]float64 // projected points per cluster, row-major
 	keys   []string
 	proj   []float64
-	sc1    []float64
-	sc2    []float64
 }
 
-func (m *ballMapper) Setup(*mr.TaskContext) error {
-	d := len(m.model.Attrs)
+func (m *ballMapper) Setup(ctx *mr.TaskContext) error {
+	m.labels = newSplitLabels(m.model, ctx.Split)
 	m.groups = make([][]float64, m.model.K())
 	m.keys = mr.IntKeys("c", m.model.K())
-	m.proj = make([]float64, d)
-	m.sc1 = make([]float64, d)
-	m.sc2 = make([]float64, d)
+	m.proj = make([]float64, len(m.model.Attrs))
 	return nil
 }
 
 func (m *ballMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	x := m.model.Project(m.proj, row)
-	c := m.model.MostLikely(x, m.sc1, m.sc2)
-	m.groups[c] = append(m.groups[c], x...)
+	c := m.labels.of(global)
+	m.groups[c] = append(m.groups[c], m.model.Project(m.proj, row)...)
 	return nil
 }
 
@@ -349,12 +348,7 @@ func (m *ballMapper) Cleanup(ctx *mr.TaskContext) error {
 			}
 			dists[i] = math.Sqrt(s)
 		}
-		sort.Float64s(dists)
-		radius := dists[n/2]
-		if n%2 == 0 && n >= 2 {
-			radius = (dists[n/2-1] + dists[n/2]) / 2
-		}
-		ctx.Emit(m.keys[c], ballStat{Center: center, Radius: radius, Count: int64(n)})
+		ctx.Emit(m.keys[c], ballStat{Center: center, Radius: stats.MedianInPlace(dists), Count: int64(n)})
 	}
 	return nil
 }
@@ -369,8 +363,10 @@ func inCoreMoments(engine *mr.Engine, job *mr.Job, k int, sp robustSpec) ([]lina
 	}
 	acc := make([]linalg.Moments, k)
 	for _, p := range out.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
+		c, err := mr.ParseIntKey(p.Key, "c", k)
+		if err != nil {
+			return nil, err
+		}
 		acc[c] = p.Value.(linalg.Moments)
 	}
 	return acc, nil
@@ -385,7 +381,7 @@ func buildInCoreJob(ellipsoid bool) func(spec []byte) (mr.JobFuncs, error) {
 		if err := mr.DecodeSpec(spec, &sp); err != nil {
 			return mr.JobFuncs{}, err
 		}
-		model, err := sp.Model.Model()
+		model, err := sp.Model.Assigner()
 		if err != nil {
 			return mr.JobFuncs{}, err
 		}
@@ -410,18 +406,20 @@ func buildInCoreJob(ellipsoid bool) func(spec []byte) (mr.JobFuncs, error) {
 }
 
 // inCore is the state shared by the in-core mappers: the mixture that
-// assigns each point to a cluster, and one moments accumulator per cluster
-// that Cleanup emits.
+// assigns each point to a cluster, the split's assignment column under it,
+// and one moments accumulator per cluster that Cleanup emits.
 type inCore struct {
-	model *em.Model
-	acc   []linalg.Moments
-	keys  []string
-	proj  []float64
-	sc1   []float64
-	sc2   []float64
+	model  *em.Assigner
+	labels splitLabels
+	acc    []linalg.Moments
+	keys   []string
+	proj   []float64
+	sc1    []float64
+	sc2    []float64
 }
 
-func (m *inCore) Setup(*mr.TaskContext) error {
+func (m *inCore) Setup(ctx *mr.TaskContext) error {
+	m.labels = newSplitLabels(m.model, ctx.Split)
 	d := len(m.model.Attrs)
 	k := m.model.K()
 	m.keys = mr.IntKeys("c", k)
@@ -452,12 +450,12 @@ type inBallMapper struct {
 }
 
 func (m *inBallMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	x := m.model.Project(m.proj, row)
-	c := m.model.MostLikely(x, m.sc1, m.sc2)
+	c := m.labels.of(global)
 	ball := m.balls[c]
 	if ball == nil {
 		return nil
 	}
+	x := m.model.Project(m.proj, row)
 	s := 0.0
 	for j, v := range x {
 		diff := v - ball.Center[j]
@@ -469,3 +467,17 @@ func (m *inBallMapper) Map(ctx *mr.TaskContext, global int, row []float64) error
 	m.acc[c].Add(x, 1)
 	return nil
 }
+
+// splitLabels is one split's assignment column under a job's mixture,
+// read by global point index.
+type splitLabels struct {
+	lab    []int32
+	offset int
+}
+
+func newSplitLabels(a *em.Assigner, s *mr.Split) splitLabels {
+	return splitLabels{lab: a.Labels(s), offset: s.Offset}
+}
+
+// of returns the most likely cluster of the point of global index global.
+func (l splitLabels) of(global int) int { return int(l.lab[global-l.offset]) }

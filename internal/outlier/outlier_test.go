@@ -204,3 +204,33 @@ func TestDetectChiSquareThresholdMonotone(t *testing.T) {
 		t.Errorf("alpha=0.05 flagged %.1f%%, want ≈5%%", frac*100)
 	}
 }
+
+func init() {
+	mr.RegisterJobImpl("outlier-bad-key", func([]byte) (mr.JobFuncs, error) {
+		return mr.JobFuncs{
+			NewMapper:    func() mr.Mapper { return badKeyMapper{} },
+			TypedReducer: em.MergeMoments,
+		}, nil
+	})
+}
+
+// badKeyMapper emits one moments partial under a cluster key past the
+// model's last cluster.
+type badKeyMapper struct{}
+
+func (badKeyMapper) Setup(*mr.TaskContext) error               { return nil }
+func (badKeyMapper) Map(*mr.TaskContext, int, []float64) error { return nil }
+func (badKeyMapper) Cleanup(ctx *mr.TaskContext) error {
+	ctx.Emit("c2", linalg.NewMoments(1))
+	return nil
+}
+
+// TestInCoreMomentsRejectsBadKey: a per-cluster key out of the model's
+// range fails the phase instead of panicking on the index.
+func TestInCoreMomentsRejectsBadKey(t *testing.T) {
+	splits, _ := clusterWithOutliers(10, 0, 1, 1)
+	_, err := inCoreMoments(mr.Default(), &mr.Job{Name: "bad-key", Splits: splits, Impl: "outlier-bad-key"}, 2, robustSpec{})
+	if err == nil {
+		t.Fatal("inCoreMoments accepted key c2 for a 2-cluster model")
+	}
+}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -73,14 +74,95 @@ func Median(xs []float64) float64 {
 	return medianSorted(cp)
 }
 
-// MedianInPlace sorts xs and returns the median, avoiding the copy that
-// Median makes. It panics on empty input.
+// MedianInPlace returns the median of xs, reordering xs instead of copying
+// it: it selects the middle order statistics rather than sorting, in O(n).
+// NaNs order first, as sort.Float64s orders them, so the result equals
+// Median's (up to the sign of a zero median, which sorting leaves to the
+// sort algorithm too). It panics on empty input.
 func MedianInPlace(xs []float64) float64 {
 	if len(xs) == 0 {
 		panic("stats: median of empty sample")
 	}
-	sort.Float64s(xs)
-	return medianSorted(xs)
+	n := len(xs)
+	selectNth(xs, n/2)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	// xs[:n/2] holds the n/2 smallest values: the lower middle is their
+	// maximum.
+	lo := xs[0]
+	for _, v := range xs[1 : n/2] {
+		if lo < v || (lo != lo && v == v) {
+			lo = v
+		}
+	}
+	return (lo + xs[n/2]) / 2
+}
+
+// selectNth reorders xs so that xs[k] holds the value sort.Float64s would
+// put there, with nothing larger before it and nothing smaller after it
+// (NaN ordering first). It returns the number of element visits (the NaN
+// pass plus each partitioning round, or an estimate for a fallback sort),
+// the work that stays linear on sorted, reversed and constant input.
+func selectNth(xs []float64, k int) (work int) {
+	// NaNs first; the rest is ordered by <.
+	nan := 0
+	for i, v := range xs {
+		if v != v {
+			xs[i], xs[nan] = xs[nan], xs[i]
+			nan++
+		}
+	}
+	if k < nan {
+		return len(xs)
+	}
+	a, k := xs[nan:], k-nan
+	lo, hi := 0, len(a)-1
+	// A median-of-three quickselect; an input that defeats its pivots past
+	// the round budget finishes with a sort of what is left.
+	for rounds := 3 * bits.Len(uint(len(a))); hi > lo; rounds-- {
+		if rounds == 0 {
+			sort.Float64s(a[lo : hi+1])
+			return len(xs) + work + (hi-lo+1)*bits.Len(uint(hi-lo+1))
+		}
+		work += hi - lo + 1
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		p := a[mid]
+		// Hoare partition: afterwards a[lo..j] ≤ p, a[i..hi] ≥ p and
+		// every element strictly between j and i equals p.
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for p < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return len(xs) + work
+		}
+	}
+	return len(xs) + work
 }
 
 func medianSorted(xs []float64) float64 {

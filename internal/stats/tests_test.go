@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -108,6 +109,85 @@ func TestMedianInPlaceMatchesMedian(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortedMedian is the sort.Float64s oracle MedianInPlace's selection
+// replaced.
+func sortedMedian(xs []float64) float64 {
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	return medianSorted(cp)
+}
+
+// sameMedian compares medians as values: NaN equals NaN, and −0 equals +0,
+// whose order sort.Float64s leaves to its algorithm too.
+func sameMedian(a, b float64) bool {
+	return a == b || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestMedianInPlaceMatchesSortOracle checks the selection median against
+// the sort oracle at odd and even sizes, on random data, constant input,
+// heavy ties, NaNs (which order first), ±Inf and signed zeros, and on
+// sorted and reversed input.
+func TestMedianInPlaceMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	gens := map[string]func(i, n int) float64{
+		"random":   func(int, int) float64 { return rng.NormFloat64() },
+		"constant": func(int, int) float64 { return 2.5 },
+		"ties":     func(int, int) float64 { return float64(rng.Intn(3)) },
+		"special":  func(int, int) float64 { return special[rng.Intn(len(special))] },
+		"mixed": func(int, int) float64 {
+			if rng.Intn(4) == 0 {
+				return special[rng.Intn(len(special))]
+			}
+			return rng.NormFloat64()
+		},
+		"sorted":   func(i, n int) float64 { return float64(i) },
+		"reversed": func(i, n int) float64 { return float64(n - i) },
+	}
+	for name, gen := range gens {
+		for _, n := range []int{1, 2, 3, 4, 1000, 1001} {
+			for trial := 0; trial < 20; trial++ {
+				xs := make([]float64, n)
+				for i := range xs {
+					xs[i] = gen(i, n)
+				}
+				want := sortedMedian(xs)
+				if got := MedianInPlace(xs); !sameMedian(got, want) {
+					t.Fatalf("%s n=%d trial %d: MedianInPlace = %v, sort oracle %v", name, n, trial, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSelectNthLinearOnOrderedInput: the selection's partitioning work
+// stays linear — within a few passes over the input — on the inputs that
+// send a naive quickselect quadratic: sorted, reversed and constant.
+func TestSelectNthLinearOnOrderedInput(t *testing.T) {
+	const n = 1 << 16
+	for name, gen := range map[string]func(i int) float64{
+		"sorted":   func(i int) float64 { return float64(i) },
+		"reversed": func(i int) float64 { return float64(n - i) },
+		"constant": func(int) float64 { return 1 },
+	} {
+		for _, k := range []int{0, n/2 - 1, n / 2, n - 1} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = gen(i)
+			}
+			cp := append([]float64(nil), xs...)
+			sort.Float64s(cp)
+			want := cp[k]
+			if work := selectNth(xs, k); work > 5*n {
+				t.Errorf("%s k=%d: %d elements scanned for n=%d", name, k, work, n)
+			}
+			if xs[k] != want {
+				t.Errorf("%s k=%d: selected %v, want %v", name, k, xs[k], want)
+			}
+		}
 	}
 }
 
