@@ -113,13 +113,27 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/mr/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_PR19.json
 
-# Compare this PR's benchmark baseline against the previous engine
-# baseline; exits nonzero on a regression beyond the (deliberately loose,
-# -benchtime 1x is noisy) thresholds. The benchmarks keep their names and
-# shapes; they emit through the one boxed Emit lane.
+# Compare the engine micro-benchmarks of the working tree against its
+# parent commit (HEAD^), measured in one session so machine drift between
+# sessions cannot fail the gate: the parent's internal/mr test binary is
+# built from `git archive` in a temporary directory, the two sides run
+# interleaved, five rounds each, and benchjson -diff compares their medians
+# against the (deliberately loose, -benchtime 1x is noisy) thresholds. The
+# committed BENCH_PR*.json files stay the cross-PR record (`make bench`).
+BENCH_DIFF_FLAGS = -test.run xxx -test.bench . -test.benchtime 1x -test.benchmem -test.timeout 10m
+
 bench-diff:
-	$(GO) run ./cmd/benchjson -diff -threshold 0.75 -alloc-threshold 0.25 \
-		BENCH_PR18.json BENCH_PR19.json
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive HEAD^ | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/old.test" ./internal/mr/); \
+	$(GO) test -c -o "$$tmp/new.test" ./internal/mr/; \
+	for i in 1 2 3 4 5; do \
+		(cd "$$tmp/base/internal/mr" && "$$tmp/old.test" $(BENCH_DIFF_FLAGS)) >> "$$tmp/old.txt"; \
+		(cd internal/mr && "$$tmp/new.test" $(BENCH_DIFF_FLAGS)) >> "$$tmp/new.txt"; \
+	done; \
+	$(GO) run ./cmd/benchjson -o "$$tmp/old.json" < "$$tmp/old.txt" > /dev/null; \
+	$(GO) run ./cmd/benchjson -o "$$tmp/new.json" < "$$tmp/new.txt" > /dev/null; \
+	$(GO) run ./cmd/benchjson -diff -threshold 0.75 -alloc-threshold 0.25 "$$tmp/old.json" "$$tmp/new.json"
 
 # End-to-end trace demo: generate a small data set, cluster it with
 # tracing, the per-job report, and the cost model enabled, then show the

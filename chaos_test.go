@@ -59,17 +59,21 @@ func TestChaosJSONResultBitIdentical(t *testing.T) {
 
 // TestChaosCountingJobsJSONBitIdentical aims faults at the jobs that read
 // a split's memo — the cached interval bitmaps (prove-candidates,
-// redundancy-uncovered, light-membership, em-init-means) or the MVB jobs'
-// shared assignment column (mvb-ball, mvb-mean, outlier-detect) — and at
-// the em-moments jobs, which buffer rows into panels: the first map attempt
+// redundancy-uncovered, light-membership, bow-assign, em-init-means), the
+// MVB jobs' shared assignment column (mvb-ball, mvb-mean, outlier-detect)
+// or the label columns of the jobs after them
+// (attribute-inspection-histograms, interval-tightening) — and at the
+// em-moments jobs, which buffer rows into panels: the first map attempt
 // of every such task fails — before its first record, mid-split, or after
-// its last record but before Cleanup — on every backend, for Light and
-// MVB. The WriteJSON output must equal the fault-free in-process run's, so
-// a failed attempt can leave nothing behind in a split's memo or a panel.
+// its last record but before Cleanup — on every backend, for Light, MVB
+// and BoW. The WriteJSON output must equal the fault-free in-process
+// run's, so a failed attempt can leave nothing behind in a split's memo or
+// a panel.
 func TestChaosCountingJobsJSONBitIdentical(t *testing.T) {
 	faultedJobs := map[string]bool{
 		"prove-candidates": true, "redundancy-uncovered": true, "light-membership": true, "em-init-means": true,
 		"mvb-ball": true, "mvb-mean": true, "outlier-detect": true,
+		"attribute-inspection-histograms": true, "interval-tightening": true, "bow-assign": true,
 	}
 	data, _ := genAPITestData(t, 2000, 6)
 	data.Normalize()
@@ -82,7 +86,7 @@ func TestChaosCountingJobsJSONBitIdentical(t *testing.T) {
 		}
 		return mr.FaultDecision{Fail: true, FailFrac: float64(task%3) / 2}
 	})
-	algs := []Algorithm{P3CPlusMRLight, P3CPlusMR}
+	algs := []Algorithm{P3CPlusMRLight, P3CPlusMR, BoWLight}
 	if raceDetectorEnabled {
 		algs = algs[:1]
 	}

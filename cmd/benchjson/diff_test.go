@@ -48,3 +48,22 @@ func TestDiffNsFloorAndAllocGate(t *testing.T) {
 		})
 	}
 }
+
+// TestMedianOfRepeatedRuns pins the aggregation of a benchmark measured on
+// several lines: the sample of median ns/op.
+func TestMedianOfRepeatedRuns(t *testing.T) {
+	rs := []Result{
+		{Iterations: 1, NsPerOp: 900, BytesPerOp: 64, AllocsPerOp: 3},
+		{Iterations: 1, NsPerOp: 100, BytesPerOp: 80, AllocsPerOp: 2},
+		{Iterations: 1, NsPerOp: 300, BytesPerOp: 72, AllocsPerOp: 4},
+		{Iterations: 1, NsPerOp: 200, BytesPerOp: 96, AllocsPerOp: 2},
+		{Iterations: 1, NsPerOp: 5000, BytesPerOp: 64, AllocsPerOp: 9},
+	}
+	want := rs[2]
+	if got := medianResult(rs); got != want {
+		t.Fatalf("median = %+v, want %+v", got, want)
+	}
+	if got := medianResult(rs[:2]); got.NsPerOp != 100 {
+		t.Fatalf("even count: ns/op %g, want the lower middle 100", got.NsPerOp)
+	}
+}

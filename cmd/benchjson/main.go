@@ -9,6 +9,8 @@
 // The JSON maps the benchmark name (with the -N GOMAXPROCS suffix
 // stripped) to {iterations, ns_per_op, bytes_per_op, allocs_per_op}.
 // Metrics absent from a line (e.g. without -benchmem) are reported as -1.
+// A benchmark on several lines (-count N, or runs concatenated from
+// several sessions) gets its sample of median ns/op.
 //
 // With -diff, benchjson instead compares two baselines and exits nonzero on
 // regression beyond the thresholds:
@@ -28,11 +30,13 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -77,7 +81,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	results := make(map[string]Result)
+	samples := make(map[string][]Result)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -104,11 +108,15 @@ func main() {
 		if m[5] != "" {
 			r.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
 		}
-		results[name] = r
+		samples[name] = append(samples[name], r)
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson: reading stdin:", err)
 		os.Exit(1)
+	}
+	results := make(map[string]Result, len(samples))
+	for name, rs := range samples {
+		results[name] = medianResult(rs)
 	}
 
 	f, err := os.Create(*out)
@@ -128,4 +136,11 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks written to %s\n", len(results), *out)
+}
+
+// medianResult returns the sample of median ns/op, the lower middle one
+// for an even count.
+func medianResult(rs []Result) Result {
+	slices.SortFunc(rs, func(a, b Result) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+	return rs[(len(rs)-1)/2]
 }

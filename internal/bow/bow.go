@@ -227,17 +227,15 @@ func assign(engine *mr.Engine, data *dataset.Dataset, merged []signature.Signatu
 		return labels, clusters, nil
 	}
 
-	members, err := core.Memberships(engine, "bow-assign", data.Splits(16), merged, n, 0)
+	objects, err := core.Memberships(engine, "bow-assign", data.Splits(16), merged, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	for i, ids := range members {
-		if len(ids) == 0 {
-			continue
-		}
-		labels[i] = ids[0]
-		for _, c := range ids {
-			clusters[c].Objects = append(clusters[c].Objects, i)
+	// Descending, so the lowest rectangle holding a point labels it last.
+	for c := len(objects) - 1; c >= 0; c-- {
+		clusters[c].Objects = objects[c]
+		for _, i := range objects[c] {
+			labels[i] = c
 		}
 	}
 	return labels, clusters, nil

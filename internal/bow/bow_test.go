@@ -135,3 +135,38 @@ func TestBoWValidation(t *testing.T) {
 		t.Fatal("empty data produced clusters")
 	}
 }
+
+// TestBoWAssignEmitsOncePerSplit pins the final assignment's per-split
+// emission: bow-assign emits each split's member bitmaps once, not one
+// record per point, and every point gets the lowest rectangle holding it.
+func TestBoWAssignEmitsOncePerSplit(t *testing.T) {
+	data, _, err := dataset.Generate(dataset.GenConfig{
+		N: 3000, Dim: 12, Clusters: 3, NoiseFraction: 0.05, Seed: 23, Overlap: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := NewLightParams()
+	params.SamplesPerReducer = 1000
+	engine := mr.NewEngine(mr.Config{})
+	res, err := Run(engine, data, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := engine.JobStatsByName()["bow-assign"]
+	if st.Runs != 1 || st.Counters.MapOutputRecords != 16 {
+		t.Fatalf("%d runs, %d map output records; want 1 run, one record per split (16)", st.Runs, st.Counters.MapOutputRecords)
+	}
+	for i, l := range res.Labels {
+		want := -1
+		for c, sig := range res.Signatures {
+			if sig.Contains(data.Row(i)) {
+				want = c
+				break
+			}
+		}
+		if l != want {
+			t.Fatalf("point %d: label %d, lowest rectangle holding it %d", i, l, want)
+		}
+	}
+}

@@ -370,7 +370,7 @@ func (p *pipeline) finishFull(res *Result) (*Result, error) {
 	res.Stats.EMIterations = iters
 
 	ps = p.beginPhase("outlier-detection")
-	labels, err := outlier.Detect(p.engine, p.splits, model, p.n, p.params.OutlierMethod, p.params.AlphaChi2, p.phaseSpan)
+	labels, od, err := outlier.Detect(p.engine, p.splits, model, p.n, p.params.OutlierMethod, p.params.AlphaChi2, p.phaseSpan)
 	ps.end(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: outlier detection: %w", err)
@@ -384,20 +384,23 @@ func (p *pipeline) finishFull(res *Result) (*Result, error) {
 			memberCounts[l]++
 		}
 	}
-	attrs, err := p.attributeInspection(labels, memberCounts)
+	src := memberSource{Full: &od}
+	attrs, err := p.attributeInspection(src, memberCounts)
 	if err != nil {
 		return nil, fmt.Errorf("core: attribute inspection: %w", err)
 	}
-	return p.finish(res, labels, attrs)
+	return p.finish(res, src, attrs)
 }
 
 // --- Light variant (§6) ---------------------------------------------------------
 
-// Memberships computes, with one map-only job named name, the list of
-// sigs containing each of the n points of the splits, ascending (nil for
-// none). Light runs it over the cores as light-membership; BoW's final
-// assignment runs it over the merged rectangles.
-func Memberships(engine *mr.Engine, name string, splits []*mr.Split, sigs []signature.Signature, n int, trace obs.SpanID) ([][]int, error) {
+// Memberships computes, with one map-only job named name, the objects of
+// each of sigs over the splits: the global indices of the points it
+// holds, ascending when the splits are, as Dataset.Splits makes them.
+// Each map task emits its split's member bitmaps once, from Cleanup. Light
+// runs it over the cores as light-membership; BoW's final assignment runs
+// it over the merged rectangles.
+func Memberships(engine *mr.Engine, name string, splits []*mr.Split, sigs []signature.Signature, trace obs.SpanID) ([][]int, error) {
 	out, err := engine.Run(&mr.Job{
 		Name:        name,
 		Splits:      splits,
@@ -408,17 +411,29 @@ func Memberships(engine *mr.Engine, name string, splits []*mr.Split, sigs []sign
 	if err != nil {
 		return nil, err
 	}
-	members := make([][]int, n)
-	for _, pr := range out.Pairs {
-		rec := pr.Value.(memberRecord)
-		members[rec.Global] = rec.Cores
-	}
-	return members, nil
+	return collectMembers(out, splits, len(sigs))
 }
 
-type memberRecord struct {
-	Global int
-	Cores  []int
+// collectMembers assembles the objects of k signatures from the job's
+// per-split member bitmaps, checked to name each split once with k
+// bitmaps over its rows.
+func collectMembers(out *mr.Output, splits []*mr.Split, k int) ([][]int, error) {
+	slabs, err := mr.SplitValues[[]uint64](out, splits, func(s *mr.Split) int { return k * bitWords(s) })
+	if err != nil {
+		return nil, fmt.Errorf("core: membership: %w", err)
+	}
+	objects := make([][]int, k)
+	var ids []int
+	for i, s := range splits {
+		sm := splitMembers{slabs[i], bitWords(s), s.Offset}
+		for g := s.Offset; g < s.Offset+s.NumRows(); g++ {
+			ids = sm.of(ids[:0], g)
+			for _, c := range ids {
+				objects[c] = append(objects[c], g)
+			}
+		}
+	}
+	return objects, nil
 }
 
 func buildMembershipJob(spec []byte) (mr.JobFuncs, error) {
@@ -427,100 +442,90 @@ func buildMembershipJob(spec []byte) (mr.JobFuncs, error) {
 		return mr.JobFuncs{}, err
 	}
 	ix := signature.NewSupportIndex(sp.Sigs)
-	return mr.JobFuncs{NewMapper: func() mr.Mapper { return &membershipMapper{ix: ix} }}, nil
+	return mr.JobFuncs{NewMapper: func() mr.Mapper { return membershipMapper{ix} }}, nil
 }
 
-// membershipMapper emits a memberRecord per point that some signature
-// holds. Setup reads the member bitmaps off the split's interval bitmaps,
-// which the counting jobs over the split have built.
-type membershipMapper struct {
-	ix      *signature.SupportIndex
-	members splitMembers
-}
+// membershipMapper emits its split's member bitmaps, read off the split's
+// interval bitmaps that the counting jobs over the split have built.
+type membershipMapper struct{ ix *signature.SupportIndex }
 
-func (m *membershipMapper) Setup(ctx *mr.TaskContext) error {
-	m.members = newSplitMembers(m.ix, ctx.Split)
+func (membershipMapper) Setup(*mr.TaskContext) error { return nil }
+
+func (membershipMapper) Map(*mr.TaskContext, int, []float64) error { return nil }
+
+func (m membershipMapper) Cleanup(ctx *mr.TaskContext) error {
+	ctx.Emit(mr.SplitKey(ctx.Split), m.ix.Members(rowBits(ctx.Split)))
 	return nil
 }
 
-func (m *membershipMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	if ids := m.members.of(nil, global); len(ids) > 0 {
-		ctx.Emit("m", memberRecord{Global: global, Cores: ids})
+// lightLabels derives the Light labels from the cores' objects over n
+// points. labels, the disjoint label view, breaks ties toward the core of
+// the higher interest ratio and marks a point in no core an outlier.
+// held[i] counts the cores holding point i, capped at 2: the unique
+// membership m′ of §6 is labels[i] where held[i] is 1, else −1, and
+// uniqueCounts counts its points per core.
+func lightLabels(objects [][]int, ratios []float64, n int) (labels []int, held []uint8, uniqueCounts []int64) {
+	labels = make([]int, n)
+	for i := range labels {
+		labels[i] = outlier.OutlierLabel
 	}
-	return nil
+	held = make([]uint8, n)
+	for c, objs := range objects {
+		for _, i := range objs {
+			if held[i] == 0 || ratios[c] > ratios[labels[i]] {
+				labels[i] = c
+			}
+			held[i] = min(held[i]+1, 2)
+		}
+	}
+	uniqueCounts = make([]int64, len(objects))
+	for i, h := range held {
+		if h == 1 {
+			uniqueCounts[labels[i]]++
+		}
+	}
+	return labels, held, uniqueCounts
 }
-
-func (m *membershipMapper) Cleanup(*mr.TaskContext) error { return nil }
 
 func (p *pipeline) finishLight(res *Result) (*Result, error) {
 	ps := p.beginPhase("light-membership")
-	members, err := Memberships(p.engine, "light-membership", p.splits, p.cores, p.n, p.phaseSpan)
+	objects, err := Memberships(p.engine, "light-membership", p.splits, p.cores, p.phaseSpan)
 	ps.end(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: light membership: %w", err)
 	}
-	k := len(p.cores)
-
-	// Unique-assignment membership (m′ of §6): points supporting more than
-	// one core are excluded from histograms and tightening.
-	unique := make([]int, p.n)
-	labels := make([]int, p.n)
-	uniqueCounts := make([]int64, k)
-	for i, ids := range members {
-		switch len(ids) {
-		case 0:
-			unique[i] = -1
-			labels[i] = outlier.OutlierLabel
-		case 1:
-			unique[i] = ids[0]
-			labels[i] = ids[0]
-			uniqueCounts[ids[0]]++
-		default:
-			unique[i] = -1
-			// For the disjoint label view, break ties toward the most
-			// interesting core.
-			best := ids[0]
-			for _, c := range ids[1:] {
-				if p.coreRatios[c] > p.coreRatios[best] {
-					best = c
-				}
-			}
-			labels[i] = best
-		}
-	}
+	// Points supporting more than one core are excluded from histograms
+	// and tightening, which read the unique membership off the cores.
+	labels, _, uniqueCounts := lightLabels(objects, p.coreRatios, p.n)
 	res.Labels = labels
 
-	attrs, err := p.attributeInspection(unique, uniqueCounts)
+	src := memberSource{Cores: signature.AppendSet(nil, p.cores)}
+	attrs, err := p.attributeInspection(src, uniqueCounts)
 	if err != nil {
 		return nil, fmt.Errorf("core: light attribute inspection: %w", err)
 	}
 
-	res2, err := p.finish(res, unique, attrs)
+	res2, err := p.finish(res, src, attrs)
 	if err != nil {
 		return nil, err
 	}
 	// The Light result clusters are the full core support sets (possibly
 	// overlapping), as §6 defines.
-	clusters := make([]*eval.Cluster, k)
+	clusters := make([]*eval.Cluster, len(objects))
 	for c := range clusters {
-		clusters[c] = &eval.Cluster{Attrs: attrs[c]}
-	}
-	for i, ids := range members {
-		for _, c := range ids {
-			clusters[c].Objects = append(clusters[c].Objects, i)
-		}
+		clusters[c] = &eval.Cluster{Attrs: attrs[c], Objects: objects[c]}
 	}
 	res2.Clusters = clusters
 	return res2, nil
 }
 
 // finish runs the interval-tightening job and assembles the result.
-// membership designates the points contributing to tightening; attrs is Ai
-// per cluster.
-func (p *pipeline) finish(res *Result, membership []int, attrs [][]int) (*Result, error) {
+// src designates the points contributing to tightening; attrs is Ai per
+// cluster.
+func (p *pipeline) finish(res *Result, src memberSource, attrs [][]int) (*Result, error) {
 	k := len(p.cores)
 	ps := p.beginPhase("tightening")
-	mins, maxs, err := tighteningJob(p.engine, p.splits, membership, attrs, p.phaseSpan)
+	mins, maxs, err := tighteningJob(p.engine, p.splits, src, attrs, p.phaseSpan)
 	ps.end(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: interval tightening: %w", err)

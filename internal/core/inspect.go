@@ -13,10 +13,10 @@ import (
 
 // clusterHistograms runs the attribute-inspection histogram job (§5.6): one
 // histogram per (cluster, attribute) over the cluster members designated by
-// membership (negative = no cluster). bins[c] is the per-cluster bin count
-// (derived from the member count by the configured rule).
-func clusterHistograms(engine *mr.Engine, splits []*mr.Split, membership []int, k, dim int, bins []int, trace obs.SpanID) ([][]*histogram.Histogram, error) {
-	spec, err := mr.EncodeSpec(aiHistSpec{K: k, Dim: dim, Bins: bins})
+// src. bins[c] is the per-cluster bin count (derived from the member count
+// by the configured rule).
+func clusterHistograms(engine *mr.Engine, splits []*mr.Split, src memberSource, k, dim int, bins []int, trace obs.SpanID) ([][]*histogram.Histogram, error) {
+	spec, err := mr.EncodeSpec(aiHistSpec{K: k, Dim: dim, Bins: bins, Src: src})
 	if err != nil {
 		return nil, err
 	}
@@ -25,12 +25,17 @@ func clusterHistograms(engine *mr.Engine, splits []*mr.Split, membership []int, 
 		Splits:      splits,
 		Impl:        "attribute-inspection-histograms",
 		Spec:        spec,
-		Cache:       map[string]any{"membership": membership},
 		TraceParent: trace,
 	})
 	if err != nil {
 		return nil, err
 	}
+	return collectAIHistograms(out, k, dim, bins)
+}
+
+// collectAIHistograms merges the job's per-(cluster, attribute) counts
+// into histograms, rejecting any key outside ai<c>_<d> with c < k, d < dim.
+func collectAIHistograms(out *mr.Output, k, dim int, bins []int) ([][]*histogram.Histogram, error) {
 	hists := make([][]*histogram.Histogram, k)
 	for c := range hists {
 		hists[c] = make([]*histogram.Histogram, dim)
@@ -39,11 +44,15 @@ func clusterHistograms(engine *mr.Engine, splits []*mr.Split, membership []int, 
 		}
 	}
 	for _, p := range out.Pairs {
-		var c, d int
-		if _, err := fmt.Sscanf(p.Key, "ai%d_%d", &c, &d); err != nil {
+		c, d, err := parsePairKey(p.Key, "ai", k, dim)
+		if err != nil {
 			return nil, fmt.Errorf("core: bad AI histogram key %q: %w", p.Key, err)
 		}
-		for b, cnt := range p.Value.([]int64) {
+		counts, ok := p.Value.([]int64)
+		if !ok || len(counts) != bins[c] {
+			return nil, fmt.Errorf("core: AI histogram %q: want %d bins, got %T of %d", p.Key, bins[c], p.Value, len(counts))
+		}
+		for b, cnt := range counts {
 			hists[c][d].AddCount(b, cnt)
 		}
 	}
@@ -53,6 +62,7 @@ func clusterHistograms(engine *mr.Engine, splits []*mr.Split, membership []int, 
 type aiHistSpec struct {
 	K, Dim int
 	Bins   []int
+	Src    memberSource
 }
 
 func buildAIHistogramJob(spec []byte) (mr.JobFuncs, error) {
@@ -60,22 +70,28 @@ func buildAIHistogramJob(spec []byte) (mr.JobFuncs, error) {
 	if err := mr.DecodeSpec(spec, &sp); err != nil {
 		return mr.JobFuncs{}, err
 	}
+	labels, err := sp.Src.labeler()
+	if err != nil {
+		return mr.JobFuncs{}, err
+	}
 	return mr.JobFuncs{
-		NewMapper:    func() mr.Mapper { return &aiHistMapper{k: sp.K, dim: sp.Dim, bins: sp.Bins} },
+		NewMapper:    func() mr.Mapper { return &aiHistMapper{k: sp.K, dim: sp.Dim, bins: sp.Bins, labels: labels} },
 		TypedReducer: sumVectors,
 	}, nil
 }
 
 type aiHistMapper struct {
-	k, dim     int
-	membership []int
-	bins       []int
-	counts     [][][]int64 // [cluster][dim][bin]
-	keys       [][]string  // [cluster][dim] emission keys
+	k, dim int
+	labels func(*mr.Split) []int32
+	lab    []int32
+	offset int
+	bins   []int
+	counts [][][]int64 // [cluster][dim][bin]
+	keys   [][]string  // [cluster][dim] emission keys
 }
 
 func (m *aiHistMapper) Setup(ctx *mr.TaskContext) error {
-	m.membership = ctx.MustCache("membership").([]int)
+	m.lab, m.offset = m.labels(ctx.Split), ctx.Split.Offset
 	m.counts = make([][][]int64, m.k)
 	m.keys = make([][]string, m.k)
 	for c := range m.keys {
@@ -85,7 +101,7 @@ func (m *aiHistMapper) Setup(ctx *mr.TaskContext) error {
 }
 
 func (m *aiHistMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	c := m.membership[global]
+	c := int(m.lab[global-m.offset])
 	if c < 0 || c >= m.k {
 		return nil
 	}
@@ -126,7 +142,7 @@ type aiSuggestion struct {
 // are additionally support-tested against the core signature (Eq. 1) in one
 // MR job. It returns per-cluster attribute sets Ai (core attributes plus
 // accepted additions).
-func (p *pipeline) attributeInspection(membership []int, memberCounts []int64) ([][]int, error) {
+func (p *pipeline) attributeInspection(src memberSource, memberCounts []int64) ([][]int, error) {
 	ps := p.beginPhase("attribute-inspection")
 	k := len(p.cores)
 	bins := make([]int, k)
@@ -142,7 +158,7 @@ func (p *pipeline) attributeInspection(membership []int, memberCounts []int64) (
 			bins[c] = 1
 		}
 	}
-	hists, err := clusterHistograms(p.engine, p.splits, membership, k, p.dim, bins, p.phaseSpan)
+	hists, err := clusterHistograms(p.engine, p.splits, src, k, p.dim, bins, p.phaseSpan)
 	if err != nil {
 		ps.end(err)
 		return nil, err

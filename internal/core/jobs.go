@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"p3cmr/internal/histogram"
 	"p3cmr/internal/mr"
 	"p3cmr/internal/obs"
+	"p3cmr/internal/outlier"
 	"p3cmr/internal/signature"
 )
 
@@ -17,14 +19,14 @@ import (
 // processes included, which resolve the same names through their own copy
 // of this registry. Small parameters and models ride the Spec (gob, or
 // sigSpec for signature sets), decoded once per job in the builder, which
-// also builds derived structures such as the support index;
-// per-point columns ride the distributed cache, which passes them by
-// reference in-process. Values that cross the shuffle outside the wire
-// codec's built-in lanes are registered here too.
+// also builds derived structures such as the support index. A job that
+// reads a per-point result derives it from its split's rows and its own
+// spec, a column kept in the split's memo (memberSource); none is shipped
+// to it. Values that cross the shuffle outside the wire codec's built-in
+// lanes are registered here too.
 func init() {
 	mr.RegisterWireValue(signature.Signature{})
 	mr.RegisterWireValue([2]float64{})
-	mr.RegisterWireValue(memberRecord{})
 	mr.RegisterJobImpl("histograms", buildHistogramJob)
 	mr.RegisterJobImpl("count-supports", buildSupportJob)
 	mr.RegisterJobImpl("candidate-generation", buildCandidateJob)
@@ -251,27 +253,77 @@ func rowBits(s *mr.Split) *signature.RowBits {
 }
 
 // splitMembers holds the member bitmaps of a signature set over one split:
-// bit r of bits[j] is set iff signature j holds the split's row r.
+// bit r of signature j's bitmap, words [j·words, (j+1)·words) of bits, is
+// set iff signature j holds the split's row r.
 type splitMembers struct {
-	bits   [][]uint64
-	offset int
+	bits          []uint64
+	words, offset int
 }
 
 func newSplitMembers(ix *signature.SupportIndex, s *mr.Split) splitMembers {
-	return splitMembers{bits: ix.Members(rowBits(s)), offset: s.Offset}
+	return splitMembers{bits: ix.Members(rowBits(s)), words: bitWords(s), offset: s.Offset}
 }
+
+// bitWords is the word count of one bitmap over the split's rows.
+func bitWords(s *mr.Split) int { return (s.NumRows() + 63) / 64 }
 
 // of appends the signatures holding the point of global index global to
 // dst, ascending, and returns it.
 func (sm splitMembers) of(dst []int, global int) []int {
 	r := global - sm.offset
-	w, b := r/64, uint(r%64)
-	for j, m := range sm.bits {
-		if m[w]>>b&1 != 0 {
-			dst = append(dst, j)
+	b := uint(r % 64)
+	for i := r / 64; i < len(sm.bits); i += sm.words {
+		if sm.bits[i]>>b&1 != 0 {
+			dst = append(dst, i/sm.words)
 		}
 	}
 	return dst
+}
+
+// memberSource names where a job after the membership phase reads each
+// row's cluster. Exactly one field is set:
+//   - Cores, the Light cores in signature.AppendSet form: the label is the
+//     one core holding the row (the unique membership m′ of §6), else −1;
+//   - Full, the outlier-detection spec: the label is the row's OD label.
+type memberSource struct {
+	Cores []byte
+	Full  *outlier.Spec
+}
+
+// uniqueKey is the Split.Memo key of a Light label column: the encoded
+// cores.
+type uniqueKey string
+
+// labeler prepares the source once per job and returns its per-split
+// label column, which the split's memo keeps for every later job with the
+// same source.
+func (src memberSource) labeler() (func(*mr.Split) []int32, error) {
+	if src.Full != nil {
+		return src.Full.Labeler()
+	}
+	cores, rest, err := signature.DecodeSet(src.Cores)
+	if err != nil || len(rest) != 0 {
+		return nil, errBadSigSpec
+	}
+	ix := signature.NewSupportIndex(cores)
+	return func(s *mr.Split) []int32 {
+		return s.Memo(uniqueKey(src.Cores), func() any { return uniqueLabels(newSplitMembers(ix, s), s.NumRows()) }).([]int32)
+	}, nil
+}
+
+// uniqueLabels returns the unique-membership column of a split's rows
+// rows: entry r is the one signature of sm holding row r, or −1 when none
+// or several do.
+func uniqueLabels(sm splitMembers, rows int) []int32 {
+	lab := make([]int32, rows)
+	var ids []int
+	for r := range lab {
+		lab[r] = -1
+		if ids = sm.of(ids[:0], sm.offset+r); len(ids) == 1 {
+			lab[r] = int32(ids[0])
+		}
+	}
+	return lab
 }
 
 func (*countingMapper) Setup(*mr.TaskContext) error { return nil }
@@ -398,15 +450,17 @@ func buildUncoveredJob(spec []byte) (mr.JobFuncs, error) {
 
 // --- Min/max interval-tightening job (§5.7) -----------------------------------------
 
-type tightenSpec struct{ Attrs [][]int }
+type tightenSpec struct {
+	Attrs [][]int
+	Src   memberSource
+}
 
 // tighteningJob computes, per (cluster, attribute) of interest, the minimum
-// and maximum attribute value over the cluster members. membership maps a
-// global point index to its cluster (or a negative value for none); attrs
-// lists the attributes to tighten per cluster.
-func tighteningJob(engine *mr.Engine, splits []*mr.Split, membership []int, attrs [][]int, trace obs.SpanID) (mins, maxs []map[int]float64, err error) {
-	k := len(attrs)
-	spec, err := mr.EncodeSpec(tightenSpec{Attrs: attrs})
+// and maximum attribute value over the cluster members. src designates
+// each point's cluster (or none); attrs lists the attributes to tighten per
+// cluster.
+func tighteningJob(engine *mr.Engine, splits []*mr.Split, src memberSource, attrs [][]int, trace obs.SpanID) (mins, maxs []map[int]float64, err error) {
+	spec, err := mr.EncodeSpec(tightenSpec{Attrs: attrs, Src: src})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -415,12 +469,18 @@ func tighteningJob(engine *mr.Engine, splits []*mr.Split, membership []int, attr
 		Splits:      splits,
 		Impl:        "interval-tightening",
 		Spec:        spec,
-		Cache:       map[string]any{"membership": membership},
 		TraceParent: trace,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+	return collectTightened(out, attrs)
+}
+
+// collectTightened reads the job's per-(cluster, attribute) extrema,
+// rejecting any key outside t<c>_<a> with a among attrs[c].
+func collectTightened(out *mr.Output, attrs [][]int) (mins, maxs []map[int]float64, err error) {
+	k := len(attrs)
 	mins = make([]map[int]float64, k)
 	maxs = make([]map[int]float64, k)
 	for i := range mins {
@@ -428,9 +488,9 @@ func tighteningJob(engine *mr.Engine, splits []*mr.Split, membership []int, attr
 		maxs[i] = make(map[int]float64)
 	}
 	for _, p := range out.Pairs {
-		var c, a int
-		if _, err := fmt.Sscanf(p.Key, "t%d_%d", &c, &a); err != nil {
-			return nil, nil, fmt.Errorf("core: bad tightening key %q: %w", p.Key, err)
+		c, a, err := parsePairKey(p.Key, "t", k, math.MaxInt)
+		if err != nil || !slices.Contains(attrs[c], a) {
+			return nil, nil, fmt.Errorf("core: bad tightening key %q", p.Key)
 		}
 		mm := p.Value.([2]float64)
 		mins[c][a] = mm[0]
@@ -439,13 +499,28 @@ func tighteningJob(engine *mr.Engine, splits []*mr.Split, membership []int, attr
 	return mins, maxs, nil
 }
 
+// parsePairKey is the inverse of the keys prefix+"c_d" of the per-cluster,
+// per-attribute jobs: it returns c and d for 0 ≤ c < n and 0 ≤ d < m, and
+// an error for any other key.
+func parsePairKey(key, prefix string, n, m int) (c, d int, err error) {
+	_, err = fmt.Sscanf(key, prefix+"%d_%d", &c, &d)
+	if err != nil || fmt.Sprintf("%s%d_%d", prefix, c, d) != key || c < 0 || c >= n || d < 0 || d >= m {
+		return 0, 0, fmt.Errorf("core: bad key %q: want %s<c>_<d> with c < %d, d < %d", key, prefix, n, m)
+	}
+	return c, d, nil
+}
+
 func buildTighteningJob(spec []byte) (mr.JobFuncs, error) {
 	var sp tightenSpec
 	if err := mr.DecodeSpec(spec, &sp); err != nil {
 		return mr.JobFuncs{}, err
 	}
+	labels, err := sp.Src.labeler()
+	if err != nil {
+		return mr.JobFuncs{}, err
+	}
 	return mr.JobFuncs{
-		NewMapper: func() mr.Mapper { return &tightenMapper{attrs: sp.Attrs} },
+		NewMapper: func() mr.Mapper { return &tightenMapper{labels: labels, attrs: sp.Attrs} },
 		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
 			agg := values.Value(0).([2]float64)
 			for i := 1; i < values.Len(); i++ {
@@ -464,13 +539,15 @@ func buildTighteningJob(spec []byte) (mr.JobFuncs, error) {
 }
 
 type tightenMapper struct {
-	membership []int
+	labels     func(*mr.Split) []int32
+	lab        []int32
+	offset     int
 	attrs      [][]int
 	mins, maxs []map[int]float64
 }
 
 func (m *tightenMapper) Setup(ctx *mr.TaskContext) error {
-	m.membership = ctx.MustCache("membership").([]int)
+	m.lab, m.offset = m.labels(ctx.Split), ctx.Split.Offset
 	m.mins = make([]map[int]float64, len(m.attrs))
 	m.maxs = make([]map[int]float64, len(m.attrs))
 	for i := range m.attrs {
@@ -481,7 +558,7 @@ func (m *tightenMapper) Setup(ctx *mr.TaskContext) error {
 }
 
 func (m *tightenMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	c := m.membership[global]
+	c := int(m.lab[global-m.offset])
 	if c < 0 || c >= len(m.attrs) {
 		return nil
 	}

@@ -133,9 +133,14 @@ func TestTighteningJobMinMax(t *testing.T) {
 		0.5, 0.2, // cluster 1: a0 ∈ [0.5,0.6], a1 ∈ [0.1,0.2]
 		0.99, 0.99, // unassigned
 	})
-	membership := []int{0, 0, 0, 1, 1, -1}
+	// The cores hold rows 0–2 and 3–4; the last row is in neither.
+	cores := []signature.Signature{
+		signature.New(signature.Interval{Attr: 0, Lo: 0.1, Hi: 0.3}),
+		signature.New(signature.Interval{Attr: 0, Lo: 0.5, Hi: 0.6}),
+	}
+	src := memberSource{Cores: signature.AppendSet(nil, cores)}
 	attrs := [][]int{{0, 1}, {0}}
-	mins, maxs, err := tighteningJob(mr.Default(), splitsFor(d, 3), membership, attrs, 0)
+	mins, maxs, err := tighteningJob(mr.Default(), splitsFor(d, 3), src, attrs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,17 +80,18 @@ func init() {
 		}, nil
 	})
 
-	// conf-cache: distributed-cache consumer shipping slice payloads through
-	// the shuffle (through the spill codec) and reading cache entries
-	// that crossed the process boundary via the wire value codec.
-	RegisterJobImpl("conf-cache", func(spec []byte) (JobFuncs, error) {
+	// conf-spec: a Spec consumer shipping slice payloads through the
+	// shuffle (through the spill codec), its parameters decoded from the
+	// Spec once per builder — in every worker process, too.
+	RegisterJobImpl("conf-spec", func(spec []byte) (JobFuncs, error) {
+		var sp confSpec
+		if err := DecodeSpec(spec, &sp); err != nil {
+			return JobFuncs{}, err
+		}
 		return JobFuncs{
 			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-				scale := ctx.MustCache("scale").(float64)
-				labels := ctx.MustCache("labels").([]string)
-				bias := ctx.MustCache("bias").(int64)
-				k := labels[int(row[0])%len(labels)]
-				ctx.Emit(k, []float64{row[0] * scale, float64(bias)})
+				k := sp.Labels[int(row[0])%len(sp.Labels)]
+				ctx.Emit(k, []float64{row[0] * sp.Scale, float64(sp.Bias)})
 				return nil
 			}),
 			TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
@@ -137,14 +138,21 @@ func confJob(impl string, n, numSplits, numReducers int) *Job {
 		Impl:        impl,
 		NumReducers: numReducers,
 	}
-	if impl == "conf-cache" {
-		j.Cache = map[string]any{
-			"scale":  1.5,
-			"labels": []string{"alpha", "beta", "gamma", "delta"},
-			"bias":   int64(-3),
+	if impl == "conf-spec" {
+		spec, err := EncodeSpec(confSpec{Scale: 1.5, Labels: []string{"alpha", "beta", "gamma", "delta"}, Bias: -3})
+		if err != nil {
+			panic(err)
 		}
+		j.Spec = spec
 	}
 	return j
+}
+
+// confSpec is the conf-spec job's Spec.
+type confSpec struct {
+	Scale  float64
+	Labels []string
+	Bias   int64
 }
 
 // spillThresholds is the conformance sweep of Config.SpillThresholdBytes:
@@ -203,7 +211,7 @@ func TestBackendConformance(t *testing.T) {
 		{"wordcount-boxed", func() *Job { return confJob("conf-wordcount", n, numSplits, numReducers) }},
 		{"nocombine", func() *Job { return confJob("conf-nocombine", n, numSplits, numReducers) }},
 		{"maponly", func() *Job { return confJob("conf-maponly", n, numSplits, 0) }},
-		{"cache", func() *Job { return confJob("conf-cache", n, numSplits, numReducers) }},
+		{"spec", func() *Job { return confJob("conf-spec", n, numSplits, numReducers) }},
 	}
 	plans := []struct {
 		name string

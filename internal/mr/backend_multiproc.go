@@ -2,13 +2,11 @@ package mr
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
-	"sort"
 	"sync"
 	"time"
 
@@ -213,7 +211,7 @@ type procRun struct {
 }
 
 // newProcRun creates the run's spill directory and pre-encodes the job
-// frame (including the wire-encoded cache, in sorted key order).
+// frame.
 func newProcRun(rc *runContext) (*procRun, error) {
 	e, job := rc.e, rc.job
 	exe, err := os.Executable()
@@ -242,23 +240,6 @@ func newProcRun(rc *runContext) (*procRun, error) {
 			SpillDir:    dir,
 			SpillLimit:  resolveSpillThreshold(e.cfg.SpillThresholdBytes),
 		},
-	}
-	if len(job.Cache) > 0 {
-		keys := make([]string, 0, len(job.Cache))
-		for k := range job.Cache {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var buf bytes.Buffer
-		for _, k := range keys {
-			buf.Reset()
-			if err := appendValue(&buf, job.Cache[k]); err != nil {
-				os.RemoveAll(dir)
-				return nil, fmt.Errorf("mr: job %q: cache entry %q is not wire-encodable: %w", job.Name, k, err)
-			}
-			p.jf.CacheKeys = append(p.jf.CacheKeys, k)
-			p.jf.CacheVals = append(p.jf.CacheVals, append([]byte(nil), buf.Bytes()...))
-		}
 	}
 	return p, nil
 }

@@ -530,10 +530,8 @@ func (e *Engine) tryMapTask(job *boundJob, split *Split, st *mapState, nb, attem
 
 	mapper := job.NewMapper()
 	ctx := &TaskContext{
-		JobName:     job.Name,
 		TaskID:      split.ID,
 		Split:       split,
-		cache:       job.Cache,
 		ms:          st,
 		counters:    &c,
 		numReducers: nb,
@@ -609,9 +607,7 @@ func (e *Engine) tryReduceTask(job *boundJob, taskID int, run []rec, keys []stri
 	}
 	var out []Pair
 	ctx := &TaskContext{
-		JobName:  job.Name,
 		TaskID:   taskID,
-		cache:    job.Cache,
 		outPairs: &out,
 	}
 	consumed := 0

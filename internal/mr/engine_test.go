@@ -160,39 +160,6 @@ func (m *hookMapper) Cleanup(ctx *TaskContext) error {
 	return nil
 }
 
-func TestDistributedCache(t *testing.T) {
-	engine := Default()
-	job := funcJob("cache", makeSplits(10, 2), JobFuncs{
-		NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-			f := ctx.MustCache("factor").(float64)
-			ctx.Emit("sum", row[0]*f)
-			return nil
-		}),
-		TypedReducer: sumFloat64,
-	})
-	job.Cache = map[string]any{"factor": 3.0}
-	out, err := engine.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := byKey(out)["sum"].(float64); got != 135 { // 3·(0+..+9)
-		t.Fatalf("sum = %g", got)
-	}
-}
-
-func TestCacheValueMissing(t *testing.T) {
-	ctx := &TaskContext{cache: nil}
-	if _, ok := ctx.CacheValue("absent"); ok {
-		t.Fatal("missing cache entry reported present")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustCache must panic on missing entry")
-		}
-	}()
-	ctx.MustCache("absent")
-}
-
 func TestMapperErrorPropagates(t *testing.T) {
 	engine := Default()
 	boom := errors.New("boom")

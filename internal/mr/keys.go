@@ -33,3 +33,30 @@ func ParseIntKey(key, prefix string, n int) (int, error) {
 	}
 	return i, nil
 }
+
+// SplitKey is the key under which a map task emits its split's one
+// per-split record (a column or bitmap slab, from Cleanup): "s" and the
+// split's ID.
+func SplitKey(s *Split) string { return "s" + strconv.Itoa(s.ID) }
+
+// SplitValues returns, in splits order, the per-split records of a
+// map-only job over splits, whose output is in split order: the value
+// each split's map task emitted under SplitKey, a T of want(split)
+// elements. A record out of place, under another key, of another type or
+// length, or a split without its one record is an error, never a silent
+// or out-of-range slot.
+func SplitValues[T ~[]E, E any](out *Output, splits []*Split, want func(*Split) int) ([]T, error) {
+	if len(out.Pairs) != len(splits) {
+		return nil, fmt.Errorf("mr: %d per-split records for %d splits", len(out.Pairs), len(splits))
+	}
+	vals := make([]T, len(splits))
+	for i, p := range out.Pairs {
+		s := splits[i]
+		v, ok := p.Value.(T)
+		if p.Key != SplitKey(s) || !ok || len(v) != want(s) {
+			return nil, fmt.Errorf("mr: split %d: want key %s and %d elements, got %q and %T of %d", s.ID, SplitKey(s), want(s), p.Key, p.Value, len(v))
+		}
+		vals[i] = v
+	}
+	return vals, nil
+}

@@ -7,8 +7,14 @@
 // clustering pipeline as MapReduce jobs; this engine runs those jobs with
 // real goroutine parallelism on one machine.
 //
+// A job reads its data from two places: its Spec, the registered
+// implementation's parameters, decoded once per job in the driver and once
+// per worker process (the paper's distributed cache), and its split —
+// the rows plus what earlier jobs derived from them under a spec and kept
+// in the split's Memo, such as a membership or label column. Per-point
+// results never ride the Job.
+//
 // Beyond execution, the engine keeps the bookkeeping a cluster would:
-//   - a distributed cache (read-only job-scoped side data),
 //   - counters (records read/emitted, bytes shuffled),
 //   - a cost model charging per-job startup overhead and per-byte I/O, so
 //     that runtime *shape* experiments ("more MR jobs ⇒ slower") reproduce
@@ -22,7 +28,6 @@
 package mr
 
 import (
-	"fmt"
 	"sync"
 
 	"p3cmr/internal/obs"
@@ -141,10 +146,10 @@ func (f TypedReducerFunc) ReduceTyped(ctx *TaskContext, key string, values Value
 
 // Job describes one MapReduce execution as data: a registered
 // implementation (Impl, resolved through RegisterJobImpl on every backend)
-// plus its parameters (Spec) and per-point side data (Cache). Because a Job
-// holds no function values it can cross a process boundary, so the same
-// Job runs unchanged on the in-process, simulated and multiprocess
-// backends.
+// plus its parameters (Spec). Because a Job holds no function values it
+// can cross a process boundary, so the same Job runs unchanged on the
+// in-process, simulated and multiprocess backends. Per-point data is not
+// a field: a job derives it from its split and Spec (Split.Memo).
 type Job struct {
 	// Name labels the job in counters, fault plans, spans and error
 	// messages.
@@ -154,11 +159,6 @@ type Job struct {
 	// NumReducers defaults to the engine configuration. The paper's
 	// histogram and moment jobs use a single reducer.
 	NumReducers int
-	// Cache is the distributed cache: read-only per-point side data (a
-	// membership column, say) shipped to every task. In-process it is
-	// passed by reference; the multiprocess backend wire-encodes it once
-	// per worker. Small parameters and models belong in Spec instead.
-	Cache map[string]any
 	// TraceParent is the span this job's trace span nests under (a pipeline
 	// phase span, typically). Zero means root; ignored without a
 	// Config.Tracer.
@@ -214,12 +214,10 @@ type Counters = obs.Counters
 // record into the shuffle (for mappers) or into the job output (for
 // reducers).
 type TaskContext struct {
-	// JobName and TaskID identify the attempt.
-	JobName string
-	TaskID  int
+	// TaskID identifies the attempt's task: the split ID for map tasks.
+	TaskID int
 	// Split is the input split for map tasks, nil in reduce tasks.
 	Split *Split
-	cache map[string]any
 
 	// Map-side emit state (nil in reduce tasks): records accumulate into
 	// the attempt's per-partition buffers.
@@ -270,22 +268,6 @@ func (v Values) Len() int { return len(v.recs) }
 
 // Value returns value i as emitted.
 func (v Values) Value(i int) any { return v.recs[i].val }
-
-// CacheValue fetches a distributed-cache entry; ok is false when missing.
-func (ctx *TaskContext) CacheValue(name string) (any, bool) {
-	v, ok := ctx.cache[name]
-	return v, ok
-}
-
-// MustCache fetches a distributed-cache entry and panics when absent —
-// appropriate for entries the job cannot run without.
-func (ctx *TaskContext) MustCache(name string) any {
-	v, ok := ctx.cache[name]
-	if !ok {
-		panic(fmt.Sprintf("mr: job %q task %d: missing cache entry %q", ctx.JobName, ctx.TaskID, name))
-	}
-	return v
-}
 
 // FNV-1a 32-bit constants (FNV spec; must match hash/fnv so partition
 // assignments never move keys across an engine upgrade).

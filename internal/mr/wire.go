@@ -92,9 +92,9 @@ type jobFrame struct {
 	SpillDir string
 	// SpillLimit is the mid-task spill threshold in buffered record bytes.
 	SpillLimit int64
-	// Cache ships the distributed cache: keys sorted ascending, values
-	// encoded with the wire value codec (CacheVals[i] belongs to
-	// CacheKeys[i]).
+	// CacheKeys and CacheVals are retired: the engine has no per-job cache
+	// (a job's data is its Spec and its split), so they are always empty.
+	// They stay because the protocol is append-only (wire.lock).
 	CacheKeys []string
 	CacheVals [][]byte
 }
@@ -249,7 +249,7 @@ const (
 )
 
 // RegisterWireValue registers a concrete type for the gob fallback lane of
-// the multiprocess wire codec. Jobs that emit (or cache) values outside the
+// the multiprocess wire codec. Jobs that emit values outside the
 // built-in lanes — float64, int64, int, string, bool, and slices of
 // float64/int64/uint64/int/string — must register each such concrete type
 // once (typically in an init function, so driver and re-exec'd workers

@@ -2,7 +2,6 @@ package mr
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -69,7 +68,7 @@ func MaybeWorkerProcess() {
 type workerState struct {
 	br *bufio.Reader
 	bw *bufio.Writer
-	// job is the materialized current job (registry funcs + decoded cache);
+	// job is the materialized current job (registry funcs);
 	// jobErr defers an impl-resolution failure to the first task frame, so
 	// it surfaces as a task error instead of a dead worker.
 	job    *boundJob
@@ -206,7 +205,7 @@ func selfKill() {
 	}
 }
 
-// setJob materializes a job frame: registry funcs, decoded cache, pools.
+// setJob materializes a job frame: registry funcs, pools.
 func (w *workerState) setJob(data []byte) error {
 	var jf jobFrame
 	if err := decodeFrame(data, &jf); err != nil {
@@ -218,20 +217,8 @@ func (w *workerState) setJob(data []byte) error {
 		w.jobErr = err
 		return nil
 	}
-	var cache map[string]any
-	if len(jf.CacheKeys) > 0 {
-		cache = make(map[string]any, len(jf.CacheKeys))
-		for i, k := range jf.CacheKeys {
-			v, err := readValue(bytes.NewReader(jf.CacheVals[i]))
-			if err != nil {
-				w.jobErr = fmt.Errorf("decode cache entry %q: %w", k, err)
-				return nil
-			}
-			cache[k] = v
-		}
-	}
 	w.job = &boundJob{
-		Job:      &Job{Name: jf.Name, NumReducers: jf.NumReducers, Cache: cache},
+		Job:      &Job{Name: jf.Name, NumReducers: jf.NumReducers},
 		JobFuncs: funcs,
 	}
 	w.nb = jf.NB
@@ -271,10 +258,8 @@ func (w *workerState) runMap(data []byte) error {
 	var c Counters
 	mapper := w.job.NewMapper()
 	ctx := &TaskContext{
-		JobName:     w.job.Name,
 		TaskID:      f.Task,
 		Split:       split,
-		cache:       w.job.Cache,
 		ms:          st,
 		counters:    &c,
 		numReducers: w.nb,
@@ -424,9 +409,7 @@ func (w *workerState) runReduce(data []byte) error {
 	var c Counters
 	var out []Pair
 	ctx := &TaskContext{
-		JobName:  w.job.Name,
 		TaskID:   f.Task,
-		cache:    w.job.Cache,
 		outPairs: &out,
 	}
 	consumed := 0

@@ -189,7 +189,8 @@ type sampleMapper struct {
 	cap   int
 
 	rng     *rand.Rand
-	labels  splitLabels
+	lab     []int32 // the split's assignment column
+	offset  int
 	buffers [][]float64
 	seen    []int
 	keys    []string
@@ -198,7 +199,7 @@ type sampleMapper struct {
 
 func (m *sampleMapper) Setup(ctx *mr.TaskContext) error {
 	m.rng = rand.New(rand.NewSource(int64(ctx.TaskID) + 13))
-	m.labels = newSplitLabels(m.model, ctx.Split)
+	m.lab, m.offset = m.model.Labels(ctx.Split), ctx.Split.Offset
 	m.buffers = make([][]float64, m.model.K())
 	m.seen = make([]int, m.model.K())
 	m.keys = mr.IntKeys("c", m.model.K())
@@ -209,7 +210,7 @@ func (m *sampleMapper) Setup(ctx *mr.TaskContext) error {
 func (m *sampleMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
 	d := len(m.model.Attrs)
 	x := m.model.Project(m.proj, row)
-	c := m.labels.of(global)
+	c := int(m.lab[global-m.offset])
 	m.seen[c]++
 	if len(m.buffers[c]) < m.cap*d {
 		m.buffers[c] = append(m.buffers[c], x...)
@@ -241,7 +242,7 @@ type inEllipsoidMapper struct {
 
 func (m *inEllipsoidMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
 	x := m.model.Project(m.proj, row)
-	c := m.labels.of(global)
+	c := int(m.lab[global-m.offset])
 	md := m.model.Mahalanobis(c, x, m.sc1, m.sc2)
 	if md*md > m.radius2 {
 		return nil

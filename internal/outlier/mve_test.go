@@ -81,7 +81,7 @@ func TestMVEDetectBeatsNaiveUnderMasking(t *testing.T) {
 	model := &em.Model{Attrs: []int{0, 1, 2}, Components: []*em.Component{{Weight: 1, Mean: mu, Cov: cov}}}
 
 	countFlagged := func(method Method) int {
-		labels, err := Detect(mr.Default(), splits, model.Clone(), n, method, 0.001, 0)
+		labels, _, err := Detect(mr.Default(), splits, model.Clone(), n, method, 0.001, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestMVEDetectBeatsNaiveUnderMasking(t *testing.T) {
 func TestMVEKeepsCleanClusterMembers(t *testing.T) {
 	splits, _ := clusterWithOutliers(600, 0, 3, 11)
 	model := singleComponentModel(3, []float64{0.5, 0.5, 0.5}, 4e-4)
-	labels, err := Detect(mr.Default(), splits, model, 600, MVE, 0.001, 0)
+	labels, _, err := Detect(mr.Default(), splits, model, 600, MVE, 0.001, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

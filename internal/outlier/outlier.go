@@ -17,6 +17,7 @@ package outlier
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"p3cmr/internal/em"
 	"p3cmr/internal/linalg"
@@ -58,7 +59,6 @@ const OutlierLabel = -1
 // from the spec; gob round-trips float64 bit-exactly, so assignments and
 // distances match the driver's model to the bit.
 func init() {
-	mr.RegisterWireValue([2]int{})
 	mr.RegisterWireValue(ballStat{})
 	mr.RegisterJobImpl("outlier-detect", buildDetectJob)
 	mr.RegisterJobImpl("mvb-ball", buildBallJob)
@@ -67,12 +67,51 @@ func init() {
 	mr.RegisterJobImpl("mve-mean", buildInCoreJob(true))
 }
 
-// odSpec is the OD job's Spec: the mixture that assigns each point to a
+// Spec is the OD job's Spec: the mixture that assigns each point to a
 // cluster, the (possibly robust) statistics it is tested against, and the
-// chi-square critical value.
-type odSpec struct {
+// chi-square critical value. The jobs after detection carry it in their
+// own specs and read each point's label from its Labeler's column.
+type Spec struct {
 	Assign, Test em.ModelSpec
 	Crit         float64
+}
+
+// labelKey is the Split.Memo key of a label column: the encoded Spec.
+type labelKey string
+
+// Labeler prepares the spec once and returns its per-split label column:
+// entry global−s.Offset is the most likely cluster of the point of global
+// index global, or OutlierLabel when its squared Mahalanobis distance
+// under the test statistics exceeds the critical value. The column is
+// computed once per split and spec and kept in the split's memo, as
+// em.Assigner keeps its assignment column.
+func (sp Spec) Labeler() (func(*mr.Split) []int32, error) {
+	assign, err := sp.Assign.Assigner()
+	if err != nil {
+		return nil, err
+	}
+	test, err := sp.Test.Model()
+	if err != nil {
+		return nil, err
+	}
+	key, err := mr.EncodeSpec(sp)
+	if err != nil {
+		return nil, err
+	}
+	return func(s *mr.Split) []int32 {
+		return s.Memo(labelKey(key), func() any {
+			d := len(assign.Attrs)
+			proj, sc1, sc2 := make([]float64, d), make([]float64, d), make([]float64, d)
+			lab := slices.Clone(assign.Labels(s))
+			for r, c := range lab {
+				x := assign.Project(proj, s.Row(r))
+				if dist := test.Mahalanobis(int(c), x, sc1, sc2); dist*dist > sp.Crit {
+					lab[r] = OutlierLabel
+				}
+			}
+			return lab
+		}).([]int32)
+	}, nil
 }
 
 // robustSpec is the Spec of the in-core re-estimation jobs (mvb-mean,
@@ -100,42 +139,54 @@ func runModelJob(engine *mr.Engine, job *mr.Job, sp any) (*mr.Output, error) {
 // level alpha. With method MVB the cluster statistics are first re-estimated
 // robustly with two additional MR jobs. The returned labels hold a cluster
 // index or OutlierLabel per global point index; n must be the total point
-// count across splits. trace is the span the jobs nest under (0 = untraced).
-func Detect(engine *mr.Engine, splits []*mr.Split, model *em.Model, n int, method Method, alpha float64, trace obs.SpanID) ([]int, error) {
+// count across splits. The returned Spec is the job's, from which a later
+// job reads the labels of its split. trace is the span the jobs nest under
+// (0 = untraced).
+func Detect(engine *mr.Engine, splits []*mr.Split, model *em.Model, n int, method Method, alpha float64, trace obs.SpanID) ([]int, Spec, error) {
 	testModel := model
 	switch method {
 	case MVB:
 		robust, err := robustModel(engine, splits, model, trace)
 		if err != nil {
-			return nil, err
+			return nil, Spec{}, err
 		}
 		testModel = robust
 	case MVE:
 		robust, err := mveModel(engine, splits, model, trace)
 		if err != nil {
-			return nil, err
+			return nil, Spec{}, err
 		}
 		testModel = robust
 	}
 	// Assignment always follows the EM mixture; only the distance test uses
 	// the (possibly robust) statistics.
-	sp := odSpec{Assign: em.SpecOf(model), Test: em.SpecOf(testModel), Crit: stats.ChiSquareCritical(alpha, len(model.Attrs))}
+	sp := Spec{Assign: em.SpecOf(model), Test: em.SpecOf(testModel), Crit: stats.ChiSquareCritical(alpha, len(model.Attrs))}
 	out, err := runModelJob(engine, &mr.Job{Name: "outlier-detect", Splits: splits, Impl: "outlier-detect", TraceParent: trace}, sp)
 	if err != nil {
-		return nil, err
+		return nil, Spec{}, err
 	}
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = OutlierLabel
-	}
-	for _, p := range out.Pairs {
-		idx := p.Value.([2]int)
-		if idx[0] < 0 || idx[0] >= n {
-			return nil, fmt.Errorf("outlier: point index %d out of range", idx[0])
-		}
-		labels[idx[0]] = idx[1]
+	labels, err := collectLabels(out, splits, n)
+	if err != nil {
+		return nil, Spec{}, err
 	}
 	emitOutlierStats(engine, trace, labels, n)
+	return labels, sp, nil
+}
+
+// collectLabels copies the job's per-split label columns to their
+// splits' offsets, checked to name each split once with one label per
+// row.
+func collectLabels(out *mr.Output, splits []*mr.Split, n int) ([]int, error) {
+	cols, err := mr.SplitValues[[]int64](out, splits, (*mr.Split).NumRows)
+	if err != nil {
+		return nil, fmt.Errorf("outlier: %w", err)
+	}
+	labels := make([]int, n)
+	for i, col := range cols {
+		for r, l := range col {
+			labels[splits[i].Offset+r] = int(l)
+		}
+	}
 	return labels, nil
 }
 
@@ -164,54 +215,34 @@ func emitOutlierStats(engine *mr.Engine, span obs.SpanID, labels []int, n int) {
 }
 
 func buildDetectJob(spec []byte) (mr.JobFuncs, error) {
-	var sp odSpec
+	var sp Spec
 	if err := mr.DecodeSpec(spec, &sp); err != nil {
 		return mr.JobFuncs{}, err
 	}
-	assign, err := sp.Assign.Assigner()
+	labels, err := sp.Labeler()
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}
-	test, err := sp.Test.Model()
-	if err != nil {
-		return mr.JobFuncs{}, err
+	return mr.JobFuncs{NewMapper: func() mr.Mapper { return odMapper{labels} }}, nil
+}
+
+// odMapper is the map-only OD job: it emits its split's label column once,
+// from Cleanup, as []int64 so the shuffle charges its true size.
+type odMapper struct{ labels func(*mr.Split) []int32 }
+
+func (odMapper) Setup(*mr.TaskContext) error { return nil }
+
+func (odMapper) Map(*mr.TaskContext, int, []float64) error { return nil }
+
+func (m odMapper) Cleanup(ctx *mr.TaskContext) error {
+	lab := m.labels(ctx.Split)
+	col := make([]int64, len(lab))
+	for r, c := range lab {
+		col[r] = int64(c)
 	}
-	return mr.JobFuncs{NewMapper: func() mr.Mapper { return &odMapper{assign: assign, test: test, crit: sp.Crit} }}, nil
-}
-
-// odMapper is the map-only OD job: it emits (global index, label).
-type odMapper struct {
-	assign *em.Assigner
-	test   *em.Model
-	crit   float64
-	labels splitLabels
-	proj   []float64
-	sc1    []float64
-	sc2    []float64
-}
-
-func (m *odMapper) Setup(ctx *mr.TaskContext) error {
-	m.labels = newSplitLabels(m.assign, ctx.Split)
-	d := len(m.assign.Attrs)
-	m.proj = make([]float64, d)
-	m.sc1 = make([]float64, d)
-	m.sc2 = make([]float64, d)
+	ctx.Emit(mr.SplitKey(ctx.Split), col)
 	return nil
 }
-
-func (m *odMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	x := m.assign.Project(m.proj, row)
-	c := m.labels.of(global)
-	d := m.test.Mahalanobis(c, x, m.sc1, m.sc2)
-	label := c
-	if d*d > m.crit {
-		label = OutlierLabel
-	}
-	ctx.Emit("p", [2]int{global, label})
-	return nil
-}
-
-func (m *odMapper) Cleanup(*mr.TaskContext) error { return nil }
 
 // ballStat ships one split's per-cluster MVB approximation.
 type ballStat struct {
@@ -303,14 +334,15 @@ func buildBallJob(spec []byte) (mr.JobFuncs, error) {
 // dimension-wise median centre and the median distance radius.
 type ballMapper struct {
 	model  *em.Assigner
-	labels splitLabels
+	lab    []int32 // the split's assignment column
+	offset int
 	groups [][]float64 // projected points per cluster, row-major
 	keys   []string
 	proj   []float64
 }
 
 func (m *ballMapper) Setup(ctx *mr.TaskContext) error {
-	m.labels = newSplitLabels(m.model, ctx.Split)
+	m.lab, m.offset = m.model.Labels(ctx.Split), ctx.Split.Offset
 	m.groups = make([][]float64, m.model.K())
 	m.keys = mr.IntKeys("c", m.model.K())
 	m.proj = make([]float64, len(m.model.Attrs))
@@ -318,7 +350,7 @@ func (m *ballMapper) Setup(ctx *mr.TaskContext) error {
 }
 
 func (m *ballMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	c := m.labels.of(global)
+	c := int(m.lab[global-m.offset])
 	m.groups[c] = append(m.groups[c], m.model.Project(m.proj, row)...)
 	return nil
 }
@@ -410,7 +442,8 @@ func buildInCoreJob(ellipsoid bool) func(spec []byte) (mr.JobFuncs, error) {
 // and one moments accumulator per cluster that Cleanup emits.
 type inCore struct {
 	model  *em.Assigner
-	labels splitLabels
+	lab    []int32 // the split's assignment column
+	offset int
 	acc    []linalg.Moments
 	keys   []string
 	proj   []float64
@@ -419,7 +452,7 @@ type inCore struct {
 }
 
 func (m *inCore) Setup(ctx *mr.TaskContext) error {
-	m.labels = newSplitLabels(m.model, ctx.Split)
+	m.lab, m.offset = m.model.Labels(ctx.Split), ctx.Split.Offset
 	d := len(m.model.Attrs)
 	k := m.model.K()
 	m.keys = mr.IntKeys("c", k)
@@ -450,7 +483,7 @@ type inBallMapper struct {
 }
 
 func (m *inBallMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	c := m.labels.of(global)
+	c := int(m.lab[global-m.offset])
 	ball := m.balls[c]
 	if ball == nil {
 		return nil
@@ -467,17 +500,3 @@ func (m *inBallMapper) Map(ctx *mr.TaskContext, global int, row []float64) error
 	m.acc[c].Add(x, 1)
 	return nil
 }
-
-// splitLabels is one split's assignment column under a job's mixture,
-// read by global point index.
-type splitLabels struct {
-	lab    []int32
-	offset int
-}
-
-func newSplitLabels(a *em.Assigner, s *mr.Split) splitLabels {
-	return splitLabels{lab: a.Labels(s), offset: s.Offset}
-}
-
-// of returns the most likely cluster of the point of global index global.
-func (l splitLabels) of(global int) int { return int(l.lab[global-l.offset]) }

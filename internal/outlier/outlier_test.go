@@ -72,7 +72,7 @@ func TestMethodString(t *testing.T) {
 func TestDetectNaiveFlagsFarPoints(t *testing.T) {
 	splits, outStart := clusterWithOutliers(500, 20, 3, 1)
 	model := singleComponentModel(3, []float64{0.5, 0.5, 0.5}, 4e-4)
-	labels, err := Detect(mr.Default(), splits, model, 520, Naive, 0.001, 0)
+	labels, _, err := Detect(mr.Default(), splits, model, 520, Naive, 0.001, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestMVBResistsMasking(t *testing.T) {
 	model := &em.Model{Attrs: attrs, Components: []*em.Component{{Weight: 1, Mean: mu, Cov: cov}}}
 
 	countFlagged := func(method Method) int {
-		labels, err := Detect(mr.Default(), splits, model.Clone(), n, method, 0.001, 0)
+		labels, _, err := Detect(mr.Default(), splits, model.Clone(), n, method, 0.001, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestDetectTwoClusters(t *testing.T) {
 			{Weight: 0.5, Mean: []float64{0.8, 0.8}, Cov: cov.Clone()},
 		},
 	}
-	labels, err := Detect(mr.Default(), splits, model, 400, MVB, 0.001, 0)
+	labels, _, err := Detect(mr.Default(), splits, model, 400, MVB, 0.001, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDetectChiSquareThresholdMonotone(t *testing.T) {
 	splits, _ := clusterWithOutliers(400, 0, 2, 9)
 	model := singleComponentModel(2, []float64{0.5, 0.5}, 4e-4)
 	count := func(alpha float64) int {
-		labels, err := Detect(mr.Default(), splits, model.Clone(), 400, Naive, alpha, 0)
+		labels, _, err := Detect(mr.Default(), splits, model.Clone(), 400, Naive, alpha, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

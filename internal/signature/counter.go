@@ -307,29 +307,27 @@ func (c *SupportCounter) Count(rb *RowBits) []int64 {
 	return c.counts
 }
 
-// Members returns, per signature of the index, its member bitmap over the
-// rows of rb: bit r%64 of word r/64 is set iff the signature holds row r,
-// as Signature.Contains says. A signature without intervals holds every
-// row and one with a NaN endpoint none. rb builds the bitmaps it lacks
-// first. The bitmaps are the caller's.
-func (ix *SupportIndex) Members(rb *RowBits) [][]uint64 {
+// Members returns the member bitmaps of the index's signatures over the
+// rows of rb, in one slab of len(sigs)·⌈rows/64⌉ words: signature j's
+// bitmap is words [j·w, (j+1)·w) with w = ⌈rows/64⌉, and bit r%64 of its
+// word r/64 is set iff the signature holds row r, as Signature.Contains
+// says. A signature without intervals holds every row and one with a NaN
+// endpoint none. rb builds the bitmaps it lacks first. The slab is the
+// caller's.
+func (ix *SupportIndex) Members(rb *RowBits) []uint64 {
 	words := (rb.n + 63) / 64
 	slab := make([]uint64, ix.n*words)
-	members := make([][]uint64, ix.n)
-	for j := range members {
-		members[j] = slab[j*words : (j+1)*words : (j+1)*words]
-	}
 	c := ix.NewCounter()
 	c.bm = rb.Bitmaps(nil, ix.ivs)
 	for lo := 0; lo < rb.n; lo += blockRows {
 		w0 := lo / 64
 		c.walk(w0, min(blockRows, rb.n-lo), func(sigs []int32, m []uint64) {
 			for _, j := range sigs {
-				copy(members[j][w0:], m)
+				copy(slab[int(j)*words+w0:], m)
 			}
 		})
 	}
-	return members
+	return slab
 }
 
 // walk walks the trie over the block of rows rows whose bitmap words start

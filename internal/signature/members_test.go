@@ -8,10 +8,11 @@ import (
 )
 
 // memberIDs lists the signatures whose member bitmap holds row r.
-func memberIDs(members [][]uint64, r int) []int {
+func memberIDs(members []uint64, k, r int) []int {
+	words := len(members) / k
 	var ids []int
-	for j, m := range members {
-		if m[r/64]>>(r%64)&1 != 0 {
+	for j := 0; j < k; j++ {
+		if members[j*words+r/64]>>(r%64)&1 != 0 {
 			ids = append(ids, j)
 		}
 	}
@@ -46,7 +47,7 @@ func TestMembersPaperExample(t *testing.T) {
 	}
 	members := NewSupportIndex([]Signature{s1, s2, s3, s4}).Members(NewRowBits(rows, 2))
 	for r, c := range cases {
-		if got := memberIDs(members, r); !slices.Equal(got, c.want) {
+		if got := memberIDs(members, 4, r); !slices.Equal(got, c.want) {
 			t.Errorf("x=%v: got %v, want %v", c.x, got, c.want)
 		}
 	}
@@ -107,14 +108,12 @@ func TestMembersMatchContains(t *testing.T) {
 				sigs := c.sigs(rng)
 				rows := c.rows(rng, n, c.dim)
 				members := NewSupportIndex(sigs).Members(NewRowBits(rows, c.dim))
-				if len(members) != len(sigs) {
-					t.Fatalf("%d rows: %d bitmaps for %d signatures", n, len(members), len(sigs))
-				}
 				words := (n + 63) / 64
-				for j, m := range members {
-					if len(m) != words {
-						t.Fatalf("%d rows: signature %d has %d words, want %d", n, j, len(m), words)
-					}
+				if len(members) != len(sigs)*words {
+					t.Fatalf("%d rows: %d words for %d signatures, want %d", n, len(members), len(sigs), len(sigs)*words)
+				}
+				for j := range sigs {
+					m := members[j*words : (j+1)*words]
 					if n%64 != 0 && m[words-1]>>(n%64) != 0 {
 						t.Fatalf("%d rows: signature %d has bits past the last row", n, j)
 					}

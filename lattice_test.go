@@ -46,7 +46,7 @@ func TestDeepLatticeDigestPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(buf.Bytes())
-	const want = "50217108af99cdf1f18d4bdf24d3f7a6984511f95edbc83e14fd56630a2f800a"
+	const want = "b2bb2bbc141d387749eb4353dfd77d6d223fc0e45a30c3a760a434d9fa31bb25"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("WriteJSON sha256 = %s, want %s", got, want)
 	}
