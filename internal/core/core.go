@@ -284,57 +284,85 @@ func (p *pipeline) run() (*Result, error) {
 // count. Every pool is convex, as FilterMaximal requires: for s ⊂ u ⊂ t with
 // s, t pooled, u is proven, shadowed only if s is, and was never maximal
 // while t was pooled.
+//
+// Every coverage input, the accepted cores followed by the round's
+// candidates, is an antichain, as signature.NewCoverageIndex requires: the
+// candidates are maximal in the pool; the pool drops the subsets of accepted
+// cores at the top of each round, so no candidate is a subset of a core; and
+// a core accepted in an earlier round was maximal in a pool that still held
+// every later candidate, so no candidate is a superset of a core. So a slab
+// artifact never covers the true core it extends: K∪{I} (often of a higher
+// interest ratio than K, since the other cluster's attributes are dense)
+// and K never meet in one input, or the filter would cascade down the
+// lattice and delete K. Genuine subset pruning is the maximality filter's
+// job.
 func (p *pipeline) redundancyRescue(gen *coreGenerator, proven []signature.Signature) ([]signature.Signature, int, error) {
 	var kept []signature.Signature
 	before := 0
 	pool := slices.Clone(proven)
 	for round := 0; ; round++ {
-		// Drop pool signatures already represented by an accepted core.
-		pool = slices.DeleteFunc(pool, func(s signature.Signature) bool {
-			return slices.ContainsFunc(kept, s.SubsetOf)
-		})
-		if len(pool) == 0 {
+		all, next := rescueRound(kept, pool)
+		if len(all) == len(kept) {
 			break
 		}
-		cands := signature.FilterMaximal(pool)
 		if round == 0 {
-			before = len(cands)
+			before = len(all)
 		}
-
-		// Coverage is evaluated against accepted cores plus this round's
-		// candidates.
-		all := append(slices.Clip(kept), cands...)
-		ratios := make([]float64, len(all))
-		in := make([]signature.RedundancyInput, len(all))
-		for i, s := range all {
-			supp := gen.supportOf(s)
-			ratios[i] = signature.InterestRatio(float64(supp), s, p.n)
-			in[i] = signature.RedundancyInput{Sig: s, Support: supp, Ratio: ratios[i]}
-		}
-		unc, err := uncoveredCounts(p.engine, p.splits, all, ratios, p.phaseSpan)
-		if err != nil {
+		var err error
+		if kept, err = p.acceptCores(gen, all, len(kept)); err != nil {
 			return nil, 0, err
 		}
-		red := signature.DecideRedundant(in, signature.Uncovered{Count: unc}, p.params.RedundancyCoverage)
-		for i := len(kept); i < len(all); i++ {
-			if !red[i] {
-				kept = append(kept, all[i])
-			}
-		}
-		// This round's candidates leave the pool for good: survivors are
-		// cores, casualties are artifacts whose subsets get their chance
-		// next round. FilterMaximal keeps pool order, so the candidates
-		// are a subsequence of the pool.
-		next := 0
-		pool = slices.DeleteFunc(pool, func(s signature.Signature) bool {
-			if next < len(cands) && s.Equal(cands[next]) {
-				next++
-				return true
-			}
-			return false
-		})
+		pool = next
 	}
 	return kept, before, nil
+}
+
+// rescueRound returns one rescue round's coverage input and the pool of the
+// next round. It drops from pool, in place, every subset of an accepted core
+// in kept; the input is kept followed by the maximal signatures of what is
+// left, the round's candidates, and the next pool is what is left without
+// them: survivors become cores, casualties are artifacts whose subsets get
+// their chance next round.
+func rescueRound(kept, pool []signature.Signature) (all, next []signature.Signature) {
+	pool = slices.DeleteFunc(pool, func(s signature.Signature) bool {
+		return slices.ContainsFunc(kept, s.SubsetOf)
+	})
+	all = append(slices.Clip(kept), signature.FilterMaximal(pool)...)
+	// FilterMaximal keeps pool order, so the candidates are a subsequence
+	// of the pool.
+	cands := all[len(kept):]
+	next = slices.DeleteFunc(pool, func(s signature.Signature) bool {
+		if len(cands) > 0 && s.Equal(cands[0]) {
+			cands = cands[1:]
+			return true
+		}
+		return false
+	})
+	return all, next
+}
+
+// acceptCores runs the redundancy filter over a round's coverage input all,
+// whose first k signatures are the cores accepted so far, and returns them
+// followed by the candidates that are not redundant. It reuses all's array.
+func (p *pipeline) acceptCores(gen *coreGenerator, all []signature.Signature, k int) ([]signature.Signature, error) {
+	supports := make([]int64, len(all))
+	ratios := make([]float64, len(all))
+	for i, s := range all {
+		supports[i] = gen.supportOf(s)
+		ratios[i] = signature.InterestRatio(float64(supports[i]), s, p.n)
+	}
+	unc, err := uncoveredCounts(p.engine, p.splits, all, ratios, p.phaseSpan)
+	if err != nil {
+		return nil, err
+	}
+	red := signature.DecideRedundant(supports, unc, p.params.RedundancyCoverage)
+	kept := all[:k]
+	for i := k; i < len(all); i++ {
+		if !red[i] {
+			kept = append(kept, all[i])
+		}
+	}
+	return kept, nil
 }
 
 // relevantIntervals extracts the candidate intervals of every attribute

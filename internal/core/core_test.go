@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"p3cmr/internal/dataset"
@@ -206,6 +207,72 @@ func TestRedundancyRescueRecoversShadowedCore(t *testing.T) {
 	}
 	if len(res.Cores) != 3 {
 		t.Fatalf("cores = %d, want 3 (shadowed core lost again?)", len(res.Cores))
+	}
+}
+
+// TestRescueRoundsAreAntichains pins the precondition of the redundancy
+// filter's coverage counting (signature.NewCoverageIndex): no rescue round
+// hands uncoveredCounts a pair s ⊆ t. It replays redundancyRescue's rounds
+// through the same rescueRound and acceptCores, on the overlap fixture of
+// TestRedundancyRescueRecoversShadowedCore and on a noise-free data set
+// whose ~200 maximal cores take seven rounds, and checks that the replay
+// accepts the cores redundancyRescue does.
+func TestRescueRoundsAreAntichains(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  dataset.GenConfig
+	}{
+		{"overlap", dataset.GenConfig{N: 3000, Dim: 15, Clusters: 3, NoiseFraction: 0.05, Seed: 7, Overlap: true}},
+		{"noise-free", dataset.GenConfig{N: 20000, Dim: 40, Clusters: 5, MaxClusterDims: 14, Seed: 1, Overlap: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, _, err := dataset.Generate(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := &pipeline{params: LightParams(), engine: mr.Default(), splits: data.Splits(16), n: data.N(), dim: data.Dim}
+			hists, err := histogramJob(p.engine, p.splits, p.dim, p.binCount(p.n), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := newCoreGenerator(p.params, p.engine, p.splits, p.n)
+			proven, err := gen.run(relevantIntervals(hists, p.params.AlphaChi2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kept []signature.Signature
+			pool := slices.Clone(proven)
+			rounds := 0
+			for {
+				all, next := rescueRound(kept, pool)
+				if len(all) == len(kept) {
+					break
+				}
+				rounds++
+				for i, s := range all {
+					for j, u := range all {
+						if i != j && s.SubsetOf(u) {
+							t.Fatalf("round %d hands the filter %v ⊆ %v", rounds, s, u)
+						}
+					}
+				}
+				if kept, err = p.acceptCores(gen, all, len(kept)); err != nil {
+					t.Fatal(err)
+				}
+				pool = next
+			}
+			if rounds < 2 {
+				t.Fatalf("%d rescue rounds: the fixture no longer exercises the rescue", rounds)
+			}
+			want, _, err := p.redundancyRescue(gen, proven)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(kept, want, signature.Signature.Equal) {
+				t.Fatalf("replay kept %v, redundancyRescue %v", kept, want)
+			}
+			t.Logf("%d proven, %d rounds, %d cores", len(proven), rounds, len(kept))
+		})
 	}
 }
 

@@ -172,7 +172,7 @@ func TestUncoveredCountsJobMatchesSerial(t *testing.T) {
 	sigs := []signature.Signature{
 		signature.New(signature.Interval{Attr: 0, Lo: 0, Hi: 0.5}),
 		signature.New(signature.Interval{Attr: 1, Lo: 0, Hi: 0.5}),
-		signature.New(signature.Interval{Attr: 0, Lo: 0, Hi: 0.5}, signature.Interval{Attr: 1, Lo: 0, Hi: 0.5}),
+		signature.New(signature.Interval{Attr: 2, Lo: 0, Hi: 0.5}, signature.Interval{Attr: 3, Lo: 0.25, Hi: 0.75}),
 	}
 	ratios := []float64{1, 2, 3}
 	got, err := uncoveredCounts(mr.Default(), splitsFor(d, 4), sigs, ratios, 0)

@@ -5,12 +5,14 @@ import (
 	"testing"
 )
 
-// benchSigs builds a candidate set shaped like a real proving batch.
-func benchSigs(numSigs, dim int) []Signature {
+// benchSigs builds a candidate set shaped like a real proving batch, of
+// signatures of minP to maxP intervals. Distinct signatures of one size
+// form an antichain, as the redundancy filter's inputs are.
+func benchSigs(numSigs, dim, minP, maxP int) []Signature {
 	rng := rand.New(rand.NewSource(1))
 	sigs := make([]Signature, 0, numSigs)
 	for len(sigs) < numSigs {
-		p := 1 + rng.Intn(3)
+		p := minP + rng.Intn(maxP-minP+1)
 		var ivs []Interval
 		used := map[int]bool{}
 		for len(ivs) < p {
@@ -32,6 +34,9 @@ func benchSigs(numSigs, dim int) []Signature {
 // bitmaps in the op, as the first counting job over a split (and every
 // counting task on a worker process) does; the "cached" arm counts over
 // bitmaps that exist, as every later job over an in-process split does.
+// The "coverage" arm counts the redundancy filter's uncovered points over
+// an antichain of 2-interval signatures with random ratios, over bitmaps
+// that exist.
 func BenchmarkSupportCounter(b *testing.B) {
 	const dim, n = 20, 4 * blockRows
 	rng := rand.New(rand.NewSource(2))
@@ -40,7 +45,7 @@ func BenchmarkSupportCounter(b *testing.B) {
 		rows[i] = rng.Float64()
 	}
 	for _, numSigs := range []int{100, 1000, 5000} {
-		ix := NewSupportIndex(benchSigs(numSigs, dim))
+		ix := NewSupportIndex(benchSigs(numSigs, dim, 1, 3))
 		perRow := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 		}
@@ -54,6 +59,25 @@ func BenchmarkSupportCounter(b *testing.B) {
 		})
 		b.Run(itoa(numSigs)+"/cached", func(b *testing.B) {
 			c := ix.NewCounter()
+			rb := NewRowBits(rows, dim)
+			c.Count(rb)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Count(rb)
+			}
+			perRow(b)
+		})
+		if numSigs == 100 {
+			continue
+		}
+		b.Run(itoa(numSigs)+"/coverage", func(b *testing.B) {
+			sigs := benchSigs(numSigs, dim, 2, 2)
+			ratios := make([]float64, len(sigs))
+			for i := range ratios {
+				ratios[i] = rng.Float64()
+			}
+			c := NewCoverageIndex(sigs, ratios).NewCounter()
 			rb := NewRowBits(rows, dim)
 			c.Count(rb)
 			b.ReportAllocs()
@@ -77,7 +101,7 @@ func BenchmarkMembers(b *testing.B) {
 		rows[i] = rng.Float64()
 	}
 	for _, numSigs := range []int{100, 1000, 5000} {
-		ix := NewSupportIndex(benchSigs(numSigs, dim))
+		ix := NewSupportIndex(benchSigs(numSigs, dim, 1, 3))
 		rb := NewRowBits(rows, dim)
 		ix.Members(rb)
 		b.Run(itoa(numSigs), func(b *testing.B) {
@@ -92,7 +116,7 @@ func BenchmarkMembers(b *testing.B) {
 
 func BenchmarkNaiveContainment(b *testing.B) {
 	for _, n := range []int{100, 1000, 5000} {
-		sigs := benchSigs(n, 20)
+		sigs := benchSigs(n, 20, 1, 3)
 		rng := rand.New(rand.NewSource(2))
 		x := make([]float64, 20)
 		for i := range x {
@@ -110,7 +134,7 @@ func BenchmarkNaiveContainment(b *testing.B) {
 }
 
 func BenchmarkGenerateCandidates(b *testing.B) {
-	level := benchSigs(500, 30)
+	level := benchSigs(500, 30, 1, 3)
 	k := int64(len(level))
 	total := k * (k - 1) / 2
 	b.ReportAllocs()

@@ -1,6 +1,7 @@
 package signature
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -50,10 +51,12 @@ type SupportIndex struct {
 	empty    []int32
 	maxDepth int
 
-	// coverers is nil for plain support counting. In coverage mode,
-	// coverers[j] lists the signatures whose members cover j's (see
-	// NewCoverageIndex).
-	coverers [][]int32
+	// Coverage mode only (NewCoverageIndex): the signatures of non-NaN
+	// ratio in groups of equal ratio, by descending ratio, and those of
+	// NaN ratio.
+	coverage bool
+	byRatio  [][]int32
+	nanRatio []int32
 }
 
 // NewSupportIndex builds the counting index over sigs. Its counters' counts
@@ -119,30 +122,35 @@ func NewSupportIndex(sigs []Signature) *SupportIndex {
 }
 
 // NewCoverageIndex builds the index in coverage mode: its counters' counts
-// are, per signature, how many of its support points no coverer holds
-// (Uncovered.Count). Signature i covers j when it has a strictly higher
-// interest ratio and is not a lattice superset of j. The two refinements
-// over a naive reading of Eq. 5 make the redundancy filter robust on real
-// (noisy, overlapping) data:
+// are, per signature j, how many of its support points no signature that
+// covers j holds. Signature i covers j when !(ratios[i] <= ratios[j]): a
+// strictly higher interest ratio covers, a tie never does (+Inf ties with
+// +Inf), and a NaN ratio covers and is covered by every other signature.
 //
-//   - A lattice superset Si ⊃ S never covers S. Overlapping clusters spawn
-//     "slab" artifacts — a low-dimensional true core extended by another
-//     cluster's dense attributes — whose interest ratio exceeds the true
-//     core's. Counting them as cover would cascade the redundancy filter
-//     down the lattice and delete the true core; excluding supersets is
-//     safe because genuine subset pruning is the maximality filter's job.
-//   - Coverage is fractional (see DecideRedundant): uniform noise inside an
-//     artifact's box breaks exact set containment on any realistic data.
+// sigs must be an antichain: no signature is a subset of another, so none
+// occurs twice. The redundancy rescue hands the filter only antichains
+// (see core.redundancyRescue), and on an antichain the union of j's
+// coverers is the OR of the member bitmaps of every signature of higher
+// ratio, which a counter keeps as one running OR per block.
 func NewCoverageIndex(sigs []Signature, ratios []float64) *SupportIndex {
 	ix := NewSupportIndex(sigs)
-	ix.coverers = make([][]int32, len(sigs))
-	for j := range sigs {
-		for i := range sigs {
-			if i == j || ratios[i] <= ratios[j] || sigs[j].SubsetOf(sigs[i]) {
-				continue
-			}
-			ix.coverers[j] = append(ix.coverers[j], int32(i))
+	ix.coverage = true
+	var order []int32
+	for j, r := range ratios {
+		if math.IsNaN(r) {
+			ix.nanRatio = append(ix.nanRatio, int32(j))
+		} else {
+			order = append(order, int32(j))
 		}
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(ratios[b], ratios[a]) })
+	for len(order) > 0 {
+		g := 1
+		for g < len(order) && ratios[order[g]] == ratios[order[0]] {
+			g++
+		}
+		ix.byRatio = append(ix.byRatio, order[:g:g])
+		order = order[g:]
 	}
 	return ix
 }
@@ -252,13 +260,12 @@ type SupportCounter struct {
 	stack  []uint64
 	counts []int64
 
-	// Coverage mode: per signature its member bitmap in the block and
-	// whether it has members, plus the remainder scratch: the nonzero
-	// words of a member bitmap and their indices.
-	member  []uint64
-	live    []bool
-	rem     []uint64
-	remWord []int32
+	// Coverage mode: per signature its member bitmap in the block, and
+	// per block the rows some signature counted so far holds (prefix) and
+	// the rows two or more of them hold (twice).
+	member []uint64
+	prefix []uint64
+	twice  []uint64
 }
 
 // NewCounter returns a counter. Counters of one index may run concurrently.
@@ -268,11 +275,10 @@ func (ix *SupportIndex) NewCounter() *SupportCounter {
 		stack:  make([]uint64, (ix.maxDepth+1)*blockWords),
 		counts: make([]int64, ix.n),
 	}
-	if ix.coverers != nil {
+	if ix.coverage {
 		c.member = make([]uint64, ix.n*blockWords)
-		c.live = make([]bool, ix.n)
-		c.rem = make([]uint64, blockWords)
-		c.remWord = make([]int32, blockWords)
+		c.prefix = make([]uint64, blockWords)
+		c.twice = make([]uint64, blockWords)
 	}
 	return c
 }
@@ -286,7 +292,7 @@ func (c *SupportCounter) Count(rb *RowBits) []int64 {
 	clear(c.counts)
 	for lo := 0; lo < rb.n; lo += blockRows {
 		rows := min(blockRows, rb.n-lo)
-		if c.live == nil {
+		if !c.ix.coverage {
 			c.walk(lo/64, rows, func(sigs []int32, m []uint64) {
 				pc := int64(popCount(m))
 				for _, j := range sigs {
@@ -295,11 +301,10 @@ func (c *SupportCounter) Count(rb *RowBits) []int64 {
 			})
 			continue
 		}
-		clear(c.live)
+		clear(c.member)
 		c.walk(lo/64, rows, func(sigs []int32, m []uint64) {
 			for _, j := range sigs {
 				copy(c.member[int(j)*blockWords:], m)
-				c.live[j] = true
 			}
 		})
 		c.countUncovered((rows + 63) / 64)
@@ -370,44 +375,43 @@ func (c *SupportCounter) walk(w0, rows int, visit func(sigs []int32, m []uint64)
 	}
 }
 
-// countUncovered adds, per signature j with members in the block,
-// popcount(M_j &^ ⋃ M_i) over j's coverers i to the counts. The remainder
-// keeps only its nonzero words, and a coverer clears what it can of them,
-// so a coverer costs one AND per word still holding an uncovered member,
-// never more ANDs than a per-point scan makes bit tests. Without this,
-// every coverer of every live signature would cost blockWords ANDs, which
-// is slower than a per-point scan when many cores spread over disjoint
-// clusters. The scan stops once no word is left.
+// countUncovered adds, per signature j, popcount(M_j &^ C_j) to the
+// counts, where C_j is the OR of the member bitmaps of j's coverers in the
+// block. Groups of equal ratio are counted in descending order against the
+// OR of the groups before them and the NaN-ratio signatures, then ORed in;
+// a NaN-ratio signature is counted last, against the rows some other
+// signature holds, which are its rows that two or more signatures hold.
 func (c *SupportCounter) countUncovered(nw int) {
-	for j := range c.counts {
-		if !c.live[j] {
-			continue
+	prefix, twice := c.prefix[:nw], c.twice[:nw]
+	clear(prefix)
+	clear(twice)
+	member := func(j int32) []uint64 { return c.member[int(j)*blockWords:][:nw] }
+	add := func(j int32) {
+		for w, m := range member(j) {
+			twice[w] |= prefix[w] & m
+			prefix[w] |= m
 		}
-		rem, words := c.rem[:0], c.remWord[:0]
-		for w, m := range c.member[j*blockWords:][:nw] {
-			if m != 0 {
-				rem = append(rem, m)
-				words = append(words, int32(w))
-			}
+	}
+	count := func(j int32, cover []uint64) {
+		u := 0
+		for w, m := range member(j) {
+			u += bits.OnesCount64(m &^ cover[w])
 		}
-		for _, i := range c.ix.coverers[j] {
-			if len(rem) == 0 {
-				break
-			}
-			if !c.live[i] {
-				continue
-			}
-			mi := c.member[int(i)*blockWords:][:blockWords]
-			k := 0
-			for t, w := range words {
-				if r := rem[t] &^ mi[w]; r != 0 {
-					rem[k], words[k] = r, w
-					k++
-				}
-			}
-			rem, words = rem[:k], words[:k]
+		c.counts[j] += int64(u)
+	}
+	for _, j := range c.ix.nanRatio {
+		add(j)
+	}
+	for _, g := range c.ix.byRatio {
+		for _, j := range g {
+			count(j, prefix)
 		}
-		c.counts[j] += int64(popCount(rem))
+		for _, j := range g {
+			add(j)
+		}
+	}
+	for _, j := range c.ix.nanRatio {
+		count(j, twice)
 	}
 }
 

@@ -108,11 +108,52 @@ func TestSupportCounterEmptyIndex(t *testing.T) {
 	}
 }
 
-// horizontalUncovered is the per-point oracle of the coverage mode: the
-// signatures that contain a point by Signature.Contains, then a scan of
-// each one's coverers — a strictly higher ratio that is not a lattice
-// superset — among them.
-func horizontalUncovered(sigs []Signature, ratios []float64, rows []float64, dim int) []int64 {
+// antichain returns sigs, in order, without duplicates and without any
+// signature that is a subset of another: the input NewCoverageIndex
+// requires.
+func antichain(sigs []Signature) []Signature {
+	var out []Signature
+	for i, s := range sigs {
+		if slices.ContainsFunc(sigs[:i], s.Equal) {
+			continue
+		}
+		if !slices.ContainsFunc(sigs, func(t Signature) bool { return !t.Equal(s) && s.SubsetOf(t) }) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// randomRatios draws interest ratios with ties, ±Inf and NaN among them.
+func randomRatios(rng *rand.Rand, n int) []float64 {
+	pool := []float64{math.NaN(), math.Inf(-1), 0, 1, 2, 3, 4, math.Inf(1)}
+	ratios := make([]float64, n)
+	for i := range ratios {
+		ratios[i] = pool[rng.Intn(len(pool))]
+	}
+	return ratios
+}
+
+// coverers is the coverage mode's reference: the per-coverer construction
+// that the running OR replaced. For every signature j it lists each
+// signature i ≠ j that covers it, !(ratios[i] <= ratios[j]), unless i is a
+// lattice superset of j, which never happens on an antichain.
+func coverers(sigs []Signature, ratios []float64) [][]int {
+	cov := make([][]int, len(sigs))
+	for j := range sigs {
+		for i := range sigs {
+			if i != j && !(ratios[i] <= ratios[j]) && !sigs[j].SubsetOf(sigs[i]) {
+				cov[j] = append(cov[j], i)
+			}
+		}
+	}
+	return cov
+}
+
+// referenceUncovered counts, per signature, the points it holds by
+// Signature.Contains that none of its coverers holds.
+func referenceUncovered(sigs []Signature, ratios []float64, rows []float64, dim int) []int64 {
+	cov := coverers(sigs, ratios)
 	unc := make([]int64, len(sigs))
 	in := make([]bool, len(sigs))
 	for p := 0; p+dim <= len(rows); p += dim {
@@ -120,17 +161,7 @@ func horizontalUncovered(sigs []Signature, ratios []float64, rows []float64, dim
 			in[i] = s.Contains(rows[p : p+dim])
 		}
 		for j := range sigs {
-			if !in[j] {
-				continue
-			}
-			covered := false
-			for i := range sigs {
-				if i != j && ratios[i] > ratios[j] && !sigs[j].SubsetOf(sigs[i]) && in[i] {
-					covered = true
-					break
-				}
-			}
-			if !covered {
+			if in[j] && !slices.ContainsFunc(cov[j], func(i int) bool { return in[i] }) {
 				unc[j]++
 			}
 		}
@@ -142,19 +173,48 @@ func TestCoverageCounterMatchesHorizontal(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dim := 2 + rng.Intn(4)
-		sigs := randomCounterSigs(rng, dim)
-		ratios := make([]float64, len(sigs))
-		for i := range ratios {
-			ratios[i] = float64(rng.Intn(6)) // ties exercise the strict order
-		}
+		sigs := antichain(randomCounterSigs(rng, dim))
+		ratios := randomRatios(rng, len(sigs))
 		ix := NewCoverageIndex(sigs, ratios)
 		for _, n := range counterRowCounts {
 			rows := randomCounterRows(rng, n, dim)
-			want := horizontalUncovered(sigs, ratios, rows, dim)
+			want := referenceUncovered(sigs, ratios, rows, dim)
 			if got := countVertically(ix, rows, dim); !slices.Equal(got, want) {
-				t.Fatalf("seed %d, %d rows, %d sigs: vertical %v, horizontal %v", seed, n, len(sigs), got, want)
+				t.Fatalf("seed %d, %d rows, %d sigs, ratios %v: vertical %v, reference %v", seed, n, len(sigs), ratios, got, want)
 			}
 		}
+	}
+}
+
+// TestCoverageTiesAndNaN pins the relation on three signatures of disjoint
+// subspaces: a tie never covers, +Inf ties with +Inf, and a NaN ratio
+// covers and is covered by every other signature. Row 0 lies in all three
+// signatures, row 1 in a and b only, row 2 in c only.
+func TestCoverageTiesAndNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	sigs := []Signature{New(iv(0, 0, 0.5)), New(iv(1, 0, 0.5)), New(iv(2, 0, 0.5))}
+	rows := []float64{0.25, 0.25, 0.25, 0.25, 0.25, 0.75, 0.75, 0.75, 0.25}
+	for _, tc := range []struct {
+		ratios []float64
+		want   []int64
+	}{
+		{[]float64{1, 1, 1}, []int64{2, 2, 2}},
+		{[]float64{inf, inf, 1}, []int64{2, 2, 1}},
+		{[]float64{1, 2, 3}, []int64{0, 1, 2}},
+		{[]float64{nan, 1, 1}, []int64{0, 0, 1}},
+		{[]float64{nan, nan, 1}, []int64{0, 0, 1}},
+		{[]float64{nan, 1, 2}, []int64{0, 0, 1}},
+		{[]float64{1, 1, nan}, []int64{1, 1, 1}},
+		{[]float64{nan, -inf, inf}, []int64{0, 0, 1}},
+	} {
+		t.Run(fmt.Sprint(tc.ratios), func(t *testing.T) {
+			if got := countVertically(NewCoverageIndex(sigs, tc.ratios), rows, 3); !slices.Equal(got, tc.want) {
+				t.Errorf("vertical %v, want %v", got, tc.want)
+			}
+			if got := referenceUncovered(sigs, tc.ratios, rows, 3); !slices.Equal(got, tc.want) {
+				t.Errorf("reference %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -167,11 +227,8 @@ func TestSupportCounterCountAllocs(t *testing.T) {
 	sigs := randomCounterSigs(rng, dim)
 	rows := randomCounterRows(rng, 2*blockRows+3, dim)
 	rb := NewRowBits(rows, dim)
-	ratios := make([]float64, len(sigs))
-	for i := range ratios {
-		ratios[i] = rng.Float64()
-	}
-	for name, ix := range map[string]*SupportIndex{"support": NewSupportIndex(sigs), "coverage": NewCoverageIndex(sigs, ratios)} {
+	anti := antichain(sigs)
+	for name, ix := range map[string]*SupportIndex{"support": NewSupportIndex(sigs), "coverage": NewCoverageIndex(anti, randomRatios(rng, len(anti)))} {
 		c := ix.NewCounter()
 		c.Count(rb)
 		if allocs := testing.AllocsPerRun(10, func() { c.Count(rb) }); allocs != 0 {
@@ -206,7 +263,7 @@ func TestSupportCounterNaNEndpoints(t *testing.T) {
 
 // TestCoverageCounterSparseMembers: many narrow, partly overlapping cores
 // each hold a few rows per block, so most words of a member bitmap are
-// zero and coverers clear single words of the remainder.
+// zero.
 func TestCoverageCounterSparseMembers(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const dim = 2
@@ -219,19 +276,21 @@ func TestCoverageCounterSparseMembers(t *testing.T) {
 		}
 		sigs = append(sigs, s)
 	}
+	sigs = antichain(sigs)
 	ratios := make([]float64, len(sigs))
 	for i := range ratios {
 		ratios[i] = float64(rng.Intn(20))
 	}
+	ratios[3], ratios[5], ratios[8] = math.NaN(), math.Inf(1), math.Inf(-1)
 	ix := NewCoverageIndex(sigs, ratios)
 	for _, n := range counterRowCounts {
 		rows := make([]float64, n*dim)
 		for i := range rows {
 			rows[i] = float64(rng.Intn(1000)) / 1000
 		}
-		want := horizontalUncovered(sigs, ratios, rows, dim)
+		want := referenceUncovered(sigs, ratios, rows, dim)
 		if got := countVertically(ix, rows, dim); !slices.Equal(got, want) {
-			t.Fatalf("%d rows: vertical %v, horizontal %v", n, got, want)
+			t.Fatalf("%d rows: vertical %v, reference %v", n, got, want)
 		}
 	}
 }

@@ -45,10 +45,8 @@ func TestRedundancyPaperExample(t *testing.T) {
 	}
 
 	ratios := make([]float64, 3)
-	in := make([]RedundancyInput, 3)
 	for i, s := range sigs {
 		ratios[i] = InterestRatio(float64(supports[i]), s, n)
-		in[i] = RedundancyInput{Sig: s, Support: supports[i], Ratio: ratios[i]}
 	}
 	// Paper: S3 <r S1 and S3 <r S2.
 	if !(ratios[2] < ratios[0] && ratios[2] < ratios[1]) {
@@ -56,7 +54,7 @@ func TestRedundancyPaperExample(t *testing.T) {
 	}
 
 	unc := countVertically(NewCoverageIndex(sigs, ratios), rows, 3)
-	red := DecideRedundant(in, Uncovered{Count: unc}, 1.0)
+	red := DecideRedundant(supports, unc, 1.0)
 	if !red[2] {
 		t.Errorf("S3 must be redundant (uncovered=%d)", unc[2])
 	}
@@ -79,24 +77,6 @@ func TestInterestRatio(t *testing.T) {
 	}
 }
 
-func TestCoverageSupersetExcluded(t *testing.T) {
-	// A lattice superset with a higher ratio must NOT cover its subset:
-	// this is the overlap-artifact protection.
-	sub := New(iv(0, 0, 0.5))
-	super := New(iv(0, 0, 0.5), iv(1, 0, 0.5))
-	sigs := []Signature{sub, super}
-	ratios := []float64{2, 10}
-	// A point in both: sub must still count as uncovered.
-	unc := countVertically(NewCoverageIndex(sigs, ratios), []float64{0.25, 0.25}, 2)
-	if unc[0] != 1 {
-		t.Errorf("subset covered by its superset: counts=%v", unc)
-	}
-	// The superset is uncovered too (nothing else covers it).
-	if unc[1] != 1 {
-		t.Errorf("superset should be uncovered: counts=%v", unc)
-	}
-}
-
 func TestCoverageByUnrelatedHigherRatio(t *testing.T) {
 	a := New(iv(0, 0, 0.5))
 	b := New(iv(1, 0, 0.5)) // different subspace, higher ratio
@@ -116,30 +96,16 @@ func TestCoverageByUnrelatedHigherRatio(t *testing.T) {
 }
 
 func TestDecideRedundantCoverageFraction(t *testing.T) {
-	s := New(iv(0, 0, 0.5))
-	in := []RedundancyInput{{Sig: s, Support: 100, Ratio: 2}}
 	// 40 uncovered of 100: redundant at coverage 0.5 (allowed 50), not at
 	// coverage 0.7 (allowed 30).
-	if got := DecideRedundant(in, Uncovered{Count: []int64{40}}, 0.5); !got[0] {
+	if got := DecideRedundant([]int64{100}, []int64{40}, 0.5); !got[0] {
 		t.Error("40/100 uncovered must be redundant at coverage 0.5")
 	}
-	if got := DecideRedundant(in, Uncovered{Count: []int64{40}}, 0.7); got[0] {
+	if got := DecideRedundant([]int64{100}, []int64{40}, 0.7); got[0] {
 		t.Error("40/100 uncovered must survive at coverage 0.7")
 	}
 	// Zero support is always redundant.
-	in[0].Support = 0
-	if got := DecideRedundant(in, Uncovered{Count: []int64{0}}, 0.5); !got[0] {
+	if got := DecideRedundant([]int64{0}, []int64{0}, 0.5); !got[0] {
 		t.Error("zero-support signature must be redundant")
-	}
-}
-
-func TestSortByRatioDesc(t *testing.T) {
-	a := RedundancyInput{Sig: New(iv(0, 0, 0.1)), Ratio: 1}
-	b := RedundancyInput{Sig: New(iv(1, 0, 0.1)), Ratio: 5}
-	c := RedundancyInput{Sig: New(iv(2, 0, 0.1)), Ratio: 3}
-	in := []RedundancyInput{a, b, c}
-	SortByRatioDesc(in)
-	if in[0].Ratio != 5 || in[1].Ratio != 3 || in[2].Ratio != 1 {
-		t.Fatalf("order = %v %v %v", in[0].Ratio, in[1].Ratio, in[2].Ratio)
 	}
 }
