@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet lint lint-fix-check build test bench-module race bench bench-diff chaos chaos-proc trace ops ops-proc trace-diff trace-demo ops-demo trace-analyze proc-demo
+.PHONY: ci fmt-check vet lint lint-fix-check build test bench-module race bench bench-diff chaos chaos-proc trace ops ops-proc trace-diff trace-demo ops-demo trace-analyze proc-demo loc
 
 ci: fmt-check vet lint build test bench-module race chaos chaos-proc trace ops ops-proc trace-diff bench bench-diff
 
@@ -56,14 +56,15 @@ chaos:
 	$(GO) test -race -run 'Chaos|Fault' ./...
 
 # The backend seam's process-level harness under the race detector: the
-# cross-backend conformance matrix (bit-identical output across inprocess,
-# multiprocess and simulated at every parallelism and spill threshold; the
+# cross-backend conformance matrix (bit-identical output across inprocess
+# and multiprocess at every parallelism and spill threshold; the
 # multiprocess sweep auto-trims under -race via a build tag — worker
 # processes are race-instrumented binaries and slow to spawn), the
 # pipeline's own JSON oracle across backends, the
 # SIGKILL-mid-task chaos tests with exact retry/waste accounting, the
-# out-of-core spill/merge test, and one fuzz-seed pass over the spill
-# codec and the k-way merge.
+# worker protocol and driver-death hygiene tests, the out-of-core
+# spill/merge test, and one fuzz-seed pass over the spill codec and the
+# k-way merge.
 chaos-proc:
 	$(GO) test -race -run 'Backend|ProcKill|Spill|Worker|Multiprocess|Wire' ./internal/mr/ ./cmd/p3ctrace/ .
 	$(GO) test -run 'FuzzSpillRoundTrip|FuzzKWayMergeOrder' ./internal/mr/
@@ -106,6 +107,14 @@ trace-diff:
 		/tmp/p3c-archive-a /tmp/p3c-archive-b
 	$(GO) run ./cmd/p3ctrace -diff -straggler-threshold 0 -sim-threshold 0 \
 		/tmp/p3c-archive-a /tmp/p3c-archive-a
+
+# Non-test Go lines per package directory and in total, leaving out the
+# benchmark harness (bench/) and lint corpora (testdata/): the size figure
+# a simplicity change reports before → after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' ! -path './bench/*' ! -path '*/testdata/*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 # Benchmarks with a machine-readable summary: benchjson tees the raw
 # output through and writes BENCH_PR19.json for cross-PR baseline diffs.

@@ -27,9 +27,8 @@ func renderJSON(t *testing.T, data *Dataset, alg Algorithm, engine *mr.Engine) [
 // TestBackendJSONResultBitIdentical extends the end-to-end JSON oracle
 // across the Backend seam: the paper's pipelines — Light and the full MVB
 // model — must write byte-for-byte the same WriteJSON output on every
-// backend (in-process goroutines, the sequential simulated reference, and
-// re-exec'd worker processes with a disk-spilled shuffle), at parallelism 1
-// and 8, with and without seeded faults — which on the multiprocess
+// backend (in-process goroutines and re-exec'd worker processes with a
+// disk-spilled shuffle), at parallelism 1 and 8, with and without seeded faults — which on the multiprocess
 // backend SIGKILL real workers. One always-spill multiprocess row per
 // algorithm pushes every map output through the sorted-run merge.
 func TestBackendJSONResultBitIdentical(t *testing.T) {
@@ -39,10 +38,9 @@ func TestBackendJSONResultBitIdentical(t *testing.T) {
 
 	algs := []Algorithm{P3CPlusMRLight, P3CPlusMR}
 	if raceDetectorEnabled {
-		// Race runs keep Light's in-process and simulated rows; the MVB
-		// rows and every multiprocess row run in the non-race suite (the
-		// engine-level conformance matrix covers the multiprocess driver
-		// under race).
+		// Race runs keep Light's in-process rows; the MVB rows and every
+		// multiprocess row run in the non-race suite (the engine-level
+		// conformance matrix covers the multiprocess driver under race).
 		algs = algs[:1]
 	}
 	for _, alg := range algs {
@@ -123,13 +121,14 @@ func TestBackendBoWBitIdentical(t *testing.T) {
 // clustering — a constant attribute, 500 identical rows, a single point,
 // and far fewer points than dimensions (40 × 400) — on Light and MVB: every
 // run must succeed, and the worker-process backend must write the same
-// JSON as the in-process one. Race runs compare against the simulated
-// backend instead: race-instrumented worker fleets are too slow to spawn
-// for every job of every input.
+// JSON as the in-process one. Race runs compare against an in-process
+// engine running one task at a time with poisoned pools instead:
+// race-instrumented worker fleets are too slow to spawn for every job of
+// every input.
 func TestDegenerateInputs(t *testing.T) {
-	other := "multiprocess"
+	other, otherName := mr.Config{Backend: "multiprocess", Parallelism: 2}, "multiprocess"
 	if raceDetectorEnabled {
-		other = "simulated"
+		other, otherName = mr.Config{Parallelism: 1, DebugPoisonPools: true}, "sequential poisoned in-process"
 	}
 	base, _ := genAPITestData(t, 600, 8)
 	constant := base.Clone()
@@ -163,11 +162,10 @@ func TestDegenerateInputs(t *testing.T) {
 		in.data.Normalize()
 		for _, alg := range []Algorithm{P3CPlusMRLight, P3CPlusMR} {
 			want := renderJSON(t, in.data, alg, mr.NewEngine(mr.Config{Parallelism: 2}))
-			got := renderJSON(t, in.data, alg, mr.NewEngine(mr.Config{
-				Backend: other, Parallelism: 2, SpillDir: t.TempDir(),
-			}))
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s/%s: %s JSON differs from in-process", in.name, alg, other)
+			cfg := other
+			cfg.SpillDir = t.TempDir()
+			if got := renderJSON(t, in.data, alg, mr.NewEngine(cfg)); !bytes.Equal(got, want) {
+				t.Errorf("%s/%s: %s JSON differs from in-process", in.name, alg, otherName)
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func main() {
 		opsLinger   = flag.Duration("ops-linger", 0, "keep the ops server up this long after the run finishes")
 		flightN     = flag.Int("flight", 0, "record the last N trace events in a flight recorder (0 = off)")
 		flightOut   = flag.String("flight-out", "", "flight-recorder post-mortem path (implies -flight; also dumped on success at exit)")
-		backend     = flag.String("backend", "", "execution backend: inprocess|multiprocess|simulated (default inprocess)")
+		backend     = flag.String("backend", "", "execution backend: inprocess|multiprocess (default inprocess)")
 		spillDir    = flag.String("spill-dir", "", "multiprocess backend: directory for shuffle spill files (default os temp)")
 		spillMB     = flag.Int("spill-mb", 0, "multiprocess backend: per-map-task in-memory shuffle budget in MiB before spilling (0 = default, 1 gives the smallest budget)")
 		chaos       = flag.Float64("chaos", 0, "inject seeded task faults at this rate per phase (exercises retries; output is unchanged)")

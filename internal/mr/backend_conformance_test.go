@@ -15,14 +15,13 @@ import (
 
 // This file is the cross-backend conformance harness: every job here is
 // expressed as data (Job.Impl + Spec, resolved through the registry), so
-// the identical job runs on all three backends — in-process goroutines,
-// re-exec'd worker OS processes with disk spills, and the sequential
-// simulated reference — and the harness pins that output pairs, counters,
-// Wasted and ShuffledBytes are bit-identical across backend × parallelism
-// × spill threshold × fault plan. The multiprocess rows double as the
-// process-kill chaos harness: injected failures SIGKILL real worker
-// processes, and the audit checks no worker survives the run and no spill
-// file survives the teardown.
+// the identical job runs on both backends — in-process goroutines and
+// re-exec'd worker OS processes with disk spills — and the harness pins
+// that output pairs, counters, Wasted and ShuffledBytes are bit-identical
+// across backend × parallelism × spill threshold × fault plan. The
+// multiprocess rows double as the process-kill chaos harness: injected
+// failures SIGKILL real worker processes, and the audit checks no worker
+// survives the run and no spill file survives the teardown.
 
 func init() {
 	// conf-wordcount: wordcount with int64 counts. It takes no spec; a
@@ -512,12 +511,15 @@ func TestJobRequiresImpl(t *testing.T) {
 	}
 }
 
-// TestPickBackendUnknown pins the config error for a bad backend name.
+// TestPickBackendUnknown pins the config error for a bad backend name,
+// including the retired sequential "simulated" backend.
 func TestPickBackendUnknown(t *testing.T) {
-	engine := NewEngine(Config{Backend: "hadoop"})
-	_, err := engine.Run(chaosJob(100, 2, 2))
-	if err == nil || !strings.Contains(err.Error(), "inprocess") {
-		t.Fatalf("unknown backend: err = %v, want the valid-names list", err)
+	for _, name := range []string{"hadoop", "simulated"} {
+		engine := NewEngine(Config{Backend: name})
+		_, err := engine.Run(chaosJob(100, 2, 2))
+		if err == nil || !strings.Contains(err.Error(), "unknown backend") || !strings.Contains(err.Error(), "inprocess") {
+			t.Fatalf("backend %q: err = %v, want the unknown-backend error with the valid-names list", name, err)
+		}
 	}
 	if got := NewEngine(Config{}).BackendName(); got != "inprocess" {
 		t.Errorf("default BackendName = %q, want inprocess", got)

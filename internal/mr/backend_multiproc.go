@@ -19,11 +19,11 @@ import (
 // merge them back (spill.go) — the shuffle is out-of-core, bounded by
 // Config.SpillThresholdBytes of map-side RAM per worker.
 //
-// Scheduling stays in the driver and deliberately reuses the in-process
-// machinery: the same semaphore-gated launch loops, the same
-// runTaskAttempts retry loop, the same FaultPlan decision points decided
-// driver-side and shipped to the worker as exact kill indices. An injected
-// failure therefore kills a *real* process (the worker SIGKILLs itself
+// Scheduling stays in the driver: the engine's one job driver launches the
+// tasks, each runs through the same runTaskAttempts retry loop as
+// in-process, and each attempt's fate comes from the same decideFault
+// site, shipped to the worker as an exact kill index. An injected failure
+// therefore kills a *real* process (the worker SIGKILLs itself
 // after flushing its partial counters), yet retries, Wasted accounting,
 // counters and output remain bit-identical to the in-process backend —
 // which is what the cross-backend conformance suite pins.
@@ -64,14 +64,6 @@ func (e *Engine) LastProcStats() (ProcStats, bool) {
 		return ProcStats{}, false
 	}
 	return *e.lastProc, true
-}
-
-// pointW is Engine.point with a worker attribution, for spans and events
-// the multiprocess backend can pin to a worker process.
-func (e *Engine) pointW(span obs.SpanID, kind obs.PointKind, name string, task, attempt int, phase TaskPhase, seconds float64, worker string) {
-	//lint:allow tracenil every caller gates on e.cfg.Tracer != nil before paying for this call's arguments
-	e.cfg.Tracer.Point(obs.Point{Span: span, Kind: kind, Name: name,
-		Task: task, Attempt: attempt, Phase: phase.String(), Seconds: seconds, Worker: worker})
 }
 
 // workerProc is one live worker process and its two protocol pipes. A
@@ -192,8 +184,10 @@ type mapResult struct {
 }
 
 // procRun is the per-Run state of the multiprocess backend: the worker
-// fleet, the spill directory, and the pre-encoded job frame.
+// fleet, the spill directory, the pre-encoded job frame, and the committed
+// map results and partition segment lists the driver's phases hand on.
 type procRun struct {
+	rc  *runContext
 	e   *Engine
 	job *boundJob
 	dir string
@@ -204,15 +198,21 @@ type procRun struct {
 	tel       bool
 	telSample time.Duration
 
+	// mapRes[i] is map task i's committed result; partSegs/partRecs are
+	// each partition's segments (in merge order) and record count.
+	mapRes   []mapResult
+	partSegs [][]segmentRef
+	partRecs []int64
+
 	mu    sync.Mutex
 	idle  []*workerProc
 	all   []*workerProc
 	stats ProcStats
 }
 
-// newProcRun creates the run's spill directory and pre-encodes the job
-// frame.
-func newProcRun(rc *runContext) (*procRun, error) {
+// begin creates the Run's spill directory and pre-encodes the job frame;
+// workers spawn on demand.
+func (multiprocBackend) begin(rc *runContext) (runState, error) {
 	e, job := rc.e, rc.job
 	exe, err := os.Executable()
 	if err != nil {
@@ -227,8 +227,9 @@ func newProcRun(rc *runContext) (*procRun, error) {
 		telSample = 250 * time.Millisecond
 	}
 	p := &procRun{
-		e: e, job: job, dir: dir, exe: exe,
-		tel: e.cfg.Tracer != nil, telSample: telSample,
+		rc: rc, e: e, job: job, dir: dir, exe: exe,
+		mapRes: make([]mapResult, len(job.Splits)),
+		tel:    e.cfg.Tracer != nil, telSample: telSample,
 		jf: jobFrame{
 			Name:        job.Name,
 			Impl:        job.Impl,
@@ -325,7 +326,8 @@ func (p *procRun) acquire() (*workerProc, error) {
 	return p.spawn()
 }
 
-func (p *procRun) release(w *workerProc) {
+// free returns w to the idle pool.
+func (p *procRun) free(w *workerProc) {
 	p.mu.Lock()
 	p.idle = append(p.idle, w)
 	p.mu.Unlock()
@@ -333,8 +335,12 @@ func (p *procRun) release(w *workerProc) {
 
 // reap collects a worker that died mid-task (injected self-kill or a real
 // crash): closes its pipes and waits on the corpse so nothing is orphaned.
+// A worker given up on while still alive (a corrupt result stream) is
+// killed first: a closed control pipe would tell it the driver is gone,
+// and it would sweep the spill directory the Run still reads.
 func (p *procRun) reap(w *workerProc) {
 	w.dead = true
+	w.cmd.Process.Kill()
 	w.in.Close()
 	w.res.Close()
 	w.wait()
@@ -343,10 +349,10 @@ func (p *procRun) reap(w *workerProc) {
 	p.mu.Unlock()
 }
 
-// teardown shuts the fleet down — closing each live worker's control pipe
+// release shuts the fleet down — closing each live worker's control pipe
 // (the worker's clean-exit signal) with a bounded grace before a hard kill
 // — then sweeps the spill directory and publishes ProcStats.
-func (p *procRun) teardown() {
+func (p *procRun) release() {
 	p.mu.Lock()
 	workers := p.all
 	p.all, p.idle = nil, nil
@@ -392,117 +398,96 @@ func (p *procRun) sendTask(w *workerProc, typ byte, frame any) error {
 	return w.bw.Flush()
 }
 
-// runMapTask is the multiprocess mirror of Engine.runMapTask: the same
-// retry loop, with each attempt bound to a worker process.
-func (p *procRun) runMapTask(split *Split, jobSpan obs.SpanID, cancel <-chan struct{}) (mapResult, Counters, faultCharge, error) {
-	var cur string
-	return runTaskAttempts(p.e, p.job, PhaseMap, split.ID, jobSpan, cancel,
-		func() string { return cur },
-		func(attempt int, span obs.SpanID) (mapResult, Counters, float64, error) {
-			w, err := p.acquire()
-			if err != nil {
-				return mapResult{}, Counters{}, 0, err
+func (p *procRun) mapTask(i int) (Counters, faultCharge, error) {
+	split := p.rc.job.Splits[i]
+	res := &p.mapRes[i]
+	pairs, c, fc, err := p.runTask(PhaseMap, split.ID, split.NumRows(),
+		func(attempt, killAt int) (byte, any) {
+			return fMapTask, mapTaskFrame{
+				Task: split.ID, Attempt: attempt,
+				Offset: split.Offset, Dim: split.Dim, Rows: split.Rows,
+				KillAt: killAt,
 			}
-			cur = w.name
-			return p.mapAttempt(w, split, attempt, span)
+		},
+		fMapDone, func(data []byte) (Counters, error) {
+			var df mapDoneFrame
+			err := decodeFrame(data, &df)
+			res.segs, res.midSpills = df.Segments, df.MidSpills
+			return df.Counters, err
+		})
+	res.pairs = pairs
+	return c, fc, err
+}
+
+// mapOnlyPairs concatenates the pairs map-only workers streamed back, in
+// split order.
+func (p *procRun) mapOnlyPairs() []Pair {
+	total := 0
+	for i := range p.mapRes {
+		total += len(p.mapRes[i].pairs)
+	}
+	outPairs := make([]Pair, 0, total)
+	for i := range p.mapRes {
+		outPairs = append(outPairs, p.mapRes[i].pairs...)
+	}
+	return outPairs
+}
+
+// shuffle assembles each partition's segment list. Committed map attempts
+// left sorted runs on disk; the shuffle here is pure bookkeeping — ordering
+// each partition's segments by (map task, spill pass), which is the order
+// that makes the reduce-side merge reproduce the in-process value order.
+func (p *procRun) shuffle() {
+	p.partSegs = make([][]segmentRef, p.rc.numReducers)
+	p.partRecs = make([]int64, p.rc.numReducers)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range p.mapRes {
+		if len(p.mapRes[i].segs) > 0 {
+			p.stats.SpillFiles++
+		}
+		p.stats.MidTaskSpills += p.mapRes[i].midSpills
+		for _, s := range p.mapRes[i].segs {
+			p.stats.Segments++
+			p.stats.SpilledBytes += s.Length
+			p.partSegs[s.Part] = append(p.partSegs[s.Part], s)
+			p.partRecs[s.Part] += s.Records
+		}
+	}
+}
+
+func (p *procRun) emptyPartition(r int) bool { return p.partRecs[r] == 0 }
+
+func (p *procRun) reduceTask(r int) ([]Pair, Counters, faultCharge, error) {
+	segs, records := p.partSegs[r], p.partRecs[r]
+	p.mu.Lock()
+	p.stats.MergedSegments += len(segs)
+	p.mu.Unlock()
+	return p.runTask(PhaseReduce, r, int(records),
+		func(attempt, killAt int) (byte, any) {
+			return fReduceTask, reduceTaskFrame{
+				Task: r, Attempt: attempt, KillAt: killAt,
+				Segments: segs, TotalRecords: records,
+			}
+		},
+		fReduceDone, func(data []byte) (Counters, error) {
+			var df doneFrame
+			err := decodeFrame(data, &df)
+			return df.Counters, err
 		})
 }
 
-// mapAttempt runs one map attempt on w. The fault decision happens here, in
-// the driver, at the same plan decision point as tryMapTask, and ships to
-// the worker as an exact kill index, so a multiprocess run consumes the
-// FaultPlan identically to an in-process one.
-func (p *procRun) mapAttempt(w *workerProc, split *Split, attempt int, span obs.SpanID) (mapResult, Counters, float64, error) {
-	e, job := p.e, p.job
-	var straggler float64
-	killAt := -1
-	if e.cfg.Faults != nil {
-		d := e.cfg.Faults.Decide(job.Name, PhaseMap, split.ID, attempt)
-		straggler = d.StragglerSeconds
-		if straggler > 0 && e.cfg.Tracer != nil {
-			e.pointW(span, obs.PointStraggler, job.Name, split.ID, attempt, PhaseMap, straggler, w.name)
-		}
-		if d.Fail {
-			killAt = failIndex(d.FailFrac, split.NumRows())
-		}
-	}
-	err := p.sendTask(w, fMapTask, mapTaskFrame{
-		Task: split.ID, Attempt: attempt,
-		Offset: split.Offset, Dim: split.Dim, Rows: split.Rows,
-		KillAt: killAt,
-	})
-	if err != nil {
-		p.reap(w)
-		return mapResult{}, Counters{}, straggler, errInjectedFailure
-	}
-
-	var res mapResult
-	for {
-		typ, data, err := readFrame(w.br)
-		if err != nil {
-			// The worker vanished without a dying frame: a real crash. Reap
-			// it and retry the attempt; its counters are unknown, so the
-			// charge is the retry itself, not wasted counters.
-			p.reap(w)
-			return mapResult{}, Counters{}, straggler, errInjectedFailure
-		}
-		switch typ {
-		case fPairs:
-			var pf pairsFrame
-			if err := decodeFrame(data, &pf); err != nil {
-				p.reap(w)
-				return mapResult{}, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
-			}
-			res.pairs, err = decodePairs(res.pairs, pf.Data)
-			if err != nil {
-				p.reap(w)
-				return mapResult{}, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
-			}
-		case fTelemetry:
-			if err := p.emitTelemetry(w, span, split.ID, attempt, data); err != nil {
-				p.reap(w)
-				return mapResult{}, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
-			}
-		case fMapDone:
-			var df mapDoneFrame
-			if err := decodeFrame(data, &df); err != nil {
-				p.reap(w)
-				return mapResult{}, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
-			}
-			res.segs = df.Segments
-			res.midSpills = df.MidSpills
-			p.release(w)
-			return res, df.Counters, straggler, nil
-		case fDying:
-			var df dyingFrame
-			if err := decodeFrame(data, &df); err != nil {
-				p.reap(w)
-				return mapResult{}, Counters{}, straggler, errInjectedFailure
-			}
-			if e.cfg.Tracer != nil {
-				e.pointW(span, obs.PointFault, job.Name, split.ID, attempt, PhaseMap, 0, w.name)
-			}
-			p.reap(w)
-			return mapResult{}, df.Counters, straggler, errInjectedFailure
-		case fTaskErr:
-			var ef errFrame
-			if err := decodeFrame(data, &ef); err != nil {
-				p.reap(w)
-				return mapResult{}, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
-			}
-			p.release(w)
-			return mapResult{}, Counters{}, straggler, errors.New(ef.Msg)
-		default:
-			p.reap(w)
-			return mapResult{}, Counters{}, straggler, fmt.Errorf("mr: worker %s: unexpected frame 0x%02x", w.name, typ)
-		}
-	}
-}
-
-// runReduceTask mirrors Engine.runReduceTask over a worker process.
-func (p *procRun) runReduceTask(taskID int, segs []segmentRef, records int64, jobSpan obs.SpanID, cancel <-chan struct{}) ([]Pair, Counters, faultCharge, error) {
+// runTask runs one task's attempt loop (runTaskAttempts) with each attempt
+// bound to a worker process. The fault decision is made here, in the
+// driver, over the task's n input units, and ships to the worker as an
+// exact kill index inside the task frame built by frame — so a
+// multiprocess run consumes the FaultPlan identically to an in-process
+// one. done decodes the phase's done frame into the attempt's counters.
+func (p *procRun) runTask(phase TaskPhase, task, n int, frame func(attempt, killAt int) (byte, any),
+	doneType byte, done func([]byte) (Counters, error)) ([]Pair, Counters, faultCharge, error) {
+	e := p.e
 	var cur string
-	return runTaskAttempts(p.e, p.job, PhaseReduce, taskID, jobSpan, cancel,
+	return runTaskAttempts(e, p.job, phase, task, p.rc.jobSpan, p.rc.cancelCh,
 		func() string { return cur },
 		func(attempt int, span obs.SpanID) ([]Pair, Counters, float64, error) {
 			w, err := p.acquire()
@@ -510,235 +495,79 @@ func (p *procRun) runReduceTask(taskID int, segs []segmentRef, records int64, jo
 				return nil, Counters{}, 0, err
 			}
 			cur = w.name
-			return p.reduceAttempt(w, taskID, segs, records, attempt, span)
+			straggler, killAt := e.decideFault(p.job.Name, phase, task, attempt, n, span, w.name)
+			typ, f := frame(attempt, killAt)
+			pairs, c, err := p.attempt(w, phase, task, attempt, span, typ, f, doneType, done)
+			return pairs, c, straggler, err
 		})
 }
 
-// reduceAttempt runs one reduce attempt on w. The kill threshold is the
-// same consumed-records index tryReduceTask derives from the plan.
-func (p *procRun) reduceAttempt(w *workerProc, taskID int, segs []segmentRef, records int64, attempt int, span obs.SpanID) ([]Pair, Counters, float64, error) {
-	e, job := p.e, p.job
-	var straggler float64
-	killAt := -1
-	if e.cfg.Faults != nil {
-		d := e.cfg.Faults.Decide(job.Name, PhaseReduce, taskID, attempt)
-		straggler = d.StragglerSeconds
-		if straggler > 0 && e.cfg.Tracer != nil {
-			e.pointW(span, obs.PointStraggler, job.Name, taskID, attempt, PhaseReduce, straggler, w.name)
-		}
-		if d.Fail {
-			killAt = failIndex(d.FailFrac, int(records))
-		}
-	}
-	err := p.sendTask(w, fReduceTask, reduceTaskFrame{
-		Task: taskID, Attempt: attempt, KillAt: killAt,
-		Segments: segs, TotalRecords: records,
-	})
-	if err != nil {
+// attempt runs one task attempt on w: it sends the task frame, then reads
+// the result stream — pairs frames accumulate, telemetry folds into the
+// attempt span — until the attempt's boundary frame. A done frame of
+// doneType commits the attempt (decoded by done) and returns w to the idle
+// pool; fTaskErr is a real task error (the worker lives on); fDying is an
+// injected failure charged with the worker's partial counters. A worker
+// that vanishes without a dying frame is a real crash: it is reaped and
+// the attempt retried, its counters unknown, so the charge is the retry
+// itself, not wasted counters.
+func (p *procRun) attempt(w *workerProc, phase TaskPhase, task, attempt int, span obs.SpanID,
+	typ byte, frame any, doneType byte, done func([]byte) (Counters, error)) ([]Pair, Counters, error) {
+	if err := p.sendTask(w, typ, frame); err != nil {
 		p.reap(w)
-		return nil, Counters{}, straggler, errInjectedFailure
+		return nil, Counters{}, errInjectedFailure
 	}
-
+	broken := func(err error) ([]Pair, Counters, error) {
+		p.reap(w)
+		return nil, Counters{}, fmt.Errorf("mr: worker %s: %w", w.name, err)
+	}
 	var pairs []Pair
 	for {
 		typ, data, err := readFrame(w.br)
 		if err != nil {
 			p.reap(w)
-			return nil, Counters{}, straggler, errInjectedFailure
+			return nil, Counters{}, errInjectedFailure
 		}
 		switch typ {
 		case fPairs:
 			var pf pairsFrame
 			if err := decodeFrame(data, &pf); err != nil {
-				p.reap(w)
-				return nil, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
+				return broken(err)
 			}
-			pairs, err = decodePairs(pairs, pf.Data)
-			if err != nil {
-				p.reap(w)
-				return nil, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
+			if pairs, err = decodePairs(pairs, pf.Data); err != nil {
+				return broken(err)
 			}
 		case fTelemetry:
-			if err := p.emitTelemetry(w, span, taskID, attempt, data); err != nil {
-				p.reap(w)
-				return nil, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
+			if err := p.emitTelemetry(w, span, task, attempt, data); err != nil {
+				return broken(err)
 			}
-		case fReduceDone:
-			var df doneFrame
-			if err := decodeFrame(data, &df); err != nil {
-				p.reap(w)
-				return nil, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
+		case doneType:
+			c, err := done(data)
+			if err != nil {
+				return broken(err)
 			}
-			p.release(w)
-			return pairs, df.Counters, straggler, nil
+			p.free(w)
+			return pairs, c, nil
 		case fDying:
 			var df dyingFrame
 			if err := decodeFrame(data, &df); err != nil {
 				p.reap(w)
-				return nil, Counters{}, straggler, errInjectedFailure
+				return nil, Counters{}, errInjectedFailure
 			}
-			if e.cfg.Tracer != nil {
-				e.pointW(span, obs.PointFault, job.Name, taskID, attempt, PhaseReduce, 0, w.name)
+			if p.e.cfg.Tracer != nil {
+				p.e.point(span, obs.PointFault, p.job.Name, task, attempt, phase, 0, w.name)
 			}
 			p.reap(w)
-			return nil, df.Counters, straggler, errInjectedFailure
+			return nil, df.Counters, errInjectedFailure
 		case fTaskErr:
 			var ef errFrame
 			if err := decodeFrame(data, &ef); err != nil {
-				p.reap(w)
-				return nil, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
+				return broken(err)
 			}
-			p.release(w)
-			return nil, Counters{}, straggler, errors.New(ef.Msg)
+			p.free(w)
+			return nil, Counters{}, errors.New(ef.Msg)
 		default:
-			p.reap(w)
-			return nil, Counters{}, straggler, fmt.Errorf("mr: worker %s: unexpected frame 0x%02x", w.name, typ)
+			return broken(fmt.Errorf("unexpected frame 0x%02x", typ))
 		}
 	}
-}
-
-func (multiprocBackend) execute(rc *runContext) ([]Pair, Counters, faultCharge, error) {
-	e, job := rc.e, rc.job
-	tr := e.cfg.Tracer
-	p, err := newProcRun(rc)
-	if err != nil {
-		return nil, Counters{}, faultCharge{}, err
-	}
-	defer p.teardown()
-
-	// --- Map phase: same launch loop and slot scheme as in-process -------
-	mapRes := make([]mapResult, len(job.Splits))
-	mapCounters := make([]Counters, len(job.Splits))
-	mapFaults := make([]faultCharge, len(job.Splits))
-	var wg sync.WaitGroup
-mapLaunch:
-	for i, split := range job.Splits {
-		select {
-		case <-rc.cancelCh:
-			break mapLaunch
-		case e.sem <- struct{}{}:
-		}
-		wg.Add(1)
-		go func(i int, split *Split) {
-			defer wg.Done()
-			defer func() { <-e.sem }()
-			res, c, fc, err := p.runMapTask(split, rc.jobSpan, rc.cancelCh)
-			mapFaults[i] = fc
-			if err != nil {
-				if !errors.Is(err, errTaskCancelled) {
-					rc.setErr(fmt.Errorf("mr: job %q map task %d: %w", job.Name, split.ID, err))
-				}
-				return
-			}
-			mapRes[i] = res
-			mapCounters[i] = c
-		}(i, split)
-	}
-	wg.Wait()
-	if err := rc.firstErr(); err != nil {
-		return nil, Counters{}, faultCharge{}, err
-	}
-
-	var counters Counters
-	var fault faultCharge
-	for i := range mapCounters {
-		counters.Add(mapCounters[i])
-		fault.add(mapFaults[i])
-	}
-
-	if rc.mapOnly {
-		total := 0
-		for i := range mapRes {
-			total += len(mapRes[i].pairs)
-		}
-		outPairs := make([]Pair, 0, total)
-		for i := range mapRes {
-			outPairs = append(outPairs, mapRes[i].pairs...)
-		}
-		counters.OutputRecords = int64(len(outPairs))
-		return outPairs, counters, fault, nil
-	}
-
-	// --- Shuffle: assemble each partition's segment list -----------------
-	// Committed map attempts left sorted runs on disk; the "shuffle" here
-	// is pure bookkeeping — ordering each partition's segments by (map
-	// task, spill pass), which is the order that makes the reduce-side
-	// merge reproduce the in-process value order.
-	var shufSpan obs.SpanID
-	var shufStart time.Time
-	if tr != nil {
-		shufSpan = obs.NewSpanID()
-		tr.Begin(obs.Start{ID: shufSpan, Parent: rc.jobSpan, Kind: obs.KindTask,
-			Name: job.Name, Task: -1, Phase: "shuffle"})
-		shufStart = obs.Now()
-	}
-	partSegs := make([][]segmentRef, rc.numReducers)
-	partRecs := make([]int64, rc.numReducers)
-	for i := range mapRes {
-		if len(mapRes[i].segs) > 0 {
-			p.stats.SpillFiles++
-		}
-		p.stats.MidTaskSpills += mapRes[i].midSpills
-		for _, s := range mapRes[i].segs {
-			p.stats.Segments++
-			p.stats.SpilledBytes += s.Length
-			partSegs[s.Part] = append(partSegs[s.Part], s)
-			partRecs[s.Part] += s.Records
-		}
-	}
-	if tr != nil {
-		tr.End(obs.End{ID: shufSpan, Kind: obs.KindTask, Name: job.Name,
-			Task: -1, Phase: "shuffle", Outcome: obs.OutcomeOK,
-			RealSeconds: obs.Since(shufStart).Seconds(),
-			Counters:    Counters{ShuffledBytes: counters.ShuffledBytes}})
-	}
-
-	// --- Reduce phase ----------------------------------------------------
-	redOuts := make([][]Pair, rc.numReducers)
-	redCounters := make([]Counters, rc.numReducers)
-	redFaults := make([]faultCharge, rc.numReducers)
-	var rwg sync.WaitGroup
-redLaunch:
-	for r := 0; r < rc.numReducers; r++ {
-		if partRecs[r] == 0 {
-			continue
-		}
-		p.stats.MergedSegments += len(partSegs[r])
-		select {
-		case <-rc.cancelCh:
-			break redLaunch
-		case e.sem <- struct{}{}:
-		}
-		rwg.Add(1)
-		go func(r int) {
-			defer rwg.Done()
-			defer func() { <-e.sem }()
-			pout, c, fc, err := p.runReduceTask(r, partSegs[r], partRecs[r], rc.jobSpan, rc.cancelCh)
-			redFaults[r] = fc
-			if err != nil {
-				if !errors.Is(err, errTaskCancelled) {
-					rc.setErr(fmt.Errorf("mr: job %q reduce task %d: %w", job.Name, r, err))
-				}
-				return
-			}
-			redOuts[r] = pout
-			redCounters[r] = c
-		}(r)
-	}
-	rwg.Wait()
-	if err := rc.firstErr(); err != nil {
-		return nil, Counters{}, faultCharge{}, err
-	}
-	total := 0
-	for r := range redOuts {
-		counters.Add(redCounters[r])
-		fault.add(redFaults[r])
-		total += len(redOuts[r])
-	}
-	outPairs := make([]Pair, 0, total)
-	for r := range redOuts {
-		outPairs = append(outPairs, redOuts[r]...)
-	}
-	counters.OutputRecords = int64(len(outPairs))
-	return outPairs, counters, fault, nil
 }

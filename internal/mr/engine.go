@@ -58,11 +58,11 @@ type Config struct {
 	// way.
 	DebugPoisonPools bool
 	// Backend selects the execution backend by name: "" or "inprocess" (the
-	// goroutine backend), "multiprocess" (worker OS processes
-	// with disk-spilled shuffle; see backend_multiproc.go), or "simulated"
-	// (single-goroutine sequential reference). All backends produce
-	// bit-identical output, counters and ShuffledBytes for the same job and
-	// fault plan (pinned by the conformance suite).
+	// goroutine backend) or "multiprocess" (worker OS processes with
+	// disk-spilled shuffle; see backend_multiproc.go). Both run under the
+	// same job driver and produce bit-identical output, counters and
+	// ShuffledBytes for the same job and fault plan (pinned by the
+	// conformance suite). Parallelism 1 runs tasks one at a time.
 	Backend string
 	// SpillDir is where the multiprocess backend creates its per-run spill
 	// directory. Empty means os.TempDir(). Each Run makes (and removes) a
@@ -79,8 +79,8 @@ type Config struct {
 	// map output never needs to fit in RAM. Zero means 64 MiB; 1 spills
 	// after every record batch ("always spill"); math.MaxInt64 never spills
 	// mid-task (final sorted runs are still written at task commit).
-	// Ignored by the in-process and simulated backends, whose shuffle is
-	// in-memory by design.
+	// Ignored by the in-process backend, whose shuffle is in-memory by
+	// design.
 	SpillThresholdBytes int64
 }
 
@@ -120,7 +120,7 @@ type Engine struct {
 	met *engineMetrics
 	// pools recycles shuffle buffers across jobs and tasks.
 	pools *enginePools
-	// backend executes the map/shuffle/reduce core (see Backend); backendErr
+	// backend executes the tasks of each Run (see Backend); backendErr
 	// defers an unknown-name error from NewEngine to the first Run.
 	backend    Backend
 	backendErr error
@@ -308,30 +308,18 @@ func (e *Engine) Run(j *Job) (*Output, error) {
 		}
 	}
 
-	// Run-scoped cooperative cancellation: the first permanent task failure
-	// closes cancelCh, and sibling tasks notice it between records, between
-	// attempts, and while queued on the semaphore — so a doomed job stops
-	// burning slots instead of limping to its own barrier (Hadoop kills
-	// sibling attempts the same way when a job fails).
-	cancelCh := make(chan struct{})
-	var cancelOnce sync.Once
-	var firstErr error
-	var errOnce sync.Once
-	setErr := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		cancelOnce.Do(func() { close(cancelCh) })
-	}
-
-	// The map/shuffle/reduce core is delegated to the configured backend
-	// (in-process goroutines by default; see Backend). firstErr is read only
-	// after a phase barrier (wg.Wait), which is what makes the unlocked read
-	// safe — the same discipline the pre-seam engine used.
+	// The backend opens the Run's execution state; the phases themselves
+	// run in the one job driver (runContext.drive) on every backend.
 	rc := &runContext{
 		e: e, job: job, mapOnly: mapOnly, nb: nb, numReducers: numReducers,
-		jobSpan: jobSpan, cancelCh: cancelCh, setErr: setErr,
-		firstErr: func() error { return firstErr },
+		jobSpan: jobSpan, cancelCh: make(chan struct{}),
 	}
-	outPairs, counters, fault, err := e.backend.execute(rc)
+	rs, err := e.backend.begin(rc)
+	if err != nil {
+		endJobErr(err)
+		return nil, err
+	}
+	outPairs, counters, fault, err := rc.drive(rs)
 	if err != nil {
 		endJobErr(err)
 		return nil, err
@@ -390,13 +378,36 @@ func (e *Engine) JobStatsByName() map[string]JobStats {
 	return out
 }
 
-// point emits a point event into the engine's tracer. Callers gate on
-// e.cfg.Tracer != nil so the untraced path pays nothing (not even the
-// TaskPhase→string conversion).
-func (e *Engine) point(span obs.SpanID, kind obs.PointKind, name string, task, attempt int, phase TaskPhase, seconds float64) {
+// point emits a point event into the engine's tracer, attributed to a
+// worker process when worker is non-empty (multiprocess backend). Callers
+// gate on e.cfg.Tracer != nil so the untraced path pays nothing (not even
+// the TaskPhase→string conversion).
+func (e *Engine) point(span obs.SpanID, kind obs.PointKind, name string, task, attempt int, phase TaskPhase, seconds float64, worker string) {
 	//lint:allow tracenil every caller gates on e.cfg.Tracer != nil before paying for this call's arguments
 	e.cfg.Tracer.Point(obs.Point{Span: span, Kind: kind, Name: name,
-		Task: task, Attempt: attempt, Phase: phase.String(), Seconds: seconds})
+		Task: task, Attempt: attempt, Phase: phase.String(), Seconds: seconds, Worker: worker})
+}
+
+// decideFault is the one fault decision site of every backend: it consults
+// the FaultPlan for one attempt over n input units (a map task's records, a
+// reduce task's values) and returns the attempt's straggler charge and its
+// injected-failure index (-1 = none), emitting the straggler point on the
+// attempt span. The multiprocess backend ships the index to its worker as
+// the exact kill point, so both backends consume the plan identically.
+func (e *Engine) decideFault(job string, phase TaskPhase, task, attempt, n int, span obs.SpanID, worker string) (straggler float64, failAt int) {
+	if e.cfg.Faults == nil {
+		return 0, -1
+	}
+	d := e.cfg.Faults.Decide(job, phase, task, attempt)
+	if d.StragglerSeconds > 0 && e.cfg.Tracer != nil {
+		e.point(span, obs.PointStraggler, job, task, attempt, phase, d.StragglerSeconds, worker)
+	}
+	failAt = -1
+	if d.Fail {
+		// Fail partway through the task to exercise partial-output discard.
+		failAt = failIndex(d.FailFrac, n)
+	}
+	return d.StragglerSeconds, failAt
 }
 
 // runTaskAttempts drives one task's attempt loop, shared by map and reduce
@@ -415,7 +426,7 @@ func (e *Engine) point(span obs.SpanID, kind obs.PointKind, name string, task, a
 //
 // worker, when non-nil, names the worker process the just-finished attempt
 // ran on (multiprocess backend); it is read after try returns, so the
-// backend can bind a worker per attempt. In-process backends pass nil.
+// backend can bind a worker per attempt. The in-process backend passes nil.
 func runTaskAttempts[T any](e *Engine, job *boundJob, phase TaskPhase, taskID int, parent obs.SpanID, cancel <-chan struct{},
 	worker func() string,
 	try func(attempt int, span obs.SpanID) (T, Counters, float64, error)) (T, Counters, faultCharge, error) {
@@ -427,7 +438,7 @@ func runTaskAttempts[T any](e *Engine, job *boundJob, phase TaskPhase, taskID in
 	for attempt := 0; attempt < e.cfg.MaxAttempts; attempt++ {
 		if cancelled(cancel) {
 			if tr != nil {
-				e.point(parent, obs.PointCancel, job.Name, taskID, attempt, phase, 0)
+				e.point(parent, obs.PointCancel, job.Name, taskID, attempt, phase, 0, "")
 			}
 			return zero, Counters{}, fc, errTaskCancelled
 		}
@@ -480,162 +491,78 @@ func runTaskAttempts[T any](e *Engine, job *boundJob, phase TaskPhase, taskID in
 				RealSeconds: obs.Since(began).Seconds(), SimulatedSeconds: straggler,
 				Wasted: c, Worker: onWorker})
 			if attempt+1 < e.cfg.MaxAttempts {
-				e.point(parent, obs.PointRetry, job.Name, taskID, attempt, phase, 0)
+				e.point(parent, obs.PointRetry, job.Name, taskID, attempt, phase, 0, "")
 			}
 		}
 	}
 	return zero, Counters{}, fc, fmt.Errorf("task failed after %d attempts: %w", e.cfg.MaxAttempts, lastErr)
 }
 
-// runMapTask executes one map task with retry on injected failures. The
-// task's pooled mapState is acquired once for the whole attempt loop —
-// retried attempts reset and reuse it (never returning it to the pool while
-// the task lives) — and recycled here on failure/cancellation, when no one
-// outside the task has ever observed it. On success the state transfers to
-// the caller, which recycles it after the merge copies its records out.
-func (e *Engine) runMapTask(job *boundJob, split *Split, nb int, jobSpan obs.SpanID, cancel <-chan struct{}) (*mapState, Counters, faultCharge, error) {
-	st := e.pools.getMapState(nb)
-	out, c, fc, err := runTaskAttempts(e, job, PhaseMap, split.ID, jobSpan, cancel, nil, func(attempt int, span obs.SpanID) (*mapState, Counters, float64, error) {
-		ac, straggler, err := e.tryMapTask(job, split, st, nb, attempt, span, cancel)
-		return st, ac, straggler, err
-	})
-	if err != nil {
-		e.pools.putMapState(st)
-		return nil, c, fc, err
-	}
-	return out, c, fc, nil
-}
-
-// tryMapTask runs one map attempt into st: records land pre-partitioned in
-// st.buckets with task-locally interned keys (see TaskContext.emitRec),
-// each charged to ShuffledBytes as it is emitted.
-func (e *Engine) tryMapTask(job *boundJob, split *Split, st *mapState, nb, attempt int, span obs.SpanID, cancel <-chan struct{}) (Counters, float64, error) {
-	var c Counters
-	// A retried attempt starts from an empty state; attempt 0's state came
-	// reset from the pool, so this only walks empty buffers.
-	st.reset(false)
-	var straggler float64
-	failAt := -1
-	if e.cfg.Faults != nil {
-		d := e.cfg.Faults.Decide(job.Name, PhaseMap, split.ID, attempt)
-		straggler = d.StragglerSeconds
-		if straggler > 0 && e.cfg.Tracer != nil {
-			e.point(span, obs.PointStraggler, job.Name, split.ID, attempt, PhaseMap, straggler)
-		}
-		if d.Fail {
-			// Fail partway through the split to exercise partial-output discard.
-			failAt = failIndex(d.FailFrac, split.NumRows())
-		}
-	}
-
-	mapper := job.NewMapper()
-	ctx := &TaskContext{
-		TaskID:      split.ID,
-		Split:       split,
-		ms:          st,
-		counters:    &c,
-		numReducers: nb,
-	}
+// mapRecords is the map record loop of every backend: Setup, then per
+// record the injected kill point (before record killAt), MapInputRecords,
+// Map and the caller's per-record step, then the kill point after the last
+// record (killAt == NumRows) and Cleanup. A kill point returns
+// errInjectedFailure with the attempt's counters so far in ctx.counters —
+// the partial work an injected failure wastes.
+func mapRecords(mapper Mapper, ctx *TaskContext, killAt int, step func(i int) error) error {
 	if err := mapper.Setup(ctx); err != nil {
-		return c, straggler, err
+		return err
 	}
+	split := ctx.Split
 	n := split.NumRows()
 	for i := 0; i < n; i++ {
-		if i == failAt {
-			if e.cfg.Tracer != nil {
-				e.point(span, obs.PointFault, job.Name, split.ID, attempt, PhaseMap, 0)
-			}
-			return c, straggler, errInjectedFailure
-		}
-		// Sampled cancellation poll: cheap enough to leave the record loop's
-		// throughput alone, frequent enough that a cancelled task yields its
-		// slot within a few dozen records.
-		if i&63 == 0 && cancelled(cancel) {
-			return c, straggler, errTaskCancelled
-		}
-		c.MapInputRecords++
-		if err := mapper.Map(ctx, split.Offset+i, split.Row(i)); err != nil {
-			return c, straggler, err
-		}
-	}
-	if n == failAt {
-		if e.cfg.Tracer != nil {
-			e.point(span, obs.PointFault, job.Name, split.ID, attempt, PhaseMap, 0)
-		}
-		return c, straggler, errInjectedFailure
-	}
-	if err := mapper.Cleanup(ctx); err != nil {
-		return c, straggler, err
-	}
-	return c, straggler, nil
-}
-
-// runReduceTask executes one reduce task with the same retry loop as map
-// tasks: a failed attempt is re-run from its immutable partition run. The
-// task's pooled group scratch is shared across its attempts (each attempt
-// re-scatters from the run) and recycled when the attempt loop ends —
-// nothing outside the task ever sees it.
-func (e *Engine) runReduceTask(job *boundJob, taskID int, run []rec, keys []string, jobSpan obs.SpanID, cancel <-chan struct{}) ([]Pair, Counters, faultCharge, error) {
-	sc := e.pools.getScratch()
-	out, c, fc, err := runTaskAttempts(e, job, PhaseReduce, taskID, jobSpan, cancel, nil, func(attempt int, span obs.SpanID) ([]Pair, Counters, float64, error) {
-		return e.tryReduceTask(job, taskID, run, keys, sc, attempt, span, cancel)
-	})
-	e.pools.putScratch(sc)
-	return out, c, fc, err
-}
-
-// tryReduceTask groups a partition run by key (sorted, as Hadoop
-// guarantees) and invokes the reducer. Grouping is the counting sort of
-// groupRun over dense partition-local ids: no key string is hashed or
-// compared, and stability keeps value order deterministic (map-task order).
-// An injected failure aborts the key loop at a plan-chosen position,
-// discarding the attempt's partial output and counters exactly like a dying
-// Hadoop reduce attempt.
-func (e *Engine) tryReduceTask(job *boundJob, taskID int, run []rec, keys []string, sc *groupScratch, attempt int, span obs.SpanID, cancel <-chan struct{}) ([]Pair, Counters, float64, error) {
-	var c Counters
-	var straggler float64
-	failAt := -1 // threshold in consumed input records, -1 = never
-	if e.cfg.Faults != nil {
-		d := e.cfg.Faults.Decide(job.Name, PhaseReduce, taskID, attempt)
-		straggler = d.StragglerSeconds
-		if straggler > 0 && e.cfg.Tracer != nil {
-			e.point(span, obs.PointStraggler, job.Name, taskID, attempt, PhaseReduce, straggler)
-		}
-		if d.Fail {
-			failAt = failIndex(d.FailFrac, len(run))
-		}
-	}
-	var out []Pair
-	ctx := &TaskContext{
-		TaskID:   taskID,
-		outPairs: &out,
-	}
-	consumed := 0
-	err := groupRun(run, keys, sc, func(k string, grouped []rec) error {
-		if failAt >= 0 && consumed >= failAt {
-			if e.cfg.Tracer != nil {
-				e.point(span, obs.PointFault, job.Name, taskID, attempt, PhaseReduce, 0)
-			}
+		if i == killAt {
 			return errInjectedFailure
 		}
-		if cancelled(cancel) {
-			return errTaskCancelled
+		ctx.counters.MapInputRecords++
+		if err := mapper.Map(ctx, split.Offset+i, split.Row(i)); err != nil {
+			return err
 		}
-		consumed += len(grouped)
-		c.ReduceInputKeys++
-		c.ReduceInputVals += int64(len(grouped))
-		return job.TypedReducer.ReduceTyped(ctx, k, Values{recs: grouped})
-	})
-	if err != nil {
-		return nil, c, straggler, err
-	}
-	if failAt >= 0 && consumed >= failAt {
-		// FailFrac ≈ 1: the attempt dies after its last key, before the
-		// output is committed.
-		if e.cfg.Tracer != nil {
-			e.point(span, obs.PointFault, job.Name, taskID, attempt, PhaseReduce, 0)
+		if err := step(i); err != nil {
+			return err
 		}
-		return nil, c, straggler, errInjectedFailure
 	}
-	return out, c, straggler, nil
+	if n == killAt {
+		return errInjectedFailure
+	}
+	return mapper.Cleanup(ctx)
+}
+
+// reduceLoop is the per-key reduce step of every backend, fed one key
+// group at a time by groupRun (in-process) or mergeSegments (worker). An
+// injected failure aborts the key loop once killAt input values have been
+// consumed, checked before each key group, discarding the attempt's
+// partial output and counters exactly like a dying Hadoop reduce attempt.
+type reduceLoop struct {
+	ctx      *TaskContext
+	reducer  TypedReducer
+	c        Counters // the attempt's counters so far
+	killAt   int      // threshold in consumed input values, -1 = never
+	consumed int
+	// cancel is the Run's cancellation channel, polled per key group; nil
+	// (never cancelled) on a worker, whose driver cancels by not
+	// scheduling.
+	cancel <-chan struct{}
+}
+
+func (l *reduceLoop) group(k string, grouped []rec) error {
+	if l.killAt >= 0 && l.consumed >= l.killAt {
+		return errInjectedFailure
+	}
+	if cancelled(l.cancel) {
+		return errTaskCancelled
+	}
+	l.consumed += len(grouped)
+	l.c.ReduceInputKeys++
+	l.c.ReduceInputVals += int64(len(grouped))
+	return l.reducer.ReduceTyped(l.ctx, k, Values{recs: grouped})
+}
+
+// commit is the kill point after the last key group (FailFrac ≈ 1): the
+// attempt dies before its output is committed.
+func (l *reduceLoop) commit() error {
+	if l.killAt >= 0 && l.consumed >= l.killAt {
+		return errInjectedFailure
+	}
+	return nil
 }

@@ -8,8 +8,12 @@ import (
 // TestMain lets this test binary double as a multiprocess-backend worker:
 // the backend re-execs the current executable, which during tests *is* the
 // test binary. MaybeWorkerProcess never returns in a worker process, so
-// the test suite itself is unaffected.
+// the test suite itself is unaffected. With childDriverEnv set, the binary
+// is instead the driver process TestDriverDeathLeavesNoWorkerOrSpill kills.
 func TestMain(m *testing.M) {
 	MaybeWorkerProcess()
+	if dir := os.Getenv(childDriverEnv); dir != "" {
+		os.Exit(runChildDriver(dir))
+	}
 	os.Exit(m.Run())
 }

@@ -61,16 +61,20 @@ func (m memoMapper) Cleanup(ctx *TaskContext) error {
 	return nil
 }
 
-// TestSplitMemoLivesAcrossJobs pins the memo's lifetime on the backends
-// that share the caller's splits: a second job over the same splits, and
-// retried attempts under a fault plan, build nothing.
+// TestSplitMemoLivesAcrossJobs pins the memo's lifetime on the in-process
+// backend, whose jobs share the caller's splits: a second job over the same
+// splits, and retried attempts under a fault plan, build nothing — with
+// tasks run one at a time (Parallelism 1) and concurrently.
 func TestSplitMemoLivesAcrossJobs(t *testing.T) {
-	for _, backend := range []string{"inprocess", "simulated"} {
-		t.Run(backend, func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		par  int
+	}{{"sequential", 1}, {"inprocess", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
 			splits := makeSplits(1000, 4)
 			var builds atomic.Int64
 			f := JobFuncs{NewMapper: func() Mapper { return memoMapper{&builds} }, TypedReducer: sumInt64}
-			e := NewEngine(Config{Backend: backend, Parallelism: 2, Faults: RateFaultPlan{MapRate: 0.5, Seed: 3}, MaxAttempts: 12})
+			e := NewEngine(Config{Parallelism: tc.par, Faults: RateFaultPlan{MapRate: 0.5, Seed: 3}, MaxAttempts: 12})
 			for range 2 {
 				out, err := e.Run(funcJob("memo", splits, f))
 				if err != nil {

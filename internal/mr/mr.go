@@ -14,6 +14,15 @@
 // in the split's Memo, such as a membership or label column. Per-point
 // results never ride the Job.
 //
+// Engine.Run drives every job's phases once, whatever the backend: it
+// launches the map tasks under the engine-wide slot semaphore, folds their
+// counters in split order, builds the shuffle, launches the reduce tasks
+// over the non-empty partitions and concatenates their output in reducer
+// order. A Backend (Config.Backend) only says how one task runs: as a
+// goroutine over the in-RAM record plane ("inprocess", the default), or on
+// a re-exec'd worker OS process with a disk-spilled shuffle
+// ("multiprocess"). Both produce bit-identical output (DESIGN.md §3h).
+//
 // Beyond execution, the engine keeps the bookkeeping a cluster would:
 //   - counters (records read/emitted, bytes shuffled),
 //   - a cost model charging per-job startup overhead and per-byte I/O, so
@@ -60,10 +69,9 @@ type memoEntry struct {
 // data derived from Rows alone, or from Rows plus a job's model spec, in
 // which case the key must contain that spec; every attempt of every job
 // may share such data, so a retried or failed attempt cannot leave a wrong
-// entry. An entry lives as long as the Split: for the whole run in-process
-// and on the simulated backend, whose jobs share the caller's splits, but
-// for one task on a multiprocess worker, which builds its own Split per
-// task frame.
+// entry. An entry lives as long as the Split: for the whole run
+// in-process, where jobs share the caller's splits, but for one task on a
+// multiprocess worker, which builds its own Split per task frame.
 func (s *Split) Memo(key any, build func() any) any {
 	s.memoMu.Lock()
 	e := s.memo[key]
@@ -148,8 +156,8 @@ func (f TypedReducerFunc) ReduceTyped(ctx *TaskContext, key string, values Value
 // implementation (Impl, resolved through RegisterJobImpl on every backend)
 // plus its parameters (Spec). Because a Job holds no function values it
 // can cross a process boundary, so the same Job runs unchanged on the
-// in-process, simulated and multiprocess backends. Per-point data is not
-// a field: a job derives it from its split and Spec (Split.Memo).
+// in-process and multiprocess backends. Per-point data is not a field: a
+// job derives it from its split and Spec (Split.Memo).
 type Job struct {
 	// Name labels the job in counters, fault plans, spans and error
 	// messages.

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"p3cmr/internal/obs"
@@ -121,8 +122,10 @@ func runWorker(ctl io.Reader, res io.Writer) error {
 	for {
 		typ, data, err := readFrame(w.br)
 		if err != nil {
+			// The control pipe closed: a clean teardown, or the driver died
+			// and nobody else will sweep the spill directory.
+			w.removeSpillDir()
 			if errors.Is(err, io.EOF) {
-				// Driver closed the control pipe: clean teardown.
 				return nil
 			}
 			return fmt.Errorf("read control frame: %w", err)
@@ -139,9 +142,23 @@ func runWorker(ctl io.Reader, res io.Writer) error {
 		default:
 			err = fmt.Errorf("unexpected control frame 0x%02x", typ)
 		}
-		if err != nil {
+		if errors.Is(err, syscall.EPIPE) {
+			// The result pipe broke: the driver is gone mid-task.
+			w.removeSpillDir()
+		}
+		if err != nil && !errors.Is(err, errTaskReported) {
 			return err
 		}
+	}
+}
+
+// removeSpillDir sweeps the run's spill directory once the driver is gone
+// (control pipe closed or result pipe broken), so a driver that dies
+// mid-job leaks no spill files. Only the driver's Run has used it by then:
+// every task is done or abandoned.
+func (w *workerState) removeSpillDir() {
+	if w.spillDir != "" {
+		os.RemoveAll(w.spillDir)
 	}
 }
 
@@ -174,12 +191,21 @@ func (w *workerState) flushTelemetry() {
 	_ = writeFrame(w.bw, fTelemetry, telemetryFrame{Events: evs})
 }
 
-// sendTaskErr reports a real (non-retryable) task error; the worker stays
-// alive for a potential next job.
+// errTaskReported is what a task returns after reporting its error to the
+// driver with fTaskErr. The task then sends nothing more — a done frame
+// after the error would answer the worker's next task — and the worker
+// lives on for that next task.
+var errTaskReported = errors.New("mr worker: task error reported")
+
+// sendTaskErr reports a real (non-retryable) task error and returns
+// errTaskReported, or the protocol error that kept it from being sent.
 func (w *workerState) sendTaskErr(err error) error {
 	w.tel.AbortOpen(obs.OutcomeError, err.Error())
 	w.flushTelemetry()
-	return w.send(fTaskErr, errFrame{Msg: err.Error()})
+	if err := w.send(fTaskErr, errFrame{Msg: err.Error()}); err != nil {
+		return err
+	}
+	return errTaskReported
 }
 
 // die flushes the attempt's partial counters and SIGKILLs this process —
@@ -188,7 +214,9 @@ func (w *workerState) die(c Counters) {
 	w.tel.AbortOpen(obs.OutcomeFault, "injected failure")
 	w.flushTelemetry()
 	_ = writeFrame(w.bw, fDying, dyingFrame{Counters: c})
-	_ = w.bw.Flush()
+	if err := w.bw.Flush(); errors.Is(err, syscall.EPIPE) {
+		w.removeSpillDir()
+	}
 	selfKill()
 }
 
@@ -256,7 +284,6 @@ func (w *workerState) runMap(data []byte) error {
 	}
 
 	var c Counters
-	mapper := w.job.NewMapper()
 	ctx := &TaskContext{
 		TaskID:      f.Task,
 		Split:       split,
@@ -269,32 +296,23 @@ func (w *workerState) runMap(data []byte) error {
 	// each spill pass gets its own overlapping spill-write sibling. Open
 	// steps are closed by AbortOpen on the die/sendTaskErr paths.
 	exec := w.tel.StartStep("map-exec", "map")
-	if err := mapper.Setup(ctx); err != nil {
-		return fail(err)
-	}
-	n := split.NumRows()
 	seq := 0
-	for i := 0; i < n; i++ {
-		if i == f.KillAt {
-			w.die(c)
+	err := mapRecords(w.job.NewMapper(), ctx, f.KillAt, func(int) error {
+		if w.mapOnly || st.bufBytes < w.spillLimit {
+			return nil
 		}
-		c.MapInputRecords++
-		if err := mapper.Map(ctx, split.Offset+i, split.Row(i)); err != nil {
-			return fail(err)
+		sp := w.tel.StartStep("spill-write", "map")
+		if err := sw.spillAll(st, seq, true); err != nil {
+			return err
 		}
-		if !w.mapOnly && st.bufBytes >= w.spillLimit {
-			sp := w.tel.StartStep("spill-write", "map")
-			if err := sw.spillAll(st, seq, true); err != nil {
-				return fail(err)
-			}
-			sp.Done()
-			seq++
-		}
-	}
-	if n == f.KillAt {
+		sp.Done()
+		seq++
+		return nil
+	})
+	if errors.Is(err, errInjectedFailure) {
 		w.die(c)
 	}
-	if err := mapper.Cleanup(ctx); err != nil {
+	if err != nil {
 		return fail(err)
 	}
 	exec.Done()
@@ -406,33 +424,23 @@ func (w *workerState) runReduce(data []byte) error {
 		readers = append(readers, r)
 	}
 
-	var c Counters
 	var out []Pair
-	ctx := &TaskContext{
-		TaskID:   f.Task,
-		outPairs: &out,
+	l := reduceLoop{
+		ctx:     &TaskContext{TaskID: f.Task, outPairs: &out},
+		reducer: w.job.TypedReducer,
+		killAt:  f.KillAt,
 	}
-	consumed := 0
 	merge := w.tel.StartStep("segment-merge", "reduce")
-	err := mergeSegments(readers, &w.batch, func(k string, grouped []rec) error {
-		if f.KillAt >= 0 && consumed >= f.KillAt {
-			return errInjectedFailure
-		}
-		consumed += len(grouped)
-		c.ReduceInputKeys++
-		c.ReduceInputVals += int64(len(grouped))
-		return w.job.TypedReducer.ReduceTyped(ctx, k, Values{recs: grouped})
-	})
-	if err != nil {
-		if errors.Is(err, errInjectedFailure) {
-			w.die(c)
-		}
-		return w.sendTaskErr(err)
+	err := mergeSegments(readers, &w.batch, l.group)
+	if err == nil {
+		merge.Done()
+		err = l.commit()
 	}
-	merge.Done()
-	if f.KillAt >= 0 && consumed >= f.KillAt {
-		// KillFrac ≈ 1: die after the last key, before committing output.
-		w.die(c)
+	if errors.Is(err, errInjectedFailure) {
+		w.die(l.c)
+	}
+	if err != nil {
+		return w.sendTaskErr(err)
 	}
 	fe := w.tel.StartStep("frame-encode", "reduce")
 	if err := w.sendPairs(out); err != nil {
@@ -440,5 +448,5 @@ func (w *workerState) runReduce(data []byte) error {
 	}
 	fe.Done()
 	w.flushTelemetry()
-	return w.send(fReduceDone, doneFrame{Counters: c})
+	return w.send(fReduceDone, doneFrame{Counters: l.c})
 }
