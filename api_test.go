@@ -7,6 +7,7 @@ import (
 	"p3cmr/internal/core"
 	"p3cmr/internal/doc"
 	"p3cmr/internal/mr"
+	"p3cmr/internal/outlier"
 	"p3cmr/internal/proclus"
 )
 
@@ -41,6 +42,51 @@ func TestAlgorithmNames(t *testing.T) {
 	}
 }
 
+// TestDefaultConfig pins the variant table: each P3C-family variant
+// carries core Params and each BoW variant BoW params, with the preset
+// differences the paper's variants are defined by, and a returned Config
+// is the caller's to edit.
+func TestDefaultConfig(t *testing.T) {
+	mvb := core.NewParams()
+	single := mvb
+	single.NumSplits = 1
+	naive := mvb
+	naive.OutlierMethod = outlier.Naive
+	mve := mvb
+	mve.OutlierMethod = outlier.MVE
+	cores := map[Algorithm]core.Params{
+		P3C:            core.OriginalP3CParams(),
+		P3CPlus:        single,
+		P3CPlusMR:      mvb,
+		P3CPlusMRNaive: naive,
+		P3CPlusMRLight: core.LightParams(),
+		P3CPlusMRMVE:   mve,
+	}
+	bows := map[Algorithm]bow.Params{BoWLight: bow.NewLightParams(), BoWMVB: bow.NewMVBParams()}
+	for a := P3C; a <= DOC; a++ {
+		cfg := DefaultConfig(a)
+		if cfg.Algorithm != a {
+			t.Errorf("%v: Algorithm = %v", a, cfg.Algorithm)
+		}
+		if want, ok := cores[a]; ok {
+			if cfg.Params == nil || *cfg.Params != want || cfg.BoW != nil {
+				t.Errorf("%v: Params = %+v, BoW = %v; want %+v and no BoW", a, cfg.Params, cfg.BoW, want)
+			}
+		} else if want, ok := bows[a]; ok {
+			if cfg.BoW == nil || *cfg.BoW != want || cfg.Params != nil {
+				t.Errorf("%v: BoW = %+v, Params = %v; want %+v and no Params", a, cfg.BoW, cfg.Params, want)
+			}
+		} else if cfg.Params != nil || cfg.BoW != nil {
+			t.Errorf("%v has a preset; it needs its parameters from the caller", a)
+		}
+	}
+	edited := DefaultConfig(P3CPlusMR)
+	edited.Params.ThetaCC = 0.9
+	if DefaultConfig(P3CPlusMR).Params.ThetaCC == 0.9 {
+		t.Error("editing a returned Config changed the table")
+	}
+}
+
 // TestRunAllAlgorithms drives every variant through the public API on one
 // data set and sanity-checks the unified result.
 func TestRunAllAlgorithms(t *testing.T) {
@@ -48,14 +94,9 @@ func TestRunAllAlgorithms(t *testing.T) {
 	for _, algo := range []Algorithm{P3C, P3CPlus, P3CPlusMR, P3CPlusMRNaive, P3CPlusMRLight, BoWLight, BoWMVB} {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
-			cfg := Config{Algorithm: algo}
-			if algo == BoWLight || algo == BoWMVB {
-				params := bow.NewLightParams()
-				if algo == BoWMVB {
-					params = bow.NewMVBParams()
-				}
-				params.SamplesPerReducer = 1500
-				cfg.BoW = &params
+			cfg := DefaultConfig(algo)
+			if cfg.BoW != nil {
+				cfg.BoW.SamplesPerReducer = 1500
 			}
 			res, err := Run(data, cfg)
 			if err != nil {

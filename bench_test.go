@@ -1,4 +1,4 @@
-package p3cmr
+package p3cmr_test
 
 // The benchmarks regenerate the paper's tables and figures at bench-sized
 // scale — one benchmark per table/figure of the evaluation (§7), plus
@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"p3cmr"
 	"p3cmr/internal/core"
 	"p3cmr/internal/dataset"
 	"p3cmr/internal/eval"
@@ -315,11 +316,7 @@ func BenchmarkCandidateCollectionAblation(b *testing.B) {
 // increasing cost.
 func BenchmarkOutlierDetectorAblation(b *testing.B) {
 	data, truth := loadBenchData(b)
-	var truthCs []*eval.Cluster
-	for _, tc := range truth.Clusters {
-		truthCs = append(truthCs, &eval.Cluster{Objects: tc.Members, Attrs: tc.Attrs})
-	}
-	tc, err := eval.NewSubspaceClustering(truth.N, truth.Dim, truthCs)
+	tc, err := p3cmr.TruthClustering(truth)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -333,7 +330,7 @@ func BenchmarkOutlierDetectorAblation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				found, err := res.Evaluation(data.N(), data.Dim)
+				found, err := eval.NewSubspaceClustering(data.N(), data.Dim, res.Clusters)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -90,11 +90,7 @@ func readTruth(path string) (*eval.SubspaceClustering, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	clusters := make([]*eval.Cluster, 0, len(gt.Clusters))
-	for _, tc := range gt.Clusters {
-		clusters = append(clusters, &eval.Cluster{Objects: tc.Members, Attrs: tc.Attrs})
-	}
-	truth, err := eval.NewSubspaceClustering(gt.N, gt.Dim, clusters)
+	truth, err := gt.Clustering()
 	return truth, gt.Dim, err
 }
 

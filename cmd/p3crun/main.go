@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"p3cmr"
-	"p3cmr/internal/core"
 	"p3cmr/internal/dataset"
 	"p3cmr/internal/mr"
 	"p3cmr/internal/obs"
@@ -40,12 +39,9 @@ func main() {
 	var (
 		in          = flag.String("in", "", "input data file (required)")
 		format      = flag.String("format", "bin", "input format: bin|csv")
-		algo        = flag.String("algo", "mr-light", "algorithm: p3c|p3c+|mr-mvb|mr-naive|mr-light|bow-light|bow-mvb")
+		algo        = flag.String("algo", "mr-light", "algorithm: "+algorithmNames())
 		labelsOut   = flag.String("labels", "", "write per-point labels to this file")
-		theta       = flag.Float64("theta", 0, "override effect-size threshold θcc")
-		alphaPoi    = flag.Float64("alpha-poi", 0, "override Poisson significance level")
-		alphaChi    = flag.Float64("alpha-chi", 0, "override chi-square significance level")
-		splits      = flag.Int("splits", 0, "input splits (0 = default)")
+		over        = overrideFlags(flag.CommandLine)
 		simulate    = flag.Bool("simulate", false, "report modeled cluster runtime (112-reducer cost model)")
 		normalize   = flag.Bool("normalize", false, "min-max normalize attributes to [0,1] first")
 		jsonOut     = flag.Bool("json", false, "emit the result as JSON on stdout")
@@ -84,6 +80,7 @@ func main() {
 	if !ok {
 		fatal(fmt.Errorf("unknown algorithm %q", *algo))
 	}
+	cfg := buildConfig(alg, *over)
 	var (
 		engine   *mr.Engine
 		jsonl    *obs.JSONLTracer
@@ -144,7 +141,9 @@ func main() {
 		}
 		if *report || *opsAddr != "" {
 			forest = obs.NewForest()
-			forest.SetPhasePlan("p3c-pipeline", paramsFor(alg).PhasePlan())
+			if cfg.Params != nil {
+				forest.SetPhasePlan("p3c-pipeline", cfg.Params.PhasePlan())
+			}
 			tracers = append(tracers, forest)
 		}
 		if *flightN > 0 {
@@ -215,7 +214,7 @@ func main() {
 			fatal(err)
 		}
 		dataFP = fp
-		paramsHash = hashParams(paramsFor(alg), *theta, *alphaPoi, *alphaChi, *splits)
+		paramsHash = hashParams(cfg)
 	}
 	wallStart := obs.Now()
 	// finishObs flushes the trace file, prints the report and metrics
@@ -287,24 +286,7 @@ func main() {
 		}
 	}
 
-	cfg := p3cmr.Config{Algorithm: alg, SimulateCluster: *simulate, Engine: engine}
-	if *theta > 0 || *alphaPoi > 0 || *alphaChi > 0 || *splits > 0 {
-		params := paramsFor(alg)
-		if *theta > 0 {
-			params.ThetaCC = *theta
-		}
-		if *alphaPoi > 0 {
-			params.AlphaPoisson = *alphaPoi
-		}
-		if *alphaChi > 0 {
-			params.AlphaChi2 = *alphaChi
-		}
-		if *splits > 0 {
-			params.NumSplits = *splits
-		}
-		cfg.Params = &params
-	}
-
+	cfg.SimulateCluster, cfg.Engine = *simulate, engine
 	res, err := p3cmr.Run(data, cfg)
 	if err != nil {
 		fatal(err)
@@ -383,15 +365,55 @@ var algorithms = map[string]p3cmr.Algorithm{
 	"mr-mve":    p3cmr.P3CPlusMRMVE,
 }
 
-func paramsFor(a p3cmr.Algorithm) core.Params {
-	switch a {
-	case p3cmr.P3C:
-		return core.OriginalP3CParams()
-	case p3cmr.P3CPlusMRLight:
-		return core.LightParams()
-	default:
-		return core.NewParams()
+// algorithmNames lists the -algo names for the flag's help text.
+func algorithmNames() string {
+	names := make([]string, 0, len(algorithms))
+	for name := range algorithms {
+		names = append(names, name)
 	}
+	sort.Strings(names)
+	return strings.Join(names, "|")
+}
+
+// overrides are the flags that change a preset's parameters; a zero field
+// keeps the preset's value.
+type overrides struct {
+	theta, alphaPoi, alphaChi float64
+	splits                    int
+}
+
+// overrideFlags registers the override flags on fs.
+func overrideFlags(fs *flag.FlagSet) *overrides {
+	o := &overrides{}
+	fs.Float64Var(&o.theta, "theta", 0, "override effect-size threshold θcc")
+	fs.Float64Var(&o.alphaPoi, "alpha-poi", 0, "override Poisson significance level")
+	fs.Float64Var(&o.alphaChi, "alpha-chi", 0, "override chi-square significance level")
+	fs.IntVar(&o.splits, "splits", 0, "input splits (0 = the preset's)")
+	return o
+}
+
+// buildConfig returns the Config a run uses: the algorithm's preset from
+// p3cmr.DefaultConfig with every set override applied to its core
+// parameters, or for the BoW variants to their plug-in's parameters.
+func buildConfig(alg p3cmr.Algorithm, o overrides) p3cmr.Config {
+	cfg := p3cmr.DefaultConfig(alg)
+	p := cfg.Params
+	if cfg.BoW != nil {
+		p = &cfg.BoW.Plugin
+	}
+	if o.theta > 0 {
+		p.ThetaCC = o.theta
+	}
+	if o.alphaPoi > 0 {
+		p.AlphaPoisson = o.alphaPoi
+	}
+	if o.alphaChi > 0 {
+		p.AlphaChi2 = o.alphaChi
+	}
+	if o.splits > 0 {
+		p.NumSplits = o.splits
+	}
+	return cfg
 }
 
 func readData(path, format string) (*dataset.Dataset, error) {
@@ -440,21 +462,15 @@ func fileSHA256(path string) (string, error) {
 	return hex.EncodeToString(h.Sum(nil))[:archive.IDLen], nil
 }
 
-// hashParams fingerprints the effective algorithm parameters (base params
-// plus the CLI overrides) so two archived records can be checked for
-// experiment identity without re-parsing flags.
-func hashParams(p core.Params, theta, alphaPoi, alphaChi float64, splits int) string {
-	if theta > 0 {
-		p.ThetaCC = theta
-	}
-	if alphaPoi > 0 {
-		p.AlphaPoisson = alphaPoi
-	}
-	if alphaChi > 0 {
-		p.AlphaChi2 = alphaChi
-	}
-	if splits > 0 {
-		p.NumSplits = splits
+// hashParams fingerprints the parameters a run uses (its core Params, or
+// for BoW its BoW params, overrides applied) so two archived records can be
+// checked for experiment identity without re-parsing flags.
+func hashParams(cfg p3cmr.Config) string {
+	var p any
+	if cfg.BoW != nil {
+		p = *cfg.BoW
+	} else {
+		p = *cfg.Params
 	}
 	h := sha256.Sum256([]byte(fmt.Sprintf("%#v", p)))
 	return hex.EncodeToString(h[:])[:archive.IDLen]

@@ -11,7 +11,6 @@ import (
 	"text/tabwriter"
 
 	"p3cmr"
-	"p3cmr/internal/bow"
 	"p3cmr/internal/mr"
 )
 
@@ -45,15 +44,11 @@ func main() {
 		// A fresh engine per run, with the Hadoop cost model so the modeled
 		// runtime column is populated.
 		engine := mr.NewEngine(mr.Config{NumReducers: 112, Cost: mr.DefaultCostModel()})
-		cfg := p3cmr.Config{Algorithm: c.algo, Engine: engine}
-		if c.algo == p3cmr.BoWLight || c.algo == p3cmr.BoWMVB {
+		cfg := p3cmr.DefaultConfig(c.algo)
+		cfg.Engine = engine
+		if cfg.BoW != nil {
 			// Partition into blocks of 4000 so BoW's sampling really kicks in.
-			params := bow.NewLightParams()
-			if c.algo == p3cmr.BoWMVB {
-				params = bow.NewMVBParams()
-			}
-			params.SamplesPerReducer = 4000
-			cfg.BoW = &params
+			cfg.BoW.SamplesPerReducer = 4000
 		}
 		res, err := p3cmr.Run(data, cfg)
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"p3cmr"
-	"p3cmr/internal/core"
 	"p3cmr/internal/dataset"
 )
 
@@ -35,8 +34,10 @@ func main() {
 	fmt.Printf("microarray twin: %d samples x %d genes (%d tumor, %d normal)\n",
 		data.N(), data.Dim, tumors, data.N()-tumors)
 
-	run := func(name string, algo p3cmr.Algorithm, params *core.Params) {
-		res, err := p3cmr.Run(data, p3cmr.Config{Algorithm: algo, Params: params})
+	run := func(name string, algo p3cmr.Algorithm) {
+		cfg := p3cmr.DefaultConfig(algo)
+		cfg.Params.NumSplits = 4
+		res, err := p3cmr.Run(data, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,15 +63,11 @@ func main() {
 	}
 
 	// The original P3C (Sturges binning, pure Poisson test).
-	p3cParams := core.OriginalP3CParams()
-	p3cParams.NumSplits = 4
-	run("P3C", p3cmr.P3C, &p3cParams)
+	run("P3C", p3cmr.P3C)
 
 	// P3C+ — with 62 samples the EM/outlier refinement degenerates, so the
 	// Light model is the appropriate P3C+ instantiation (§6).
-	plusParams := core.LightParams()
-	plusParams.NumSplits = 4
-	run("P3C+", p3cmr.P3CPlusMRLight, &plusParams)
+	run("P3C+", p3cmr.P3CPlusMRLight)
 
 	fmt.Println("\npaper reference (real colon-cancer data): P3C 67%, P3C+ 71%")
 }

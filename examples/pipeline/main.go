@@ -11,7 +11,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"p3cmr/internal/core"
+	"p3cmr"
 	"p3cmr/internal/dataset"
 	"p3cmr/internal/mr"
 )
@@ -52,14 +52,16 @@ func main() {
 		Faults:      mr.UniformFaults(0.2, 42),
 		MaxAttempts: 6,
 	})
-	params := core.LightParams()
-	params.ThetaCC = 0.35      // paper §7.3
-	params.AlphaPoisson = 0.01 // paper §7.3
-	params.NumSplits = 8
-	res, err := core.Run(engine, data, params)
+	cfg := p3cmr.DefaultConfig(p3cmr.P3CPlusMRLight)
+	cfg.Engine = engine
+	cfg.Params.ThetaCC = 0.35      // paper §7.3
+	cfg.Params.AlphaPoisson = 0.01 // paper §7.3
+	cfg.Params.NumSplits = 8
+	out, err := p3cmr.Run(data, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := out.Core
 	fmt.Printf("clusters: %d  jobs: %d  proven candidates: %d  task retries: %d\n",
 		len(res.Clusters), res.Stats.Jobs, res.Stats.CandidatesProven,
 		res.Stats.Counters.TaskRetries)

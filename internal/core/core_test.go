@@ -25,11 +25,7 @@ func genData(t *testing.T, n, dim, k int, noise float64, seed int64) (*dataset.D
 
 func truthClustering(t *testing.T, truth *dataset.GroundTruth) *eval.SubspaceClustering {
 	t.Helper()
-	var cs []*eval.Cluster
-	for _, tc := range truth.Clusters {
-		cs = append(cs, &eval.Cluster{Objects: tc.Members, Attrs: tc.Attrs})
-	}
-	sc, err := eval.NewSubspaceClustering(truth.N, truth.Dim, cs)
+	sc, err := truth.Clustering()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +34,7 @@ func truthClustering(t *testing.T, truth *dataset.GroundTruth) *eval.SubspaceClu
 
 func resultClustering(t *testing.T, res *Result, n, dim int) *eval.SubspaceClustering {
 	t.Helper()
-	sc, err := res.Evaluation(n, dim)
+	sc, err := eval.NewSubspaceClustering(n, dim, res.Clusters)
 	if err != nil {
 		t.Fatal(err)
 	}

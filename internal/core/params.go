@@ -242,9 +242,3 @@ type Result struct {
 	// Stats is the execution metadata.
 	Stats RunStats
 }
-
-// Evaluation returns the result's clusters as a SubspaceClustering for the
-// quality measures.
-func (r *Result) Evaluation(n, dim int) (*eval.SubspaceClustering, error) {
-	return eval.NewSubspaceClustering(n, dim, r.Clusters)
-}

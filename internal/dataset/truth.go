@@ -1,6 +1,10 @@
 package dataset
 
-import "sort"
+import (
+	"sort"
+
+	"p3cmr/internal/eval"
+)
 
 // TrueCluster is one hidden projected cluster of a generated data set: the
 // member rows, the relevant attributes, and the generating interval on each
@@ -21,6 +25,16 @@ type GroundTruth struct {
 	Noise []int
 	// N and Dim mirror the data set shape.
 	N, Dim int
+}
+
+// Clustering returns the ground truth in the evaluation representation the
+// quality measures score a found clustering against.
+func (g *GroundTruth) Clustering() (*eval.SubspaceClustering, error) {
+	clusters := make([]*eval.Cluster, 0, len(g.Clusters))
+	for _, tc := range g.Clusters {
+		clusters = append(clusters, &eval.Cluster{Objects: tc.Members, Attrs: tc.Attrs})
+	}
+	return eval.NewSubspaceClustering(g.N, g.Dim, clusters)
 }
 
 // Labels returns a per-row cluster label: 0..k-1 for cluster members, -1 for

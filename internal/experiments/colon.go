@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"p3cmr/internal/core"
+	"p3cmr"
 	"p3cmr/internal/dataset"
 	"p3cmr/internal/eval"
-	"p3cmr/internal/mr"
 )
 
 // ColonRow is the §7.6 comparison: clustering accuracy of the original P3C
@@ -60,16 +59,17 @@ func Colon(seed int64) (*ColonRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		run := func(params core.Params) (maj, hun float64, err error) {
-			params.NumSplits = 4
-			res, err := core.Run(mr.Default(), data, params)
+		run := func(alg p3cmr.Algorithm) (maj, hun float64, err error) {
+			cfg := p3cmr.DefaultConfig(alg)
+			cfg.Params.NumSplits = 4
+			res, err := p3cmr.Run(data, cfg)
 			if err != nil {
 				return 0, 0, err
 			}
 			return eval.Accuracy(res.Labels, classes),
 				eval.AccuracyHungarian(res.Labels, classes), nil
 		}
-		maj, hun, err := run(core.OriginalP3CParams())
+		maj, hun, err := run(p3cmr.P3C)
 		if err != nil {
 			return nil, fmt.Errorf("colon P3C rep %d: %w", rep, err)
 		}
@@ -77,7 +77,7 @@ func Colon(seed int64) (*ColonRow, error) {
 		row.HungarianP3C += hun
 		// Tiny n: the EM/outlier refinement degenerates, so the Light model
 		// is the appropriate P3C+ instantiation (§6).
-		maj, hun, err = run(core.LightParams())
+		maj, hun, err = run(p3cmr.P3CPlusMRLight)
 		if err != nil {
 			return nil, fmt.Errorf("colon P3C+ rep %d: %w", rep, err)
 		}

@@ -71,7 +71,7 @@ func WriteFigure6CSV(w io.Writer, rows []Fig6Row) error {
 	}
 	for _, r := range rows {
 		for _, v := range Fig6Variants {
-			rec := []string{ftoa(r.Noise), itoa(r.Clusters), itoa(r.Size), string(v), ftoa(r.Scores[v])}
+			rec := []string{ftoa(r.Noise), itoa(r.Clusters), itoa(r.Size), v.String(), ftoa(r.Scores[v])}
 			if err := cw.Write(rec); err != nil {
 				return err
 			}
@@ -89,7 +89,7 @@ func WriteFigure7CSV(w io.Writer, rows []Fig7Row) error {
 	}
 	for _, r := range rows {
 		for _, v := range Fig7Variants {
-			rec := []string{itoa(r.Size), string(v), ftoa(r.Seconds[v])}
+			rec := []string{itoa(r.Size), v.String(), ftoa(r.Seconds[v])}
 			if err := cw.Write(rec); err != nil {
 				return err
 			}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/csv"
 	"testing"
+
+	"p3cmr"
 )
 
 func parseCSV(t *testing.T, buf *bytes.Buffer) [][]string {
@@ -52,8 +54,8 @@ func TestWriteFigure5CSV(t *testing.T) {
 }
 
 func TestWriteFigure6And7CSV(t *testing.T) {
-	rows6 := []Fig6Row{{Size: 1000, Noise: 0.1, Clusters: 3, Scores: map[Variant]float64{
-		VariantBoWLight: 0.7, VariantBoWMVB: 0.8, VariantMRLight: 0.9, VariantMRMVB: 0.95,
+	rows6 := []Fig6Row{{Size: 1000, Noise: 0.1, Clusters: 3, Scores: map[p3cmr.Algorithm]float64{
+		p3cmr.BoWLight: 0.7, p3cmr.BoWMVB: 0.8, p3cmr.P3CPlusMRLight: 0.9, p3cmr.P3CPlusMR: 0.95,
 	}}}
 	var buf bytes.Buffer
 	if err := WriteFigure6CSV(&buf, rows6); err != nil {
@@ -63,8 +65,8 @@ func TestWriteFigure6And7CSV(t *testing.T) {
 		t.Fatalf("fig6 records = %d", got)
 	}
 
-	rows7 := []Fig7Row{{Size: 1000, Seconds: map[Variant]float64{
-		VariantBoWLight: 8, VariantBoWMVB: 9, VariantMRLight: 90, VariantMRMVB: 250, VariantMRNaive: 230,
+	rows7 := []Fig7Row{{Size: 1000, Seconds: map[p3cmr.Algorithm]float64{
+		p3cmr.BoWLight: 8, p3cmr.BoWMVB: 9, p3cmr.P3CPlusMRLight: 90, p3cmr.P3CPlusMR: 250, p3cmr.P3CPlusMRNaive: 230,
 	}}}
 	buf.Reset()
 	if err := WriteFigure7CSV(&buf, rows7); err != nil {

@@ -18,12 +18,8 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"p3cmr/internal/bow"
-	"p3cmr/internal/core"
+	"p3cmr"
 	"p3cmr/internal/dataset"
-	"p3cmr/internal/eval"
-	"p3cmr/internal/mr"
-	"p3cmr/internal/outlier"
 )
 
 // Scale bounds the experiment sizes. The zero value is replaced by
@@ -111,63 +107,14 @@ func (s Scale) generate(n, clusters int, noise float64) (*dataset.Dataset, *data
 	})
 }
 
-// truthClustering converts ground truth for the evaluation measures.
-func truthClustering(truth *dataset.GroundTruth) (*eval.SubspaceClustering, error) {
-	var cs []*eval.Cluster
-	for _, tc := range truth.Clusters {
-		cs = append(cs, &eval.Cluster{Objects: tc.Members, Attrs: tc.Attrs})
+// blockConfig returns an algorithm's preset with a BoW variant's blocks
+// capped at samplesPerReducer points.
+func blockConfig(alg p3cmr.Algorithm, samplesPerReducer int) p3cmr.Config {
+	cfg := p3cmr.DefaultConfig(alg)
+	if cfg.BoW != nil {
+		cfg.BoW.SamplesPerReducer = samplesPerReducer
 	}
-	return eval.NewSubspaceClustering(truth.N, truth.Dim, cs)
-}
-
-// Variant identifies an algorithm series in the figures.
-type Variant string
-
-// The series names match the paper's figure legends.
-const (
-	VariantBoWLight Variant = "BoW (Light)"
-	VariantBoWMVB   Variant = "BoW (MVB)"
-	VariantMRLight  Variant = "MR (Light)"
-	VariantMRMVB    Variant = "MR (MVB)"
-	VariantMRNaive  Variant = "MR (Naive)"
-)
-
-// runVariant executes one algorithm variant and returns the found
-// clustering and the run's simulated seconds.
-func runVariant(engine *mr.Engine, data *dataset.Dataset, v Variant, samplesPerReducer int) (*eval.SubspaceClustering, float64, error) {
-	switch v {
-	case VariantBoWLight, VariantBoWMVB:
-		params := bow.NewLightParams()
-		if v == VariantBoWMVB {
-			params = bow.NewMVBParams()
-		}
-		if samplesPerReducer > 0 {
-			params.SamplesPerReducer = samplesPerReducer
-		}
-		res, err := bow.Run(engine, data, params)
-		if err != nil {
-			return nil, 0, err
-		}
-		sc, err := eval.NewSubspaceClustering(data.N(), data.Dim, res.Clusters)
-		return sc, res.Stats.SimulatedSeconds, err
-	default:
-		var params core.Params
-		switch v {
-		case VariantMRLight:
-			params = core.LightParams()
-		case VariantMRNaive:
-			params = core.NewParams()
-			params.OutlierMethod = outlier.Naive
-		default:
-			params = core.NewParams()
-		}
-		res, err := core.Run(engine, data, params)
-		if err != nil {
-			return nil, 0, err
-		}
-		sc, err := res.Evaluation(data.N(), data.Dim)
-		return sc, res.Stats.SimulatedSeconds, err
-	}
+	return cfg
 }
 
 // newTable starts a tabwriter with the harness' standard layout.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"p3cmr"
 )
 
 // miniScale keeps the shape-check tests fast.
@@ -122,8 +124,8 @@ func TestFigure6Shape(t *testing.T) {
 			}
 		}
 		// MR (Light) must be competitive: the paper's best series.
-		if r.Scores[VariantMRLight] < 0.5 {
-			t.Errorf("MR (Light) E4SC = %.3f at n=%d", r.Scores[VariantMRLight], r.Size)
+		if r.Scores[p3cmr.P3CPlusMRLight] < 0.5 {
+			t.Errorf("MR (Light) E4SC = %.3f at n=%d", r.Scores[p3cmr.P3CPlusMRLight], r.Size)
 		}
 	}
 	var buf bytes.Buffer
@@ -149,11 +151,11 @@ func TestFigure7Shape(t *testing.T) {
 			}
 		}
 		// MR (MVB) runs the most jobs and must be the slowest MR variant.
-		if r.Seconds[VariantMRMVB] < r.Seconds[VariantMRLight] {
-			t.Errorf("MR (MVB) %.1fs cheaper than MR (Light) %.1fs", r.Seconds[VariantMRMVB], r.Seconds[VariantMRLight])
+		if r.Seconds[p3cmr.P3CPlusMR] < r.Seconds[p3cmr.P3CPlusMRLight] {
+			t.Errorf("MR (MVB) %.1fs cheaper than MR (Light) %.1fs", r.Seconds[p3cmr.P3CPlusMR], r.Seconds[p3cmr.P3CPlusMRLight])
 		}
-		if r.Seconds[VariantMRMVB] < r.Seconds[VariantMRNaive] {
-			t.Errorf("MR (MVB) %.1fs cheaper than MR (Naive) %.1fs", r.Seconds[VariantMRMVB], r.Seconds[VariantMRNaive])
+		if r.Seconds[p3cmr.P3CPlusMR] < r.Seconds[p3cmr.P3CPlusMRNaive] {
+			t.Errorf("MR (MVB) %.1fs cheaper than MR (Naive) %.1fs", r.Seconds[p3cmr.P3CPlusMR], r.Seconds[p3cmr.P3CPlusMRNaive])
 		}
 	}
 	var buf bytes.Buffer

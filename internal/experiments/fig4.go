@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"p3cmr/internal/core"
+	"p3cmr"
 	"p3cmr/internal/eval"
-	"p3cmr/internal/mr"
-	"p3cmr/internal/outlier"
 )
 
 // Fig4Row is one point of Figure 4: the E4SC of the full P3C+ pipeline
@@ -38,24 +36,22 @@ func Figure4(scale Scale) ([]Fig4Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				tc, err := truthClustering(truth)
+				tc, err := p3cmr.TruthClustering(truth)
 				if err != nil {
 					return nil, err
 				}
 				row := Fig4Row{Size: n, Noise: noise, Clusters: k}
-				for _, method := range []outlier.Method{outlier.Naive, outlier.MVB} {
-					params := core.NewParams()
-					params.OutlierMethod = method
-					res, err := core.Run(mr.Default(), data, params)
+				for _, alg := range []p3cmr.Algorithm{p3cmr.P3CPlusMRNaive, p3cmr.P3CPlusMR} {
+					res, err := p3cmr.Run(data, p3cmr.Config{Algorithm: alg})
 					if err != nil {
-						return nil, fmt.Errorf("fig4 n=%d k=%d noise=%g %v: %w", n, k, noise, method, err)
+						return nil, fmt.Errorf("fig4 n=%d k=%d noise=%g %v: %w", n, k, noise, alg, err)
 					}
-					found, err := res.Evaluation(data.N(), data.Dim)
+					found, err := p3cmr.FoundClustering(res, data)
 					if err != nil {
 						return nil, err
 					}
 					score := eval.E4SC(found, tc)
-					if method == outlier.Naive {
+					if alg == p3cmr.P3CPlusMRNaive {
 						row.E4SCNaive = score
 					} else {
 						row.E4SCMVB = score

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"p3cmr/internal/core"
-	"p3cmr/internal/mr"
+	"p3cmr"
 )
 
 // Fig5Row is one point of Figure 5: the number of cluster cores found at a
@@ -54,19 +53,20 @@ func Figure5(scale Scale, sizes []int, thresholds []float64) ([]Fig5Row, error) 
 		for _, th := range thresholds {
 			row := Fig5Row{Size: n, Threshold: th, Optimal: clusters}
 			for _, combined := range []bool{false, true} {
-				params := core.LightParams()
-				params.AlphaPoisson = th
-				params.UseEffectSize = combined
-				res, err := core.Run(mr.Default(), data, params)
+				cfg := p3cmr.DefaultConfig(p3cmr.P3CPlusMRLight)
+				cfg.Params.AlphaPoisson = th
+				cfg.Params.UseEffectSize = combined
+				res, err := p3cmr.Run(data, cfg)
 				if err != nil {
 					return nil, fmt.Errorf("fig5 n=%d th=%g combined=%v: %w", n, th, combined, err)
 				}
+				stats := res.Core.Stats
 				if combined {
-					row.CombinedNoFilter = res.Stats.CoresBeforeRedundancy
-					row.CombinedFiltered = res.Stats.Cores
+					row.CombinedNoFilter = stats.CoresBeforeRedundancy
+					row.CombinedFiltered = stats.Cores
 				} else {
-					row.PoissonNoFilter = res.Stats.CoresBeforeRedundancy
-					row.PoissonFiltered = res.Stats.Cores
+					row.PoissonNoFilter = stats.CoresBeforeRedundancy
+					row.PoissonFiltered = stats.Cores
 				}
 			}
 			rows = append(rows, row)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"p3cmr"
 	"p3cmr/internal/eval"
-	"p3cmr/internal/mr"
 )
 
 // Fig6Row is one point of Figure 6: the E4SC of the four large-scale
@@ -14,11 +14,11 @@ type Fig6Row struct {
 	Size     int
 	Noise    float64
 	Clusters int
-	Scores   map[Variant]float64
+	Scores   map[p3cmr.Algorithm]float64
 }
 
 // Fig6Variants are the four series of Figure 6.
-var Fig6Variants = []Variant{VariantBoWLight, VariantBoWMVB, VariantMRLight, VariantMRMVB}
+var Fig6Variants = []p3cmr.Algorithm{p3cmr.BoWLight, p3cmr.BoWMVB, p3cmr.P3CPlusMRLight, p3cmr.P3CPlusMR}
 
 // Figure6 reproduces Figure 6: quality of BoW (Light/MVB) vs P3C+-MR
 // (Light/MVB) across sizes, noise levels and cluster counts. Expected
@@ -46,17 +46,21 @@ func Figure6(scale Scale, samplesPerReducer int) ([]Fig6Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				tc, err := truthClustering(truth)
+				tc, err := p3cmr.TruthClustering(truth)
 				if err != nil {
 					return nil, err
 				}
-				row := Fig6Row{Size: n, Noise: noise, Clusters: k, Scores: make(map[Variant]float64)}
-				for _, v := range Fig6Variants {
-					found, _, err := runVariant(mr.Default(), data, v, samplesPerReducer)
+				row := Fig6Row{Size: n, Noise: noise, Clusters: k, Scores: make(map[p3cmr.Algorithm]float64)}
+				for _, alg := range Fig6Variants {
+					res, err := p3cmr.Run(data, blockConfig(alg, samplesPerReducer))
 					if err != nil {
-						return nil, fmt.Errorf("fig6 %s n=%d k=%d noise=%g: %w", v, n, k, noise, err)
+						return nil, fmt.Errorf("fig6 %s n=%d k=%d noise=%g: %w", alg, n, k, noise, err)
 					}
-					row.Scores[v] = eval.E4SC(found, tc)
+					found, err := p3cmr.FoundClustering(res, data)
+					if err != nil {
+						return nil, err
+					}
+					row.Scores[alg] = eval.E4SC(found, tc)
 				}
 				rows = append(rows, row)
 			}

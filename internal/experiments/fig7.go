@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"p3cmr"
 	"p3cmr/internal/bow"
-	"p3cmr/internal/core"
 	"p3cmr/internal/mr"
 )
 
@@ -13,11 +13,11 @@ import (
 // variant at one data-set size.
 type Fig7Row struct {
 	Size    int
-	Seconds map[Variant]float64
+	Seconds map[p3cmr.Algorithm]float64
 }
 
 // Fig7Variants are the five series of Figure 7.
-var Fig7Variants = []Variant{VariantBoWLight, VariantBoWMVB, VariantMRLight, VariantMRMVB, VariantMRNaive}
+var Fig7Variants = []p3cmr.Algorithm{p3cmr.BoWLight, p3cmr.BoWMVB, p3cmr.P3CPlusMRLight, p3cmr.P3CPlusMR, p3cmr.P3CPlusMRNaive}
 
 // Figure7 reproduces Figure 7 under the engine's Hadoop cost model: the
 // pipelines really run (locally), and every MapReduce job is charged
@@ -42,17 +42,18 @@ func Figure7(scale Scale, samplesPerReducer int) ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Fig7Row{Size: n, Seconds: make(map[Variant]float64)}
-		for _, v := range Fig7Variants {
-			engine := mr.NewEngine(mr.Config{
+		row := Fig7Row{Size: n, Seconds: make(map[p3cmr.Algorithm]float64)}
+		for _, alg := range Fig7Variants {
+			cfg := blockConfig(alg, samplesPerReducer)
+			cfg.Engine = mr.NewEngine(mr.Config{
 				NumReducers: scale.Reducers,
 				Cost:        mr.DefaultCostModel(),
 			})
-			_, seconds, err := runVariant(engine, data, v, samplesPerReducer)
+			res, err := p3cmr.Run(data, cfg)
 			if err != nil {
-				return nil, fmt.Errorf("fig7 %s n=%d: %w", v, n, err)
+				return nil, fmt.Errorf("fig7 %s n=%d: %w", alg, n, err)
 			}
-			row.Seconds[v] = seconds
+			row.Seconds[alg] = res.SimulatedSeconds
 		}
 		rows = append(rows, row)
 	}
@@ -131,23 +132,25 @@ func Billion(scale Scale, localN, samplesPerReducer int) (*BillionRow, error) {
 	row.PaperSpeedup = row.PaperBoWSeconds / row.PaperMRSeconds
 
 	// MR (Light): measure the job count, extrapolate map-dominated jobs.
-	engine := mr.NewEngine(mr.Config{NumReducers: scale.Reducers})
-	resMR, err := core.Run(engine, data, core.LightParams())
+	resMR, err := p3cmr.Run(data, p3cmr.Config{
+		Algorithm: p3cmr.P3CPlusMRLight,
+		Engine:    mr.NewEngine(mr.Config{NumReducers: scale.Reducers}),
+	})
 	if err != nil {
 		return nil, fmt.Errorf("billion MR (Light): %w", err)
 	}
-	row.MRJobs = resMR.Stats.Jobs
+	row.MRJobs = resMR.Jobs
 	row.MRLightSeconds = cm.MapJobsSeconds(row.MRJobs, float64(targetN))
 
 	// BoW (Light): measure the per-block pass count, extrapolate the
 	// wave schedule.
-	bowParams := bow.NewLightParams()
-	bowParams.SamplesPerReducer = samplesPerReducer
-	resBoW, err := bow.Run(mr.NewEngine(mr.Config{NumReducers: scale.Reducers}), data, bowParams)
+	bowCfg := blockConfig(p3cmr.BoWLight, samplesPerReducer)
+	bowCfg.Engine = mr.NewEngine(mr.Config{NumReducers: scale.Reducers})
+	resBoW, err := p3cmr.Run(data, bowCfg)
 	if err != nil {
 		return nil, fmt.Errorf("billion BoW (Light): %w", err)
 	}
-	row.BoWPassesPerBlock = resBoW.Stats.PassesPerBlock
+	row.BoWPassesPerBlock = resBoW.BoW.Stats.PassesPerBlock
 	row.BoWLightSeconds = bow.ScheduleSeconds(cm, scale.Reducers, targetN, targetSamples, row.BoWPassesPerBlock)
 
 	if row.MRLightSeconds > 0 {

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"p3cmr/internal/core"
+	"p3cmr"
 	"p3cmr/internal/dataset"
 	"p3cmr/internal/doc"
 	"p3cmr/internal/eval"
-	"p3cmr/internal/mr"
-	"p3cmr/internal/outlier"
 	"p3cmr/internal/proclus"
 )
 
@@ -41,15 +39,34 @@ func Zoo(scale Scale) ([]ZooRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	tc, err := truthClustering(truth)
+	tc, err := p3cmr.TruthClustering(truth)
 	if err != nil {
 		return nil, err
 	}
 
+	contenders := []struct {
+		name string
+		cfg  p3cmr.Config
+	}{
+		{"P3C (original)", p3cmr.Config{Algorithm: p3cmr.P3C}},
+		{"P3C+-MR (MVB)", p3cmr.Config{Algorithm: p3cmr.P3CPlusMR}},
+		{"P3C+-MR (MVE)", p3cmr.Config{Algorithm: p3cmr.P3CPlusMRMVE}},
+		{"P3C+-MR-Light", p3cmr.Config{Algorithm: p3cmr.P3CPlusMRLight}},
+		{"PROCLUS (true k)", p3cmr.Config{Algorithm: p3cmr.PROCLUS, PROCLUS: &proclus.Params{K: clusters, L: 4, Seed: scale.Seed}}},
+		{"DOC (true k)", p3cmr.Config{Algorithm: p3cmr.DOC, DOC: &doc.Params{K: clusters, W: 0.2, Seed: scale.Seed}}},
+	}
 	var rows []ZooRow
-	add := func(name string, found *eval.SubspaceClustering) {
+	for _, c := range contenders {
+		res, err := p3cmr.Run(data, c.cfg)
+		if err != nil {
+			return nil, fmt.Errorf("zoo %s: %w", c.name, err)
+		}
+		found, err := p3cmr.FoundClustering(res, data)
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, ZooRow{
-			Name:     name,
+			Name:     c.name,
 			Clusters: len(found.Clusters),
 			E4SC:     eval.E4SC(found, tc),
 			F1:       eval.F1(found, tc),
@@ -57,53 +74,6 @@ func Zoo(scale Scale) ([]ZooRow, error) {
 			CE:       eval.CE(found, tc),
 		})
 	}
-
-	runCore := func(name string, params core.Params) error {
-		res, err := core.Run(mr.Default(), data, params)
-		if err != nil {
-			return fmt.Errorf("zoo %s: %w", name, err)
-		}
-		found, err := res.Evaluation(data.N(), data.Dim)
-		if err != nil {
-			return err
-		}
-		add(name, found)
-		return nil
-	}
-	if err := runCore("P3C (original)", core.OriginalP3CParams()); err != nil {
-		return nil, err
-	}
-	if err := runCore("P3C+-MR (MVB)", core.NewParams()); err != nil {
-		return nil, err
-	}
-	mve := core.NewParams()
-	mve.OutlierMethod = outlier.MVE
-	if err := runCore("P3C+-MR (MVE)", mve); err != nil {
-		return nil, err
-	}
-	if err := runCore("P3C+-MR-Light", core.LightParams()); err != nil {
-		return nil, err
-	}
-
-	pres, err := proclus.Run(data, proclus.Params{K: clusters, L: 4, Seed: scale.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("zoo PROCLUS: %w", err)
-	}
-	found, err := eval.NewSubspaceClustering(data.N(), data.Dim, pres.Clusters)
-	if err != nil {
-		return nil, err
-	}
-	add("PROCLUS (true k)", found)
-
-	dres, err := doc.Run(data, doc.Params{K: clusters, W: 0.2, Seed: scale.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("zoo DOC: %w", err)
-	}
-	found, err = eval.NewSubspaceClustering(data.N(), data.Dim, dres.Clusters)
-	if err != nil {
-		return nil, err
-	}
-	add("DOC (true k)", found)
 	return rows, nil
 }
 

@@ -58,11 +58,14 @@ func MaybeWorkerProcess() {
 		fmt.Fprintln(os.Stderr, "mr worker: control fds 3/4 not inherited")
 		os.Exit(2)
 	}
-	if err := runWorker(ctl, res); err != nil {
-		fmt.Fprintf(os.Stderr, "mr worker: %v\n", err)
-		os.Exit(2)
+	exit := func(err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mr worker: %v\n", err)
+			os.Exit(2)
+		}
+		os.Exit(0)
 	}
-	os.Exit(0)
+	exit(runWorker(ctl, res, exit))
 }
 
 // workerState is one worker process's protocol loop state.
@@ -78,8 +81,10 @@ type workerState struct {
 	// mapOnly jobs return their output over the wire; every other job
 	// spills its buckets whenever they pass spillLimit, and at commit.
 	mapOnly    bool
-	spillDir   string
 	spillLimit int64
+	// spillDir is the run's spill directory. The control reader sweeps it
+	// when the driver goes, concurrently with the task loop.
+	spillDir atomic.Pointer[string]
 	// pools recycles map states across tasks, mirroring the engine pools —
 	// including poison-on-return when the driver forwards DebugPoisonPools.
 	pools *enginePools
@@ -95,8 +100,21 @@ type workerState struct {
 	queued atomic.Int64
 }
 
-// runWorker drives the frame loop until shutdown (or driver EOF).
-func runWorker(ctl io.Reader, res io.Writer) error {
+// ctlFrame is one control frame, handed from the control reader to the
+// task loop.
+type ctlFrame struct {
+	typ  byte
+	data []byte
+}
+
+// runWorker drives the task loop until shutdown. A goroutine reads the
+// control pipe and hands the loop one frame at a time. When the pipe
+// closes or fails, the driver is done with this worker or dead, and no
+// result will be read: the reader sweeps the spill directory and calls
+// exit (nil on EOF) at once, even mid-task. A worker process's exit ends
+// it; with an exit that returns, the loop finishes the frames it was
+// handed and then returns exit's argument.
+func runWorker(ctl io.Reader, res io.Writer, exit func(error)) error {
 	w := &workerState{
 		br: bufio.NewReaderSize(ctl, 256<<10),
 		bw: bufio.NewWriterSize(res, 256<<10),
@@ -119,28 +137,43 @@ func runWorker(ctl io.Reader, res io.Writer) error {
 			return err
 		}
 	}
-	for {
-		typ, data, err := readFrame(w.br)
-		if err != nil {
-			// The control pipe closed: a clean teardown, or the driver died
-			// and nobody else will sweep the spill directory.
-			w.removeSpillDir()
-			if errors.Is(err, io.EOF) {
-				return nil
+	frames, done := make(chan ctlFrame), make(chan struct{})
+	defer close(done)
+	var ctlErr error
+	go func() {
+		defer close(frames)
+		for {
+			typ, data, err := readFrame(w.br)
+			if err != nil {
+				// A clean teardown, or the driver died and nobody else
+				// will sweep the spill directory.
+				w.removeSpillDir()
+				if !errors.Is(err, io.EOF) {
+					ctlErr = fmt.Errorf("read control frame: %w", err)
+				}
+				exit(ctlErr)
+				return
 			}
-			return fmt.Errorf("read control frame: %w", err)
+			select {
+			case frames <- ctlFrame{typ, data}:
+			case <-done:
+				return
+			}
 		}
-		switch typ {
+	}()
+	for f := range frames {
+		var err error
+		switch f.typ {
 		case fJob:
-			err = w.setJob(data)
+			err = w.setJob(f.data)
 		case fMapTask:
-			err = w.runMap(data)
+			err = w.runMap(f.data)
 		case fReduceTask:
-			err = w.runReduce(data)
+			err = w.runReduce(f.data)
 		case fShutdown:
 			return nil
 		default:
-			err = fmt.Errorf("unexpected control frame 0x%02x", typ)
+			err = fmt.Errorf("unexpected control frame 0x%02x", f.typ)
 		}
 		if errors.Is(err, syscall.EPIPE) {
 			// The result pipe broke: the driver is gone mid-task.
@@ -150,15 +183,22 @@ func runWorker(ctl io.Reader, res io.Writer) error {
 			return err
 		}
 	}
+	return ctlErr
 }
 
 // removeSpillDir sweeps the run's spill directory once the driver is gone
 // (control pipe closed or result pipe broken), so a driver that dies
 // mid-job leaks no spill files. Only the driver's Run has used it by then:
-// every task is done or abandoned.
+// every task is done or abandoned. A spill file the task loop creates
+// while RemoveAll runs makes its final rmdir fail; once the directory is
+// gone no file can be created in it, so another pass finishes the sweep.
 func (w *workerState) removeSpillDir() {
-	if w.spillDir != "" {
-		os.RemoveAll(w.spillDir)
+	dir := w.spillDir.Load()
+	if dir == nil || *dir == "" {
+		return
+	}
+	if os.RemoveAll(*dir) != nil {
+		os.RemoveAll(*dir)
 	}
 }
 
@@ -251,7 +291,7 @@ func (w *workerState) setJob(data []byte) error {
 	}
 	w.nb = jf.NB
 	w.mapOnly = jf.MapOnly
-	w.spillDir = jf.SpillDir
+	w.spillDir.Store(&jf.SpillDir)
 	w.spillLimit = jf.SpillLimit
 	w.pools = newEnginePools(jf.Poison)
 	// (Re)start the resource sampler against this job's spill directory. The
@@ -277,7 +317,7 @@ func (w *workerState) runMap(data []byte) error {
 	split := &Split{ID: f.Task, Offset: f.Offset, Dim: f.Dim, Rows: f.Rows}
 	st := w.pools.getMapState(w.nb)
 	defer w.pools.putMapState(st)
-	sw := newSpillWriter(filepath.Join(w.spillDir, fmt.Sprintf("m%d_a%d.spill", f.Task, f.Attempt)))
+	sw := newSpillWriter(filepath.Join(*w.spillDir.Load(), fmt.Sprintf("m%d_a%d.spill", f.Task, f.Attempt)))
 	fail := func(err error) error {
 		sw.abort()
 		return w.sendTaskErr(err)

@@ -63,8 +63,10 @@ func (m slowMapper) Setup(*TaskContext) error {
 	return os.WriteFile(filepath.Join(m.pidDir, strconv.Itoa(os.Getpid())), nil, 0o644)
 }
 
+// Map takes 100 ms a record, ~30 s for a task of runChildDriver's: far
+// longer than the bound in which a worker must notice its driver died.
 func (slowMapper) Map(ctx *TaskContext, global int, row []float64) error {
-	time.Sleep(2 * time.Millisecond)
+	time.Sleep(100 * time.Millisecond)
 	return nil
 }
 
@@ -122,7 +124,7 @@ func TestWorkerStopsAfterTaskError(t *testing.T) {
 		if err := writeFrame(&ctl, fMapTask, workerMapFrame(split)); err != nil {
 			t.Fatal(err)
 		}
-		if err := runWorker(&ctl, &res); err != nil {
+		if err := runWorker(&ctl, &res, func(error) {}); err != nil {
 			t.Fatal(err)
 		}
 		got, payloads := readFrameTypes(t, bufio.NewReader(&res), 0)
@@ -136,12 +138,15 @@ func TestWorkerStopsAfterTaskError(t *testing.T) {
 	})
 	t.Run("reduce", func(t *testing.T) {
 		// The reduce task reads the map task's spill segments, so the test
-		// talks to the worker over pipes, the way a driver does.
+		// talks to the worker over pipes, the way a driver does, and closes
+		// the control pipe only after the last result: a closed control
+		// pipe tells the worker its driver is gone, and it sweeps the spill
+		// directory at once.
 		ctlR, ctlW := io.Pipe()
 		resR, resW := io.Pipe()
 		done := make(chan error, 1)
 		go func() {
-			done <- runWorker(ctlR, resW)
+			done <- runWorker(ctlR, resW, func(error) {})
 			resW.Close()
 		}()
 		br := bufio.NewReader(resR)
@@ -163,8 +168,10 @@ func TestWorkerStopsAfterTaskError(t *testing.T) {
 		if err := writeFrame(ctlW, fReduceTask, reduceTaskFrame{Task: 0, KillAt: -1, Segments: md.Segments}); err != nil {
 			t.Fatal(err)
 		}
+		got, _ = readFrameTypes(t, br, fTaskErr)
 		ctlW.Close()
-		got, _ = readFrameTypes(t, br, 0)
+		more, _ = readFrameTypes(t, br, 0)
+		got = append(got, more...)
 		if want := []byte{fTaskErr}; !bytes.Equal(got, want) {
 			t.Fatalf("reduce frames = %v, want %v", got, want)
 		}
@@ -206,9 +213,9 @@ func procExited(pid int) bool {
 // TestDriverDeathLeavesNoWorkerOrSpill SIGKILLs a driver process mid-job
 // — a re-exec of this test binary running runChildDriver — and pins that
 // its worker processes exit and its spill directory is removed, though
-// the driver never ran its teardown: workers notice the driver is gone
-// when their control pipe closes or their result pipe breaks, and sweep
-// the spill directory themselves.
+// the driver never ran its teardown and the workers are mid-task: a
+// worker notices the driver is gone as soon as its control pipe closes,
+// sweeps the spill directory itself and exits without finishing the task.
 func TestDriverDeathLeavesNoWorkerOrSpill(t *testing.T) {
 	if _, err := os.Stat("/proc/self/stat"); err != nil {
 		t.Skip("no /proc to read worker states from")
@@ -266,8 +273,9 @@ func TestDriverDeathLeavesNoWorkerOrSpill(t *testing.T) {
 	driver.Wait()
 	killed = true
 
+	// The workers are mid-task; each must exit within 5 s all the same.
 	var alive []int
-	deadline := time.Now().Add(20 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		alive = alive[:0]
 		for _, pid := range pids {

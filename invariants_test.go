@@ -123,9 +123,9 @@ func TestPermutedRowsAndSplitsInvariant(t *testing.T) {
 	}
 	for _, algo := range []Algorithm{P3CPlusMRLight, P3CPlusMR} {
 		run := func(d *Dataset, splits int) *Result {
-			params := paramsFor(algo)
-			params.NumSplits = splits
-			res, err := Run(d, Config{Algorithm: algo, Params: &params})
+			cfg := DefaultConfig(algo)
+			cfg.Params.NumSplits = splits
+			res, err := Run(d, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

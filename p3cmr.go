@@ -93,13 +93,13 @@ func (a Algorithm) String() string {
 
 // Config configures a Run.
 type Config struct {
-	// Algorithm selects the variant (default P3CPlusMRLight).
+	// Algorithm selects the variant; the zero value is P3C.
 	Algorithm Algorithm
-	// Params overrides the pipeline parameters; when nil the preset implied
-	// by Algorithm is used.
+	// Params overrides the pipeline parameters; when nil the preset
+	// DefaultConfig(Algorithm) carries is used.
 	Params *core.Params
 	// BoW overrides the BoW parameters for the BoW variants; when nil the
-	// flavour preset is used.
+	// preset DefaultConfig(Algorithm) carries is used.
 	BoW *bow.Params
 	// PROCLUS parameterizes the PROCLUS baseline (required for it: the
 	// algorithm needs k and l as inputs, unlike the P3C family).
@@ -134,30 +134,43 @@ type Result struct {
 	Jobs int
 }
 
-// paramsFor returns the preset for an algorithm.
-func paramsFor(a Algorithm) core.Params {
+// DefaultConfig returns an algorithm's preset: the one table that maps a
+// variant to the parameters it runs. The P3C family's Config carries its
+// core Params, the BoW variants' their BoW params; PROCLUS and DOC have no
+// preset (they need k from the caller). To change a preset, edit the
+// returned Config before passing it to Run.
+func DefaultConfig(a Algorithm) Config {
+	cfg := Config{Algorithm: a}
+	var p core.Params
 	switch a {
+	case PROCLUS, DOC:
+		return cfg
+	case BoWLight:
+		b := bow.NewLightParams()
+		cfg.BoW = &b
+		return cfg
+	case BoWMVB:
+		b := bow.NewMVBParams()
+		cfg.BoW = &b
+		return cfg
 	case P3C:
-		return core.OriginalP3CParams()
+		p = core.OriginalP3CParams()
 	case P3CPlus:
-		p := core.NewParams()
+		p = core.NewParams()
 		p.NumSplits = 1
-		return p
-	case P3CPlusMR:
-		return core.NewParams()
 	case P3CPlusMRNaive:
-		p := core.NewParams()
+		p = core.NewParams()
 		p.OutlierMethod = outlier.Naive
-		return p
 	case P3CPlusMRLight:
-		return core.LightParams()
+		p = core.LightParams()
 	case P3CPlusMRMVE:
-		p := core.NewParams()
+		p = core.NewParams()
 		p.OutlierMethod = outlier.MVE
-		return p
 	default:
-		return core.NewParams()
+		p = core.NewParams()
 	}
+	cfg.Params = &p
+	return cfg
 }
 
 // Run executes the configured algorithm on the data set. The data must be
@@ -192,14 +205,11 @@ func Run(data *Dataset, cfg Config) (*Result, error) {
 		}
 		return &Result{Clusters: res.Clusters, Labels: res.Labels, Signatures: res.Signatures}, nil
 	case BoWLight, BoWMVB:
-		params := bow.NewLightParams()
-		if cfg.Algorithm == BoWMVB {
-			params = bow.NewMVBParams()
+		params := cfg.BoW
+		if params == nil {
+			params = DefaultConfig(cfg.Algorithm).BoW
 		}
-		if cfg.BoW != nil {
-			params = *cfg.BoW
-		}
-		res, err := bow.Run(engine, data, params)
+		res, err := bow.Run(engine, data, *params)
 		if err != nil {
 			return nil, err
 		}
@@ -212,11 +222,11 @@ func Run(data *Dataset, cfg Config) (*Result, error) {
 			Jobs:             1,
 		}, nil
 	default:
-		params := paramsFor(cfg.Algorithm)
-		if cfg.Params != nil {
-			params = *cfg.Params
+		params := cfg.Params
+		if params == nil {
+			params = DefaultConfig(cfg.Algorithm).Params
 		}
-		res, err := core.Run(engine, data, params)
+		res, err := core.Run(engine, data, *params)
 		if err != nil {
 			return nil, err
 		}
@@ -270,11 +280,7 @@ type SubspaceClustering = eval.SubspaceClustering
 // TruthClustering converts a generator ground truth into the evaluation
 // representation.
 func TruthClustering(truth *GroundTruth) (*SubspaceClustering, error) {
-	clusters := make([]*eval.Cluster, 0, len(truth.Clusters))
-	for _, tc := range truth.Clusters {
-		clusters = append(clusters, &eval.Cluster{Objects: tc.Members, Attrs: tc.Attrs})
-	}
-	return eval.NewSubspaceClustering(truth.N, truth.Dim, clusters)
+	return truth.Clustering()
 }
 
 // FoundClustering converts a result into the evaluation representation.
