@@ -189,7 +189,8 @@ func BenchmarkColonCancer(b *testing.B) {
 // member bitmaps the membership jobs read, from the same interval bitmaps.
 func BenchmarkVerticalVsNaiveCounting(b *testing.B) {
 	data, _ := loadBenchData(b)
-	// Build a realistic candidate set from the pipeline's own intervals.
+	// Build a realistic candidate set from the pipeline's own intervals,
+	// each (attribute, interval, second attribute) once.
 	var sigs []signature.Signature
 	for a := 0; a < data.Dim; a++ {
 		for r := 0; r < 4; r++ {
@@ -202,7 +203,6 @@ func BenchmarkVerticalVsNaiveCounting(b *testing.B) {
 			}
 		}
 	}
-	sigs = signature.Dedup(sigs)
 	b.Logf("candidate set: %d signatures over %d points", len(sigs), data.N())
 
 	b.Run("vertical", func(b *testing.B) {

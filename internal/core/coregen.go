@@ -188,11 +188,11 @@ func (g *coreGenerator) proveBatches(collected []batch) ([]signature.Signature, 
 // candidatePasses evaluates Eq. 1 for a candidate of support supp against
 // each immediate sub-signature, which must itself be proven.
 func (g *coreGenerator) candidatePasses(cand signature.Signature, supp int64) bool {
-	for idx, iv := range cand.Intervals {
-		sub, ok := g.lattice[string(g.ids.Key(cand, idx))]
-		if !ok || !sub.proven || !g.passes(supp, signature.ExpectedSupportGiven(float64(sub.support), iv)) {
-			return false
-		}
-	}
-	return true
+	ok := true
+	g.ids.SubKeys(cand, func(skip int, key []byte) bool {
+		sub, found := g.lattice[string(key)]
+		ok = found && sub.proven && g.passes(supp, signature.ExpectedSupportGiven(float64(sub.support), cand.Intervals[skip]))
+		return ok
+	})
+	return ok
 }

@@ -338,14 +338,21 @@ func (m *countingMapper) Cleanup(ctx *mr.TaskContext) error {
 // --- Candidate generation job (§5.3) ----------------------------------------------
 
 // generateCandidatesMR joins all compatible signature pairs of one a-priori
-// level. When the pair count exceeds 2·Tgen the pair space is sharded over
-// ⌊c/Tgen⌋ map-only tasks (the paper's distributed-cache scheme); otherwise
-// the serial kernel runs inline.
+// level and returns the candidates in canonical order. When the pair count
+// c exceeds 2·Tgen the pair space is sharded over ⌊c/Tgen⌋ map-only tasks
+// (the paper's distributed-cache scheme); otherwise the serial kernel runs
+// inline. The level must be of one p and strictly sorted, as every level
+// of the generator is (proveLevel1 and proveBatches sort theirs, and a
+// join of a sorted level comes out sorted); any other level is an error,
+// since the join would silently miss candidates of it.
 func generateCandidatesMR(engine *mr.Engine, level []signature.Signature, tgen int64, trace obs.SpanID) ([]signature.Signature, error) {
 	k := int64(len(level))
 	c := k * (k - 1) / 2
 	if c == 0 {
 		return nil, nil
+	}
+	if err := signature.CheckLevel(level); err != nil {
+		return nil, fmt.Errorf("core: candidate generation: %w", err)
 	}
 	if tgen <= 0 || c <= 2*tgen {
 		return signature.GenerateCandidates(level, 0, c), nil
@@ -371,14 +378,14 @@ func generateCandidatesMR(engine *mr.Engine, level []signature.Signature, tgen i
 	if err != nil {
 		return nil, err
 	}
-	// The main program collects candidates, ignoring duplicates across
-	// mappers (§5.3).
+	// The main program collects the candidates (§5.3). Each task's are
+	// distinct and sorted, and the tasks own ascending pair ranges, so the
+	// map-only output, in split order, holds no duplicates across mappers
+	// and is already in canonical order.
 	cands := make([]signature.Signature, len(out.Pairs))
 	for i, p := range out.Pairs {
 		cands[i] = p.Value.(signature.Signature)
 	}
-	cands = signature.Dedup(cands)
-	signature.Sort(cands)
 	return cands, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"p3cmr/internal/dataset"
@@ -112,7 +113,6 @@ func TestGenerateCandidatesMRParallelMatchesSerial(t *testing.T) {
 	if len(serial) != len(parallel) {
 		t.Fatalf("serial %d vs parallel %d candidates", len(serial), len(parallel))
 	}
-	signature.Sort(serial)
 	for i := range serial {
 		if !serial[i].Equal(parallel[i]) {
 			t.Fatalf("candidate %d differs", i)
@@ -121,6 +121,28 @@ func TestGenerateCandidatesMRParallelMatchesSerial(t *testing.T) {
 	// Empty level.
 	if got, err := generateCandidatesMR(engine, nil, 50, 0); err != nil || got != nil {
 		t.Fatal("empty level must be nil, nil")
+	}
+}
+
+// TestGenerateCandidatesMRRejectsUnsortedLevel checks that a level out of
+// canonical order, or with a repeated signature, fails on the inline and
+// the sharded path alike instead of giving a partial lattice.
+func TestGenerateCandidatesMRRejectsUnsortedLevel(t *testing.T) {
+	var level []signature.Signature
+	for a := 0; a < 12; a++ {
+		level = append(level, signature.New(signature.Interval{Attr: a, Lo: 0, Hi: 0.25}))
+	}
+	signature.Sort(level)
+	swapped := slices.Clone(level)
+	swapped[3], swapped[7] = swapped[7], swapped[3]
+	repeated := slices.Insert(slices.Clone(level), 5, level[5])
+	engine := mr.Default()
+	for name, bad := range map[string][]signature.Signature{"unsorted": swapped, "duplicated": repeated} {
+		for _, tgen := range []int64{0, 5} {
+			if got, err := generateCandidatesMR(engine, bad, tgen, 0); err == nil {
+				t.Errorf("%s level, Tgen=%d: %d candidates, want an error", name, tgen, len(got))
+			}
+		}
 	}
 }
 

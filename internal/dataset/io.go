@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"strconv"
 	"strings"
@@ -33,30 +34,50 @@ func (d *Dataset) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a data set written by WriteBinary.
+// readBlock is the size in bytes of the blocks ReadBinary decodes.
+const readBlock = 64 << 10
+
+// ReadBinary deserializes a data set written by WriteBinary, decoding the
+// values in blocks of readBlock bytes. When r is a regular file (it has a
+// Stat method, as *os.File does) the header must account for the file's
+// exact size, checked before the values are allocated, so a corrupt header
+// fails instead of asking for up to 2⁴³ bytes. Any other reader gets room
+// for at most one block's values up front, and more as they arrive.
 func ReadBinary(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReader(r)
-	var hdr [3]uint64
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("dataset: read header: %w", err)
-		}
+	var hdr [24]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("dataset: read header: %w", err)
 	}
-	if hdr[0] != binaryMagic {
-		return nil, fmt.Errorf("dataset: bad magic %#x", hdr[0])
+	if magic := binary.LittleEndian.Uint64(hdr[0:]); magic != binaryMagic {
+		return nil, fmt.Errorf("dataset: bad magic %#x", magic)
 	}
-	dim, n := int(hdr[1]), int(hdr[2])
+	dim, n := int(binary.LittleEndian.Uint64(hdr[8:])), int(binary.LittleEndian.Uint64(hdr[16:]))
 	if dim <= 0 || n < 0 || (n > 0 && dim > (1<<40)/n) {
 		return nil, fmt.Errorf("dataset: implausible header dim=%d n=%d", dim, n)
 	}
+	values := n * dim
+	room := min(values, readBlock/8)
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			if want := int64(len(hdr)) + 8*int64(values); fi.Size() != want {
+				return nil, fmt.Errorf("dataset: header says %d×%d values (%d bytes), file holds %d bytes", n, dim, want, fi.Size())
+			}
+			room = values
+		}
+	}
 	d := New(dim)
-	d.Rows = make([]float64, n*dim)
-	buf := make([]byte, 8)
-	for i := range d.Rows {
-		if _, err := io.ReadFull(br, buf); err != nil {
+	d.Rows = make([]float64, 0, room)
+	buf := make([]byte, min(8*values, readBlock))
+	for left := values; left > 0; {
+		m := min(left, readBlock/8)
+		b := buf[:8*m]
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, fmt.Errorf("dataset: read values: %w", err)
 		}
-		d.Rows[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+		for k := 0; k < len(b); k += 8 {
+			d.Rows = append(d.Rows, math.Float64frombits(binary.LittleEndian.Uint64(b[k:])))
+		}
+		left -= m
 	}
 	return d, d.Validate()
 }

@@ -133,15 +133,27 @@ func BenchmarkNaiveContainment(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateCandidates joins a sorted level of 2-signatures over 50
+// attributes with 8 interval choices each, shaped like a real p = 2 level:
+// a few thousand rows in hundreds of short runs (rows sharing their first
+// interval), so nearly all of its c pairs cannot join. It is an allocation
+// gate (run with -benchmem), not a timing claim.
 func BenchmarkGenerateCandidates(b *testing.B) {
-	level := benchSigs(500, 30, 1, 3)
+	level := benchSigs(2000, 50, 2, 2)
+	Sort(level)
+	if err := CheckLevel(level); err != nil {
+		b.Fatal(err)
+	}
 	k := int64(len(level))
 	total := k * (k - 1) / 2
 	b.ReportAllocs()
 	b.ResetTimer()
+	var cands int
 	for i := 0; i < b.N; i++ {
-		GenerateCandidates(level, 0, total)
+		cands = len(GenerateCandidates(level, 0, total))
 	}
+	b.ReportMetric(float64(total), "pairs")
+	b.ReportMetric(float64(cands), "cands")
 }
 
 func BenchmarkPairFromIndex(b *testing.B) {

@@ -17,6 +17,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -166,14 +167,21 @@ func (s Signature) Equal(t Signature) bool {
 }
 
 // Key returns a canonical text identity: the candidate-generation job's
-// shuffle key. The driver keys signatures on Interner keys instead.
+// shuffle key. Each interval is written as fmt's "%d:%.17g:%.17g" would,
+// joined by ';'. The driver keys signatures on Interner keys instead.
 func (s Signature) Key() string {
 	var b strings.Builder
+	b.Grow(56 * len(s.Intervals))
+	var num [32]byte
 	for i, iv := range s.Intervals {
 		if i > 0 {
 			b.WriteByte(';')
 		}
-		fmt.Fprintf(&b, "%d:%.17g:%.17g", iv.Attr, iv.Lo, iv.Hi)
+		b.Write(strconv.AppendInt(num[:0], int64(iv.Attr), 10))
+		b.WriteByte(':')
+		b.Write(strconv.AppendFloat(num[:0], iv.Lo, 'g', 17, 64))
+		b.WriteByte(':')
+		b.Write(strconv.AppendFloat(num[:0], iv.Hi, 'g', 17, 64))
 	}
 	return b.String()
 }
@@ -185,6 +193,21 @@ func (s Signature) Key() string {
 type Interner struct {
 	ids map[[3]uint64]uint32
 	buf []byte
+	sub []uint32 // SubKeys' interval IDs
+}
+
+// id returns iv's ID, assigning the next one when iv is new.
+func (in *Interner) id(iv Interval) uint32 {
+	if in.ids == nil {
+		in.ids = make(map[[3]uint64]uint32)
+	}
+	k := [3]uint64{uint64(iv.Attr), math.Float64bits(iv.Lo), math.Float64bits(iv.Hi)}
+	id, ok := in.ids[k]
+	if !ok {
+		id = uint32(len(in.ids))
+		in.ids[k] = id
+	}
+	return id
 }
 
 // Key returns the uvarint IDs of s's intervals in attribute order, leaving
@@ -193,23 +216,37 @@ type Interner struct {
 // iff their signatures are. The key lives in a buffer the next call
 // overwrites.
 func (in *Interner) Key(s Signature, skip int) []byte {
-	if in.ids == nil {
-		in.ids = make(map[[3]uint64]uint32)
-	}
 	in.buf = in.buf[:0]
 	for i, iv := range s.Intervals {
-		if i == skip {
-			continue
+		if i != skip {
+			in.buf = binary.AppendUvarint(in.buf, uint64(in.id(iv)))
 		}
-		k := [3]uint64{uint64(iv.Attr), math.Float64bits(iv.Lo), math.Float64bits(iv.Hi)}
-		id, ok := in.ids[k]
-		if !ok {
-			id = uint32(len(in.ids))
-			in.ids[k] = id
-		}
-		in.buf = binary.AppendUvarint(in.buf, uint64(id))
 	}
 	return in.buf
+}
+
+// SubKeys calls f with the key of each immediate subset of s, in position
+// order of the interval left out (skip), until f returns false. It interns
+// s's intervals once for the whole walk, so a p-signature costs p map
+// lookups where p calls of Key(s, skip) cost p². Each key is the one
+// Key(s, skip) returns, since all of s's intervals then have their IDs,
+// and lives in a buffer the next key overwrites.
+func (in *Interner) SubKeys(s Signature, f func(skip int, key []byte) bool) {
+	in.sub = in.sub[:0]
+	for _, iv := range s.Intervals {
+		in.sub = append(in.sub, in.id(iv))
+	}
+	for skip := range in.sub {
+		in.buf = in.buf[:0]
+		for i, id := range in.sub {
+			if i != skip {
+				in.buf = binary.AppendUvarint(in.buf, uint64(id))
+			}
+		}
+		if !f(skip, in.buf) {
+			return
+		}
+	}
 }
 
 // String renders the signature for humans.
@@ -224,8 +261,10 @@ func (s Signature) String() string {
 // Join attempts the a-priori join of two p-signatures sharing their first
 // p−1 intervals (in attribute order) and differing in the last, which must
 // sit on different attributes. ok is false when the join is not defined.
-// Joining all such pairs of a level generates each (p+1)-candidate exactly
-// once when a < b in last-interval order.
+// Join(a, b) and Join(b, a) succeed together and give the same signature,
+// so a level's candidates are the joins of its pairs i < j. On a level in
+// canonical order the signatures sharing their first p−1 intervals form
+// contiguous runs, and GenerateCandidates joins only within them.
 func Join(a, b Signature) (Signature, bool) {
 	p := a.P()
 	if p == 0 || b.P() != p {
@@ -240,7 +279,14 @@ func Join(a, b Signature) (Signature, bool) {
 	if la.Attr == lb.Attr {
 		return Signature{}, false
 	}
-	return a.With(lb), true
+	// Both last intervals sit above the shared prefix's attributes.
+	if la.Attr > lb.Attr {
+		la, lb = lb, la
+	}
+	ivs := make([]Interval, p+1)
+	copy(ivs, a.Intervals[:p-1])
+	ivs[p-1], ivs[p] = la, lb
+	return Signature{Intervals: ivs}, true
 }
 
 // Less orders signatures by their canonical interval sequence; it makes
@@ -271,43 +317,72 @@ func Sort(sigs []Signature) {
 	sort.Slice(sigs, func(i, j int) bool { return Less(sigs[i], sigs[j]) })
 }
 
-// GenerateCandidates performs one a-priori level: it joins every compatible
-// pair of the given p-signatures and returns the deduplicated
-// (p+1)-candidates. The quadratic pair scan is exactly the computation the
-// paper parallelizes with mappers over index ranges (§5.3); Parallel
-// generation lives in the core package, this is the serial kernel operating
-// on an index range [lo,hi) of the c = k(k−1)/2 pair space.
+// CheckLevel reports why level is not an a-priori level as
+// GenerateCandidates needs it: signatures of one p, strictly increasing in
+// canonical order, and so distinct. It returns nil for a valid level.
+func CheckLevel(level []Signature) error {
+	for i := 1; i < len(level); i++ {
+		if p, q := level[0].P(), level[i].P(); p != q {
+			return fmt.Errorf("signature: level mixes p=%d (row 0) and p=%d (row %d)", p, q, i)
+		}
+		if compare(level[i-1], level[i]) >= 0 {
+			return fmt.Errorf("signature: level rows %d and %d are not in strictly increasing canonical order", i-1, i)
+		}
+	}
+	return nil
+}
+
+// GenerateCandidates performs one a-priori level over the index range
+// [lo,hi) of the level's c = k(k−1)/2 pair space, the range one of the
+// paper's candidate-generation mappers owns (§5.3; the core package shards
+// it). It returns the (p+1)-candidates of the range's pairs, distinct and
+// in canonical order.
+//
+// Precondition: CheckLevel accepts level. Only pairs that share their
+// first p−1 intervals join, and in canonical order those form contiguous
+// runs, so for each row i the range touches the kernel visits only the
+// pairs (i, j) with j in i's run. Each run's end is found once, by the
+// first of its rows the range touches. A level thus costs its rows plus
+// its joinable pairs, not its c pairs; a range may start and end mid-row.
 func GenerateCandidates(level []Signature, lo, hi int64) []Signature {
 	k := int64(len(level))
-	total := k * (k - 1) / 2
-	if hi > total {
-		hi = total
-	}
-	if lo < 0 {
-		lo = 0
-	}
+	hi = min(hi, k*(k-1)/2)
+	lo = max(lo, 0)
 	if lo >= hi {
 		return nil
 	}
+	first, firstJ := PairFromIndex(lo, k)
+	last, lastJ := PairFromIndex(hi-1, k)
 	var out []Signature
-	i, j := PairFromIndex(lo, k)
-	for idx := lo; idx < hi; idx++ {
-		joined, ok := Join(level[i], level[j])
-		if !ok {
-			joined, ok = Join(level[j], level[i])
+	end := 0 // end of row i's run, exclusive
+	for i := first; i <= last; i++ {
+		if i >= end {
+			end = i + 1
+			for end < len(level) && samePrefix(level[i], level[end]) {
+				end++
+			}
 		}
-		if ok {
-			out = append(out, joined)
+		from, to := i+1, end
+		if i == first {
+			from = max(from, firstJ)
 		}
-		// Advance to the next pair incrementally: O(1) per index instead of
-		// re-deriving the row each time.
-		j++
-		if int64(j) >= k {
-			i++
-			j = i + 1
+		if i == last {
+			to = min(to, lastJ+1)
+		}
+		for j := from; j < to; j++ {
+			if joined, ok := Join(level[i], level[j]); ok {
+				out = append(out, joined)
+			}
 		}
 	}
-	return Dedup(out)
+	return out
+}
+
+// samePrefix reports whether two signatures of one p share their first
+// p−1 intervals, as Join requires.
+func samePrefix(a, b Signature) bool {
+	p := len(a.Intervals)
+	return p > 0 && p == len(b.Intervals) && slices.Equal(a.Intervals[:p-1], b.Intervals[:p-1])
 }
 
 // PairFromIndex maps a linear index in [0, k(k−1)/2) to the (i,j) pair with
@@ -334,20 +409,6 @@ func PairFromIndex(idx, k int64) (int, int) {
 	return int(i), int(j)
 }
 
-// Dedup removes duplicate signatures, preserving first occurrence.
-func Dedup(sigs []Signature) []Signature {
-	var ids Interner
-	seen := make(map[string]bool, len(sigs))
-	out := sigs[:0]
-	for _, s := range sigs {
-		if k := ids.Key(s, -1); !seen[string(k)] {
-			seen[string(k)] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // FilterMaximal returns, in input order, the signatures with no strict
 // superset in the same slice — the practical "Filter maximal Cluster
 // Cores" of Algorithm 1, line 11: Definition 5's condition 2 (no extension
@@ -368,12 +429,14 @@ func FilterMaximal(sigs []Signature) []Signature {
 		index[string(ids.Key(s, -1))] = i
 	}
 	covered := make([]bool, len(sigs))
-	for _, t := range sigs {
-		for skip := range t.Intervals {
-			if i, ok := index[string(ids.Key(t, skip))]; ok {
-				covered[i] = true
-			}
+	mark := func(_ int, key []byte) bool {
+		if i, ok := index[string(key)]; ok {
+			covered[i] = true
 		}
+		return true
+	}
+	for _, t := range sigs {
+		ids.SubKeys(t, mark)
 	}
 	var out []Signature
 	for i, s := range sigs {

@@ -211,6 +211,21 @@ func TestGenerateCandidatesMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// Dedup removes duplicate signatures, preserving first occurrence: the
+// tests' way to turn random draws into distinct signatures.
+func Dedup(sigs []Signature) []Signature {
+	var ids Interner
+	seen := make(map[string]bool, len(sigs))
+	out := sigs[:0]
+	for _, s := range sigs {
+		if k := ids.Key(s, -1); !seen[string(k)] {
+			seen[string(k)] = true
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestDedup(t *testing.T) {
 	a := New(iv(1, 0, 0.5))
 	b := New(iv(2, 0, 0.5))
