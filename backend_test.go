@@ -9,10 +9,12 @@ import (
 	"p3cmr/internal/mr"
 )
 
-// renderJSON runs the pipeline on data with the given engine and returns
-// its WriteJSON output (members included).
+// renderJSON runs the pipeline on data with the given engine, closes the
+// engine (its accounting stays readable) and returns its WriteJSON output
+// (members included).
 func renderJSON(t *testing.T, data *Dataset, alg Algorithm, engine *mr.Engine) []byte {
 	t.Helper()
+	defer engine.Close()
 	res, err := Run(data, Config{Algorithm: alg, Engine: engine})
 	if err != nil {
 		t.Fatalf("%s on %s: %v", alg, engine.BackendName(), err)

@@ -288,6 +288,13 @@ func main() {
 
 	cfg.SimulateCluster, cfg.Engine = *simulate, engine
 	res, err := p3cmr.Run(data, cfg)
+	if engine != nil {
+		// The run is over: stop the worker fleet. The engine's accounting
+		// stays readable for the report and the archive.
+		if cerr := engine.Close(); cerr != nil {
+			fmt.Fprintln(os.Stderr, "p3crun:", cerr)
+		}
+	}
 	if err != nil {
 		fatal(err)
 	}

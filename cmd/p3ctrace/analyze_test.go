@@ -298,6 +298,7 @@ func TestAnalyzeWorkerAttribution(t *testing.T) {
 		Faults:      mr.RateFaultPlan{MapRate: 0.4, ReduceRate: 0.4, Seed: 3},
 		MaxAttempts: 12, Tracer: jsonl,
 	})
+	defer engine.Close()
 	out, err := engine.Run(job)
 	if err != nil {
 		t.Fatal(err)

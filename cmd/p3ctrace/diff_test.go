@@ -277,6 +277,7 @@ func TestJSONWorkersMatchSpanStream(t *testing.T) {
 		Faults:      mr.RateFaultPlan{MapRate: 0.4, ReduceRate: 0.4, StragglerRate: 0.3, StragglerSeconds: 3, Seed: 11},
 		MaxAttempts: 12, Cost: mr.DefaultCostModel(), Tracer: obs.Multi(jsonl, mem),
 	})
+	defer engine.Close()
 	if _, err := engine.Run(job); err != nil {
 		t.Fatal(err)
 	}

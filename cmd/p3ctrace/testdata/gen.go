@@ -75,6 +75,7 @@ func main() {
 				StragglerRate: 0.2, StragglerSeconds: 2, Seed: 5},
 			MaxAttempts: 12, Cost: mr.DefaultCostModel(), Tracer: tr,
 			TelemetrySample: 2 * time.Millisecond})
+		defer engine.Close()
 		if _, err := core.Run(engine, data, params); err != nil {
 			fatal(err)
 		}

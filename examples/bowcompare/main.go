@@ -51,6 +51,7 @@ func main() {
 			cfg.BoW.SamplesPerReducer = 4000
 		}
 		res, err := p3cmr.Run(data, cfg)
+		engine.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -58,6 +58,7 @@ func main() {
 	cfg.Params.AlphaPoisson = 0.01 // paper §7.3
 	cfg.Params.NumSplits = 8
 	out, err := p3cmr.Run(data, cfg)
+	engine.Close()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -411,8 +411,9 @@ func (m genMapper) Cleanup(ctx *mr.TaskContext) error {
 	if hi > m.Total {
 		hi = m.Total
 	}
+	var keys signature.KeyCache
 	for _, cand := range signature.GenerateCandidates(m.Sigs, lo, hi) {
-		ctx.Emit(cand.Key(), cand)
+		ctx.Emit(keys.Key(cand), cand)
 	}
 	return nil
 }

@@ -37,6 +37,7 @@ func fitAndCollect(t *testing.T, backend string, par int) (map[convergenceKey]fl
 		cfg.SpillDir = t.TempDir()
 	}
 	engine := mr.NewEngine(cfg)
+	defer engine.Close()
 	run := obs.NewSpanID()
 	tr.Begin(obs.Start{ID: run, Kind: obs.KindRun, Name: "em-fit"})
 	iters, err := FitMR(engine, splits, model, FitOptions{MaxIterations: 5, Tolerance: 1e-9, TraceParent: run})

@@ -50,6 +50,7 @@ func Figure7(scale Scale, samplesPerReducer int) ([]Fig7Row, error) {
 				Cost:        mr.DefaultCostModel(),
 			})
 			res, err := p3cmr.Run(data, cfg)
+			cfg.Engine.Close()
 			if err != nil {
 				return nil, fmt.Errorf("fig7 %s n=%d: %w", alg, n, err)
 			}
@@ -132,10 +133,9 @@ func Billion(scale Scale, localN, samplesPerReducer int) (*BillionRow, error) {
 	row.PaperSpeedup = row.PaperBoWSeconds / row.PaperMRSeconds
 
 	// MR (Light): measure the job count, extrapolate map-dominated jobs.
-	resMR, err := p3cmr.Run(data, p3cmr.Config{
-		Algorithm: p3cmr.P3CPlusMRLight,
-		Engine:    mr.NewEngine(mr.Config{NumReducers: scale.Reducers}),
-	})
+	mrEngine := mr.NewEngine(mr.Config{NumReducers: scale.Reducers})
+	resMR, err := p3cmr.Run(data, p3cmr.Config{Algorithm: p3cmr.P3CPlusMRLight, Engine: mrEngine})
+	mrEngine.Close()
 	if err != nil {
 		return nil, fmt.Errorf("billion MR (Light): %w", err)
 	}
@@ -147,6 +147,7 @@ func Billion(scale Scale, localN, samplesPerReducer int) (*BillionRow, error) {
 	bowCfg := blockConfig(p3cmr.BoWLight, samplesPerReducer)
 	bowCfg.Engine = mr.NewEngine(mr.Config{NumReducers: scale.Reducers})
 	resBoW, err := p3cmr.Run(data, bowCfg)
+	bowCfg.Engine.Close()
 	if err != nil {
 		return nil, fmt.Errorf("billion BoW (Light): %w", err)
 	}

@@ -53,7 +53,8 @@ type runState interface {
 	// reduceTask runs the reduce task over partition r.
 	reduceTask(r int) ([]Pair, Counters, faultCharge, error)
 	// release returns the Run's resources: pooled buffers in-process, the
-	// worker fleet and spill directory on worker processes.
+	// spill directory on worker processes (the workers stay with the
+	// engine's fleet until Engine.Close).
 	release()
 }
 

@@ -165,10 +165,14 @@ func spillName(v int64) string {
 	return fmt.Sprint(v)
 }
 
-// auditProcRun asserts the multiprocess run left nothing behind: every
-// spawned worker pid is dead and the spill base directory is empty again.
+// auditProcRun closes the engine and asserts its multiprocess runs left
+// nothing behind: every spawned worker pid is dead and the spill base
+// directory is empty again.
 func auditProcRun(t *testing.T, name string, e *Engine, spillBase string) ProcStats {
 	t.Helper()
+	if err := e.Close(); err != nil {
+		t.Errorf("%s: close: %v", name, err)
+	}
 	stats, ok := e.LastProcStats()
 	if !ok {
 		t.Fatalf("%s: no ProcStats after a multiprocess run", name)

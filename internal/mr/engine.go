@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p3cmr/internal/obs"
@@ -62,7 +63,9 @@ type Config struct {
 	// disk-spilled shuffle; see backend_multiproc.go). Both run under the
 	// same job driver and produce bit-identical output, counters and
 	// ShuffledBytes for the same job and fault plan (pinned by the
-	// conformance suite). Parallelism 1 runs tasks one at a time.
+	// conformance suite). Parallelism 1 runs tasks one at a time. The
+	// multiprocess backend's worker processes serve every Run on the
+	// engine until Engine.Close.
 	Backend string
 	// SpillDir is where the multiprocess backend creates its per-run spill
 	// directory. Empty means os.TempDir(). Each Run makes (and removes) a
@@ -132,9 +135,14 @@ type Engine struct {
 	totals         Counters
 	totalsWasted   Counters
 	perJob         map[string]*JobStats
-	// lastProc holds the most recent multiprocess Run's process/spill
-	// statistics (nil until a multiprocess job ran); see LastProcStats.
+	// lastProc holds the most recent multiprocess Run's spill statistics
+	// (nil until a multiprocess job ran); see LastProcStats.
 	lastProc *ProcStats
+	// fleet is the multiprocess backend's worker processes, created by the
+	// first multiprocess Run and shut down by Close.
+	fleet *fleet
+	// closed is set by Close; a later Run fails.
+	closed atomic.Bool
 }
 
 // JobStats accumulates per-job-name statistics across an engine's lifetime
@@ -235,6 +243,29 @@ func (e *Engine) ResetAccounting() {
 	e.perJob = nil
 }
 
+// Close shuts down the engine's worker fleet (multiprocess backend: each
+// worker exits once its control pipe closes) and makes every later Run
+// fail. The in-process backend holds nothing to release. Close is
+// idempotent and returns the first worker that did not exit cleanly; call
+// it once the engine's Runs have returned. A driver that exits without
+// Close leaks nothing: its workers see their control pipes close and
+// exit, and every Run has already removed its spill directory.
+func (e *Engine) Close() error {
+	if e.closed.Swap(true) {
+		return nil
+	}
+	e.mu.Lock()
+	f := e.fleet
+	e.mu.Unlock()
+	if f == nil {
+		return nil
+	}
+	return f.close()
+}
+
+// errEngineClosed is the error of a Run on a closed engine.
+var errEngineClosed = errors.New("mr: engine closed")
+
 // errInjectedFailure marks fault-injection failures so the retry loop can
 // distinguish them from real mapper/reducer errors (which are not retried).
 var errInjectedFailure = errors.New("mr: injected task failure")
@@ -273,6 +304,9 @@ func cancelled(cancel <-chan struct{}) bool {
 func (e *Engine) Run(j *Job) (*Output, error) {
 	if e.backendErr != nil {
 		return nil, e.backendErr
+	}
+	if e.closed.Load() {
+		return nil, errEngineClosed
 	}
 	job, rerr := resolveJob(j)
 	if rerr != nil {

@@ -15,5 +15,8 @@ func TestMain(m *testing.M) {
 	if dir := os.Getenv(childDriverEnv); dir != "" {
 		os.Exit(runChildDriver(dir))
 	}
+	if dir := os.Getenv(childExitEnv); dir != "" {
+		os.Exit(runExitingDriver(dir))
+	}
 	os.Exit(m.Run())
 }

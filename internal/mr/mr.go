@@ -38,15 +38,17 @@ package mr
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"p3cmr/internal/obs"
 )
 
 // Split is one input partition of a vector data set. Rows holds
 // len(Rows)/Dim row-major points; Offset is the global index of the first
-// row, so a mapper can address points globally. Rows are read-only once a
-// job has run over the split: mappers may cache what they derive from
-// them in the split's Memo.
+// row, so a mapper can address points globally. A split's fields and Rows
+// are read-only once a job has run over it: mappers may cache what they
+// derive from them in the split's Memo, and a multiprocess worker keeps
+// the copy shipped to it.
 //
 // A Split must not be copied after first use.
 type Split struct {
@@ -57,6 +59,24 @@ type Split struct {
 
 	memoMu sync.Mutex
 	memo   map[any]*memoEntry
+	// key names the split on worker processes (shipKey); 0 until the
+	// split is first shipped.
+	key uint64
+}
+
+// splitKeys numbers the splits shipped to worker processes.
+var splitKeys atomic.Uint64
+
+// shipKey returns the split's process-unique key, assigning it on first
+// use. Split.ID cannot name a resident split on a worker: it repeats
+// across split sets.
+func (s *Split) shipKey() uint64 {
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	if s.key == 0 {
+		s.key = splitKeys.Add(1)
+	}
+	return s.key
 }
 
 type memoEntry struct {
@@ -70,8 +90,8 @@ type memoEntry struct {
 // which case the key must contain that spec; every attempt of every job
 // may share such data, so a retried or failed attempt cannot leave a wrong
 // entry. An entry lives as long as the Split: for the whole run
-// in-process, where jobs share the caller's splits, but for one task on a
-// multiprocess worker, which builds its own Split per task frame.
+// in-process, where jobs share the caller's splits, and on a multiprocess
+// worker as long as the worker holds the split, across tasks and jobs.
 func (s *Split) Memo(key any, build func() any) any {
 	s.memoMu.Lock()
 	e := s.memo[key]

@@ -32,6 +32,7 @@ func TestOpsProcLiveReads(t *testing.T) {
 		Tracer:      obs.Multi(forest, mem),
 		Metrics:     reg, TelemetrySample: 2 * time.Millisecond,
 	})
+	defer engine.Close()
 
 	srv, err := obs.StartOps("127.0.0.1:0", reg, forest, nil)
 	if err != nil {

@@ -24,6 +24,7 @@ func TestMultiprocTelemetry(t *testing.T) {
 		MaxAttempts: 12,
 		Tracer:      mem, TelemetrySample: 2 * time.Millisecond,
 	})
+	defer engine.Close()
 	out, err := engine.Run(confJob("conf-wordcount", 800, 6, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -147,6 +148,7 @@ func TestMultiprocTelemetryOff(t *testing.T) {
 			MaxAttempts: 12,
 			Tracer:      tr, TelemetrySample: time.Millisecond,
 		})
+		defer engine.Close()
 		out, err := engine.Run(confJob("conf-wordcount", 800, 6, 3))
 		if err != nil {
 			t.Fatal(err)

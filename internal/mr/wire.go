@@ -97,6 +97,10 @@ type jobFrame struct {
 	// They stay because the protocol is append-only (wire.lock).
 	CacheKeys []string
 	CacheVals [][]byte
+	// Resident lists the keys of the job's row-bearing splits (see
+	// mapTaskFrame.SplitKey). A worker drops every resident split not
+	// listed; an empty list (a job of zero-row splits) drops none.
+	Resident []uint64
 }
 
 type mapTaskFrame struct {
@@ -105,7 +109,9 @@ type mapTaskFrame struct {
 	Attempt int
 	Offset  int
 	Dim     int
-	Rows    []float64
+	// Rows is retired: rows ride RowBytes, so it is always empty. It stays
+	// because the protocol is append-only (wire.lock).
+	Rows []float64
 	// KillAt, when >= 0, makes the worker SIGKILL itself immediately before
 	// record KillAt — the process-boundary realization of an in-process
 	// injected map failure at the same position. Decided by the driver so
@@ -114,6 +120,13 @@ type mapTaskFrame struct {
 	// CombineKill is retired: the engine has no combiner, so it is always
 	// false. It stays because the protocol is append-only (wire.lock).
 	CombineKill bool
+	// SplitKey names the split on the worker (Split.shipKey), 0 for a
+	// split without rows, which the worker builds afresh for the task.
+	SplitKey uint64
+	// RowBytes carries the split's rows (encodeRows) when the worker does
+	// not hold the split yet; the worker keeps it, Memo included, until a
+	// job frame drops it. Empty when the worker holds the split.
+	RowBytes []byte
 }
 
 // segmentRef locates one sorted run of one partition inside a spill file.
@@ -137,6 +150,9 @@ type mapDoneFrame struct {
 	// happened before task commit — the out-of-core proof the spill
 	// demonstration test asserts on).
 	MidSpills int
+	// Resident lists the keys of the splits the worker holds after the
+	// task, ascending; the driver checks its record against it.
+	Resident []uint64
 }
 
 type reduceTaskFrame struct {
@@ -227,6 +243,28 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 // decodeFrame decodes a frame payload into v.
 func decodeFrame(data []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+}
+
+// encodeRows encodes a split's rows for mapTaskFrame.RowBytes: each value's
+// IEEE 754 bits, little-endian, so every bit pattern round-trips.
+func encodeRows(rows []float64) []byte {
+	b := make([]byte, 8*len(rows))
+	for i, f := range rows {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
+	}
+	return b
+}
+
+// decodeRows inverts encodeRows.
+func decodeRows(b []byte) ([]float64, error) {
+	if len(b)%8 != 0 {
+		return nil, fmt.Errorf("mr: row bytes length %d is not a multiple of 8", len(b))
+	}
+	rows := make([]float64, len(b)/8)
+	for i := range rows {
+		rows[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return rows, nil
 }
 
 // Wire value codec ---------------------------------------------------------

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"syscall"
@@ -90,6 +91,9 @@ type workerState struct {
 	pools *enginePools
 	// batch is the reduce merge's reused per-key buffer.
 	batch []rec
+	// resident holds the splits shipped to this worker, by key, with
+	// their Memo, across tasks and jobs until a job frame drops them.
+	resident map[uint64]*Split
 	// tel is the in-worker tracer (nil when the driver did not enable
 	// telemetry — every use is nil-safe); telSample is the sampler cadence.
 	tel       *obs.WorkerTelemetry
@@ -279,6 +283,15 @@ func (w *workerState) setJob(data []byte) error {
 	if err := decodeFrame(data, &jf); err != nil {
 		return fmt.Errorf("decode job frame: %w", err)
 	}
+	// Residency changes before the impl resolves: the driver's record of
+	// this worker's splits changed when it sent the frame.
+	if len(jf.Resident) > 0 {
+		for key := range w.resident {
+			if !slices.Contains(jf.Resident, key) {
+				delete(w.resident, key)
+			}
+		}
+	}
 	w.job, w.jobErr = nil, nil
 	funcs, err := buildImpl(jf.Impl, jf.Spec)
 	if err != nil {
@@ -311,10 +324,16 @@ func (w *workerState) runMap(data []byte) error {
 	if err := decodeFrame(data, &f); err != nil {
 		return fmt.Errorf("decode map task frame: %w", err)
 	}
+	split, err := w.taskSplit(&f)
+	if err != nil {
+		return err
+	}
 	if w.jobErr != nil {
 		return w.sendTaskErr(w.jobErr)
 	}
-	split := &Split{ID: f.Task, Offset: f.Offset, Dim: f.Dim, Rows: f.Rows}
+	if split == nil {
+		return w.sendTaskErr(fmt.Errorf("split %d (key %d) is not resident on this worker", f.Task, f.SplitKey))
+	}
 	st := w.pools.getMapState(w.nb)
 	defer w.pools.putMapState(st)
 	sw := newSpillWriter(filepath.Join(*w.spillDir.Load(), fmt.Sprintf("m%d_a%d.spill", f.Task, f.Attempt)))
@@ -337,7 +356,7 @@ func (w *workerState) runMap(data []byte) error {
 	// steps are closed by AbortOpen on the die/sendTaskErr paths.
 	exec := w.tel.StartStep("map-exec", "map")
 	seq := 0
-	err := mapRecords(w.job.NewMapper(), ctx, f.KillAt, func(int) error {
+	err = mapRecords(w.job.NewMapper(), ctx, f.KillAt, func(int) error {
 		if w.mapOnly || st.bufBytes < w.spillLimit {
 			return nil
 		}
@@ -366,7 +385,7 @@ func (w *workerState) runMap(data []byte) error {
 		}
 		fe.Done()
 		w.flushTelemetry()
-		return w.send(fMapDone, mapDoneFrame{Counters: c})
+		return w.send(fMapDone, mapDoneFrame{Counters: c, Resident: w.residentKeys()})
 	}
 	sp := w.tel.StartStep("spill-write", "map")
 	if err := sw.spillAll(st, seq, false); err != nil {
@@ -378,7 +397,41 @@ func (w *workerState) runMap(data []byte) error {
 	}
 	sp.Done()
 	w.flushTelemetry()
-	return w.send(fMapDone, mapDoneFrame{Counters: c, Segments: segs, MidSpills: sw.midSpills})
+	return w.send(fMapDone, mapDoneFrame{Counters: c, Segments: segs, MidSpills: sw.midSpills, Resident: w.residentKeys()})
+}
+
+// taskSplit returns a map task's split: built afresh for a split without
+// rows, decoded from the frame and kept when the frame ships the rows,
+// else the resident split (nil if this worker does not hold it). Rows
+// that fail to decode are a protocol error: the worker exits, and the
+// driver, which recorded the split as held, reaps it.
+func (w *workerState) taskSplit(f *mapTaskFrame) (*Split, error) {
+	if f.SplitKey == 0 {
+		return &Split{ID: f.Task, Offset: f.Offset, Dim: f.Dim}, nil
+	}
+	if len(f.RowBytes) == 0 {
+		return w.resident[f.SplitKey], nil
+	}
+	rows, err := decodeRows(f.RowBytes)
+	if err != nil {
+		return nil, err
+	}
+	s := &Split{ID: f.Task, Offset: f.Offset, Dim: f.Dim, Rows: rows}
+	if w.resident == nil {
+		w.resident = make(map[uint64]*Split)
+	}
+	w.resident[f.SplitKey] = s
+	return s, nil
+}
+
+// residentKeys lists the keys of the resident splits, ascending.
+func (w *workerState) residentKeys() []uint64 {
+	keys := make([]uint64, 0, len(w.resident))
+	for key := range w.resident {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // pairsChunk bounds one fPairs frame.

@@ -106,7 +106,8 @@ func workerJobFrame(impl string, mapOnly bool, spillDir string) jobFrame {
 }
 
 func workerMapFrame(split *Split) mapTaskFrame {
-	return mapTaskFrame{Task: split.ID, Offset: split.Offset, Dim: split.Dim, Rows: split.Rows, KillAt: -1}
+	return mapTaskFrame{Task: split.ID, Offset: split.Offset, Dim: split.Dim, KillAt: -1,
+		SplitKey: split.shipKey(), RowBytes: encodeRows(split.Rows)}
 }
 
 // TestWorkerStopsAfterTaskError pins that a worker task which reported an

@@ -222,3 +222,41 @@ func TestKeyMatchesFmt(t *testing.T) {
 		t.Fatalf("empty signature's Key = %q", got)
 	}
 }
+
+// TestKeyCacheMatchesKey pins KeyCache.Key byte-equal to Key over the
+// candidates GenerateCandidates emits from random levels, with one cache
+// per level as a candidate-generation task keeps, and over intervals that
+// compare equal but differ in bits (±0) or never compare equal (NaN).
+func TestKeyCacheMatchesKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cands := 0
+	for p := 1; p <= 4; p++ {
+		for range 20 {
+			level := randomLevel(rng, 60, 12, 4, p)
+			k := int64(len(level))
+			var c KeyCache
+			for _, cand := range GenerateCandidates(level, 0, k*(k-1)/2) {
+				cands++
+				if got, want := c.Key(cand), cand.Key(); got != want {
+					t.Fatalf("KeyCache.Key = %q, Key = %q", got, want)
+				}
+			}
+		}
+	}
+	if cands == 0 {
+		t.Fatal("the levels generated no candidates")
+	}
+	negZero := math.Copysign(0, -1)
+	var c KeyCache
+	for _, s := range []Signature{
+		{Intervals: []Interval{iv(1, 0, 0.5), iv(2, 0, 1)}},
+		{Intervals: []Interval{iv(1, negZero, 0.5), iv(2, 0, negZero)}},
+		{Intervals: []Interval{iv(1, math.NaN(), 0.5), iv(2, math.Inf(-1), math.NaN())}},
+		{Intervals: []Interval{iv(1, math.NaN(), 0.5)}},
+		{},
+	} {
+		if got, want := c.Key(s), s.Key(); got != want {
+			t.Fatalf("KeyCache.Key = %q, Key = %q", got, want)
+		}
+	}
+}

@@ -170,20 +170,58 @@ func (s Signature) Equal(t Signature) bool {
 // shuffle key. Each interval is written as fmt's "%d:%.17g:%.17g" would,
 // joined by ';'. The driver keys signatures on Interner keys instead.
 func (s Signature) Key() string {
-	var b strings.Builder
-	b.Grow(56 * len(s.Intervals))
-	var num [32]byte
+	b := make([]byte, 0, 56*len(s.Intervals))
 	for i, iv := range s.Intervals {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		b.Write(strconv.AppendInt(num[:0], int64(iv.Attr), 10))
-		b.WriteByte(':')
-		b.Write(strconv.AppendFloat(num[:0], iv.Lo, 'g', 17, 64))
-		b.WriteByte(':')
-		b.Write(strconv.AppendFloat(num[:0], iv.Hi, 'g', 17, 64))
+		b = appendIntervalKey(b, iv)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendIntervalKey appends one interval's part of Key.
+func appendIntervalKey(b []byte, iv Interval) []byte {
+	b = strconv.AppendInt(b, int64(iv.Attr), 10)
+	b = append(b, ':')
+	b = strconv.AppendFloat(b, iv.Lo, 'g', 17, 64)
+	b = append(b, ':')
+	return strconv.AppendFloat(b, iv.Hi, 'g', 17, 64)
+}
+
+// intervalBits is an interval's identity: its attribute and endpoint bits.
+func intervalBits(iv Interval) [3]uint64 {
+	return [3]uint64{uint64(iv.Attr), math.Float64bits(iv.Lo), math.Float64bits(iv.Hi)}
+}
+
+// KeyCache returns the same keys as Key, formatting each distinct interval
+// (by bits, as in Interner) once: a level's candidates share a few hundred
+// intervals. The zero value is ready to use; a KeyCache is not safe for
+// concurrent use.
+type KeyCache struct {
+	text map[[3]uint64]string
+	buf  []byte
+}
+
+// Key returns s.Key().
+func (c *KeyCache) Key(s Signature) string {
+	if c.text == nil {
+		c.text = make(map[[3]uint64]string)
+	}
+	c.buf = c.buf[:0]
+	for i, iv := range s.Intervals {
+		if i > 0 {
+			c.buf = append(c.buf, ';')
+		}
+		k := intervalBits(iv)
+		t, ok := c.text[k]
+		if !ok {
+			t = string(appendIntervalKey(nil, iv))
+			c.text[k] = t
+		}
+		c.buf = append(c.buf, t...)
+	}
+	return string(c.buf)
 }
 
 // Interner assigns dense IDs to intervals in first-seen order, making a
@@ -201,7 +239,7 @@ func (in *Interner) id(iv Interval) uint32 {
 	if in.ids == nil {
 		in.ids = make(map[[3]uint64]uint32)
 	}
-	k := [3]uint64{uint64(iv.Attr), math.Float64bits(iv.Lo), math.Float64bits(iv.Hi)}
+	k := intervalBits(iv)
 	id, ok := in.ids[k]
 	if !ok {
 		id = uint32(len(in.ids))

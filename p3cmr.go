@@ -183,6 +183,7 @@ func Run(data *Dataset, cfg Config) (*Result, error) {
 			ec.Cost = mr.DefaultCostModel()
 		}
 		engine = mr.NewEngine(ec)
+		defer engine.Close()
 	}
 
 	switch cfg.Algorithm {
