@@ -13,9 +13,11 @@ import (
 // (§5.3), and the final maximality filter.
 type coreGenerator struct {
 	params Params
-	engine *mr.Engine
-	splits []*mr.Split
-	n      int
+	// poisson is the Poisson support test at params.AlphaPoisson.
+	poisson stats.PoissonTester
+	engine  *mr.Engine
+	splits  []*mr.Split
+	n       int
 	// lattice holds every tested signature, keyed on its interval-ID list.
 	// proveLevel1 interns the relevant intervals first, so an interval's ID
 	// is its index in relevantIntervals' output.
@@ -34,7 +36,14 @@ type verdict struct {
 }
 
 func newCoreGenerator(params Params, engine *mr.Engine, splits []*mr.Split, n int) *coreGenerator {
-	return &coreGenerator{params: params, engine: engine, splits: splits, n: n, lattice: make(map[string]verdict)}
+	return &coreGenerator{
+		params:  params,
+		poisson: stats.NewPoissonTester(params.AlphaPoisson),
+		engine:  engine,
+		splits:  splits,
+		n:       n,
+		lattice: make(map[string]verdict),
+	}
 }
 
 // supportOf returns the measured support of a tested signature.
@@ -46,7 +55,7 @@ func (g *coreGenerator) supportOf(s signature.Signature) int64 {
 // must be significantly larger than expected under Poisson statistics, and,
 // when enabled, the relative deviation must reach θcc.
 func (g *coreGenerator) passes(observed int64, expected float64) bool {
-	if !stats.PoissonTest(float64(observed), expected, g.params.AlphaPoisson) {
+	if !g.poisson.Test(float64(observed), expected) {
 		return false
 	}
 	if g.params.UseEffectSize && !stats.EffectSizeTest(float64(observed), expected, g.params.ThetaCC) {

@@ -289,8 +289,15 @@ func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, n int64, i
 // momentsMapper accumulates per-component weighted moments over its split
 // and emits them in Cleanup, keeping shuffle volume at O(k·d²) per split.
 // It buffers rows into a panel and, once it is full, evaluates the four
-// points' densities together and folds the points in row order, exactly
-// as the per-point path would; Cleanup folds the remainder per point.
+// points' densities together, exactly as the per-point path would, and
+// adds their log-likelihood and entropy to the convergence sums in row
+// order. The points and their responsibilities go on into a block of
+// linalg.MomentsBlock rows, which is folded into each component's moments
+// with one Moments.AddBlock when it is full; Cleanup evaluates the panel's
+// remainder per point and folds the last, partial block. Block boundaries
+// fall at every MomentsBlock-th row of the split, so the summation order,
+// and with it every bit of the output, depends on the split alone, not on
+// the backend, the parallelism, spilling or retries.
 type momentsMapper struct {
 	model *Model
 	stats []momentStat
@@ -299,6 +306,11 @@ type momentsMapper struct {
 	panel *panel
 	sc1   []float64
 	sc2   []float64
+	// The block: n projected points, row-major in x, and their
+	// responsibilities, w[i·MomentsBlock+p] for component i and point p.
+	x []float64
+	w []float64
+	n int
 }
 
 func (m *momentsMapper) Setup(*mr.TaskContext) error {
@@ -313,6 +325,8 @@ func (m *momentsMapper) Setup(*mr.TaskContext) error {
 	m.panel = newPanel(m.model)
 	m.sc1 = make([]float64, d)
 	m.sc2 = make([]float64, d)
+	m.x = make([]float64, linalg.MomentsBlock*d)
+	m.w = make([]float64, linalg.MomentsBlock*k)
 	return nil
 }
 
@@ -329,8 +343,9 @@ func (m *momentsMapper) Map(ctx *mr.TaskContext, global int, row []float64) erro
 	return nil
 }
 
-// fold adds the projected point x, whose responsibilities are in m.resp
-// and log-likelihood is ll, to the per-component stats.
+// fold adds the log-likelihood ll and the entropy of m.resp, the
+// responsibilities of the projected point x, to the convergence sums, and
+// puts x and m.resp into the block, folding the block when it is full.
 func (m *momentsMapper) fold(x []float64, ll float64) {
 	m.stats[0].LL += ll
 	h := 0.0
@@ -340,9 +355,24 @@ func (m *momentsMapper) fold(x []float64, ll float64) {
 		}
 	}
 	m.stats[0].H += h
+	copy(m.x[m.n*len(x):], x)
 	for i, r := range m.resp {
-		m.stats[i].Add(x, r)
+		m.w[i*linalg.MomentsBlock+m.n] = r
 	}
+	m.n++
+	if m.n == linalg.MomentsBlock {
+		m.flush()
+	}
+}
+
+// flush folds the block into every component's moments and empties it.
+func (m *momentsMapper) flush() {
+	d := len(m.model.Attrs)
+	for i := range m.stats {
+		w := m.w[i*linalg.MomentsBlock:]
+		m.stats[i].AddBlock(m.x[:m.n*d], w[:m.n])
+	}
+	m.n = 0
 }
 
 func (m *momentsMapper) Cleanup(ctx *mr.TaskContext) error {
@@ -351,6 +381,7 @@ func (m *momentsMapper) Cleanup(ctx *mr.TaskContext) error {
 		m.fold(x, m.model.Responsibilities(m.resp, x, m.sc1, m.sc2))
 	}
 	m.panel.n = 0
+	m.flush()
 	for i, st := range m.stats {
 		ctx.Emit(m.keys[i], st)
 	}

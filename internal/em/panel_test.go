@@ -176,56 +176,144 @@ func sameMomentStat(a, b momentStat) bool {
 	return true
 }
 
-// TestMomentsJobMatchesPerPointReference runs the em-moments job over one
-// split — its reducer copies the lone partial — at sizes around the panel
-// width, so full panels, a Cleanup remainder of every length and an empty
-// split are all covered, and requires the per-point reference's bits.
-func TestMomentsJobMatchesPerPointReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	m := randomModel(t, rng, []int{0, 2, 3}, 3, false)
+// referenceBlockMoments is the em-moments fold written from the per-point
+// path: Responsibilities, then LL and entropy per point in row order, and
+// the points cut into blocks at every linalg.MomentsBlock-th row of the
+// split, each folded into every component with one AddBlock.
+func referenceBlockMoments(m *Model, s *mr.Split) []momentStat {
+	k, d := m.K(), len(m.Attrs)
+	stats := make([]momentStat, k)
+	for i := range stats {
+		stats[i].Moments = linalg.NewMoments(d)
+	}
+	n := s.NumRows()
+	xs := make([]float64, 0, n*d)
+	ws := make([][]float64, k)
+	resp := make([]float64, k)
+	for r := 0; r < n; r++ {
+		x := m.Project(nil, s.Row(r))
+		xs = append(xs, x...)
+		stats[0].LL += m.Responsibilities(resp, x, nil, nil)
+		h := 0.0
+		for i, v := range resp {
+			if v > 0 {
+				h -= v * math.Log(v)
+			}
+			ws[i] = append(ws[i], v)
+		}
+		stats[0].H += h
+	}
+	for lo := 0; lo < n; lo += linalg.MomentsBlock {
+		hi := min(lo+linalg.MomentsBlock, n)
+		for i := range stats {
+			stats[i].AddBlock(xs[lo*d:hi*d], ws[i][lo:hi])
+		}
+	}
+	return stats
+}
+
+// momentsJobSizes are split sizes around the panel width and the block
+// size: an empty split, full panels with a Cleanup remainder of every
+// length, and full blocks with and without a partial last one.
+var momentsJobSizes = []int{0, 1, 3, 4, 5, linalg.MomentsBlock - 1, linalg.MomentsBlock, linalg.MomentsBlock + 1, 2*linalg.MomentsBlock + 3, 4097}
+
+// runMomentsJob runs the em-moments job over the one split s (its reducer
+// copies the lone partial) and returns the per-component stats.
+func runMomentsJob(t *testing.T, m *Model, s *mr.Split) []momentStat {
+	t.Helper()
 	spec, err := mr.EncodeSpec(SpecOf(m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{0, 1, 3, 4, 5, 7, 4097} {
-		s := randomSplit(rng, n, 4)
-		out, err := mr.Default().Run(&mr.Job{Name: "em-moments-0", Splits: []*mr.Split{s}, Impl: "em-moments", Spec: spec})
+	out, err := mr.Default().Run(&mr.Job{Name: "em-moments-0", Splits: []*mr.Split{s}, Impl: "em-moments", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Pairs) != m.K() {
+		t.Fatalf("n=%d: %d output pairs, want %d", s.NumRows(), len(out.Pairs), m.K())
+	}
+	stats := make([]momentStat, m.K())
+	for _, p := range out.Pairs {
+		c, err := mr.ParseIntKey(p.Key, "c", m.K())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := referenceMoments(m, s)
-		if len(out.Pairs) != len(want) {
-			t.Fatalf("n=%d: %d output pairs, want %d", n, len(out.Pairs), len(want))
-		}
-		for _, p := range out.Pairs {
-			c, err := mr.ParseIntKey(p.Key, "c", len(want))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := p.Value.(momentStat); !sameMomentStat(got, want[c]) {
-				t.Errorf("n=%d component %d: job %+v, per-point reference %+v", n, c, got, want[c])
+		stats[c] = p.Value.(momentStat)
+	}
+	return stats
+}
+
+// TestMomentsJobMatchesBlockReference pins the em-moments job to the
+// block-order reference bit for bit: the panel's densities are the
+// per-point ones, and the block boundaries follow the row positions.
+func TestMomentsJobMatchesBlockReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	m := randomModel(t, rng, []int{0, 2, 3}, 3, false)
+	for _, n := range momentsJobSizes {
+		s := randomSplit(rng, n, 4)
+		want := referenceBlockMoments(m, s)
+		for c, got := range runMomentsJob(t, m, s) {
+			if !sameMomentStat(got, want[c]) {
+				t.Errorf("n=%d component %d: job %+v, block reference %+v", n, c, got, want[c])
 			}
 		}
 	}
 }
 
-// TestMomentsMapperPanelAllocs pins the panel path at zero allocations per
-// block of panelRows rows.
+// TestMomentsJobNearPerPointReference: the block fold agrees with the
+// per-point Moments.Add fold to rounding, and the convergence sums, still
+// added point by point in row order, agree to the bit.
+func TestMomentsJobNearPerPointReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	m := randomModel(t, rng, []int{0, 2, 3}, 3, true)
+	near := func(got, want []float64) bool {
+		scale := 0.0
+		for _, v := range want {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-12*scale {
+				return false
+			}
+		}
+		return true
+	}
+	for _, n := range momentsJobSizes {
+		s := randomSplit(rng, n, 4)
+		want := referenceMoments(m, s)
+		for c, got := range runMomentsJob(t, m, s) {
+			w := want[c]
+			if !sameBits(got.LL, w.LL) || !sameBits(got.H, w.H) {
+				t.Errorf("n=%d component %d: LL, H = %v, %v; per-point %v, %v", n, c, got.LL, got.H, w.LL, w.H)
+			}
+			if !near([]float64{got.W, got.W2}, []float64{w.W, w.W2}) || !near(got.Mean, w.Mean) || !near(got.S, w.S) {
+				t.Errorf("n=%d component %d: job %+v, per-point reference %+v", n, c, got.Moments, w.Moments)
+			}
+		}
+	}
+}
+
+// TestMomentsMapperPanelAllocs pins the mapper at zero allocations per
+// block of linalg.MomentsBlock rows: its panels and the block's fold into
+// every component.
 func TestMomentsMapperPanelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := randomModel(t, rng, []int{0, 1, 2, 3, 4}, 4, false)
-	s := randomSplit(rng, panelRows, 6)
+	s := randomSplit(rng, linalg.MomentsBlock, 6)
 	mp := &momentsMapper{model: m}
 	if err := mp.Setup(nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		for r := 0; r < panelRows; r++ {
+		for r := 0; r < linalg.MomentsBlock; r++ {
 			mp.Map(nil, s.Offset+r, s.Row(r))
+		}
+		if mp.n != 0 || mp.panel.n != 0 {
+			t.Fatalf("a full block left %d rows in the block and %d in the panel", mp.n, mp.panel.n)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("%v allocations per panel block, want 0", allocs)
+		t.Fatalf("%v allocations per block, want 0", allocs)
 	}
 }
 

@@ -132,3 +132,28 @@ func BenchmarkMomentsAdd(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMomentsAddBlock folds one block of MomentsBlock points per op
+// into a d-dimensional accumulator; ns/point compares with
+// BenchmarkMomentsAdd's ns/op.
+func BenchmarkMomentsAddBlock(b *testing.B) {
+	for _, n := range []int{4, 16, 50} {
+		rng := rand.New(rand.NewSource(4))
+		rows := make([]float64, MomentsBlock*n)
+		for i := range rows {
+			rows[i] = rng.Float64()
+		}
+		w := make([]float64, MomentsBlock)
+		for i := range w {
+			w[i] = 0.5
+		}
+		b.Run(sizeName(n), func(b *testing.B) {
+			b.ReportAllocs()
+			m := NewMoments(n)
+			for i := 0; i < b.N; i++ {
+				m.AddBlock(rows, w)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*MomentsBlock), "ns/point")
+		})
+	}
+}

@@ -9,6 +9,15 @@ package linalg
 // summarise its split and a reducer fold the per-split partials into one
 // estimate.
 //
+// AddBlock folds up to MomentsBlock points at once: it sums the block
+// around a reference point with a register-tiled kernel and folds the sums
+// in with Chan's update, instead of one Welford step per point. That is a
+// different summation order from Add's. It stays deterministic because the
+// order depends only on which points form each block: a caller that cuts
+// its stream into blocks by position alone (the em-moments mapper cuts each
+// split at every MomentsBlock-th row) gets the same bits on every backend,
+// parallelism and retry.
+//
 // The fields are exported so the value crosses the MapReduce shuffle (gob)
 // unchanged; treat them as read-only outside this package.
 type Moments struct {
@@ -20,10 +29,16 @@ type Moments struct {
 	// packed row by row: row a holds the entries (a, a..d−1).
 	S []float64
 
-	// e is Add's scratch, x − µ_new per coordinate. It does not cross the
-	// shuffle, and a copy of the value shares it, so only one copy may Add.
-	e []float64
+	// e is Add's scratch, x − µ_new per coordinate, and blk AddBlock's (see
+	// there). Neither crosses the shuffle, and a copy of the value shares
+	// them, so only one copy may Add or AddBlock.
+	e, blk []float64
 }
+
+// MomentsBlock is the most points AddBlock folds in one call. It is a
+// constant, not a parameter, so that block boundaries, and with them the
+// summation order, follow from the points' positions alone.
+const MomentsBlock = 64
 
 // NewMoments returns an empty accumulator for d-dimensional points.
 func NewMoments(d int) Moments {
@@ -72,6 +87,171 @@ func (m *Moments) Add(x []float64, w float64) {
 		for i := range row {
 			row[i] += da * ea[i]
 		}
+	}
+}
+
+// AddBlock accumulates the n = len(w) ≤ MomentsBlock points of rows
+// (row-major, point p is rows[p·d:(p+1)·d]) with weights w. Zero-weight
+// points are skipped, as Add skips them, so a block of zero weights leaves
+// the accumulator bit-for-bit unchanged.
+//
+// The block is shifted to y = x − c around a reference point c: the
+// current mean, or, while the accumulator is empty, the block's point of
+// largest weight (the one most likely near the mean). A tiled kernel sums
+// Σw, Σw², s = Σw·y and T = Σw·yyᵀ in point order, with no divide and no
+// store into S per point. The block's own mean is c + s/W_b and its scatter
+// T − ssᵀ/W_b, and Chan's update (Merge's) adds that scatter plus
+// W·W_b/W'·(s/W_b)(s/W_b)ᵀ for the shift between the two means. With
+// c = µ the three terms collapse to
+//
+//	S' = S + T − s·(s/W')ᵀ,  µ' = c + s/W',  W' = W + W_b,
+//
+// which also covers the empty accumulator (W = 0, S = 0). Centring on the
+// running mean keeps s small, so subtracting s·(s/W')ᵀ cancels little even
+// for data far from the origin.
+func (m *Moments) AddBlock(rows, w []float64) {
+	const B = MomentsBlock
+	d := len(m.Mean)
+	if len(w) > B || len(rows) < len(w)*d {
+		panic("linalg: AddBlock needs at most MomentsBlock points of the accumulator's dimension")
+	}
+	// The block's points of nonzero weight, in order: index and weight.
+	var idx [B]int
+	var wc [B]float64
+	n := 0
+	var wb, w2b float64
+	for p, wp := range w {
+		if wp != 0 {
+			idx[n], wc[n] = p, wp
+			wb += wp
+			w2b += wp * wp
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	c := m.Mean
+	if m.W == 0 {
+		best := 0
+		for q := 1; q < n; q++ {
+			if wc[q] > wc[best] {
+				best = q
+			}
+		}
+		c = rows[idx[best]*d : (idx[best]+1)*d]
+	}
+	wNew := m.W + wb
+	// blk holds y and w·y column by column (column a of y is
+	// yt[a·B : a·B+n]), then s and g = s/W'.
+	if len(m.blk) != 2*d*B+2*d {
+		m.blk = make([]float64, 2*d*B+2*d)
+	}
+	yt, wyt := m.blk[:d*B], m.blk[d*B:2*d*B]
+	s, g := m.blk[2*d*B:2*d*B+d], m.blk[2*d*B+d:]
+	for a, ca := range c[:d] {
+		y, wy := yt[a*B:a*B+n], wyt[a*B:a*B+n]
+		wy = wy[:len(y)]
+		var sa float64
+		for q, p := range idx[:len(y)] {
+			v := rows[p*d+a] - ca
+			u := wc[q] * v
+			y[q], wy[q] = v, u
+			sa += u
+		}
+		s[a] = sa
+		g[a] = sa / wNew
+	}
+	m.addTiles(yt, wyt, s, g, n)
+	for a := range m.Mean {
+		m.Mean[a] = c[a] + g[a]
+	}
+	m.W = wNew
+	m.W2 += w2b
+}
+
+// addTiles adds T − s·gᵀ to the packed scatter, T = Σ_p wy_p·y_pᵀ over the
+// block's n points. Each tile holds a 2×4 patch of T in registers over the
+// whole block, so every product is loaded once per patch and S is touched
+// once per block. Tiles on the diagonal also form the lower entry
+// (a+1, a), which is not stored.
+func (m *Moments) addTiles(yt, wyt, s, g []float64, n int) {
+	const B = MomentsBlock
+	d := len(m.Mean)
+	col := func(t []float64, a int) []float64 { return t[a*B : a*B+n] }
+	// put adds the patch entries (r, b..b+len(t)−1) that lie on or above
+	// the diagonal.
+	put := func(r, b int, t []float64) {
+		off := r*(2*d-r+1)/2 - r
+		for j, v := range t {
+			if b+j >= r {
+				m.S[off+b+j] += v - s[r]*g[b+j]
+			}
+		}
+	}
+	a := 0
+	for ; a+2 <= d; a += 2 {
+		u0, u1 := col(wyt, a), col(wyt, a+1)
+		u1 = u1[:len(u0)]
+		b := a
+		for ; b+4 <= d; b += 4 {
+			v0, v1, v2, v3 := col(yt, b), col(yt, b+1), col(yt, b+2), col(yt, b+3)
+			v0, v1, v2, v3 = v0[:len(u0)], v1[:len(u0)], v2[:len(u0)], v3[:len(u0)]
+			var t00, t01, t02, t03, t10, t11, t12, t13 float64
+			for p, x0 := range u0 {
+				x1 := u1[p]
+				y := v0[p]
+				t00 += x0 * y
+				t10 += x1 * y
+				y = v1[p]
+				t01 += x0 * y
+				t11 += x1 * y
+				y = v2[p]
+				t02 += x0 * y
+				t12 += x1 * y
+				y = v3[p]
+				t03 += x0 * y
+				t13 += x1 * y
+			}
+			put(a, b, []float64{t00, t01, t02, t03})
+			put(a+1, b, []float64{t10, t11, t12, t13})
+		}
+		for ; b+2 <= d; b += 2 {
+			v0, v1 := col(yt, b), col(yt, b+1)
+			v0, v1 = v0[:len(u0)], v1[:len(u0)]
+			var t00, t01, t10, t11 float64
+			for p, x0 := range u0 {
+				x1 := u1[p]
+				y := v0[p]
+				t00 += x0 * y
+				t10 += x1 * y
+				y = v1[p]
+				t01 += x0 * y
+				t11 += x1 * y
+			}
+			put(a, b, []float64{t00, t01})
+			put(a+1, b, []float64{t10, t11})
+		}
+		for ; b < d; b++ {
+			v0 := col(yt, b)
+			v0 = v0[:len(u0)]
+			var t0, t1 float64
+			for p, x0 := range u0 {
+				t0 += x0 * v0[p]
+				t1 += u1[p] * v0[p]
+			}
+			put(a, b, []float64{t0})
+			put(a+1, b, []float64{t1})
+		}
+	}
+	if a < d {
+		u0, v0 := col(wyt, a), col(yt, a)
+		v0 = v0[:len(u0)]
+		var t0 float64
+		for p, x0 := range u0 {
+			t0 += x0 * v0[p]
+		}
+		put(a, a, []float64{t0})
 	}
 }
 

@@ -262,3 +262,235 @@ func TestMomentsAddMatchesReferenceBits(t *testing.T) {
 		}
 	}
 }
+
+// accumulateBlocks folds rows[lo:hi) (in points) with AddBlock, cutting
+// them into blocks of MomentsBlock points from lo.
+func accumulateBlocks(rows, weights []float64, d, lo, hi int) Moments {
+	m := NewMoments(d)
+	for b := lo; b < hi; b += MomentsBlock {
+		e := min(b+MomentsBlock, hi)
+		w := make([]float64, e-b)
+		for i := range w {
+			w[i] = 1
+			if weights != nil {
+				w[i] = weights[b+i]
+			}
+		}
+		m.AddBlock(rows[b*d:e*d], w)
+	}
+	return m
+}
+
+// sameMoments reports whether a and b hold the same bits.
+func sameMoments(a, b Moments) bool {
+	same := func(x, y []float64) bool {
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return len(x) == len(y)
+	}
+	return same([]float64{a.W, a.W2}, []float64{b.W, b.W2}) && same(a.Mean, b.Mean) && same(a.S, b.S)
+}
+
+// TestMomentsAddBlockMatchesTwoPass is TestMomentsMatchesTwoPass for the
+// block kernel, at dimensions on both sides of its 2×4 tile and with a
+// partial last block: on data whose mean (1e6) dwarfs its spread
+// (σ = 1e-3), the shifted block sums must keep the two-pass accuracy.
+func TestMomentsAddBlockMatchesTwoPass(t *testing.T) {
+	const n, offset, sigma = 2000, 1e6, 1e-3
+	for _, d := range []int{1, 2, 3, 4, 5, 7, 16} {
+		rows, weights := momentsData(n, d, offset, sigma, 1)
+
+		unit := accumulateBlocks(rows, nil, d, 0, n)
+		mu := Mean(rows, d)
+		if unit.W != n {
+			t.Errorf("d=%d: unit weight sum %g, want %d", d, unit.W, n)
+		}
+		if e := absErr(unit.Mean, mu); e > 1e-5*sigma {
+			t.Errorf("d=%d: unit-weight mean off by %g", d, e)
+		}
+		if e := relErr(unit.SampleCov().Data, Covariance(rows, d, mu).Data); e > 1e-6 {
+			t.Errorf("d=%d: SampleCov relative error %g vs two-pass Covariance", d, e)
+		}
+
+		wm := accumulateBlocks(rows, weights, d, 0, n)
+		lin, w, w2 := WeightedMoments(rows, d, weights)
+		wmu := make([]float64, d)
+		for j := range wmu {
+			wmu[j] = lin[j] / w
+		}
+		if math.Abs(wm.W-w) > 1e-12*w || math.Abs(wm.W2-w2) > 1e-12*w2 {
+			t.Errorf("d=%d: weight sums (%g, %g), reference (%g, %g)", d, wm.W, wm.W2, w, w2)
+		}
+		if e := absErr(wm.Mean, wmu); e > 1e-5*sigma {
+			t.Errorf("d=%d: weighted mean off by %g", d, e)
+		}
+		if e := relErr(wm.WeightedCov().Data, WeightedCovariance(rows, d, weights, wmu).Data); e > 1e-6 {
+			t.Errorf("d=%d: WeightedCov relative error %g vs two-pass WeightedCovariance", d, e)
+		}
+		if !wm.WeightedCov().IsSymmetric(0) {
+			t.Errorf("d=%d: WeightedCov not exactly symmetric", d)
+		}
+	}
+}
+
+// TestMomentsAddBlockMatchesAdd: at every dimension from 1 to 11 (every
+// tile edge) and every block length, the block fold agrees with the
+// per-point Add to rounding, for blocks both into an empty and into a
+// running accumulator.
+func TestMomentsAddBlockMatchesAdd(t *testing.T) {
+	const n = 3*MomentsBlock + 5
+	for d := 1; d <= 11; d++ {
+		rows, weights := momentsData(n, d, 3, 2, int64(d))
+		want := accumulate(rows, weights, d, 0, n)
+		for _, size := range []int{1, 2, 5, MomentsBlock - 1, MomentsBlock} {
+			got := NewMoments(d)
+			for b := 0; b < n; b += size {
+				e := min(b+size, n)
+				got.AddBlock(rows[b*d:e*d], weights[b:e])
+			}
+			if math.Abs(got.W-want.W) > 1e-12*want.W || math.Abs(got.W2-want.W2) > 1e-12*want.W2 {
+				t.Errorf("d=%d block %d: weights (%g, %g), Add (%g, %g)", d, size, got.W, got.W2, want.W, want.W2)
+			}
+			if e := relErr(got.Mean, want.Mean); e > 1e-12 {
+				t.Errorf("d=%d block %d: mean relative error %g", d, size, e)
+			}
+			if e := relErr(got.S, want.S); e > 1e-12 {
+				t.Errorf("d=%d block %d: scatter relative error %g", d, size, e)
+			}
+		}
+	}
+}
+
+// TestMomentsAddBlockOneRow: a one-point block agrees with Add to
+// rounding at every step of a stream; the first, into the empty
+// accumulator, is exact.
+func TestMomentsAddBlockOneRow(t *testing.T) {
+	const n, d = 300, 6
+	rows, weights := momentsData(n, d, 3, 2, 5)
+	got, want := NewMoments(d), NewMoments(d)
+	for i := 0; i < n; i++ {
+		x := rows[i*d : (i+1)*d]
+		got.AddBlock(x, weights[i:i+1])
+		want.Add(x, weights[i])
+		if i == 0 && !sameMoments(got, want) {
+			t.Fatalf("first point: block %+v, Add %+v", got, want)
+		}
+		if got.W != want.W || relErr(got.S, want.S) > 1e-12 || relErr(got.Mean, want.Mean) > 1e-14 {
+			t.Fatalf("point %d: block %+v, Add %+v", i, got, want)
+		}
+	}
+}
+
+// TestMomentsAddBlockIntoEmpty: a block folded into an empty accumulator
+// holds the block's weights, mean and scatter, and merging it into a
+// running accumulator matches folding the block there directly.
+func TestMomentsAddBlockIntoEmpty(t *testing.T) {
+	const d = 5
+	rows, weights := momentsData(2*MomentsBlock, d, 7, 0.5, 6)
+	blk := NewMoments(d)
+	blk.AddBlock(rows[:MomentsBlock*d], weights[:MomentsBlock])
+	ref := accumulate(rows, weights, d, 0, MomentsBlock)
+	if math.Abs(blk.W-ref.W) > 1e-14*ref.W {
+		t.Errorf("weight %g, Add %g", blk.W, ref.W)
+	}
+	if e := relErr(blk.Mean, ref.Mean); e > 1e-14 {
+		t.Errorf("mean relative error %g", e)
+	}
+	if e := relErr(blk.S, ref.S); e > 1e-12 {
+		t.Errorf("scatter relative error %g", e)
+	}
+
+	direct := accumulateBlocks(rows, weights, d, MomentsBlock, 2*MomentsBlock)
+	merged := direct
+	merged.Mean, merged.S = append([]float64(nil), direct.Mean...), append([]float64(nil), direct.S...)
+	merged.Merge(blk)
+	direct.AddBlock(rows[:MomentsBlock*d], weights[:MomentsBlock])
+	if e := relErr(direct.Mean, merged.Mean); e > 1e-14 {
+		t.Errorf("fold vs merge: mean relative error %g", e)
+	}
+	if e := relErr(direct.S, merged.S); e > 1e-12 {
+		t.Errorf("fold vs merge: scatter relative error %g", e)
+	}
+}
+
+// TestMomentsAddBlockZeroWeights: a block of zero weights leaves an empty
+// or a running accumulator bit-identical, and zero-weight points inside a
+// block (with non-finite coordinates, which must not leak in as 0·Inf)
+// give the bits of the block without them.
+func TestMomentsAddBlockZeroWeights(t *testing.T) {
+	const d = 4
+	rows, weights := momentsData(MomentsBlock, d, 5, 1, 7)
+	zeros := make([]float64, MomentsBlock)
+	for _, m := range []Moments{NewMoments(d), accumulateBlocks(rows, weights, d, 0, 10)} {
+		before := m
+		before.Mean, before.S = append([]float64(nil), m.Mean...), append([]float64(nil), m.S...)
+		m.AddBlock(rows, zeros)
+		if !sameMoments(m, before) {
+			t.Errorf("zero-weight block changed %+v to %+v", before, m)
+		}
+	}
+
+	holes := append([]float64(nil), rows...)
+	holed := append([]float64(nil), weights...)
+	var keptRows, keptW []float64
+	for i := 0; i < MomentsBlock; i++ {
+		if i%3 == 1 {
+			holed[i] = 0
+			holes[i*d] = math.Inf(1)
+			holes[i*d+1] = math.NaN()
+			continue
+		}
+		keptRows = append(keptRows, rows[i*d:(i+1)*d]...)
+		keptW = append(keptW, weights[i])
+	}
+	for _, start := range []int{0, 10} {
+		got := accumulateBlocks(rows, weights, d, 0, start)
+		want := accumulateBlocks(rows, weights, d, 0, start)
+		got.AddBlock(holes, holed)
+		want.AddBlock(keptRows, keptW)
+		if !sameMoments(got, want) {
+			t.Errorf("start=%d: zero-weight points changed the block fold: %+v vs %+v", start, got, want)
+		}
+	}
+}
+
+// TestMomentsAddBlockTinyWeights is TestMomentsZeroAndTinyWeights' tiny
+// half for blocks: uniformly tiny (1e-300) weights give the unit-weight
+// mean and scatter shape without NaN, and the same degenerate (zero)
+// WeightedCov as the two-pass reference.
+func TestMomentsAddBlockTinyWeights(t *testing.T) {
+	const n, d = 400, 3
+	rows, _ := momentsData(n, d, 5, 1, 4)
+	unit := accumulateBlocks(rows, nil, d, 0, n)
+	tinyW := make([]float64, n)
+	for i := range tinyW {
+		tinyW[i] = 1e-300
+	}
+	tiny := accumulateBlocks(rows, tinyW, d, 0, n)
+	for _, v := range append(append([]float64{tiny.W, tiny.W2}, tiny.Mean...), tiny.S...) {
+		if math.IsNaN(v) {
+			t.Fatalf("tiny weights gave NaN: %+v", tiny)
+		}
+	}
+	if e := relErr(tiny.Mean, unit.Mean); e > 1e-12 {
+		t.Errorf("tiny-weight mean relative error %g", e)
+	}
+	scaled := make([]float64, len(tiny.S))
+	for i, s := range tiny.S {
+		scaled[i] = s / tiny.W * unit.W
+	}
+	if e := relErr(scaled, unit.S); e > 1e-12 {
+		t.Errorf("tiny-weight scatter shape relative error %g", e)
+	}
+	want := WeightedCovariance(rows, d, tinyW, tiny.Mean)
+	got := tiny.WeightedCov()
+	perPoint := accumulate(rows, tinyW, d, 0, n)
+	for i, v := range got.Data {
+		if math.IsNaN(v) || v != want.Data[i] || v != perPoint.WeightedCov().Data[i] {
+			t.Fatalf("tiny-weight WeightedCov = %v, reference %v", got.Data, want.Data)
+		}
+	}
+}

@@ -204,6 +204,23 @@ func SigmaThreshold(alpha float64) float64 {
 // point is 4σ "significant" but has exact probability 0.05), so the exact
 // tail is used instead.
 func PoissonTest(observed, expected, alpha float64) bool {
+	return NewPoissonTester(alpha).Test(observed, expected)
+}
+
+// PoissonTester is PoissonTest at one significance level, for callers that
+// test many supports at the same alpha: the sigma threshold (a normal
+// quantile with its erfc refinement) is computed once, not per test.
+type PoissonTester struct {
+	alpha, sigmas float64
+}
+
+// NewPoissonTester returns PoissonTest at level alpha.
+func NewPoissonTester(alpha float64) PoissonTester {
+	return PoissonTester{alpha: alpha, sigmas: SigmaThreshold(alpha)}
+}
+
+// Test is PoissonTest(observed, expected, alpha).
+func (t PoissonTester) Test(observed, expected float64) bool {
 	if expected < 0 {
 		expected = 0
 	}
@@ -212,9 +229,9 @@ func PoissonTest(observed, expected, alpha float64) bool {
 		if float64(k) < observed {
 			k++
 		}
-		return PoissonSF(k, expected) < alpha
+		return PoissonSF(k, expected) < t.alpha
 	}
-	return PoissonSigmas(observed, expected) > SigmaThreshold(alpha)
+	return PoissonSigmas(observed, expected) > t.sigmas
 }
 
 // smallLambda is the expectation below which PoissonTest switches to the

@@ -248,6 +248,31 @@ func TestPoissonTestAgainstExact(t *testing.T) {
 	}
 }
 
+// TestPoissonTesterMatchesPerCallThreshold: a tester built once for alpha
+// gives the verdict of the test that recomputes SigmaThreshold(alpha) per
+// call, on both branches, at moderate and tiny alphas, across the boundary
+// between the exact tail and the sigma test, and at the threshold itself.
+func TestPoissonTesterMatchesPerCallThreshold(t *testing.T) {
+	perCall := func(observed, expected, alpha float64) bool {
+		if expected <= smallLambda {
+			return PoissonSF(int(math.Ceil(observed)), math.Max(expected, 0)) < alpha
+		}
+		return PoissonSigmas(observed, expected) > SigmaThreshold(alpha)
+	}
+	for _, alpha := range []float64{0.5, 0.01, 1e-5, 1e-12, 1e-13, 1e-50, 1e-140} {
+		tester := NewPoissonTester(alpha)
+		z := SigmaThreshold(alpha)
+		for _, expected := range []float64{-1, 0, 0.05, 2, 24.5, 25, 25.5, 100, 1e4, 1e8} {
+			observed := []float64{0, 1, 2.5, expected, expected + 1, expected + z*math.Sqrt(math.Max(expected, 0)), 2*expected + 40}
+			for _, obs := range observed {
+				if got, want := tester.Test(obs, expected), perCall(obs, expected, alpha); got != want {
+					t.Errorf("alpha=%g: Test(%g, %g) = %v, per-call threshold %v", alpha, obs, expected, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPoissonTestPowerGrowsWithN reproduces the Figure 1 phenomenon: at a
 // constant relative deviation of 1%, the test flips from "not significant"
 // to "significant" as the expected count grows.
