@@ -27,10 +27,11 @@ func renderJSON(t *testing.T, data *Dataset, alg Algorithm, engine *mr.Engine) [
 }
 
 // TestBackendJSONResultBitIdentical extends the end-to-end JSON oracle
-// across the Backend seam: the paper's pipelines — Light and the full MVB
-// model — must write byte-for-byte the same WriteJSON output on every
-// backend (in-process goroutines and re-exec'd worker processes with a
-// disk-spilled shuffle), at parallelism 1 and 8, with and without seeded faults — which on the multiprocess
+// across the Backend seam: the paper's pipelines — Light and the full
+// model with MVB or MVE outlier detection — must write byte-for-byte the
+// same WriteJSON output on every backend (in-process goroutines and
+// re-exec'd worker processes with a disk-spilled shuffle), at parallelism
+// 1 and 8, with and without seeded faults — which on the multiprocess
 // backend SIGKILL real workers. One always-spill multiprocess row per
 // algorithm pushes every map output through the sorted-run merge.
 func TestBackendJSONResultBitIdentical(t *testing.T) {
@@ -38,11 +39,12 @@ func TestBackendJSONResultBitIdentical(t *testing.T) {
 	data.Normalize()
 	plan := mr.RateFaultPlan{MapRate: 0.3, ReduceRate: 0.3, Seed: 19}
 
-	algs := []Algorithm{P3CPlusMRLight, P3CPlusMR}
+	algs := []Algorithm{P3CPlusMRLight, P3CPlusMR, P3CPlusMRMVE}
 	if raceDetectorEnabled {
-		// Race runs keep Light's in-process rows; the MVB rows and every
-		// multiprocess row run in the non-race suite (the engine-level
-		// conformance matrix covers the multiprocess driver under race).
+		// Race runs keep Light's in-process rows; the MVB and MVE rows and
+		// every multiprocess row run in the non-race suite (the
+		// engine-level conformance matrix covers the multiprocess driver
+		// under race).
 		algs = algs[:1]
 	}
 	for _, alg := range algs {

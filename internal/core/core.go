@@ -405,10 +405,16 @@ func (p *pipeline) finishFull(res *Result) (*Result, error) {
 	}
 	res.Labels = labels
 
+	// The result clusters are the disjoint labels' clusters.
 	k := len(p.cores)
+	clusters := make([]*eval.Cluster, k)
 	memberCounts := make([]int64, k)
-	for _, l := range labels {
+	for c := range clusters {
+		clusters[c] = &eval.Cluster{}
+	}
+	for i, l := range labels {
 		if l >= 0 && l < k {
+			clusters[l].Objects = append(clusters[l].Objects, i)
 			memberCounts[l]++
 		}
 	}
@@ -417,7 +423,14 @@ func (p *pipeline) finishFull(res *Result) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: attribute inspection: %w", err)
 	}
-	return p.finish(res, src, attrs)
+	if err := p.finish(res, src, attrs); err != nil {
+		return nil, err
+	}
+	for c, cl := range clusters {
+		cl.Attrs = attrs[c]
+	}
+	res.Clusters = clusters
+	return res, nil
 }
 
 // --- Light variant (§6) ---------------------------------------------------------
@@ -533,8 +546,7 @@ func (p *pipeline) finishLight(res *Result) (*Result, error) {
 		return nil, fmt.Errorf("core: light attribute inspection: %w", err)
 	}
 
-	res2, err := p.finish(res, src, attrs)
-	if err != nil {
+	if err := p.finish(res, src, attrs); err != nil {
 		return nil, err
 	}
 	// The Light result clusters are the full core support sets (possibly
@@ -543,20 +555,20 @@ func (p *pipeline) finishLight(res *Result) (*Result, error) {
 	for c := range clusters {
 		clusters[c] = &eval.Cluster{Attrs: attrs[c], Objects: objects[c]}
 	}
-	res2.Clusters = clusters
-	return res2, nil
+	res.Clusters = clusters
+	return res, nil
 }
 
-// finish runs the interval-tightening job and assembles the result.
-// src designates the points contributing to tightening; attrs is Ai per
-// cluster.
-func (p *pipeline) finish(res *Result, src memberSource, attrs [][]int) (*Result, error) {
+// finish runs the interval-tightening job and adds the output signatures
+// to res. src designates the points contributing to tightening; attrs is
+// Ai per cluster. The caller sets the result clusters.
+func (p *pipeline) finish(res *Result, src memberSource, attrs [][]int) error {
 	k := len(p.cores)
 	ps := p.beginPhase("tightening")
 	mins, maxs, err := tighteningJob(p.engine, p.splits, src, attrs, p.phaseSpan)
 	ps.end(err)
 	if err != nil {
-		return nil, fmt.Errorf("core: interval tightening: %w", err)
+		return fmt.Errorf("core: interval tightening: %w", err)
 	}
 	for c := 0; c < k; c++ {
 		out := OutputSignature{ClusterID: c}
@@ -576,18 +588,5 @@ func (p *pipeline) finish(res *Result, src memberSource, attrs [][]int) (*Result
 		}
 		res.Signatures = append(res.Signatures, out)
 	}
-
-	// Default evaluation clusters from the disjoint labels (the Light
-	// variant overwrites these with support sets).
-	clusters := make([]*eval.Cluster, k)
-	for c := range clusters {
-		clusters[c] = &eval.Cluster{Attrs: attrs[c]}
-	}
-	for i, l := range res.Labels {
-		if l >= 0 && l < k {
-			clusters[l].Objects = append(clusters[l].Objects, i)
-		}
-	}
-	res.Clusters = clusters
-	return res, nil
+	return nil
 }

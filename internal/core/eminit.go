@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"p3cmr/internal/em"
-	"p3cmr/internal/linalg"
 	"p3cmr/internal/mr"
 	"p3cmr/internal/obs"
 	"p3cmr/internal/signature"
@@ -86,16 +85,9 @@ func estimateCoreModel(engine *mr.Engine, splits []*mr.Split, cores []signature.
 	if err != nil {
 		return nil, err
 	}
-	acc := make([]linalg.Moments, k)
-	for i := range acc {
-		acc[i] = linalg.NewMoments(d)
-	}
-	for _, p := range out.Pairs {
-		c, err := mr.ParseIntKey(p.Key, "c", k)
-		if err != nil {
-			return nil, err
-		}
-		acc[c] = p.Value.(linalg.Moments)
+	acc, err := em.CollectMoments(out, k, d)
+	if err != nil {
+		return nil, err
 	}
 	// Unit weights: W is the exact member count.
 	var total int64
@@ -151,14 +143,13 @@ func buildInitMeansJob(spec []byte) (mr.JobFuncs, error) {
 // sets (plus fallback assignments for out-of-core points when enabled),
 // reading the cores' member bitmaps over the split in Setup.
 type coreMomentMapper struct {
+	em.PartialMoments
 	attrs    []int
 	fallback *em.Model
 	k        int
 	ix       *signature.SupportIndex
 
 	members splitMembers
-	acc     []linalg.Moments
-	keys    []string
 	proj    []float64
 	sc1     []float64
 	sc2     []float64
@@ -168,11 +159,7 @@ type coreMomentMapper struct {
 func (m *coreMomentMapper) Setup(ctx *mr.TaskContext) error {
 	m.members = newSplitMembers(m.ix, ctx.Split)
 	d := len(m.attrs)
-	m.acc = make([]linalg.Moments, m.k)
-	for i := range m.acc {
-		m.acc[i] = linalg.NewMoments(d)
-	}
-	m.keys = mr.IntKeys("c", m.k)
+	m.Reset(m.k, d)
 	m.proj = make([]float64, d)
 	m.sc1 = make([]float64, d)
 	m.sc2 = make([]float64, d)
@@ -205,22 +192,8 @@ func (m *coreMomentMapper) membership(global int, row []float64) []int {
 }
 
 func (m *coreMomentMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	ids := m.membership(global, row)
-	if len(ids) == 0 {
-		return nil
-	}
-	x := m.project(row)
-	for _, c := range ids {
-		m.acc[c].Add(x, 1)
-	}
-	return nil
-}
-
-func (m *coreMomentMapper) Cleanup(ctx *mr.TaskContext) error {
-	for c := range m.acc {
-		if m.acc[c].W > 0 {
-			ctx.Emit(m.keys[c], m.acc[c])
-		}
+	if ids := m.membership(global, row); len(ids) > 0 {
+		m.Add(m.project(row), ids...)
 	}
 	return nil
 }

@@ -115,17 +115,14 @@ func histogramJob(engine *mr.Engine, splits []*mr.Split, dim, bins int, trace ob
 	if err != nil {
 		return nil, err
 	}
+	counts := make([][]int64, dim)
+	if err := mr.IntKeyValues(out, "h", counts); err != nil {
+		return nil, err
+	}
 	hists := make([]*histogram.Histogram, dim)
 	for d := range hists {
 		hists[d] = histogram.New(bins)
-	}
-	for _, p := range out.Pairs {
-		d, err := mr.ParseIntKey(p.Key, "h", dim)
-		if err != nil {
-			return nil, err
-		}
-		counts := p.Value.([]int64)
-		for b, c := range counts {
+		for b, c := range counts[d] {
 			hists[d].AddCount(b, c)
 		}
 	}

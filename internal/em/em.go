@@ -258,14 +258,11 @@ func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, n int64, i
 	for i := range stats {
 		stats[i].Moments = linalg.NewMoments(d)
 	}
+	if err := mr.IntKeyValues(out, "c", stats); err != nil {
+		return 0, 0, err
+	}
 	var totalLL, totalH float64
-	for _, p := range out.Pairs {
-		ci, err := mr.ParseIntKey(p.Key, "c", k)
-		if err != nil {
-			return 0, 0, err
-		}
-		st := p.Value.(momentStat)
-		stats[ci] = st
+	for _, st := range stats {
 		totalLL += st.LL
 		totalH += st.H
 	}
@@ -291,42 +288,32 @@ func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, n int64, i
 // It buffers rows into a panel and, once it is full, evaluates the four
 // points' densities together, exactly as the per-point path would, and
 // adds their log-likelihood and entropy to the convergence sums in row
-// order. The points and their responsibilities go on into a block of
-// linalg.MomentsBlock rows, which is folded into each component's moments
-// with one Moments.AddBlock when it is full; Cleanup evaluates the panel's
-// remainder per point and folds the last, partial block. Block boundaries
-// fall at every MomentsBlock-th row of the split, so the summation order,
-// and with it every bit of the output, depends on the split alone, not on
-// the backend, the parallelism, spilling or retries.
+// order. The points go on, with their responsibilities as weights, into a
+// linalg.MomentsFold; Cleanup evaluates the panel's remainder per point.
+// Every row of the split is pushed, in row order, so the fold's block
+// boundaries, and with them every bit of the output, depend on the split
+// alone, not on the backend, the parallelism, spilling or retries.
 type momentsMapper struct {
 	model *Model
-	stats []momentStat
+	fold  *linalg.MomentsFold
+	ll, h float64 // the convergence sums
 	keys  []string
 	resp  []float64
 	panel *panel
 	sc1   []float64
 	sc2   []float64
-	// The block: n projected points, row-major in x, and their
-	// responsibilities, w[i·MomentsBlock+p] for component i and point p.
-	x []float64
-	w []float64
-	n int
 }
 
 func (m *momentsMapper) Setup(*mr.TaskContext) error {
 	k := m.model.K()
 	d := len(m.model.Attrs)
-	m.stats = make([]momentStat, k)
-	for i := range m.stats {
-		m.stats[i].Moments = linalg.NewMoments(d)
-	}
+	m.fold = linalg.NewMomentsFold(k, d)
+	m.ll, m.h = 0, 0
 	m.keys = mr.IntKeys("c", k)
 	m.resp = make([]float64, k)
 	m.panel = newPanel(m.model)
 	m.sc1 = make([]float64, d)
 	m.sc2 = make([]float64, d)
-	m.x = make([]float64, linalg.MomentsBlock*d)
-	m.w = make([]float64, linalg.MomentsBlock*k)
 	return nil
 }
 
@@ -337,52 +324,38 @@ func (m *momentsMapper) Map(ctx *mr.TaskContext, global int, row []float64) erro
 	}
 	b.logPDFs()
 	for p := 0; p < panelRows; p++ {
-		m.fold(b.point(p), b.responsibilities(m.resp, p))
+		m.push(b.point(p), b.responsibilities(m.resp, p))
 	}
 	b.n = 0
 	return nil
 }
 
-// fold adds the log-likelihood ll and the entropy of m.resp, the
+// push adds the log-likelihood ll and the entropy of m.resp, the
 // responsibilities of the projected point x, to the convergence sums, and
-// puts x and m.resp into the block, folding the block when it is full.
-func (m *momentsMapper) fold(x []float64, ll float64) {
-	m.stats[0].LL += ll
+// pushes x with m.resp as its weights.
+func (m *momentsMapper) push(x []float64, ll float64) {
+	m.ll += ll
 	h := 0.0
 	for _, r := range m.resp {
 		if r > 0 {
 			h -= r * math.Log(r)
 		}
 	}
-	m.stats[0].H += h
-	copy(m.x[m.n*len(x):], x)
-	for i, r := range m.resp {
-		m.w[i*linalg.MomentsBlock+m.n] = r
-	}
-	m.n++
-	if m.n == linalg.MomentsBlock {
-		m.flush()
-	}
-}
-
-// flush folds the block into every component's moments and empties it.
-func (m *momentsMapper) flush() {
-	d := len(m.model.Attrs)
-	for i := range m.stats {
-		w := m.w[i*linalg.MomentsBlock:]
-		m.stats[i].AddBlock(m.x[:m.n*d], w[:m.n])
-	}
-	m.n = 0
+	m.h += h
+	m.fold.Push(x, m.resp)
 }
 
 func (m *momentsMapper) Cleanup(ctx *mr.TaskContext) error {
 	for p := 0; p < m.panel.n; p++ {
 		x := m.panel.point(p)
-		m.fold(x, m.model.Responsibilities(m.resp, x, m.sc1, m.sc2))
+		m.push(x, m.model.Responsibilities(m.resp, x, m.sc1, m.sc2))
 	}
 	m.panel.n = 0
-	m.flush()
-	for i, st := range m.stats {
+	for i, mo := range m.fold.Moments() {
+		st := momentStat{Moments: mo}
+		if i == 0 {
+			st.LL, st.H = m.ll, m.h
+		}
 		ctx.Emit(m.keys[i], st)
 	}
 	return nil

@@ -103,3 +103,45 @@ var MergeMoments = mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, val
 	ctx.Emit(key, agg)
 	return nil
 })
+
+// PartialMoments is the map side of MergeMoments for the unit-weight jobs
+// (EM initialization, the robust in-core estimators): a mapper embeds it,
+// calls Reset from its Setup and Add from its Map, and uses its Cleanup.
+type PartialMoments struct {
+	fold *linalg.MomentsFold
+	keys []string
+}
+
+// Reset empties the partials for k components over d-dimensional points.
+func (p *PartialMoments) Reset(k, d int) {
+	p.fold = linalg.NewMomentsFold(k, d)
+	p.keys = mr.IntKeys("c", k)
+}
+
+// Add adds the projected point x to each of the distinct components cs.
+func (p *PartialMoments) Add(x []float64, cs ...int) { p.fold.PushUnit(x, cs...) }
+
+// Cleanup emits each component's partial under c<i>, skipping the
+// components no point reached.
+func (p *PartialMoments) Cleanup(ctx *mr.TaskContext) error {
+	for c, m := range p.fold.Moments() {
+		if m.W > 0 {
+			ctx.Emit(p.keys[c], m)
+		}
+	}
+	return nil
+}
+
+// CollectMoments reads the k per-component partials a MergeMoments job
+// wrote over d-dimensional points; a component no point reached gets an
+// empty accumulator (W = 0).
+func CollectMoments(out *mr.Output, k, d int) ([]linalg.Moments, error) {
+	acc := make([]linalg.Moments, k)
+	for i := range acc {
+		acc[i] = linalg.NewMoments(d)
+	}
+	if err := mr.IntKeyValues(out, "c", acc); err != nil {
+		return nil, err
+	}
+	return acc, nil
+}

@@ -123,14 +123,46 @@ func serialEMStep(t *testing.T, splits []*mr.Split, model *Model) *Model {
 	}
 	out := model.Clone()
 	for c, comp := range out.Components {
-		lin, w, _ := linalg.WeightedMoments(rows, d, resp[c])
-		for j := range comp.Mean {
-			comp.Mean[j] = lin[j] / w
-		}
+		var w float64
+		comp.Mean, w, comp.Cov = twoPassMoments(rows, d, resp[c])
 		comp.Weight = w / float64(n)
-		comp.Cov = linalg.WeightedCovariance(rows, d, resp[c], comp.Mean)
 	}
 	return out
+}
+
+// twoPassMoments is §5.4's M-step for one component in two passes over the
+// rows: the weighted mean lC/wC, then the unbiased weighted covariance
+// wC/(wC² − wC2)·Σ r_i (x_i−µ)(x_i−µ)ᵀ.
+func twoPassMoments(rows []float64, d int, r []float64) (mean []float64, w float64, cov *linalg.Matrix) {
+	mean = make([]float64, d)
+	var w2 float64
+	for i, ri := range r {
+		w += ri
+		w2 += ri * ri
+		for j := range mean {
+			mean[j] += ri * rows[i*d+j]
+		}
+	}
+	for j := range mean {
+		mean[j] /= w
+	}
+	cov = linalg.NewMatrix(d, d)
+	for i, ri := range r {
+		for a := 0; a < d; a++ {
+			da := ri * (rows[i*d+a] - mean[a])
+			for b := a; b < d; b++ {
+				cov.Data[a*d+b] += da * (rows[i*d+b] - mean[b])
+			}
+		}
+	}
+	f := w / (w*w - w2)
+	for a := 0; a < d; a++ {
+		for b := a; b < d; b++ {
+			cov.Data[a*d+b] *= f
+			cov.Data[b*d+a] = cov.Data[a*d+b]
+		}
+	}
+	return mean, w, cov
 }
 
 // TestFusedIterationMatchesSerialTwoPass cross-checks one MapReduce

@@ -157,3 +157,29 @@ func BenchmarkMomentsAddBlock(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMomentsFoldSparse pushes one block of MomentsBlock points per
+// op into a fold of k = 4 components at d = 19 (mvb-200k's shape), each
+// point with unit weight on one component, as the EM-initialization and
+// in-core mappers push; ns/point compares with BenchmarkMomentsAdd's ns/op.
+func BenchmarkMomentsFoldSparse(b *testing.B) {
+	const k, d = 4, 19
+	rng := rand.New(rand.NewSource(4))
+	rows := make([]float64, MomentsBlock*d)
+	for i := range rows {
+		rows[i] = rng.Float64()
+	}
+	comp := make([]int, MomentsBlock)
+	for i := range comp {
+		comp[i] = rng.Intn(k)
+	}
+	f := NewMomentsFold(k, d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for p, c := range comp {
+			f.PushUnit(rows[p*d:(p+1)*d], c)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*MomentsBlock), "ns/point")
+}

@@ -9,14 +9,16 @@ package linalg
 // summarise its split and a reducer fold the per-split partials into one
 // estimate.
 //
-// AddBlock folds up to MomentsBlock points at once: it sums the block
-// around a reference point with a register-tiled kernel and folds the sums
-// in with Chan's update, instead of one Welford step per point. That is a
-// different summation order from Add's. It stays deterministic because the
-// order depends only on which points form each block: a caller that cuts
-// its stream into blocks by position alone (the em-moments mapper cuts each
-// split at every MomentsBlock-th row) gets the same bits on every backend,
-// parallelism and retry.
+// Production code folds by block only: every moments job feeds its points
+// through a MomentsFold, which calls AddBlock on each component. AddBlock
+// sums a block of up to MomentsBlock points around a reference point with
+// a register-tiled kernel and folds the sums in with Chan's update, instead
+// of one Welford step per point. Add, that per-point step, is the reference
+// the tests hold AddBlock to: the two differ by rounding only. The block
+// order stays deterministic because it depends only on which points form
+// each block: MomentsFold cuts its stream at every MomentsBlock-th point,
+// so a mapper that pushes its split's points in row order gets the same
+// bits on every backend, parallelism and retry.
 //
 // The fields are exported so the value crosses the MapReduce shuffle (gob)
 // unchanged; treat them as read-only outside this package.
@@ -29,10 +31,10 @@ type Moments struct {
 	// packed row by row: row a holds the entries (a, a..d−1).
 	S []float64
 
-	// e is Add's scratch, x − µ_new per coordinate, and blk AddBlock's (see
-	// there). Neither crosses the shuffle, and a copy of the value shares
-	// them, so only one copy may Add or AddBlock.
-	e, blk []float64
+	// blk is AddBlock's scratch (see there). It does not cross the
+	// shuffle, and a copy of the value shares it, so only one copy may
+	// AddBlock.
+	blk []float64
 }
 
 // MomentsBlock is the most points AddBlock folds in one call. It is a
@@ -45,8 +47,9 @@ func NewMoments(d int) Moments {
 	return Moments{Mean: make([]float64, d), S: make([]float64, d*(d+1)/2)}
 }
 
-// Add accumulates the point x with weight w. Zero weights are skipped, so
-// they leave the accumulator bit-for-bit unchanged.
+// Add accumulates the point x with weight w, one West update. Zero
+// weights are skipped, so they leave the accumulator bit-for-bit
+// unchanged.
 func (m *Moments) Add(x []float64, w float64) {
 	if w == 0 {
 		return
@@ -56,36 +59,20 @@ func (m *Moments) Add(x []float64, w float64) {
 	r := w / m.W
 	// S += w·(x − µ_old)(x − µ_new)ᵀ. Walking the rows from the last one
 	// down, row a updates µ_a just before it is used, and the entries
-	// b > a already see the new mean — so no copy of the old mean is
-	// needed, and x_b − µ_new,b, the same for every row, is formed once
-	// into e.
+	// b > a already see the new mean, so no copy of the old mean is
+	// needed.
 	d := len(m.Mean)
-	if len(m.e) != d {
-		m.e = make([]float64, d)
-	}
-	e, mean, x := m.e, m.Mean, x[:d]
 	for a := d - 1; a >= 0; a-- {
-		delta := x[a] - mean[a]
-		mean[a] += delta * r
-		e[a] = x[a] - mean[a]
+		delta := x[a] - m.Mean[a]
+		m.Mean[a] += delta * r
 		da := w * delta
 		if da == 0 {
 			continue
 		}
 		off := a * (2*d - a + 1) / 2
 		row := m.S[off : off+d-a]
-		ea := e[a:]
-		ea = ea[:len(row)]
-		for len(row) >= 4 {
-			r4, e4 := (*[4]float64)(row), (*[4]float64)(ea)
-			r4[0] += da * e4[0]
-			r4[1] += da * e4[1]
-			r4[2] += da * e4[2]
-			r4[3] += da * e4[3]
-			row, ea = row[4:], ea[4:]
-		}
 		for i := range row {
-			row[i] += da * ea[i]
+			row[i] += da * (x[a+i] - m.Mean[a+i])
 		}
 	}
 }
@@ -255,6 +242,77 @@ func (m *Moments) addTiles(yt, wyt, s, g []float64, n int) {
 	}
 }
 
+// MomentsFold accumulates k Moments, one per component, over a stream of
+// points that each carry a weight per component: the map side of every
+// moments job. Every MomentsBlock pushed points it folds the block into
+// each component with one AddBlock, so the result depends only on the
+// points pushed and their order.
+type MomentsFold struct {
+	acc []Moments
+	// The block: n points, row-major in x, and their weights in w, at
+	// w[i·MomentsBlock+p] for component i and point p.
+	x, w []float64
+	n    int
+}
+
+// NewMomentsFold returns an empty fold of k components over d-dimensional
+// points.
+func NewMomentsFold(k, d int) *MomentsFold {
+	f := &MomentsFold{acc: make([]Moments, k), x: make([]float64, MomentsBlock*d), w: make([]float64, MomentsBlock*k)}
+	for i := range f.acc {
+		f.acc[i] = NewMoments(d)
+	}
+	return f
+}
+
+// Push adds the point x with weight w[i] for component i.
+func (f *MomentsFold) Push(x, w []float64) {
+	for i, wi := range w {
+		f.w[i*MomentsBlock+f.n] = wi
+	}
+	f.push(x)
+}
+
+// PushUnit adds the point x with unit weight for each of the distinct
+// components cs and zero weight for the others.
+func (f *MomentsFold) PushUnit(x []float64, cs ...int) {
+	for _, c := range cs {
+		f.w[c*MomentsBlock+f.n] = 1
+	}
+	f.push(x)
+}
+
+// push puts x into the block, whose weights the caller has set, and folds
+// the block when it is full.
+func (f *MomentsFold) push(x []float64) {
+	d := len(f.x) / MomentsBlock
+	copy(f.x[f.n*d:(f.n+1)*d], x)
+	f.n++
+	if f.n == MomentsBlock {
+		f.flush()
+	}
+}
+
+// flush folds the block into every component and empties it, zeroing its
+// weights for PushUnit.
+func (f *MomentsFold) flush() {
+	d := len(f.x) / MomentsBlock
+	for i := range f.acc {
+		w := f.w[i*MomentsBlock : i*MomentsBlock+f.n]
+		f.acc[i].AddBlock(f.x[:f.n*d], w)
+		clear(w)
+	}
+	f.n = 0
+}
+
+// Moments folds the last, partial block and returns the k accumulators,
+// in component order; a component that got no weight has W = 0. Call it
+// once, after the last push.
+func (f *MomentsFold) Moments() []Moments {
+	f.flush()
+	return f.acc
+}
+
 // Merge folds the accumulator o (over data disjoint from m's) into m.
 // o is not modified. Merging into an empty accumulator copies o.
 func (m *Moments) Merge(o Moments) {
@@ -296,8 +354,7 @@ func (m *Moments) SampleCov() *Matrix {
 }
 
 // WeightedCov returns the unbiased weighted covariance W/(W² − W2)·S of
-// §5.4 (see WeightedCovariance). It returns the zero matrix when the
-// normaliser degenerates.
+// §5.4. It returns the zero matrix when the normaliser degenerates.
 func (m *Moments) WeightedCov() *Matrix {
 	denom := m.W*m.W - m.W2
 	if denom <= 0 {

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -202,8 +203,8 @@ func TestMomentsFewerThanTwoPoints(t *testing.T) {
 	}
 }
 
-// addReference is the West/Welford update Add performs, written as the
-// direct per-entry loop: each S entry recomputes x_b − µ_new,b.
+// addReference is the West/Welford update Add performs, written out
+// independently: each S entry recomputes x_b − µ_new,b.
 func addReference(m *Moments, x []float64, w float64) {
 	if w == 0 {
 		return
@@ -227,10 +228,10 @@ func addReference(m *Moments, x []float64, w float64) {
 	}
 }
 
-// TestMomentsAddMatchesReferenceBits pins Add, with its shared x − µ_new
-// row and unrolled update, to the direct loop bit for bit, at every row
-// length modulo the unroll width, on offset data, with zero, tiny and
-// non-finite weights and coordinates.
+// TestMomentsAddMatchesReferenceBits pins Add, the per-point reference the
+// block fold is held to, to the direct loop bit for bit, at dimensions 1
+// to 11, on offset data, with zero, tiny and non-finite weights and
+// coordinates.
 func TestMomentsAddMatchesReferenceBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
@@ -492,5 +493,96 @@ func TestMomentsAddBlockTinyWeights(t *testing.T) {
 		if math.IsNaN(v) || v != want.Data[i] || v != perPoint.WeightedCov().Data[i] {
 			t.Fatalf("tiny-weight WeightedCov = %v, reference %v", got.Data, want.Data)
 		}
+	}
+}
+
+// foldStream draws n points and, per point, the components among k that
+// hold it: each of the first k−1 with probability 1/3, so points lie in
+// several components or in none, and component k−1 holds no point.
+func foldStream(n, d, k int, seed int64) (rows []float64, members [][]int) {
+	rows, _ = momentsData(n, d, 3, 2, seed)
+	rng := rand.New(rand.NewSource(seed + 1))
+	members = make([][]int, n)
+	for i := range members {
+		for c := 0; c < k-1; c++ {
+			if rng.Intn(3) == 0 {
+				members[i] = append(members[i], c)
+			}
+		}
+	}
+	return rows, members
+}
+
+// TestMomentsFoldSparseUnitWeights pushes streams of 64·m + r points with
+// sparse unit weights, as the EM-initialization and in-core mappers do.
+// Per component, the fold must hold the bits of AddBlock over the same
+// 64-point blocks, W and W2 must be the exact member count that
+// estimateCoreModel and the in-core estimators read, the moments must
+// agree with the per-point Add reference to AddBlock's tolerance, and a
+// component that got no point must stay empty, so its partial is not
+// emitted.
+func TestMomentsFoldSparseUnitWeights(t *testing.T) {
+	const k = 4
+	for _, d := range []int{1, 5, 19} {
+		for _, m := range []int{0, 1, 3} {
+			for _, r := range []int{0, 1, 17, MomentsBlock - 1} {
+				n := m*MomentsBlock + r
+				rows, members := foldStream(n, d, k, int64(100*d+n))
+				f := NewMomentsFold(k, d)
+				for i, cs := range members {
+					f.PushUnit(rows[i*d:(i+1)*d], cs...)
+				}
+				got := f.Moments()
+				for c := 0; c < k; c++ {
+					w := make([]float64, n)
+					count := 0
+					for i, cs := range members {
+						for _, ci := range cs {
+							if ci == c {
+								w[i] = 1
+								count++
+							}
+						}
+					}
+					name := func() string { return fmt.Sprintf("d=%d n=%d component %d", d, n, c) }
+					if !sameMoments(got[c], accumulateBlocks(rows, w, d, 0, n)) {
+						t.Errorf("%s: fold differs from AddBlock over the same blocks", name())
+					}
+					if got[c].W != float64(count) || got[c].W2 != float64(count) {
+						t.Errorf("%s: W, W2 = %v, %v; want the member count %d", name(), got[c].W, got[c].W2, count)
+					}
+					if count == 0 {
+						if !sameMoments(got[c], NewMoments(d)) {
+							t.Errorf("%s: no point, but the fold is not empty: %+v", name(), got[c])
+						}
+						continue
+					}
+					want := accumulate(rows, w, d, 0, n)
+					if e := relErr(got[c].Mean, want.Mean); e > 1e-12 {
+						t.Errorf("%s: mean relative error %g against Add", name(), e)
+					}
+					if e := relErr(got[c].S, want.S); e > 1e-12 {
+						t.Errorf("%s: scatter relative error %g against Add", name(), e)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMomentsFoldAllocs: once each component has its block scratch, a
+// block of pushes, its fold included, allocates nothing.
+func TestMomentsFoldAllocs(t *testing.T) {
+	const d, k = 19, 4
+	rows, members := foldStream(MomentsBlock, d, k, 3)
+	f := NewMomentsFold(k, d)
+	block := func() {
+		for i, cs := range members {
+			f.PushUnit(rows[i*d:(i+1)*d], cs...)
+		}
+	}
+	block()
+	if allocs := testing.AllocsPerRun(50, block); allocs != 0 {
+		t.Fatalf("%v allocations per block, want 0", allocs)
 	}
 }

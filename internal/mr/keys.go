@@ -34,6 +34,30 @@ func ParseIntKey(key, prefix string, n int) (int, error) {
 	return i, nil
 }
 
+// IntKeyValues fills vals from the output of a job that emits at most one
+// record per key prefix+"i" (see IntKeys), 0 ≤ i < len(vals): each record's
+// value, a T, goes to vals[i]; a slot no record names keeps what the
+// caller put there. A key IntKeys cannot produce, a value of another type
+// or a key seen twice is an error, never a silent or out-of-range slot.
+func IntKeyValues[T any](out *Output, prefix string, vals []T) error {
+	seen := make([]bool, len(vals))
+	for _, p := range out.Pairs {
+		i, err := ParseIntKey(p.Key, prefix, len(vals))
+		if err != nil {
+			return err
+		}
+		v, ok := p.Value.(T)
+		if !ok {
+			return fmt.Errorf("mr: key %q: want a %T, got %T", p.Key, v, p.Value)
+		}
+		if seen[i] {
+			return fmt.Errorf("mr: key %q seen twice", p.Key)
+		}
+		vals[i], seen[i] = v, true
+	}
+	return nil
+}
+
 // SplitKey is the key under which a map task emits its split's one
 // per-split record (a column or bitmap slab, from Cleanup): "s" and the
 // split's ID.

@@ -247,6 +247,6 @@ func (m *inEllipsoidMapper) Map(ctx *mr.TaskContext, global int, row []float64) 
 	if md*md > m.radius2 {
 		return nil
 	}
-	m.acc[c].Add(x, 1)
+	m.Add(x, c)
 	return nil
 }

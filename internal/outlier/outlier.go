@@ -264,12 +264,8 @@ func robustModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace o
 		return nil, err
 	}
 	balls := make([]ballStat, k)
-	for _, p := range out1.Pairs {
-		c, err := mr.ParseIntKey(p.Key, "c", k)
-		if err != nil {
-			return nil, err
-		}
-		balls[c] = p.Value.(ballStat)
+	if err := mr.IntKeyValues(out1, "c", balls); err != nil {
+		return nil, err
 	}
 
 	// Job 2: mean and covariance of the in-ball points per cluster, in one
@@ -393,15 +389,7 @@ func inCoreMoments(engine *mr.Engine, job *mr.Job, k int, sp robustSpec) ([]lina
 	if err != nil {
 		return nil, err
 	}
-	acc := make([]linalg.Moments, k)
-	for _, p := range out.Pairs {
-		c, err := mr.ParseIntKey(p.Key, "c", k)
-		if err != nil {
-			return nil, err
-		}
-		acc[c] = p.Value.(linalg.Moments)
-	}
-	return acc, nil
+	return em.CollectMoments(out, k, len(sp.Model.Attrs))
 }
 
 // buildInCoreJob returns the builder of one in-core re-estimation job: the
@@ -439,13 +427,12 @@ func buildInCoreJob(ellipsoid bool) func(spec []byte) (mr.JobFuncs, error) {
 
 // inCore is the state shared by the in-core mappers: the mixture that
 // assigns each point to a cluster, the split's assignment column under it,
-// and one moments accumulator per cluster that Cleanup emits.
+// and the per-cluster partials that Cleanup emits.
 type inCore struct {
+	em.PartialMoments
 	model  *em.Assigner
 	lab    []int32 // the split's assignment column
 	offset int
-	acc    []linalg.Moments
-	keys   []string
 	proj   []float64
 	sc1    []float64
 	sc2    []float64
@@ -454,24 +441,10 @@ type inCore struct {
 func (m *inCore) Setup(ctx *mr.TaskContext) error {
 	m.lab, m.offset = m.model.Labels(ctx.Split), ctx.Split.Offset
 	d := len(m.model.Attrs)
-	k := m.model.K()
-	m.keys = mr.IntKeys("c", k)
-	m.acc = make([]linalg.Moments, k)
-	for i := range m.acc {
-		m.acc[i] = linalg.NewMoments(d)
-	}
+	m.Reset(m.model.K(), d)
 	m.proj = make([]float64, d)
 	m.sc1 = make([]float64, d)
 	m.sc2 = make([]float64, d)
-	return nil
-}
-
-func (m *inCore) Cleanup(ctx *mr.TaskContext) error {
-	for c := range m.acc {
-		if m.acc[c].W > 0 {
-			ctx.Emit(m.keys[c], m.acc[c])
-		}
-	}
 	return nil
 }
 
@@ -497,6 +470,6 @@ func (m *inBallMapper) Map(ctx *mr.TaskContext, global int, row []float64) error
 	if math.Sqrt(s) > ball.Radius {
 		return nil
 	}
-	m.acc[c].Add(x, 1)
+	m.Add(x, c)
 	return nil
 }

@@ -234,3 +234,47 @@ func TestInCoreMomentsRejectsBadKey(t *testing.T) {
 		t.Fatal("inCoreMoments accepted key c2 for a 2-cluster model")
 	}
 }
+
+// TestInBallMomentsSkipBalllessCluster: the mvb-mean job emits no partial
+// for a cluster without a ball, which reads back as an empty accumulator,
+// and a cluster's W is the exact count of its in-ball points.
+func TestInBallMomentsSkipBalllessCluster(t *testing.T) {
+	splits, model, _ := twoClusters([]int{1, 63, 64, 65, 300}, 3, 8)
+	if err := model.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	center, radius := model.Components[0].Mean, 0.1
+	sp := robustSpec{Model: em.SpecOf(model), Balls: []ballStat{{Center: center, Radius: radius, Count: 1}, {}}}
+	job := func() *mr.Job { return &mr.Job{Name: "mvb-mean", Splits: splits, Impl: "mvb-mean"} }
+	out, err := runModelJob(mr.Default(), job(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Pairs) != 1 || out.Pairs[0].Key != "c0" {
+		t.Fatalf("mvb-mean wrote %d records, want one under c0", len(out.Pairs))
+	}
+	acc, err := inCoreMoments(mr.Default(), job(), 2, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := 0
+	x, sc1, sc2 := make([]float64, 3), make([]float64, 3), make([]float64, 3)
+	for _, s := range splits {
+		for r := 0; r < s.NumRows(); r++ {
+			x = model.Project(x, s.Row(r))
+			s2 := 0.0
+			for j, v := range x {
+				s2 += (v - center[j]) * (v - center[j])
+			}
+			if model.MostLikely(x, sc1, sc2) == 0 && math.Sqrt(s2) <= radius {
+				count++
+			}
+		}
+	}
+	if count == 0 || acc[0].W != float64(count) {
+		t.Errorf("cluster 0: W = %v, want its %d in-ball points", acc[0].W, count)
+	}
+	if acc[1].W != 0 || len(acc[1].Mean) != 3 {
+		t.Errorf("ball-less cluster 1: %+v, want an empty 3-dimensional accumulator", acc[1])
+	}
+}
