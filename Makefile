@@ -119,13 +119,17 @@ loc:
 # Benchmarks with a machine-readable summary: benchjson tees the raw
 # output through and writes BENCH_PR19.json for cross-PR baseline diffs.
 # The a-priori join and maximality filter benchmarks, the per-point and
-# block moments kernels and the per-component moments fold then run once
-# each, a compile and smoke pass outside that record.
+# block moments kernels, the per-component moments fold, Light's
+# word-by-word member lists and unique labels, and the data set's
+# non-finite scan then run once each, a compile, smoke and allocation pass
+# outside that record.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/mr/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_PR19.json
 	$(GO) test -run xxx -bench 'GenerateCandidates|FilterMaximal' -benchtime 1x -benchmem ./internal/signature/
 	$(GO) test -run xxx -bench 'MomentsAdd|MomentsFold' -benchtime 1x -benchmem ./internal/linalg/
+	$(GO) test -run xxx -bench 'CollectMembers|UniqueLabels' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'Validate' -benchtime 1x -benchmem ./internal/dataset/
 
 # Compare the engine micro-benchmarks of the working tree against its
 # parent commit (HEAD^), measured in one session so machine drift between

@@ -182,3 +182,131 @@ func TestSplitColumnJobsEmitOncePerSplit(t *testing.T) {
 		})
 	}
 }
+
+// randomSlabs returns contiguous splits of the given sizes from global
+// index offset on, each with a random member slab of k signatures over its
+// rows, as the membership job emits them, and the job's output. Signature
+// 0 holds no row when k > 1; the others each hold a row with probability
+// 1/2, so many rows are held by two or more. Bits past a split's last row
+// are set too: readers must mask them.
+func randomSlabs(rng *rand.Rand, sizes []int, offset, k int) ([]*mr.Split, []splitMembers, *mr.Output) {
+	var splits []*mr.Split
+	var members []splitMembers
+	out := &mr.Output{}
+	for id, sz := range sizes {
+		s := &mr.Split{ID: id, Offset: offset, Dim: 1, Rows: make([]float64, sz)}
+		slab := make([]uint64, k*bitWords(s))
+		for i := range slab {
+			if k == 1 || i >= bitWords(s) {
+				slab[i] = rng.Uint64()
+			}
+		}
+		splits = append(splits, s)
+		members = append(members, splitMembers{slab, bitWords(s), s.Offset, sz})
+		out.Pairs = append(out.Pairs, mr.Pair{Key: mr.SplitKey(s), Value: slab})
+		offset += sz
+	}
+	return splits, members, out
+}
+
+// TestMemberColumnsMatchPerPoint holds collectMembers and uniqueLabels to
+// per-point references built on splitMembers.of, over random slabs of
+// k = 1…5 signatures and splits of 0, 1, 63, 64, 65 and 4097 rows from a
+// nonzero offset on, element for element and in order. Every object list
+// is sized exactly.
+func TestMemberColumnsMatchPerPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	sizes := []int{0, 1, 63, 64, 65, 4097}
+	for k := 1; k <= 5; k++ {
+		perm := rng.Perm(len(sizes))
+		shuffled := make([]int, len(sizes))
+		for i, j := range perm {
+			shuffled[i] = sizes[j]
+		}
+		for _, sz := range [][]int{sizes, shuffled} {
+			splits, members, out := randomSlabs(rng, sz, 1+rng.Intn(1000), k)
+			objects, err := collectMembers(out, splits, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]int, k)
+			shared := 0
+			var ids []int
+			for _, sm := range members {
+				lab := uniqueLabels(sm)
+				if len(lab) != sm.rows {
+					t.Fatalf("k=%d: %d labels for %d rows", k, len(lab), sm.rows)
+				}
+				for r := range sm.rows {
+					ids = sm.of(ids[:0], sm.offset+r)
+					for _, c := range ids {
+						want[c] = append(want[c], sm.offset+r)
+					}
+					wantLab := int32(-1)
+					if len(ids) == 1 {
+						wantLab = int32(ids[0])
+					} else if len(ids) > 1 {
+						shared++
+					}
+					if lab[r] != wantLab {
+						t.Fatalf("k=%d sizes %v: row %d labelled %d, per-point %d", k, sz, sm.offset+r, lab[r], wantLab)
+					}
+				}
+			}
+			if k > 2 && shared == 0 {
+				t.Fatalf("k=%d: no row held by two signatures", k)
+			}
+			for c := range want {
+				if !slices.Equal(objects[c], want[c]) {
+					t.Fatalf("k=%d sizes %v: signature %d has %d objects, per-point %d", k, sz, c, len(objects[c]), len(want[c]))
+				}
+				if cap(objects[c]) != len(objects[c]) {
+					t.Fatalf("k=%d: signature %d list has cap %d, len %d", k, c, cap(objects[c]), len(objects[c]))
+				}
+			}
+			if k > 1 && objects[0] != nil {
+				t.Fatalf("k=%d: empty signature 0 has objects %v", k, objects[0])
+			}
+		}
+	}
+}
+
+// benchSlabs is the membership output of 5 signatures over 2¹⁸ rows in
+// 16 splits, each row held by a signature with probability 1/4.
+func benchSlabs() ([]*mr.Split, []splitMembers, *mr.Output) {
+	const k, n, parts = 5, 1 << 18, 16
+	rng := rand.New(rand.NewSource(1))
+	sizes := make([]int, parts)
+	for i := range sizes {
+		sizes[i] = n / parts
+	}
+	splits, members, out := randomSlabs(rng, sizes, 0, k)
+	for _, sm := range members {
+		for i := range sm.bits {
+			sm.bits[i] = rng.Uint64() & rng.Uint64()
+		}
+	}
+	return splits, members, out
+}
+
+func BenchmarkCollectMembers(b *testing.B) {
+	splits, _, out := benchSlabs()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := collectMembers(out, splits, 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkUniqueLabels(b *testing.B) {
+	_, members, _ := benchSlabs()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for range b.N {
+		for _, sm := range members {
+			uniqueLabels(sm)
+		}
+	}
+}

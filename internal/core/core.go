@@ -457,21 +457,29 @@ func Memberships(engine *mr.Engine, name string, splits []*mr.Split, sigs []sign
 
 // collectMembers assembles the objects of k signatures from the job's
 // per-split member bitmaps, checked to name each split once with k
-// bitmaps over its rows.
+// bitmaps over its rows. Each list is sized from its bitmaps' popcounts
+// and filled word by word, in split order.
 func collectMembers(out *mr.Output, splits []*mr.Split, k int) ([][]int, error) {
 	slabs, err := mr.SplitValues[[]uint64](out, splits, func(s *mr.Split) int { return k * bitWords(s) })
 	if err != nil {
 		return nil, fmt.Errorf("core: membership: %w", err)
 	}
-	objects := make([][]int, k)
-	var ids []int
+	members := make([]splitMembers, len(splits))
 	for i, s := range splits {
-		sm := splitMembers{slabs[i], bitWords(s), s.Offset}
-		for g := s.Offset; g < s.Offset+s.NumRows(); g++ {
-			ids = sm.of(ids[:0], g)
-			for _, c := range ids {
-				objects[c] = append(objects[c], g)
-			}
+		members[i] = splitMembers{slabs[i], bitWords(s), s.Offset, s.NumRows()}
+	}
+	objects := make([][]int, k)
+	for c := range objects {
+		n := 0
+		for _, sm := range members {
+			n += sm.count(c)
+		}
+		if n == 0 {
+			continue
+		}
+		objects[c] = make([]int, 0, n)
+		for _, sm := range members {
+			objects[c] = sm.appendMembers(objects[c], c)
 		}
 	}
 	return objects, nil

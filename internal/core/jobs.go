@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"p3cmr/internal/histogram"
@@ -251,14 +252,14 @@ func rowBits(s *mr.Split) *signature.RowBits {
 
 // splitMembers holds the member bitmaps of a signature set over one split:
 // bit r of signature j's bitmap, words [j·words, (j+1)·words) of bits, is
-// set iff signature j holds the split's row r.
+// set iff signature j holds the split's row r, for r < rows.
 type splitMembers struct {
-	bits          []uint64
-	words, offset int
+	bits                []uint64
+	words, offset, rows int
 }
 
 func newSplitMembers(ix *signature.SupportIndex, s *mr.Split) splitMembers {
-	return splitMembers{bits: ix.Members(rowBits(s)), words: bitWords(s), offset: s.Offset}
+	return splitMembers{bits: ix.Members(rowBits(s)), words: bitWords(s), offset: s.Offset, rows: s.NumRows()}
 }
 
 // bitWords is the word count of one bitmap over the split's rows.
@@ -272,6 +273,39 @@ func (sm splitMembers) of(dst []int, global int) []int {
 	for i := r / 64; i < len(sm.bits); i += sm.words {
 		if sm.bits[i]>>b&1 != 0 {
 			dst = append(dst, i/sm.words)
+		}
+	}
+	return dst
+}
+
+// bitmap returns signature j's bitmap. Its last word may have bits past
+// the split's rows; mask clears them.
+func (sm splitMembers) bitmap(j int) []uint64 { return sm.bits[j*sm.words : (j+1)*sm.words] }
+
+// mask returns the bits of word w that stand for rows of the split.
+func (sm splitMembers) mask(w int) uint64 {
+	if r := sm.rows - 64*w; r < 64 {
+		return 1<<uint(r) - 1
+	}
+	return ^uint64(0)
+}
+
+// count returns the number of the split's rows signature j holds.
+func (sm splitMembers) count(j int) int {
+	n := 0
+	for w, x := range sm.bitmap(j) {
+		n += bits.OnesCount64(x & sm.mask(w))
+	}
+	return n
+}
+
+// appendMembers appends the global indices of the rows signature j holds
+// to dst, ascending, and returns it.
+func (sm splitMembers) appendMembers(dst []int, j int) []int {
+	for w, x := range sm.bitmap(j) {
+		base := sm.offset + 64*w
+		for x &= sm.mask(w); x != 0; x &= x - 1 {
+			dst = append(dst, base+bits.TrailingZeros64(x))
 		}
 	}
 	return dst
@@ -304,20 +338,36 @@ func (src memberSource) labeler() (func(*mr.Split) []int32, error) {
 	}
 	ix := signature.NewSupportIndex(cores)
 	return func(s *mr.Split) []int32 {
-		return s.Memo(uniqueKey(src.Cores), func() any { return uniqueLabels(newSplitMembers(ix, s), s.NumRows()) }).([]int32)
+		return s.Memo(uniqueKey(src.Cores), func() any { return uniqueLabels(newSplitMembers(ix, s)) }).([]int32)
 	}, nil
 }
 
-// uniqueLabels returns the unique-membership column of a split's rows
-// rows: entry r is the one signature of sm holding row r, or −1 when none
-// or several do.
-func uniqueLabels(sm splitMembers, rows int) []int32 {
-	lab := make([]int32, rows)
-	var ids []int
+// uniqueLabels returns the unique-membership column of the split's rows:
+// entry r is the one signature of sm holding row r, or −1 when none or
+// several do. One OR pass per word marks the rows held once and those
+// held twice or more; each signature then labels its rows not held twice.
+func uniqueLabels(sm splitMembers) []int32 {
+	lab := make([]int32, sm.rows)
+	if sm.rows == 0 {
+		return lab
+	}
 	for r := range lab {
 		lab[r] = -1
-		if ids = sm.of(ids[:0], sm.offset+r); len(ids) == 1 {
-			lab[r] = int32(ids[0])
+	}
+	twice := make([]uint64, sm.words)
+	for w := range twice {
+		var once, t uint64
+		for i := w; i < len(sm.bits); i += sm.words {
+			t |= once & sm.bits[i]
+			once |= sm.bits[i]
+		}
+		twice[w] = t
+	}
+	for j := range len(sm.bits) / sm.words {
+		for w, x := range sm.bitmap(j) {
+			for x &= sm.mask(w) &^ twice[w]; x != 0; x &= x - 1 {
+				lab[64*w+bits.TrailingZeros64(x)] = int32(j)
+			}
 		}
 	}
 	return lab
@@ -543,22 +593,27 @@ func buildTighteningJob(spec []byte) (mr.JobFuncs, error) {
 	}, nil
 }
 
+// tightenMapper keeps, per cluster, the extrema of its attributes over
+// the task's members of the cluster: mins[c][i] and maxs[c][i] for
+// attribute attrs[c][i], set from the first member (seen[c]) on.
 type tightenMapper struct {
 	labels     func(*mr.Split) []int32
 	lab        []int32
 	offset     int
 	attrs      [][]int
-	mins, maxs []map[int]float64
+	mins, maxs [][]float64
+	seen       []bool
 }
 
 func (m *tightenMapper) Setup(ctx *mr.TaskContext) error {
 	m.lab, m.offset = m.labels(ctx.Split), ctx.Split.Offset
-	m.mins = make([]map[int]float64, len(m.attrs))
-	m.maxs = make([]map[int]float64, len(m.attrs))
-	for i := range m.attrs {
-		m.mins[i] = make(map[int]float64)
-		m.maxs[i] = make(map[int]float64)
+	m.mins = make([][]float64, len(m.attrs))
+	m.maxs = make([][]float64, len(m.attrs))
+	for c, as := range m.attrs {
+		m.mins[c] = make([]float64, len(as))
+		m.maxs[c] = make([]float64, len(as))
 	}
+	m.seen = make([]bool, len(m.attrs))
 	return nil
 }
 
@@ -567,13 +622,21 @@ func (m *tightenMapper) Map(ctx *mr.TaskContext, global int, row []float64) erro
 	if c < 0 || c >= len(m.attrs) {
 		return nil
 	}
-	for _, a := range m.attrs[c] {
-		v := row[a]
-		if cur, ok := m.mins[c][a]; !ok || v < cur {
-			m.mins[c][a] = v
+	lo, hi := m.mins[c], m.maxs[c]
+	if !m.seen[c] {
+		m.seen[c] = true
+		for i, a := range m.attrs[c] {
+			lo[i], hi[i] = row[a], row[a]
 		}
-		if cur, ok := m.maxs[c][a]; !ok || v > cur {
-			m.maxs[c][a] = v
+		return nil
+	}
+	for i, a := range m.attrs[c] {
+		v := row[a]
+		if v < lo[i] {
+			lo[i] = v
+		}
+		if v > hi[i] {
+			hi[i] = v
 		}
 	}
 	return nil
@@ -586,21 +649,17 @@ func (m *tightenMapper) Cleanup(ctx *mr.TaskContext) error {
 	return nil
 }
 
-// tightenedPairs flattens the per-task min/max maps into emission order.
-// It iterates the cluster's sorted attribute list, not the maps: map
-// iteration order is randomized per run, and emission order feeds the
-// shuffle, so ranging the maps here would break the engine's bit-identity
-// guarantee. Attributes this task saw no point for have no map entry and
-// are skipped.
+// tightenedPairs returns the task's extrema in emission order: by cluster,
+// then along the cluster's attribute list. A cluster this task saw no
+// member of has no pair.
 func (m *tightenMapper) tightenedPairs() []mr.Pair {
 	var out []mr.Pair
-	for c := range m.attrs {
-		for _, a := range m.attrs[c] {
-			lo, ok := m.mins[c][a]
-			if !ok {
-				continue
-			}
-			out = append(out, mr.Pair{Key: fmt.Sprintf("t%d_%d", c, a), Value: [2]float64{lo, m.maxs[c][a]}})
+	for c, seen := range m.seen {
+		if !seen {
+			continue
+		}
+		for i, a := range m.attrs[c] {
+			out = append(out, mr.Pair{Key: fmt.Sprintf("t%d_%d", c, a), Value: [2]float64{m.mins[c][i], m.maxs[c][i]}})
 		}
 	}
 	return out

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"p3cmr/internal/dataset"
@@ -210,44 +213,176 @@ func TestUncoveredCountsJobMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTightenCleanupEmissionOrder pins the fix for the map-range emission in
-// tightenMapper.Cleanup (flagged by the maporder analyzer): the emitted pair
-// sequence must follow the clusters' sorted attribute lists, never map
-// iteration order, or mapper output order — and with it the engine's
-// bit-identity guarantee — varies per run.
-func TestTightenCleanupEmissionOrder(t *testing.T) {
-	attrs := [][]int{{0, 2, 5}, {1, 3}}
-	build := func(perm []int) *tightenMapper {
-		m := &tightenMapper{
-			attrs: attrs,
-			mins:  []map[int]float64{{}, {}},
-			maxs:  []map[int]float64{{}, {}},
-		}
-		for _, a := range perm {
-			m.mins[0][a] = float64(a)
-			m.maxs[0][a] = float64(a) + 1
-		}
-		m.mins[1][1], m.maxs[1][1] = 0.5, 0.6
-		m.mins[1][3], m.maxs[1][3] = 0.1, 0.9
-		return m
+// tightenTask sets m up over a split of rows of width dim with the given
+// labels, maps every row in the order order and returns the pairs its
+// Cleanup would emit.
+func tightenTask(m interface {
+	mr.Mapper
+	tightenedPairs() []mr.Pair
+}, rows []float64, dim int, order []int) []mr.Pair {
+	s := &mr.Split{Offset: 11, Dim: dim, Rows: rows}
+	ctx := &mr.TaskContext{Split: s}
+	if err := m.Setup(ctx); err != nil {
+		panic(err)
 	}
-	want := []string{"t0_0", "t0_2", "t0_5", "t1_1", "t1_3"}
-	for _, perm := range [][]int{{0, 2, 5}, {5, 0, 2}, {2, 5, 0}} {
-		got := build(perm).tightenedPairs()
-		if len(got) != len(want) {
-			t.Fatalf("insertion order %v: got %d pairs, want %d", perm, len(got), len(want))
+	for _, r := range order {
+		if err := m.Map(ctx, s.Offset+r, s.Row(r)); err != nil {
+			panic(err)
+		}
+	}
+	return m.tightenedPairs()
+}
+
+// TestTightenCleanupEmissionOrder pins tightenMapper's emission order:
+// pairs follow the clusters, then each cluster's attribute list, whatever
+// order the rows arrive in; emission order feeds the shuffle, so any other
+// order would break the engine's bit-identity guarantee. A cluster the
+// task saw no member of emits nothing.
+func TestTightenCleanupEmissionOrder(t *testing.T) {
+	const dim = 6
+	attrs := [][]int{{0, 2, 5}, {}, {3, 1}, {4}}
+	labels := []int32{2, 0, -1, 0, 2, 0}
+	rows := make([]float64, len(labels)*dim)
+	for i := range rows {
+		rows[i] = float64((i * 7) % 13)
+	}
+	labeler := func(*mr.Split) []int32 { return labels }
+	want := []string{"t0_0", "t0_2", "t0_5", "t2_3", "t2_1"}
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}, {3, 0, 5, 2, 4, 1}} {
+		got := tightenTask(&tightenMapper{labels: labeler, attrs: attrs}, rows, dim, order)
+		keys := make([]string, len(got))
+		for i, p := range got {
+			keys[i] = p.Key
+		}
+		if !slices.Equal(keys, want) {
+			t.Fatalf("row order %v: keys %v, want %v", order, keys, want)
 		}
 		for i, p := range got {
-			if p.Key != want[i] {
-				t.Fatalf("insertion order %v: pair %d = %s, want %s", perm, i, p.Key, want[i])
+			c, a, err := parsePairKey(p.Key, "t", len(attrs), dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for r, l := range labels {
+				if int(l) == c {
+					lo, hi = min(lo, rows[r*dim+a]), max(hi, rows[r*dim+a])
+				}
+			}
+			if p.Value != [2]float64{lo, hi} {
+				t.Fatalf("row order %v: pair %d %s = %v, want [%v %v]", order, i, p.Key, p.Value, lo, hi)
 			}
 		}
 	}
-	// An attribute this task saw no point for is skipped, not emitted.
-	m := build([]int{0, 2, 5})
-	delete(m.mins[0], 2)
-	got := m.tightenedPairs()
-	if len(got) != len(want)-1 || got[1].Key != "t0_5" {
-		t.Fatalf("missing attribute not skipped: %v", got)
+}
+
+// mapTightenMapper is the reference tightenMapper is held to: a min and a
+// max map per cluster, keyed by attribute, the first value seen kept
+// unless a later one is strictly beyond it, emitted along each cluster's
+// attribute list.
+type mapTightenMapper struct {
+	labels     func(*mr.Split) []int32
+	lab        []int32
+	offset     int
+	attrs      [][]int
+	mins, maxs []map[int]float64
+}
+
+func (m *mapTightenMapper) Setup(ctx *mr.TaskContext) error {
+	m.lab, m.offset = m.labels(ctx.Split), ctx.Split.Offset
+	m.mins = make([]map[int]float64, len(m.attrs))
+	m.maxs = make([]map[int]float64, len(m.attrs))
+	for i := range m.attrs {
+		m.mins[i] = make(map[int]float64)
+		m.maxs[i] = make(map[int]float64)
+	}
+	return nil
+}
+
+func (m *mapTightenMapper) Map(_ *mr.TaskContext, global int, row []float64) error {
+	c := int(m.lab[global-m.offset])
+	if c < 0 || c >= len(m.attrs) {
+		return nil
+	}
+	for _, a := range m.attrs[c] {
+		v := row[a]
+		if cur, ok := m.mins[c][a]; !ok || v < cur {
+			m.mins[c][a] = v
+		}
+		if cur, ok := m.maxs[c][a]; !ok || v > cur {
+			m.maxs[c][a] = v
+		}
+	}
+	return nil
+}
+
+func (m *mapTightenMapper) Cleanup(*mr.TaskContext) error { return nil }
+
+func (m *mapTightenMapper) tightenedPairs() []mr.Pair {
+	var out []mr.Pair
+	for c := range m.attrs {
+		for _, a := range m.attrs[c] {
+			lo, ok := m.mins[c][a]
+			if !ok {
+				continue
+			}
+			out = append(out, mr.Pair{Key: fmt.Sprintf("t%d_%d", c, a), Value: [2]float64{lo, m.maxs[c][a]}})
+		}
+	}
+	return out
+}
+
+// TestTightenMapperMatchesMapOracle holds tightenMapper to the map-based
+// mapTightenMapper over random rows and labels: −1 labels, a cluster no
+// row reaches (no pair), and values drawn from a small set with −0 and +0,
+// so ties are frequent and the first value seen must win, down to the sign
+// of a zero.
+func TestTightenMapperMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	values := []float64{math.Copysign(0, -1), 0, 0.25, -0.25, 1, 1, 5e-324}
+	for trial := 0; trial < 50; trial++ {
+		dim := 1 + rng.Intn(6)
+		k := 1 + rng.Intn(5)
+		attrs := make([][]int, k)
+		for c := range attrs {
+			for a := 0; a < dim; a++ {
+				if rng.Intn(2) == 0 {
+					attrs[c] = append(attrs[c], a)
+				}
+			}
+		}
+		unreached := rng.Intn(k)
+		n := rng.Intn(200)
+		labels := make([]int32, n)
+		for r := range labels {
+			l := rng.Intn(k+1) - 1
+			if l == unreached {
+				l = -1
+			}
+			labels[r] = int32(l)
+		}
+		rows := make([]float64, n*dim)
+		for i := range rows {
+			rows[i] = values[rng.Intn(len(values))]
+		}
+		order := rng.Perm(n)
+		labeler := func(*mr.Split) []int32 { return labels }
+		got := tightenTask(&tightenMapper{labels: labeler, attrs: attrs}, rows, dim, order)
+		want := tightenTask(&mapTightenMapper{labels: labeler, attrs: attrs}, rows, dim, order)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d pairs, oracle %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i].Value.([2]float64), want[i].Value.([2]float64)
+			if got[i].Key != want[i].Key ||
+				math.Float64bits(g[0]) != math.Float64bits(w[0]) || math.Float64bits(g[1]) != math.Float64bits(w[1]) {
+				t.Fatalf("trial %d: pair %d = %s %v, oracle %s %v", trial, i, got[i].Key, g, want[i].Key, w)
+			}
+		}
+		prefix := fmt.Sprintf("t%d_", unreached)
+		for _, p := range got {
+			if strings.HasPrefix(p.Key, prefix) {
+				t.Fatalf("trial %d: pair %s for unreached cluster %d", trial, p.Key, unreached)
+			}
+		}
 	}
 }

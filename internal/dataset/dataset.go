@@ -158,6 +158,9 @@ func (d *Dataset) Clamp01() {
 	}
 }
 
+// validateBlock is the number of values Validate checks with one branch.
+const validateBlock = 256
+
 // Validate checks structural invariants and value sanity (no NaN/Inf) and
 // returns a descriptive error on the first violation.
 func (d *Dataset) Validate() error {
@@ -167,10 +170,36 @@ func (d *Dataset) Validate() error {
 	if len(d.Rows)%d.Dim != 0 {
 		return fmt.Errorf("dataset: %d values not divisible by dim %d", len(d.Rows), d.Dim)
 	}
-	for i, v := range d.Rows {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("dataset: non-finite value at flat index %d (row %d, col %d)", i, i/d.Dim, i%d.Dim)
+	for lo := 0; lo < len(d.Rows); lo += validateBlock {
+		block := d.Rows[lo:min(lo+validateBlock, len(d.Rows))]
+		if finite(block) {
+			continue
+		}
+		for i, v := range block {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				i += lo
+				return fmt.Errorf("dataset: non-finite value at flat index %d (row %d, col %d)", i, i/d.Dim, i%d.Dim)
+			}
 		}
 	}
 	return nil
+}
+
+// finite reports whether every value of b is finite, without a branch per
+// value: v·0 is NaN exactly when v is NaN or ±Inf (else ±0), and a sum
+// with a NaN term is NaN.
+func finite(b []float64) bool {
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(b); i += 4 {
+		s0 += b[i] * 0
+		s1 += b[i+1] * 0
+		s2 += b[i+2] * 0
+		s3 += b[i+3] * 0
+	}
+	for ; i < len(b); i++ {
+		s0 += b[i] * 0
+	}
+	s := s0 + s1 + s2 + s3
+	return s == s
 }

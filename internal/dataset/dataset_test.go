@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -150,6 +152,57 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// validateLoop checks one value at a time: the oracle of Validate's
+// error.
+func validateLoop(d *Dataset) error {
+	for i, v := range d.Rows {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("dataset: non-finite value at flat index %d (row %d, col %d)", i, i/d.Dim, i%d.Dim)
+		}
+	}
+	return nil
+}
+
+// TestValidateBlocksMatchLoop puts NaN, +Inf and −Inf at index 0, on each
+// side of every block boundary and at the last value, alone and after a
+// later one, and holds Validate's error to the per-value loop's. −0,
+// subnormals and the largest finite values pass.
+func TestValidateBlocksMatchLoop(t *testing.T) {
+	const dim, n = 3, 3*validateBlock + 50
+	rng := rand.New(rand.NewSource(3))
+	rows := make([]float64, n*dim)
+	edge := []float64{math.Copysign(0, -1), 0, 5e-324, -5e-324, 0x1p-1022, math.MaxFloat64, -math.MaxFloat64}
+	for i := range rows {
+		rows[i] = rng.NormFloat64()
+		if rng.Intn(4) == 0 {
+			rows[i] = edge[rng.Intn(len(edge))]
+		}
+	}
+	d := FromRows(dim, rows)
+	if err := d.Validate(); err != nil {
+		t.Fatalf("finite data rejected: %v", err)
+	}
+	at := []int{0, 1, len(rows) - 1}
+	for b := validateBlock; b < len(rows); b += validateBlock {
+		at = append(at, b-1, b, b+1)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, i := range at {
+			for _, later := range []int{-1, min(i+validateBlock/2, len(rows)-1)} {
+				d := FromRows(dim, slices.Clone(rows))
+				d.Rows[i] = bad
+				if later >= 0 {
+					d.Rows[later] = bad
+				}
+				got, want := d.Validate(), validateLoop(d)
+				if got == nil || got.Error() != want.Error() {
+					t.Fatalf("%v at %d (and %d): error %v, want %v", bad, i, later, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBounds(t *testing.T) {
 	d := FromRows(2, []float64{1, 9, 5, 3, 2, 6})
 	mins, maxs := d.Bounds()
@@ -222,5 +275,22 @@ func TestCSVErrors(t *testing.T) {
 	d, err := ReadCSV(strings.NewReader("1,2\n\n3,4\n"))
 	if err != nil || d.N() != 2 {
 		t.Fatal("blank lines must be skipped")
+	}
+}
+
+func BenchmarkValidate(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	d := New(20)
+	d.Rows = make([]float64, 20*(1<<16))
+	for i := range d.Rows {
+		d.Rows[i] = rng.Float64()
+	}
+	b.SetBytes(int64(8 * len(d.Rows)))
+	b.ResetTimer()
+	b.ReportAllocs()
+	for range b.N {
+		if err := d.Validate(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -74,8 +75,11 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, fmt.Errorf("dataset: read values: %w", err)
 		}
-		for k := 0; k < len(b); k += 8 {
-			d.Rows = append(d.Rows, math.Float64frombits(binary.LittleEndian.Uint64(b[k:])))
+		at := len(d.Rows)
+		d.Rows = slices.Grow(d.Rows, m)[:at+m]
+		dst := d.Rows[at:]
+		for k := range dst {
+			dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*k:]))
 		}
 		left -= m
 	}
