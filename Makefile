@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet lint lint-fix-check build test bench-module race bench bench-diff chaos chaos-proc trace ops ops-proc trace-diff trace-demo ops-demo trace-analyze proc-demo loc
+.PHONY: ci fmt-check vet lint lint-fix-check build cross test bench-module race bench bench-diff chaos chaos-proc trace ops ops-proc trace-diff trace-demo ops-demo trace-analyze proc-demo loc
 
-ci: fmt-check vet lint build test bench-module race chaos chaos-proc trace ops ops-proc trace-diff bench bench-diff
+ci: fmt-check vet lint build cross test bench-module race chaos chaos-proc trace ops ops-proc trace-diff bench bench-diff
 
 # Fails when any tracked Go file is not gofmt-formatted, naming the files.
 fmt-check:
@@ -34,6 +34,12 @@ lint-fix-check:
 
 build:
 	$(GO) build ./...
+
+# Builds for a non-Unix and a big-endian target, where dataset.ReadBinary
+# decodes files instead of mapping them, so the fallback keeps compiling.
+cross:
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
+	GOARCH=s390x $(GO) build ./...
 
 test:
 	$(GO) test -shuffle=on ./...
@@ -121,15 +127,15 @@ loc:
 # The a-priori join and maximality filter benchmarks, the per-point and
 # block moments kernels, the per-component moments fold, Light's
 # word-by-word member lists and unique labels, and the data set's
-# non-finite scan then run once each, a compile, smoke and allocation pass
-# outside that record.
+# non-finite scan, binary reader and binary writer then run once each, a
+# compile, smoke and allocation pass outside that record.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/mr/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_PR19.json
 	$(GO) test -run xxx -bench 'GenerateCandidates|FilterMaximal' -benchtime 1x -benchmem ./internal/signature/
 	$(GO) test -run xxx -bench 'MomentsAdd|MomentsFold' -benchtime 1x -benchmem ./internal/linalg/
 	$(GO) test -run xxx -bench 'CollectMembers|UniqueLabels' -benchtime 1x -benchmem ./internal/core/
-	$(GO) test -run xxx -bench 'Validate' -benchtime 1x -benchmem ./internal/dataset/
+	$(GO) test -run xxx -bench 'Validate|ReadBinary|WriteBinary' -benchtime 1x -benchmem ./internal/dataset/
 
 # Compare the engine micro-benchmarks of the working tree against its
 # parent commit (HEAD^), measured in one session so machine drift between

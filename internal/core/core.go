@@ -38,12 +38,14 @@ type pipeline struct {
 
 // Run executes the configured algorithm variant on the data set. The data
 // must be normalized to [0,1] per attribute (see dataset.Normalize); values
-// outside the range are binned into the border bins.
+// outside the range are binned into the border bins. NaN and ±Inf are
+// rejected; data that already passed dataset.Validate is not scanned again
+// (see dataset.ValidateOnce).
 func Run(engine *mr.Engine, data *dataset.Dataset, params Params) (*Result, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if err := data.Validate(); err != nil {
+	if err := data.ValidateOnce(); err != nil {
 		return nil, err
 	}
 	start := obs.Now()

@@ -14,8 +14,18 @@ import (
 // Dataset is an n×d row-major collection of points. The zero value is an
 // empty data set.
 type Dataset struct {
-	Dim  int
-	Rows []float64 // len == N()*Dim
+	Dim int
+	// Rows holds the points, len == N()*Dim. A data set carries a mark
+	// that its rows passed Validate: Validate sets it (ReadBinary and
+	// ReadCSV call it), Normalize and Append clear it, and ValidateOnce
+	// skips the scan while it holds. Code that writes Rows directly calls
+	// Validate again before handing the data set on. Rows read by
+	// ReadBinary from a regular file may be a private mapping of it
+	// (see ReadBinary): writes to them never reach the file.
+	Rows []float64
+
+	valid bool
+	scans int // Validate's scans of the values, for tests
 }
 
 // New returns an empty data set of the given dimensionality.
@@ -51,11 +61,12 @@ func (d *Dataset) Append(row []float64) {
 		panic("dataset: row dimensionality mismatch")
 	}
 	d.Rows = append(d.Rows, row...)
+	d.valid = false
 }
 
-// Clone deep-copies the data set.
+// Clone deep-copies the data set, with its Validate mark.
 func (d *Dataset) Clone() *Dataset {
-	return &Dataset{Dim: d.Dim, Rows: append([]float64(nil), d.Rows...)}
+	return &Dataset{Dim: d.Dim, Rows: append([]float64(nil), d.Rows...), valid: d.valid}
 }
 
 // Subset returns a new data set containing the rows at the given indices.
@@ -127,8 +138,10 @@ func (d *Dataset) Bounds() (mins, maxs []float64) {
 }
 
 // Normalize rescales every attribute to [0,1] in place (the paper assumes a
-// normalized data space throughout). Constant attributes map to 0.
+// normalized data space throughout). Constant attributes map to 0. It clears
+// the Validate mark: an attribute whose span is subnormal scales to ±Inf.
 func (d *Dataset) Normalize() {
+	d.valid = false
 	mins, maxs := d.Bounds()
 	n := d.N()
 	for j := 0; j < d.Dim; j++ {
@@ -162,14 +175,14 @@ func (d *Dataset) Clamp01() {
 const validateBlock = 256
 
 // Validate checks structural invariants and value sanity (no NaN/Inf) and
-// returns a descriptive error on the first violation.
+// returns a descriptive error on the first violation. It always scans the
+// values, and marks the data set valid when they pass.
 func (d *Dataset) Validate() error {
-	if d.Dim <= 0 {
-		return fmt.Errorf("dataset: non-positive dimensionality %d", d.Dim)
+	d.valid = false
+	if err := d.checkShape(); err != nil {
+		return err
 	}
-	if len(d.Rows)%d.Dim != 0 {
-		return fmt.Errorf("dataset: %d values not divisible by dim %d", len(d.Rows), d.Dim)
-	}
+	d.scans++
 	for lo := 0; lo < len(d.Rows); lo += validateBlock {
 		block := d.Rows[lo:min(lo+validateBlock, len(d.Rows))]
 		if finite(block) {
@@ -181,6 +194,28 @@ func (d *Dataset) Validate() error {
 				return fmt.Errorf("dataset: non-finite value at flat index %d (row %d, col %d)", i, i/d.Dim, i%d.Dim)
 			}
 		}
+	}
+	d.valid = true
+	return nil
+}
+
+// ValidateOnce is Validate for a data set whose rows have not passed it
+// since they last changed through Normalize or Append: a data set with the
+// mark gets only the structural checks.
+func (d *Dataset) ValidateOnce() error {
+	if d.valid {
+		return d.checkShape()
+	}
+	return d.Validate()
+}
+
+// checkShape is Validate's structural check.
+func (d *Dataset) checkShape() error {
+	if d.Dim <= 0 {
+		return fmt.Errorf("dataset: non-positive dimensionality %d", d.Dim)
+	}
+	if len(d.Rows)%d.Dim != 0 {
+		return fmt.Errorf("dataset: %d values not divisible by dim %d", len(d.Rows), d.Dim)
 	}
 	return nil
 }

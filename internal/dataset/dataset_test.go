@@ -152,6 +152,60 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateMark follows the mark that the rows passed Validate:
+// Validate, ReadBinary and ReadCSV set it, a failed Validate, Normalize and
+// Append clear it, Clone keeps it, and ValidateOnce scans only without it
+// but always checks the shape.
+func TestValidateMark(t *testing.T) {
+	scanned := func(d *Dataset) bool {
+		t.Helper()
+		before := d.scans
+		if err := d.ValidateOnce(); err != nil {
+			t.Fatal(err)
+		}
+		return d.scans != before
+	}
+	d := FromRows(2, []float64{1, 2, 3, 4})
+	if !scanned(d) || scanned(d) || scanned(d.Clone()) {
+		t.Fatal("ValidateOnce does not scan exactly once")
+	}
+	d.Normalize()
+	if !scanned(d) {
+		t.Fatal("Normalize kept the mark")
+	}
+	d.Append([]float64{5, 6})
+	if !scanned(d) {
+		t.Fatal("Append kept the mark")
+	}
+	d.Rows[0] = math.NaN()
+	if d.Validate() == nil || d.ValidateOnce() == nil {
+		t.Fatal("a failed Validate kept the mark")
+	}
+	d.Rows[0] = 0
+	if !scanned(d) {
+		t.Fatal("ValidateOnce skipped rows whose last Validate failed")
+	}
+	d.Rows = d.Rows[:3]
+	if d.ValidateOnce() == nil {
+		t.Fatal("ValidateOnce skipped the shape check")
+	}
+	var buf bytes.Buffer
+	if err := FromRows(2, []float64{1, 2}).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv, err := ReadCSV(strings.NewReader("1,2\n3,4\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanned(read) || scanned(csv) {
+		t.Fatal("a read data set is not marked")
+	}
+}
+
 // validateLoop checks one value at a time: the oracle of Validate's
 // error.
 func validateLoop(d *Dataset) error {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -16,34 +17,55 @@ import (
 const binaryMagic = 0x50334344 // "P3CD"
 
 // WriteBinary serializes the data set in a compact little-endian format:
-// magic, dim, n, then n*dim float64 values.
+// magic, dim, n, then n*dim float64 values, encoded and written in blocks of
+// readBlock bytes.
 func (d *Dataset) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := [3]uint64{binaryMagic, uint64(d.Dim), uint64(d.N())}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("dataset: write header: %w", err)
-		}
+	buf := make([]byte, 0, max(24, min(8*len(d.Rows), readBlock)))
+	buf = binary.LittleEndian.AppendUint64(buf, binaryMagic)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Dim))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.N()))
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("dataset: write header: %w", err)
 	}
-	buf := make([]byte, 8)
-	for _, v := range d.Rows {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := bw.Write(buf); err != nil {
+	for rows := d.Rows; len(rows) > 0; {
+		block := rows[:min(len(rows), readBlock/8)]
+		rows = rows[len(block):]
+		buf = buf[:8*len(block)]
+		for k, v := range block {
+			binary.LittleEndian.PutUint64(buf[8*k:], math.Float64bits(v))
+		}
+		if _, err := w.Write(buf); err != nil {
 			return fmt.Errorf("dataset: write values: %w", err)
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // readBlock is the size in bytes of the blocks ReadBinary decodes.
 const readBlock = 64 << 10
 
-// ReadBinary deserializes a data set written by WriteBinary, decoding the
-// values in blocks of readBlock bytes. When r is a regular file (it has a
-// Stat method, as *os.File does) the header must account for the file's
-// exact size, checked before the values are allocated, so a corrupt header
-// fails instead of asking for up to 2⁴³ bytes. Any other reader gets room
-// for at most one block's values up front, and more as they arrive.
+// ReadBinary deserializes a data set written by WriteBinary and validates
+// it. When r is a regular file (it has a Stat method, as *os.File does) the
+// header must account for the file's exact size, checked before any value
+// is read, so a corrupt header fails instead of asking for up to 2⁴³ bytes.
+//
+// On little-endian Unix platforms, an *os.File of such a file that holds
+// at least one value, positioned just past its header, is mapped instead of
+// read: Rows is a private, copy-on-write mapping of the file's values, with
+// cap(Rows) == len(Rows), and Validate's scan faults every page in before
+// ReadBinary returns. Writes to Rows (Normalize, Clamp01, a direct write)
+// land in private pages and never reach the file, and Append moves the rows
+// to the heap. The mapping is never unmapped: every split of the data set
+// aliases it, so it lives until the process exits, and a process should
+// read one such file. While the data set is in use, replacing the file by a
+// rename is safe (the mapping keeps the old file), truncating it kills the
+// process with SIGBUS when a row past the new end is touched, and rewriting
+// it in place is unsupported.
+//
+// Any other input (a pipe, a bytes.Reader, no values, a file that cannot be
+// mapped) is decoded in blocks of readBlock bytes. A regular file's values
+// are allocated up front; any other reader gets room for at most one
+// block's values up front, and more as they arrive.
 func ReadBinary(r io.Reader) (*Dataset, error) {
 	var hdr [24]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -58,15 +80,25 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	}
 	values := n * dim
 	room := min(values, readBlock/8)
+	sized := false
 	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
 		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
 			if want := int64(len(hdr)) + 8*int64(values); fi.Size() != want {
 				return nil, fmt.Errorf("dataset: header says %d×%d values (%d bytes), file holds %d bytes", n, dim, want, fi.Size())
 			}
-			room = values
+			room, sized = values, true
 		}
 	}
 	d := New(dim)
+	if f, ok := r.(*os.File); ok && sized && values > 0 {
+		// The size check leaves the values nowhere but right after a header
+		// at offset 0, which the decoder would read from here.
+		if at, err := f.Seek(0, io.SeekCurrent); err == nil && at == int64(len(hdr)) {
+			if d.Rows = mapValues(f, at, values); d.Rows != nil {
+				return d, d.Validate()
+			}
+		}
+	}
 	d.Rows = make([]float64, 0, room)
 	buf := make([]byte, min(8*values, readBlock))
 	for left := values; left > 0; {
