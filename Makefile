@@ -36,10 +36,13 @@ build:
 	$(GO) build ./...
 
 # Builds for a non-Unix and a big-endian target, where dataset.ReadBinary
-# decodes files instead of mapping them, so the fallback keeps compiling.
+# decodes files instead of mapping them, so the fallback keeps compiling,
+# and for a 32-bit target, where an int is too narrow for 64-bit header
+# arithmetic.
 cross:
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
 	GOARCH=s390x $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test -shuffle=on ./...

@@ -48,7 +48,7 @@ func main() {
 		members     = flag.Bool("members", false, "include member lists in JSON output")
 		jobStats    = flag.Bool("jobstats", false, "print per-job MapReduce statistics")
 		traceOut    = flag.String("trace", "", "write a JSONL span trace of the run to this file")
-		report      = flag.Bool("report", false, "print a per-phase/per-job observability report after the run")
+		report      = flag.Bool("report", false, "print the run's trace analysis after the run, as p3ctrace prints it")
 		metrics     = flag.Bool("metrics", false, "print an engine metrics snapshot after the run")
 		opsAddr     = flag.String("ops", "", "serve the live ops plane (/metrics, /runs, /healthz, /debug/pprof/) on this address, e.g. :9090")
 		opsLinger   = flag.Duration("ops-linger", 0, "keep the ops server up this long after the run finishes")
@@ -259,7 +259,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "run archived as %s (seq %d) under %s\n", sealed.ID, sealed.Seq, arch.Root())
 		}
 		if *report {
-			forest.WriteReport(os.Stderr)
+			obs.WriteText(os.Stderr, forest.Analyze(obs.ReportTopK), false)
 		}
 		if registry != nil && *metrics {
 			snap := registry.Snapshot()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"regexp"
 	"strconv"
 	"testing"
 
@@ -18,8 +17,9 @@ import (
 // TestAnalyzeReconcilesWithLiveSinks is the p3ctrace oracle: it traces a
 // chaos-plan pipeline through three sinks at once — a JSONL trace (what
 // p3ctrace consumes), a MemTracer (ground-truth span log), and a live
-// forest (what -report renders) — and asserts the offline analysis and the
-// live report both agree with the ground truth event for event.
+// forest (what -report renders) — and asserts the analyses of the replayed
+// trace and of the live forest both agree with the ground truth event for
+// event.
 func TestAnalyzeReconcilesWithLiveSinks(t *testing.T) {
 	data, _, err := dataset.Generate(dataset.GenConfig{N: 2000, Dim: 12, Clusters: 3, NoiseFraction: 0.1, Seed: 55, Overlap: true})
 	if err != nil {
@@ -152,20 +152,30 @@ func TestAnalyzeReconcilesWithLiveSinks(t *testing.T) {
 		t.Errorf("retry-waste rows cover %d fault attempts, want %d", wasteFaults, wantFaults)
 	}
 
-	// --- reconcile the live report's summary line -------------------------
-	var repBuf bytes.Buffer
-	if err := live.WriteReport(&repBuf); err != nil {
-		t.Fatal(err)
+	// --- reconcile the live forest's analysis ---------------------------
+	// -report renders the live forest's analysis; its counts must agree
+	// with the ground truth as the replayed trace's do.
+	la := live.Analyze(5)
+	if len(la.Runs) != 1 {
+		t.Fatalf("live analysis found %d roots, want 1 pipeline run", len(la.Runs))
 	}
-	m := regexp.MustCompile(`run summary: (\d+) jobs, (\d+) task attempts \((\d+) faulted, (\d+) cancelled\), (\d+) retries`).
-		FindStringSubmatch(repBuf.String())
-	if m == nil {
-		t.Fatalf("report summary line not found in:\n%s", repBuf.String())
+	lr := la.Runs[0]
+	if lr.TaskAttempts != wantAttempts || lr.Faults != wantFaults || lr.Retries != res.Stats.Counters.TaskRetries {
+		t.Errorf("live analysis says %d attempts/%d faults/%d retries; MemTracer saw %d/%d, pipeline counted %d retries",
+			lr.TaskAttempts, lr.Faults, lr.Retries, wantAttempts, wantFaults, res.Stats.Counters.TaskRetries)
 	}
-	atoi := func(s string) int { n, _ := strconv.Atoi(s); return n }
-	if atoi(m[2]) != wantAttempts || atoi(m[3]) != wantFaults || int64(atoi(m[5])) != res.Stats.Counters.TaskRetries {
-		t.Errorf("report says %s attempts/%s faults/%s retries; MemTracer saw %d/%d, pipeline counted %d retries",
-			m[2], m[3], m[5], wantAttempts, wantFaults, res.Stats.Counters.TaskRetries)
+	// The per-job rows partition the run's counters and retries.
+	var jobCtrs obs.Counters
+	jobRuns := 0
+	for _, j := range run.Jobs {
+		jobCtrs.Add(j.Counters)
+		jobRuns += j.Runs
+	}
+	if jobCtrs != res.Stats.Counters {
+		t.Errorf("job rows sum to %+v, pipeline counted %+v", jobCtrs, res.Stats.Counters)
+	}
+	if jobRuns != res.Stats.Jobs {
+		t.Errorf("job rows cover %d job executions, pipeline ran %d", jobRuns, res.Stats.Jobs)
 	}
 
 	// --- structural critical-path checks ---------------------------------
@@ -238,7 +248,7 @@ func TestAnalyzeReconcilesWithLiveSinks(t *testing.T) {
 
 	// The text renderer must handle the full analysis without error.
 	var txt bytes.Buffer
-	if err := writeText(&txt, a, true); err != nil {
+	if err := obs.WriteText(&txt, a, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"critical path", "skew (job/phase)", "retry waste (job)", "slowest attempts"} {

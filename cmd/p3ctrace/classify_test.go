@@ -73,7 +73,7 @@ func TestClassifyAndTimeline(t *testing.T) {
 
 	// The text renderer with the timeline on must include the new sections.
 	var sb strings.Builder
-	if err := writeText(&sb, a, true); err != nil {
+	if err := obs.WriteText(&sb, a, true); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -217,22 +217,23 @@ func TestConvergenceSeries(t *testing.T) {
 	}
 
 	var txt bytes.Buffer
-	if err := writeText(&txt, a, false); err != nil {
+	if err := obs.WriteText(&txt, a, false); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(txt.String(), "convergence") ||
-		!strings.Contains(txt.String(), "em_log_likelihood") {
-		t.Errorf("text output lacks the convergence table:\n%s", txt.String())
+	// The trend column ends each convergence row: the sparkline of a
+	// strictly improving series starts at the bottom ramp level and ends at
+	// the top; a flat series renders mid-level.
+	trend := make(map[string]string)
+	for _, line := range strings.Split(txt.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 5 && strings.HasPrefix(f[0], "em_") {
+			trend[f[0]] = f[4]
+		}
 	}
-	// The sparkline of a strictly improving series starts at the bottom
-	// ramp level and ends at the top.
-	spark := sparkline(ll.Points)
-	runes := []rune(spark)
-	if runes[0] != sparkChars[0] || runes[len(runes)-1] != sparkChars[len(sparkChars)-1] {
-		t.Errorf("sparkline %q does not span the ramp", spark)
+	if got := trend["em_log_likelihood"]; got != "▁▅▇█" {
+		t.Errorf("log-likelihood trend %q, want ▁▅▇█ (bottom to top of the ramp):\n%s", got, txt.String())
 	}
-	if flat := sparkline(conv[0].Points); strings.Trim(flat, string(sparkChars[len(sparkChars)/2])) != "" {
-		t.Errorf("flat series sparkline %q not mid-level", flat)
+	if got := trend["em_active_clusters"]; got != "▅▅▅▅" {
+		t.Errorf("flat series trend %q, want mid-level ▅▅▅▅:\n%s", got, txt.String())
 	}
 
 	// -json carries the same series.

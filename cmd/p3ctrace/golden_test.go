@@ -16,10 +16,11 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // TestTraceGoldens pins every view of the span stream on two committed
-// fixture traces (see testdata/gen.go): the p3ctrace analysis as -json and
-// as text with and without -timeline, and the live views replayed from the
-// same file — the -report tables, the /runs and /workers payloads, and the
-// p3c_worker_* exposition. Run with -update to rewrite the goldens.
+// fixture traces (see testdata/gen.go), all read off one replayed forest:
+// the p3ctrace analysis as -json and as text with and without -timeline
+// (the text without it is also what p3crun -report prints), the /runs and
+// /workers payloads, and the p3c_worker_* exposition. Run
+// with -update to rewrite the goldens.
 func TestTraceGoldens(t *testing.T) {
 	for _, fixture := range []string{"chaos", "multiproc"} {
 		t.Run(fixture, func(t *testing.T) {
@@ -27,7 +28,13 @@ func TestTraceGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := analyzeFixture(t, raw)
+			forest, err := obs.ReadJSONL(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// p3ctrace's default -top and p3crun -report both analyze with
+			// ReportTopK, so <fixture>.txt is also the -report rendering.
+			a := forest.Analyze(obs.ReportTopK)
 			var js bytes.Buffer
 			enc := json.NewEncoder(&js)
 			enc.SetIndent("", "  ")
@@ -37,7 +44,7 @@ func TestTraceGoldens(t *testing.T) {
 			checkGolden(t, fixture+".analysis.json", js.Bytes())
 			for _, timeline := range []bool{false, true} {
 				var txt bytes.Buffer
-				if err := writeText(&txt, a, timeline); err != nil {
+				if err := obs.WriteText(&txt, a, timeline); err != nil {
 					t.Fatal(err)
 				}
 				name := fixture + ".txt"
@@ -47,48 +54,16 @@ func TestTraceGoldens(t *testing.T) {
 				checkGolden(t, name, txt.Bytes())
 			}
 
-			views := replayFixture(t, raw)
-			checkGolden(t, fixture+".report.txt", views.report)
-			checkGolden(t, fixture+".runs.json", views.runs)
-			checkGolden(t, fixture+".workers.json", views.workers)
-			checkGolden(t, fixture+".workers.prom", views.prom)
+			mux := obs.NewOpsMux(nil, forest, nil)
+			checkGolden(t, fixture+".runs.json", serve(t, mux, "/runs"))
+			checkGolden(t, fixture+".workers.json", serve(t, mux, "/workers"))
+			var prom bytes.Buffer
+			if err := forest.WritePrometheus(&prom); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, fixture+".workers.prom", prom.Bytes())
 		})
 	}
-}
-
-func analyzeFixture(t *testing.T, raw []byte) *obs.Analysis {
-	t.Helper()
-	forest, err := obs.ReadJSONL(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return forest.Analyze(10)
-}
-
-// liveViews are the renderings a live process serves from its forest.
-type liveViews struct{ report, runs, workers, prom []byte }
-
-func replayFixture(t *testing.T, raw []byte) liveViews {
-	t.Helper()
-	forest, err := obs.ReadJSONL(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v liveViews
-	var buf bytes.Buffer
-	if err := forest.WriteReport(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v.report = buf.Bytes()
-	mux := obs.NewOpsMux(nil, forest, nil)
-	v.runs = serve(t, mux, "/runs")
-	v.workers = serve(t, mux, "/workers")
-	var prom bytes.Buffer
-	if err := forest.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	v.prom = prom.Bytes()
-	return v
 }
 
 func serve(t *testing.T, mux http.Handler, path string) []byte {

@@ -136,15 +136,22 @@ func (k *killAfterJob) End(e obs.End) {
 }
 
 // processGone reports whether pid has exited: gone, or a zombie its
-// parent has not reaped yet.
+// parent has not reaped yet with no thread left but the leader. A
+// SIGKILLed Go process's leader turns zombie while its other threads are
+// still exiting, and those threads share its file table, so until they
+// are gone its end of the control pipe can still be open and a send to it
+// can still succeed.
 func processGone(pid int) bool {
 	b, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
 	if err != nil {
 		return true
 	}
 	s := string(b)
-	i := strings.LastIndexByte(s, ')')
-	return i < 0 || i+2 >= len(s) || s[i+2] == 'Z' || s[i+2] == 'X'
+	if i := strings.LastIndexByte(s, ')'); i >= 0 && i+2 < len(s) && s[i+2] != 'Z' && s[i+2] != 'X' {
+		return false
+	}
+	threads, err := os.ReadDir(fmt.Sprintf("/proc/%d/task", pid))
+	return err != nil || len(threads) <= 1
 }
 
 // TestMultiprocessFleetWorkerKilledBetweenJobs SIGKILLs the only worker of

@@ -138,7 +138,7 @@ func TestPipelineOnPureNoise(t *testing.T) {
 	// Overwrite the single tiny cluster with uniform noise to get pure
 	// noise while keeping a valid generator call.
 	for i := range data.Rows {
-		data.Rows[i] = float64((i*2654435761)%100000) / 100000
+		data.Rows[i] = float64((int64(i)*2654435761)%100000) / 100000
 	}
 	res, err := Run(mr.Default(), data, LightParams())
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"p3cmr/internal/mr"
 	"p3cmr/internal/obs"
 	"p3cmr/internal/signature"
-	"p3cmr/internal/stats"
 )
 
 // clusterHistograms runs the attribute-inspection histogram job (§5.6): one
@@ -147,16 +146,7 @@ func (p *pipeline) attributeInspection(src memberSource, memberCounts []int64) (
 	k := len(p.cores)
 	bins := make([]int, k)
 	for c := range bins {
-		n := int(memberCounts[c])
-		switch p.params.BinRule {
-		case Sturges:
-			bins[c] = stats.SturgesBins(n)
-		default:
-			bins[c] = stats.FreedmanDiaconisBinsUniform(n)
-		}
-		if bins[c] < 1 {
-			bins[c] = 1
-		}
+		bins[c] = p.binCount(int(memberCounts[c]))
 	}
 	hists, err := clusterHistograms(p.engine, p.splits, src, k, p.dim, bins, p.phaseSpan)
 	if err != nil {
@@ -192,20 +182,18 @@ func (p *pipeline) attributeInspection(src memberSource, memberCounts []int64) (
 		}
 	}
 
-	accepted := make([][]bool, 1)
+	var accepted []bool
 	if p.params.UseAIProving && len(suggestions) > 0 {
-		ok, err := p.proveSuggestions(suggestions)
-		if err != nil {
+		var err error
+		if accepted, err = p.proveSuggestions(suggestions); err != nil {
 			ps.end(err)
 			return nil, err
 		}
-		accepted[0] = ok
 	} else {
-		all := make([]bool, len(suggestions))
-		for i := range all {
-			all[i] = true
+		accepted = make([]bool, len(suggestions))
+		for i := range accepted {
+			accepted[i] = true
 		}
-		accepted[0] = all
 	}
 
 	attrs := make([][]int, k)
@@ -215,7 +203,7 @@ func (p *pipeline) attributeInspection(src memberSource, memberCounts []int64) (
 			set[a] = true
 		}
 		for i, s := range suggestions {
-			if s.cluster == c && accepted[0][i] {
+			if s.cluster == c && accepted[i] {
 				set[s.iv.Attr] = true
 			}
 		}

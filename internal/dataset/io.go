@@ -44,6 +44,10 @@ func (d *Dataset) WriteBinary(w io.Writer) error {
 // readBlock is the size in bytes of the blocks ReadBinary decodes.
 const readBlock = 64 << 10
 
+// maxValues bounds the values a binary header may declare: 2⁴⁰, or fewer
+// where an int cannot count their bytes (32-bit platforms).
+const maxValues = min(1<<40, math.MaxInt/8)
+
 // ReadBinary deserializes a data set written by WriteBinary and validates
 // it. When r is a regular file (it has a Stat method, as *os.File does) the
 // header must account for the file's exact size, checked before any value
@@ -74,10 +78,14 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	if magic := binary.LittleEndian.Uint64(hdr[0:]); magic != binaryMagic {
 		return nil, fmt.Errorf("dataset: bad magic %#x", magic)
 	}
-	dim, n := int(binary.LittleEndian.Uint64(hdr[8:])), int(binary.LittleEndian.Uint64(hdr[16:]))
-	if dim <= 0 || n < 0 || (n > 0 && dim > (1<<40)/n) {
-		return nil, fmt.Errorf("dataset: implausible header dim=%d n=%d", dim, n)
+	// The header's counts are checked as read, before they become ints: at
+	// most maxValues values, so n·dim and its size in bytes fit an int on
+	// every platform.
+	dim64, n64 := binary.LittleEndian.Uint64(hdr[8:]), binary.LittleEndian.Uint64(hdr[16:])
+	if dim64 == 0 || dim64 > maxValues || (n64 > 0 && dim64 > maxValues/n64) {
+		return nil, fmt.Errorf("dataset: implausible header dim=%d n=%d", dim64, n64)
 	}
+	dim, n := int(dim64), int(n64)
 	values := n * dim
 	room := min(values, readBlock/8)
 	sized := false

@@ -436,3 +436,26 @@ func BenchmarkWriteBinary(b *testing.B) {
 		}
 	}
 }
+
+// TestBinaryHeaderBounds feeds headers whose counts an int cannot hold, or
+// whose product passes maxValues: each fails on the header, before a value
+// is read or a byte allocated, on 32-bit platforms as on 64-bit ones.
+func TestBinaryHeaderBounds(t *testing.T) {
+	for _, c := range []struct{ dim, n uint64 }{
+		{0, 5},
+		{1 << 63, 1},
+		{1, 1 << 63},
+		{4, 1 << 62},
+		{maxValues + 1, 1},
+		{1, maxValues + 1},
+		{maxValues/2 + 1, 2},
+	} {
+		var hdr [24]byte
+		binary.LittleEndian.PutUint64(hdr[0:], binaryMagic)
+		binary.LittleEndian.PutUint64(hdr[8:], c.dim)
+		binary.LittleEndian.PutUint64(hdr[16:], c.n)
+		if _, err := ReadBinary(bytes.NewReader(hdr[:])); err == nil || !strings.Contains(err.Error(), "implausible header") {
+			t.Errorf("dim=%d n=%d: error %v, want an implausible header", c.dim, c.n, err)
+		}
+	}
+}

@@ -98,7 +98,8 @@ type workerProc struct {
 	// run is the Run whose job frame this worker received last (0: none);
 	// a task of another Run sends its job frame first.
 	run uint64
-	// tasks counts the task frames sent to this worker.
+	// tasks counts the task frames flushed to this worker: 0 until one has
+	// reached its control pipe.
 	tasks int
 	// held is the driver's record of the splits resident on the worker,
 	// by Split key: it gains a key when a task frame ships the rows and
@@ -517,8 +518,11 @@ func (p *procRun) sendTask(w *workerProc, typ byte, frame any) error {
 	if err := writeFrame(w.bw, typ, frame); err != nil {
 		return err
 	}
+	if err := w.bw.Flush(); err != nil {
+		return err
+	}
 	w.tasks++
-	return w.bw.Flush()
+	return nil
 }
 
 func (p *procRun) mapTask(i int) (Counters, faultCharge, error) {

@@ -152,8 +152,8 @@ func (f MapperFunc) Map(ctx *TaskContext, global int, row []float64) error {
 func (f MapperFunc) Cleanup(*TaskContext) error { return nil }
 
 // TypedReducer aggregates all values of one key. Values arrive as a Values
-// view over the shuffle's records, so scalar payloads are read without
-// interface boxing. Implementations must be re-runnable: a failed reduce
+// view over the shuffle's records; Value returns each one as emitted, in
+// an interface. Implementations must be re-runnable: a failed reduce
 // attempt is retried from the same shuffled input, so reducers must treat
 // values — and whatever the values reference, e.g. shipped slices — as
 // read-only. Folding into the first value in place would double-count on

@@ -300,3 +300,25 @@ func TestDriverDeathLeavesNoWorkerOrSpill(t *testing.T) {
 		t.Errorf("spill directories %v left behind by the killed driver's run", spills)
 	}
 }
+
+// TestSendTaskCountsOnlyFlushedFrames sends a fresh worker's first task
+// over a control pipe whose read end is closed: the frames fit the
+// buffer, so only the flush fails, and the worker must still count no
+// task — runTask reads a worker with tasks served as one that died while
+// idle and moves on without failing the attempt.
+func TestSendTaskCountsOnlyFlushedFrames(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	r.Close()
+	wp := &workerProc{name: "w-closed", in: w, bw: bufio.NewWriter(w), held: map[uint64]bool{}}
+	p := &procRun{run: 1}
+	if err := p.sendTask(wp, fReduceTask, reduceTaskFrame{Task: 0}); err == nil {
+		t.Fatal("sendTask to a closed control pipe succeeded")
+	}
+	if wp.tasks != 0 {
+		t.Errorf("tasks = %d after a failed send, want 0", wp.tasks)
+	}
+}

@@ -7,7 +7,8 @@ import (
 	"sort"
 )
 
-// Analysis is the offline reading of a forest — p3ctrace's -json payload.
+// Analysis is the reading of a forest that p3ctrace prints, as -json or
+// as text (WriteText), and p3crun -report prints as text.
 type Analysis struct {
 	Events int           `json:"events"`
 	Spans  int           `json:"spans"`
@@ -30,6 +31,7 @@ type RunAnalysis struct {
 	Faults           int              `json:"faults"`
 	Cancels          int              `json:"cancels"`
 	Phases           []PhaseRow       `json:"phases,omitempty"`
+	Jobs             []JobRow         `json:"jobs,omitempty"`
 	CriticalPath     []CPStep         `json:"critical_path"`
 	Skew             []SkewRow        `json:"skew,omitempty"`
 	Stragglers       []StragglerRow   `json:"stragglers,omitempty"`
@@ -169,6 +171,23 @@ type PhaseRow struct {
 	Tasks            int     `json:"tasks"`
 }
 
+// JobRow totals every execution of one job name in a run — the
+// one-machine equivalent of a Hadoop job-tracker page: records in, out and
+// shuffled, retries, the records failed attempts threw away, simulated and
+// real seconds, and the nearest-rank quantiles of its task attempts' wall
+// times. Rows come in the order each name's first execution began.
+type JobRow struct {
+	Name             string   `json:"name"`
+	Runs             int      `json:"runs"`
+	Counters         Counters `json:"counters"`
+	WastedRecords    int64    `json:"wasted_records"`
+	SimulatedSeconds float64  `json:"sim_s"`
+	WallSeconds      float64  `json:"wall_s"`
+	TaskP50S         float64  `json:"task_p50_s"`
+	TaskP90S         float64  `json:"task_p90_s"`
+	TaskP99S         float64  `json:"task_p99_s"`
+}
+
 // SkewRow quantifies task-duration skew within one job name + task phase:
 // the max/median ratio is the straggler factor that bounds speedup (the
 // reducer-key skew question of the paper's §7 evaluation).
@@ -243,34 +262,15 @@ func (f *Forest) analyzeRun(root *span, topK int) RunAnalysis {
 		ra.Outcome = "unclosed"
 	}
 
-	// Walk the subtree once, collecting task attempts, phases, points.
+	// Walk the subtree once, collecting task attempts, phases, jobs,
+	// points.
 	var tasks []*span
+	jobIdx := make(map[string]int)
 	straggle := make(map[jobPhaseKey]*StragglerRow)
 	waste := make(map[string]*WasteRow)
-	workers := make(map[string]*WorkerRow)
-	workerRow := func(name string) *WorkerRow {
-		wr := workers[name]
-		if wr == nil {
-			wr = &WorkerRow{Worker: name}
-			workers[name] = wr
-		}
-		return wr
-	}
-	type sampleAt struct{ ts, cpu float64 }
-	samples := make(map[string][]sampleAt)
 	conv := make(map[string][]ConvergencePoint)
 	f.walk(root, func(s *span) {
 		switch s.kind {
-		case KindStep:
-			// Worker-side sub-phase (map-exec, spill-write, …): charge its
-			// wall time to the worker, never to the task-attempt counts.
-			if s.worker != "" && s.closed {
-				wr := workerRow(s.worker)
-				if wr.StepSeconds == nil {
-					wr.StepSeconds = make(map[string]float64)
-				}
-				wr.StepSeconds[s.name] += s.realS
-			}
 		case KindPhase:
 			row := PhaseRow{Name: s.name, WallSeconds: s.realS, SimulatedSeconds: s.simS,
 				MapIn: s.counters.MapInputRecords, ShuffledBytes: s.counters.ShuffledBytes,
@@ -286,20 +286,23 @@ func (f *Forest) analyzeRun(root *span, topK int) RunAnalysis {
 				}
 			}
 			ra.Phases = append(ra.Phases, row)
+		case KindJob:
+			i, ok := jobIdx[s.name]
+			if !ok {
+				i = len(ra.Jobs)
+				jobIdx[s.name] = i
+				ra.Jobs = append(ra.Jobs, JobRow{Name: s.name})
+			}
+			jr := &ra.Jobs[i]
+			jr.Runs++
+			jr.Counters.Add(s.counters)
+			jr.WastedRecords += inputRecords(s.wasted)
+			jr.SimulatedSeconds += s.simS
+			jr.WallSeconds += s.realS
 		case KindTask:
 			if s.isAttempt() {
 				tasks = append(tasks, s)
 				ra.TaskAttempts++
-				if s.worker != "" {
-					wr := workerRow(s.worker)
-					wr.Attempts++
-					wr.WallSeconds += s.realS
-					if s.closed && s.outcome == OutcomeFault {
-						wr.Faults++
-						wr.FaultWallSeconds += s.realS
-						wr.WastedRecords += inputRecords(s.wasted)
-					}
-				}
 				switch {
 				case s.closed && s.outcome == OutcomeFault:
 					ra.Faults++
@@ -327,48 +330,40 @@ func (f *Forest) analyzeRun(root *span, topK int) RunAnalysis {
 				}
 				sr.Count++
 				sr.Seconds += p.Seconds
-				if p.Worker != "" {
-					workerRow(p.Worker).StragglerSeconds += p.Seconds
-				}
 			case PointCancel:
 				ra.Cancels++
-			case PointSample:
-				if p.Worker == "" || p.Sample == nil {
-					break
-				}
-				wr := workerRow(p.Worker)
-				wr.Samples++
-				wr.PeakRSSBytes = max(wr.PeakRSSBytes, p.Sample.RSSBytes)
-				wr.PeakQueueBytes = max(wr.PeakQueueBytes, p.Sample.QueueBytes)
-				wr.SpillBytes = max(wr.SpillBytes, p.Sample.SpillBytes)
-				samples[p.Worker] = append(samples[p.Worker], sampleAt{p.ts, p.Sample.CPUSeconds})
 			case PointMetric:
 				conv[p.Name] = append(conv[p.Name], ConvergencePoint{Iter: p.Task, Value: p.Value})
 			}
 		}
 	})
 
-	// Per-worker utilization: ΔCPU over Δwall across the sampled window.
-	for _, n := range sortedKeys(samples) {
-		ss := samples[n]
-		sort.Slice(ss, func(i, j int) bool { return ss[i].ts < ss[j].ts })
-		wr := workers[n]
-		wr.CPUSeconds = ss[len(ss)-1].cpu
-		if dt := ss[len(ss)-1].ts - ss[0].ts; len(ss) >= 2 && dt > 0 {
-			wr.Utilization = (ss[len(ss)-1].cpu - ss[0].cpu) / dt
-		}
-	}
-
+	workers := f.workerFolds([]*span{root})
 	ra.CriticalPath = f.criticalPath(root)
+	taskQuantiles(ra.Jobs, tasks)
 	ra.Skew = skewRows(tasks)
 	ra.Stragglers = sortedStragglers(straggle)
 	ra.RetryWaste = sortedWaste(waste)
-	ra.Workers = sortedWorkers(workers)
+	ra.Workers = workerRows(workers)
 	ra.Classified = classifyRows(tasks, workers)
 	ra.Timeline = timelineRows(tasks)
 	ra.Slowest = slowestAttempts(tasks, topK)
 	ra.Convergence = convergenceRows(conv)
 	return ra
+}
+
+// taskQuantiles fills each job row's task wall-time quantiles from its
+// attempts.
+func taskQuantiles(jobs []JobRow, tasks []*span) {
+	walls := make(map[string][]float64)
+	for _, t := range tasks {
+		walls[t.name] = append(walls[t.name], t.realS)
+	}
+	for i := range jobs {
+		w := walls[jobs[i].Name]
+		sort.Float64s(w)
+		jobs[i].TaskP50S, jobs[i].TaskP90S, jobs[i].TaskP99S = quantileOf(w, 0.5), quantileOf(w, 0.9), quantileOf(w, 0.99)
+	}
 }
 
 // convergenceRows orders the collected metric series by name, and each
@@ -392,7 +387,7 @@ const slowFactor = 1.5
 // classifyRows flags attempts ≥ slowFactor× their group median and labels
 // each as skewed / starved / unknown (see ClassifyRow). Groups with fewer
 // than two attempts have no meaningful median and are skipped.
-func classifyRows(tasks []*span, workers map[string]*WorkerRow) []ClassifyRow {
+func classifyRows(tasks []*span, workers map[string]*workerFold) []ClassifyRow {
 	keys, groups := byJobPhase(tasks)
 	var rows []ClassifyRow
 	for _, k := range keys {
@@ -422,16 +417,14 @@ func classifyRows(tasks []*span, workers map[string]*WorkerRow) []ClassifyRow {
 			if medRec > 0 {
 				row.InputRatio = float64(inputRecords(t.counters)) / medRec
 			}
-			var util float64
 			nSamples := 0
-			if wr := workers[t.worker]; wr != nil {
-				util, nSamples = wr.Utilization, wr.Samples
+			if w := workers[t.worker]; w != nil {
+				row.Utilization, nSamples = w.utilization(), w.samples
 			}
-			row.Utilization = util
 			switch {
 			case row.InputRatio >= slowFactor:
 				row.Class = "skewed"
-			case nSamples >= 2 && util < 0.5:
+			case nSamples >= 2 && row.Utilization < 0.5:
 				row.Class = "starved"
 			default:
 				row.Class = "unknown"
@@ -478,12 +471,20 @@ func timelineRows(tasks []*span) []TimelineRow {
 	return rows
 }
 
-// sortedWorkers orders worker rows by fault wall time (the waste a bad
-// worker cost the run), then total wall time, then name.
-func sortedWorkers(m map[string]*WorkerRow) []WorkerRow {
-	rows := make([]WorkerRow, 0, len(m))
-	for _, r := range m {
-		rows = append(rows, *r)
+// workerRows renders the per-worker folds as rows, ordered by fault wall
+// time (the waste a bad worker cost the run), then total wall time, then
+// name.
+func workerRows(folds map[string]*workerFold) []WorkerRow {
+	rows := make([]WorkerRow, 0, len(folds))
+	for name, w := range folds {
+		rows = append(rows, WorkerRow{
+			Worker: name, Attempts: w.attempts, Faults: w.faults,
+			WallSeconds: w.busySeconds, FaultWallSeconds: w.faultSeconds,
+			StragglerSeconds: w.stragglerSeconds, WastedRecords: inputRecords(w.wasted),
+			Samples: w.samples, CPUSeconds: w.lastSample().CPUSeconds,
+			Utilization: w.utilization(), PeakRSSBytes: w.peakRSS,
+			PeakQueueBytes: w.peakQB, SpillBytes: w.peakSB, StepSeconds: w.stepSeconds,
+		})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].FaultWallSeconds != rows[j].FaultWallSeconds {

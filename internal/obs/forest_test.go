@@ -102,7 +102,7 @@ func TestParseTraceOutOfOrderMerge(t *testing.T) {
 // minus what its chain covers.
 func TestAnalyzeCriticalPathChain(t *testing.T) {
 	base := Now()
-	f := newForest(base, 0)
+	f := newForest(base)
 	at := func(s float64) time.Time { return base.Add(time.Duration(s * float64(time.Second))) }
 	spanAt := func(id, parent SpanID, kind SpanKind, name, phase string, task int, begin, end float64) {
 		f.Begin(Start{ID: id, Parent: parent, Kind: kind, Name: name, Phase: phase, Task: task, At: at(begin)})

@@ -198,7 +198,7 @@ func (t *JSONLTracer) Err() error {
 // At taken from its ts, so the forest applies the same merge rules to a
 // file as to a live stream.
 func ReadJSONL(r io.Reader) (*Forest, error) {
-	f := newForest(Now(), 0)
+	f := newForest(Now())
 	if err := replayJSONL(r, f.start, f); err != nil {
 		return nil, err
 	}

@@ -54,15 +54,6 @@ type Histogram struct {
 	sum    Gauge
 }
 
-// newHistogram builds a histogram with the given (copied, sorted) bucket
-// upper bounds — shared by Registry.Histogram and standalone users like
-// Forest.WriteReport.
-func newHistogram(bounds []float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	i := 0
@@ -174,7 +165,9 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = newHistogram(bounds)
+		b := append([]float64(nil), bounds...)
+		sort.Float64s(b)
+		h = &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 		r.hists[name] = h
 	}
 	return h

@@ -13,9 +13,10 @@
 // internal/mr/bench_test.go and the chaos trace-identity tests).
 //
 // Built-in sinks: JSONLTracer (one JSON object per event, a replayable
-// trace file; ReadJSONL decodes it), Forest (the one fold of the stream,
-// behind the -report tables, the ops server's /runs and /workers, and
-// p3ctrace's analysis), FlightRecorder (the last N events for
+// trace file; ReadJSONL decodes it), Forest (every span of the stream,
+// behind p3ctrace's analysis, which WriteText renders for p3ctrace and for
+// p3crun -report alike, and the ops server's /runs and /workers),
+// FlightRecorder (the last N events for
 // post-mortems), and MemTracer (in-memory capture with structural
 // validation, for tests). Multi fans one event stream out to several
 // sinks.

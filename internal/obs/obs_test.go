@@ -343,42 +343,3 @@ func TestJSONLStickyError(t *testing.T) {
 		t.Fatal("Close should surface the write error")
 	}
 }
-
-func TestWriteReport(t *testing.T) {
-	r := NewForest()
-	run, phase, job := NewSpanID(), NewSpanID(), NewSpanID()
-	r.Begin(Start{ID: run, Kind: KindRun, Name: "r"})
-	r.Begin(Start{ID: phase, Parent: run, Kind: KindPhase, Name: "histograms"})
-	r.Begin(Start{ID: job, Parent: phase, Kind: KindJob, Name: "histo-job"})
-	// Two attempts of task 0: one faulted, one succeeded.
-	t0a, t0b := NewSpanID(), NewSpanID()
-	r.Begin(Start{ID: t0a, Parent: job, Kind: KindTask, Name: "histo-job", Task: 0, Phase: "map"})
-	r.End(End{ID: t0a, Kind: KindTask, Name: "histo-job", Task: 0, Phase: "map",
-		Outcome: OutcomeFault, Wasted: Counters{MapInputRecords: 50}})
-	r.Begin(Start{ID: t0b, Parent: job, Kind: KindTask, Name: "histo-job", Task: 0, Attempt: 1, Phase: "map"})
-	r.End(End{ID: t0b, Kind: KindTask, Name: "histo-job", Task: 0, Attempt: 1, Phase: "map", Outcome: OutcomeOK})
-	r.End(End{ID: job, Kind: KindJob, Name: "histo-job", Outcome: OutcomeOK,
-		Counters: Counters{MapInputRecords: 100, OutputRecords: 10, TaskRetries: 1},
-		Wasted:   Counters{MapInputRecords: 50}, Retries: 1, SimulatedSeconds: 8})
-	r.End(End{ID: phase, Kind: KindPhase, Name: "histograms", Counters: Counters{MapInputRecords: 100}, Retries: 1, SimulatedSeconds: 8})
-	r.End(End{ID: run, Kind: KindRun, Name: "r"})
-
-	var buf bytes.Buffer
-	if err := r.WriteReport(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"1 jobs", "2 task attempts", "1 faulted", "1 retries", "50 wasted records",
-		"histograms", "histo-job",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
-		}
-	}
-	// One job name, so the job table holds its header and one row.
-	jobTable := strings.TrimSpace(out[strings.LastIndex(out, "\njob "):])
-	if rows := strings.Count(jobTable, "\n"); rows != 1 {
-		t.Errorf("job table has %d rows, want 1:\n%s", rows, jobTable)
-	}
-}

@@ -84,19 +84,23 @@ func TestProgressCountsAndRetention(t *testing.T) {
 		t.Errorf("Run(bogus) unexpectedly found")
 	}
 
-	// Retention: only the most recent defaultRetainRuns completed runs stay.
-	for i := 0; i < defaultRetainRuns+5; i++ {
+	// Retention: the forest keeps every run it has seen.
+	const more = 40
+	for i := 0; i < more; i++ {
 		playRun(p, fmt.Sprintf("r%d", i), OutcomeOK)
 	}
-	if got := len(p.Runs()); got != defaultRetainRuns {
-		t.Errorf("retained %d completed runs, want %d", got, defaultRetainRuns)
+	if got := len(p.Runs()); got != more+1 {
+		t.Errorf("forest reports %d runs, want all %d", got, more+1)
+	}
+	if _, ok := p.Run(int64(run)); !ok {
+		t.Errorf("first run %d dropped after %d more completed", run, more)
 	}
 }
 
 func TestProgressETA(t *testing.T) {
 	p := NewForest()
 
-	// No plan, no profile: ETA unknown.
+	// No plan: ETA unknown.
 	run := NewSpanID()
 	p.Begin(Start{ID: run, Kind: KindRun, Name: "noplan"})
 	if s, _ := p.Run(int64(run)); s.ETASeconds != -1 {
@@ -119,24 +123,6 @@ func TestProgressETA(t *testing.T) {
 		t.Errorf("plan-based ETA = %g, want >= 0", s.ETASeconds)
 	}
 	p.End(End{ID: run2, Kind: KindRun, Name: "planned", Outcome: OutcomeOK, RealSeconds: 4})
-
-	// Profile-based: a second run of a name that completed OK uses the
-	// learned per-phase split even without a plan.
-	playRun(p, "profiled", OutcomeOK)
-	run3 := NewSpanID()
-	p.Begin(Start{ID: run3, Kind: KindRun, Name: "profiled"})
-	ph3 := NewSpanID()
-	p.Begin(Start{ID: ph3, Parent: run3, Kind: KindPhase, Name: "histograms"})
-	p.End(End{ID: ph3, Kind: KindPhase, Name: "histograms", Outcome: OutcomeOK, RealSeconds: 2})
-	if s, _ := p.Run(int64(run3)); s.ETASeconds < 0 {
-		t.Errorf("profile-based ETA = %g, want >= 0", s.ETASeconds)
-	}
-
-	// A failed run must not overwrite the learned profile.
-	playRun(p, "profiled", OutcomeError)
-	if _, ok := p.profiles["profiled"]; !ok {
-		t.Errorf("profile for %q lost after failed run", "profiled")
-	}
 }
 
 func TestProgressDetachedSpans(t *testing.T) {
@@ -164,32 +150,5 @@ func TestProgressDetachedSpans(t *testing.T) {
 	}
 	if s.Records != 7 {
 		t.Errorf("detached records = %d, want 7", s.Records)
-	}
-}
-
-// TestProgressEvictionKeepsWorkerTotals pins what eviction drops: a live
-// forest keeps the spans of the last defaultRetainRuns completed runs, but
-// the per-worker lifetime totals behind /workers and p3c_worker_* keep
-// counting every run, so those counters never go backwards.
-func TestProgressEvictionKeepsWorkerTotals(t *testing.T) {
-	f := NewForest()
-	const runs = defaultRetainRuns + 3
-	for i := 0; i < runs; i++ {
-		run, task := NewSpanID(), NewSpanID()
-		f.Begin(Start{ID: run, Kind: KindRun, Name: "r"})
-		f.Begin(Start{ID: task, Parent: run, Kind: KindTask, Name: "j", Phase: "map"})
-		f.End(End{ID: task, Kind: KindTask, Name: "j", Phase: "map", Outcome: OutcomeOK,
-			RealSeconds: 1, Worker: "w1"})
-		f.End(End{ID: run, Kind: KindRun, Name: "r", Outcome: OutcomeOK})
-	}
-	if got := len(f.Runs()); got != defaultRetainRuns {
-		t.Errorf("forest reports %d runs, want the last %d", got, defaultRetainRuns)
-	}
-	if got := len(f.spans); got != 2*defaultRetainRuns {
-		t.Errorf("forest holds %d spans, want %d (evicted runs dropped whole)", got, 2*defaultRetainRuns)
-	}
-	w := f.Workers()
-	if len(w) != 1 || w[0].Attempts != runs || w[0].BusySeconds != runs {
-		t.Errorf("worker totals = %+v, want %d attempts and busy seconds across every run", w, runs)
 	}
 }

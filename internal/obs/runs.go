@@ -1,12 +1,5 @@
 package obs
 
-// runProfile is the per-phase wall-second split of a completed run, used to
-// weight phase completion into an ETA for the next run of the same name.
-type runProfile struct {
-	phases map[string]float64
-	total  float64
-}
-
 // PhaseSnapshot is the progress of one pipeline phase.
 type PhaseSnapshot struct {
 	Name             string  `json:"name"`
@@ -59,7 +52,7 @@ const detachedRunID SpanID = 0
 // which is noise, not throughput.
 const minRateElapsed = 1e-3
 
-// Runs returns the progress of every retained run in span-ID order: live
+// Runs returns the progress of every run in span-ID order: live
 // and completed pipeline runs, preceded by the synthetic detached run
 // (ID 0) when spans without a run exist.
 func (f *Forest) Runs() []RunSnapshot {
@@ -80,7 +73,7 @@ func (f *Forest) Runs() []RunSnapshot {
 	return out
 }
 
-// Run returns the progress of one retained run by span ID (0 is the
+// Run returns the progress of one run by span ID (0 is the
 // detached run).
 func (f *Forest) Run(id int64) (RunSnapshot, bool) {
 	for _, s := range f.Runs() {
@@ -189,60 +182,26 @@ func (f *Forest) runSnapshot(id SpanID, name string, roots []*span) RunSnapshot 
 	return snap
 }
 
-// learnProfile records a successfully completed run's per-phase wall-time
-// split as the ETA profile for the next run of the same name. Caller holds
+// eta estimates the remaining seconds of a live run from the share of its
+// registered phase plan done, counting a live phase as half done; -1
+// (unknown) when no plan is registered for the run's name. Caller holds
 // f.mu.
-func (f *Forest) learnProfile(r *span) {
-	prof := runProfile{phases: make(map[string]float64)}
-	for _, ph := range f.kids[r.id] {
-		if ph.kind == KindPhase && ph.closed {
-			prof.phases[ph.name] += ph.realS
-			prof.total += ph.realS
-		}
-	}
-	if prof.total > 0 {
-		f.profiles[r.name] = prof
-	}
-}
-
-// eta estimates the remaining seconds of a live run from the fraction of
-// work done: profile-weighted phase completion when a previous run of the
-// same name finished, plan-based phase counting when a phase plan is
-// registered, -1 (unknown) otherwise. Caller holds f.mu.
 func (f *Forest) eta(name string, phases []PhaseSnapshot, elapsed float64) float64 {
-	frac := -1.0
-	if prof, ok := f.profiles[name]; ok && prof.total > 0 {
-		done := 0.0
-		for _, ph := range phases {
-			w, known := prof.phases[ph.Name]
-			switch {
-			case ph.Done && known:
-				done += w
-			case ph.Done:
-				// A phase the profile never saw: assume it is as far along
-				// as its own wall time says.
-				done += ph.RealSeconds
-			case known:
-				// Live phase: credit elapsed time, capped at its profile
-				// weight so a straggling phase cannot claim to be past done.
-				done += min(ph.RealSeconds, w)
-			}
-		}
-		frac = done / prof.total
-	} else if plan, ok := f.plans[name]; ok && len(plan) > 0 {
-		done := 0.0
-		for _, ph := range phases {
-			if ph.Done {
-				done++
-			} else {
-				done += 0.5
-			}
-		}
-		frac = done / float64(len(plan))
-	}
-	if frac <= 0 {
+	plan := f.plans[name]
+	if len(plan) == 0 {
 		return -1
 	}
-	frac = min(frac, 0.99)
+	done := 0.0
+	for _, ph := range phases {
+		if ph.Done {
+			done++
+		} else {
+			done += 0.5
+		}
+	}
+	if done == 0 {
+		return -1
+	}
+	frac := min(done/float64(len(plan)), 0.99)
 	return elapsed * (1 - frac) / frac
 }

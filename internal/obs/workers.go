@@ -3,84 +3,109 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
-// workerAgg accumulates one worker process over the forest's lifetime —
-// every task-attempt closing, step closing and point event that carries
-// its name, whether or not the span is still retained.
-type workerAgg struct {
-	attempts, ok, faults, cancels, errors int64
-	busySeconds                           float64
-	stragglerSeconds                      float64
-	stepSeconds                           map[string]float64
-	wasted                                Counters
+// workerFold is one worker process's totals over a set of spans: the task
+// attempts, steps and points that carry its name. It is the one per-worker
+// fold — Analyze renders a run's folds as WorkerRows, Workers the whole
+// forest's as WorkerSnapshots — so the two views agree by construction.
+type workerFold struct {
+	attempts, ok, faults, cancelled, errors int
+	busySeconds, faultSeconds               float64
+	stragglerSeconds                        float64
+	stepSeconds                             map[string]float64
+	wasted                                  Counters
 
-	samples         int64
-	last            ResourceSample
-	peakRSS, peakQB int64
+	samples                 int
+	first, last             spanPt // the samples that arrived first and last
+	peakRSS, peakQB, peakSB int64
 }
 
-func (f *Forest) worker(name string) *workerAgg {
-	a := f.workers[name]
-	if a == nil {
-		a = &workerAgg{stepSeconds: make(map[string]float64)}
-		f.workers[name] = a
-	}
-	return a
-}
-
-// foldWorkerEnd adds a worker-attributed closing to its worker's totals.
-// Events without a Worker (driver-side spans, in-process execution) carry
-// nothing to attribute. Caller holds f.mu.
-func (f *Forest) foldWorkerEnd(e End) {
-	if e.Worker == "" {
-		return
-	}
-	a := f.worker(e.Worker)
-	switch e.Kind {
-	case KindTask:
-		a.attempts++
-		a.busySeconds += e.RealSeconds
-		a.wasted.Add(e.Wasted)
-		switch e.Outcome {
-		case OutcomeOK:
-			a.ok++
-		case OutcomeFault:
-			a.faults++
-		case OutcomeCancelled:
-			a.cancels++
-		case OutcomeError:
-			a.errors++
+// workerFolds folds every worker-attributed span and point under roots by
+// worker name. Spans and points without a worker (driver-side events,
+// in-process execution) carry nothing to attribute. Caller holds f.mu.
+func (f *Forest) workerFolds(roots []*span) map[string]*workerFold {
+	folds := make(map[string]*workerFold)
+	worker := func(name string) *workerFold {
+		w := folds[name]
+		if w == nil {
+			w = &workerFold{}
+			folds[name] = w
 		}
-	case KindStep:
-		a.stepSeconds[e.Name] += e.RealSeconds
+		return w
 	}
+	for _, root := range roots {
+		f.walk(root, func(s *span) {
+			// The worker name arrives with the span's End, so an attributed
+			// span is a closed one.
+			switch {
+			case s.worker == "":
+			case s.isAttempt():
+				w := worker(s.worker)
+				w.attempts++
+				w.busySeconds += s.realS
+				w.wasted.Add(s.wasted)
+				switch s.outcome {
+				case OutcomeOK:
+					w.ok++
+				case OutcomeFault:
+					w.faults++
+					w.faultSeconds += s.realS
+				case OutcomeCancelled:
+					w.cancelled++
+				case OutcomeError:
+					w.errors++
+				}
+			case s.kind == KindStep:
+				w := worker(s.worker)
+				if w.stepSeconds == nil {
+					w.stepSeconds = make(map[string]float64)
+				}
+				w.stepSeconds[s.name] += s.realS
+			}
+			for _, p := range s.points {
+				switch {
+				case p.Worker == "":
+				case p.Kind == PointStraggler:
+					worker(p.Worker).stragglerSeconds += p.Seconds
+				case p.Kind == PointSample && p.Sample != nil:
+					w := worker(p.Worker)
+					if w.samples == 0 || p.seq < w.first.seq {
+						w.first = p
+					}
+					if w.samples == 0 || p.seq > w.last.seq {
+						w.last = p
+					}
+					w.samples++
+					w.peakRSS = max(w.peakRSS, p.Sample.RSSBytes)
+					w.peakQB = max(w.peakQB, p.Sample.QueueBytes)
+					w.peakSB = max(w.peakSB, p.Sample.SpillBytes)
+				}
+			}
+		})
+	}
+	return folds
 }
 
-// foldWorkerPoint adds a worker-attributed point to its worker's totals.
-// Caller holds f.mu.
-func (f *Forest) foldWorkerPoint(p Point) {
-	if p.Worker == "" {
-		return
+// lastSample is the worker's latest resource sample; zero without one.
+func (w *workerFold) lastSample() ResourceSample {
+	if w.samples == 0 {
+		return ResourceSample{}
 	}
-	a := f.worker(p.Worker)
-	switch p.Kind {
-	case PointSample:
-		if p.Sample == nil {
-			return
-		}
-		a.samples++
-		a.last = *p.Sample
-		a.peakRSS = max(a.peakRSS, p.Sample.RSSBytes)
-		a.peakQB = max(a.peakQB, p.Sample.QueueBytes)
-	case PointStraggler:
-		a.stragglerSeconds += p.Seconds
-	}
+	return *w.last.Sample
 }
 
-// WorkerSnapshot is the lifetime state of one worker process — the
-// /workers payload element.
+// utilization is ΔCPU/Δwall between the worker's first and last samples;
+// 0 without two samples apart in time.
+func (w *workerFold) utilization() float64 {
+	if dt := w.last.ts - w.first.ts; w.samples >= 2 && dt > 0 {
+		return (w.last.Sample.CPUSeconds - w.first.Sample.CPUSeconds) / dt
+	}
+	return 0
+}
+
+// WorkerSnapshot is the state of one worker process over every span of
+// the forest — the /workers payload element.
 type WorkerSnapshot struct {
 	Worker           string             `json:"worker"`
 	Attempts         int64              `json:"attempts"`
@@ -104,30 +129,26 @@ type WorkerSnapshot struct {
 	Wasted         Counters `json:"wasted"`
 }
 
-// Workers returns every worker's lifetime state, sorted by worker name.
+// Workers returns every worker's totals over the forest, sorted by worker
+// name.
 func (f *Forest) Workers() []WorkerSnapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]WorkerSnapshot, 0, len(f.workers))
-	for name, a := range f.workers {
-		snap := WorkerSnapshot{
-			Worker: name, Attempts: a.attempts, OK: a.ok, Faults: a.faults,
-			Cancelled: a.cancels, Errors: a.errors,
-			BusySeconds: a.busySeconds, StragglerSeconds: a.stragglerSeconds,
-			Samples: a.samples, CPUSeconds: a.last.CPUSeconds,
-			RSSBytes: a.last.RSSBytes, PeakRSSBytes: a.peakRSS,
-			SpillBytes: a.last.SpillBytes, QueueBytes: a.last.QueueBytes,
-			PeakQueueBytes: a.peakQB, Wasted: a.wasted,
-		}
-		if len(a.stepSeconds) > 0 {
-			snap.StepSeconds = make(map[string]float64, len(a.stepSeconds))
-			for k, v := range a.stepSeconds {
-				snap.StepSeconds[k] = v
-			}
-		}
-		out = append(out, snap)
+	folds := f.workerFolds(f.roots())
+	out := make([]WorkerSnapshot, 0, len(folds))
+	for _, name := range sortedKeys(folds) {
+		w := folds[name]
+		last := w.lastSample()
+		out = append(out, WorkerSnapshot{
+			Worker: name, Attempts: int64(w.attempts), OK: int64(w.ok), Faults: int64(w.faults),
+			Cancelled: int64(w.cancelled), Errors: int64(w.errors),
+			BusySeconds: w.busySeconds, StragglerSeconds: w.stragglerSeconds,
+			StepSeconds: w.stepSeconds, Samples: int64(w.samples),
+			CPUSeconds: last.CPUSeconds, RSSBytes: last.RSSBytes, PeakRSSBytes: w.peakRSS,
+			SpillBytes: last.SpillBytes, QueueBytes: last.QueueBytes,
+			PeakQueueBytes: w.peakQB, Wasted: w.wasted,
+		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
 	return out
 }
 

@@ -11,11 +11,13 @@ import (
 
 // feedWorkerStats drives a small two-worker history through a forest: w2
 // runs clean, w1 faults once, runs a step, straggles and reports samples.
+// Every point rides on one of its worker's task spans, as the engine and
+// the multiprocess backend emit them.
 func feedWorkerStats() *Forest {
 	ws := NewForest()
 	// Driver-side events without worker attribution must be ignored.
 	ws.End(End{ID: 1, Kind: KindTask, Outcome: OutcomeOK, RealSeconds: 9})
-	ws.Point(Point{Kind: PointSample, Sample: &ResourceSample{CPUSeconds: 9}})
+	ws.Point(Point{Span: 1, Kind: PointSample, Sample: &ResourceSample{CPUSeconds: 9}})
 
 	ws.End(End{ID: 2, Kind: KindTask, Worker: "w1", Outcome: OutcomeFault,
 		RealSeconds: 0.5, Wasted: Counters{MapInputRecords: 40}})
@@ -23,14 +25,14 @@ func feedWorkerStats() *Forest {
 	ws.End(End{ID: 4, Kind: KindStep, Name: "map-exec", Worker: "w1", Outcome: OutcomeOK, RealSeconds: 1.25})
 	ws.End(End{ID: 5, Kind: KindStep, Name: "map-exec", Worker: "w1", Outcome: OutcomeOK, RealSeconds: 0.25})
 	ws.End(End{ID: 6, Kind: KindStep, Name: "spill-write", Worker: "w1", Outcome: OutcomeOK, RealSeconds: 0.5})
-	ws.Point(Point{Kind: PointStraggler, Worker: "w1", Seconds: 3})
-	ws.Point(Point{Kind: PointSample, Worker: "w1",
+	ws.Point(Point{Span: 3, Kind: PointStraggler, Worker: "w1", Seconds: 3})
+	ws.Point(Point{Span: 2, Kind: PointSample, Worker: "w1",
 		Sample: &ResourceSample{CPUSeconds: 1, RSSBytes: 4096, SpillBytes: 100, QueueBytes: 64}})
-	ws.Point(Point{Kind: PointSample, Worker: "w1",
+	ws.Point(Point{Span: 3, Kind: PointSample, Worker: "w1",
 		Sample: &ResourceSample{CPUSeconds: 2, RSSBytes: 2048, SpillBytes: 200, QueueBytes: 16}})
 
 	ws.End(End{ID: 7, Kind: KindTask, Worker: "w2", Outcome: OutcomeOK, RealSeconds: 2})
-	ws.Point(Point{Kind: PointSample, Worker: "w2", Sample: &ResourceSample{CPUSeconds: 0.5, RSSBytes: 1024}})
+	ws.Point(Point{Span: 7, Kind: PointSample, Worker: "w2", Sample: &ResourceSample{CPUSeconds: 0.5, RSSBytes: 1024}})
 	return ws
 }
 
