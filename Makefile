@@ -19,10 +19,10 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Project-specific contract analyzers (determinism, retry safety, zero-cost
-# tracing, pool lifecycles, the append-only wire protocol, the job-impl
-# registry bijection, span balance). Exits nonzero on any finding; see
-# cmd/p3cvet and DESIGN.md §3e/§3j.
+# The eight project-specific contract analyzers (wall-clock and randomness
+# determinism, map order, hot-path boxing, zero-cost tracing, pool
+# lifecycles, the job-impl registry bijection, span balance). Exits nonzero
+# on any finding; see cmd/p3cvet and DESIGN.md §3e/§3j.
 lint:
 	$(GO) run ./cmd/p3cvet ./...
 
@@ -71,9 +71,9 @@ chaos:
 # processes are race-instrumented binaries and slow to spawn), the
 # pipeline's own JSON oracle across backends, the
 # SIGKILL-mid-task chaos tests with exact retry/waste accounting, the
-# worker protocol and driver-death hygiene tests, the out-of-core
-# spill/merge test, and one fuzz-seed pass over the spill codec and the
-# k-way merge.
+# worker protocol, wire-schema handshake and driver-death hygiene tests,
+# the out-of-core spill/merge test, and one fuzz-seed pass over the spill
+# codec and the k-way merge.
 chaos-proc:
 	$(GO) test -race -run 'Backend|ProcKill|Spill|Worker|Multiprocess|Wire' ./internal/mr/ ./cmd/p3ctrace/ .
 	$(GO) test -run 'FuzzSpillRoundTrip|FuzzKWayMergeOrder' ./internal/mr/

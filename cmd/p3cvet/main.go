@@ -1,13 +1,12 @@
-// Command p3cvet runs the project's nine contract-enforcing static
+// Command p3cvet runs the project's eight contract-enforcing static
 // analyzers over the module: detclock (wall clock is observability-only), detrand
 // (randomness is seeded per identity), hotpath (no scalar any-boxing or
 // per-emit fmt.Sprintf keys on the data plane), implreg (Job.Impl sites and
 // RegisterJobImpl registrations form a bijection with pure builders),
 // maporder (no output in map iteration order), poolsafe (pooled buffers
 // stay inside their lifecycle barrier), spanbalance (every obs span Begin is Ended on all
-// control-flow paths), tracenil (Tracer/Metrics calls are nil-guarded), and
-// wirelock (the wire protocol evolves append-only against the committed
-// wire.lock). Findings print as
+// control-flow paths), and tracenil (Tracer/Metrics calls are nil-guarded).
+// Findings print as
 //
 //	file:line: [analyzer] message
 //
@@ -16,9 +15,7 @@
 // the same line or the line above; allows that suppress nothing are
 // themselves reported, so stale suppressions cannot accumulate.
 //
-// -write regenerates wire.lock for intentional, append-only protocol bumps
-// (and refuses breaking diffs). -time reports load and per-analyzer wall
-// times.
+// -time reports load and per-analyzer wall times.
 package main
 
 import (
@@ -33,7 +30,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list available analyzers and exit")
-	write := flag.Bool("write", false, "regenerate wire.lock fingerprints (append-only bumps; breaking diffs are refused) and exit")
 	timed := flag.Bool("time", false, "report load and per-analyzer wall times on stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: p3cvet [flags] [packages]\n\n")
@@ -73,21 +69,6 @@ func main() {
 	if *timed {
 		fmt.Fprintf(os.Stderr, "p3cvet: load %.3fs (parse %.3fs, typecheck %.3fs, %d packages)\n",
 			stats.ParseSeconds+stats.CheckSeconds, stats.ParseSeconds, stats.CheckSeconds, stats.Packages)
-	}
-
-	if *write {
-		written, err := lint.RegenerateWireLocks(pkgs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "p3cvet:", err)
-			os.Exit(1)
-		}
-		for _, path := range written {
-			fmt.Println("p3cvet: wrote", path)
-		}
-		if len(written) == 0 {
-			fmt.Fprintln(os.Stderr, "p3cvet: no wire surfaces in the loaded packages")
-		}
-		return
 	}
 
 	findings, timings := lint.RunTimed(pkgs, analyzers)

@@ -7,6 +7,15 @@ import (
 	"p3cmr/internal/stats"
 )
 
+// levelCap bounds the candidate count of a single a-priori level (a
+// capped level also caps the next level's join space at ~levelCap²/2
+// pairs). Data whose hidden clusters span dozens of attributes makes the
+// signature lattice combinatorial — C(40, p) candidates at level p — which
+// no a-priori sweep can enumerate; the cap truncates such levels
+// deterministically (canonical order) and records the event in
+// RunStats.LevelsTruncated instead of hanging.
+const levelCap = 5000
+
 // coreGenerator runs Algorithm 1: a-priori generation of p-signatures from
 // the relevant intervals, support proving with the Poisson (and optionally
 // effect-size) test, multi-level candidate collection to batch proving jobs
@@ -24,7 +33,7 @@ type coreGenerator struct {
 	lattice   map[string]verdict
 	ids       signature.Interner
 	proven    []signature.Signature // in proving order
-	truncated int                   // levels cut by LevelCap
+	truncated int                   // levels cut by levelCap
 	// trace is the phase span the generator's jobs nest under (0 = untraced).
 	trace obs.SpanID
 }
@@ -90,7 +99,7 @@ type batch struct {
 func (g *coreGenerator) run(intervals []signature.Interval, supports []int64) ([]signature.Signature, error) {
 	current := g.proveLevel1(intervals, supports)
 	k := 2
-	for len(current) > 0 && (g.params.MaxP == 0 || k <= g.params.MaxP) {
+	for len(current) > 0 {
 		// Multi-level candidate collection (§5.3): generate successive
 		// levels from unproven candidates, deferring the proving job until
 		// the stop heuristic fires:
@@ -99,18 +108,18 @@ func (g *coreGenerator) run(intervals []signature.Interval, supports []int64) ([
 		csum := 0
 		prevSize := -1
 		basis := current
-		for g.params.MaxP == 0 || k <= g.params.MaxP {
+		for {
 			cands, err := generateCandidatesMR(g.engine, basis, g.params.Tgen, g.trace)
 			if err != nil {
 				return nil, err
 			}
 			cands = g.filterKnown(cands)
-			if cap := g.params.LevelCap; cap > 0 && len(cands) > cap {
-				// Pathologically wide lattice (see Params.LevelCap): keep a
+			if len(cands) > levelCap {
+				// Pathologically wide lattice (see levelCap): keep a
 				// deterministic prefix rather than enumerate a level no
 				// cluster could hold.
 				signature.Sort(cands)
-				cands = cands[:cap]
+				cands = cands[:levelCap]
 				g.truncated++
 			}
 			if len(cands) == 0 {

@@ -98,16 +98,6 @@ type Params struct {
 	// collection heuristic. The paper tuned 3·10⁴ on Hadoop where each
 	// saved job is worth seconds; the in-process default is 2·10³.
 	Tc int
-	// MaxP caps signature dimensionality as a safety valve (0 = unbounded).
-	MaxP int
-	// LevelCap bounds the candidate count of a single a-priori level
-	// (0 = default 5 000; a capped level also caps the next level's join
-	// space at ~LevelCap²/2 pairs). Data whose hidden clusters span dozens
-	// of attributes makes the signature lattice combinatorial — C(40, p)
-	// candidates at level p — which no a-priori sweep can enumerate; the
-	// cap truncates such levels deterministically (canonical order) and
-	// records the event in RunStats.LevelsTruncated instead of hanging.
-	LevelCap int
 	// NumSplits is the number of input splits the data set is partitioned
 	// into (0 = one split per engine parallelism unit).
 	NumSplits int
@@ -129,8 +119,6 @@ func NewParams() Params {
 		EM:                  em.FitOptions{MaxIterations: 8, Tolerance: 1e-4},
 		Tgen:                1e6,
 		Tc:                  2e3,
-		MaxP:                0,
-		LevelCap:            5e3,
 		NumSplits:           0,
 	}
 }
@@ -185,7 +173,7 @@ func (p Params) Validate() error {
 	if p.UseRedundancyFilter && (p.RedundancyCoverage <= 0 || p.RedundancyCoverage > 1) {
 		return fmt.Errorf("core: RedundancyCoverage must be in (0,1], got %g", p.RedundancyCoverage)
 	}
-	if p.Tc < 0 || p.Tgen < 0 || p.MaxP < 0 || p.LevelCap < 0 || p.NumSplits < 0 {
+	if p.Tc < 0 || p.Tgen < 0 || p.NumSplits < 0 {
 		return fmt.Errorf("core: thresholds must be non-negative")
 	}
 	return nil
@@ -213,7 +201,7 @@ type RunStats struct {
 	Counters mr.Counters
 	// CandidatesProven counts support-tested signatures.
 	CandidatesProven int
-	// LevelsTruncated counts a-priori levels cut off by Params.LevelCap.
+	// LevelsTruncated counts a-priori levels cut off at levelCap candidates.
 	LevelsTruncated int
 	// CoresBeforeRedundancy and Cores record the filter's effect.
 	CoresBeforeRedundancy, Cores int

@@ -369,13 +369,3 @@ func AccuracyHungarian(predicted, classes []int) float64 {
 	}
 	return correct / float64(len(predicted))
 }
-
-// NumClustersDelta returns |found − truth| cluster-count difference, a
-// helper for the Figure 5 experiment tables.
-func NumClustersDelta(found, truth *SubspaceClustering) int {
-	d := len(found.Clusters) - len(truth.Clusters)
-	if d < 0 {
-		return -d
-	}
-	return d
-}

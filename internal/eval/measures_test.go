@@ -269,11 +269,3 @@ func TestAccuracy(t *testing.T) {
 		t.Fatal("degenerate accuracy must be 0")
 	}
 }
-
-func TestNumClustersDelta(t *testing.T) {
-	a := mustSC(t, 5, 2, []*Cluster{{Objects: []int{0}, Attrs: []int{0}}})
-	b := mustSC(t, 5, 2, nil)
-	if NumClustersDelta(a, b) != 1 || NumClustersDelta(b, a) != 1 {
-		t.Fatal("delta wrong")
-	}
-}

@@ -4,7 +4,7 @@
 // Parallelism (so every chaos oracle stays meaningful), jobs that can cross
 // a process boundary, pooled buffers that never outlive their barrier, and
 // the guarantee that a nil tracer adds zero clock reads and allocations to
-// the hot path. Each convention is machine-checked by one of nine
+// the hot path. Each convention is machine-checked by one of eight
 // analyzers:
 //
 //   - detclock:    no time.Now/time.Since outside internal/obs — wall-clock
@@ -22,8 +22,6 @@
 //   - spanbalance: every obs span Begin is Ended on all control-flow paths.
 //   - tracenil:    calls through Tracer/Metrics handles must be nil-guarded
 //     (the zero-cost-when-off contract).
-//   - wirelock:    the wire protocol evolves append-only against the
-//     committed wire.lock.
 //
 // Findings can be suppressed with a `//lint:allow <analyzer> <reason>`
 // comment on the finding's line or the line directly above it; allows that
@@ -94,8 +92,6 @@ type Pass struct {
 	Fset *token.FileSet
 	// Path is the package's import path.
 	Path string
-	// Dir is the package directory on disk (where wirelock finds wire.lock).
-	Dir string
 	// Files are the package's parsed files (tests excluded).
 	Files []*ast.File
 	// Pkg and Info are the type-check results. Info is always non-nil, but
@@ -238,7 +234,6 @@ func runSuite(pkgs []*Package, analyzers []*Analyzer, timed bool) ([]Finding, []
 					Analyzer: a,
 					Fset:     pkg.Fset,
 					Path:     pkg.Path,
-					Dir:      pkg.Dir,
 					Files:    pkg.Files,
 					Pkg:      pkg.Types,
 					Info:     pkg.Info,
@@ -318,7 +313,7 @@ func analyzerSeconds(start time.Time) float64 { return obs.Since(start).Seconds(
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{DetClock, DetRand, HotPath, ImplReg, MapOrder, PoolSafe, SpanBalance, TraceNil, WireLock}
+	return []*Analyzer{DetClock, DetRand, HotPath, ImplReg, MapOrder, PoolSafe, SpanBalance, TraceNil}
 }
 
 // ByName resolves a comma-separated analyzer list ("detclock,maporder").

@@ -142,14 +142,6 @@ func TestImplRegCrossPackage(t *testing.T) {
 	}
 }
 
-func TestWireLockCorpus(t *testing.T) {
-	runCorpus(t, []*Analyzer{WireLock},
-		"testdata/src/wirelock/clean",
-		"testdata/src/wirelock/extended",
-		"testdata/src/wirelock/breaking",
-		"testdata/src/wirelock/nolock")
-}
-
 // TestAllowCorpus exercises the suppression machinery end to end: same-line
 // and line-above allows suppress, a wrong-analyzer allow does not (and is
 // reported stale through the unused-allow pseudo-analyzer).

@@ -11,12 +11,29 @@ import (
 // shape (zero findings), applies the one-line mutation the analyzer exists
 // to catch, and demands exactly one finding — no misses, no pile-ons.
 
-// mutationFindings loads a single-package throwaway module and runs one
-// analyzer over it.
+// mutationFindings loads src as the one package of a throwaway module on
+// disk and runs one analyzer over it.
 func mutationFindings(t *testing.T, analyzer *Analyzer, src string) []Finding {
 	t.Helper()
-	dir := writeModule(t, map[string]string{"go.mod": testGoMod, "p/p.go": src})
-	return loadAndRun(t, dir, []*Analyzer{analyzer})
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "p"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{"go.mod": "module m\n\ngo 1.22\n", "p/p.go": src} {
+		if err := os.WriteFile(filepath.Join(dir, filepath.FromSlash(name)), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := Load(dir, []string{"./..."})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	for _, pkg := range pkgs {
+		for _, terr := range pkg.TypeErrors {
+			t.Errorf("fixture %s does not type-check: %v", pkg.Path, terr)
+		}
+	}
+	return Run(pkgs, []*Analyzer{analyzer})
 }
 
 // checkMutation asserts the clean source is silent and the mutated source
@@ -120,36 +137,4 @@ func run(tr *Tracer, err error) error {
 `
 	mutated := strings.Replace(clean, "\t\ttr.End(End{ID: \"run\", Err: err.Error()})\n", "", 1)
 	checkMutation(t, SpanBalance, clean, mutated, "not Ended on every path")
-}
-
-// TestMutationWireTagReorder swaps the values of two committed frame tags —
-// one finding, even though both const lines diff.
-func TestMutationWireTagReorder(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod":       testGoMod,
-		"wire/wire.go": wireV1,
-	})
-	pkgs, err := Load(dir, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RegenerateWireLocks(pkgs); err != nil {
-		t.Fatal(err)
-	}
-	if findings := loadAndRun(t, dir, []*Analyzer{WireLock}); len(findings) != 0 {
-		t.Fatalf("clean shape is not clean: %v", findings)
-	}
-
-	reordered := strings.Replace(wireV1, "fHello byte = 1", "fHello byte = 2", 1)
-	reordered = strings.Replace(reordered, "fJob   byte = 2", "fJob   byte = 1", 1)
-	if err := os.WriteFile(filepath.Join(dir, "wire", "wire.go"), []byte(reordered), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	findings := loadAndRun(t, dir, []*Analyzer{WireLock})
-	if len(findings) != 1 {
-		t.Fatalf("reordered tags: got %d findings %v, want exactly 1", len(findings), findings)
-	}
-	if !strings.Contains(findings[0].Message, "append-only wire-protocol violation") {
-		t.Fatalf("reordered tags: finding %q is not a violation report", findings[0].Message)
-	}
 }

@@ -243,7 +243,8 @@ func (e *Engine) procFleet() (*fleet, error) {
 }
 
 // spawn starts one worker process, wiring the control pipe to its fd 3 and
-// the result pipe to its fd 4, and waits for its hello frame.
+// the result pipe to its fd 4, and waits for its hello frame. It refuses a
+// worker whose wire schema is not the driver's.
 func (f *fleet) spawn() (*workerProc, error) {
 	ctlR, ctlW, err := os.Pipe()
 	if err != nil {
@@ -287,7 +288,12 @@ func (f *fleet) spawn() (*workerProc, error) {
 	if err == nil {
 		err = decodeFrame(data, &hello)
 	}
-	if err == nil && f.tel {
+	if err != nil {
+		err = fmt.Errorf("%w (is MaybeWorkerProcess called first thing in main?)", err)
+	} else if hello.Wire != wireSchema {
+		err = fmt.Errorf("worker pid %d has wire schema %q, the driver has %q (binary replaced under a running driver?)",
+			hello.PID, hello.Wire, wireSchema)
+	} else if f.tel {
 		// Telemetry handshake: the worker follows hello with a TelClock
 		// frame; pairing its worker-epoch reading with the driver receive
 		// time calibrates alignTime for every later event.
@@ -298,7 +304,7 @@ func (f *fleet) spawn() (*workerProc, error) {
 		resR.Close()
 		cmd.Process.Kill()
 		w.wait()
-		return nil, fmt.Errorf("mr: worker handshake: %w (is MaybeWorkerProcess called first thing in main?)", err)
+		return nil, fmt.Errorf("mr: worker handshake: %w", err)
 	}
 	w.pid = hello.PID
 	w.name = fmt.Sprintf("w%d", hello.PID)
@@ -620,7 +626,7 @@ func (p *procRun) reduceTask(r int) ([]Pair, Counters, faultCharge, error) {
 		func(_ *workerProc, attempt, killAt int) (byte, any) {
 			return fReduceTask, reduceTaskFrame{
 				Task: r, Attempt: attempt, KillAt: killAt,
-				Segments: segs, TotalRecords: records,
+				Segments: segs,
 			}
 		},
 		fReduceDone, func(_ *workerProc, data []byte) (Counters, error) {

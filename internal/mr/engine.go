@@ -73,8 +73,8 @@ type Config struct {
 	SpillDir string
 	// TelemetrySample is the multiprocess backend's worker resource-sampler
 	// cadence. Zero means 250ms. Worker telemetry as a whole rides the
-	// Tracer: with a nil Tracer no telemetry is enabled and the worker wire
-	// stream is byte-identical to a pre-telemetry build.
+	// Tracer: with a nil Tracer workers build no tracer, start no sampler
+	// and send no telemetry frame.
 	TelemetrySample time.Duration
 	// SpillThresholdBytes caps a multiprocess map worker's in-memory
 	// shuffle buffer: when the buffered record bytes exceed it, every

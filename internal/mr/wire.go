@@ -2,8 +2,11 @@ package mr
 
 import (
 	"bytes"
+	"crypto/sha256"
+	_ "embed"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -27,6 +30,25 @@ import (
 // to the exact dynamic type the in-process engine would deliver — the
 // bit-identity contract. Types outside the built-in kinds fall back to gob
 // and must be registered with RegisterWireValue.
+//
+// Schema: every worker is a re-exec of the driver's own binary, so driver
+// and workers speak the protocol of one build and it evolves freely. The
+// hello frame carries the worker's wireSchema, the hash of this file, and
+// the driver refuses a worker whose schema differs from its own — a binary
+// rebuilt under a running driver fails the job instead of exchanging
+// frames it may misread.
+
+// wireSource is this file's source: frame tags, value kinds and frame
+// structs, the whole protocol.
+//
+//go:embed wire.go
+var wireSource []byte
+
+// wireSchema is the hex SHA-256 of wireSource, hashed once per process.
+var wireSchema = func() string {
+	sum := sha256.Sum256(wireSource)
+	return hex.EncodeToString(sum[:])
+}()
 
 // Frame types, driver→worker (ctl) and worker→driver (results).
 const (
@@ -62,8 +84,6 @@ const (
 	// when the driver enabled telemetry (telemetryEnv): once right after
 	// hello (the TelClock alignment reading) and then at task boundaries,
 	// immediately before a done/dying/error frame. Payload telemetryFrame.
-	// Appended after fShutdown so the preceding frame-type bytes — the PR 7
-	// wire format — are untouched.
 	fTelemetry
 )
 
@@ -74,6 +94,8 @@ const maxFrame = 1 << 30
 
 type helloFrame struct {
 	PID int
+	// Wire is the worker's wireSchema.
+	Wire string
 }
 
 type jobFrame struct {
@@ -84,19 +106,11 @@ type jobFrame struct {
 	// NB is the shuffle bucket count (1 for map-only jobs).
 	NB      int
 	MapOnly bool
-	// HasCombiner is retired: the engine has no combiner, so it is always
-	// false. It stays because the protocol is append-only (wire.lock).
-	HasCombiner bool
 	// Poison forwards Config.DebugPoisonPools into the worker's pools.
 	Poison   bool
 	SpillDir string
 	// SpillLimit is the mid-task spill threshold in buffered record bytes.
 	SpillLimit int64
-	// CacheKeys and CacheVals are retired: the engine has no per-job cache
-	// (a job's data is its Spec and its split), so they are always empty.
-	// They stay because the protocol is append-only (wire.lock).
-	CacheKeys []string
-	CacheVals [][]byte
 	// Resident lists the keys of the job's row-bearing splits (see
 	// mapTaskFrame.SplitKey). A worker drops every resident split not
 	// listed; an empty list (a job of zero-row splits) drops none.
@@ -109,17 +123,11 @@ type mapTaskFrame struct {
 	Attempt int
 	Offset  int
 	Dim     int
-	// Rows is retired: rows ride RowBytes, so it is always empty. It stays
-	// because the protocol is append-only (wire.lock).
-	Rows []float64
 	// KillAt, when >= 0, makes the worker SIGKILL itself immediately before
 	// record KillAt — the process-boundary realization of an in-process
 	// injected map failure at the same position. Decided by the driver so
 	// the fault plan stays a pure driver-side function.
 	KillAt int
-	// CombineKill is retired: the engine has no combiner, so it is always
-	// false. It stays because the protocol is append-only (wire.lock).
-	CombineKill bool
 	// SplitKey names the split on the worker (Split.shipKey), 0 for a
 	// split without rows, which the worker builds afresh for the task.
 	SplitKey uint64
@@ -166,9 +174,6 @@ type reduceTaskFrame struct {
 	// Segments are every map task's runs for this partition, ordered by
 	// (map task, Seq): the merge preserves that order within each key.
 	Segments []segmentRef
-	// TotalRecords is the summed record count. Workers no longer read it;
-	// it stays because frames are append-only.
-	TotalRecords int64
 }
 
 type doneFrame struct {
@@ -185,10 +190,7 @@ type errFrame struct {
 
 // telemetryFrame carries a worker's drained trace buffer. Timestamps inside
 // the events are worker-epoch seconds; the driver aligns them using the
-// TelClock reading it captured at handshake. No existing frame struct grows
-// a field for telemetry — gob ships a struct's full type descriptor on
-// first encode, so even a zero-valued addition would change the bytes of a
-// telemetry-off stream.
+// TelClock reading it captured at handshake.
 type telemetryFrame struct {
 	Events []obs.TelemetryEvent
 }

@@ -40,8 +40,7 @@ const workerEnv = "P3CMR_MR_WORKER"
 // telemetryEnv enables worker telemetry; its value is the resource-sampler
 // cadence in milliseconds. The driver sets it only when it has a Tracer, so
 // a telemetry-off run never sees the variable, never constructs a tracer,
-// and never writes an fTelemetry frame — the wire stream stays bit-identical
-// to the pre-telemetry protocol.
+// and never writes an fTelemetry frame.
 const telemetryEnv = "P3CMR_MR_TELEMETRY"
 
 // MaybeWorkerProcess turns the current process into a multiprocess-backend
@@ -131,7 +130,7 @@ func runWorker(ctl io.Reader, res io.Writer, exit func(error)) error {
 		}
 		defer w.tel.StopSampler()
 	}
-	if err := w.send(fHello, helloFrame{PID: os.Getpid()}); err != nil {
+	if err := w.send(fHello, helloFrame{PID: os.Getpid(), Wire: wireSchema}); err != nil {
 		return err
 	}
 	if w.tel != nil {

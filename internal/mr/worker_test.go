@@ -3,12 +3,15 @@ package mr
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"syscall"
@@ -320,5 +323,77 @@ func TestSendTaskCountsOnlyFlushedFrames(t *testing.T) {
 	}
 	if wp.tasks != 0 {
 		t.Errorf("tasks = %d after a failed send, want 0", wp.tasks)
+	}
+}
+
+// foreignWireEnv makes TestMain replace the process's wire schema with the
+// variable's value before it turns worker, so workers spawned while a test
+// sets it announce another build's schema.
+const foreignWireEnv = "P3CMR_TEST_FOREIGN_WIRE"
+
+// TestWireSchemaIsWireGoHash pins what the handshake compares: the SHA-256
+// of wire.go as it is on disk, embedded whole.
+func TestWireSchemaIsWireGoHash(t *testing.T) {
+	src, err := os.ReadFile("wire.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wireSource, src) {
+		t.Fatal("embedded wireSource differs from wire.go")
+	}
+	sum := sha256.Sum256(src)
+	if want := hex.EncodeToString(sum[:]); wireSchema != want {
+		t.Errorf("wireSchema = %s, want sha256(wire.go) = %s", wireSchema, want)
+	}
+}
+
+// TestWorkerHandshakeSameBuild spawns a worker of this binary: its hello
+// carries the driver's schema and the fleet takes it.
+func TestWorkerHandshakeSameBuild(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fleet{exe: exe}
+	w, err := f.spawn()
+	if err != nil {
+		t.Fatalf("spawn: %v", err)
+	}
+	if w.pid <= 0 || f.stats.WorkersSpawned != 1 {
+		t.Errorf("spawned worker pid %d, WorkersSpawned %d", w.pid, f.stats.WorkersSpawned)
+	}
+	if err := shutdown([]*workerProc{w}); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+}
+
+// TestWorkerHandshakeRefusesForeignWireSchema runs a multiprocess job whose
+// workers announce another wire schema: the job fails with an error naming
+// both schemas, no worker joins the fleet, and the refused worker is
+// reaped, not left a zombie.
+func TestWorkerHandshakeRefusesForeignWireSchema(t *testing.T) {
+	const foreign = "f0f0f0f0-another-build"
+	t.Setenv(foreignWireEnv, foreign)
+	e := NewEngine(Config{Backend: "multiprocess", Parallelism: 1, SpillDir: t.TempDir()})
+	defer e.Close()
+	_, err := e.Run(confJob("conf-wordcount", 30, 2, 1))
+	if err == nil {
+		t.Fatal("a job on workers of another wire schema succeeded")
+	}
+	for _, s := range []string{foreign, wireSchema} {
+		if !strings.Contains(err.Error(), s) {
+			t.Errorf("error %q does not name schema %s", err, s)
+		}
+	}
+	m := regexp.MustCompile(`worker pid (\d+)`).FindStringSubmatch(err.Error())
+	if m == nil {
+		t.Fatalf("error %q names no worker pid", err)
+	}
+	pid, _ := strconv.Atoi(m[1])
+	if err := syscall.Kill(pid, 0); !errors.Is(err, syscall.ESRCH) {
+		t.Errorf("refused worker %d not reaped: kill(pid, 0) = %v", pid, err)
+	}
+	if stats, _ := e.LastProcStats(); stats.WorkersSpawned != 0 {
+		t.Errorf("WorkersSpawned = %d, want 0", stats.WorkersSpawned)
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -144,5 +145,37 @@ func TestAnalyzeCriticalPathChain(t *testing.T) {
 	}
 	if cp[5].Phase != "map" || cp[6].Phase != "reduce" {
 		t.Errorf("job chain = %s then %s, want the last map then the reduce", cp[5].Phase, cp[6].Phase)
+	}
+}
+
+// TestReportTextShowsMicrosecondTasks checks that task durations far below
+// a millisecond keep their significant digits in the text report: a 30 µs
+// attempt must not read as zero in the job, skew or slowest-attempt tables.
+func TestReportTextShowsMicrosecondTasks(t *testing.T) {
+	const s = 30e-6
+	a := &Analysis{Runs: []RunAnalysis{{
+		Kind: "run", Name: "r",
+		Jobs:    []JobRow{{Name: "j", Runs: 1, TaskP50S: s, TaskP90S: s, TaskP99S: s}},
+		Skew:    []SkewRow{{Job: "j", Phase: "map", Tasks: 1, MedianS: s, P90S: s, MaxS: s}},
+		Slowest: []AttemptRow{{Job: "j", Phase: "map", Task: "0", Seconds: s, Outcome: "ok"}},
+	}}}
+	var buf bytes.Buffer
+	if err := WriteText(&buf, a, false); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if want := "0.0000300/0.0000300/0.0000300"; !strings.Contains(out, want) {
+		t.Errorf("job row lacks %q:\n%s", want, out)
+	}
+	if n := strings.Count(out, "0.0000300"); n != 3+3+1 {
+		t.Errorf("30 µs rendered %d times, want 7:\n%s", n, out)
+	}
+	for _, c := range []struct {
+		s    float64
+		want string
+	}{{0, "0.000"}, {1.5, "1.500"}, {0.01234, "0.0123"}, {123.456, "123.456"}} {
+		if got := taskSeconds(c.s); got != c.want {
+			t.Errorf("taskSeconds(%g) = %q, want %q", c.s, got, c.want)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 )
@@ -50,10 +52,11 @@ func writeRun(w io.Writer, r *RunAnalysis, timeline bool) error {
 		{len(r.Jobs) > 0, "job\truns\tmap in\tmap out\tred keys\tred vals\tout\tshuffled B\tretries\twasted rec\tsim s\twall s\ttask p50/p90/p99 s", func(tw io.Writer) {
 			for _, j := range r.Jobs {
 				c := j.Counters
-				fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.3f\t%.3f\t%.4f/%.4f/%.4f\n",
+				fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.3f\t%.3f\t%s/%s/%s\n",
 					j.Name, j.Runs, c.MapInputRecords, c.MapOutputRecords, c.ReduceInputKeys,
 					c.ReduceInputVals, c.OutputRecords, c.ShuffledBytes, c.TaskRetries,
-					j.WastedRecords, j.SimulatedSeconds, j.WallSeconds, j.TaskP50S, j.TaskP90S, j.TaskP99S)
+					j.WastedRecords, j.SimulatedSeconds, j.WallSeconds,
+					taskSeconds(j.TaskP50S), taskSeconds(j.TaskP90S), taskSeconds(j.TaskP99S))
 			}
 		}},
 		{len(r.CriticalPath) > 0, "critical path\tspan\tstart s\tdur s\tself s", func(tw io.Writer) {
@@ -71,8 +74,9 @@ func writeRun(w io.Writer, r *RunAnalysis, timeline bool) error {
 		}},
 		{len(r.Skew) > 0, "skew (job/phase)\ttasks\tmedian s\tp90 s\tmax s\tmax/median\tslowest", func(tw io.Writer) {
 			for _, s := range r.Skew {
-				fmt.Fprintf(tw, "%s/%s\t%d\t%.4f\t%.4f\t%.4f\t%.2f\t%s\n",
-					s.Job, s.Phase, s.Tasks, s.MedianS, s.P90S, s.MaxS, s.Skew, s.SlowestID)
+				fmt.Fprintf(tw, "%s/%s\t%d\t%s\t%s\t%s\t%.2f\t%s\n",
+					s.Job, s.Phase, s.Tasks, taskSeconds(s.MedianS), taskSeconds(s.P90S),
+					taskSeconds(s.MaxS), s.Skew, s.SlowestID)
 			}
 		}},
 		{len(r.Stragglers) > 0, "stragglers (job/phase)\tcount\tsim s charged", func(tw io.Writer) {
@@ -131,10 +135,24 @@ func writeRun(w io.Writer, r *RunAnalysis, timeline bool) error {
 	}
 	return table(w, "slowest attempts\tjob\tphase\ttask\twall s\toutcome\tstraggler s", func(tw io.Writer) {
 		for i, s := range r.Slowest {
-			fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%.4f\t%s\t%.3f\n",
-				i+1, s.Job, s.Phase, s.Task, s.Seconds, s.Outcome, s.Straggle)
+			fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\t%s\t%.3f\n",
+				i+1, s.Job, s.Phase, s.Task, taskSeconds(s.Seconds), s.Outcome, s.Straggle)
 		}
 	})
+}
+
+// taskSeconds renders a task attempt's duration with three significant
+// digits in fixed notation (at least three decimals), so a 30 µs attempt
+// reads 0.0000300 rather than a fixed-width zero.
+func taskSeconds(s float64) string {
+	if s == 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		return strconv.FormatFloat(s, 'f', 3, 64)
+	}
+	d := 2 - int(math.Floor(math.Log10(math.Abs(s))))
+	if d < 3 {
+		d = 3
+	}
+	return strconv.FormatFloat(s, 'f', d, 64)
 }
 
 // table writes one section: a blank line, the tab-separated header row,

@@ -9,17 +9,6 @@ func NormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// NormalSF returns the survival function P(Z > z), computed stably in the
-// upper tail.
-func NormalSF(z float64) float64 {
-	return 0.5 * math.Erfc(z/math.Sqrt2)
-}
-
-// NormalPDF returns the standard normal density at z.
-func NormalPDF(z float64) float64 {
-	return math.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi)
-}
-
 // NormalQuantile returns the z with P(Z ≤ z) = p, using the
 // Acklam rational approximation refined by one Halley step. It panics for
 // p outside (0,1).

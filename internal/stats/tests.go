@@ -173,45 +173,6 @@ func medianSorted(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// IQR returns the interquartile range Q3−Q1 of xs using linear interpolation
-// between order statistics (type-7 quantiles). It panics on empty input.
-func IQR(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: IQR of empty sample")
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return quantileSorted(cp, 0.75) - quantileSorted(cp, 0.25)
-}
-
-// Quantile returns the p-quantile (type 7) of xs for p in [0,1].
-func Quantile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: quantile of empty sample")
-	}
-	if p < 0 || p > 1 {
-		panic("stats: quantile requires p in [0,1]")
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return quantileSorted(cp, p)
-}
-
-func quantileSorted(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 1 {
-		return xs[0]
-	}
-	h := p * float64(n-1)
-	lo := int(math.Floor(h))
-	hi := lo + 1
-	if hi >= n {
-		return xs[n-1]
-	}
-	frac := h - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac
-}
-
 // --- Histogram bin-count rules -------------------------------------------------
 
 // SturgesBins returns ⌈1 + log₂ n⌉, the rule used by the original P3C. The

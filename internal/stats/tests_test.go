@@ -200,42 +200,6 @@ func TestMedianPanicsOnEmpty(t *testing.T) {
 	Median(nil)
 }
 
-func TestQuantileAndIQR(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q0 = %g", got)
-	}
-	if got := Quantile(xs, 1); got != 10 {
-		t.Errorf("q1 = %g", got)
-	}
-	if got := Quantile(xs, 0.5); !close(got, 5.5, 1e-12) {
-		t.Errorf("q0.5 = %g", got)
-	}
-	if got := IQR(xs); !close(got, 4.5, 1e-12) {
-		t.Errorf("IQR = %g", got)
-	}
-}
-
-func TestQuantileMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	prev := math.Inf(-1)
-	for p := 0.0; p <= 1.0001; p += 0.05 {
-		pp := p
-		if pp > 1 {
-			pp = 1
-		}
-		q := Quantile(xs, pp)
-		if q < prev {
-			t.Fatalf("quantile not monotone at p=%g", pp)
-		}
-		prev = q
-	}
-}
-
 func TestSturgesBins(t *testing.T) {
 	cases := []struct{ n, want int }{
 		{1, 1},
