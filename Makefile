@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet lint lint-fix-check build cross test bench-module race bench bench-diff chaos chaos-proc trace ops ops-proc trace-diff trace-demo ops-demo trace-analyze proc-demo loc
+.PHONY: ci fmt-check vet lint build cross test bench-module race bench bench-diff chaos chaos-proc trace ops ops-proc trace-diff trace-demo ops-demo trace-analyze proc-demo loc
 
 ci: fmt-check vet lint build cross test bench-module race chaos chaos-proc trace ops ops-proc trace-diff bench bench-diff
 
@@ -25,12 +25,6 @@ vet:
 # on any finding; see cmd/p3cvet and DESIGN.md §3e/§3j.
 lint:
 	$(GO) run ./cmd/p3cvet ./...
-
-# Assert the repo itself is finding-free — the gate that keeps fixed
-# violations fixed. Identical to `make lint` today, spelled separately so
-# CI output names the contract being enforced.
-lint-fix-check:
-	@$(GO) run ./cmd/p3cvet ./... && echo "p3cvet: no findings"
 
 build:
 	$(GO) build ./...
@@ -125,16 +119,14 @@ loc:
 		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
-# Benchmarks with a machine-readable summary: benchjson tees the raw
-# output through and writes BENCH_PR19.json for cross-PR baseline diffs.
-# The a-priori join and maximality filter benchmarks, the per-point and
-# block moments kernels, the per-component moments fold, Light's
+# One pass of each micro-benchmark, a compile, smoke and allocation pass
+# rather than a timing (`make bench-diff` times the engine's): the engine
+# benchmarks, then the a-priori join and maximality filter, the per-point
+# and block moments kernels, the per-component moments fold, Light's
 # word-by-word member lists and unique labels, and the data set's
-# non-finite scan, binary reader and binary writer then run once each, a
-# compile, smoke and allocation pass outside that record.
+# non-finite scan, binary reader and binary writer. Writes no file.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/mr/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_PR19.json
+	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/mr/
 	$(GO) test -run xxx -bench 'GenerateCandidates|FilterMaximal' -benchtime 1x -benchmem ./internal/signature/
 	$(GO) test -run xxx -bench 'MomentsAdd|MomentsFold' -benchtime 1x -benchmem ./internal/linalg/
 	$(GO) test -run xxx -bench 'CollectMembers|UniqueLabels' -benchtime 1x -benchmem ./internal/core/
@@ -145,8 +137,7 @@ bench:
 # sessions cannot fail the gate: the parent's internal/mr test binary is
 # built from `git archive` in a temporary directory, the two sides run
 # interleaved, five rounds each, and benchjson -diff compares their medians
-# against the (deliberately loose, -benchtime 1x is noisy) thresholds. The
-# committed BENCH_PR*.json files stay the cross-PR record (`make bench`).
+# against the (deliberately loose, -benchtime 1x is noisy) thresholds.
 BENCH_DIFF_FLAGS = -test.run xxx -test.bench . -test.benchtime 1x -test.benchmem -test.timeout 10m
 
 bench-diff:

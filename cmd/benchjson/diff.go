@@ -5,20 +5,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"text/tabwriter"
 )
-
-// diffGates are improvement claims to enforce on top of the regression
-// thresholds: each benchmark in ratio must show old/new allocs/op of at
-// least minAllocRatio, and each benchmark in faster must have new ns/op
-// strictly below old. A gated benchmark missing from either baseline is a
-// failure — a gate that silently stops measuring proves nothing.
-type diffGates struct {
-	minAllocRatio float64
-	ratio         []string
-	faster        []string
-}
 
 // nsFloor is the smallest absolute ns/op increase that can count as a
 // regression. At -benchtime 1x a sub-microsecond benchmark is one call
@@ -27,25 +15,13 @@ type diffGates struct {
 // both the fractional threshold and this floor.
 const nsFloor = 10_000
 
-// splitNames parses a comma-separated benchmark list, dropping empties.
-func splitNames(s string) []string {
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // runDiff compares two benchjson baselines and reports per-benchmark
 // deltas. It exits nonzero when any benchmark present in both files
 // regressed beyond the thresholds: ns/op by more than nsThreshold
-// (fractional, e.g. 0.20 = +20%) and more than nsFloor, or allocs/op by more than
-// allocThreshold — or when an improvement gate fails. Benchmarks added or
-// removed between the files are reported but never fatal — suites grow
-// across PRs.
-func runDiff(oldPath, newPath string, nsThreshold, allocThreshold float64, gates diffGates) int {
+// (fractional, e.g. 0.20 = +20%) and more than nsFloor, or allocs/op by
+// more than allocThreshold. Benchmarks added or removed between the files
+// are reported but never fatal — suites grow across PRs.
+func runDiff(oldPath, newPath string, nsThreshold, allocThreshold float64) int {
 	oldRes, err := readBaseline(oldPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -104,57 +80,6 @@ func runDiff(oldPath, newPath string, nsThreshold, allocThreshold float64, gates
 		fmt.Fprintf(tw, "%s\t-\t%.0f\t-\t-\t%d\tadded\n", name, n.NsPerOp, n.AllocsPerOp)
 	}
 	tw.Flush()
-
-	gateFailures := 0
-	lookup := func(name string) (old, new Result, ok bool) {
-		o, okO := oldRes[name]
-		n, okN := newRes[name]
-		if !okO || !okN {
-			fmt.Fprintf(os.Stderr, "benchjson: GATE %s: benchmark missing from %s\n",
-				name, map[bool]string{true: newPath, false: oldPath}[okO])
-			gateFailures++
-			return Result{}, Result{}, false
-		}
-		return o, n, true
-	}
-	for _, name := range gates.ratio {
-		o, n, ok := lookup(name)
-		if !ok {
-			continue
-		}
-		if o.AllocsPerOp <= 0 || n.AllocsPerOp <= 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: GATE %s: allocs/op not measured in both baselines\n", name)
-			gateFailures++
-			continue
-		}
-		ratio := float64(o.AllocsPerOp) / float64(n.AllocsPerOp)
-		if ratio < gates.minAllocRatio {
-			fmt.Fprintf(os.Stderr, "benchjson: GATE %s: allocs/op %d→%d is %.2fx, need ≥%.2fx\n",
-				name, o.AllocsPerOp, n.AllocsPerOp, ratio, gates.minAllocRatio)
-			gateFailures++
-		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: gate ok: %s allocs/op %d→%d (%.2fx ≥ %.2fx)\n",
-				name, o.AllocsPerOp, n.AllocsPerOp, ratio, gates.minAllocRatio)
-		}
-	}
-	for _, name := range gates.faster {
-		o, n, ok := lookup(name)
-		if !ok {
-			continue
-		}
-		if n.NsPerOp >= o.NsPerOp {
-			fmt.Fprintf(os.Stderr, "benchjson: GATE %s: ns/op %.0f→%.0f did not improve\n",
-				name, o.NsPerOp, n.NsPerOp)
-			gateFailures++
-		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: gate ok: %s ns/op %.0f→%.0f (%.1f%% faster)\n",
-				name, o.NsPerOp, n.NsPerOp, (o.NsPerOp-n.NsPerOp)/o.NsPerOp*100)
-		}
-	}
-	if gateFailures > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d improvement gate(s) failed\n", gateFailures)
-		return 1
-	}
 
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) beyond thresholds (ns/op %.0f%%, allocs/op %.0f%%)\n",

@@ -42,7 +42,7 @@ func TestDiffNsFloorAndAllocGate(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			oldPath := writeBaseline(t, "old.json", c.oldNs, c.oldAlloc)
 			newPath := writeBaseline(t, "new.json", c.newNs, c.newAlloc)
-			if got := runDiff(oldPath, newPath, 0.75, 0.25, diffGates{}); got != c.want {
+			if got := runDiff(oldPath, newPath, 0.75, 0.25); got != c.want {
 				t.Errorf("runDiff = %d, want %d", got, c.want)
 			}
 		})

@@ -15,17 +15,7 @@
 // With -diff, benchjson instead compares two baselines and exits nonzero on
 // regression beyond the thresholds:
 //
-//	benchjson -diff BENCH_PR4.json BENCH_PR5.json -threshold 0.20 -alloc-threshold 0.02
-//
-// -diff can additionally enforce improvement gates — claims a PR makes
-// about specific benchmarks, checked in CI so they cannot silently rot:
-//
-//	benchjson -diff OLD.json NEW.json \
-//	    -min-alloc-ratio 3 -ratio BenchmarkShuffleHeavy,BenchmarkWideKey \
-//	    -faster BenchmarkShuffleHeavy
-//
-// requires old/new allocs/op ≥ 3 for each -ratio benchmark and new ns/op
-// strictly below old for each -faster benchmark.
+//	benchjson -diff OLD.json NEW.json -threshold 0.20 -alloc-threshold 0.02
 package main
 
 import (
@@ -60,21 +50,13 @@ func main() {
 	diff := flag.Bool("diff", false, "compare two baseline files: benchjson -diff old.json new.json")
 	nsThreshold := flag.Float64("threshold", 0.20, "with -diff: fatal fractional ns/op regression")
 	allocThreshold := flag.Float64("alloc-threshold", 0.02, "with -diff: fatal fractional allocs/op regression")
-	minAllocRatio := flag.Float64("min-alloc-ratio", 0, "with -diff: required old/new allocs/op ratio for -ratio benchmarks")
-	ratioList := flag.String("ratio", "", "with -diff: comma-separated benchmarks that must meet -min-alloc-ratio")
-	fasterList := flag.String("faster", "", "with -diff: comma-separated benchmarks whose new ns/op must be below old")
 	flag.Parse()
 	if *diff {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "benchjson: -diff needs exactly two files: old.json new.json")
 			os.Exit(2)
 		}
-		gates := diffGates{
-			minAllocRatio: *minAllocRatio,
-			ratio:         splitNames(*ratioList),
-			faster:        splitNames(*fasterList),
-		}
-		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *nsThreshold, *allocThreshold, gates))
+		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *nsThreshold, *allocThreshold))
 	}
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -out (or -o) is required")

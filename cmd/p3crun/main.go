@@ -21,7 +21,6 @@ import (
 	"sort"
 	"strings"
 	"syscall"
-	"text/tabwriter"
 	"time"
 
 	"p3cmr"
@@ -46,7 +45,6 @@ func main() {
 		normalize   = flag.Bool("normalize", false, "min-max normalize attributes to [0,1] first")
 		jsonOut     = flag.Bool("json", false, "emit the result as JSON on stdout")
 		members     = flag.Bool("members", false, "include member lists in JSON output")
-		jobStats    = flag.Bool("jobstats", false, "print per-job MapReduce statistics")
 		traceOut    = flag.String("trace", "", "write a JSONL span trace of the run to this file")
 		report      = flag.Bool("report", false, "print the run's trace analysis after the run, as p3ctrace prints it")
 		metrics     = flag.Bool("metrics", false, "print an engine metrics snapshot after the run")
@@ -111,7 +109,7 @@ func main() {
 			defer os.Remove(tmp.Name())
 		}
 	}
-	if *jobStats || *simulate || *traceOut != "" || *report || *metrics ||
+	if *simulate || *traceOut != "" || *report || *metrics ||
 		*opsAddr != "" || *flightN > 0 || *backend != "" || *spillDir != "" ||
 		*spillMB > 0 || *chaos > 0 || *chaosStrag > 0 {
 		ec := mr.Config{Backend: *backend, SpillDir: *spillDir}
@@ -333,32 +331,7 @@ func main() {
 		fmt.Printf("labels written to %s\n", *labelsOut)
 	}
 
-	if *jobStats && engine != nil {
-		printJobStats(engine)
-	}
 	finishObs()
-}
-
-// printJobStats renders the engine's per-job-name accounting, sorted by
-// accumulated map input (the dominant cost driver).
-func printJobStats(engine *mr.Engine) {
-	stats := engine.JobStatsByName()
-	names := make([]string, 0, len(stats))
-	for name := range stats {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		return stats[names[i]].Counters.MapInputRecords > stats[names[j]].Counters.MapInputRecords
-	})
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "\njob\truns\tmap in\tmap out\tshuffled B\tmodeled s")
-	for _, name := range names {
-		js := stats[name]
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.1f\n",
-			name, js.Runs, js.Counters.MapInputRecords, js.Counters.MapOutputRecords,
-			js.Counters.ShuffledBytes, js.SimulatedSeconds)
-	}
-	tw.Flush()
 }
 
 var algorithms = map[string]p3cmr.Algorithm{

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"p3cmr/internal/mr"
+	"p3cmr/internal/obs"
 	"p3cmr/internal/signature"
 )
 
@@ -171,11 +172,16 @@ func TestSplitColumnJobsEmitOncePerSplit(t *testing.T) {
 	} {
 		t.Run(c.job, func(t *testing.T) {
 			c.params.NumSplits = 9
-			engine := mr.NewEngine(mr.Config{})
-			if _, err := Run(engine, data, c.params); err != nil {
+			trace := obs.NewForest()
+			if _, err := Run(mr.NewEngine(mr.Config{Tracer: trace}), data, c.params); err != nil {
 				t.Fatal(err)
 			}
-			st := engine.JobStatsByName()[c.job]
+			jobs := trace.Analyze(0).Runs[0].Jobs
+			i := slices.IndexFunc(jobs, func(j obs.JobRow) bool { return j.Name == c.job })
+			if i < 0 {
+				t.Fatalf("%s never ran", c.job)
+			}
+			st := jobs[i]
 			if st.Runs != 1 || st.Counters.MapOutputRecords != 9 {
 				t.Fatalf("%d runs, %d map output records; want 1 run, one record per split (9)", st.Runs, st.Counters.MapOutputRecords)
 			}

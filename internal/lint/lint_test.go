@@ -286,9 +286,9 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// TestRepoIsFindingFree runs the full suite over the module — the same
-// check `make lint-fix-check` enforces in CI. Keeping it as a test means a
-// reintroduced contract violation fails `go test ./...` too.
+// TestRepoIsFindingFree runs the full suite over the module, as `make
+// lint` does, so a reintroduced contract violation fails `go test ./...`
+// too.
 func TestRepoIsFindingFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")

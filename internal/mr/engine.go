@@ -127,14 +127,15 @@ type Engine struct {
 	// defers an unknown-name error from NewEngine to the first Run.
 	backend    Backend
 	backendErr error
-	// TotalSimulated accumulates simulated seconds across all jobs run on
-	// this engine, so a pipeline can report an end-to-end modeled runtime.
+	// mu guards the engine's lifetime accounting: the simulated seconds,
+	// job count and counters of every job run so far, which a pipeline
+	// reads for its end-to-end totals (TotalSimulatedSeconds, JobsRun,
+	// TotalCounters, TotalWasted).
 	mu             sync.Mutex
 	totalSimulated float64
 	jobsRun        int
 	totals         Counters
 	totalsWasted   Counters
-	perJob         map[string]*JobStats
 	// lastProc holds the most recent multiprocess Run's spill statistics
 	// (nil until a multiprocess job ran); see LastProcStats.
 	lastProc *ProcStats
@@ -143,17 +144,6 @@ type Engine struct {
 	fleet *fleet
 	// closed is set by Close; a later Run fails.
 	closed atomic.Bool
-}
-
-// JobStats accumulates per-job-name statistics across an engine's lifetime
-// — the observability a Hadoop job tracker would provide.
-type JobStats struct {
-	// Runs counts executions of jobs with this name.
-	Runs int
-	// Counters accumulates across the runs.
-	Counters Counters
-	// SimulatedSeconds accumulates modeled cost.
-	SimulatedSeconds float64
 }
 
 // NewEngine returns an engine with the given configuration.
@@ -240,7 +230,6 @@ func (e *Engine) ResetAccounting() {
 	e.jobsRun = 0
 	e.totals = Counters{}
 	e.totalsWasted = Counters{}
-	e.perJob = nil
 }
 
 // Close shuts down the engine's worker fleet (multiprocess backend: each
@@ -366,17 +355,6 @@ func (e *Engine) Run(j *Job) (*Output, error) {
 	e.jobsRun++
 	e.totals.Add(counters)
 	e.totalsWasted.Add(fault.Wasted)
-	if e.perJob == nil {
-		e.perJob = make(map[string]*JobStats)
-	}
-	js := e.perJob[job.Name]
-	if js == nil {
-		js = &JobStats{}
-		e.perJob[job.Name] = js
-	}
-	js.Runs++
-	js.Counters.Add(counters)
-	js.SimulatedSeconds += out.SimulatedSeconds
 	e.mu.Unlock()
 	if tr != nil {
 		tr.End(obs.End{ID: jobSpan, Kind: obs.KindJob, Name: job.Name,
@@ -398,18 +376,6 @@ func (e *Engine) Run(j *Job) (*Output, error) {
 		m.jobReal.Observe(obs.Since(jobStart).Seconds())
 	}
 	return out, nil
-}
-
-// JobStatsByName returns a copy of the per-job-name statistics accumulated
-// so far, keyed by Job.Name.
-func (e *Engine) JobStatsByName() map[string]JobStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[string]JobStats, len(e.perJob))
-	for name, js := range e.perJob {
-		out[name] = *js
-	}
-	return out
 }
 
 // point emits a point event into the engine's tracer, attributed to a

@@ -268,36 +268,6 @@ func TestEngineAccounting(t *testing.T) {
 	}
 }
 
-func TestJobStatsByName(t *testing.T) {
-	engine := NewEngine(Config{Cost: DefaultCostModel()})
-	f := JobFuncs{NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
-		ctx.Emit("k", int64(1))
-		return nil
-	})}
-	for i := 0; i < 3; i++ {
-		if _, err := engine.Run(funcJob("alpha", makeSplits(50, 2), f)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := engine.Run(funcJob("beta", makeSplits(10, 1), f)); err != nil {
-		t.Fatal(err)
-	}
-	stats := engine.JobStatsByName()
-	if stats["alpha"].Runs != 3 || stats["beta"].Runs != 1 {
-		t.Fatalf("runs: %+v", stats)
-	}
-	if stats["alpha"].Counters.MapInputRecords != 150 {
-		t.Errorf("alpha map input = %d", stats["alpha"].Counters.MapInputRecords)
-	}
-	if stats["alpha"].SimulatedSeconds <= 0 {
-		t.Error("alpha simulated cost missing")
-	}
-	engine.ResetAccounting()
-	if len(engine.JobStatsByName()) != 0 {
-		t.Error("reset did not clear per-job stats")
-	}
-}
-
 func TestCostModelDisabled(t *testing.T) {
 	engine := Default()
 	out, err := engine.Run(funcJob("free", makeSplits(10, 1), JobFuncs{NewMapper: nopMapper}))

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -247,7 +248,7 @@ func (f *Forest) Analyze(topK int) *Analysis {
 	return a
 }
 
-// analyzeRun folds one root's subtree. Caller holds f.mu.
+// analyzeRun renders one root's fold. Caller holds f.mu.
 func (f *Forest) analyzeRun(root *span, topK int) RunAnalysis {
 	ra := RunAnalysis{
 		Name: root.name, Kind: root.kind.String(),
@@ -261,93 +262,27 @@ func (f *Forest) analyzeRun(root *span, topK int) RunAnalysis {
 	if !root.closed {
 		ra.Outcome = "unclosed"
 	}
-
-	// Walk the subtree once, collecting task attempts, phases, jobs,
-	// points.
-	var tasks []*span
-	jobIdx := make(map[string]int)
-	straggle := make(map[jobPhaseKey]*StragglerRow)
-	waste := make(map[string]*WasteRow)
+	rf := f.fold([]*span{root})
+	for _, p := range rf.phases {
+		ra.Phases = append(ra.Phases, PhaseRow{Name: p.s.name, WallSeconds: p.s.realS,
+			SimulatedSeconds: p.s.simS, MapIn: p.s.counters.MapInputRecords,
+			ShuffledBytes: p.s.counters.ShuffledBytes, Retries: p.s.retries,
+			Jobs: p.jobs, Tasks: p.tasks})
+	}
 	conv := make(map[string][]ConvergencePoint)
-	f.walk(root, func(s *span) {
-		switch s.kind {
-		case KindPhase:
-			row := PhaseRow{Name: s.name, WallSeconds: s.realS, SimulatedSeconds: s.simS,
-				MapIn: s.counters.MapInputRecords, ShuffledBytes: s.counters.ShuffledBytes,
-				Retries: s.retries}
-			for _, c := range f.kids[s.id] {
-				if c.kind == KindJob {
-					row.Jobs++
-					for _, t := range f.kids[c.id] {
-						if t.isAttempt() {
-							row.Tasks++
-						}
-					}
-				}
-			}
-			ra.Phases = append(ra.Phases, row)
-		case KindJob:
-			i, ok := jobIdx[s.name]
-			if !ok {
-				i = len(ra.Jobs)
-				jobIdx[s.name] = i
-				ra.Jobs = append(ra.Jobs, JobRow{Name: s.name})
-			}
-			jr := &ra.Jobs[i]
-			jr.Runs++
-			jr.Counters.Add(s.counters)
-			jr.WastedRecords += inputRecords(s.wasted)
-			jr.SimulatedSeconds += s.simS
-			jr.WallSeconds += s.realS
-		case KindTask:
-			if s.isAttempt() {
-				tasks = append(tasks, s)
-				ra.TaskAttempts++
-				switch {
-				case s.closed && s.outcome == OutcomeFault:
-					ra.Faults++
-					wr := waste[s.name]
-					if wr == nil {
-						wr = &WasteRow{Job: s.name}
-						waste[s.name] = wr
-					}
-					wr.FaultAttempts++
-					wr.WallSeconds += s.realS
-					wr.WastedRecords += inputRecords(s.wasted)
-				case s.closed && s.outcome == OutcomeCancelled:
-					ra.Cancels++
-				}
-			}
-		}
-		for _, p := range s.points {
-			switch p.Kind {
-			case PointStraggler:
-				k := jobPhaseKey{p.Name, p.Phase}
-				sr := straggle[k]
-				if sr == nil {
-					sr = &StragglerRow{Job: p.Name, Phase: p.Phase}
-					straggle[k] = sr
-				}
-				sr.Count++
-				sr.Seconds += p.Seconds
-			case PointCancel:
-				ra.Cancels++
-			case PointMetric:
-				conv[p.Name] = append(conv[p.Name], ConvergencePoint{Iter: p.Task, Value: p.Value})
-			}
-		}
-	})
-
-	workers := f.workerFolds([]*span{root})
+	for _, p := range rf.metrics {
+		conv[p.Name] = append(conv[p.Name], ConvergencePoint{Iter: p.Task, Value: p.Value})
+	}
+	ra.Jobs = rf.jobs
+	ra.TaskAttempts, ra.Faults, ra.Cancels = len(rf.tasks), rf.faults, rf.cancels
 	ra.CriticalPath = f.criticalPath(root)
-	taskQuantiles(ra.Jobs, tasks)
-	ra.Skew = skewRows(tasks)
-	ra.Stragglers = sortedStragglers(straggle)
-	ra.RetryWaste = sortedWaste(waste)
-	ra.Workers = workerRows(workers)
-	ra.Classified = classifyRows(tasks, workers)
-	ra.Timeline = timelineRows(tasks)
-	ra.Slowest = slowestAttempts(tasks, topK)
+	taskQuantiles(ra.Jobs, rf.tasks)
+	ra.Skew, ra.Classified = skewRows(rf.tasks, rf.workers)
+	ra.Stragglers = sortedStragglers(rf.stragglers)
+	ra.RetryWaste = sortedWaste(rf.waste)
+	ra.Workers = workerRows(rf.workers)
+	ra.Timeline = timelineRows(rf.tasks)
+	ra.Slowest = slowestAttempts(rf.tasks, topK)
 	ra.Convergence = convergenceRows(conv)
 	return ra
 }
@@ -384,66 +319,6 @@ func convergenceRows(m map[string][]ConvergencePoint) []ConvergenceRow {
 // factor flags data skew on the input-ratio axis.
 const slowFactor = 1.5
 
-// classifyRows flags attempts ≥ slowFactor× their group median and labels
-// each as skewed / starved / unknown (see ClassifyRow). Groups with fewer
-// than two attempts have no meaningful median and are skipped.
-func classifyRows(tasks []*span, workers map[string]*workerFold) []ClassifyRow {
-	keys, groups := byJobPhase(tasks)
-	var rows []ClassifyRow
-	for _, k := range keys {
-		g := groups[k]
-		if len(g) < 2 {
-			continue
-		}
-		durs := make([]float64, len(g))
-		recs := make([]float64, len(g))
-		for i, t := range g {
-			durs[i] = t.realS
-			recs[i] = float64(inputRecords(t.counters))
-		}
-		sort.Float64s(durs)
-		sort.Float64s(recs)
-		med := quantileOf(durs, 0.5)
-		medRec := quantileOf(recs, 0.5)
-		if med <= 0 {
-			continue
-		}
-		for _, t := range g {
-			if t.realS < slowFactor*med {
-				continue
-			}
-			row := ClassifyRow{Job: k.job, Phase: k.phase, Task: t.taskStr(),
-				Worker: t.worker, Seconds: t.realS, MedianS: med}
-			if medRec > 0 {
-				row.InputRatio = float64(inputRecords(t.counters)) / medRec
-			}
-			nSamples := 0
-			if w := workers[t.worker]; w != nil {
-				row.Utilization, nSamples = w.utilization(), w.samples
-			}
-			switch {
-			case row.InputRatio >= slowFactor:
-				row.Class = "skewed"
-			case nSamples >= 2 && row.Utilization < 0.5:
-				row.Class = "starved"
-			default:
-				row.Class = "unknown"
-			}
-			rows = append(rows, row)
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Seconds != rows[j].Seconds {
-			return rows[i].Seconds > rows[j].Seconds
-		}
-		if rows[i].Job != rows[j].Job {
-			return rows[i].Job < rows[j].Job
-		}
-		return rows[i].Task < rows[j].Task
-	})
-	return rows
-}
-
 // timelineRows builds one occupancy lane per worker from its closed task
 // attempts.
 func timelineRows(tasks []*span) []TimelineRow {
@@ -474,7 +349,7 @@ func timelineRows(tasks []*span) []TimelineRow {
 // workerRows renders the per-worker folds as rows, ordered by fault wall
 // time (the waste a bad worker cost the run), then total wall time, then
 // name.
-func workerRows(folds map[string]*workerFold) []WorkerRow {
+func workerRows(folds workerFolds) []WorkerRow {
 	rows := make([]WorkerRow, 0, len(folds))
 	for name, w := range folds {
 		rows = append(rows, WorkerRow{
@@ -564,54 +439,78 @@ func (f *Forest) chain(s *span) []*span {
 // jobPhaseKey groups task attempts by job name and task phase.
 type jobPhaseKey struct{ job, phase string }
 
-// byJobPhase groups task attempts by job name and task phase; the keys come
-// sorted by job, then phase.
-func byJobPhase(tasks []*span) ([]jobPhaseKey, map[jobPhaseKey][]*span) {
+// skewRows groups task attempts by job name and task phase and reads
+// each group's duration skew, in job then phase order. It also flags the
+// group's slow attempts, at ≥ slowFactor× the group median, and labels each
+// as skewed / starved / unknown (see ClassifyRow), slowest first; a group
+// of fewer than two attempts has no meaningful median and flags none.
+func skewRows(tasks []*span, workers workerFolds) ([]SkewRow, []ClassifyRow) {
 	groups := make(map[jobPhaseKey][]*span)
+	var keys []jobPhaseKey
 	for _, t := range tasks {
 		k := jobPhaseKey{t.name, t.phase}
+		if groups[k] == nil {
+			keys = append(keys, k)
+		}
 		groups[k] = append(groups[k], t)
 	}
-	keys := make([]jobPhaseKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].job != keys[j].job {
-			return keys[i].job < keys[j].job
-		}
-		return keys[i].phase < keys[j].phase
+	slices.SortFunc(keys, func(a, b jobPhaseKey) int {
+		return cmp.Or(cmp.Compare(a.job, b.job), cmp.Compare(a.phase, b.phase))
 	})
-	return keys, groups
-}
-
-// skewRows computes per-(job, task-phase) duration skew.
-func skewRows(tasks []*span) []SkewRow {
-	keys, groups := byJobPhase(tasks)
-	var rows []SkewRow
+	var skew []SkewRow
+	var classified []ClassifyRow
 	for _, k := range keys {
 		g := groups[k]
 		durs := make([]float64, len(g))
+		recs := make([]float64, len(g))
 		slowest := g[0]
 		for i, t := range g {
-			durs[i] = t.realS
+			durs[i], recs[i] = t.realS, float64(inputRecords(t.counters))
 			if t.realS > slowest.realS {
 				slowest = t
 			}
 		}
 		sort.Float64s(durs)
-		row := SkewRow{Job: k.job, Phase: k.phase, Tasks: len(g),
-			MedianS:   quantileOf(durs, 0.5),
-			P90S:      quantileOf(durs, 0.9),
-			MaxS:      durs[len(durs)-1],
-			SlowestID: slowest.taskStr(),
+		sort.Float64s(recs)
+		med, medRec := quantileOf(durs, 0.5), quantileOf(recs, 0.5)
+		row := SkewRow{Job: k.job, Phase: k.phase, Tasks: len(g), MedianS: med,
+			P90S: quantileOf(durs, 0.9), MaxS: durs[len(durs)-1], SlowestID: slowest.taskStr()}
+		if med > 0 {
+			row.Skew = row.MaxS / med
 		}
-		if row.MedianS > 0 {
-			row.Skew = row.MaxS / row.MedianS
+		skew = append(skew, row)
+		if len(g) < 2 || med <= 0 {
+			continue
 		}
-		rows = append(rows, row)
+		for _, t := range g {
+			if t.realS < slowFactor*med {
+				continue
+			}
+			c := ClassifyRow{Job: k.job, Phase: k.phase, Task: t.taskStr(),
+				Worker: t.worker, Seconds: t.realS, MedianS: med}
+			if medRec > 0 {
+				c.InputRatio = float64(inputRecords(t.counters)) / medRec
+			}
+			nSamples := 0
+			if w := workers[t.worker]; w != nil {
+				c.Utilization, nSamples = w.utilization(), w.samples
+			}
+			switch {
+			case c.InputRatio >= slowFactor:
+				c.Class = "skewed"
+			case nSamples >= 2 && c.Utilization < 0.5:
+				c.Class = "starved"
+			default:
+				c.Class = "unknown"
+			}
+			classified = append(classified, c)
+		}
 	}
-	return rows
+	slices.SortFunc(classified, func(a, b ClassifyRow) int {
+		return cmp.Or(cmp.Compare(b.Seconds, a.Seconds), cmp.Compare(a.Job, b.Job),
+			cmp.Compare(a.Task, b.Task), cmp.Compare(a.Phase, b.Phase))
+	})
+	return skew, classified
 }
 
 // quantileOf reads the q-quantile of a sorted sample by nearest-rank.

@@ -17,14 +17,14 @@ import (
 //
 // Events may arrive out of causal order — a flight dump writes evicted
 // ends before the ring window, and a multiprocess merge can place a point
-// before its span's begin — so the fold merges rather than replaces: a
+// before its span's begin — so the forest merges rather than replaces: a
 // begin after its own end fills in the span's identity, an end with no
 // begin synthesizes the span from its identity fields (begin = end − real
 // seconds), and a point on an unknown span waits until the span appears.
 //
-// The forest keeps every span it sees, live or replayed; each view folds
-// the spans it reads when it is asked. Safe for concurrent use; pure
-// observation.
+// A view folds the spans it reads when it is asked, in one walk (fold):
+// /runs and Analyze render the same run fold, /workers its worker folds.
+// Safe for concurrent use; pure observation.
 type Forest struct {
 	mu      sync.Mutex
 	start   time.Time // zero of the forest clock (span timestamps are seconds since)
@@ -174,6 +174,125 @@ func (f *Forest) walk(s *span, visit func(*span)) {
 	for _, c := range f.kids[s.id] {
 		f.walk(c, visit)
 	}
+}
+
+// runFold is one walk over a set of root spans, collecting everything the
+// views of a run read: Analyze renders a root's fold as a RunAnalysis,
+// Runs a run root's (or the detached spans') as a RunSnapshot, and Workers
+// the whole forest's worker folds.
+type runFold struct {
+	phases []phaseFold // phase spans in walk order, open or closed
+	jobs   []JobRow    // by job name, in the order each name first began
+	tasks  []*span     // task attempts in walk order
+
+	jobsDone, tasksDone int // closed job spans and closed attempts
+	faults, cancels     int
+	// Sums over the job spans in walk order; an open job adds nothing.
+	counters, wasted Counters
+	simS             float64
+	retries          int64
+
+	stragglers       map[jobPhaseKey]*StragglerRow
+	stragglerSeconds float64 // the stragglers' seconds, summed in walk order
+	waste            map[string]*WasteRow
+	metrics          []spanPt // metric points in walk order
+	workers          workerFolds
+}
+
+// phaseFold is one phase span with the jobs and task attempts under it.
+type phaseFold struct {
+	s           *span
+	jobs, tasks int
+}
+
+// fold walks the subtrees under roots once into a runFold. Caller holds
+// f.mu.
+func (f *Forest) fold(roots []*span) *runFold {
+	rf := &runFold{
+		stragglers: make(map[jobPhaseKey]*StragglerRow),
+		waste:      make(map[string]*WasteRow),
+		workers:    make(workerFolds),
+	}
+	phaseIdx := make(map[SpanID]int)
+	jobIdx := make(map[string]int)
+	visit := func(s *span) {
+		switch {
+		case s.kind == KindPhase:
+			phaseIdx[s.id] = len(rf.phases)
+			rf.phases = append(rf.phases, phaseFold{s: s})
+		case s.kind == KindJob:
+			if i, ok := phaseIdx[s.parent]; ok {
+				rf.phases[i].jobs++
+			}
+			i, ok := jobIdx[s.name]
+			if !ok {
+				i = len(rf.jobs)
+				jobIdx[s.name] = i
+				rf.jobs = append(rf.jobs, JobRow{Name: s.name})
+			}
+			jr := &rf.jobs[i]
+			jr.Runs++
+			jr.Counters.Add(s.counters)
+			jr.WastedRecords += inputRecords(s.wasted)
+			jr.SimulatedSeconds += s.simS
+			jr.WallSeconds += s.realS
+			if s.closed {
+				rf.jobsDone++
+			}
+			rf.counters.Add(s.counters)
+			rf.wasted.Add(s.wasted)
+			rf.simS += s.simS
+			rf.retries += s.retries
+		case s.isAttempt():
+			rf.tasks = append(rf.tasks, s)
+			if job := f.spans[s.parent]; job != nil {
+				if i, ok := phaseIdx[job.parent]; ok {
+					rf.phases[i].tasks++
+				}
+			}
+			if s.closed {
+				rf.tasksDone++
+			}
+			switch {
+			case s.closed && s.outcome == OutcomeFault:
+				rf.faults++
+				wr := rf.waste[s.name]
+				if wr == nil {
+					wr = &WasteRow{Job: s.name}
+					rf.waste[s.name] = wr
+				}
+				wr.FaultAttempts++
+				wr.WallSeconds += s.realS
+				wr.WastedRecords += inputRecords(s.wasted)
+			case s.closed && s.outcome == OutcomeCancelled:
+				rf.cancels++
+			}
+		}
+		rf.workers.addSpan(s)
+		for _, p := range s.points {
+			switch p.Kind {
+			case PointStraggler:
+				k := jobPhaseKey{p.Name, p.Phase}
+				sr := rf.stragglers[k]
+				if sr == nil {
+					sr = &StragglerRow{Job: p.Name, Phase: p.Phase}
+					rf.stragglers[k] = sr
+				}
+				sr.Count++
+				sr.Seconds += p.Seconds
+				rf.stragglerSeconds += p.Seconds
+			case PointCancel:
+				rf.cancels++
+			case PointMetric:
+				rf.metrics = append(rf.metrics, p)
+			}
+			rf.workers.addPoint(p)
+		}
+	}
+	for _, root := range roots {
+		f.walk(root, visit)
+	}
+	return rf
 }
 
 // isAttempt reports whether s is a task attempt (a task span other than the

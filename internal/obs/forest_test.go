@@ -150,14 +150,20 @@ func TestAnalyzeCriticalPathChain(t *testing.T) {
 
 // TestReportTextShowsMicrosecondTasks checks that task durations far below
 // a millisecond keep their significant digits in the text report: a 30 µs
-// attempt must not read as zero in the job, skew or slowest-attempt tables.
+// attempt must not read as zero in the job, critical-path, skew, retry
+// waste, workers, classified-straggler or slowest-attempt tables.
 func TestReportTextShowsMicrosecondTasks(t *testing.T) {
 	const s = 30e-6
 	a := &Analysis{Runs: []RunAnalysis{{
 		Kind: "run", Name: "r",
-		Jobs:    []JobRow{{Name: "j", Runs: 1, TaskP50S: s, TaskP90S: s, TaskP99S: s}},
-		Skew:    []SkewRow{{Job: "j", Phase: "map", Tasks: 1, MedianS: s, P90S: s, MaxS: s}},
-		Slowest: []AttemptRow{{Job: "j", Phase: "map", Task: "0", Seconds: s, Outcome: "ok"}},
+		Jobs: []JobRow{{Name: "j", Runs: 1, TaskP50S: s, TaskP90S: s, TaskP99S: s}},
+		CriticalPath: []CPStep{{Kind: "task", Name: "j", Phase: "map", Task: "0.0", Depth: 1,
+			StartS: s, EndS: 2 * s, DurationS: s, SelfSeconds: s}},
+		Skew:       []SkewRow{{Job: "j", Phase: "map", Tasks: 1, MedianS: s, P90S: s, MaxS: s}},
+		RetryWaste: []WasteRow{{Job: "j", FaultAttempts: 1, WallSeconds: s}},
+		Workers:    []WorkerRow{{Worker: "w", Attempts: 1, Faults: 1, WallSeconds: s, FaultWallSeconds: s}},
+		Classified: []ClassifyRow{{Job: "j", Phase: "map", Task: "0.0", Seconds: s, MedianS: s, Class: "unknown"}},
+		Slowest:    []AttemptRow{{Job: "j", Phase: "map", Task: "0", Seconds: s, Outcome: "ok"}},
 	}}}
 	var buf bytes.Buffer
 	if err := WriteText(&buf, a, false); err != nil {
@@ -167,8 +173,11 @@ func TestReportTextShowsMicrosecondTasks(t *testing.T) {
 	if want := "0.0000300/0.0000300/0.0000300"; !strings.Contains(out, want) {
 		t.Errorf("job row lacks %q:\n%s", want, out)
 	}
-	if n := strings.Count(out, "0.0000300"); n != 3+3+1 {
-		t.Errorf("30 µs rendered %d times, want 7:\n%s", n, out)
+	if want := "j task 0.0 [map] 0.0000300 0.0000300 0.0000300"; !strings.Contains(strings.Join(strings.Fields(out), " "), want) {
+		t.Errorf("critical path lacks %q:\n%s", want, out)
+	}
+	if n := strings.Count(out, "0.0000300"); n != 3+3+3+1+2+2+1 {
+		t.Errorf("30 µs rendered %d times, want 15:\n%s", n, out)
 	}
 	for _, c := range []struct {
 		s    float64

@@ -152,3 +152,71 @@ func TestProgressDetachedSpans(t *testing.T) {
 		t.Errorf("detached records = %d, want 7", s.Records)
 	}
 }
+
+// TestAnalyzeAndRunsShareLiveFold reads a run that is still going through
+// both renderings of the run fold: an open run with one closed and one open
+// phase, each running one execution of the same job, the first closed with
+// counters after a faulted attempt, the second still open.
+func TestAnalyzeAndRunsShareLiveFold(t *testing.T) {
+	f := NewForest()
+	run := NewSpanID()
+	f.Begin(Start{ID: run, Kind: KindRun, Name: "p3c-pipeline"})
+
+	ph1 := NewSpanID()
+	f.Begin(Start{ID: ph1, Parent: run, Kind: KindPhase, Name: "em"})
+	job1 := NewSpanID()
+	f.Begin(Start{ID: job1, Parent: ph1, Kind: KindJob, Name: "em-moments"})
+	task := NewSpanID()
+	f.Begin(Start{ID: task, Parent: job1, Kind: KindTask, Name: "em-moments", Phase: "map"})
+	f.End(End{ID: task, Kind: KindTask, Name: "em-moments", Phase: "map", Outcome: OutcomeFault,
+		RealSeconds: 0.01, Wasted: Counters{MapInputRecords: 5}})
+	counters := Counters{MapInputRecords: 100, MapOutputRecords: 4, ShuffledBytes: 64, TaskRetries: 1}
+	f.End(End{ID: job1, Kind: KindJob, Name: "em-moments", Outcome: OutcomeOK,
+		SimulatedSeconds: 3, Counters: counters, Retries: 1})
+	f.End(End{ID: ph1, Kind: KindPhase, Name: "em", Outcome: OutcomeOK, RealSeconds: 1})
+
+	ph2 := NewSpanID()
+	f.Begin(Start{ID: ph2, Parent: run, Kind: KindPhase, Name: "outlier-detection"})
+	job2 := NewSpanID()
+	f.Begin(Start{ID: job2, Parent: ph2, Kind: KindJob, Name: "em-moments"})
+
+	a := f.Analyze(ReportTopK)
+	if len(a.Runs) != 1 {
+		t.Fatalf("Analyze returned %d runs, want 1", len(a.Runs))
+	}
+	ra := a.Runs[0]
+	if ra.Outcome != "unclosed" {
+		t.Errorf("analysis outcome = %q, want unclosed", ra.Outcome)
+	}
+	if len(ra.Jobs) != 1 || ra.Jobs[0].Runs != 2 || ra.Jobs[0].Counters != counters {
+		t.Errorf("job rows = %+v, want one em-moments row of 2 runs with the closed run's counters", ra.Jobs)
+	}
+	if ra.Faults != 1 || ra.TaskAttempts != 1 {
+		t.Errorf("analysis: %d faults of %d attempts, want 1 of 1", ra.Faults, ra.TaskAttempts)
+	}
+	if len(ra.Phases) != 2 || ra.Phases[0].Jobs != 1 || ra.Phases[0].Tasks != 1 || ra.Phases[1].Jobs != 1 {
+		t.Errorf("phase rows = %+v", ra.Phases)
+	}
+
+	s, ok := f.Run(int64(run))
+	if !ok {
+		t.Fatal("Runs lacks the open run")
+	}
+	if !s.Active || s.Outcome != "" {
+		t.Errorf("snapshot active %v outcome %q, want an active run", s.Active, s.Outcome)
+	}
+	if s.Jobs != 2 || s.JobsDone != 1 {
+		t.Errorf("jobs = %d/%d, want 1/2", s.JobsDone, s.Jobs)
+	}
+	if s.CurrentPhase != "outlier-detection" || len(s.Phases) != 2 || !s.Phases[0].Done || s.Phases[1].Done {
+		t.Errorf("current phase %q, phases %+v; want outlier-detection open after em", s.CurrentPhase, s.Phases)
+	}
+	if s.Faults != ra.Faults || s.Tasks != ra.TaskAttempts || s.Counters != ra.Jobs[0].Counters {
+		t.Errorf("snapshot faults %d, tasks %d, counters %+v; analysis %d, %d, %+v",
+			s.Faults, s.Tasks, s.Counters, ra.Faults, ra.TaskAttempts, ra.Jobs[0].Counters)
+	}
+	if s.SimulatedSeconds != 3 || s.Retries != 1 || s.Wasted != (Counters{}) {
+		t.Errorf("snapshot sim %g, retries %d, wasted %+v; want the closed job's 3 s, 1 retry, no waste",
+			s.SimulatedSeconds, s.Retries, s.Wasted)
+	}
+}

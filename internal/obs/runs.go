@@ -84,88 +84,52 @@ func (f *Forest) Run(id int64) (RunSnapshot, bool) {
 	return RunSnapshot{}, false
 }
 
-// runSnapshot folds the subtrees under roots into one run's progress. A
-// run root supplies the identity, outcome and elapsed time; the detached
-// run is always live. Caller holds f.mu.
+// runSnapshot renders the fold of the subtrees under roots as one run's
+// progress, adding the live arithmetic: elapsed time, an open phase's wall
+// time, the ETA and records/s. A run root supplies the identity, outcome
+// and elapsed time; the detached run is always live. Caller holds f.mu.
 func (f *Forest) runSnapshot(id SpanID, name string, roots []*span) RunSnapshot {
 	snap := RunSnapshot{ID: int64(id), Name: name, Active: true}
-	now := Since(f.start).Seconds()
-	begin, end := roots[0].begin, now
+	begin, end := roots[0].begin, Since(f.start).Seconds()
 	if r := roots[0]; r.kind == KindRun && r.closed {
 		snap.Active, end = false, r.end
 		snap.Outcome, snap.Err = r.outcome.String(), r.err
 	}
-	var quality map[string]spanPt
-	phaseIdx := make(map[SpanID]int)
 	for _, root := range roots {
 		begin = min(begin, root.begin)
-		f.walk(root, func(s *span) {
-			switch s.kind {
-			case KindPhase:
-				ps := PhaseSnapshot{Name: s.name, Done: s.closed, RealSeconds: s.realS,
-					SimulatedSeconds: s.simS, Retries: s.retries}
-				if !s.closed {
-					ps.RealSeconds = end - s.begin
-				}
-				phaseIdx[s.id] = len(snap.Phases)
-				snap.Phases = append(snap.Phases, ps)
-			case KindJob:
-				snap.Jobs++
-				if i, ok := phaseIdx[s.parent]; ok {
-					snap.Phases[i].Jobs++
-				}
-				if s.closed {
-					snap.JobsDone++
-					snap.Counters.Add(s.counters)
-					snap.Wasted.Add(s.wasted)
-					snap.SimulatedSeconds += s.simS
-					snap.Retries += s.retries
-				}
-			case KindTask:
-				if !s.isAttempt() {
-					break
-				}
-				snap.Tasks++
-				if job := f.spans[s.parent]; job != nil {
-					if i, ok := phaseIdx[job.parent]; ok {
-						snap.Phases[i].Tasks++
-					}
-				}
-				if s.closed {
-					snap.TasksDone++
-				}
-				switch {
-				case s.closed && s.outcome == OutcomeFault:
-					snap.Faults++
-				case s.closed && s.outcome == OutcomeCancelled:
-					snap.Cancels++
-				}
-			}
-			for _, p := range s.points {
-				switch p.Kind {
-				case PointStraggler:
-					snap.Stragglers++
-					snap.StragglerSeconds += p.Seconds
-				case PointCancel:
-					snap.Cancels++
-				case PointMetric:
-					if quality == nil {
-						quality = make(map[string]spanPt)
-					}
-					if q, ok := quality[p.Name]; !ok || p.seq > q.seq {
-						quality[p.Name] = p
-					}
-				}
-			}
-		})
+	}
+	rf := f.fold(roots)
+	for _, p := range rf.phases {
+		ps := PhaseSnapshot{Name: p.s.name, Done: p.s.closed, RealSeconds: p.s.realS,
+			SimulatedSeconds: p.s.simS, Jobs: p.jobs, Tasks: p.tasks, Retries: p.s.retries}
+		if !p.s.closed {
+			ps.RealSeconds = end - p.s.begin
+		}
+		snap.Phases = append(snap.Phases, ps)
 	}
 	if n := len(snap.Phases); n > 0 && !snap.Phases[n-1].Done {
 		snap.CurrentPhase = snap.Phases[n-1].Name
 	}
-	if len(quality) > 0 {
-		snap.Quality = make(map[string]float64, len(quality))
-		for k, p := range quality {
-			snap.Quality[k] = p.Value
+	for _, j := range rf.jobs {
+		snap.Jobs += j.Runs
+	}
+	snap.JobsDone, snap.Tasks, snap.TasksDone = rf.jobsDone, len(rf.tasks), rf.tasksDone
+	snap.Faults, snap.Cancels = rf.faults, rf.cancels
+	for _, sr := range rf.stragglers {
+		snap.Stragglers += sr.Count
+	}
+	snap.StragglerSeconds = rf.stragglerSeconds
+	snap.Counters, snap.Wasted = rf.counters, rf.wasted
+	snap.SimulatedSeconds, snap.Retries = rf.simS, rf.retries
+	// Quality holds each metric's latest value by arrival order.
+	latest := make(map[string]int)
+	for _, p := range rf.metrics {
+		if seq, ok := latest[p.Name]; !ok || p.seq > seq {
+			if snap.Quality == nil {
+				snap.Quality = make(map[string]float64)
+			}
+			latest[p.Name] = p.seq
+			snap.Quality[p.Name] = p.Value
 		}
 	}
 	snap.Records = inputRecords(snap.Counters)

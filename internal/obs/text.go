@@ -68,8 +68,9 @@ func writeRun(w io.Writer, r *RunAnalysis, timeline bool) error {
 				if s.Phase != "" && s.Kind != "phase" {
 					id += " [" + s.Phase + "]"
 				}
-				fmt.Fprintf(tw, "%s\t%s%s\t%.3f\t%.3f\t%.3f\n",
-					s.Kind, strings.Repeat("  ", s.Depth), id, s.StartS, s.DurationS, s.SelfSeconds)
+				fmt.Fprintf(tw, "%s\t%s%s\t%s\t%s\t%s\n",
+					s.Kind, strings.Repeat("  ", s.Depth), id,
+					taskSeconds(s.StartS), taskSeconds(s.DurationS), taskSeconds(s.SelfSeconds))
 			}
 		}},
 		{len(r.Skew) > 0, "skew (job/phase)\ttasks\tmedian s\tp90 s\tmax s\tmax/median\tslowest", func(tw io.Writer) {
@@ -86,13 +87,13 @@ func writeRun(w io.Writer, r *RunAnalysis, timeline bool) error {
 		}},
 		{len(r.RetryWaste) > 0, "retry waste (job)\tfault attempts\twall s\twasted records", func(tw io.Writer) {
 			for _, s := range r.RetryWaste {
-				fmt.Fprintf(tw, "%s\t%d\t%.4f\t%d\n", s.Job, s.FaultAttempts, s.WallSeconds, s.WastedRecords)
+				fmt.Fprintf(tw, "%s\t%d\t%s\t%d\n", s.Job, s.FaultAttempts, taskSeconds(s.WallSeconds), s.WastedRecords)
 			}
 		}},
 		{len(r.Workers) > 0, "workers\tattempts\tfaults\twall s\tfault wall s\tstraggler s\twasted records", func(tw io.Writer) {
 			for _, s := range r.Workers {
-				fmt.Fprintf(tw, "%s\t%d\t%d\t%.4f\t%.4f\t%.3f\t%d\n",
-					s.Worker, s.Attempts, s.Faults, s.WallSeconds, s.FaultWallSeconds,
+				fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%.3f\t%d\n",
+					s.Worker, s.Attempts, s.Faults, taskSeconds(s.WallSeconds), taskSeconds(s.FaultWallSeconds),
 					s.StragglerSeconds, s.WastedRecords)
 			}
 		}},
@@ -105,8 +106,8 @@ func writeRun(w io.Writer, r *RunAnalysis, timeline bool) error {
 		}},
 		{len(r.Classified) > 0, "stragglers classified\ttask\tworker\twall s\tmedian s\tinput ratio\tutil\tclass", func(tw io.Writer) {
 			for _, c := range r.Classified {
-				fmt.Fprintf(tw, "%s/%s\t%s\t%s\t%.4f\t%.4f\t%.2f\t%.2f\t%s\n",
-					c.Job, c.Phase, c.Task, c.Worker, c.Seconds, c.MedianS,
+				fmt.Fprintf(tw, "%s/%s\t%s\t%s\t%s\t%s\t%.2f\t%.2f\t%s\n",
+					c.Job, c.Phase, c.Task, c.Worker, taskSeconds(c.Seconds), taskSeconds(c.MedianS),
 					c.InputRatio, c.Utilization, c.Class)
 			}
 		}},
@@ -141,9 +142,9 @@ func writeRun(w io.Writer, r *RunAnalysis, timeline bool) error {
 	})
 }
 
-// taskSeconds renders a task attempt's duration with three significant
-// digits in fixed notation (at least three decimals), so a 30 µs attempt
-// reads 0.0000300 rather than a fixed-width zero.
+// taskSeconds renders a span's time with three significant digits in
+// fixed notation (at least three decimals), so a 30 µs attempt reads
+// 0.0000300 rather than a fixed-width zero.
 func taskSeconds(s float64) string {
 	if s == 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 		return strconv.FormatFloat(s, 'f', 3, 64)

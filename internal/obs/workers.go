@@ -6,9 +6,10 @@ import (
 )
 
 // workerFold is one worker process's totals over a set of spans: the task
-// attempts, steps and points that carry its name. It is the one per-worker
-// fold — Analyze renders a run's folds as WorkerRows, Workers the whole
-// forest's as WorkerSnapshots — so the two views agree by construction.
+// attempts, steps and points that carry its name. It is part of the run
+// fold — Analyze renders a run's worker folds as WorkerRows, Workers the
+// whole forest's as WorkerSnapshots — so the two views agree by
+// construction.
 type workerFold struct {
 	attempts, ok, faults, cancelled, errors int
 	busySeconds, faultSeconds               float64
@@ -21,70 +22,69 @@ type workerFold struct {
 	peakRSS, peakQB, peakSB int64
 }
 
-// workerFolds folds every worker-attributed span and point under roots by
-// worker name. Spans and points without a worker (driver-side events,
-// in-process execution) carry nothing to attribute. Caller holds f.mu.
-func (f *Forest) workerFolds(roots []*span) map[string]*workerFold {
-	folds := make(map[string]*workerFold)
-	worker := func(name string) *workerFold {
-		w := folds[name]
-		if w == nil {
-			w = &workerFold{}
-			folds[name] = w
+// workerFolds maps worker names to their folds. Spans and points without
+// a worker (driver-side events, in-process execution) carry nothing to
+// attribute.
+type workerFolds map[string]*workerFold
+
+func (folds workerFolds) get(name string) *workerFold {
+	w := folds[name]
+	if w == nil {
+		w = &workerFold{}
+		folds[name] = w
+	}
+	return w
+}
+
+// addSpan folds a worker-attributed task attempt or step. The worker name
+// arrives with the span's End, so an attributed span is a closed one.
+func (folds workerFolds) addSpan(s *span) {
+	switch {
+	case s.worker == "":
+	case s.isAttempt():
+		w := folds.get(s.worker)
+		w.attempts++
+		w.busySeconds += s.realS
+		w.wasted.Add(s.wasted)
+		switch s.outcome {
+		case OutcomeOK:
+			w.ok++
+		case OutcomeFault:
+			w.faults++
+			w.faultSeconds += s.realS
+		case OutcomeCancelled:
+			w.cancelled++
+		case OutcomeError:
+			w.errors++
 		}
-		return w
+	case s.kind == KindStep:
+		w := folds.get(s.worker)
+		if w.stepSeconds == nil {
+			w.stepSeconds = make(map[string]float64)
+		}
+		w.stepSeconds[s.name] += s.realS
 	}
-	for _, root := range roots {
-		f.walk(root, func(s *span) {
-			// The worker name arrives with the span's End, so an attributed
-			// span is a closed one.
-			switch {
-			case s.worker == "":
-			case s.isAttempt():
-				w := worker(s.worker)
-				w.attempts++
-				w.busySeconds += s.realS
-				w.wasted.Add(s.wasted)
-				switch s.outcome {
-				case OutcomeOK:
-					w.ok++
-				case OutcomeFault:
-					w.faults++
-					w.faultSeconds += s.realS
-				case OutcomeCancelled:
-					w.cancelled++
-				case OutcomeError:
-					w.errors++
-				}
-			case s.kind == KindStep:
-				w := worker(s.worker)
-				if w.stepSeconds == nil {
-					w.stepSeconds = make(map[string]float64)
-				}
-				w.stepSeconds[s.name] += s.realS
-			}
-			for _, p := range s.points {
-				switch {
-				case p.Worker == "":
-				case p.Kind == PointStraggler:
-					worker(p.Worker).stragglerSeconds += p.Seconds
-				case p.Kind == PointSample && p.Sample != nil:
-					w := worker(p.Worker)
-					if w.samples == 0 || p.seq < w.first.seq {
-						w.first = p
-					}
-					if w.samples == 0 || p.seq > w.last.seq {
-						w.last = p
-					}
-					w.samples++
-					w.peakRSS = max(w.peakRSS, p.Sample.RSSBytes)
-					w.peakQB = max(w.peakQB, p.Sample.QueueBytes)
-					w.peakSB = max(w.peakSB, p.Sample.SpillBytes)
-				}
-			}
-		})
+}
+
+// addPoint folds a worker-attributed straggler charge or resource sample.
+func (folds workerFolds) addPoint(p spanPt) {
+	switch {
+	case p.Worker == "":
+	case p.Kind == PointStraggler:
+		folds.get(p.Worker).stragglerSeconds += p.Seconds
+	case p.Kind == PointSample && p.Sample != nil:
+		w := folds.get(p.Worker)
+		if w.samples == 0 || p.seq < w.first.seq {
+			w.first = p
+		}
+		if w.samples == 0 || p.seq > w.last.seq {
+			w.last = p
+		}
+		w.samples++
+		w.peakRSS = max(w.peakRSS, p.Sample.RSSBytes)
+		w.peakQB = max(w.peakQB, p.Sample.QueueBytes)
+		w.peakSB = max(w.peakSB, p.Sample.SpillBytes)
 	}
-	return folds
 }
 
 // lastSample is the worker's latest resource sample; zero without one.
@@ -134,7 +134,7 @@ type WorkerSnapshot struct {
 func (f *Forest) Workers() []WorkerSnapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	folds := f.workerFolds(f.roots())
+	folds := f.fold(f.roots()).workers
 	out := make([]WorkerSnapshot, 0, len(folds))
 	for _, name := range sortedKeys(folds) {
 		w := folds[name]

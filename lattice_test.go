@@ -9,18 +9,21 @@ import (
 	"p3cmr/internal/core"
 	"p3cmr/internal/dataset"
 	"p3cmr/internal/mr"
+	"p3cmr/internal/obs"
 )
 
 // lightDigest runs P3C+-MR-Light over the generated data set on a two-slot
-// engine with the default cost model and returns the result, the engine
-// and the SHA-256 of the result's WriteJSON output, members included.
-func lightDigest(t *testing.T, cfg dataset.GenConfig, params core.Params) (*Result, *mr.Engine, string) {
+// engine with the default cost model and returns the result, the run's
+// trace and the SHA-256 of the result's WriteJSON output, members
+// included.
+func lightDigest(t *testing.T, cfg dataset.GenConfig, params core.Params) (*Result, *obs.Forest, string) {
 	t.Helper()
 	data, _, err := dataset.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := mr.NewEngine(mr.Config{Cost: mr.DefaultCostModel(), Parallelism: 2})
+	trace := obs.NewForest()
+	engine := mr.NewEngine(mr.Config{Cost: mr.DefaultCostModel(), Parallelism: 2, Tracer: trace})
 	res, err := Run(data, Config{Algorithm: P3CPlusMRLight, Params: &params, Engine: engine})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +33,21 @@ func lightDigest(t *testing.T, cfg dataset.GenConfig, params core.Params) (*Resu
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(buf.Bytes())
-	return res, engine, hex.EncodeToString(sum[:])
+	return res, trace, hex.EncodeToString(sum[:])
+}
+
+// jobRuns counts the executions of the named job in a traced run, from the
+// job table of the trace's analysis.
+func jobRuns(trace *obs.Forest, name string) int {
+	n := 0
+	for _, r := range trace.Analyze(0).Runs {
+		for _, j := range r.Jobs {
+			if j.Name == name {
+				n += j.Runs
+			}
+		}
+	}
+	return n
 }
 
 // TestDeepLatticeDigestPinned pins the WriteJSON output of a Light run
@@ -43,7 +60,7 @@ func lightDigest(t *testing.T, cfg dataset.GenConfig, params core.Params) (*Resu
 func TestDeepLatticeDigestPinned(t *testing.T) {
 	params := core.LightParams()
 	params.Tgen = 500
-	res, engine, got := lightDigest(t, dataset.GenConfig{
+	res, trace, got := lightDigest(t, dataset.GenConfig{
 		N: 20000, Dim: 30, Clusters: 3, MaxClusterDims: 10,
 		NoiseFraction: 0.1, Overlap: true, Seed: 1,
 	}, params)
@@ -52,7 +69,7 @@ func TestDeepLatticeDigestPinned(t *testing.T) {
 		t.Errorf("jobs %d, candidates %d, cores before redundancy %d, cores %d; want 14, 2424, 37, 3",
 			res.Jobs, st.CandidatesProven, st.CoresBeforeRedundancy, st.Cores)
 	}
-	if engine.JobStatsByName()["candidate-generation"].Runs == 0 {
+	if jobRuns(trace, "candidate-generation") == 0 {
 		t.Error("candidate generation never ran as an MR job")
 	}
 	const want = "b2bb2bbc141d387749eb4353dfd77d6d223fc0e45a30c3a760a434d9fa31bb25"
@@ -69,12 +86,12 @@ func TestDeepLatticeDigestPinned(t *testing.T) {
 // counting still listed every signature's coverers pair by pair, so it also
 // pins that the running OR over the rescue's antichains counts the same.
 func TestNoiseFreeLatticeDigestPinned(t *testing.T) {
-	res, engine, got := lightDigest(t, dataset.GenConfig{
+	res, trace, got := lightDigest(t, dataset.GenConfig{
 		N: 20000, Dim: 50, Clusters: 5, MaxClusterDims: 20,
 		NoiseFraction: 0, Overlap: true, Seed: 1,
 	}, core.LightParams())
 	st := res.Core.Stats
-	rounds := engine.JobStatsByName()["redundancy-uncovered"].Runs
+	rounds := jobRuns(trace, "redundancy-uncovered")
 	if res.Jobs != 25 || st.CandidatesProven != 28092 || st.CoresBeforeRedundancy != 1210 || st.Cores != 5 || rounds != 9 {
 		t.Errorf("jobs %d, candidates %d, cores before redundancy %d, cores %d, rescue rounds %d; want 25, 28092, 1210, 5, 9",
 			res.Jobs, st.CandidatesProven, st.CoresBeforeRedundancy, st.Cores, rounds)
