@@ -21,8 +21,9 @@ vet:
 
 # The eight project-specific contract analyzers (wall-clock and randomness
 # determinism, map order, hot-path boxing, zero-cost tracing, pool
-# lifecycles, the job-impl registry bijection, span balance). Exits nonzero
-# on any finding; see cmd/p3cvet and DESIGN.md §3e/§3j.
+# lifecycles, the job-impl registry bijection, spans closed by a deferred
+# obs.Span End). Exits nonzero on any finding; see cmd/p3cvet and
+# DESIGN.md §3e/§3j.
 lint:
 	$(GO) run ./cmd/p3cvet ./...
 

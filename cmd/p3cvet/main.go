@@ -4,8 +4,9 @@
 // per-emit fmt.Sprintf keys on the data plane), implreg (Job.Impl sites and
 // RegisterJobImpl registrations form a bijection with pure builders),
 // maporder (no output in map iteration order), poolsafe (pooled buffers
-// stay inside their lifecycle barrier), spanbalance (every obs span Begin is Ended on all
-// control-flow paths), and tracenil (Tracer/Metrics calls are nil-guarded).
+// stay inside their lifecycle barrier), spanbalance (spans open only as
+// obs.Open handles, each Ended exactly once by a defer or returned to the
+// caller), and tracenil (Tracer/Metrics calls are nil-guarded).
 // Findings print as
 //
 //	file:line: [analyzer] message

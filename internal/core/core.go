@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"p3cmr/internal/dataset"
 	"p3cmr/internal/em"
@@ -41,75 +40,73 @@ type pipeline struct {
 // outside the range are binned into the border bins. NaN and ±Inf are
 // rejected; data that already passed dataset.Validate is not scanned again
 // (see dataset.ValidateOnce).
-func Run(engine *mr.Engine, data *dataset.Dataset, params Params) (*Result, error) {
+func Run(engine *mr.Engine, data *dataset.Dataset, params Params) (_ *Result, err error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if err := data.ValidateOnce(); err != nil {
 		return nil, err
 	}
+	p := &pipeline{
+		params: params,
+		engine: engine,
+		data:   data,
+		n:      data.N(),
+		dim:    data.Dim,
+		tracer: engine.Tracer(),
+	}
+	run := obs.Open(p.tracer, obs.Start{Kind: obs.KindRun, Name: "p3c-pipeline"})
+	p.runSpan = run.ID()
 	start := obs.Now()
 	jobs0 := engine.JobsRun()
-	sim0 := engine.TotalSimulatedSeconds()
-	counters0 := engine.TotalCounters()
-	wasted0 := engine.TotalWasted()
+	mark := markEngine(engine)
+	defer func() { run.End(err, mark.delta(engine)) }()
 
 	numSplits := params.NumSplits
 	if numSplits <= 0 {
 		numSplits = 16
 	}
-	p := &pipeline{
-		params: params,
-		engine: engine,
-		data:   data,
-		splits: data.Splits(numSplits),
-		n:      data.N(),
-		dim:    data.Dim,
-		tracer: engine.Tracer(),
-	}
-	if p.tracer != nil {
-		p.runSpan = obs.NewSpanID()
-		p.tracer.Begin(obs.Start{ID: p.runSpan, Kind: obs.KindRun, Name: "p3c-pipeline"})
-	}
-
+	p.splits = data.Splits(numSplits)
 	res, err := p.run()
-	if p.tracer != nil {
-		c := engine.TotalCounters()
-		c.Sub(counters0)
-		w := engine.TotalWasted()
-		w.Sub(wasted0)
-		e := obs.End{ID: p.runSpan, Kind: obs.KindRun, Name: "p3c-pipeline",
-			RealSeconds:      obs.Since(start).Seconds(),
-			SimulatedSeconds: engine.TotalSimulatedSeconds() - sim0,
-			Counters:         c, Wasted: w, Retries: c.TaskRetries}
-		if err != nil {
-			e.Outcome = obs.OutcomeError
-			e.Err = err.Error()
-		}
-		p.tracer.End(e)
-	}
 	if err != nil {
 		return nil, err
 	}
 	res.Stats.WallTime = obs.Since(start)
 	res.Stats.Jobs = engine.JobsRun() - jobs0
-	res.Stats.SimulatedSeconds = engine.TotalSimulatedSeconds() - sim0
-	c := engine.TotalCounters()
-	c.Sub(counters0)
-	res.Stats.Counters = c
+	d := mark.delta(engine)
+	res.Stats.SimulatedSeconds = d.SimulatedSeconds
+	res.Stats.Counters = d.Counters
 	return res, nil
 }
 
-// phaseScope tracks one open pipeline phase span together with the engine
-// snapshots its end-of-phase deltas are computed against.
+// engineMark snapshots the engine's running totals, so a run or phase span
+// can report the simulated seconds and counters accumulated under it.
+type engineMark struct {
+	sim      float64
+	ctr, wst mr.Counters
+}
+
+func markEngine(e *mr.Engine) engineMark {
+	return engineMark{sim: e.TotalSimulatedSeconds(), ctr: e.TotalCounters(), wst: e.TotalWasted()}
+}
+
+// delta returns the engine's progress since the mark as the End fields of
+// a run or phase span.
+func (m engineMark) delta(e *mr.Engine) obs.End {
+	c := e.TotalCounters()
+	c.Sub(m.ctr)
+	w := e.TotalWasted()
+	w.Sub(m.wst)
+	return obs.End{SimulatedSeconds: e.TotalSimulatedSeconds() - m.sim,
+		Counters: c, Wasted: w, Retries: c.TaskRetries}
+}
+
+// phaseScope is one open pipeline phase span together with the engine
+// mark its end-of-phase deltas are computed against.
 type phaseScope struct {
-	p     *pipeline
-	span  obs.SpanID
-	name  string
-	start time.Time
-	sim0  float64
-	ctr0  mr.Counters
-	wst0  mr.Counters
+	p    *pipeline
+	span obs.Span
+	mark engineMark
 }
 
 // beginPhase opens a phase span under the run span and makes it the trace
@@ -119,15 +116,9 @@ func (p *pipeline) beginPhase(name string) *phaseScope {
 	if p.tracer == nil {
 		return nil
 	}
-	ps := &phaseScope{
-		p: p, name: name, span: obs.NewSpanID(),
-		sim0: p.engine.TotalSimulatedSeconds(),
-		ctr0: p.engine.TotalCounters(),
-		wst0: p.engine.TotalWasted(),
-	}
-	p.tracer.Begin(obs.Start{ID: ps.span, Parent: p.runSpan, Kind: obs.KindPhase, Name: name})
-	ps.start = obs.Now()
-	p.phaseSpan = ps.span
+	ps := &phaseScope{p: p, mark: markEngine(p.engine)}
+	ps.span = obs.Open(p.tracer, obs.Start{Parent: p.runSpan, Kind: obs.KindPhase, Name: name})
+	p.phaseSpan = ps.span.ID()
 	return ps
 }
 
@@ -137,22 +128,8 @@ func (ps *phaseScope) end(err error) {
 	if ps == nil {
 		return
 	}
-	p := ps.p
-	c := p.engine.TotalCounters()
-	c.Sub(ps.ctr0)
-	w := p.engine.TotalWasted()
-	w.Sub(ps.wst0)
-	e := obs.End{ID: ps.span, Kind: obs.KindPhase, Name: ps.name,
-		RealSeconds:      obs.Since(ps.start).Seconds(),
-		SimulatedSeconds: p.engine.TotalSimulatedSeconds() - ps.sim0,
-		Counters:         c, Wasted: w, Retries: c.TaskRetries}
-	if err != nil {
-		e.Outcome = obs.OutcomeError
-		e.Err = err.Error()
-	}
-	//lint:allow tracenil beginPhase returns a nil scope when the tracer is nil, and the ps == nil guard above returns first
-	p.tracer.End(e)
-	p.phaseSpan = 0
+	ps.span.End(err, ps.mark.delta(ps.p.engine))
+	ps.p.phaseSpan = 0
 }
 
 // metric publishes one algorithm-quality scalar: a typed metric point on

@@ -6,52 +6,26 @@ import (
 )
 
 // This file builds per-function control-flow graphs over go/ast — the
-// foundation of the dataflow analyzers (spanbalance, poolsafe). The model is
-// deliberately small: a graph of basic blocks holding statement lists, with
-// condition-labelled edges so path-sensitive analyses can correlate branch
-// polarity with facts ("this edge is only taken when tr != nil"). Function
-// literals are NOT inlined — each FuncLit gets its own graph when an
-// analyzer asks for one, because values and spans do not flow implicitly
-// across closure boundaries in the contracts we check.
+// foundation of poolsafe's taint fixpoint. The model is deliberately small:
+// a graph of basic blocks holding statement lists and their successors.
+// Function literals are NOT inlined — each FuncLit gets its own graph when
+// an analyzer asks for one, because values do not flow implicitly across
+// closure boundaries in the contracts we check.
 
-// cfgEdge is one successor edge. When cond is non-nil the edge is taken
-// only when cond evaluates to `when` — the condition expression of an
-// enclosing if or for statement.
-type cfgEdge struct {
-	to   *cfgBlock
-	cond ast.Expr
-	when bool
-}
-
-// cfgBlock is a basic block: statements executed in order, then an optional
-// trailing condition (the if/for/switch-tag expression evaluated after the
-// statements), then the successor edges. A block with no edges terminates
-// the function abnormally (panic, os.Exit, goto out of scope) — analyses
-// treat such paths as waived.
+// cfgBlock is a basic block: statements executed in order, then the
+// blocks control may pass to. A block with no successors leaves the
+// function: by a return, falling off the end, or abnormally (panic,
+// os.Exit, goto out of scope).
 type cfgBlock struct {
-	id    int
 	stmts []ast.Stmt
-	cond  ast.Expr // trailing expression evaluated after stmts, if any
-	edges []cfgEdge
+	succs []*cfgBlock
 }
 
-// funcCFG is the control-flow graph of one function body. entry is where
-// execution starts; exit is the single synthetic return block — every normal
-// return (explicit or fall-off-the-end) has an edge to it.
+// funcCFG is the control-flow graph of one function body; entry is where
+// execution starts.
 type funcCFG struct {
 	blocks []*cfgBlock
 	entry  *cfgBlock
-	exit   *cfgBlock
-	// where locates the block and statement index of every statement that
-	// was placed in a block, so analyzers can start a traversal at an
-	// arbitrary program point.
-	where map[ast.Stmt]cfgPoint
-}
-
-// cfgPoint addresses one statement inside the graph.
-type cfgPoint struct {
-	block *cfgBlock
-	idx   int
 }
 
 // cfgBuilder carries the construction state: the block under construction
@@ -75,45 +49,33 @@ type cfgScope struct {
 
 // buildCFG constructs the graph for one function body.
 func buildCFG(body *ast.BlockStmt) *funcCFG {
-	g := &funcCFG{where: make(map[ast.Stmt]cfgPoint)}
+	g := &funcCFG{}
 	b := &cfgBuilder{g: g}
 	g.entry = b.newBlock()
-	g.exit = b.newBlock()
 	b.cur = g.entry
 	b.stmtList(body.List)
-	// Falling off the end of the body is an implicit return.
-	b.jump(g.exit)
 	return g
 }
 
 func (b *cfgBuilder) newBlock() *cfgBlock {
-	blk := &cfgBlock{id: len(b.g.blocks)}
+	blk := &cfgBlock{}
 	b.g.blocks = append(b.g.blocks, blk)
 	return blk
 }
 
-// append places s in the current block and records its address.
+// append places s in the current block.
 func (b *cfgBuilder) append(s ast.Stmt) {
-	b.g.where[s] = cfgPoint{block: b.cur, idx: len(b.cur.stmts)}
 	b.cur.stmts = append(b.cur.stmts, s)
 }
 
-// jump adds an unconditional edge from the current block and leaves cur in
+// jump makes to a successor of the current block and leaves cur in
 // place (callers switch cur themselves). A nil cur (dead code after a
 // return) is a no-op.
 func (b *cfgBuilder) jump(to *cfgBlock) {
 	if b.cur == nil {
 		return
 	}
-	b.cur.edges = append(b.cur.edges, cfgEdge{to: to})
-}
-
-// branch adds a conditional edge from the current block.
-func (b *cfgBuilder) branch(to *cfgBlock, cond ast.Expr, when bool) {
-	if b.cur == nil {
-		return
-	}
-	b.cur.edges = append(b.cur.edges, cfgEdge{to: to, cond: cond, when: when})
+	b.cur.succs = append(b.cur.succs, to)
 }
 
 func (b *cfgBuilder) stmtList(list []ast.Stmt) {
@@ -144,16 +106,14 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
-		head := b.cur
-		head.cond = s.Cond
 		thenB := b.newBlock()
 		join := b.newBlock()
-		b.branch(thenB, s.Cond, true)
+		b.jump(thenB)
 		elseTarget := join
 		if s.Else != nil {
 			elseTarget = b.newBlock()
 		}
-		b.branch(elseTarget, s.Cond, false)
+		b.jump(elseTarget)
 		b.cur = thenB
 		b.stmtList(s.Body.List)
 		b.jump(join)
@@ -178,12 +138,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 		b.jump(head)
 		b.cur = head
+		b.jump(body)
 		if s.Cond != nil {
-			head.cond = s.Cond
-			b.branch(body, s.Cond, true)
-			b.branch(after, s.Cond, false)
-		} else {
-			b.jump(body) // for {}: only break reaches after
+			b.jump(after) // for {} leaves only by break
 		}
 		b.scopes = append(b.scopes, cfgScope{label: label, breakTo: after, continueTo: cont})
 		b.cur = body
@@ -219,43 +176,36 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
-		b.switchClauses(label, s.Tag, s.Body.List, nil)
+		b.switchClauses(label, s.Body.List, nil)
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
-		b.switchClauses(label, nil, s.Body.List, s.Assign)
+		b.switchClauses(label, s.Body.List, s.Assign)
 
 	case *ast.SelectStmt:
 		head := b.cur
 		after := b.newBlock()
 		b.scopes = append(b.scopes, cfgScope{label: label, breakTo: after})
-		var clauses []*cfgBlock
-		for range s.Body.List {
-			clauses = append(clauses, b.newBlock())
-		}
-		hasDefault := false
-		for i, cc := range s.Body.List {
+		// A select with no ready case blocks; every exit is via a clause.
+		for _, cc := range s.Body.List {
 			cc := cc.(*ast.CommClause)
 			b.cur = head
-			b.jump(clauses[i])
-			b.cur = clauses[i]
+			clause := b.newBlock()
+			b.jump(clause)
+			b.cur = clause
 			if cc.Comm != nil {
 				b.stmt(cc.Comm)
-			} else {
-				hasDefault = true
 			}
 			b.stmtList(cc.Body)
 			b.jump(after)
 		}
-		_ = hasDefault // a select with no ready case blocks; every exit is via a clause
 		b.scopes = b.scopes[:len(b.scopes)-1]
 		b.cur = after
 
 	case *ast.ReturnStmt:
 		b.append(s)
-		b.jump(b.g.exit)
 		b.cur = nil
 
 	case *ast.BranchStmt:
@@ -272,8 +222,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.cur = nil
 		case token.GOTO:
 			// Rare in this codebase; treated as abandoning the path, which
-			// is the conservative direction for "must close on every path"
-			// checks (no false positives) and harmless for taint.
+			// is harmless for taint.
 			b.cur = nil
 		case token.FALLTHROUGH:
 			// Handled structurally in switchClauses; reaching here means a
@@ -296,9 +245,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 // evaluating the tag, one block per clause, fallthrough edges between
 // consecutive clauses, and a direct head→after edge unless a default clause
 // exists.
-func (b *cfgBuilder) switchClauses(label string, tag ast.Expr, list []ast.Stmt, assign ast.Stmt) {
+func (b *cfgBuilder) switchClauses(label string, list []ast.Stmt, assign ast.Stmt) {
 	head := b.cur
-	head.cond = tag
 	if assign != nil {
 		// The type-switch assign (`v := x.(type)`) lives in the head so
 		// uses of x are visible.

@@ -171,3 +171,30 @@ func calleeName(fun ast.Expr) string {
 	}
 	return ""
 }
+
+// litTypeName returns the last name component of a composite literal's type
+// ("obs.Start" → "Start"), or "".
+func litTypeName(lit *ast.CompositeLit) string {
+	switch t := lit.Type.(type) {
+	case *ast.Ident:
+		return t.Name
+	case *ast.SelectorExpr:
+		return t.Sel.Name
+	}
+	return ""
+}
+
+// litField returns the value of the named field in a keyed composite
+// literal, or nil.
+func litField(lit *ast.CompositeLit, name string) ast.Expr {
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			continue
+		}
+		if k, ok := kv.Key.(*ast.Ident); ok && k.Name == name {
+			return kv.Value
+		}
+	}
+	return nil
+}

@@ -19,7 +19,8 @@
 //   - maporder:    no emitting/accumulating output from a `range` over a map
 //     without an intervening sort (Go randomizes map iteration order).
 //   - poolsafe:    pooled buffers must not escape their lifecycle barrier.
-//   - spanbalance: every obs span Begin is Ended on all control-flow paths.
+//   - spanbalance: spans open only as obs.Open handles, each Ended exactly
+//     once by a defer in the opening function or returned to the caller.
 //   - tracenil:    calls through Tracer/Metrics handles must be nil-guarded
 //     (the zero-cost-when-off contract).
 //

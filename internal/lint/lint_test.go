@@ -111,7 +111,9 @@ func TestPoolSafeCorpus(t *testing.T) {
 }
 
 func TestSpanBalanceCorpus(t *testing.T) {
-	runCorpus(t, []*Analyzer{SpanBalance}, "testdata/src/spanbalance")
+	runCorpus(t, []*Analyzer{SpanBalance},
+		"testdata/src/spanbalance",
+		"testdata/src/exempt/internal/obs") // exempt package: zero findings expected
 }
 
 // TestImplRegCorpus loads two corpus packages in one run: the bijection is

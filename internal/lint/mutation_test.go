@@ -108,33 +108,28 @@ func wire() (Job, Job) {
 	checkMutation(t, ImplReg, clean, mutated, "has no RegisterJobImpl")
 }
 
-// TestMutationSpanEndRemoved deletes the End on the error branch of a
-// balanced span pair.
+// TestMutationSpanEndRemoved deletes the deferred End of a span handle.
 func TestMutationSpanEndRemoved(t *testing.T) {
 	clean := `package p
 
-type Start struct{ ID string }
+type Start struct{ Name string }
 
-type End struct {
-	ID  string
-	Err string
-}
+type End struct{ Err string }
 
-type Tracer struct{}
+type Span struct{}
 
-func (*Tracer) Begin(s Start) {}
-func (*Tracer) End(e End)     {}
+func Open(s Start) Span { return Span{} }
 
-func run(tr *Tracer, err error) error {
-	tr.Begin(Start{ID: "run"})
-	if err != nil {
-		tr.End(End{ID: "run", Err: err.Error()})
-		return err
-	}
-	tr.End(End{ID: "run"})
-	return nil
+func (Span) ID() int64 { return 0 }
+
+func (Span) End(err error, e End) {}
+
+func run(work func(parent int64) error) (err error) {
+	sp := Open(Start{Name: "run"})
+	defer func() { sp.End(err, End{}) }()
+	return work(sp.ID())
 }
 `
-	mutated := strings.Replace(clean, "\t\ttr.End(End{ID: \"run\", Err: err.Error()})\n", "", 1)
-	checkMutation(t, SpanBalance, clean, mutated, "not Ended on every path")
+	mutated := strings.Replace(clean, "\tdefer func() { sp.End(err, End{}) }()\n", "", 1)
+	checkMutation(t, SpanBalance, clean, mutated, "never Ended")
 }

@@ -149,10 +149,10 @@ func checkPoolFunc(pass *Pass, body *ast.BlockStmt) {
 		for _, s := range blk.stmts {
 			transferPool(pass, body, s, st, false)
 		}
-		for _, e := range blk.edges {
-			if in[e.to].mergeFrom(st) && !inWork[e.to] {
-				inWork[e.to] = true
-				work = append(work, e.to)
+		for _, to := range blk.succs {
+			if in[to].mergeFrom(st) && !inWork[to] {
+				inWork[to] = true
+				work = append(work, to)
 			}
 		}
 	}
@@ -482,4 +482,12 @@ func typeName(t types.Type) string {
 		return named.Obj().Name()
 	}
 	return ""
+}
+
+// objOf resolves an identifier to its object via Defs or Uses.
+func objOf(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
 }

@@ -1,99 +1,50 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
+	"go/types"
+	"strings"
 )
 
-// SpanBalance enforces the span-closure contract of the obs tracing plane:
-// every span opened with Tracer.Begin must be closed with a matching End on
-// every control-flow path that leaves the function — via a direct End call,
-// a deferred End, or a call to a local closure that Ends it. MemTracer's
-// Validate catches unbalanced forests only after a run; this is the static
-// twin, walking the function's CFG from each Begin and demanding a closer
-// before every return. Nil-check facts are tracked along paths so the
-// ubiquitous `if tr != nil { tr.Begin(...) }` / `if tr != nil { tr.End(...) }`
-// pairing correlates: the End's guard edge cannot be false on a path where
-// Begin executed. Begins whose span ID escapes through a return value are
-// exempt — they hand the closing obligation to the caller (the phaseScope
-// idiom).
+// SpanBalance enforces the span-closure contract of the obs tracing plane
+// by construction: outside internal/obs a span opens only as an obs.Span
+// handle (obs.Open), and the handle is either ended exactly once by a defer
+// in the function that opened it — which runs on every exit, early return
+// and panic alike — or returned to the caller, who takes over the closing
+// (the phaseScope handoff). A direct Tracer.Begin leaves the closing to
+// hand-written End calls on every path, so it is flagged; replays that
+// forward a Begin opened elsewhere carry a //lint:allow. The rule is
+// syntactic: a handle is its printed expression plus the object of its
+// leading identifier. Detection is name-based (an Open returning a Span, a
+// Begin taking a Start) so the corpus can define local mocks.
 var SpanBalance = &Analyzer{
 	Name: "spanbalance",
-	Doc:  "require every obs span Begin to be Ended on all control-flow paths (defer, direct call, or closing closure)",
+	Doc:  "require spans to open as obs.Open handles ended exactly once by a defer (or returned), never by a direct Tracer.Begin",
 	Run:  runSpanBalance,
 }
 
 func runSpanBalance(pass *Pass) {
+	if strings.HasSuffix(pass.Path, clockExemptSuffix) {
+		return
+	}
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkSpanFunc(pass, fd.Body)
-			}
-		}
-		// Function literals get their own graphs: spans do not flow
-		// implicitly across closure boundaries.
 		ast.Inspect(file, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				checkSpanFunc(pass, fl.Body)
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					checkSpanFunc(pass, fn.Body)
+				}
+			case *ast.FuncLit:
+				checkSpanFunc(pass, fn.Body)
 			}
 			return true
 		})
 	}
 }
 
-// spanBegin is one Begin site under analysis.
-type spanBegin struct {
-	call *ast.CallExpr // the Begin call
-	stmt ast.Stmt      // smallest enclosing statement present in the CFG
-	recv string        // printed receiver (known non-nil once Begin ran)
-	id   string        // printed span-ID expression from the Start literal
-	fact nilFacts      // facts dominating the Begin site
-}
-
-// checkSpanFunc analyzes one function body.
+// checkSpanFunc checks the Begin calls and Open handles of one function
+// body; nested function literals are checked as functions of their own.
 func checkSpanFunc(pass *Pass, body *ast.BlockStmt) {
-	begins := collectBegins(pass, body)
-	if len(begins) == 0 {
-		return
-	}
-	g := buildCFG(body)
-	closures := localClosures(body)
-	defs := reachingDefs(g, pass.Info)
-
-	for _, b := range begins {
-		if spanIDEscapes(pass, body, b.id) {
-			continue // ownership handed to the caller with the span ID
-		}
-		// Local closures that End this particular span.
-		closers := make(map[string]bool)
-		for name, cbody := range closures {
-			if endsSpanIn(pass, cbody, body, b.id) {
-				closers[name] = true
-			}
-		}
-		if deferCloses(pass, body, b.id, closures) {
-			continue // a deferred closer runs on every exit
-		}
-		pt, ok := g.where[b.stmt]
-		if !ok {
-			continue // statement not placed in the graph (dead code)
-		}
-		w := &spanWalk{pass: pass, g: g, begin: b, closers: closers, defs: defs,
-			visited: make(map[*cfgBlock][]nilFacts)}
-		w.walk(pt.block, pt.idx+1, b.fact.clone())
-		if w.leak != "" {
-			pass.Reportf(b.call.Pos(),
-				"span %s begun here is not Ended on every path: %s — close it with a defer, a dominating End, or hand the ID to the caller",
-				b.id, w.leak)
-		}
-	}
-}
-
-// collectBegins finds Begin calls whose argument is a Start composite
-// literal with an explicit ID field — the span-creation shape. Forwarding
-// calls (Begin(s) with a plain identifier) create nothing and are ignored.
-func collectBegins(pass *Pass, body *ast.BlockStmt) []*spanBegin {
-	var out []*spanBegin
 	var stack []ast.Node
 	ast.Inspect(body, func(n ast.Node) bool {
 		if n == nil {
@@ -101,318 +52,112 @@ func collectBegins(pass *Pass, body *ast.BlockStmt) []*spanBegin {
 			return true
 		}
 		if _, ok := n.(*ast.FuncLit); ok {
-			return false // analyzed as its own function; not pushed, not popped
+			return false
 		}
 		stack = append(stack, n)
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Begin" || len(call.Args) != 1 {
-			return true
-		}
-		lit, ok := call.Args[0].(*ast.CompositeLit)
-		if !ok || litTypeName(lit) != "Start" {
-			return true
-		}
-		idExpr := litField(lit, "ID")
-		if idExpr == nil {
-			return true
-		}
-		b := &spanBegin{
-			call: call,
-			recv: pass.ExprString(sel.X),
-			id:   pass.ExprString(idExpr),
-			fact: make(nilFacts),
-		}
-		// The Begin executing implies its receiver was non-nil, and every
-		// dominating guard condition held.
-		b.fact[b.recv] = true
-		dominatingFacts(pass, stack, b.fact)
-		for i := len(stack) - 1; i >= 0; i-- {
-			if s, ok := stack[i].(ast.Stmt); ok {
-				b.stmt = s
-				break
+		switch calleeName(call.Fun) {
+		case "Begin":
+			if len(call.Args) == 1 && typeName(pass.TypeOf(call.Args[0])) == "Start" {
+				pass.Reportf(call.Pos(), "direct Tracer.Begin leaves the span's closing to End calls on every path — open it with obs.Open and End the handle in a defer")
+			}
+		case "Open":
+			if typeName(pass.TypeOf(call)) == "Span" {
+				checkSpanOpen(pass, body, stack[len(stack)-2], call)
 			}
 		}
-		out = append(out, b)
 		return true
 	})
-	return out
 }
 
-// dominatingFacts collects nil-check knowledge from the ancestor chain of a
-// node: enclosing if branches and earlier-sibling terminating guards — the
-// same domination rules tracenil applies, generalized to fact sets.
-func dominatingFacts(pass *Pass, stack []ast.Node, into nilFacts) {
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch anc := stack[i].(type) {
-		case *ast.IfStmt:
-			child := stack[i+1]
-			if child == anc.Body {
-				edgeFacts(pass, anc.Cond, true, into)
-			}
-			if child == anc.Else {
-				edgeFacts(pass, anc.Cond, false, into)
-			}
-		case *ast.BlockStmt:
-			child := stack[i+1]
-			for _, stmt := range anc.List {
-				if stmt == child {
-					break
-				}
-				if ifs, ok := stmt.(*ast.IfStmt); ok && terminates(ifs.Body) {
-					// `if x == nil { return }` before us ⇒ x != nil here.
-					edgeFacts(pass, ifs.Cond, false, into)
-				}
-			}
-		case *ast.FuncDecl:
-			return
-		}
-	}
-}
-
-// spanWalk is one depth-first traversal from a Begin to every function exit.
-type spanWalk struct {
-	pass    *Pass
-	g       *funcCFG
-	begin   *spanBegin
-	closers map[string]bool // local closure names that End this span's ID
-	defs    map[*cfgBlock]defSites
-	visited map[*cfgBlock][]nilFacts
-	leak    string // non-empty once an unclosed path is found
-}
-
-func (w *spanWalk) walk(blk *cfgBlock, idx int, facts nilFacts) {
-	if w.leak != "" {
-		return
-	}
-	if idx == 0 {
-		for _, seen := range w.visited[blk] {
-			if seen.equal(facts) {
-				return
-			}
-		}
-		w.visited[blk] = append(w.visited[blk], facts.clone())
-	}
-	for i := idx; i < len(blk.stmts); i++ {
-		s := blk.stmts[i]
-		if s == w.begin.stmt {
-			line := w.pass.Fset.Position(s.Pos()).Line
-			w.leak = fmt.Sprintf("re-Begun at line %d on a loop back edge while still open", line)
-			return
-		}
-		if w.stmtCloses(blk, i, s) {
-			return // span closed; this path is satisfied
-		}
-		if ret, ok := s.(*ast.ReturnStmt); ok {
-			line := w.pass.Fset.Position(ret.Pos()).Line
-			w.leak = fmt.Sprintf("return at line %d leaves it open", line)
-			return
-		}
-		killFactsFor(w.pass, s, facts)
-	}
-	if len(blk.edges) == 0 {
-		return // abnormal termination (panic/os.Exit): obligation waived
-	}
-	for _, e := range blk.edges {
-		if edgeContradicts(w.pass, e, facts) {
-			continue // e.g. an `if tr == nil` edge when tr is known non-nil
-		}
-		if e.to == w.g.exit {
-			w.leak = "control falls off the end of the function with it open"
-			return
-		}
-		next := facts.clone()
-		edgeFacts(w.pass, e.cond, e.when, next)
-		w.walk(e.to, 0, next)
-		if w.leak != "" {
-			return
-		}
-	}
-}
-
-// stmtCloses reports whether the statement at blk.stmts[i] closes the span:
-// a direct End call with a matching ID, an End through a variable whose
-// reaching definitions carry the matching End literal, or a call to a local
-// closing closure.
-func (w *spanWalk) stmtCloses(blk *cfgBlock, i int, s ast.Stmt) bool {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fn := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		if fn.Sel.Name != "End" || len(call.Args) != 1 {
-			return false
-		}
-		arg := call.Args[0]
-		if endLitMatches(w.pass, arg, w.begin.id) {
-			return true
-		}
-		// End(v): resolve v through the reaching definitions at this point.
-		id, ok := arg.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		obj := objOf(w.pass.Info, id)
-		if obj == nil {
-			return false
-		}
-		at := defsAt(blk, i, w.defs[blk], w.pass.Info)
-		for def := range at[obj] {
-			if defAssignsMatchingEnd(w.pass, def, obj.Name(), w.begin.id) {
-				return true
-			}
-		}
-		return false
-	case *ast.Ident:
-		return w.closers[fn.Name]
-	}
-	return false
-}
-
-// endLitMatches reports whether e is an End composite literal whose ID field
-// prints identically to id.
-func endLitMatches(pass *Pass, e ast.Expr, id string) bool {
-	lit, ok := ast.Unparen(e).(*ast.CompositeLit)
-	if !ok || litTypeName(lit) != "End" {
-		return false
-	}
-	f := litField(lit, "ID")
-	return f != nil && pass.ExprString(f) == id
-}
-
-// defAssignsMatchingEnd reports whether the definition node assigns a
-// matching End literal to the named variable.
-func defAssignsMatchingEnd(pass *Pass, def ast.Node, name, id string) bool {
-	switch d := def.(type) {
+// checkSpanOpen checks one Open call of body, whose syntactic parent is
+// parent.
+func checkSpanOpen(pass *Pass, body *ast.BlockStmt, parent ast.Node, call *ast.CallExpr) {
+	var handle ast.Expr
+	switch parent := parent.(type) {
+	case *ast.ReturnStmt:
+		return // handed to the caller
 	case *ast.AssignStmt:
-		for i, lhs := range d.Lhs {
-			lid, ok := lhs.(*ast.Ident)
-			if !ok || lid.Name != name {
-				continue
-			}
-			if i < len(d.Rhs) && endLitMatches(pass, d.Rhs[i], id) {
-				return true
+		for i, rhs := range parent.Rhs {
+			if rhs == call && len(parent.Lhs) == len(parent.Rhs) {
+				handle = parent.Lhs[i]
 			}
 		}
 	case *ast.ValueSpec:
-		for i, n := range d.Names {
-			if n.Name == name && i < len(d.Values) && endLitMatches(pass, d.Values[i], id) {
-				return true
+		for i, v := range parent.Values {
+			if v == call && i < len(parent.Names) {
+				handle = parent.Names[i]
 			}
 		}
 	}
-	return false
-}
-
-// localClosures maps closure variables of the function to their bodies —
-// candidates for the `endJobErr := func(err error) { ... tr.End(obs.End{ID:
-// jobSpan, ...}) }` idiom, where error paths close through a helper.
-func localClosures(body *ast.BlockStmt) map[string]*ast.BlockStmt {
-	out := make(map[string]*ast.BlockStmt)
+	if handle == nil {
+		pass.Reportf(call.Pos(), "span handle from Open is not kept — assign it and End it in a defer, or return it")
+		return
+	}
+	h := spanHandle{pass: pass, text: pass.ExprString(handle), root: rootObj(pass, handle)}
+	// The Ends in body, nested function literals included; of those, the
+	// ones a defer of body itself runs.
+	deferred := 0
 	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if fl, ok := as.Rhs[0].(*ast.FuncLit); ok {
-			out[id.Name] = fl.Body
-		}
-		return true
-	})
-	return out
-}
-
-// endsSpanIn reports whether the node contains an End call whose ID resolves
-// (literally, or through a whole-function scan of assignments) to id.
-func endsSpanIn(pass *Pass, n ast.Node, fnBody *ast.BlockStmt, id string) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "End" || len(call.Args) != 1 {
-			return true
-		}
-		arg := call.Args[0]
-		if endLitMatches(pass, arg, id) {
-			found = true
-		} else if v, ok := arg.(*ast.Ident); ok && anyAssignMatchingEnd(pass, fnBody, v.Name, id) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// anyAssignMatchingEnd scans the whole function for an assignment of a
-// matching End literal to the named variable — the optimistic fallback used
-// inside defers and closures, where no CFG point is available.
-func anyAssignMatchingEnd(pass *Pass, body *ast.BlockStmt, name, id string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if defAssignsMatchingEnd(pass, n, name, id) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// deferCloses reports whether any defer in the function closes the span:
-// `defer tr.End(...)`, `defer func() { ... End ... }()`, or `defer closer()`.
-// Defers run on every exit, so one matching defer discharges the whole
-// obligation. Function literals are not descended into — a defer inside a
-// nested closure belongs to the closure — but a defer's own literal is
-// scanned through its DeferStmt.
-func deferCloses(pass *Pass, body *ast.BlockStmt, id string, closures map[string]*ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		ds, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return true
-		}
-		switch fn := ds.Call.Fun.(type) {
+		switch n := n.(type) {
 		case *ast.FuncLit:
-			if endsSpanIn(pass, fn.Body, body, id) {
-				found = true
+			return false // its defers run when it returns, not when body does
+		case *ast.DeferStmt:
+			deferred += h.endsIn(n.Call)
+			return false
+		}
+		return true
+	})
+	direct := h.endsIn(body) - deferred
+	switch {
+	case deferred == 1 && direct == 0:
+	case deferred+direct == 0 && h.returnedBy(body):
+	case deferred+direct == 0:
+		pass.Reportf(call.Pos(), "span %s is never Ended — End it in a defer, or return it", h.text)
+	case deferred == 0:
+		pass.Reportf(call.Pos(), "span %s is Ended outside a defer — an early return or panic leaves it open", h.text)
+	default:
+		pass.Reportf(call.Pos(), "span %s is Ended %d times — End it exactly once, in a defer", h.text, deferred+direct)
+	}
+}
+
+// spanHandle is the expression an Open result was stored in.
+type spanHandle struct {
+	pass *Pass
+	text string       // printed expression ("sp", "ps.span")
+	root types.Object // object of its leading identifier
+}
+
+// endsIn counts the End calls on the handle under n.
+func (h spanHandle) endsIn(n ast.Node) int {
+	ends := 0
+	ast.Inspect(n, func(m ast.Node) bool {
+		if call, ok := m.(*ast.CallExpr); ok {
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if ok && sel.Sel.Name == "End" && h.pass.ExprString(sel.X) == h.text && rootObj(h.pass, sel.X) == h.root {
+				ends++
 			}
-		case *ast.Ident:
-			if cbody, ok := closures[fn.Name]; ok && endsSpanIn(pass, cbody, body, id) {
-				found = true
-			}
-		case *ast.SelectorExpr:
-			if fn.Sel.Name == "End" && len(ds.Call.Args) == 1 {
-				arg := ds.Call.Args[0]
-				if endLitMatches(pass, arg, id) {
-					found = true
-				} else if v, ok := arg.(*ast.Ident); ok && anyAssignMatchingEnd(pass, body, v.Name, id) {
+		}
+		return true
+	})
+	return ends
+}
+
+// returnedBy reports whether a return statement of body (outside nested
+// function literals) returns the handle or the value holding it: `return
+// sp`, or `return ps` for a handle stored in ps.span.
+func (h spanHandle) returnedBy(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				if id, ok := res.(*ast.Ident); ok && h.root != nil && objOf(h.pass.Info, id) == h.root {
 					found = true
 				}
 			}
@@ -422,76 +167,17 @@ func deferCloses(pass *Pass, body *ast.BlockStmt, id string, closures map[string
 	return found
 }
 
-// spanIDEscapes reports whether the span's ID expression is rooted in a
-// value that appears in a return statement — the handoff idiom (beginPhase
-// returns the phaseScope holding the span ID; the caller must End it).
-func spanIDEscapes(pass *Pass, body *ast.BlockStmt, id string) bool {
-	base := exprHead(id)
-	if base == "" {
-		return false
-	}
-	escapes := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if escapes {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			e := ast.Unparen(res)
-			if u, ok := e.(*ast.UnaryExpr); ok {
-				e = u.X
-			}
-			if exprHead(pass.ExprString(e)) == base {
-				escapes = true
-				return false
-			}
-		}
-		return true
-	})
-	return escapes
-}
-
-// exprHead returns the leading identifier of a printed expression
-// ("ps.span" → "ps").
-func exprHead(s string) string {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == '.' || c == '[' || c == '(' {
-			return s[:i]
+// rootObj resolves the leading identifier of a selector chain ("ps" in
+// ps.span) to its object, or nil.
+func rootObj(pass *Pass, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return objOf(pass.Info, x)
+		case *ast.SelectorExpr:
+			e = x.X
+		default:
+			return nil
 		}
 	}
-	return s
-}
-
-// litTypeName returns the last name component of a composite literal's type
-// ("obs.Start" → "Start"), or "".
-func litTypeName(lit *ast.CompositeLit) string {
-	switch t := lit.Type.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.SelectorExpr:
-		return t.Sel.Name
-	}
-	return ""
-}
-
-// litField returns the value of the named field in a keyed composite
-// literal, or nil.
-func litField(lit *ast.CompositeLit, name string) ast.Expr {
-	for _, elt := range lit.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		if k, ok := kv.Key.(*ast.Ident); ok && k.Name == name {
-			return kv.Value
-		}
-	}
-	return nil
 }

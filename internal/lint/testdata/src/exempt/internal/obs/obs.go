@@ -1,6 +1,7 @@
 // Package obs stands in for the module's observability package in the
-// detclock corpus: its import path ends in internal/obs, so its clock reads
-// are sanctioned and must produce no findings.
+// detclock and spanbalance corpora: its import path ends in internal/obs,
+// so its clock reads and its raw span Begins are sanctioned and must
+// produce no findings.
 package obs
 
 import "time"
@@ -16,3 +17,16 @@ func progressElapsed(start time.Time) float64 {
 }
 
 var _ = progressElapsed
+
+// Start and Tracer mirror the span shapes spanbalance keys on.
+type Start struct{ Name string }
+
+type Tracer interface{ Begin(s Start) }
+
+// replay forwards a decoded Begin, as the trace reader does: inside
+// internal/obs a raw Begin needs no allow.
+func replay(tr Tracer, s Start) {
+	tr.Begin(s)
+}
+
+var _ = replay

@@ -1,188 +1,171 @@
 // Package spanbalance is the seeded corpus for the spanbalance analyzer:
-// every span opened with Tracer.Begin(Start{ID: ...}) must be Ended on all
-// control-flow paths — by a defer, a dominating End, a closing closure, or
-// by handing the span ID to the caller.
+// outside internal/obs a span opens only as a Span handle from Open, ended
+// exactly once by a defer in the opening function or returned to the
+// caller; a direct Tracer.Begin is a finding.
 package spanbalance
 
-// Start and End mirror the obs span shapes the analyzer keys on.
+// Start, End, Tracer, Span and Open mirror the obs shapes the analyzer keys
+// on.
 type Start struct {
-	ID     string
-	Parent string
+	Parent int64
+	Name   string
 }
 
 type End struct {
-	ID  string
 	Err string
 }
 
-type Tracer struct{}
+type Tracer interface {
+	Begin(s Start)
+	End(e End)
+}
 
-func (*Tracer) Begin(s Start) {}
-func (*Tracer) End(e End)     {}
+type Span struct {
+	tr Tracer
+	s  Start
+}
+
+func Open(tr Tracer, s Start) Span {
+	if tr == nil {
+		return Span{}
+	}
+	//lint:allow spanbalance stands in for obs.Open, which the internal/obs exemption covers
+	tr.Begin(s)
+	return Span{tr: tr, s: s}
+}
+
+func (sp Span) ID() int64 { return 0 }
+
+func (sp Span) End(err error, e End) {
+	if sp.tr != nil {
+		sp.tr.End(e)
+	}
+}
 
 // --- non-finding shapes -----------------------------------------------
 
-// goodDefer discharges the obligation with a deferred End: defers run on
-// every exit.
-func goodDefer(tr *Tracer, work func() error) error {
-	tr.Begin(Start{ID: "job"})
-	defer tr.End(End{ID: "job"})
+// goodDefer ends the handle with a deferred End: defers run on every exit.
+func goodDefer(tr Tracer, work func() error) error {
+	sp := Open(tr, Start{Name: "job"})
+	defer sp.End(nil, End{})
 	return work()
 }
 
-// goodStraightLine Ends on the single path through the function.
-func goodStraightLine(tr *Tracer) {
-	tr.Begin(Start{ID: "step"})
-	tr.End(End{ID: "step"})
-}
-
-// goodBothBranches Ends on the early-error path and on the fallthrough.
-func goodBothBranches(tr *Tracer, err error) error {
-	tr.Begin(Start{ID: "both"})
+// goodDeferClosure ends the handle in a deferred closure, so the End sees
+// the function's final error and outcome.
+func goodDeferClosure(tr Tracer, work func() (int, error)) (n int, err error) {
+	sp := Open(tr, Start{Name: "attempt"})
+	var end End
+	defer func() { sp.End(err, end) }()
+	n, err = work()
 	if err != nil {
-		tr.End(End{ID: "both", Err: err.Error()})
-		return err
+		return 0, err
 	}
-	tr.End(End{ID: "both"})
-	return nil
+	end = End{}
+	return n, nil
 }
 
-// goodGuardedPair is the ubiquitous nil-guarded idiom: Begin runs only when
-// tr != nil, so on every path where the span is open the second guard's
-// false edge is contradicted and the End must execute.
-func goodGuardedPair(tr *Tracer, work func()) {
-	if tr != nil {
-		tr.Begin(Start{ID: "guarded"})
+// goodPerAttempt opens one span per loop iteration in a function of its
+// own, so each deferred End runs when its attempt returns.
+func goodPerAttempt(tr Tracer, attempts int, try func(int) error) error {
+	var err error
+	for a := 0; a < attempts; a++ {
+		if err = goodDefer(tr, func() error { return try(a) }); err == nil {
+			return nil
+		}
 	}
-	work()
-	if tr != nil {
-		tr.End(End{ID: "guarded"})
-	}
+	return err
 }
 
-// goodClosure closes through a local closure on both the error path and the
-// fallthrough (the engine's endJobErr idiom).
-func goodClosure(tr *Tracer, fail bool) {
-	finish := func() { tr.End(End{ID: "closure"}) }
-	tr.Begin(Start{ID: "closure"})
-	if fail {
-		finish()
-		return
-	}
-	finish()
+// goodChild nests a span in a closure: each function literal is checked on
+// its own, and the outer handle's name does not leak into it.
+func goodChild(tr Tracer, work func()) {
+	sp := Open(tr, Start{Name: "outer"})
+	defer sp.End(nil, End{})
+	func() {
+		sp := Open(tr, Start{Parent: sp.ID(), Name: "inner"})
+		defer sp.End(nil, End{})
+		work()
+	}()
 }
 
-// goodEndVar Ends through a variable whose reaching definition is the
-// matching End literal.
-func goodEndVar(tr *Tracer, err error) {
-	tr.Begin(Start{ID: "endvar"})
-	e := End{ID: "endvar"}
-	if err != nil {
-		e.Err = err.Error()
-	}
-	tr.End(e)
-}
+// scope carries an open span to the caller.
+type scope struct{ span Span }
 
-// goodPanicPath may panic with the span open — abnormal termination waives
-// the obligation (the tracer's forest is torn down with the process).
-func goodPanicPath(tr *Tracer, corrupt bool) {
-	tr.Begin(Start{ID: "panicky"})
-	if corrupt {
-		panic("corrupt input")
-	}
-	tr.End(End{ID: "panicky"})
-}
-
-// phaseScope carries a span ID to the caller.
-type phaseScope struct{ span string }
-
-// goodHandoff returns the scope holding the span ID: ownership (and the
-// closing obligation) transfers to the caller, so no finding here.
-func goodHandoff(tr *Tracer, name string) *phaseScope {
-	ps := &phaseScope{span: name}
-	tr.Begin(Start{ID: ps.span})
+// goodHandoff returns the scope holding the handle: the caller takes over
+// the closing.
+func goodHandoff(tr Tracer, name string) *scope {
+	ps := &scope{}
+	ps.span = Open(tr, Start{Name: name})
 	return ps
+}
+
+// goodReturn returns the handle itself.
+func goodReturn(tr Tracer) Span {
+	return Open(tr, Start{Name: "returned"})
+}
+
+// goodEnd is the caller's half of the handoff: the scope's End is not an
+// Open site.
+func (ps *scope) goodEnd(err error) {
+	ps.span.End(err, End{})
+}
+
+// goodReplay forwards a Begin opened elsewhere, as a trace replay does; the
+// allow names why.
+func goodReplay(tr Tracer, s Start) {
+	//lint:allow spanbalance replay: the span was opened by the traced process and its End is a later event
+	tr.Begin(s)
 }
 
 // --- finding shapes ---------------------------------------------------
 
-// badEarlyReturn leaks the span on the error path.
-func badEarlyReturn(tr *Tracer, err error) error {
-	tr.Begin(Start{ID: "early"}) // want "span .early. begun here is not Ended on every path: return at line"
-	if err != nil {
-		return err
-	}
-	tr.End(End{ID: "early"})
-	return nil
+// badRawBegin opens a span without a handle.
+func badRawBegin(tr Tracer, work func()) {
+	tr.Begin(Start{Name: "raw"}) // want "direct Tracer.Begin"
+	work()
+	tr.End(End{})
 }
 
-// badFallsOff never Ends at all.
-func badFallsOff(tr *Tracer, work func()) {
-	tr.Begin(Start{ID: "openend"}) // want "not Ended on every path: control falls off the end"
+// badNoEnd never ends the handle.
+func badNoEnd(tr Tracer, work func()) {
+	sp := Open(tr, Start{Name: "open"}) // want "span sp is never Ended"
+	_ = sp.ID()
 	work()
 }
 
-// badLoopReBegin re-Begins the same span on the loop back edge while the
-// previous iteration's span is still open.
-func badLoopReBegin(tr *Tracer, tasks []string) {
-	for range tasks {
-		tr.Begin(Start{ID: "iter"}) // want "not Ended on every path"
-	}
-}
-
-// badWrongID Ends a different span: the open one is never closed.
-func badWrongID(tr *Tracer) {
-	tr.Begin(Start{ID: "mine"}) // want "span .mine. begun here is not Ended on every path"
-	tr.End(End{ID: "other"})
-}
-
-// badClosureNotCalled defines a closing closure but returns without calling
-// it on one path.
-func badClosureNotCalled(tr *Tracer, fail bool) {
-	finish := func() { tr.End(End{ID: "skipped"}) }
-	tr.Begin(Start{ID: "skipped"}) // want "not Ended on every path"
-	if fail {
-		return
-	}
-	finish()
-}
-
-// --- run-archive writer idioms (PR 10) --------------------------------------
-
-// goodArchiveSeal traces a multi-stage seal (stage temp, atomic rename,
-// index append) that can fail at every step: each early error return closes
-// the span with the error before leaving, and the final End flows through
-// an End variable carrying the last stage's outcome.
-func goodArchiveSeal(tr *Tracer, stage, rename, index func() error) error {
-	tr.Begin(Start{ID: "seal"})
-	if err := stage(); err != nil {
-		tr.End(End{ID: "seal", Err: err.Error()})
-		return err
-	}
-	if err := rename(); err != nil {
-		tr.End(End{ID: "seal", Err: err.Error()})
-		return err
-	}
-	err := index()
-	e := End{ID: "seal"}
+// badEndedTwice defers the End and ends the handle again on the error path.
+func badEndedTwice(tr Tracer, err error) error {
+	sp := Open(tr, Start{Name: "twice"}) // want "span sp is Ended 2 times"
+	defer sp.End(err, End{})
 	if err != nil {
-		e.Err = err.Error()
+		sp.End(err, End{})
+		return err
 	}
-	tr.End(e)
-	return err
+	return nil
 }
 
-// badArchiveSeal leaks the span when the mid-stage rename fails: only the
-// first and last exits close it.
-func badArchiveSeal(tr *Tracer, stage, rename func() error) error {
-	tr.Begin(Start{ID: "sealleak"}) // want "span .sealleak. begun here is not Ended on every path"
-	if err := stage(); err != nil {
-		tr.End(End{ID: "sealleak", Err: err.Error()})
+// badEarlyReturn ends the handle in line, so the error path leaks it.
+func badEarlyReturn(tr Tracer, err error) error {
+	sp := Open(tr, Start{Name: "early"}) // want "span sp is Ended outside a defer"
+	if err != nil {
 		return err
 	}
-	if err := rename(); err != nil {
-		return err
-	}
-	tr.End(End{ID: "sealleak"})
+	sp.End(nil, End{})
 	return nil
+}
+
+// badGoroutineEnd ends the handle in a defer of another function: the
+// goroutine, not the opener, decides when the span closes.
+func badGoroutineEnd(tr Tracer, done chan struct{}) {
+	sp := Open(tr, Start{Name: "async"}) // want "span sp is Ended outside a defer"
+	go func() {
+		defer sp.End(nil, End{})
+		close(done)
+	}()
+}
+
+// badDiscarded drops the handle, so nothing can end the span.
+func badDiscarded(tr Tracer) {
+	Open(tr, Start{Name: "dropped"}) // want "span handle from Open is not kept"
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"p3cmr/internal/obs"
 )
@@ -129,25 +128,7 @@ func (rc *runContext) drive(rs runState) ([]Pair, Counters, faultCharge, error) 
 		return outPairs, counters, fault, nil
 	}
 
-	// The shuffle gets its own span (Task -1, Phase "shuffle") carrying
-	// the job's shuffle volume — mirroring the per-phase breakdown a Hadoop
-	// job page shows.
-	tr := rc.e.cfg.Tracer
-	var shufSpan obs.SpanID
-	var shufStart time.Time
-	if tr != nil {
-		shufSpan = obs.NewSpanID()
-		tr.Begin(obs.Start{ID: shufSpan, Parent: rc.jobSpan, Kind: obs.KindTask,
-			Name: job.Name, Task: -1, Phase: "shuffle"})
-		shufStart = obs.Now()
-	}
-	rs.shuffle()
-	if tr != nil {
-		tr.End(obs.End{ID: shufSpan, Kind: obs.KindTask, Name: job.Name,
-			Task: -1, Phase: "shuffle", Outcome: obs.OutcomeOK,
-			RealSeconds: obs.Since(shufStart).Seconds(),
-			Counters:    Counters{ShuffledBytes: counters.ShuffledBytes}})
-	}
+	rc.shuffle(rs, counters.ShuffledBytes)
 
 	// Reduce tasks share the map tasks' retry budget and cancellation
 	// channel: a reduce attempt re-runs from its immutable partition (see
@@ -171,6 +152,16 @@ func (rc *runContext) drive(rs runState) ([]Pair, Counters, faultCharge, error) 
 	}
 	counters.OutputRecords = int64(len(outPairs))
 	return outPairs, counters, fault, nil
+}
+
+// shuffle runs rs's shuffle under its own span (Task -1, Phase "shuffle")
+// carrying the job's shuffle volume — mirroring the per-phase breakdown a
+// Hadoop job page shows.
+func (rc *runContext) shuffle(rs runState, shuffled int64) {
+	sp := obs.Open(rc.e.cfg.Tracer, obs.Start{Parent: rc.jobSpan, Kind: obs.KindTask,
+		Name: rc.job.Name, Task: -1, Phase: "shuffle"})
+	defer sp.End(nil, obs.End{Counters: Counters{ShuffledBytes: shuffled}})
+	rs.shuffle()
 }
 
 // launch runs tasks 0..n-1 of one phase (minus those skip reports empty),

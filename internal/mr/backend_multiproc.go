@@ -168,7 +168,7 @@ func (p *procRun) emitTelemetry(w *workerProc, span obs.SpanID, task, attempt in
 		case obs.TelBegin:
 			id := obs.NewSpanID()
 			ids[ev.ID] = id
-			//lint:allow spanbalance replay fold: the End arrives as a later TelEnd event in the same or a later frame, and the worker's AbortOpen-before-drain discipline guarantees no begin is left dangling
+			//lint:allow spanbalance replays a worker's step span, not one opened here: its End is a later TelEnd event, which the worker's AbortOpen-before-drain discipline guarantees
 			tr.Begin(obs.Start{ID: id, Parent: span, Kind: obs.KindStep,
 				Name: ev.Name, Task: task, Attempt: attempt, Phase: ev.Phase,
 				At: w.alignTime(ev.S)})

@@ -290,7 +290,7 @@ func cancelled(cancel <-chan struct{}) bool {
 }
 
 // Run executes the job and collects its output.
-func (e *Engine) Run(j *Job) (*Output, error) {
+func (e *Engine) Run(j *Job) (_ *Output, err error) {
 	if e.backendErr != nil {
 		return nil, e.backendErr
 	}
@@ -311,40 +311,30 @@ func (e *Engine) Run(j *Job) (*Output, error) {
 		nb = 1
 	}
 
-	// Everything observability-related is gated on tr/e.met being non-nil:
-	// an untraced engine takes no clock readings and allocates nothing here.
-	tr := e.cfg.Tracer
-	var jobSpan obs.SpanID
+	// Everything observability-related is gated on the tracer and e.met
+	// being non-nil: an untraced engine takes no clock readings and
+	// allocates nothing here. The job span closes on every exit; a failed
+	// job's End carries only its error.
+	sp := obs.Open(e.cfg.Tracer, obs.Start{Parent: job.TraceParent, Kind: obs.KindJob, Name: job.Name})
+	var end obs.End
+	defer func() { sp.End(err, end) }()
 	var jobStart time.Time
-	if tr != nil {
-		jobSpan = obs.NewSpanID()
-		tr.Begin(obs.Start{ID: jobSpan, Parent: job.TraceParent, Kind: obs.KindJob, Name: job.Name})
-	}
-	if tr != nil || e.met != nil {
+	if e.met != nil {
 		jobStart = obs.Now()
-	}
-	endJobErr := func(err error) {
-		if tr != nil {
-			tr.End(obs.End{ID: jobSpan, Kind: obs.KindJob, Name: job.Name,
-				Outcome: obs.OutcomeError, Err: err.Error(),
-				RealSeconds: obs.Since(jobStart).Seconds()})
-		}
 	}
 
 	// The backend opens the Run's execution state; the phases themselves
 	// run in the one job driver (runContext.drive) on every backend.
 	rc := &runContext{
 		e: e, job: job, mapOnly: mapOnly, nb: nb, numReducers: numReducers,
-		jobSpan: jobSpan, cancelCh: make(chan struct{}),
+		jobSpan: sp.ID(), cancelCh: make(chan struct{}),
 	}
 	rs, err := e.backend.begin(rc)
 	if err != nil {
-		endJobErr(err)
 		return nil, err
 	}
 	outPairs, counters, fault, err := rc.drive(rs)
 	if err != nil {
-		endJobErr(err)
 		return nil, err
 	}
 
@@ -356,14 +346,8 @@ func (e *Engine) Run(j *Job) (*Output, error) {
 	e.totals.Add(counters)
 	e.totalsWasted.Add(fault.Wasted)
 	e.mu.Unlock()
-	if tr != nil {
-		tr.End(obs.End{ID: jobSpan, Kind: obs.KindJob, Name: job.Name,
-			Outcome:          obs.OutcomeOK,
-			RealSeconds:      obs.Since(jobStart).Seconds(),
-			SimulatedSeconds: out.SimulatedSeconds,
-			Counters:         counters, Wasted: fault.Wasted,
-			Retries: counters.TaskRetries})
-	}
+	end = obs.End{SimulatedSeconds: out.SimulatedSeconds,
+		Counters: counters, Wasted: fault.Wasted, Retries: counters.TaskRetries}
 	if m := e.met; m != nil {
 		m.jobs.Inc()
 		m.mapIn.Add(counters.MapInputRecords)
@@ -419,10 +403,9 @@ func (e *Engine) decideFault(job string, phase TaskPhase, task, attempt, n int, 
 // span so fault decision sites can attach point events to it.
 //
 // When tracing is on, every attempt gets a KindTask span under parent (the
-// job span) closed with its outcome: ok, fault (wasted counters attached),
-// cancelled, or error. A fault that will be retried additionally emits a
-// PointRetry on the job span; a task that gives up before starting an
-// attempt emits a PointCancel.
+// job span; see runAttempt). A fault that will be retried additionally
+// emits a PointRetry on the job span; a task that gives up before starting
+// an attempt emits a PointCancel.
 //
 // worker, when non-nil, names the worker process the just-finished attempt
 // ran on (multiprocess backend); it is read after try returns, so the
@@ -442,60 +425,50 @@ func runTaskAttempts[T any](e *Engine, job *boundJob, phase TaskPhase, taskID in
 			}
 			return zero, Counters{}, fc, errTaskCancelled
 		}
-		var span obs.SpanID
-		var began time.Time
-		if tr != nil {
-			span = obs.NewSpanID()
-			tr.Begin(obs.Start{ID: span, Parent: parent, Kind: obs.KindTask,
-				Name: job.Name, Task: taskID, Attempt: attempt, Phase: phase.String()})
-			began = obs.Now()
-		}
-		out, c, straggler, err := try(attempt, span)
-		fc.Straggler += straggler
-		var onWorker string
-		if tr != nil && worker != nil {
-			onWorker = worker()
-		}
+		out, c, err := runAttempt(e, job, phase, taskID, attempt, parent, retries, &fc, worker, try)
 		if err == nil {
-			c.TaskRetries = retries
-			if tr != nil {
-				tr.End(obs.End{ID: span, Kind: obs.KindTask, Name: job.Name,
-					Task: taskID, Attempt: attempt, Phase: phase.String(),
-					Outcome:     obs.OutcomeOK,
-					RealSeconds: obs.Since(began).Seconds(), SimulatedSeconds: straggler,
-					Counters: c, Retries: retries, Worker: onWorker})
-			}
 			return out, c, fc, nil
 		}
 		lastErr = err
 		if !errors.Is(err, errInjectedFailure) {
-			if tr != nil {
-				outcome := obs.OutcomeError
-				if errors.Is(err, errTaskCancelled) {
-					outcome = obs.OutcomeCancelled
-				}
-				tr.End(obs.End{ID: span, Kind: obs.KindTask, Name: job.Name,
-					Task: taskID, Attempt: attempt, Phase: phase.String(),
-					Outcome: outcome, Err: err.Error(),
-					RealSeconds: obs.Since(began).Seconds(), SimulatedSeconds: straggler,
-					Worker: onWorker})
-			}
 			return zero, Counters{}, fc, err
 		}
 		fc.Wasted.Add(c)
 		retries++
-		if tr != nil {
-			tr.End(obs.End{ID: span, Kind: obs.KindTask, Name: job.Name,
-				Task: taskID, Attempt: attempt, Phase: phase.String(),
-				Outcome: obs.OutcomeFault, Err: err.Error(),
-				RealSeconds: obs.Since(began).Seconds(), SimulatedSeconds: straggler,
-				Wasted: c, Worker: onWorker})
-			if attempt+1 < e.cfg.MaxAttempts {
-				e.point(parent, obs.PointRetry, job.Name, taskID, attempt, phase, 0, "")
-			}
+		if tr != nil && attempt+1 < e.cfg.MaxAttempts {
+			e.point(parent, obs.PointRetry, job.Name, taskID, attempt, phase, 0, "")
 		}
 	}
 	return zero, Counters{}, fc, fmt.Errorf("task failed after %d attempts: %w", e.cfg.MaxAttempts, lastErr)
+}
+
+// runAttempt runs one attempt of runTaskAttempts' loop under its own
+// KindTask span, closed with the attempt's outcome: ok (committed counters
+// attached), fault (wasted counters attached), cancelled, or error. It adds
+// the attempt's straggler delay to fc and stamps a successful attempt's
+// counters with the retries before it.
+func runAttempt[T any](e *Engine, job *boundJob, phase TaskPhase, taskID, attempt int, parent obs.SpanID, retries int64, fc *faultCharge,
+	worker func() string,
+	try func(attempt int, span obs.SpanID) (T, Counters, float64, error)) (out T, c Counters, err error) {
+	sp := obs.Open(e.cfg.Tracer, obs.Start{Parent: parent, Kind: obs.KindTask,
+		Name: job.Name, Task: taskID, Attempt: attempt, Phase: phase.String()})
+	var end obs.End
+	defer func() { sp.End(err, end) }()
+	out, c, end.SimulatedSeconds, err = try(attempt, sp.ID())
+	fc.Straggler += end.SimulatedSeconds
+	if e.cfg.Tracer != nil && worker != nil {
+		end.Worker = worker()
+	}
+	switch {
+	case err == nil:
+		c.TaskRetries = retries
+		end.Counters, end.Retries = c, retries
+	case errors.Is(err, errInjectedFailure):
+		end.Outcome, end.Wasted = obs.OutcomeFault, c
+	case errors.Is(err, errTaskCancelled):
+		end.Outcome = obs.OutcomeCancelled
+	}
+	return out, c, err
 }
 
 // mapRecords is the map record loop of every backend: Setup, then per

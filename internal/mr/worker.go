@@ -379,7 +379,11 @@ func (w *workerState) runMap(data []byte) error {
 		// Map-only output returns over the wire in emission order (bucket 0
 		// holds every record); nothing touches disk.
 		fe := w.tel.StartStep("frame-encode", "map")
-		if err := w.sendBucketPairs(st); err != nil {
+		bucket := st.buckets[0]
+		err := w.sendPairs(len(bucket), func(i int) Pair {
+			return Pair{Key: st.tab.keys[bucket[i].key], Value: bucket[i].val}
+		})
+		if err != nil {
 			return err
 		}
 		fe.Done()
@@ -436,46 +440,24 @@ func (w *workerState) residentKeys() []uint64 {
 // pairsChunk bounds one fPairs frame.
 const pairsChunk = 1024
 
-// sendBucketPairs streams a map-only task's bucket 0 as pairs frames.
-func (w *workerState) sendBucketPairs(st *mapState) error {
-	pairs := make([]Pair, 0, pairsChunk)
-	flush := func() error {
-		if len(pairs) == 0 {
-			return nil
+// sendPairs streams n pairs, pair(0) … pair(n-1), as fPairs frames of at
+// most pairsChunk pairs each: a map-only task's bucket 0, walked in place,
+// or a reduce task's committed output.
+func (w *workerState) sendPairs(n int, pair func(i int) Pair) error {
+	chunk := make([]Pair, 0, min(n, pairsChunk))
+	for i := 0; i < n; i++ {
+		chunk = append(chunk, pair(i))
+		if len(chunk) < pairsChunk && i < n-1 {
+			continue
 		}
-		data, err := encodePairs(pairs)
-		if err != nil {
-			return w.sendTaskErr(err)
-		}
-		pairs = pairs[:0]
-		return w.send(fPairs, pairsFrame{Data: data})
-	}
-	for _, r := range st.buckets[0] {
-		pairs = append(pairs, Pair{Key: st.tab.keys[r.key], Value: r.val})
-		if len(pairs) == pairsChunk {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
-}
-
-// sendPairs streams a reduce task's committed output.
-func (w *workerState) sendPairs(out []Pair) error {
-	for len(out) > 0 {
-		n := pairsChunk
-		if n > len(out) {
-			n = len(out)
-		}
-		data, err := encodePairs(out[:n])
+		data, err := encodePairs(chunk)
 		if err != nil {
 			return w.sendTaskErr(err)
 		}
 		if err := w.send(fPairs, pairsFrame{Data: data}); err != nil {
 			return err
 		}
-		out = out[n:]
+		chunk = chunk[:0]
 	}
 	return nil
 }
@@ -535,7 +517,7 @@ func (w *workerState) runReduce(data []byte) error {
 		return w.sendTaskErr(err)
 	}
 	fe := w.tel.StartStep("frame-encode", "reduce")
-	if err := w.sendPairs(out); err != nil {
+	if err := w.sendPairs(len(out), func(i int) Pair { return out[i] }); err != nil {
 		return err
 	}
 	fe.Done()

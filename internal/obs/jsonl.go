@@ -229,7 +229,6 @@ func replayJSONL(r io.Reader, base time.Time, t Tracer) error {
 		}
 		switch l.Ev {
 		case "begin":
-			//lint:allow spanbalance replay: the span's End is a later line of the same trace, or absent when the traced run never closed it
 			t.Begin(Start{ID: SpanID(l.ID), Parent: SpanID(l.Parent), Kind: parseName(l.Kind, KindRun, KindStep),
 				Name: l.Name, Task: task, Attempt: l.Attempt, Phase: l.Phase, At: at})
 		case "end":

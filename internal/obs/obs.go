@@ -6,11 +6,12 @@
 // The package sits below `internal/mr` and `internal/core` (it imports
 // neither), so both can emit events into the same sink: the engine opens a
 // job span per mr.Job and a task span per task attempt; the clustering
-// pipeline wraps them in phase and run spans. With a nil Tracer the
-// instrumented code paths do no tracing work at all — no clock reads, no
-// event construction — which is what keeps the engine's hot-path
-// benchmarks allocation-identical to an untraced build (pinned by
-// internal/mr/bench_test.go and the chaos trace-identity tests).
+// pipeline wraps them in phase and run spans. Every such span is a Span
+// handle from Open, closed in a defer. With a nil Tracer Open returns the
+// inert zero Span: no clock reads, no allocations, no events — which is
+// what keeps the engine's hot-path benchmarks allocation-identical to an
+// untraced build (pinned by internal/mr/bench_test.go and the chaos
+// trace-identity tests).
 //
 // Built-in sinks: JSONLTracer (one JSON object per event, a replayable
 // trace file; ReadJSONL decodes it), Forest (every span of the stream,
@@ -264,6 +265,55 @@ type Tracer interface {
 	Begin(s Start)
 	End(e End)
 	Point(p Point)
+}
+
+// Span is the handle of one open span, from Open to End. The zero Span,
+// which Open returns for a nil Tracer, is inert: its ID is 0 and End does
+// nothing. A driver opens a span and closes it in a defer, so every exit
+// closes it exactly once; a panic closes it with the err set by then:
+//
+//	sp := obs.Open(tr, obs.Start{Parent: parent, Kind: obs.KindJob, Name: name})
+//	defer func() { sp.End(err, end) }()
+type Span struct {
+	tr    Tracer
+	start Start
+	began time.Time
+}
+
+// Open allocates a span ID, emits s with it, and reads the clock the span's
+// RealSeconds is measured from. For a nil tr it returns the zero Span
+// without a clock read or an allocation.
+func Open(tr Tracer, s Start) Span {
+	if tr == nil {
+		return Span{}
+	}
+	s.ID = NewSpanID()
+	tr.Begin(s)
+	return Span{tr: tr, start: s, began: Now()}
+}
+
+// ID returns the span's ID, 0 for the zero Span: the Parent of its
+// children.
+func (sp Span) ID() SpanID { return sp.start.ID }
+
+// End closes the span. ID, Kind, Name, Task, Attempt and Phase come from the
+// Start and RealSeconds from Open's clock read; e supplies the rest. A
+// non-nil err sets Err, and turns an OK outcome into OutcomeError. On the
+// zero Span End does nothing, not even format err.
+func (sp Span) End(err error, e End) {
+	if sp.tr == nil {
+		return
+	}
+	s := sp.start
+	e.ID, e.Kind, e.Name, e.Task, e.Attempt, e.Phase = s.ID, s.Kind, s.Name, s.Task, s.Attempt, s.Phase
+	e.RealSeconds = Since(sp.began).Seconds()
+	if err != nil {
+		e.Err = err.Error()
+		if e.Outcome == OutcomeOK {
+			e.Outcome = OutcomeError
+		}
+	}
+	sp.tr.End(e)
 }
 
 // multiTracer fans events out to several sinks in order.

@@ -159,17 +159,6 @@ func (w *WorkerTelemetry) AbortOpen(o Outcome, errText string) {
 	w.mu.Unlock()
 }
 
-// PointEvent records an instantaneous event (e.g. the position of an
-// injected fault).
-func (w *WorkerTelemetry) PointEvent(k PointKind, phase string, seconds float64) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	w.buf = append(w.buf, TelemetryEvent{Ev: TelPoint, S: w.now(), PKind: uint8(k), Phase: phase, Seconds: seconds})
-	w.mu.Unlock()
-}
-
 // RecordSample records one resource snapshot as a PointSample event.
 func (w *WorkerTelemetry) RecordSample(s ResourceSample) {
 	if w == nil {
