@@ -61,8 +61,8 @@ func TestChaosJSONResultBitIdentical(t *testing.T) {
 // a split's memo — the cached interval bitmaps (prove-candidates,
 // redundancy-uncovered, light-membership, bow-assign, em-init-means), the
 // MVB jobs' shared assignment column (mvb-ball, mvb-mean, outlier-detect)
-// or the label columns of the jobs after them
-// (attribute-inspection-histograms, interval-tightening) — and at the
+// or the label column of the job after them
+// (attribute-inspection-histograms) — and at the
 // em-moments jobs, which buffer rows into panels: the first map attempt
 // of every such task fails — before its first record, mid-split, or after
 // its last record but before Cleanup — on every backend, for Light, MVB
@@ -73,7 +73,7 @@ func TestChaosCountingJobsJSONBitIdentical(t *testing.T) {
 	faultedJobs := map[string]bool{
 		"prove-candidates": true, "redundancy-uncovered": true, "light-membership": true, "em-init-means": true,
 		"mvb-ball": true, "mvb-mean": true, "outlier-detect": true,
-		"attribute-inspection-histograms": true, "interval-tightening": true, "bow-assign": true,
+		"attribute-inspection-histograms": true, "bow-assign": true,
 	}
 	data, _ := genAPITestData(t, 2000, 6)
 	data.Normalize()

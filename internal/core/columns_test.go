@@ -108,20 +108,20 @@ func TestMembershipsMatchContains(t *testing.T) {
 }
 
 // TestCollectorsRejectBadRecords feeds the driver-side readers of the
-// attribute-inspection, tightening and membership jobs records with a bad
-// key or a bad length. Each is an error, never a panic, a silent slot or a
-// key accepted with trailing garbage.
+// attribute-inspection job, its histograms and the extrema tightening
+// reads, and of the membership job records with a bad key, type or length.
+// Each is an error, never a panic, a silent slot or a key accepted with
+// trailing garbage.
 func TestCollectorsRejectBadRecords(t *testing.T) {
 	const k, dim = 4, 3
 	bins := []int{2, 2, 3, 2}
-	attrs := [][]int{{0, 1}, {2}, {0}, {1, 2}}
 	splits, _ := columnSplits([]int{70, 5}, 1, 1)
 	pairs := func(ps ...mr.Pair) *mr.Output { return &mr.Output{Pairs: ps} }
 	slab := func(s *mr.Split, sigs int) []uint64 { return make([]uint64, sigs*bitWords(s)) }
 	goodSlabs := []mr.Pair{{Key: "s0", Value: slab(splits[0], k)}, {Key: "s1", Value: slab(splits[1], k)}}
 
-	aiHist := func(o *mr.Output) error { _, err := collectAIHistograms(o, k, dim, bins); return err }
-	tighten := func(o *mr.Output) error { _, _, err := collectTightened(o, attrs); return err }
+	aiHist := func(o *mr.Output) error { _, _, err := collectAIHistograms(o, k, dim, bins); return err }
+	ext := make([]float64, 2*dim)
 	members := func(o *mr.Output) error { _, err := collectMembers(o, splits, k); return err }
 	for _, c := range []struct {
 		name    string
@@ -136,11 +136,15 @@ func TestCollectorsRejectBadRecords(t *testing.T) {
 		{"ai/attribute-out-of-range", aiHist, pairs(mr.Pair{Key: "ai1_3", Value: []int64{1, 2}}), false},
 		{"ai/no-attribute", aiHist, pairs(mr.Pair{Key: "ai1", Value: []int64{1, 2}}), false},
 		{"ai/bad-bin-count", aiHist, pairs(mr.Pair{Key: "ai2_1", Value: []int64{1, 2}}), false},
-		{"tighten/good", tighten, pairs(mr.Pair{Key: "t3_2", Value: [2]float64{0, 1}}), true},
-		{"tighten/cluster-out-of-range", tighten, pairs(mr.Pair{Key: "t9_0", Value: [2]float64{0, 1}}), false},
-		{"tighten/negative-cluster", tighten, pairs(mr.Pair{Key: "t-1_0", Value: [2]float64{0, 1}}), false},
-		{"tighten/trailing-garbage", tighten, pairs(mr.Pair{Key: "t1_2x", Value: [2]float64{0, 1}}), false},
-		{"tighten/attribute-not-tightened", tighten, pairs(mr.Pair{Key: "t1_0", Value: [2]float64{0, 1}}), false},
+		{"tighten/good", aiHist, pairs(mr.Pair{Key: "x3", Value: ext}, mr.Pair{Key: "ai3_2", Value: []int64{1, 2}}), true},
+		{"tighten/cluster-out-of-range", aiHist, pairs(mr.Pair{Key: "x4", Value: ext}), false},
+		{"tighten/negative-cluster", aiHist, pairs(mr.Pair{Key: "x-1", Value: ext}), false},
+		{"tighten/trailing-garbage", aiHist, pairs(mr.Pair{Key: "x1x", Value: ext}), false},
+		{"tighten/attribute-in-key", aiHist, pairs(mr.Pair{Key: "x1_0", Value: ext}), false},
+		{"tighten/wrong-type", aiHist, pairs(mr.Pair{Key: "x1", Value: []int64{0, 0, 0, 0, 0, 0}}), false},
+		{"tighten/short", aiHist, pairs(mr.Pair{Key: "x1", Value: ext[:dim]}), false},
+		{"tighten/long", aiHist, pairs(mr.Pair{Key: "x1", Value: append(ext, 0)}), false},
+		{"tighten/repeated-cluster", aiHist, pairs(mr.Pair{Key: "x1", Value: ext}, mr.Pair{Key: "x1", Value: ext}), false},
 		{"members/good", members, pairs(goodSlabs...), true},
 		{"members/split-out-of-range", members, pairs(goodSlabs[0], mr.Pair{Key: "s2", Value: slab(splits[1], k)}), false},
 		{"members/trailing-garbage", members, pairs(goodSlabs[0], mr.Pair{Key: "s1x", Value: slab(splits[1], k)}), false},

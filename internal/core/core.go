@@ -397,14 +397,11 @@ func (p *pipeline) finishFull(res *Result) (*Result, error) {
 			memberCounts[l]++
 		}
 	}
-	src := memberSource{Full: &od}
-	attrs, err := p.attributeInspection(src, memberCounts)
+	attrs, sigs, err := p.attributeInspection(memberSource{Full: &od}, memberCounts)
 	if err != nil {
 		return nil, fmt.Errorf("core: attribute inspection: %w", err)
 	}
-	if err := p.finish(res, src, attrs); err != nil {
-		return nil, err
-	}
+	res.Signatures = sigs
 	for c, cl := range clusters {
 		cl.Attrs = attrs[c]
 	}
@@ -527,15 +524,11 @@ func (p *pipeline) finishLight(res *Result) (*Result, error) {
 	labels, _, uniqueCounts := lightLabels(objects, p.coreRatios, p.n)
 	res.Labels = labels
 
-	src := memberSource{Cores: signature.AppendSet(nil, p.cores)}
-	attrs, err := p.attributeInspection(src, uniqueCounts)
+	attrs, sigs, err := p.attributeInspection(memberSource{Cores: signature.AppendSet(nil, p.cores)}, uniqueCounts)
 	if err != nil {
 		return nil, fmt.Errorf("core: light attribute inspection: %w", err)
 	}
-
-	if err := p.finish(res, src, attrs); err != nil {
-		return nil, err
-	}
+	res.Signatures = sigs
 	// The Light result clusters are the full core support sets (possibly
 	// overlapping), as §6 defines.
 	clusters := make([]*eval.Cluster, len(objects))
@@ -544,36 +537,4 @@ func (p *pipeline) finishLight(res *Result) (*Result, error) {
 	}
 	res.Clusters = clusters
 	return res, nil
-}
-
-// finish runs the interval-tightening job and adds the output signatures
-// to res. src designates the points contributing to tightening; attrs is
-// Ai per cluster. The caller sets the result clusters.
-func (p *pipeline) finish(res *Result, src memberSource, attrs [][]int) error {
-	k := len(p.cores)
-	ps := p.beginPhase("tightening")
-	mins, maxs, err := tighteningJob(p.engine, p.splits, src, attrs, p.phaseSpan)
-	ps.end(err)
-	if err != nil {
-		return fmt.Errorf("core: interval tightening: %w", err)
-	}
-	for c := 0; c < k; c++ {
-		out := OutputSignature{ClusterID: c}
-		for _, a := range attrs[c] {
-			lo, okLo := mins[c][a]
-			hi, okHi := maxs[c][a]
-			if !okLo || !okHi {
-				// No member carried the attribute (empty cluster): fall back
-				// to the core interval when present.
-				if iv, ok := p.cores[c].IntervalOn(a); ok {
-					lo, hi = iv.Lo, iv.Hi
-				} else {
-					continue
-				}
-			}
-			out.Intervals = append(out.Intervals, signature.Interval{Attr: a, Lo: lo, Hi: hi})
-		}
-		res.Signatures = append(res.Signatures, out)
-	}
-	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"p3cmr/internal/histogram"
 	"p3cmr/internal/mr"
@@ -22,17 +21,14 @@ import (
 // sigSpec for signature sets), decoded once per job in the builder, which
 // also builds derived structures such as the support index. A job that
 // reads a per-point result derives it from its split's rows and its own
-// spec, a column kept in the split's memo (memberSource); none is shipped
-// to it. Values that cross the shuffle outside the wire codec's built-in
+// spec (memberSource); none is shipped to it. Values that cross the shuffle outside the wire codec's built-in
 // lanes are registered here too.
 func init() {
 	mr.RegisterWireValue(signature.Signature{})
-	mr.RegisterWireValue([2]float64{})
 	mr.RegisterJobImpl("histograms", buildHistogramJob)
 	mr.RegisterJobImpl("count-supports", buildSupportJob)
 	mr.RegisterJobImpl("candidate-generation", buildCandidateJob)
 	mr.RegisterJobImpl("redundancy-uncovered", buildUncoveredJob)
-	mr.RegisterJobImpl("interval-tightening", buildTighteningJob)
 	mr.RegisterJobImpl("light-membership", buildMembershipJob)
 	mr.RegisterJobImpl("attribute-inspection-histograms", buildAIHistogramJob)
 	mr.RegisterJobImpl("em-init-means", buildInitMeansJob)
@@ -135,24 +131,26 @@ func buildHistogramJob(spec []byte) (mr.JobFuncs, error) {
 	if err := mr.DecodeSpec(spec, &sp); err != nil {
 		return mr.JobFuncs{}, err
 	}
+	keys := mr.IntKeys("h", sp.Dim)
 	return mr.JobFuncs{
-		NewMapper:    func() mr.Mapper { return &histMapper{dim: sp.Dim, bins: sp.Bins} },
+		NewMapper:    func() mr.Mapper { return &histMapper{bins: sp.Bins, keys: keys} },
 		TypedReducer: sumVectors,
 	}, nil
 }
 
+// histMapper counts its split per (attribute, bin). keys, one per
+// attribute, is built once per job and shared read-only by its tasks.
 type histMapper struct {
-	dim, bins int
-	counts    [][]int64
-	keys      []string
+	bins   int
+	counts [][]int64
+	keys   []string
 }
 
 func (m *histMapper) Setup(*mr.TaskContext) error {
-	m.counts = make([][]int64, m.dim)
+	m.counts = make([][]int64, len(m.keys))
 	for d := range m.counts {
 		m.counts[d] = make([]int64, m.bins)
 	}
-	m.keys = mr.IntKeys("h", m.dim)
 	return nil
 }
 
@@ -321,13 +319,11 @@ type memberSource struct {
 	Full  *outlier.Spec
 }
 
-// uniqueKey is the Split.Memo key of a Light label column: the encoded
-// cores.
-type uniqueKey string
-
 // labeler prepares the source once per job and returns its per-split
-// label column, which the split's memo keeps for every later job with the
-// same source.
+// label column. The OD column stays in the split's memo, where
+// outlier-detect left it; the Light column has one reader, the
+// attribute-inspection histogram job, so each task derives it from the
+// split's memoized interval bitmaps and drops it with the task.
 func (src memberSource) labeler() (func(*mr.Split) []int32, error) {
 	if src.Full != nil {
 		return src.Full.Labeler()
@@ -337,9 +333,7 @@ func (src memberSource) labeler() (func(*mr.Split) []int32, error) {
 		return nil, errBadSigSpec
 	}
 	ix := signature.NewSupportIndex(cores)
-	return func(s *mr.Split) []int32 {
-		return s.Memo(uniqueKey(src.Cores), func() any { return uniqueLabels(newSplitMembers(ix, s)) }).([]int32)
-	}, nil
+	return func(s *mr.Split) []int32 { return uniqueLabels(newSplitMembers(ix, s)) }, nil
 }
 
 // uniqueLabels returns the unique-membership column of the split's rows:
@@ -501,166 +495,4 @@ func buildUncoveredJob(spec []byte) (mr.JobFuncs, error) {
 		NewMapper:    func() mr.Mapper { return &countingMapper{ix: ix, key: "uncovered"} },
 		TypedReducer: sumVectors,
 	}, nil
-}
-
-// --- Min/max interval-tightening job (§5.7) -----------------------------------------
-
-type tightenSpec struct {
-	Attrs [][]int
-	Src   memberSource
-}
-
-// tighteningJob computes, per (cluster, attribute) of interest, the minimum
-// and maximum attribute value over the cluster members. src designates
-// each point's cluster (or none); attrs lists the attributes to tighten per
-// cluster.
-func tighteningJob(engine *mr.Engine, splits []*mr.Split, src memberSource, attrs [][]int, trace obs.SpanID) (mins, maxs []map[int]float64, err error) {
-	spec, err := mr.EncodeSpec(tightenSpec{Attrs: attrs, Src: src})
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := engine.Run(&mr.Job{
-		Name:        "interval-tightening",
-		Splits:      splits,
-		Impl:        "interval-tightening",
-		Spec:        spec,
-		TraceParent: trace,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return collectTightened(out, attrs)
-}
-
-// collectTightened reads the job's per-(cluster, attribute) extrema,
-// rejecting any key outside t<c>_<a> with a among attrs[c].
-func collectTightened(out *mr.Output, attrs [][]int) (mins, maxs []map[int]float64, err error) {
-	k := len(attrs)
-	mins = make([]map[int]float64, k)
-	maxs = make([]map[int]float64, k)
-	for i := range mins {
-		mins[i] = make(map[int]float64)
-		maxs[i] = make(map[int]float64)
-	}
-	for _, p := range out.Pairs {
-		c, a, err := parsePairKey(p.Key, "t", k, math.MaxInt)
-		if err != nil || !slices.Contains(attrs[c], a) {
-			return nil, nil, fmt.Errorf("core: bad tightening key %q", p.Key)
-		}
-		mm := p.Value.([2]float64)
-		mins[c][a] = mm[0]
-		maxs[c][a] = mm[1]
-	}
-	return mins, maxs, nil
-}
-
-// parsePairKey is the inverse of the keys prefix+"c_d" of the per-cluster,
-// per-attribute jobs: it returns c and d for 0 ≤ c < n and 0 ≤ d < m, and
-// an error for any other key.
-func parsePairKey(key, prefix string, n, m int) (c, d int, err error) {
-	_, err = fmt.Sscanf(key, prefix+"%d_%d", &c, &d)
-	if err != nil || fmt.Sprintf("%s%d_%d", prefix, c, d) != key || c < 0 || c >= n || d < 0 || d >= m {
-		return 0, 0, fmt.Errorf("core: bad key %q: want %s<c>_<d> with c < %d, d < %d", key, prefix, n, m)
-	}
-	return c, d, nil
-}
-
-func buildTighteningJob(spec []byte) (mr.JobFuncs, error) {
-	var sp tightenSpec
-	if err := mr.DecodeSpec(spec, &sp); err != nil {
-		return mr.JobFuncs{}, err
-	}
-	labels, err := sp.Src.labeler()
-	if err != nil {
-		return mr.JobFuncs{}, err
-	}
-	return mr.JobFuncs{
-		NewMapper: func() mr.Mapper { return &tightenMapper{labels: labels, attrs: sp.Attrs} },
-		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-			agg := values.Value(0).([2]float64)
-			for i := 1; i < values.Len(); i++ {
-				mm := values.Value(i).([2]float64)
-				if mm[0] < agg[0] {
-					agg[0] = mm[0]
-				}
-				if mm[1] > agg[1] {
-					agg[1] = mm[1]
-				}
-			}
-			ctx.Emit(key, agg)
-			return nil
-		}),
-	}, nil
-}
-
-// tightenMapper keeps, per cluster, the extrema of its attributes over
-// the task's members of the cluster: mins[c][i] and maxs[c][i] for
-// attribute attrs[c][i], set from the first member (seen[c]) on.
-type tightenMapper struct {
-	labels     func(*mr.Split) []int32
-	lab        []int32
-	offset     int
-	attrs      [][]int
-	mins, maxs [][]float64
-	seen       []bool
-}
-
-func (m *tightenMapper) Setup(ctx *mr.TaskContext) error {
-	m.lab, m.offset = m.labels(ctx.Split), ctx.Split.Offset
-	m.mins = make([][]float64, len(m.attrs))
-	m.maxs = make([][]float64, len(m.attrs))
-	for c, as := range m.attrs {
-		m.mins[c] = make([]float64, len(as))
-		m.maxs[c] = make([]float64, len(as))
-	}
-	m.seen = make([]bool, len(m.attrs))
-	return nil
-}
-
-func (m *tightenMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	c := int(m.lab[global-m.offset])
-	if c < 0 || c >= len(m.attrs) {
-		return nil
-	}
-	lo, hi := m.mins[c], m.maxs[c]
-	if !m.seen[c] {
-		m.seen[c] = true
-		for i, a := range m.attrs[c] {
-			lo[i], hi[i] = row[a], row[a]
-		}
-		return nil
-	}
-	for i, a := range m.attrs[c] {
-		v := row[a]
-		if v < lo[i] {
-			lo[i] = v
-		}
-		if v > hi[i] {
-			hi[i] = v
-		}
-	}
-	return nil
-}
-
-func (m *tightenMapper) Cleanup(ctx *mr.TaskContext) error {
-	for _, p := range m.tightenedPairs() {
-		ctx.Emit(p.Key, p.Value)
-	}
-	return nil
-}
-
-// tightenedPairs returns the task's extrema in emission order: by cluster,
-// then along the cluster's attribute list. A cluster this task saw no
-// member of has no pair.
-func (m *tightenMapper) tightenedPairs() []mr.Pair {
-	var out []mr.Pair
-	for c, seen := range m.seen {
-		if !seen {
-			continue
-		}
-		for i, a := range m.attrs[c] {
-			out = append(out, mr.Pair{Key: fmt.Sprintf("t%d_%d", c, a), Value: [2]float64{m.mins[c][i], m.maxs[c][i]}})
-		}
-	}
-	return out
 }

@@ -149,6 +149,10 @@ func TestGenerateCandidatesMRRejectsUnsortedLevel(t *testing.T) {
 	}
 }
 
+// TestTighteningJobMinMax runs the attribute-inspection histogram job over
+// two cores and checks the extrema interval tightening reads off it, on
+// every attribute, and the driver's fallback to the core interval for a
+// cluster without members.
 func TestTighteningJobMinMax(t *testing.T) {
 	d := dataset.FromRows(2, []float64{
 		0.1, 0.9,
@@ -158,28 +162,39 @@ func TestTighteningJobMinMax(t *testing.T) {
 		0.5, 0.2, // cluster 1: a0 ∈ [0.5,0.6], a1 ∈ [0.1,0.2]
 		0.99, 0.99, // unassigned
 	})
-	// The cores hold rows 0–2 and 3–4; the last row is in neither.
+	// The cores hold rows 0–2 and 3–4; the last row is in neither, and
+	// the third core holds no row.
 	cores := []signature.Signature{
 		signature.New(signature.Interval{Attr: 0, Lo: 0.1, Hi: 0.3}),
 		signature.New(signature.Interval{Attr: 0, Lo: 0.5, Hi: 0.6}),
+		signature.New(signature.Interval{Attr: 1, Lo: 0.4, Hi: 0.45}),
 	}
 	src := memberSource{Cores: signature.AppendSet(nil, cores)}
-	attrs := [][]int{{0, 1}, {0}}
-	mins, maxs, err := tighteningJob(mr.Default(), splitsFor(d, 3), src, attrs, 0)
+	_, ext, err := clusterHistograms(mr.Default(), splitsFor(d, 3), src, len(cores), 2, []int{2, 2, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mins[0][0] != 0.1 || maxs[0][0] != 0.3 {
-		t.Errorf("cluster 0 a0 = [%g,%g]", mins[0][0], maxs[0][0])
+	for c, want := range [][]float64{{0.1, 0.7, 0.3, 0.9}, {0.5, 0.1, 0.6, 0.2}, nil} {
+		if !slices.Equal(ext[c], want) {
+			t.Errorf("cluster %d extrema %v, want %v", c, ext[c], want)
+		}
 	}
-	if mins[0][1] != 0.7 || maxs[0][1] != 0.9 {
-		t.Errorf("cluster 0 a1 = [%g,%g]", mins[0][1], maxs[0][1])
-	}
-	if mins[1][0] != 0.5 || maxs[1][0] != 0.6 {
-		t.Errorf("cluster 1 a0 = [%g,%g]", mins[1][0], maxs[1][0])
-	}
-	if _, ok := mins[1][1]; ok {
-		t.Error("cluster 1 a1 was not requested")
+
+	// The driver keeps the extrema of the cluster's attributes; the empty
+	// cluster keeps its core interval and drops the attribute it lacks.
+	p := &pipeline{dim: 2, cores: cores}
+	for c, tc := range []struct {
+		attrs []int
+		want  []signature.Interval
+	}{
+		{[]int{1}, []signature.Interval{{Attr: 1, Lo: 0.7, Hi: 0.9}}},
+		{[]int{0, 1}, []signature.Interval{{Attr: 0, Lo: 0.5, Hi: 0.6}, {Attr: 1, Lo: 0.1, Hi: 0.2}}},
+		{[]int{0, 1}, []signature.Interval{{Attr: 1, Lo: 0.4, Hi: 0.45}}},
+	} {
+		got := p.tightened(c, tc.attrs, ext[c])
+		if got.ClusterID != c || !slices.Equal(got.Intervals, tc.want) {
+			t.Errorf("cluster %d on %v: %+v, want %v", c, tc.attrs, got, tc.want)
+		}
 	}
 }
 
@@ -213,15 +228,13 @@ func TestUncoveredCountsJobMatchesSerial(t *testing.T) {
 	}
 }
 
-// tightenTask sets m up over a split of rows of width dim with the given
-// labels, maps every row in the order order and returns the pairs its
-// Cleanup would emit.
-func tightenTask(m interface {
-	mr.Mapper
-	tightenedPairs() []mr.Pair
-}, rows []float64, dim int, order []int) []mr.Pair {
+// aiHistTask sets the attribute-inspection histogram mapper of k clusters
+// up over a split of rows of width dim with the given labels, maps every
+// row in the order order and returns the records its Cleanup emits.
+func aiHistTask(k, dim int, bins []int, labels []int32, rows []float64, order []int) []mr.Pair {
 	s := &mr.Split{Offset: 11, Dim: dim, Rows: rows}
 	ctx := &mr.TaskContext{Split: s}
+	m := &aiHistMapper{aiHistJob: newAIHistJob(k, dim, bins, func(*mr.Split) []int32 { return labels })}
 	if err := m.Setup(ctx); err != nil {
 		panic(err)
 	}
@@ -230,26 +243,28 @@ func tightenTask(m interface {
 			panic(err)
 		}
 	}
-	return m.tightenedPairs()
+	var out []mr.Pair
+	m.emit(func(key string, v any) { out = append(out, mr.Pair{Key: key, Value: v}) })
+	return out
 }
 
-// TestTightenCleanupEmissionOrder pins tightenMapper's emission order:
-// pairs follow the clusters, then each cluster's attribute list, whatever
-// order the rows arrive in; emission order feeds the shuffle, so any other
-// order would break the engine's bit-identity guarantee. A cluster the
-// task saw no member of emits nothing.
+// TestTightenCleanupEmissionOrder pins the attribute-inspection histogram
+// mapper's emission order: by cluster, each cluster's histograms by
+// attribute and then its extrema, whatever order the rows arrive in;
+// emission order feeds the shuffle, so any other order would break the
+// engine's bit-identity guarantee. A cluster the task saw no member of
+// emits nothing. The extrema are the members' minima and maxima.
 func TestTightenCleanupEmissionOrder(t *testing.T) {
-	const dim = 6
-	attrs := [][]int{{0, 2, 5}, {}, {3, 1}, {4}}
+	const k, dim = 4, 3
+	bins := []int{2, 1, 3, 2}
 	labels := []int32{2, 0, -1, 0, 2, 0}
 	rows := make([]float64, len(labels)*dim)
 	for i := range rows {
-		rows[i] = float64((i * 7) % 13)
+		rows[i] = float64((i*7)%13) / 13
 	}
-	labeler := func(*mr.Split) []int32 { return labels }
-	want := []string{"t0_0", "t0_2", "t0_5", "t2_3", "t2_1"}
+	want := []string{"ai0_0", "ai0_1", "ai0_2", "x0", "ai2_0", "ai2_1", "ai2_2", "x2"}
 	for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}, {3, 0, 5, 2, 4, 1}} {
-		got := tightenTask(&tightenMapper{labels: labeler, attrs: attrs}, rows, dim, order)
+		got := aiHistTask(k, dim, bins, labels, rows, order)
 		keys := make([]string, len(got))
 		for i, p := range got {
 			keys[i] = p.Key
@@ -257,83 +272,80 @@ func TestTightenCleanupEmissionOrder(t *testing.T) {
 		if !slices.Equal(keys, want) {
 			t.Fatalf("row order %v: keys %v, want %v", order, keys, want)
 		}
-		for i, p := range got {
-			c, a, err := parsePairKey(p.Key, "t", len(attrs), dim)
+		for _, p := range got {
+			if !strings.HasPrefix(p.Key, "x") {
+				continue
+			}
+			c, err := mr.ParseIntKey(p.Key, "x", k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for r, l := range labels {
-				if int(l) == c {
-					lo, hi = min(lo, rows[r*dim+a]), max(hi, rows[r*dim+a])
+			ext := make([]float64, 2*dim)
+			for a := range dim {
+				lo, hi := math.Inf(1), math.Inf(-1)
+				for r, l := range labels {
+					if int(l) == c {
+						lo, hi = min(lo, rows[r*dim+a]), max(hi, rows[r*dim+a])
+					}
 				}
+				ext[a], ext[dim+a] = lo, hi
 			}
-			if p.Value != [2]float64{lo, hi} {
-				t.Fatalf("row order %v: pair %d %s = %v, want [%v %v]", order, i, p.Key, p.Value, lo, hi)
+			if !slices.Equal(p.Value.([]float64), ext) {
+				t.Fatalf("row order %v: %s = %v, want %v", order, p.Key, p.Value, ext)
 			}
 		}
 	}
 }
 
-// mapTightenMapper is the reference tightenMapper is held to: a min and a
-// max map per cluster, keyed by attribute, the first value seen kept
-// unless a later one is strictly beyond it, emitted along each cluster's
-// attribute list.
-type mapTightenMapper struct {
-	labels     func(*mr.Split) []int32
-	lab        []int32
-	offset     int
-	attrs      [][]int
-	mins, maxs []map[int]float64
-}
-
-func (m *mapTightenMapper) Setup(ctx *mr.TaskContext) error {
-	m.lab, m.offset = m.labels(ctx.Split), ctx.Split.Offset
-	m.mins = make([]map[int]float64, len(m.attrs))
-	m.maxs = make([]map[int]float64, len(m.attrs))
-	for i := range m.attrs {
-		m.mins[i] = make(map[int]float64)
-		m.maxs[i] = make(map[int]float64)
+// mapAIHistTask is the reference the attribute-inspection histogram
+// mapper is held to: per cluster, bin counts and a min and a max map keyed
+// by attribute, the first value seen kept unless a later one is strictly
+// beyond it, emitted as the mapper emits them.
+func mapAIHistTask(k, dim int, bins []int, labels []int32, rows []float64, order []int) []mr.Pair {
+	counts := make([]map[int][]int64, k)
+	mins := make([]map[int]float64, k)
+	maxs := make([]map[int]float64, k)
+	for c := range k {
+		counts[c], mins[c], maxs[c] = make(map[int][]int64), make(map[int]float64), make(map[int]float64)
 	}
-	return nil
-}
-
-func (m *mapTightenMapper) Map(_ *mr.TaskContext, global int, row []float64) error {
-	c := int(m.lab[global-m.offset])
-	if c < 0 || c >= len(m.attrs) {
-		return nil
-	}
-	for _, a := range m.attrs[c] {
-		v := row[a]
-		if cur, ok := m.mins[c][a]; !ok || v < cur {
-			m.mins[c][a] = v
+	for _, r := range order {
+		c := int(labels[r])
+		if c < 0 || c >= k {
+			continue
 		}
-		if cur, ok := m.maxs[c][a]; !ok || v > cur {
-			m.maxs[c][a] = v
+		for a := range dim {
+			v := rows[r*dim+a]
+			if counts[c][a] == nil {
+				counts[c][a] = make([]int64, bins[c])
+			}
+			counts[c][a][histogram.BinIndex(v, bins[c])]++
+			if cur, ok := mins[c][a]; !ok || v < cur {
+				mins[c][a] = v
+			}
+			if cur, ok := maxs[c][a]; !ok || v > cur {
+				maxs[c][a] = v
+			}
 		}
 	}
-	return nil
-}
-
-func (m *mapTightenMapper) Cleanup(*mr.TaskContext) error { return nil }
-
-func (m *mapTightenMapper) tightenedPairs() []mr.Pair {
 	var out []mr.Pair
-	for c := range m.attrs {
-		for _, a := range m.attrs[c] {
-			lo, ok := m.mins[c][a]
-			if !ok {
-				continue
-			}
-			out = append(out, mr.Pair{Key: fmt.Sprintf("t%d_%d", c, a), Value: [2]float64{lo, m.maxs[c][a]}})
+	for c := range k {
+		if len(counts[c]) == 0 {
+			continue
 		}
+		ext := make([]float64, 2*dim)
+		for a := range dim {
+			out = append(out, mr.Pair{Key: fmt.Sprintf("ai%d_%d", c, a), Value: counts[c][a]})
+			ext[a], ext[dim+a] = mins[c][a], maxs[c][a]
+		}
+		out = append(out, mr.Pair{Key: fmt.Sprintf("x%d", c), Value: ext})
 	}
 	return out
 }
 
-// TestTightenMapperMatchesMapOracle holds tightenMapper to the map-based
-// mapTightenMapper over random rows and labels: −1 labels, a cluster no
-// row reaches (no pair), and values drawn from a small set with −0 and +0,
+// TestTightenMapperMatchesMapOracle holds the attribute-inspection
+// histogram mapper to the map-based mapAIHistTask over random rows and
+// labels: −1 labels, a cluster no row reaches (no record), and values
+// drawn from a small set with −0 and +0, a subnormal and a repeated value,
 // so ties are frequent and the first value seen must win, down to the sign
 // of a zero.
 func TestTightenMapperMatchesMapOracle(t *testing.T) {
@@ -342,13 +354,9 @@ func TestTightenMapperMatchesMapOracle(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		dim := 1 + rng.Intn(6)
 		k := 1 + rng.Intn(5)
-		attrs := make([][]int, k)
-		for c := range attrs {
-			for a := 0; a < dim; a++ {
-				if rng.Intn(2) == 0 {
-					attrs[c] = append(attrs[c], a)
-				}
-			}
+		bins := make([]int, k)
+		for c := range bins {
+			bins[c] = 1 + rng.Intn(4)
 		}
 		unreached := rng.Intn(k)
 		n := rng.Intn(200)
@@ -365,23 +373,62 @@ func TestTightenMapperMatchesMapOracle(t *testing.T) {
 			rows[i] = values[rng.Intn(len(values))]
 		}
 		order := rng.Perm(n)
-		labeler := func(*mr.Split) []int32 { return labels }
-		got := tightenTask(&tightenMapper{labels: labeler, attrs: attrs}, rows, dim, order)
-		want := tightenTask(&mapTightenMapper{labels: labeler, attrs: attrs}, rows, dim, order)
+		got := aiHistTask(k, dim, bins, labels, rows, order)
+		want := mapAIHistTask(k, dim, bins, labels, rows, order)
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d pairs, oracle %d", trial, len(got), len(want))
+			t.Fatalf("trial %d: %d records, oracle %d", trial, len(got), len(want))
 		}
 		for i := range got {
-			g, w := got[i].Value.([2]float64), want[i].Value.([2]float64)
-			if got[i].Key != want[i].Key ||
-				math.Float64bits(g[0]) != math.Float64bits(w[0]) || math.Float64bits(g[1]) != math.Float64bits(w[1]) {
-				t.Fatalf("trial %d: pair %d = %s %v, oracle %s %v", trial, i, got[i].Key, g, want[i].Key, w)
+			if got[i].Key != want[i].Key || !sameBits(got[i].Value, want[i].Value) {
+				t.Fatalf("trial %d: record %d = %s %v, oracle %s %v", trial, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
 			}
 		}
-		prefix := fmt.Sprintf("t%d_", unreached)
 		for _, p := range got {
-			if strings.HasPrefix(p.Key, prefix) {
-				t.Fatalf("trial %d: pair %s for unreached cluster %d", trial, p.Key, unreached)
+			if p.Key == fmt.Sprintf("x%d", unreached) || strings.HasPrefix(p.Key, fmt.Sprintf("ai%d_", unreached)) {
+				t.Fatalf("trial %d: record %s for unreached cluster %d", trial, p.Key, unreached)
+			}
+		}
+	}
+}
+
+// sameBits reports whether two records' values, []int64 counts or
+// []float64 extrema, are equal bit for bit.
+func sameBits(a, b any) bool {
+	if x, ok := a.([]int64); ok {
+		y, ok := b.([]int64)
+		return ok && slices.Equal(x, y)
+	}
+	x, y := a.([]float64), b.([]float64)
+	return slices.EqualFunc(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+}
+
+// TestTightenReduceFirstSplitWins checks the reduce side of the extrema:
+// when two splits hold −0 and +0 at the same extreme, the first split's
+// zero is the cluster's bound, on either side, however many reducers run.
+func TestTightenReduceFirstSplitWins(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cores := []signature.Signature{signature.New(signature.Interval{Attr: 1, Lo: 0.4, Hi: 0.6})}
+	src := memberSource{Cores: signature.AppendSet(nil, cores)}
+	for _, first := range []float64{negZero, 0} {
+		second := math.Copysign(0, -math.Copysign(1, first))
+		splits := []*mr.Split{
+			{ID: 0, Offset: 0, Dim: 2, Rows: []float64{first, 0.5, 0.9, 0.9}},
+			{ID: 1, Offset: 2, Dim: 2, Rows: []float64{second, 0.5}},
+		}
+		for _, reducers := range []int{1, 3} {
+			engine := mr.NewEngine(mr.Config{Parallelism: 2, NumReducers: reducers})
+			_, ext, err := clusterHistograms(engine, splits, src, 1, 2, []int{1}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range ext[0] {
+				want := first
+				if i%2 == 1 {
+					want = 0.5
+				}
+				if math.Float64bits(v) != math.Float64bits(want) {
+					t.Errorf("split 0 holds %v, %d reducers: extrema %v, want bound %d = %v", first, reducers, ext[0], i, want)
+				}
 			}
 		}
 	}

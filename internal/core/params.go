@@ -7,6 +7,12 @@
 //	redundancy filter → EM refinement → outlier detection → attribute
 //	inspection (+ AI proving) → interval tightening.
 //
+// Interval tightening runs no job of its own: the attribute-inspection
+// histogram job folds each cluster's extrema on every attribute in the same
+// pass, and the driver keeps those of the attributes AI proving fixes. So
+// the data is read once after the clusters are fixed, where the paper's
+// job graph (§5.6, §5.7) reads it twice.
+//
 // The algorithm variants are parameter presets: the original P3C uses
 // Sturges' rule, the pure Poisson test, no redundancy filter, the naive
 // outlier detector and no AI proving; P3C+ switches to Freedman–Diaconis,
@@ -154,9 +160,9 @@ func (p Params) PhasePlan() []string {
 		plan = append(plan, "redundancy-filter")
 	}
 	if p.SkipRefinement {
-		return append(plan, "light-membership", "attribute-inspection", "tightening")
+		return append(plan, "light-membership", "attribute-inspection")
 	}
-	return append(plan, "em", "outlier-detection", "attribute-inspection", "tightening")
+	return append(plan, "em", "outlier-detection", "attribute-inspection")
 }
 
 // Validate reports parameter errors.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"p3cmr/internal/mr"
@@ -21,11 +23,11 @@ func TestPipelineTraceStructure(t *testing.T) {
 	}{
 		{"light", LightParams(), []string{
 			"histograms", "core-generation", "redundancy-filter",
-			"light-membership", "attribute-inspection", "tightening",
+			"light-membership", "attribute-inspection",
 		}},
 		{"mvb", NewParams(), []string{
 			"histograms", "core-generation", "redundancy-filter",
-			"em", "outlier-detection", "attribute-inspection", "tightening",
+			"em", "outlier-detection", "attribute-inspection",
 		}},
 	}
 	for _, v := range variants {
@@ -94,6 +96,64 @@ func TestPipelineTraceStructure(t *testing.T) {
 			}
 			if phaseSum != runEnd.Counters {
 				t.Errorf("phase counter deltas sum to %+v, run span has %+v", phaseSum, runEnd.Counters)
+			}
+		})
+	}
+}
+
+// TestPipelineJobGraph pins the jobs each phase runs, Light and MVB, with
+// and without AI proving, on data whose attribute inspection suggests
+// intervals. Interval tightening runs no job: the attribute-inspection
+// phase runs the histogram job, which folds the extrema, and ai-proving
+// when proving is on.
+func TestPipelineJobGraph(t *testing.T) {
+	data, _ := genData(t, 1500, 10, 3, 0.1, 2)
+	noProving := LightParams()
+	noProving.UseAIProving = false
+	front := map[string][]string{
+		"histograms":        {"histograms"},
+		"core-generation":   {"prove-candidates"},
+		"redundancy-filter": {"redundancy-uncovered"},
+	}
+	for _, v := range []struct {
+		name   string
+		params Params
+		want   map[string][]string
+	}{
+		{"light", LightParams(), map[string][]string{
+			"light-membership":     {"light-membership"},
+			"attribute-inspection": {"attribute-inspection-histograms", "ai-proving"},
+		}},
+		{"light-no-proving", noProving, map[string][]string{
+			"light-membership":     {"light-membership"},
+			"attribute-inspection": {"attribute-inspection-histograms"},
+		}},
+		{"mvb", NewParams(), map[string][]string{
+			"em":                   {"em-init-means", "em-moments-0", "em-moments-1", "em-moments-2", "em-moments-3", "em-moments-4", "em-moments-5"},
+			"outlier-detection":    {"mvb-ball", "mvb-mean", "outlier-detect"},
+			"attribute-inspection": {"attribute-inspection-histograms", "ai-proving"},
+		}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			mem := obs.NewMemTracer()
+			if _, err := Run(mr.NewEngine(mr.Config{Parallelism: 2, Tracer: mem}), data, v.params); err != nil {
+				t.Fatal(err)
+			}
+			phases := make(map[obs.SpanID]string)
+			for _, s := range mem.SpansOf(obs.KindPhase) {
+				phases[s.ID] = s.Name
+			}
+			got := make(map[string][]string)
+			for _, s := range mem.SpansOf(obs.KindJob) {
+				ph := phases[s.Parent]
+				if !slices.Contains(got[ph], s.Name) {
+					got[ph] = append(got[ph], s.Name)
+				}
+			}
+			want := maps.Clone(v.want)
+			maps.Copy(want, front)
+			if !maps.EqualFunc(got, want, slices.Equal) {
+				t.Errorf("jobs by phase:\n got %q\nwant %q", got, want)
 			}
 		})
 	}

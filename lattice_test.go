@@ -65,14 +65,14 @@ func TestDeepLatticeDigestPinned(t *testing.T) {
 		NoiseFraction: 0.1, Overlap: true, Seed: 1,
 	}, params)
 	st := res.Core.Stats
-	if res.Jobs != 14 || st.CandidatesProven != 2424 || st.CoresBeforeRedundancy != 37 || st.Cores != 3 {
-		t.Errorf("jobs %d, candidates %d, cores before redundancy %d, cores %d; want 14, 2424, 37, 3",
+	if res.Jobs != 13 || st.CandidatesProven != 2424 || st.CoresBeforeRedundancy != 37 || st.Cores != 3 {
+		t.Errorf("jobs %d, candidates %d, cores before redundancy %d, cores %d; want 13, 2424, 37, 3",
 			res.Jobs, st.CandidatesProven, st.CoresBeforeRedundancy, st.Cores)
 	}
 	if jobRuns(trace, "candidate-generation") == 0 {
 		t.Error("candidate generation never ran as an MR job")
 	}
-	const want = "b2bb2bbc141d387749eb4353dfd77d6d223fc0e45a30c3a760a434d9fa31bb25"
+	const want = "80d45a38ebf5ec9c012e6226daf104cb37ebcf2030f545e8f50e1ae9d25dbff1"
 	if got != want {
 		t.Errorf("WriteJSON sha256 = %s, want %s", got, want)
 	}
@@ -92,11 +92,11 @@ func TestNoiseFreeLatticeDigestPinned(t *testing.T) {
 	}, core.LightParams())
 	st := res.Core.Stats
 	rounds := jobRuns(trace, "redundancy-uncovered")
-	if res.Jobs != 25 || st.CandidatesProven != 28092 || st.CoresBeforeRedundancy != 1210 || st.Cores != 5 || rounds != 9 {
-		t.Errorf("jobs %d, candidates %d, cores before redundancy %d, cores %d, rescue rounds %d; want 25, 28092, 1210, 5, 9",
+	if res.Jobs != 24 || st.CandidatesProven != 28092 || st.CoresBeforeRedundancy != 1210 || st.Cores != 5 || rounds != 9 {
+		t.Errorf("jobs %d, candidates %d, cores before redundancy %d, cores %d, rescue rounds %d; want 24, 28092, 1210, 5, 9",
 			res.Jobs, st.CandidatesProven, st.CoresBeforeRedundancy, st.Cores, rounds)
 	}
-	const want = "87302328070274034ffd90fc91b617fef0e8d63231b43ef2aa88e3465e46d7fe"
+	const want = "ce255d4100bd22e3bec62472fe507e0823187444252672c93663e82354a69b9d"
 	if got != want {
 		t.Errorf("WriteJSON sha256 = %s, want %s", got, want)
 	}
