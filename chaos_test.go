@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"p3cmr/internal/dataset"
 	"p3cmr/internal/mr"
+	"p3cmr/internal/obs"
 )
 
 // TestChaosJSONResultBitIdentical is the end-to-end oracle of the chaos
@@ -102,6 +104,51 @@ func TestChaosCountingJobsJSONBitIdentical(t *testing.T) {
 			}
 			if engine.TotalCounters().TaskRetries == 0 {
 				t.Errorf("%s/%s: no retries injected — oracle exercised nothing", alg, backend)
+			}
+		}
+	}
+}
+
+// TestChaosSpeculatedRescueJSONBitIdentical runs a redundancy rescue whose
+// speculated chain is cut short on every backend under faults: on this
+// data the rescue takes five rounds, rounds zero and one accept a core, so
+// the chain counted after round zero is dropped after round one and the
+// filter runs three redundancy-uncovered passes. The first map attempt of
+// every pass's tasks fails, before its first record, mid-split or before
+// Cleanup, and the WriteJSON output of Light and MVB must equal the
+// fault-free in-process run's.
+func TestChaosSpeculatedRescueJSONBitIdentical(t *testing.T) {
+	data, _, err := dataset.Generate(dataset.GenConfig{N: 10000, Dim: 20, Clusters: 4, NoiseFraction: 0.1, Seed: 3, Overlap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := mr.FaultPlanFunc(func(job string, phase mr.TaskPhase, task, attempt int) mr.FaultDecision {
+		if job != "redundancy-uncovered" || phase != mr.PhaseMap || attempt > 0 {
+			return mr.FaultDecision{}
+		}
+		return mr.FaultDecision{Fail: true, FailFrac: float64(task%3) / 2}
+	})
+	algs := []Algorithm{P3CPlusMRLight, P3CPlusMR}
+	if raceDetectorEnabled {
+		algs = algs[:1]
+	}
+	for _, alg := range algs {
+		baseline := renderJSON(t, data, alg, mr.NewEngine(mr.Config{Parallelism: 4}))
+		for _, backend := range mr.BackendNames() {
+			if backend == "multiprocess" && raceDetectorEnabled {
+				continue
+			}
+			trace := obs.NewForest()
+			engine := mr.NewEngine(mr.Config{Backend: backend, Parallelism: 4, SpillDir: t.TempDir(), Faults: plan, MaxAttempts: 2, Tracer: trace})
+			if got := renderJSON(t, data, alg, engine); !bytes.Equal(got, baseline) {
+				t.Errorf("%s/%s: JSON result differs from the fault-free in-process run", alg, backend)
+			}
+			if engine.TotalCounters().TaskRetries == 0 {
+				t.Errorf("%s/%s: no retries injected — oracle exercised nothing", alg, backend)
+			}
+			rounds, passes := metricValue(trace, "quality_rescue_rounds"), jobRuns(trace, "redundancy-uncovered")
+			if rounds != 5 || passes != 3 {
+				t.Errorf("%s/%s: %v rescue rounds in %d passes, want 5 in 3", alg, backend, rounds, passes)
 			}
 		}
 	}

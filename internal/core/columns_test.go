@@ -109,9 +109,10 @@ func TestMembershipsMatchContains(t *testing.T) {
 
 // TestCollectorsRejectBadRecords feeds the driver-side readers of the
 // attribute-inspection job, its histograms and the extrema tightening
-// reads, and of the membership job records with a bad key, type or length.
-// Each is an error, never a panic, a silent slot or a key accepted with
-// trailing garbage.
+// reads, of the membership job and of the counting jobs (support counting
+// and the redundancy filter) records with a bad key, type or length. Each
+// is an error, never a panic, a silent slot, a key accepted with trailing
+// garbage or a repeated count vector read as all zeros.
 func TestCollectorsRejectBadRecords(t *testing.T) {
 	const k, dim = 4, 3
 	bins := []int{2, 2, 3, 2}
@@ -123,6 +124,9 @@ func TestCollectorsRejectBadRecords(t *testing.T) {
 	aiHist := func(o *mr.Output) error { _, _, err := collectAIHistograms(o, k, dim, bins); return err }
 	ext := make([]float64, 2*dim)
 	members := func(o *mr.Output) error { _, err := collectMembers(o, splits, k); return err }
+	supports := func(o *mr.Output) error { _, err := countVector(o, "supports", k); return err }
+	uncovered := func(o *mr.Output) error { _, err := countVector(o, "uncovered", k); return err }
+	vec := []int64{1, 2, 3, 4}
 	for _, c := range []struct {
 		name    string
 		collect func(*mr.Output) error
@@ -152,6 +156,19 @@ func TestCollectorsRejectBadRecords(t *testing.T) {
 		{"members/long-slab", members, pairs(mr.Pair{Key: "s0", Value: slab(splits[0], k+1)}, goodSlabs[1]), false},
 		{"members/missing-split", members, pairs(goodSlabs[0]), false},
 		{"members/repeated-split", members, pairs(goodSlabs[0], goodSlabs[1], goodSlabs[1]), false},
+		{"supports/good", supports, pairs(mr.Pair{Key: "supports", Value: vec}), true},
+		{"supports/empty", supports, pairs(), true},
+		{"supports/unknown-key", supports, pairs(mr.Pair{Key: "uncovered", Value: vec}), false},
+		{"supports/repeated-key", supports, pairs(mr.Pair{Key: "supports", Value: vec}, mr.Pair{Key: "supports", Value: vec}), false},
+		{"supports/extra-key", supports, pairs(mr.Pair{Key: "supports", Value: vec}, mr.Pair{Key: "s0", Value: vec}), false},
+		{"supports/wrong-type", supports, pairs(mr.Pair{Key: "supports", Value: []float64{1, 2, 3, 4}}), false},
+		{"supports/short", supports, pairs(mr.Pair{Key: "supports", Value: vec[:k-1]}), false},
+		{"supports/long", supports, pairs(mr.Pair{Key: "supports", Value: append(vec, 5)}), false},
+		{"uncovered/good", uncovered, pairs(mr.Pair{Key: "uncovered", Value: vec}), true},
+		{"uncovered/unknown-key", uncovered, pairs(mr.Pair{Key: "supports", Value: vec}), false},
+		{"uncovered/repeated-key", uncovered, pairs(mr.Pair{Key: "uncovered", Value: vec}, mr.Pair{Key: "uncovered", Value: vec}), false},
+		{"uncovered/wrong-type", uncovered, pairs(mr.Pair{Key: "uncovered", Value: int64(4)}), false},
+		{"uncovered/short", uncovered, pairs(mr.Pair{Key: "uncovered", Value: []int64{}}), false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			err := c.collect(c.out)
@@ -159,6 +176,9 @@ func TestCollectorsRejectBadRecords(t *testing.T) {
 				t.Fatalf("err = %v, want ok %v", err, c.ok)
 			}
 		})
+	}
+	if v, err := countVector(pairs(), "supports", k); err != nil || !slices.Equal(v, make([]int64, k)) {
+		t.Errorf("empty output: %v, %v; want %d zeros", v, err, k)
 	}
 }
 

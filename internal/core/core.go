@@ -197,7 +197,11 @@ func (p *pipeline) run() (*Result, error) {
 	var coresBefore int
 	if p.params.UseRedundancyFilter {
 		ps = p.beginPhase("redundancy-filter")
-		cores, coresBefore, err = p.redundancyRescue(gen, proven)
+		var rounds int
+		cores, coresBefore, rounds, err = p.redundancyRescue(gen, proven)
+		if err == nil {
+			p.metric(p.phaseSpan, "quality_rescue_rounds", float64(rounds))
+		}
 		ps.end(err)
 		if err != nil {
 			return nil, fmt.Errorf("core: redundancy filter: %w", err)
@@ -259,10 +263,21 @@ func (p *pipeline) run() (*Result, error) {
 // not subsets of an accepted core re-enter; the shadowed true core
 // resurfaces as maximal in a later round and, being genuinely uncovered,
 // survives. The loop terminates because every round permanently removes its
-// maximal candidates from the pool. It also returns round one's maximal
-// count. Every pool is convex, as FilterMaximal requires: for s ⊂ u ⊂ t with
-// s, t pooled, u is proven, shadowed only if s is, and was never maximal
-// while t was pooled.
+// maximal candidates from the pool. It returns the cores, round one's
+// maximal count and the number of rounds. Every pool is convex, as
+// FilterMaximal requires: for s ⊂ u ⊂ t with s, t pooled, u is proven,
+// shadowed only if s is, and was never maximal while t was pooled.
+//
+// Rounds are counted speculatively, as the paper's §5.3 batches candidate
+// levels whose inputs are known into one counting job. A round that
+// accepts no core leaves the kept cores as they were, so every later
+// round's input follows from the pool alone. After each round that accepts
+// a core, rescueChain computes the following rounds on the assumption that
+// none accepts, and one redundancy-uncovered job counts them all; the loop
+// takes them in order up to and including the first that accepts and
+// starts a new chain after it. Each round it takes has exactly the input
+// the round-by-round loop would have given it, so the result is that
+// loop's, at (accepting rounds + 1) passes instead of one per round.
 //
 // Every coverage input, the accepted cores followed by the round's
 // candidates, is an antichain, as signature.NewCoverageIndex requires: the
@@ -275,25 +290,51 @@ func (p *pipeline) run() (*Result, error) {
 // and K never meet in one input, or the filter would cascade down the
 // lattice and delete K. Genuine subset pruning is the maximality filter's
 // job.
-func (p *pipeline) redundancyRescue(gen *coreGenerator, proven []signature.Signature) ([]signature.Signature, int, error) {
-	var kept []signature.Signature
-	before := 0
+func (p *pipeline) redundancyRescue(gen *coreGenerator, proven []signature.Signature) (kept []signature.Signature, before, rounds int, err error) {
 	pool := slices.Clone(proven)
-	for round := 0; ; round++ {
-		all, next := rescueRound(kept, pool)
+	for {
+		cands, pools := rescueChain(kept, pool)
+		if len(cands) == 0 {
+			return kept, before, rounds, nil
+		}
+		if rounds == 0 {
+			before = len(cands[0])
+		}
+		unc, err := uncoveredCounts(p.engine, p.splits, p.chainSpec(gen, kept, cands), p.phaseSpan)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		for r := range cands {
+			rounds++
+			k := len(kept)
+			kept, pool = p.acceptCores(gen, kept, cands[r], unc[r]), pools[r]
+			if len(kept) > k {
+				break
+			}
+		}
+	}
+}
+
+// rescueChain returns the candidates of the rescue rounds that follow the
+// cores kept, each round computed as if no earlier round of the chain
+// accepted a core, and the pool each round leaves. rescueRound shortens
+// its pool in place, so each round works on a copy and pools[r] stays
+// whole for the rescue to resume from. The chain ends before a round
+// without candidates. With no core kept it is the one round of the paper's
+// filter: its top-ratio candidate has no coverer and survives, so rounds
+// speculated past it would be counted for nothing.
+func rescueChain(kept, pool []signature.Signature) (cands, pools [][]signature.Signature) {
+	for {
+		all, next := rescueRound(kept, slices.Clone(pool))
 		if len(all) == len(kept) {
-			break
+			return cands, pools
 		}
-		if round == 0 {
-			before = len(all)
-		}
-		var err error
-		if kept, err = p.acceptCores(gen, all, len(kept)); err != nil {
-			return nil, 0, err
+		cands, pools = append(cands, all[len(kept):]), append(pools, next)
+		if len(kept) == 0 {
+			return cands, pools
 		}
 		pool = next
 	}
-	return kept, before, nil
 }
 
 // rescueRound returns one rescue round's coverage input and the pool of the
@@ -320,28 +361,42 @@ func rescueRound(kept, pool []signature.Signature) (all, next []signature.Signat
 	return all, next
 }
 
-// acceptCores runs the redundancy filter over a round's coverage input all,
-// whose first k signatures are the cores accepted so far, and returns them
-// followed by the candidates that are not redundant. It reuses all's array.
-func (p *pipeline) acceptCores(gen *coreGenerator, all []signature.Signature, k int) ([]signature.Signature, error) {
+// chainSpec returns the redundancy-uncovered spec of a chain of rescue
+// rounds: the cores kept, then each round's candidates, with their
+// interest ratios.
+func (p *pipeline) chainSpec(gen *coreGenerator, kept []signature.Signature, cands [][]signature.Signature) rescueSpec {
+	sp := rescueSpec{Rounds: make([]int, len(cands))}
+	sp.Sigs = slices.Clone(kept)
+	for r, c := range cands {
+		sp.Rounds[r] = len(c)
+		sp.Sigs = append(sp.Sigs, c...)
+	}
+	sp.Ratios = make([]float64, len(sp.Sigs))
+	for i, s := range sp.Sigs {
+		sp.Ratios[i] = signature.InterestRatio(float64(gen.supportOf(s)), s, p.n)
+	}
+	return sp
+}
+
+// acceptCores applies the redundancy filter to one rescue round, whose
+// coverage input is the cores kept followed by the candidates cands and
+// whose uncovered counts are unc, and returns kept followed by the
+// candidates that are not redundant.
+func (p *pipeline) acceptCores(gen *coreGenerator, kept, cands []signature.Signature, unc []int64) []signature.Signature {
+	all := append(slices.Clip(kept), cands...)
 	supports := make([]int64, len(all))
-	ratios := make([]float64, len(all))
 	for i, s := range all {
 		supports[i] = gen.supportOf(s)
-		ratios[i] = signature.InterestRatio(float64(supports[i]), s, p.n)
-	}
-	unc, err := uncoveredCounts(p.engine, p.splits, all, ratios, p.phaseSpan)
-	if err != nil {
-		return nil, err
 	}
 	red := signature.DecideRedundant(supports, unc, p.params.RedundancyCoverage)
-	kept := all[:k]
-	for i := k; i < len(all); i++ {
-		if !red[i] {
-			kept = append(kept, all[i])
+	k := len(kept)
+	kept = all[:k]
+	for i, s := range cands {
+		if !red[k+i] {
+			kept = append(kept, s)
 		}
 	}
-	return kept, nil
+	return kept
 }
 
 // relevantIntervals extracts the candidate intervals of every attribute

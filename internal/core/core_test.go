@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -206,69 +207,194 @@ func TestRedundancyRescueRecoversShadowedCore(t *testing.T) {
 	}
 }
 
+// provenCores runs the pipeline's histogram and core-generation phases
+// over data and returns the pipeline, its core generator and the proven
+// signatures that enter the redundancy filter.
+func provenCores(t *testing.T, data *dataset.Dataset, params Params) (*pipeline, *coreGenerator, []signature.Signature) {
+	t.Helper()
+	p := &pipeline{params: params, engine: mr.Default(), splits: data.Splits(16), n: data.N(), dim: data.Dim}
+	hists, err := histogramJob(p.engine, p.splits, p.dim, p.binCount(p.n), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := newCoreGenerator(p.params, p.engine, p.splits, p.n)
+	proven, err := gen.run(relevantIntervals(hists, p.params.AlphaChi2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, gen, proven
+}
+
+// rescueTrace is what a redundancy rescue did: its cores, round one's
+// maximal count, its rounds, the rounds that accepted a core and the
+// redundancy-uncovered passes it ran.
+type rescueTrace struct {
+	cores                  []signature.Signature
+	before, rounds, passes int
+	accepting              []int
+}
+
+// roundByRound is the redundancy rescue with one redundancy-uncovered pass
+// per round: the reference redundancyRescue's speculated chains must
+// equal. It fails the test when a round, or a round of the chain
+// rescueChain speculates from that round's cores and pool, would hand the
+// filter a pair s ⊆ t, against the precondition of
+// signature.NewCoverageIndex.
+func roundByRound(t *testing.T, p *pipeline, gen *coreGenerator, proven []signature.Signature) rescueTrace {
+	t.Helper()
+	var tr rescueTrace
+	jobs0 := p.engine.JobsRun()
+	pool := slices.Clone(proven)
+	for ; ; tr.rounds++ {
+		// rescueChain works on copies; rescueRound shortens pool in place.
+		cands, _ := rescueChain(tr.cores, pool)
+		for r, c := range cands {
+			checkAntichain(t, tr.rounds+r, append(slices.Clip(tr.cores), c...))
+		}
+		all, next := rescueRound(tr.cores, pool)
+		k := len(tr.cores)
+		if len(all) == k {
+			break
+		}
+		if tr.rounds == 0 {
+			tr.before = len(all)
+		}
+		checkAntichain(t, tr.rounds, all)
+		unc, err := uncoveredCounts(p.engine, p.splits, p.chainSpec(gen, tr.cores, [][]signature.Signature{all[k:]}), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.cores = p.acceptCores(gen, tr.cores, all[k:], unc[0]); len(tr.cores) > k {
+			tr.accepting = append(tr.accepting, tr.rounds)
+		}
+		pool = next
+	}
+	tr.passes = p.engine.JobsRun() - jobs0
+	return tr
+}
+
+func checkAntichain(t *testing.T, round int, sigs []signature.Signature) {
+	t.Helper()
+	for i, s := range sigs {
+		for j, u := range sigs {
+			if i != j && s.SubsetOf(u) {
+				t.Fatalf("round %d hands the filter %v ⊆ %v", round, s, u)
+			}
+		}
+	}
+}
+
 // TestRescueRoundsAreAntichains pins the precondition of the redundancy
-// filter's coverage counting (signature.NewCoverageIndex): no rescue round
-// hands uncoveredCounts a pair s ⊆ t. It replays redundancyRescue's rounds
-// through the same rescueRound and acceptCores, on the overlap fixture of
+// filter's coverage counting (signature.NewCoverageIndex): no rescue round,
+// taken or speculated, hands uncoveredCounts a pair s ⊆ t. It replays the
+// rescue round by round on the overlap fixture of
 // TestRedundancyRescueRecoversShadowedCore and on a noise-free data set
-// whose ~200 maximal cores take seven rounds, and checks that the replay
-// accepts the cores redundancyRescue does.
+// whose ~200 maximal cores take seven rounds.
 func TestRescueRoundsAreAntichains(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  dataset.GenConfig
 	}{
-		{"overlap", dataset.GenConfig{N: 3000, Dim: 15, Clusters: 3, NoiseFraction: 0.05, Seed: 7, Overlap: true}},
-		{"noise-free", dataset.GenConfig{N: 20000, Dim: 40, Clusters: 5, MaxClusterDims: 14, Seed: 1, Overlap: true}},
+		{"overlap", rescueOverlap},
+		{"noise-free", rescueNoiseFree},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data, _, err := dataset.Generate(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := &pipeline{params: LightParams(), engine: mr.Default(), splits: data.Splits(16), n: data.N(), dim: data.Dim}
-			hists, err := histogramJob(p.engine, p.splits, p.dim, p.binCount(p.n), 0)
-			if err != nil {
-				t.Fatal(err)
+			p, gen, proven := provenCores(t, data, LightParams())
+			ref := roundByRound(t, p, gen, proven)
+			if ref.rounds < 2 {
+				t.Fatalf("%d rescue rounds: the fixture no longer exercises the rescue", ref.rounds)
 			}
-			gen := newCoreGenerator(p.params, p.engine, p.splits, p.n)
-			proven, err := gen.run(relevantIntervals(hists, p.params.AlphaChi2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var kept []signature.Signature
-			pool := slices.Clone(proven)
-			rounds := 0
-			for {
-				all, next := rescueRound(kept, pool)
-				if len(all) == len(kept) {
-					break
-				}
-				rounds++
-				for i, s := range all {
-					for j, u := range all {
-						if i != j && s.SubsetOf(u) {
-							t.Fatalf("round %d hands the filter %v ⊆ %v", rounds, s, u)
-						}
-					}
-				}
-				if kept, err = p.acceptCores(gen, all, len(kept)); err != nil {
+			t.Logf("%d proven, %d rounds, %d cores", len(proven), ref.rounds, len(ref.cores))
+		})
+	}
+}
+
+// The rescue fixtures: the overlap data of
+// TestRedundancyRescueRecoversShadowedCore, noise-free data whose ~200
+// maximal cores take seven rounds, and data on which a speculated round
+// accepts a core.
+var (
+	rescueOverlap          = dataset.GenConfig{N: 3000, Dim: 15, Clusters: 3, NoiseFraction: 0.05, Seed: 7, Overlap: true}
+	rescueNoiseFree        = dataset.GenConfig{N: 20000, Dim: 40, Clusters: 5, MaxClusterDims: 14, Seed: 1, Overlap: true}
+	rescueSpeculatedAccept = dataset.GenConfig{N: 10000, Dim: 20, Clusters: 4, NoiseFraction: 0.1, Seed: 3, Overlap: true}
+)
+
+// speculated runs redundancyRescue and counts its passes.
+func speculated(t *testing.T, p *pipeline, gen *coreGenerator, proven []signature.Signature) rescueTrace {
+	t.Helper()
+	var tr rescueTrace
+	jobs0 := p.engine.JobsRun()
+	var err error
+	if tr.cores, tr.before, tr.rounds, err = p.redundancyRescue(gen, proven); err != nil {
+		t.Fatal(err)
+	}
+	tr.passes = p.engine.JobsRun() - jobs0
+	return tr
+}
+
+// TestRescueChainsMatchRoundByRound holds redundancyRescue, which counts a
+// chain of speculated rounds per pass, to the round-by-round loop: the same
+// cores, round-one maximal count and rounds, on Light and MVB over several
+// small data sets and the rescue fixtures, in one pass per accepting round
+// plus one for a final run of rounds that accept nothing. On
+// "speculated-accept" round one accepts too, so the chain counted after
+// round zero is cut short at round one and rounds 2–4 are counted again in
+// the next chain: five rounds in three passes.
+func TestRescueChainsMatchRoundByRound(t *testing.T) {
+	type tc struct {
+		name      string
+		cfg       dataset.GenConfig
+		rounds    int
+		accepting []int
+	}
+	cases := []tc{
+		{"overlap", rescueOverlap, 0, nil},
+		{"noise-free", rescueNoiseFree, 0, nil},
+		{"speculated-accept", rescueSpeculatedAccept, 5, []int{0, 1}},
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		cases = append(cases, tc{name: fmt.Sprintf("seed-%d", seed), cfg: dataset.GenConfig{N: 3000, Dim: 12, Clusters: 3, NoiseFraction: 0.1, Seed: seed, Overlap: true}})
+	}
+	for _, c := range cases {
+		for _, v := range []struct {
+			name   string
+			params Params
+		}{{"light", LightParams()}, {"mvb", NewParams()}} {
+			t.Run(c.name+"/"+v.name, func(t *testing.T) {
+				data, _, err := dataset.Generate(c.cfg)
+				if err != nil {
 					t.Fatal(err)
 				}
-				pool = next
-			}
-			if rounds < 2 {
-				t.Fatalf("%d rescue rounds: the fixture no longer exercises the rescue", rounds)
-			}
-			want, _, err := p.redundancyRescue(gen, proven)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.EqualFunc(kept, want, signature.Signature.Equal) {
-				t.Fatalf("replay kept %v, redundancyRescue %v", kept, want)
-			}
-			t.Logf("%d proven, %d rounds, %d cores", len(proven), rounds, len(kept))
-		})
+				p, gen, proven := provenCores(t, data, v.params)
+				want := roundByRound(t, p, gen, proven)
+				got := speculated(t, p, gen, proven)
+				if !slices.EqualFunc(got.cores, want.cores, signature.Signature.Equal) || got.before != want.before || got.rounds != want.rounds {
+					t.Fatalf("speculated: %d cores, %d before, %d rounds; round by round: %d, %d, %d",
+						len(got.cores), got.before, got.rounds, len(want.cores), want.before, want.rounds)
+				}
+				if want.passes != want.rounds {
+					t.Errorf("round by round ran %d passes for %d rounds", want.passes, want.rounds)
+				}
+				if len(want.accepting) == 0 || want.accepting[0] != 0 {
+					t.Fatalf("accepting rounds %v: round zero accepted nothing", want.accepting)
+				}
+				passes := len(want.accepting)
+				if last := want.accepting[len(want.accepting)-1]; last < want.rounds-1 {
+					passes++
+				}
+				if got.passes != passes {
+					t.Errorf("speculated ran %d passes; want %d for %d rounds accepting at %v", got.passes, passes, want.rounds, want.accepting)
+				}
+				if c.rounds > 0 && (want.rounds != c.rounds || !slices.Equal(want.accepting, c.accepting)) {
+					t.Errorf("%d rounds accepting at %v; the fixture wants %d at %v", want.rounds, want.accepting, c.rounds, c.accepting)
+				}
+				t.Logf("%d proven, %d rounds accepting at %v, %d cores, %d passes", len(proven), want.rounds, want.accepting, len(want.cores), got.passes)
+			})
+		}
 	}
 }
 

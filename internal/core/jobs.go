@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"p3cmr/internal/histogram"
 	"p3cmr/internal/mr"
@@ -36,11 +37,12 @@ func init() {
 
 // sigSpec is the Spec of the jobs parameterized by a signature set:
 // support counting, the redundancy filter (plus the signatures' interest
-// ratios), light membership, and candidate generation (an a-priori level
-// plus its sharding of the pair space). It travels in signature.AppendSet
-// form rather than gob: candidate sets run to hundreds of thousands of
-// intervals, and gob's buffers and per-signature decoding raised the 50-d
-// workload's peak RSS by about a tenth.
+// ratios and its rounds, as a rescueSpec), light membership, and
+// candidate generation (an a-priori level plus its sharding of the pair
+// space). It travels in signature.AppendSet form rather than gob:
+// candidate sets run to hundreds of thousands of intervals, and gob's
+// buffers and per-signature decoding raised the 50-d workload's peak RSS
+// by about a tenth.
 type sigSpec struct {
 	Sigs       []signature.Signature
 	Ratios     []float64
@@ -209,12 +211,24 @@ func countSupports(engine *mr.Engine, splits []*mr.Split, sigs []signature.Signa
 	if err != nil {
 		return nil, err
 	}
-	v, ok := out.Single("supports")
-	if !ok {
-		// No mapper emitted (empty input): all supports zero.
-		return make([]int64, len(sigs)), nil
+	return countVector(out, "supports", len(sigs))
+}
+
+// countVector reads the one vector of n counts a counting job's reducer
+// emits under key. An output without it, a job no mapper emitted to
+// (empty input), reads as all zeros; a record under another key, a second
+// record, or a value of another type or length is an error.
+func countVector(out *mr.Output, key string, n int) ([]int64, error) {
+	v, ok, err := mr.SingleValue[[]int64](out, key)
+	switch {
+	case err != nil:
+		return nil, err
+	case !ok:
+		return make([]int64, n), nil
+	case len(v) != n:
+		return nil, fmt.Errorf("core: %s: %d counts, want %d", key, len(v), n)
 	}
-	return v.([]int64), nil
+	return v, nil
 }
 
 func buildSupportJob(spec []byte) (mr.JobFuncs, error) {
@@ -222,20 +236,22 @@ func buildSupportJob(spec []byte) (mr.JobFuncs, error) {
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}
-	ix := signature.NewSupportIndex(sp.Sigs)
+	ixs := []*signature.SupportIndex{signature.NewSupportIndex(sp.Sigs)}
 	return mr.JobFuncs{
-		NewMapper:    func() mr.Mapper { return &countingMapper{ix: ix, key: "supports"} },
+		NewMapper:    func() mr.Mapper { return &countingMapper{ixs: ixs, key: "supports"} },
 		TypedReducer: sumVectors,
 	}, nil
 }
 
-// countingMapper counts its split vertically and emits the counts under
-// key: supports, or uncovered counts for a coverage-mode index. It reads
-// the split's interval bitmaps from the split's memo, which the first
-// counting job over the split builds and every later one reuses, so Map
-// has nothing to do: the engine's record loop still charges the scan.
+// countingMapper counts its split vertically with each of its indexes and
+// emits their counts, concatenated in index order, as one vector under
+// key: supports, or the uncovered counts of a chain of coverage-mode
+// indexes. It reads the split's interval bitmaps from the split's memo,
+// which the first counting job over the split builds and every later one
+// reuses, so Map has nothing to do: the engine's record loop still charges
+// the scan.
 type countingMapper struct {
-	ix  *signature.SupportIndex
+	ixs []*signature.SupportIndex
 	key string
 }
 
@@ -372,7 +388,13 @@ func (*countingMapper) Setup(*mr.TaskContext) error { return nil }
 func (*countingMapper) Map(*mr.TaskContext, int, []float64) error { return nil }
 
 func (m *countingMapper) Cleanup(ctx *mr.TaskContext) error {
-	ctx.Emit(m.key, m.ix.NewCounter().Count(rowBits(ctx.Split)))
+	rb := rowBits(ctx.Split)
+	counts := m.ixs[0].NewCounter().Count(rb)
+	for _, ix := range m.ixs[1:] {
+		// Clip makes the append copy: counts is the first counter's own.
+		counts = append(slices.Clip(counts), ix.NewCounter().Count(rb)...)
+	}
+	ctx.Emit(m.key, counts)
 	return nil
 }
 
@@ -461,38 +483,105 @@ func (m genMapper) Cleanup(ctx *mr.TaskContext) error {
 
 // --- Redundancy filter job (§4.2.1) ------------------------------------------------
 
-// uncoveredCounts runs one pass computing, per signature, how many of its
-// support points are not covered by any strictly more interesting
-// signature.
-func uncoveredCounts(engine *mr.Engine, splits []*mr.Split, sigs []signature.Signature, ratios []float64, trace obs.SpanID) ([]int64, error) {
-	if len(sigs) == 0 {
-		return nil, nil
+// rescueSpec is the Spec of the redundancy filter's job: a chain of rescue
+// rounds counted in one pass (core.redundancyRescue). Sigs holds the cores
+// kept so far, then every round's candidates in chain order, and Ratios
+// their interest ratios; Rounds[r] is round r's candidate count. Round r's
+// coverage input is the kept cores followed by its candidates.
+type rescueSpec struct {
+	sigSpec
+	Rounds []int
+}
+
+func (sp rescueSpec) encode() []byte {
+	b := binary.AppendUvarint(nil, uint64(len(sp.Rounds)))
+	for _, n := range sp.Rounds {
+		b = binary.AppendUvarint(b, uint64(n))
+	}
+	return append(b, sp.sigSpec.encode()...)
+}
+
+func decodeRescueSpec(spec []byte) (rescueSpec, error) {
+	rounds, n := binary.Uvarint(spec)
+	if n <= 0 || rounds == 0 || rounds > uint64(len(spec)) {
+		return rescueSpec{}, errBadSigSpec
+	}
+	spec = spec[n:]
+	sp := rescueSpec{Rounds: make([]int, rounds)}
+	cands := uint64(0)
+	for r := range sp.Rounds {
+		v, n := binary.Uvarint(spec)
+		if n <= 0 || v > uint64(len(spec)) {
+			return rescueSpec{}, errBadSigSpec
+		}
+		sp.Rounds[r], cands, spec = int(v), cands+v, spec[n:]
+	}
+	var err error
+	if sp.sigSpec, err = decodeSigSpec(spec); err != nil {
+		return rescueSpec{}, err
+	}
+	if len(sp.Ratios) != len(sp.Sigs) || cands > uint64(len(sp.Sigs)) {
+		return rescueSpec{}, errBadSigSpec
+	}
+	return sp, nil
+}
+
+// kept returns the number of kept cores at the head of Sigs.
+func (sp rescueSpec) kept() int {
+	k := len(sp.Sigs)
+	for _, n := range sp.Rounds {
+		k -= n
+	}
+	return k
+}
+
+// uncoveredCounts counts a chain of rescue rounds in one pass: per round
+// and per signature of the round's coverage input, how many of its support
+// points no strictly more interesting signature of that input holds.
+// Round r's counts are indexed like its input.
+func uncoveredCounts(engine *mr.Engine, splits []*mr.Split, sp rescueSpec, trace obs.SpanID) ([][]int64, error) {
+	k := sp.kept()
+	total := 0
+	for _, n := range sp.Rounds {
+		total += k + n
 	}
 	out, err := engine.Run(&mr.Job{
 		Name:        "redundancy-uncovered",
 		Splits:      splits,
 		Impl:        "redundancy-uncovered",
-		Spec:        sigSpec{Sigs: sigs, Ratios: ratios}.encode(),
+		Spec:        sp.encode(),
 		TraceParent: trace,
 	})
 	if err != nil {
 		return nil, err
 	}
-	v, ok := out.Single("uncovered")
-	if !ok {
-		return make([]int64, len(sigs)), nil
+	v, err := countVector(out, "uncovered", total)
+	if err != nil {
+		return nil, err
 	}
-	return v.([]int64), nil
+	unc := make([][]int64, len(sp.Rounds))
+	for r, n := range sp.Rounds {
+		unc[r], v = v[:k+n:k+n], v[k+n:]
+	}
+	return unc, nil
 }
 
+// buildUncoveredJob builds one coverage index per round of the chain.
 func buildUncoveredJob(spec []byte) (mr.JobFuncs, error) {
-	sp, err := decodeSigSpec(spec)
+	sp, err := decodeRescueSpec(spec)
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}
-	ix := signature.NewCoverageIndex(sp.Sigs, sp.Ratios)
+	k := sp.kept()
+	ixs := make([]*signature.SupportIndex, len(sp.Rounds))
+	for r, off := 0, k; r < len(ixs); r++ {
+		end := off + sp.Rounds[r]
+		sigs := append(slices.Clip(sp.Sigs[:k]), sp.Sigs[off:end]...)
+		ratios := append(slices.Clip(sp.Ratios[:k]), sp.Ratios[off:end]...)
+		ixs[r], off = signature.NewCoverageIndex(sigs, ratios), end
+	}
 	return mr.JobFuncs{
-		NewMapper:    func() mr.Mapper { return &countingMapper{ix: ix, key: "uncovered"} },
+		NewMapper:    func() mr.Mapper { return &countingMapper{ixs: ixs, key: "uncovered"} },
 		TypedReducer: sumVectors,
 	}, nil
 }

@@ -198,6 +198,10 @@ func TestTighteningJobMinMax(t *testing.T) {
 	}
 }
 
+// TestUncoveredCountsJobMatchesSerial holds the redundancy filter's job,
+// over a one-round chain and over a chain of three rounds that share their
+// kept cores, to one serial coverage counter per round over the whole data
+// set.
 func TestUncoveredCountsJobMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n, dim = 800, 4
@@ -209,21 +213,74 @@ func TestUncoveredCountsJobMatchesSerial(t *testing.T) {
 		}
 		d.Append(row)
 	}
-	sigs := []signature.Signature{
-		signature.New(signature.Interval{Attr: 0, Lo: 0, Hi: 0.5}),
-		signature.New(signature.Interval{Attr: 1, Lo: 0, Hi: 0.5}),
-		signature.New(signature.Interval{Attr: 2, Lo: 0, Hi: 0.5}, signature.Interval{Attr: 3, Lo: 0.25, Hi: 0.75}),
+	iv := func(a int, lo, hi float64) signature.Interval { return signature.Interval{Attr: a, Lo: lo, Hi: hi} }
+	kept := []signature.Signature{signature.New(iv(0, 0, 0.5))}
+	cands := []signature.Signature{
+		signature.New(iv(1, 0, 0.5)),
+		signature.New(iv(2, 0, 0.5), iv(3, 0.25, 0.75)),
+		signature.New(iv(1, 0.3, 0.9), iv(2, 0.1, 0.6)),
+		signature.New(iv(3, 0, 0.3)),
 	}
-	ratios := []float64{1, 2, 3}
-	got, err := uncoveredCounts(mr.Default(), splitsFor(d, 4), sigs, ratios, 0)
+	ratios := []float64{2, 1, 3, 2, 1}
+	for _, rounds := range [][]int{{2}, {2, 1, 1}} {
+		m := len(kept)
+		for _, c := range rounds {
+			m += c
+		}
+		sp := rescueSpec{sigSpec: sigSpec{Sigs: append(slices.Clone(kept), cands[:m-len(kept)]...), Ratios: ratios[:m]}, Rounds: rounds}
+		got, err := uncoveredCounts(mr.Default(), splitsFor(d, 4), sp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(rounds) {
+			t.Fatalf("%d rounds counted, want %d", len(got), len(rounds))
+		}
+		for r, off := 0, len(kept); r < len(rounds); r++ {
+			end := off + rounds[r]
+			sigs := append(slices.Clone(kept), cands[off-len(kept):end-len(kept)]...)
+			rs := append(slices.Clone(ratios[:len(kept)]), ratios[off:end]...)
+			want := signature.NewCoverageIndex(sigs, rs).NewCounter().Count(signature.NewRowBits(d.Rows, dim))
+			if !slices.Equal(got[r], want) {
+				t.Fatalf("chain %v, round %d: %v, serial %v", rounds, r, got[r], want)
+			}
+			off = end
+		}
+	}
+}
+
+// TestRescueSpecRoundTrip pins the redundancy filter's spec codec: a chain
+// decodes to itself, and every truncation, a chain without rounds, round
+// counts past the signatures and a ratio count other than the signatures'
+// are errors, never a panic or a short chain.
+func TestRescueSpecRoundTrip(t *testing.T) {
+	iv := func(a int, lo, hi float64) signature.Interval { return signature.Interval{Attr: a, Lo: lo, Hi: hi} }
+	sigs := []signature.Signature{
+		signature.New(iv(0, 0, 0.5)),
+		signature.New(iv(1, 0.25, 0.5), iv(3, 0, 1)),
+		signature.New(iv(2, 0.5, 0.75)),
+	}
+	ratios := []float64{2, math.Inf(1), 1}
+	sp := rescueSpec{sigSpec: sigSpec{Sigs: sigs, Ratios: ratios}, Rounds: []int{1, 1}}
+	b := sp.encode()
+	got, err := decodeRescueSpec(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Serial reference: one counter over the whole data set.
-	want := signature.NewCoverageIndex(sigs, ratios).NewCounter().Count(signature.NewRowBits(d.Rows, dim))
-	for i := range sigs {
-		if got[i] != want[i] {
-			t.Fatalf("sig %d: %d vs %d", i, got[i], want[i])
+	if !slices.EqualFunc(got.Sigs, sigs, signature.Signature.Equal) || !slices.Equal(got.Ratios, ratios) || !slices.Equal(got.Rounds, sp.Rounds) || got.kept() != 1 {
+		t.Fatalf("decoded %+v, want %+v", got, sp)
+	}
+	for i := range b {
+		if _, err := buildUncoveredJob(b[:i]); err == nil {
+			t.Errorf("spec cut to %d of %d bytes decodes", i, len(b))
+		}
+	}
+	for _, bad := range []rescueSpec{
+		{sigSpec: sigSpec{Sigs: sigs, Ratios: ratios}},
+		{sigSpec: sigSpec{Sigs: sigs, Ratios: ratios}, Rounds: []int{2, 2}},
+		{sigSpec: sigSpec{Sigs: sigs, Ratios: ratios[:2]}, Rounds: []int{1}},
+	} {
+		if _, err := buildUncoveredJob(bad.encode()); err == nil {
+			t.Errorf("rounds %v over %d signatures and %d ratios: no error", bad.Rounds, len(bad.Sigs), len(bad.Ratios))
 		}
 	}
 }

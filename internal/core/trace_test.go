@@ -159,6 +159,61 @@ func TestPipelineJobGraph(t *testing.T) {
 	}
 }
 
+// TestRescueJobGraph pins the redundancy filter's passes, Light and MVB,
+// on data whose rescue takes five rounds, of which rounds zero and one
+// accept a core: redundancy-uncovered runs once for round zero, once per
+// later round that accepts a core and once for the final run of rounds
+// that accept none, three times in all, as the round-by-round loop's
+// accepting rounds predict, and the phase publishes the round count.
+func TestRescueJobGraph(t *testing.T) {
+	data, _ := genData(t, 10000, 20, 4, 0.1, 3)
+	for _, v := range []struct {
+		name   string
+		params Params
+	}{{"light", LightParams()}, {"mvb", NewParams()}} {
+		t.Run(v.name, func(t *testing.T) {
+			mem := obs.NewMemTracer()
+			if _, err := Run(mr.NewEngine(mr.Config{Parallelism: 2, Tracer: mem}), data, v.params); err != nil {
+				t.Fatal(err)
+			}
+			var phase obs.SpanID
+			for _, s := range mem.SpansOf(obs.KindPhase) {
+				if s.Name == "redundancy-filter" {
+					phase = s.ID
+				}
+			}
+			passes := 0
+			for _, s := range mem.SpansOf(obs.KindJob) {
+				if s.Parent == phase {
+					if s.Name != "redundancy-uncovered" {
+						t.Errorf("redundancy filter ran %s", s.Name)
+					}
+					passes++
+				}
+			}
+			rounds := -1
+			for _, pt := range mem.Points() {
+				if pt.Span == phase && pt.Kind == obs.PointMetric && pt.Name == "quality_rescue_rounds" {
+					rounds = int(pt.Value)
+				}
+			}
+
+			p, gen, proven := provenCores(t, data, v.params)
+			ref := roundByRound(t, p, gen, proven)
+			want := len(ref.accepting)
+			if ref.accepting[want-1] < ref.rounds-1 {
+				want++
+			}
+			if rounds != ref.rounds || passes != want {
+				t.Errorf("%d rounds in %d passes; round by round: %d rounds accepting at %v, so %d passes", rounds, passes, ref.rounds, ref.accepting, want)
+			}
+			if rounds != 5 || passes != 3 {
+				t.Errorf("%d rounds in %d passes; the fixture wants 5 in 3", rounds, passes)
+			}
+		})
+	}
+}
+
 // TestPipelineChaosTraceIdentity: the full-pipeline analogue of the engine
 // oracle — enabling tracing must not change labels, signatures, counters or
 // modeled seconds of a chaos run at any parallelism.

@@ -291,16 +291,29 @@ func TestPartitionDeterministicAndInRange(t *testing.T) {
 	}
 }
 
-func TestOutputSingle(t *testing.T) {
-	out := &Output{Pairs: []Pair{{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "b", Value: 3}}}
-	if v, ok := out.Single("a"); !ok || v.(int) != 1 {
-		t.Error("Single(a) wrong")
+// TestSingleValue pins the one-record reader: an empty output reads as
+// absent, and a record under another key, a second record or a value of
+// another type is an error.
+func TestSingleValue(t *testing.T) {
+	pairs := func(ps ...Pair) *Output { return &Output{Pairs: ps} }
+	if v, ok, err := SingleValue[int](pairs(Pair{Key: "a", Value: 1}), "a"); err != nil || !ok || v != 1 {
+		t.Errorf("one record: %v, %v, %v", v, ok, err)
 	}
-	if _, ok := out.Single("b"); ok {
-		t.Error("duplicated key must not be single")
+	if _, ok, err := SingleValue[int](pairs(), "a"); err != nil || ok {
+		t.Errorf("empty output: ok %v, err %v; want absent", ok, err)
 	}
-	if _, ok := out.Single("z"); ok {
-		t.Error("absent key must not be single")
+	for _, c := range []struct {
+		name string
+		out  *Output
+	}{
+		{"other-key", pairs(Pair{Key: "b", Value: 1})},
+		{"repeated", pairs(Pair{Key: "a", Value: 1}, Pair{Key: "a", Value: 1})},
+		{"extra-key", pairs(Pair{Key: "a", Value: 1}, Pair{Key: "b", Value: 2})},
+		{"wrong-type", pairs(Pair{Key: "a", Value: int64(1)})},
+	} {
+		if _, _, err := SingleValue[int](c.out, "a"); err == nil {
+			t.Errorf("%s: no error", c.name)
+		}
 	}
 }
 

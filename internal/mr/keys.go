@@ -58,6 +58,25 @@ func IntKeyValues[T any](out *Output, prefix string, vals []T) error {
 	return nil
 }
 
+// SingleValue reads the output of a job that emits at most one record,
+// under key: ok is false for an empty output, and v is the record's value,
+// a T. A record under another key, a second record or a value of another
+// type is an error, never a silent zero or a panic.
+func SingleValue[T any](out *Output, key string) (v T, ok bool, err error) {
+	switch {
+	case len(out.Pairs) == 0:
+		return v, false, nil
+	case len(out.Pairs) > 1:
+		return v, false, fmt.Errorf("mr: %d records, want one under %q", len(out.Pairs), key)
+	case out.Pairs[0].Key != key:
+		return v, false, fmt.Errorf("mr: record under %q, want %q", out.Pairs[0].Key, key)
+	}
+	if v, ok = out.Pairs[0].Value.(T); !ok {
+		return v, false, fmt.Errorf("mr: key %q: want a %T, got %T", key, v, out.Pairs[0].Value)
+	}
+	return v, true, nil
+}
+
 // SplitKey is the key under which a map task emits its split's one
 // per-split record (a column or bitmap slab, from Cleanup): "s" and the
 // split's ID.

@@ -219,20 +219,6 @@ type Output struct {
 	SimulatedSeconds float64
 }
 
-// Single returns the value of the given key and ok=false when absent or
-// duplicated.
-func (o *Output) Single(key string) (any, bool) {
-	var v any
-	n := 0
-	for _, p := range o.Pairs {
-		if p.Key == key {
-			v = p.Value
-			n++
-		}
-	}
-	return v, n == 1
-}
-
 // Counters accumulate job statistics. The type lives in internal/obs (so
 // trace span events can embed counter deltas without an import cycle);
 // this alias keeps `mr.Counters` the engine-facing name.

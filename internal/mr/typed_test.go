@@ -112,7 +112,7 @@ func TestValuesAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := out.Single("k"); !ok || v != any(len(want)) {
+	if v, ok, err := SingleValue[int](out, "k"); err != nil || !ok || v != len(want) {
 		t.Fatalf("output = %v", out.Pairs)
 	}
 }
