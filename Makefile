@@ -19,11 +19,11 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# The eight project-specific contract analyzers (wall-clock and randomness
-# determinism, map order, hot-path boxing, zero-cost tracing, pool
-# lifecycles, the job-impl registry bijection, spans closed by a deferred
-# obs.Span End). Exits nonzero on any finding; see cmd/p3cvet and
-# DESIGN.md §3e/§3j.
+# The seven project-specific contract analyzers (wall-clock and randomness
+# determinism, map order, hot-path boxing, pool lifecycles, the job-impl
+# registry bijection, and tracing only through obs.Open handles closed by
+# a deferred End and the nil-safe obs.Emit). Exits nonzero on any
+# finding; see cmd/p3cvet and DESIGN.md §3e/§3j.
 lint:
 	$(GO) run ./cmd/p3cvet ./...
 

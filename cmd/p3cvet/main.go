@@ -1,12 +1,13 @@
-// Command p3cvet runs the project's eight contract-enforcing static
+// Command p3cvet runs the project's seven contract-enforcing static
 // analyzers over the module: detclock (wall clock is observability-only), detrand
 // (randomness is seeded per identity), hotpath (no scalar any-boxing or
 // per-emit fmt.Sprintf keys on the data plane), implreg (Job.Impl sites and
 // RegisterJobImpl registrations form a bijection with pure builders),
-// maporder (no output in map iteration order), poolsafe (pooled buffers
-// stay inside their lifecycle barrier), spanbalance (spans open only as
-// obs.Open handles, each Ended exactly once by a defer or returned to the
-// caller), and tracenil (Tracer/Metrics calls are nil-guarded).
+// maporder (no output in map iteration order), poolsafe (a pooled buffer
+// is borrowed by a Run's release or a deferred put, and never escapes),
+// and spanbalance (no Tracer method outside internal/obs: spans open only
+// as obs.Open handles, each Ended exactly once by a defer or returned to
+// the caller, and points go through obs.Emit).
 // Findings print as
 //
 //	file:line: [analyzer] message

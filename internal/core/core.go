@@ -136,15 +136,10 @@ func (ps *phaseScope) end(err error) {
 // the given span (the open phase span, or the run span for cross-phase
 // aggregates) and the matching p3c_<name> registry gauge. Driver-side
 // values only, so they are bit-identical across backends; with tracing and
-// metrics off this is two nil checks.
+// metrics off both sinks are nil and ignore it.
 func (p *pipeline) metric(span obs.SpanID, name string, v float64) {
-	if p.tracer != nil {
-		p.tracer.Point(obs.Point{Span: span, Kind: obs.PointMetric, Name: name, Value: v})
-	}
-	reg := p.engine.Metrics()
-	if reg != nil {
-		reg.Gauge("p3c_" + name).Set(v)
-	}
+	obs.Emit(p.tracer, obs.Point{Span: span, Kind: obs.PointMetric, Name: name, Value: v})
+	p.engine.Metrics().Gauge("p3c_" + name).Set(v)
 }
 
 // binCount applies the configured bin rule to a sample size.

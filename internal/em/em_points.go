@@ -28,20 +28,16 @@ func activeClusters(model *Model) int {
 // families (latest-value gauges for /metrics). Driver-side only, after the
 // iteration's jobs have reduced — the values are deterministic functions
 // of the reduced stats, so they are bit-identical across backends, and
-// with tracing and metrics off this is two nil checks and a return.
+// with tracing and metrics off both sinks are nil and ignore them.
 func emitConvergence(engine *mr.Engine, span obs.SpanID, it int, meanLL, meanH float64, model *Model) {
 	active := activeClusters(model)
 	tr := engine.Tracer()
-	if tr != nil {
-		tr.Point(obs.Point{Span: span, Kind: obs.PointMetric, Name: "em_log_likelihood", Task: it, Value: meanLL})
-		tr.Point(obs.Point{Span: span, Kind: obs.PointMetric, Name: "em_resp_entropy", Task: it, Value: meanH})
-		tr.Point(obs.Point{Span: span, Kind: obs.PointMetric, Name: "em_active_clusters", Task: it, Value: float64(active)})
-	}
+	obs.Emit(tr, obs.Point{Span: span, Kind: obs.PointMetric, Name: "em_log_likelihood", Task: it, Value: meanLL})
+	obs.Emit(tr, obs.Point{Span: span, Kind: obs.PointMetric, Name: "em_resp_entropy", Task: it, Value: meanH})
+	obs.Emit(tr, obs.Point{Span: span, Kind: obs.PointMetric, Name: "em_active_clusters", Task: it, Value: float64(active)})
 	reg := engine.Metrics()
-	if reg != nil {
-		reg.Counter("p3c_em_iterations_total").Inc()
-		reg.Gauge("p3c_em_log_likelihood").Set(meanLL)
-		reg.Gauge("p3c_em_resp_entropy").Set(meanH)
-		reg.Gauge("p3c_em_active_clusters").Set(float64(active))
-	}
+	reg.Counter("p3c_em_iterations_total").Inc()
+	reg.Gauge("p3c_em_log_likelihood").Set(meanLL)
+	reg.Gauge("p3c_em_resp_entropy").Set(meanH)
+	reg.Gauge("p3c_em_active_clusters").Set(float64(active))
 }

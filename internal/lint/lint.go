@@ -2,10 +2,11 @@
 // driven by cmd/p3cvet. The engine's correctness story rests on conventions
 // that ordinary review cannot reliably police: bit-identical output at any
 // Parallelism (so every chaos oracle stays meaningful), jobs that can cross
-// a process boundary, pooled buffers that never outlive their barrier, and
+// a process boundary, pooled buffers that never outlive their borrow, and
 // the guarantee that a nil tracer adds zero clock reads and allocations to
-// the hot path. Each convention is machine-checked by one of eight
-// analyzers:
+// the hot path. Each convention is machine-checked by one of seven
+// analyzers, every one a syntactic rule over one function or package (no
+// flow analysis):
 //
 //   - detclock:    no time.Now/time.Since outside internal/obs — wall-clock
 //     reads are observability-only and live behind obs.Now/obs.Since.
@@ -18,11 +19,13 @@
 //     bijection, and builders capture no driver-local state.
 //   - maporder:    no emitting/accumulating output from a `range` over a map
 //     without an intervening sort (Go randomizes map iteration order).
-//   - poolsafe:    pooled buffers must not escape their lifecycle barrier.
-//   - spanbalance: spans open only as obs.Open handles, each Ended exactly
-//     once by a defer in the opening function or returned to the caller.
-//   - tracenil:    calls through Tracer/Metrics handles must be nil-guarded
-//     (the zero-cost-when-off contract).
+//   - poolsafe:    a pooled buffer is borrowed by a Run, whose release
+//     returns it, or by one function, whose deferred put does; it never
+//     escapes to a global, a parameter or a channel.
+//   - spanbalance: no Tracer method outside internal/obs — spans open only
+//     as obs.Open handles, each Ended exactly once by a defer in the
+//     opening function or returned to the caller, and points go through
+//     obs.Emit, which is nil-safe.
 //
 // Findings can be suppressed with a `//lint:allow <analyzer> <reason>`
 // comment on the finding's line or the line directly above it; allows that
@@ -314,7 +317,7 @@ func analyzerSeconds(start time.Time) float64 { return obs.Since(start).Seconds(
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{DetClock, DetRand, HotPath, ImplReg, MapOrder, PoolSafe, SpanBalance, TraceNil}
+	return []*Analyzer{DetClock, DetRand, HotPath, ImplReg, MapOrder, PoolSafe, SpanBalance}
 }
 
 // ByName resolves a comma-separated analyzer list ("detclock,maporder").

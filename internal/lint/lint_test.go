@@ -102,10 +102,6 @@ func TestMapOrderCorpus(t *testing.T) {
 	runCorpus(t, []*Analyzer{MapOrder}, "testdata/src/maporder")
 }
 
-func TestTraceNilCorpus(t *testing.T) {
-	runCorpus(t, []*Analyzer{TraceNil}, "testdata/src/tracenil")
-}
-
 func TestPoolSafeCorpus(t *testing.T) {
 	runCorpus(t, []*Analyzer{PoolSafe}, "testdata/src/poolsafe")
 }

@@ -11,16 +11,18 @@ import (
 // shape (zero findings), applies the one-line mutation the analyzer exists
 // to catch, and demands exactly one finding — no misses, no pile-ons.
 
-// mutationFindings loads src as the one package of a throwaway module on
-// disk and runs one analyzer over it.
+// mutationFindings loads src as package p of a throwaway module on disk,
+// next to obsStub as the module's internal/obs, and runs one analyzer over
+// both.
 func mutationFindings(t *testing.T, analyzer *Analyzer, src string) []Finding {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.Mkdir(filepath.Join(dir, "p"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, body := range map[string]string{"go.mod": "module m\n\ngo 1.22\n", "p/p.go": src} {
-		if err := os.WriteFile(filepath.Join(dir, filepath.FromSlash(name)), []byte(body), 0o644); err != nil {
+	for name, body := range map[string]string{"go.mod": "module m\n\ngo 1.22\n", "p/p.go": src, "internal/obs/obs.go": obsStub} {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,6 +37,21 @@ func mutationFindings(t *testing.T, analyzer *Analyzer, src string) []Finding {
 	}
 	return Run(pkgs, []*Analyzer{analyzer})
 }
+
+// obsStub is the fixture module's internal/obs: a Tracer and its nil-safe
+// Emit, which may call the Tracer because the package is exempt.
+const obsStub = `package obs
+
+type Point struct{ Name string }
+
+type Tracer interface{ Point(p Point) }
+
+func Emit(tr Tracer, p Point) {
+	if tr != nil {
+		tr.Point(p)
+	}
+}
+`
 
 // checkMutation asserts the clean source is silent and the mutated source
 // produces exactly one finding matching wantSub.
@@ -55,8 +72,8 @@ func checkMutation(t *testing.T, analyzer *Analyzer, clean, mutated, wantSub str
 	}
 }
 
-// TestMutationPooledSliceLeak redirects a pooled buffer from a local
-// aggregate into a caller-visible struct field.
+// TestMutationPooledSliceLeak turns a deferred put into an in-line put
+// followed by a use of the recycled buffer.
 func TestMutationPooledSliceLeak(t *testing.T) {
 	clean := `package p
 
@@ -64,18 +81,35 @@ import "sync"
 
 var bufPool = sync.Pool{New: func() any { return make([]byte, 0, 8) }}
 
-type sink struct{ out []byte }
-
-func fill(s *sink) {
+func checksum(data []byte) byte {
 	buf := bufPool.Get().([]byte)
-	var scratch sink
-	scratch.out = buf
-	_ = scratch
-	bufPool.Put(buf)
+	defer bufPool.Put(buf[:0])
+	buf = append(buf[:0], data...)
+	var sum byte
+	for _, b := range buf {
+		sum += b
+	}
+	return sum
 }
 `
-	mutated := strings.Replace(clean, "scratch.out = buf", "s.out = buf", 1)
-	checkMutation(t, PoolSafe, clean, mutated, "which the caller can retain past put")
+	mutated := strings.Replace(clean, "\tdefer bufPool.Put(buf[:0])\n\tbuf = append(buf[:0], data...)\n",
+		"\tbuf = append(buf[:0], data...)\n\tbufPool.Put(buf[:0])\n", 1)
+	checkMutation(t, PoolSafe, clean, mutated, "put outside a defer or a release method")
+}
+
+// TestMutationEmitBypassed sends a point straight to the Tracer instead of
+// through obs.Emit.
+func TestMutationEmitBypassed(t *testing.T) {
+	clean := `package p
+
+import "m/internal/obs"
+
+func converged(tr obs.Tracer, loglik float64) {
+	obs.Emit(tr, obs.Point{Name: "em_log_likelihood"})
+}
+`
+	mutated := strings.Replace(clean, `obs.Emit(tr, obs.Point{`, `tr.Point(obs.Point{`, 1)
+	checkMutation(t, SpanBalance, clean, mutated, "direct Tracer.Point")
 }
 
 // TestMutationUnregisteredImpl typos one of two Impl sites; the registration

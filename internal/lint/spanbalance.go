@@ -6,20 +6,21 @@ import (
 	"strings"
 )
 
-// SpanBalance enforces the span-closure contract of the obs tracing plane
-// by construction: outside internal/obs a span opens only as an obs.Span
-// handle (obs.Open), and the handle is either ended exactly once by a defer
+// SpanBalance enforces the tracing contracts of the obs plane by
+// construction: outside internal/obs no Tracer method is named (Begin, End
+// or Point, called or taken as a method value). A span opens only as an
+// obs.Span handle (obs.Open), which is either ended exactly once by a defer
 // in the function that opened it — which runs on every exit, early return
 // and panic alike — or returned to the caller, who takes over the closing
-// (the phaseScope handoff). A direct Tracer.Begin leaves the closing to
-// hand-written End calls on every path, so it is flagged; replays that
-// forward a Begin opened elsewhere carry a //lint:allow. The rule is
-// syntactic: a handle is its printed expression plus the object of its
-// leading identifier. Detection is name-based (an Open returning a Span, a
-// Begin taking a Start) so the corpus can define local mocks.
+// (the phaseScope handoff). A point goes out through obs.Emit. Open and
+// Emit do nothing for a nil Tracer, so an untraced run pays no clock read
+// or allocation and no caller writes a nil guard. The rule is syntactic: a
+// handle is its printed expression plus the object of its leading
+// identifier. Detection is name-based (a Tracer-typed receiver, an Open
+// returning a Span) so the corpus can define local mocks.
 var SpanBalance = &Analyzer{
 	Name: "spanbalance",
-	Doc:  "require spans to open as obs.Open handles ended exactly once by a defer (or returned), never by a direct Tracer.Begin",
+	Doc:  "outside internal/obs call no Tracer method: spans open as obs.Open handles ended exactly once by a defer (or returned), points go through obs.Emit",
 	Run:  runSpanBalance,
 }
 
@@ -42,7 +43,7 @@ func runSpanBalance(pass *Pass) {
 	}
 }
 
-// checkSpanFunc checks the Begin calls and Open handles of one function
+// checkSpanFunc checks the Tracer methods and Open handles of one function
 // body; nested function literals are checked as functions of their own.
 func checkSpanFunc(pass *Pass, body *ast.BlockStmt) {
 	var stack []ast.Node
@@ -55,22 +56,32 @@ func checkSpanFunc(pass *Pass, body *ast.BlockStmt) {
 			return false
 		}
 		stack = append(stack, n)
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch calleeName(call.Fun) {
-		case "Begin":
-			if len(call.Args) == 1 && typeName(pass.TypeOf(call.Args[0])) == "Start" {
-				pass.Reportf(call.Pos(), "direct Tracer.Begin leaves the span's closing to End calls on every path — open it with obs.Open and End the handle in a defer")
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if sel := pass.Info.Selections[n]; sel != nil && sel.Kind() != types.FieldVal && typeName(pass.TypeOf(n.X)) == "Tracer" {
+				pass.Reportf(n.Pos(), "direct Tracer.%s %s", n.Sel.Name, tracerAdvice(n.Sel.Name))
 			}
-		case "Open":
-			if typeName(pass.TypeOf(call)) == "Span" {
-				checkSpanOpen(pass, body, stack[len(stack)-2], call)
+		case *ast.CallExpr:
+			if calleeName(n.Fun) == "Open" && typeName(pass.TypeOf(n)) == "Span" {
+				checkSpanOpen(pass, body, stack[len(stack)-2], n)
 			}
 		}
 		return true
 	})
+}
+
+// tracerAdvice says why a direct call of the named Tracer method is
+// flagged and what replaces it.
+func tracerAdvice(method string) string {
+	switch method {
+	case "Begin":
+		return "leaves the span's closing to End calls on every path — open it with obs.Open and End the handle in a defer"
+	case "Point":
+		return "panics on a nil Tracer, and a hand-written guard is easy to forget — emit through obs.Emit, which does nothing when tracing is off"
+	case "End":
+		return "closes a span no handle owns — End the obs.Open handle instead"
+	}
+	return "— outside internal/obs a Tracer is used only through obs.Open and obs.Emit"
 }
 
 // checkSpanOpen checks one Open call of body, whose syntactic parent is

@@ -146,12 +146,8 @@ func (w *workerProc) readClock() error {
 }
 
 // emitTelemetry folds one worker telemetry frame into the driver's span
-// stream: begins open KindStep spans under the live attempt span (worker-
-// local IDs remapped to process-unique SpanIDs — the worker's flush
-// discipline guarantees a frame carries complete begin/end sets, so the
-// remap table is per-frame), ends stamp Worker and outcome, points attach
-// to the attempt span. Every timestamp is aligned onto the driver clock, so
-// the sinks see one coherent forest.
+// stream under the live attempt span (obs.ReplayTelemetry), its timestamps
+// aligned onto the driver clock.
 func (p *procRun) emitTelemetry(w *workerProc, span obs.SpanID, task, attempt int, data []byte) error {
 	var tf telemetryFrame
 	if err := decodeFrame(data, &tf); err != nil {
@@ -161,33 +157,8 @@ func (p *procRun) emitTelemetry(w *workerProc, span obs.SpanID, task, attempt in
 	if tr == nil {
 		return nil
 	}
-	ids := make(map[int64]obs.SpanID, 4)
-	for i := range tf.Events {
-		ev := &tf.Events[i]
-		switch ev.Ev {
-		case obs.TelBegin:
-			id := obs.NewSpanID()
-			ids[ev.ID] = id
-			//lint:allow spanbalance replays a worker's step span, not one opened here: its End is a later TelEnd event, which the worker's AbortOpen-before-drain discipline guarantees
-			tr.Begin(obs.Start{ID: id, Parent: span, Kind: obs.KindStep,
-				Name: ev.Name, Task: task, Attempt: attempt, Phase: ev.Phase,
-				At: w.alignTime(ev.S)})
-		case obs.TelEnd:
-			id, ok := ids[ev.ID]
-			if !ok {
-				continue
-			}
-			tr.End(obs.End{ID: id, Kind: obs.KindStep, Name: ev.Name,
-				Task: task, Attempt: attempt, Phase: ev.Phase,
-				Outcome: obs.Outcome(ev.Outcome), Err: ev.Err,
-				RealSeconds: ev.RealS, Worker: w.name, At: w.alignTime(ev.S)})
-		case obs.TelPoint:
-			tr.Point(obs.Point{Span: span, Kind: obs.PointKind(ev.PKind),
-				Name: p.job.Name, Task: task, Attempt: attempt, Phase: ev.Phase,
-				Seconds: ev.Seconds, Worker: w.name, Sample: ev.Sample,
-				At: w.alignTime(ev.S)})
-		}
-	}
+	obs.ReplayTelemetry(tr, tf.Events, obs.TelemetryOrigin{Span: span, Job: p.job.Name,
+		Task: task, Attempt: attempt, Worker: w.name, Align: w.alignTime})
 	p.mu.Lock()
 	p.stats.TelemetryEvents += len(tf.Events)
 	p.mu.Unlock()
@@ -212,6 +183,8 @@ type fleet struct {
 	// is the sampler cadence shipped to workers via telemetryEnv.
 	tel       bool
 	telSample time.Duration
+	// poison is Config.DebugPoisonPools, shipped via poisonEnv.
+	poison bool
 
 	mu     sync.Mutex
 	idle   []*workerProc
@@ -238,7 +211,7 @@ func (e *Engine) procFleet() (*fleet, error) {
 	if telSample <= 0 {
 		telSample = 250 * time.Millisecond
 	}
-	e.fleet = &fleet{exe: exe, tel: e.cfg.Tracer != nil, telSample: telSample}
+	e.fleet = &fleet{exe: exe, tel: e.cfg.Tracer != nil, telSample: telSample, poison: e.cfg.DebugPoisonPools}
 	return e.fleet, nil
 }
 
@@ -260,6 +233,9 @@ func (f *fleet) spawn() (*workerProc, error) {
 	cmd.Env = append(os.Environ(), workerEnv+"=1")
 	if f.tel {
 		cmd.Env = append(cmd.Env, fmt.Sprintf("%s=%d", telemetryEnv, f.telSample.Milliseconds()))
+	}
+	if f.poison {
+		cmd.Env = append(cmd.Env, poisonEnv+"=1")
 	}
 	cmd.ExtraFiles = []*os.File{ctlR, resW} // child fds 3, 4
 	cmd.Stdout = io.Discard
@@ -483,7 +459,6 @@ func (multiprocBackend) begin(rc *runContext) (runState, error) {
 			NumReducers: job.NumReducers,
 			NB:          rc.nb,
 			MapOnly:     rc.mapOnly,
-			Poison:      e.cfg.DebugPoisonPools,
 			SpillDir:    dir,
 			SpillLimit:  resolveSpillThreshold(e.cfg.SpillThresholdBytes),
 			Resident:    resident,
@@ -728,9 +703,7 @@ func (p *procRun) attempt(w *workerProc, phase TaskPhase, task, attempt int, spa
 				p.f.reap(w)
 				return nil, Counters{}, errInjectedFailure
 			}
-			if p.e.cfg.Tracer != nil {
-				p.e.point(span, obs.PointFault, p.job.Name, task, attempt, phase, 0, w.name)
-			}
+			p.e.point(span, obs.PointFault, p.job.Name, task, attempt, phase, 0, w.name)
 			p.f.reap(w)
 			return nil, df.Counters, errInjectedFailure
 		case fTaskErr:

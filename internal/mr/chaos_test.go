@@ -82,7 +82,10 @@ func TestChaosJobBitIdenticalAcrossPlans(t *testing.T) {
 // passing by luck on zeroed memory. Back-to-back jobs on one engine under an
 // aggressive fault plan at parallelism {1,8} must stay bit-identical to the
 // clean un-poisoned baseline, and no poison sentinel may ever surface in
-// job output.
+// job output. Then a job whose mapper fails outright mid-split (a real
+// error, which no retry absorbs) leaves its pooled buffers to the Run's
+// release, and the next clean job on the same engine must match a fresh
+// engine's run exactly.
 func TestChaosPoisonedPoolsRetrySafety(t *testing.T) {
 	const n, numSplits, numReducers = 2000, 9, 4
 	baseline, err := NewEngine(Config{Parallelism: 4}).Run(chaosJob(n, numSplits, numReducers))
@@ -119,6 +122,33 @@ func TestChaosPoisonedPoolsRetrySafety(t *testing.T) {
 		}
 		if retries == 0 {
 			t.Errorf("%s: fault plan injected no retries — the oracle exercised nothing", name)
+		}
+
+		errCorrupt := errors.New("corrupt row")
+		doomed := funcJob("poison-doomed", makeSplits(n, numSplits), JobFuncs{
+			NewMapper: mapFn(func(ctx *TaskContext, global int, row []float64) error {
+				ctx.Emit(fmt.Sprintf("k%02d", int(row[0])%17), int64(1))
+				if global == n/2 {
+					return errCorrupt
+				}
+				return nil
+			}),
+			TypedReducer: sumInt64,
+		})
+		doomed.NumReducers = numReducers
+		if _, err := engine.Run(doomed); !errors.Is(err, errCorrupt) {
+			t.Fatalf("%s: doomed job returned %v, want the mapper's error", name, err)
+		}
+		out, err := engine.Run(chaosJob(n, numSplits, numReducers))
+		if err != nil {
+			t.Fatalf("%s after the failed job: %v", name, err)
+		}
+		fresh, err := NewEngine(Config{Parallelism: par, Faults: plan, MaxAttempts: 12, DebugPoisonPools: true}).Run(chaosJob(n, numSplits, numReducers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out.Pairs, fresh.Pairs) || out.Counters != fresh.Counters {
+			t.Errorf("%s: the job after a failed one differs from a fresh engine's — a buffer of the failed Run was recycled while still in use", name)
 		}
 	}
 }

@@ -53,7 +53,7 @@ type Config struct {
 	// garbage markers as they are recycled. A buffer recycled while a stale
 	// reference can still observe it then yields obviously-corrupt records
 	// instead of stale-but-plausible ones, which the bit-identity chaos
-	// oracles detect — the canary proving the pool lifecycle barriers (see
+	// oracles detect — the runtime canary of the pool lifecycle (see
 	// enginePools). Test/debug knob; leave off otherwise. The multiprocess
 	// backend forwards the flag to its workers, whose pools poison the same
 	// way.
@@ -363,12 +363,10 @@ func (e *Engine) Run(j *Job) (_ *Output, err error) {
 }
 
 // point emits a point event into the engine's tracer, attributed to a
-// worker process when worker is non-empty (multiprocess backend). Callers
-// gate on e.cfg.Tracer != nil so the untraced path pays nothing (not even
-// the TaskPhase→string conversion).
+// worker process when worker is non-empty (multiprocess backend). An
+// untraced engine pays a call and a nil check (obs.Emit).
 func (e *Engine) point(span obs.SpanID, kind obs.PointKind, name string, task, attempt int, phase TaskPhase, seconds float64, worker string) {
-	//lint:allow tracenil every caller gates on e.cfg.Tracer != nil before paying for this call's arguments
-	e.cfg.Tracer.Point(obs.Point{Span: span, Kind: kind, Name: name,
+	obs.Emit(e.cfg.Tracer, obs.Point{Span: span, Kind: kind, Name: name,
 		Task: task, Attempt: attempt, Phase: phase.String(), Seconds: seconds, Worker: worker})
 }
 
@@ -383,7 +381,7 @@ func (e *Engine) decideFault(job string, phase TaskPhase, task, attempt, n int, 
 		return 0, -1
 	}
 	d := e.cfg.Faults.Decide(job, phase, task, attempt)
-	if d.StragglerSeconds > 0 && e.cfg.Tracer != nil {
+	if d.StragglerSeconds > 0 {
 		e.point(span, obs.PointStraggler, job, task, attempt, phase, d.StragglerSeconds, worker)
 	}
 	failAt = -1
@@ -417,12 +415,9 @@ func runTaskAttempts[T any](e *Engine, job *boundJob, phase TaskPhase, taskID in
 	var fc faultCharge
 	var lastErr error
 	var retries int64
-	tr := e.cfg.Tracer
 	for attempt := 0; attempt < e.cfg.MaxAttempts; attempt++ {
 		if cancelled(cancel) {
-			if tr != nil {
-				e.point(parent, obs.PointCancel, job.Name, taskID, attempt, phase, 0, "")
-			}
+			e.point(parent, obs.PointCancel, job.Name, taskID, attempt, phase, 0, "")
 			return zero, Counters{}, fc, errTaskCancelled
 		}
 		out, c, err := runAttempt(e, job, phase, taskID, attempt, parent, retries, &fc, worker, try)
@@ -435,7 +430,7 @@ func runTaskAttempts[T any](e *Engine, job *boundJob, phase TaskPhase, taskID in
 		}
 		fc.Wasted.Add(c)
 		retries++
-		if tr != nil && attempt+1 < e.cfg.MaxAttempts {
+		if attempt+1 < e.cfg.MaxAttempts {
 			e.point(parent, obs.PointRetry, job.Name, taskID, attempt, phase, 0, "")
 		}
 	}

@@ -19,11 +19,10 @@ import (
 //     counting sort over dense ids — zero string hashing or comparison per
 //     record.
 //   - Pooled buffers. Task buffers, the job-wide shuffle state and reduce
-//     scratch are recycled through sync.Pools. Recycling is barriered on
-//     attempt commitment (see enginePools): a buffer is returned only when
-//     no retried attempt can still observe it, preserving the retry
-//     contract. Config.DebugPoisonPools overwrites buffers on return so any
-//     violation of that barrier corrupts output visibly in chaos tests.
+//     scratch are recycled through sync.Pools, each borrowed for one whole
+//     Run (see enginePools), so no retried attempt can observe a returned
+//     buffer. Config.DebugPoisonPools overwrites buffers on return so any
+//     violation of that contract corrupts output visibly in chaos tests.
 //
 // Values ride as the `any` the job emitted. Every job aggregates in its
 // mapper and emits partials (histograms, moments, per-point records) from
@@ -200,9 +199,8 @@ func groupLocal(bucket []rec, tab *keyTab, sc *groupScratch, fn func(id uint32, 
 }
 
 // mapState is one map task's shuffle-side output: per-partition record
-// buffers plus the task-local key table. One attempt owns it exclusively;
-// it is recycled through the engine pool only after the merge has copied
-// its records out (or the attempt failed unobserved).
+// buffers plus the task-local key table. One attempt at a time owns it;
+// it goes back to the engine pool when its Run releases.
 type mapState struct {
 	tab     keyTab
 	buckets [][]rec
@@ -240,7 +238,7 @@ func (m *mapState) reset(poison bool) {
 // mapOnlyPairs materializes a map-only job's output from its committed
 // task states: bucket 0 holds every record, and tasks concatenate in split
 // order. Pairs hold the boxed values and immutable key strings, so the
-// states may recycle as soon as it returns.
+// states may recycle once it returns.
 func mapOnlyPairs(states []*mapState) []Pair {
 	total := 0
 	for _, st := range states {
@@ -256,16 +254,19 @@ func mapOnlyPairs(states []*mapState) []Pair {
 }
 
 // shuffleState is the job-wide merge workspace: the job-global key table,
-// per-task id remaps, per-partition merged runs and their sorted key lists.
-// One Run owns it from the map barrier to output materialization.
+// per-task id remaps, per-partition merged runs and their sorted key lists,
+// and a slot per partition for the group scratch its reduce task borrows
+// (the slots' capacity recycles with the shuffle; the scratches come from
+// their own pool). One Run owns it from the map barrier to its release.
 type shuffleState struct {
-	tab     keyTab     // job-global ids, first-emission order
-	remaps  [][]uint32 // task-local id → job-global id
-	pid     []uint32   // job-global id → partition-local id
-	order   []uint32   // job-global ids in ascending key order
-	sorter  idSorter
-	runs    [][]rec    // per partition: merged records (partition-local ids)
-	runKeys [][]string // per partition: key strings in ascending order
+	tab       keyTab     // job-global ids, first-emission order
+	remaps    [][]uint32 // task-local id → job-global id
+	pid       []uint32   // job-global id → partition-local id
+	order     []uint32   // job-global ids in ascending key order
+	sorter    idSorter
+	runs      [][]rec         // per partition: merged records (partition-local ids)
+	runKeys   [][]string      // per partition: key strings in ascending order
+	scratches []*groupScratch // per partition: its reduce task's group scratch
 }
 
 func (s *shuffleState) reset(poison bool) {
@@ -292,29 +293,24 @@ func (s *shuffleState) reset(poison bool) {
 		s.remaps[i] = s.remaps[i][:0]
 	}
 	s.remaps = s.remaps[:0]
+	clear(s.scratches)
+	s.scratches = s.scratches[:0]
 	s.pid = s.pid[:0]
 	s.order = s.order[:0]
 	s.tab.reset(poison)
 }
 
-// enginePools recycles the three buffer kinds across jobs. Lifecycle
-// barriers (who may return what, when):
-//
-//   - mapState: returned by the merge step after its records are copied
-//     into the partition runs, or by the failing/cancelled task goroutine
-//     (a failed attempt's buffers were never observed outside the task).
-//     Never returned between attempts of a live task — the next attempt
-//     resets and reuses it directly.
-//   - shuffleState: returned at the end of Run, after reduce tasks (and
-//     their retries, which re-read the immutable partition runs) have all
-//     finished and the output is materialized.
-//   - groupScratch (reduce side): returned when its reduce task's attempt
-//     loop ends; retries of the same task reuse it by re-scattering, and no
-//     other task can see it.
+// enginePools recycles the three buffer kinds across jobs. A pooled value
+// is borrowed for exactly one Run (or one worker map task) and comes back
+// in one place: the in-process Run's release, which the job driver defers
+// until every task and retry has finished, or the worker task's deferred
+// put. A failed attempt resets its state in place and the retry reuses it,
+// so nothing returns to a pool mid-run (p3cvet's poolsafe rule keeps it
+// so).
 //
 // poison, when set, overwrites buffers as they are returned so that any
-// read through a stale reference yields garbage — the chaos canary that
-// proves the barriers above (see TestChaosPoisonedPools*).
+// read through a stale reference yields garbage — the runtime canary of
+// the same contract (see TestChaosPoisonedPools*).
 type enginePools struct {
 	poison    bool
 	mapStates sync.Pool
@@ -354,6 +350,9 @@ func (p *enginePools) putShuffle(s *shuffleState) {
 func (p *enginePools) getScratch() *groupScratch { return p.scratches.Get().(*groupScratch) }
 
 func (p *enginePools) putScratch(sc *groupScratch) {
+	if sc == nil {
+		return
+	}
 	sc.release(p.poison)
 	p.scratches.Put(sc)
 }
@@ -418,6 +417,10 @@ func mergeShuffle(sh *shuffleState, states []*mapState, nb, numReducers int) {
 		sh.runs = append(sh.runs, nil)
 	}
 	sh.runs = sh.runs[:nb]
+	for len(sh.scratches) < nb {
+		sh.scratches = append(sh.scratches, nil)
+	}
+	sh.scratches = sh.scratches[:nb]
 	for r := 0; r < nb; r++ {
 		total := 0
 		for _, st := range states {

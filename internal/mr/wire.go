@@ -104,10 +104,8 @@ type jobFrame struct {
 	Spec        []byte
 	NumReducers int
 	// NB is the shuffle bucket count (1 for map-only jobs).
-	NB      int
-	MapOnly bool
-	// Poison forwards Config.DebugPoisonPools into the worker's pools.
-	Poison   bool
+	NB       int
+	MapOnly  bool
 	SpillDir string
 	// SpillLimit is the mid-task spill threshold in buffered record bytes.
 	SpillLimit int64

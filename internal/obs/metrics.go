@@ -10,28 +10,46 @@ import (
 )
 
 // Counter is a monotonically increasing int64 metric. All methods are
-// lock-free and safe for concurrent use.
+// lock-free and safe for concurrent use. A nil *Counter (what a nil
+// Registry hands out) ignores writes and reads 0, as do nil Gauges and
+// Histograms.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (n may be any int64; counters are conventionally monotonic
 // but the type does not enforce it).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value reads the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is a float64 metric that can be set or accumulated. Safe for
 // concurrent use (CAS on the bit pattern).
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add accumulates d.
 func (g *Gauge) Add(d float64) {
+	if g == nil {
+		return
+	}
 	for {
 		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + d)
@@ -42,7 +60,12 @@ func (g *Gauge) Add(d float64) {
 }
 
 // Value reads the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // Histogram counts observations into fixed buckets: bucket i counts values
 // v ≤ Bounds[i]; one implicit overflow bucket counts the rest. Bounds are
@@ -56,6 +79,9 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := 0
 	for ; i < len(h.bounds); i++ {
 		if v <= h.bounds[i] {
@@ -117,6 +143,8 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 
 // Registry holds named metrics. Get-or-create lookups take a mutex; the
 // returned metric handles are lock-free, so hot paths should cache them.
+// A nil *Registry is metrics switched off: its lookups return nil handles,
+// whose methods do nothing, so callers need no guard.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -135,6 +163,9 @@ func NewRegistry() *Registry {
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := r.counters[name]
@@ -147,6 +178,9 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g := r.gauges[name]
@@ -161,6 +195,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 // upper bounds (which must be ascending) on first use. An existing
 // histogram is returned as-is — its original bounds win.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.hists[name]
@@ -203,6 +240,9 @@ func (r *Registry) Snapshot() Snapshot {
 
 // Snapshot copies the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
 	hs := HistogramSnapshot{
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: make([]int64, len(h.counts)),

@@ -189,6 +189,30 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestNilMetricHandlesAreFree pins that metrics switched off need no guard:
+// a nil Registry hands out nil handles, and every method of a nil handle
+// does nothing, reads zero and allocates nothing.
+func TestNilMetricHandlesAreFree(t *testing.T) {
+	var r *Registry
+	bounds := []float64{1, 10}
+	allocs := testing.AllocsPerRun(100, func() {
+		c := r.Counter("p3c_em_iterations_total")
+		c.Inc()
+		c.Add(3)
+		g := r.Gauge("p3c_em_log_likelihood")
+		g.Set(-1.5)
+		g.Add(2)
+		h := r.Histogram("p3c_task_seconds", bounds)
+		h.Observe(4)
+		if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
+			t.Fatalf("nil handles read %d, %g, %d; want zeros", c.Value(), g.Value(), h.Snapshot().Count)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("nil metric handles: %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestSnapshotWriteText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_count").Add(2)

@@ -35,6 +35,28 @@ func TestOpenNilTracerIsFree(t *testing.T) {
 	}
 }
 
+// TestEmitNilTracerIsFree pins the zero-cost-when-off contract of points:
+// on a nil tracer Emit allocates nothing, so no caller needs a guard.
+func TestEmitNilTracerIsFree(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		Emit(nil, Point{Span: 7, Kind: PointMetric, Name: "em_log_likelihood", Task: 3, Value: -1.5})
+	})
+	if allocs != 0 {
+		t.Errorf("Emit on a nil tracer: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestEmitForwardsPoint pins that Emit hands the point to a live tracer
+// as given.
+func TestEmitForwardsPoint(t *testing.T) {
+	m := NewMemTracer()
+	p := Point{Span: 7, Kind: PointMetric, Name: "quality_outliers", Value: 12}
+	Emit(m, p)
+	if got := m.Points(); len(got) != 1 || got[0] != p {
+		t.Errorf("Emit forwarded %+v, want [%+v]", got, p)
+	}
+}
+
 // TestSpanEndFillsIdentity pins what End takes from the Start and from the
 // caller: identity from Open, the error text, and an OK outcome turned into
 // an error one while an explicit fault outcome is kept.

@@ -42,6 +42,57 @@ type TelemetryEvent struct {
 	Sample  *ResourceSample // TelPoint with PKind == PointSample
 }
 
+// TelemetryOrigin places one worker task attempt's telemetry in the
+// driver's forest: the attempt span its steps and points attach to, the
+// attempt's identity, the worker's name, and Align, which maps a worker's
+// S onto the driver clock.
+type TelemetryOrigin struct {
+	Span          SpanID
+	Job           string
+	Task, Attempt int
+	Worker        string
+	Align         func(s float64) time.Time
+}
+
+// ReplayTelemetry folds one frame of worker events into tr. TelBegin and
+// TelEnd become KindStep spans under o.Span, their worker-local IDs
+// remapped to process-unique SpanIDs: a worker flushes complete begin/end
+// sets (AbortOpen before every drain), so the remap is per frame. Ends
+// stamp the worker and outcome; TelPoint becomes a Point on o.Span. Every
+// timestamp is aligned onto the driver clock, so the sinks see one
+// coherent forest.
+func ReplayTelemetry(tr Tracer, events []TelemetryEvent, o TelemetryOrigin) {
+	if tr == nil {
+		return
+	}
+	ids := make(map[int64]SpanID, 4)
+	for i := range events {
+		ev := &events[i]
+		switch ev.Ev {
+		case TelBegin:
+			id := NewSpanID()
+			ids[ev.ID] = id
+			tr.Begin(Start{ID: id, Parent: o.Span, Kind: KindStep,
+				Name: ev.Name, Task: o.Task, Attempt: o.Attempt, Phase: ev.Phase,
+				At: o.Align(ev.S)})
+		case TelEnd:
+			id, ok := ids[ev.ID]
+			if !ok {
+				continue
+			}
+			tr.End(End{ID: id, Kind: KindStep, Name: ev.Name,
+				Task: o.Task, Attempt: o.Attempt, Phase: ev.Phase,
+				Outcome: Outcome(ev.Outcome), Err: ev.Err,
+				RealSeconds: ev.RealS, Worker: o.Worker, At: o.Align(ev.S)})
+		case TelPoint:
+			tr.Point(Point{Span: o.Span, Kind: PointKind(ev.PKind),
+				Name: o.Job, Task: o.Task, Attempt: o.Attempt, Phase: ev.Phase,
+				Seconds: ev.Seconds, Worker: o.Worker, Sample: ev.Sample,
+				At: o.Align(ev.S)})
+		}
+	}
+}
+
 // WorkerTelemetry is the in-worker tracer of the multiprocess backend. It
 // records step spans and point events into an in-memory buffer that the
 // worker's single pipe-writer goroutine drains into telemetry frames at

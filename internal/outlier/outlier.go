@@ -203,15 +203,11 @@ func emitOutlierStats(engine *mr.Engine, span obs.SpanID, labels []int, n int) {
 	}
 	mass := float64(outliers) / float64(n)
 	tr := engine.Tracer()
-	if tr != nil {
-		tr.Point(obs.Point{Span: span, Kind: obs.PointMetric, Name: "quality_outliers", Value: float64(outliers)})
-		tr.Point(obs.Point{Span: span, Kind: obs.PointMetric, Name: "quality_outlier_mass", Value: mass})
-	}
+	obs.Emit(tr, obs.Point{Span: span, Kind: obs.PointMetric, Name: "quality_outliers", Value: float64(outliers)})
+	obs.Emit(tr, obs.Point{Span: span, Kind: obs.PointMetric, Name: "quality_outlier_mass", Value: mass})
 	reg := engine.Metrics()
-	if reg != nil {
-		reg.Counter("p3c_quality_outliers_total").Add(int64(outliers))
-		reg.Gauge("p3c_quality_outlier_mass").Set(mass)
-	}
+	reg.Counter("p3c_quality_outliers_total").Add(int64(outliers))
+	reg.Gauge("p3c_quality_outlier_mass").Set(mass)
 }
 
 func buildDetectJob(spec []byte) (mr.JobFuncs, error) {
