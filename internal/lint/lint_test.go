@@ -106,6 +106,13 @@ func TestPoolSafeCorpus(t *testing.T) {
 	runCorpus(t, []*Analyzer{PoolSafe}, "testdata/src/poolsafe")
 }
 
+// TestTraceNilCorpus runs the former tracenil corpus under the rule that
+// replaced that analyzer: spanbalance flags every Tracer method named outside
+// internal/obs, so points go through obs.Emit and need no hand-written guard.
+func TestTraceNilCorpus(t *testing.T) {
+	runCorpus(t, []*Analyzer{SpanBalance}, "testdata/src/tracenil")
+}
+
 func TestSpanBalanceCorpus(t *testing.T) {
 	runCorpus(t, []*Analyzer{SpanBalance},
 		"testdata/src/spanbalance",

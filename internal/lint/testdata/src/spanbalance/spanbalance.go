@@ -2,7 +2,8 @@
 // outside internal/obs a span opens only as a Span handle from obs.Open, ended
 // exactly once by a defer in the opening function or returned to the
 // caller, and a point goes out through obs.Emit; any direct Tracer method is
-// a finding. points.go holds the point cases.
+// a finding. The point cases are the tracenil corpus
+// (testdata/src/tracenil), checked by the same analyzer.
 package spanbalance
 
 import "p3cmr/internal/lint/testdata/src/exempt/internal/obs"

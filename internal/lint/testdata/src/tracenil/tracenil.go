@@ -1,15 +1,14 @@
-package spanbalance
+// Package tracenil is the point corpus of the spanbalance analyzer. Outside
+// internal/obs a point goes out through obs.Emit, which does nothing for a
+// nil Tracer, so no caller guards a Tracer by hand and any direct
+// Tracer.Point is a finding, guarded or not. The cases are the former
+// tracenil corpus: its unguarded calls stay findings, and its hand-guarded
+// calls (the guardedX functions) are findings now too, since obs.Emit
+// replaces the guard. Calls on a metrics registry are not cases any more: a
+// nil *obs.Registry hands out nil handles whose methods do nothing.
+package tracenil
 
 import "p3cmr/internal/lint/testdata/src/exempt/internal/obs"
-
-// The point cases. Outside internal/obs a point goes out through obs.Emit,
-// which does nothing for a nil Tracer, so no caller guards a Tracer by hand
-// and any direct Tracer.Point is a finding, guarded or not. The cases are
-// the former tracenil corpus: its unguarded calls stay findings, and its
-// hand-guarded calls (the guardedX functions) are findings now too, since
-// obs.Emit replaces the guard. Calls on a metrics registry are not cases
-// any more: a nil *obs.Registry hands out nil handles whose methods do
-// nothing.
 
 // Registry and Config mirror the engine's metrics registry and config.
 type Registry struct{}
