@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"p3cmr/internal/dataset"
 	"p3cmr/internal/em"
@@ -132,14 +133,15 @@ func (ps *phaseScope) end(err error) {
 	ps.p.phaseSpan = 0
 }
 
-// metric publishes one algorithm-quality scalar: a typed metric point on
-// the given span (the open phase span, or the run span for cross-phase
-// aggregates) and the matching p3c_<name> registry gauge. Driver-side
-// values only, so they are bit-identical across backends; with tracing and
-// metrics off both sinks are nil and ignore it.
-func (p *pipeline) metric(span obs.SpanID, name string, v float64) {
-	obs.Emit(p.tracer, obs.Point{Span: span, Kind: obs.PointMetric, Name: name, Value: v})
-	p.engine.Metrics().Gauge("p3c_" + name).Set(v)
+// metric publishes one algorithm-quality scalar: the registry gauge named
+// gauge (p3c_<name>) and a typed metric point <name> on the given span (the
+// open phase span, or the run span for cross-phase aggregates).
+// Driver-side values only, so they are bit-identical across backends. Call
+// sites pass the gauge name as a constant, so with tracing and metrics off
+// both sinks are nil and this allocates nothing.
+func (p *pipeline) metric(span obs.SpanID, gauge string, v float64) {
+	obs.Emit(p.tracer, obs.Point{Span: span, Kind: obs.PointMetric, Name: strings.TrimPrefix(gauge, "p3c_"), Value: v})
+	p.engine.Metrics().Gauge(gauge).Set(v)
 }
 
 // binCount applies the configured bin rule to a sample size.
@@ -171,8 +173,8 @@ func (p *pipeline) run() (*Result, error) {
 	for _, s := range supports {
 		supportMass += s
 	}
-	p.metric(p.phaseSpan, "quality_relevant_intervals", float64(len(intervals)))
-	p.metric(p.phaseSpan, "quality_interval_support_frac", float64(supportMass)/float64(p.n*p.dim))
+	p.metric(p.phaseSpan, "p3c_quality_relevant_intervals", float64(len(intervals)))
+	p.metric(p.phaseSpan, "p3c_quality_interval_support_frac", float64(supportMass)/float64(p.n*p.dim))
 	ps.end(nil)
 
 	// --- Cluster-core generation (§5.3) --------------------------------------
@@ -181,7 +183,7 @@ func (p *pipeline) run() (*Result, error) {
 	gen.trace = p.phaseSpan
 	proven, err := gen.run(intervals, supports)
 	if err == nil {
-		p.metric(p.phaseSpan, "quality_candidates_tested", float64(len(gen.lattice)))
+		p.metric(p.phaseSpan, "p3c_quality_candidates_tested", float64(len(gen.lattice)))
 	}
 	ps.end(err)
 	if err != nil {
@@ -195,7 +197,7 @@ func (p *pipeline) run() (*Result, error) {
 		var rounds int
 		cores, coresBefore, rounds, err = p.redundancyRescue(gen, proven)
 		if err == nil {
-			p.metric(p.phaseSpan, "quality_rescue_rounds", float64(rounds))
+			p.metric(p.phaseSpan, "p3c_quality_rescue_rounds", float64(rounds))
 		}
 		ps.end(err)
 		if err != nil {
@@ -217,8 +219,8 @@ func (p *pipeline) run() (*Result, error) {
 	for _, s := range coreSupports {
 		coreMass += s
 	}
-	p.metric(p.runSpan, "quality_cores", float64(len(cores)))
-	p.metric(p.runSpan, "quality_core_support_frac", float64(coreMass)/float64(p.n))
+	p.metric(p.runSpan, "p3c_quality_cores", float64(len(cores)))
+	p.metric(p.runSpan, "p3c_quality_core_support_frac", float64(coreMass)/float64(p.n))
 
 	res := &Result{
 		Cores:        cores,

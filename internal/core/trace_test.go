@@ -256,3 +256,26 @@ func TestPipelineChaosTraceIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricOffIsFree pins pipeline.metric's contract: with tracing and
+// metrics off it allocates nothing and does not panic, and with both on the
+// gauge keeps its p3c_ name while the point carries the bare one.
+func TestMetricOffIsFree(t *testing.T) {
+	p := &pipeline{engine: mr.NewEngine(mr.Config{Parallelism: 1})}
+	allocs := testing.AllocsPerRun(100, func() {
+		p.metric(p.runSpan, "p3c_quality_cores", 3)
+	})
+	if allocs != 0 {
+		t.Fatalf("metric with tracing and metrics off: %v allocs, want 0", allocs)
+	}
+
+	mem, reg := obs.NewMemTracer(), obs.NewRegistry()
+	p = &pipeline{engine: mr.NewEngine(mr.Config{Parallelism: 1, Tracer: mem, Metrics: reg}), tracer: mem}
+	p.metric(p.runSpan, "p3c_quality_cores", 3)
+	if got := reg.Snapshot().Gauges["p3c_quality_cores"]; got != 3 {
+		t.Errorf("gauge p3c_quality_cores = %v, want 3", got)
+	}
+	if pts := mem.Points(); len(pts) != 1 || pts[0].Name != "quality_cores" || pts[0].Value != 3 {
+		t.Errorf("points = %+v, want one quality_cores point of 3", pts)
+	}
+}

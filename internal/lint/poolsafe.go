@@ -16,8 +16,11 @@ import (
 //   - A get is assigned either to a field of a method's receiver whose type
 //     has a release method (a Run owns the value and its release returns
 //     it), or to a local that a put of the same function hands back.
-//   - A put (put* or sync.Pool Put) is a deferred call or sits in a release
-//     method, so no code of the borrower runs after it.
+//   - A put (put* or sync.Pool Put), and a call of a release method, is
+//     deferred by the borrowing function or sits in a release method, so no
+//     code of the borrower runs after it. A defer inside a goroutine, a
+//     callback or a literal called in line does not count: it fires while
+//     the borrower still runs.
 //   - A value of a pooled type (what a get yields) is never stored to a
 //     package-level variable or through a field that a local or such an
 //     owner does not root, never sent on a channel, and a function never
@@ -121,46 +124,60 @@ func poolGet(pass *Pass, call *ast.CallExpr) bool {
 // isGetExpr reports whether e is a get call, possibly parenthesized or
 // type-asserted: checkPoolGet judges where its value lands.
 func isGetExpr(pass *Pass, e ast.Expr) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.TypeAssertExpr:
-			e = x.X
-		case *ast.CallExpr:
-			return poolGet(pass, x)
-		default:
-			return false
-		}
+	if ta, ok := ast.Unparen(e).(*ast.TypeAssertExpr); ok {
+		e = ta.X
 	}
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	return ok && poolGet(pass, call)
 }
 
-// poolPut returns the handed-back arguments when the call returns a value
-// to a pool: sync.Pool Put or an enginePools put* accessor.
+// poolPut returns the handed-back arguments when the call returns values
+// to a pool: sync.Pool Put, an enginePools put* accessor, or an owner's
+// release method, which hands back everything the owner borrowed.
 func poolPut(pass *Pass, call *ast.CallExpr) ([]ast.Expr, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return nil, false
 	}
 	tn := typeName(pass.TypeOf(sel.X))
-	if (sel.Sel.Name == "Put" && tn == "Pool") || (strings.HasPrefix(sel.Sel.Name, "put") && tn == "enginePools") {
+	if (sel.Sel.Name == "Put" && tn == "Pool") || (strings.HasPrefix(sel.Sel.Name, "put") && tn == "enginePools") || (sel.Sel.Name == "release" && pass.Info.Selections[sel] != nil) {
 		return call.Args, true
 	}
 	return nil, false
 }
 
-// putDeferred reports whether the put call at the top of stack runs
-// deferred (a defer statement encloses it) or inside a release method.
+// putDeferred reports whether the call at the top of stack runs when its
+// borrower is done: deferred by the declared function that encloses it, or
+// inside a release method. A function literal on the way up stops the
+// search unless it is itself the deferred call (defer func() { … }()): a
+// goroutine, a callback or a literal called in line runs on its own
+// schedule, so a defer inside it fires while the borrower still runs.
 func putDeferred(stack []ast.Node) bool {
+	deferred := false
 	for i := len(stack) - 2; i >= 0; i-- {
 		switch n := stack[i].(type) {
 		case *ast.DeferStmt:
-			return true
+			deferred = true
+		case *ast.FuncLit:
+			if i < 2 || !deferredLit(n, stack[i-1], stack[i-2]) {
+				return false
+			}
+			// The literal runs when the function deferring it ends, so
+			// that defer must in turn belong to the borrower.
+			deferred = false
 		case *ast.FuncDecl:
-			return n.Recv != nil && n.Name.Name == "release"
+			return deferred || n.Recv != nil && n.Name.Name == "release"
 		}
 	}
 	return false
+}
+
+// deferredLit reports whether lit is the function of a deferred call:
+// call is lit's parent and stmt call's.
+func deferredLit(lit *ast.FuncLit, call, stmt ast.Node) bool {
+	c, ok := call.(*ast.CallExpr)
+	_, d := stmt.(*ast.DeferStmt)
+	return ok && d && c.Fun == lit
 }
 
 // enclosingFunc returns the innermost function of stack: its body, and its
@@ -190,21 +207,7 @@ func checkPoolGet(pass *Pass, stack []ast.Node) {
 			}
 		}
 	}
-	var lhs ast.Expr
-	switch n := stack[i].(type) {
-	case *ast.AssignStmt:
-		for j, rhs := range n.Rhs {
-			if len(n.Lhs) == len(n.Rhs) && rhs.Pos() == call.Pos() {
-				lhs = n.Lhs[j]
-			}
-		}
-	case *ast.ValueSpec:
-		for j, v := range n.Values {
-			if j < len(n.Names) && v.Pos() == call.Pos() {
-				lhs = n.Names[j]
-			}
-		}
-	}
+	lhs := assignedTo(stack[i], call)
 	body, fd := enclosingFunc(stack)
 	switch {
 	case lhs == nil:
@@ -216,6 +219,27 @@ func checkPoolGet(pass *Pass, stack []ast.Node) {
 		return
 	}
 	pass.Reportf(call.Pos(), "pooled value is neither handed back by a put in this function nor kept in a field of a receiver with a release method — it can leak, or outlive its borrow")
+}
+
+// assignedTo returns what the assignment or declaration parent stores e in,
+// or nil. e is matched by position, so a value wrapping e from its start (a
+// type assertion of a get) counts as e.
+func assignedTo(parent, e ast.Node) ast.Expr {
+	switch p := parent.(type) {
+	case *ast.AssignStmt:
+		for i, rhs := range p.Rhs {
+			if len(p.Lhs) == len(p.Rhs) && rhs.Pos() == e.Pos() {
+				return p.Lhs[i]
+			}
+		}
+	case *ast.ValueSpec:
+		for i, v := range p.Values {
+			if i < len(p.Names) && v.Pos() == e.Pos() {
+				return p.Names[i]
+			}
+		}
+	}
+	return nil
 }
 
 // isLocalIdent reports whether e is an identifier declared inside body.
@@ -236,7 +260,7 @@ func handedBack(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			args, _ := poolPut(pass, call)
 			for _, arg := range args {
-				if id := rootIdent(arg); id != nil && objOf(pass.Info, id) == obj {
+				if rootObj(pass, arg) == obj {
 					found = true
 				}
 			}
@@ -253,8 +277,7 @@ func ownerRooted(pass *Pass, fd *ast.FuncDecl, lhs ast.Expr) bool {
 	if _, plain := lhs.(*ast.Ident); plain || fd == nil || fd.Recv == nil || len(fd.Recv.List[0].Names) == 0 {
 		return false
 	}
-	root := rootIdent(lhs)
-	if root == nil || objOf(pass.Info, root) != objOf(pass.Info, fd.Recv.List[0].Names[0]) {
+	if rootObj(pass, lhs) != objOf(pass.Info, fd.Recv.List[0].Names[0]) {
 		return false
 	}
 	t := pass.TypeOf(fd.Recv.List[0].Type)
@@ -369,6 +392,14 @@ func typeName(t types.Type) string {
 		return named.Obj().Name()
 	}
 	return ""
+}
+
+// rootObj resolves rootIdent(e) to its object, or nil.
+func rootObj(pass *Pass, e ast.Expr) types.Object {
+	if id := rootIdent(e); id != nil {
+		return objOf(pass.Info, id)
+	}
+	return nil
 }
 
 // objOf resolves an identifier to its object via Defs or Uses.

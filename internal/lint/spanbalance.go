@@ -87,23 +87,10 @@ func tracerAdvice(method string) string {
 // checkSpanOpen checks one Open call of body, whose syntactic parent is
 // parent.
 func checkSpanOpen(pass *Pass, body *ast.BlockStmt, parent ast.Node, call *ast.CallExpr) {
-	var handle ast.Expr
-	switch parent := parent.(type) {
-	case *ast.ReturnStmt:
+	if _, ok := parent.(*ast.ReturnStmt); ok {
 		return // handed to the caller
-	case *ast.AssignStmt:
-		for i, rhs := range parent.Rhs {
-			if rhs == call && len(parent.Lhs) == len(parent.Rhs) {
-				handle = parent.Lhs[i]
-			}
-		}
-	case *ast.ValueSpec:
-		for i, v := range parent.Values {
-			if v == call && i < len(parent.Names) {
-				handle = parent.Names[i]
-			}
-		}
 	}
+	handle := assignedTo(parent, call)
 	if handle == nil {
 		pass.Reportf(call.Pos(), "span handle from Open is not kept — assign it and End it in a defer, or return it")
 		return
@@ -176,19 +163,4 @@ func (h spanHandle) returnedBy(body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-// rootObj resolves the leading identifier of a selector chain ("ps" in
-// ps.span) to its object, or nil.
-func rootObj(pass *Pass, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return objOf(pass.Info, x)
-		case *ast.SelectorExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

@@ -1,10 +1,11 @@
 // Package poolsafe is the seeded corpus for the poolsafe analyzer: a value
 // drawn from sync.Pool Get or an enginePools get* accessor is borrowed by a
 // Run (a field of a receiver with a release method, which returns it) or by
-// one function (a local that a deferred put hands back). A put sits in a
-// defer or a release method; a pooled-typed value is never stored to a
-// package-level variable or through a parameter, never sent on a channel,
-// and never returned past its put.
+// one function (a local that a deferred put hands back). A put, and a call
+// of a release method, is deferred by the borrowing function (not by a
+// goroutine or another literal inside it) or sits in a release method; a
+// pooled-typed value is never stored to a package-level variable or through
+// a parameter, never sent on a channel, and never returned past its put.
 package poolsafe
 
 import "sync"
@@ -80,6 +81,24 @@ func (r *run) release() {
 	for _, t := range r.tasks {
 		r.p.putRows(t)
 	}
+}
+
+// drive runs the Run's tasks and hands its buffers back when it returns,
+// as the engine's job driver does.
+func (r *run) drive() int {
+	defer r.release()
+	r.goodRunTask(0)
+	return len(r.tasks[0])
+}
+
+// goodNestedDefer defers a literal whose own defer hands the value back:
+// both fire as the borrower returns.
+func goodNestedDefer() int {
+	buf := rowPool.Get().([]byte)
+	defer func() {
+		defer rowPool.Put(buf)
+	}()
+	return len(buf)
 }
 
 // --- finding shapes ---------------------------------------------------
@@ -237,4 +256,52 @@ func badGetIntoParam(st *mapState, p *enginePools) {
 // task can still read it.
 func (r *run) badRunMidPut(i int) {
 	r.p.putRows(r.tasks[i]) // want "put outside a defer or a release method"
+}
+
+// badGoroutineDeferredPut defers the put inside a goroutine: it fires when
+// the goroutine ends, while the borrower still reads the buffer.
+func badGoroutineDeferredPut() int {
+	buf := rowPool.Get().([]byte)
+	go func() {
+		defer rowPool.Put(buf) // want "put outside a defer or a release method"
+	}()
+	return len(buf)
+}
+
+// badInlineClosureDeferredPut defers the put inside a literal called in
+// line: it fires before the borrower's next statement.
+func badInlineClosureDeferredPut() int {
+	buf := rowPool.Get().([]byte)
+	func() {
+		defer rowPool.Put(buf) // want "put outside a defer or a release method"
+	}()
+	return len(buf)
+}
+
+// badCallbackPut hands the value back from a literal passed to a deferred
+// call: the callee may run it at any time.
+func badCallbackPut(later func(func())) int {
+	buf := rowPool.Get().([]byte)
+	defer later(func() {
+		rowPool.Put(buf) // want "put outside a defer or a release method"
+	})
+	return len(buf)
+}
+
+// badInlineRelease releases the Run in the middle of driving it: the task
+// after it reads a returned buffer.
+func (r *run) badInlineRelease() int {
+	r.goodRunTask(0)
+	r.release() // want "put outside a defer or a release method"
+	return len(r.tasks[0])
+}
+
+// badGoroutineDeferredRelease releases the Run when a goroutine ends, not
+// when the driver does.
+func (r *run) badGoroutineDeferredRelease() int {
+	go func() {
+		defer r.release() // want "put outside a defer or a release method"
+		r.goodRunTask(1)
+	}()
+	return len(r.tasks[0])
 }

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"errors"
+	"sync"
 
 	"p3cmr/internal/obs"
 )
@@ -21,14 +22,16 @@ func (inprocessBackend) begin(rc *runContext) (runState, error) {
 // inprocRun is one in-process Run and the sole owner of the pooled buffers
 // it borrows: map task i's state states[i] (its output, pre-partitioned
 // into per-reducer buffers plus the task-local key table; see plane.go),
-// the shuffle sh that merges them, and reducer r's group scratch
-// sh.scratches[r]. Each is taken when its task or step starts, and all of
-// them go back in release: nothing returns to a pool while the Run can
-// still read it, retried attempts included.
+// the shuffle sh that merges them, and the reduce tasks' group scratches.
+// Each is taken when its task or step starts, and all of them go back in
+// release: nothing returns to a pool while the Run can still read it,
+// retried attempts included.
 type inprocRun struct {
 	rc     *runContext
 	states []*mapState
 	sh     *shuffleState
+	// mu guards sh.idle, the group scratches no running reduce task holds.
+	mu sync.Mutex
 }
 
 func (s *inprocRun) mapTask(i int) (Counters, faultCharge, error) {
@@ -54,23 +57,50 @@ func (s *inprocRun) shuffle() {
 
 func (s *inprocRun) emptyPartition(r int) bool { return len(s.sh.runs[r]) == 0 }
 
+// reduceTask runs reducer r in a group scratch the Run lends it for the
+// task's length. A scratch grows to its partition's record count, so
+// scratches pass from task to task: the Run borrows no more of them than
+// reduce tasks run at once, whatever the reducer count.
 func (s *inprocRun) reduceTask(r int) ([]Pair, Counters, faultCharge, error) {
 	rc := s.rc
-	s.sh.scratches[r] = rc.e.pools.getScratch()
-	return rc.e.runReduceTask(rc.job, r, s.sh.runs[r], s.sh.runKeys[r], s.sh.scratches[r], rc.jobSpan, rc.cancelCh)
+	sc := s.takeScratch()
+	defer s.idleScratch(sc)
+	return rc.e.runReduceTask(rc.job, r, s.sh.runs[r], s.sh.runKeys[r], sc, rc.jobSpan, rc.cancelCh)
+}
+
+// takeScratch lends a reduce task an idle group scratch of the Run,
+// borrowing one more from the pool when every scratch is in use.
+func (s *inprocRun) takeScratch() *groupScratch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.sh.idle) == 0 {
+		s.sh.idle = append(s.sh.idle, nil)
+		s.sh.idle[0] = s.rc.e.pools.getScratch()
+	}
+	sc := s.sh.idle[len(s.sh.idle)-1]
+	s.sh.idle = s.sh.idle[:len(s.sh.idle)-1]
+	return sc
+}
+
+// idleScratch takes back the scratch a reduce task is done with.
+func (s *inprocRun) idleScratch(sc *groupScratch) {
+	s.mu.Lock()
+	s.sh.idle = append(s.sh.idle, sc)
+	s.mu.Unlock()
 }
 
 // release returns every buffer the Run borrowed, once all its tasks (and
 // their retries, which reset their state or re-read the immutable runs)
-// have finished. Output pairs box their values and reference immutable key
-// strings, so nothing they hold aliases the recycled buffers.
+// have finished, so every scratch is idle again. Output pairs box their
+// values and reference immutable key strings, so nothing they hold aliases
+// the recycled buffers.
 func (s *inprocRun) release() {
 	p := s.rc.e.pools
 	for _, st := range s.states {
 		p.putMapState(st)
 	}
 	if s.sh != nil {
-		for _, sc := range s.sh.scratches {
+		for _, sc := range s.sh.idle {
 			p.putScratch(sc)
 		}
 		p.putShuffle(s.sh)

@@ -183,8 +183,6 @@ type fleet struct {
 	// is the sampler cadence shipped to workers via telemetryEnv.
 	tel       bool
 	telSample time.Duration
-	// poison is Config.DebugPoisonPools, shipped via poisonEnv.
-	poison bool
 
 	mu     sync.Mutex
 	idle   []*workerProc
@@ -211,7 +209,7 @@ func (e *Engine) procFleet() (*fleet, error) {
 	if telSample <= 0 {
 		telSample = 250 * time.Millisecond
 	}
-	e.fleet = &fleet{exe: exe, tel: e.cfg.Tracer != nil, telSample: telSample, poison: e.cfg.DebugPoisonPools}
+	e.fleet = &fleet{exe: exe, tel: e.cfg.Tracer != nil, telSample: telSample}
 	return e.fleet, nil
 }
 
@@ -233,9 +231,6 @@ func (f *fleet) spawn() (*workerProc, error) {
 	cmd.Env = append(os.Environ(), workerEnv+"=1")
 	if f.tel {
 		cmd.Env = append(cmd.Env, fmt.Sprintf("%s=%d", telemetryEnv, f.telSample.Milliseconds()))
-	}
-	if f.poison {
-		cmd.Env = append(cmd.Env, poisonEnv+"=1")
 	}
 	cmd.ExtraFiles = []*os.File{ctlR, resW} // child fds 3, 4
 	cmd.Stdout = io.Discard
@@ -459,6 +454,7 @@ func (multiprocBackend) begin(rc *runContext) (runState, error) {
 			NumReducers: job.NumReducers,
 			NB:          rc.nb,
 			MapOnly:     rc.mapOnly,
+			Poison:      e.cfg.DebugPoisonPools,
 			SpillDir:    dir,
 			SpillLimit:  resolveSpillThreshold(e.cfg.SpillThresholdBytes),
 			Resident:    resident,

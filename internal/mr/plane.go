@@ -255,18 +255,18 @@ func mapOnlyPairs(states []*mapState) []Pair {
 
 // shuffleState is the job-wide merge workspace: the job-global key table,
 // per-task id remaps, per-partition merged runs and their sorted key lists,
-// and a slot per partition for the group scratch its reduce task borrows
-// (the slots' capacity recycles with the shuffle; the scratches come from
-// their own pool). One Run owns it from the map barrier to its release.
+// and the Run's idle group scratches (the list's capacity recycles with
+// the shuffle; the scratches come from their own pool). One Run owns it
+// from the map barrier to its release.
 type shuffleState struct {
-	tab       keyTab     // job-global ids, first-emission order
-	remaps    [][]uint32 // task-local id → job-global id
-	pid       []uint32   // job-global id → partition-local id
-	order     []uint32   // job-global ids in ascending key order
-	sorter    idSorter
-	runs      [][]rec         // per partition: merged records (partition-local ids)
-	runKeys   [][]string      // per partition: key strings in ascending order
-	scratches []*groupScratch // per partition: its reduce task's group scratch
+	tab     keyTab     // job-global ids, first-emission order
+	remaps  [][]uint32 // task-local id → job-global id
+	pid     []uint32   // job-global id → partition-local id
+	order   []uint32   // job-global ids in ascending key order
+	sorter  idSorter
+	runs    [][]rec         // per partition: merged records (partition-local ids)
+	runKeys [][]string      // per partition: key strings in ascending order
+	idle    []*groupScratch // the Run's group scratches no reduce task holds
 }
 
 func (s *shuffleState) reset(poison bool) {
@@ -293,8 +293,8 @@ func (s *shuffleState) reset(poison bool) {
 		s.remaps[i] = s.remaps[i][:0]
 	}
 	s.remaps = s.remaps[:0]
-	clear(s.scratches)
-	s.scratches = s.scratches[:0]
+	clear(s.idle)
+	s.idle = s.idle[:0]
 	s.pid = s.pid[:0]
 	s.order = s.order[:0]
 	s.tab.reset(poison)
@@ -350,9 +350,6 @@ func (p *enginePools) putShuffle(s *shuffleState) {
 func (p *enginePools) getScratch() *groupScratch { return p.scratches.Get().(*groupScratch) }
 
 func (p *enginePools) putScratch(sc *groupScratch) {
-	if sc == nil {
-		return
-	}
 	sc.release(p.poison)
 	p.scratches.Put(sc)
 }
@@ -417,10 +414,6 @@ func mergeShuffle(sh *shuffleState, states []*mapState, nb, numReducers int) {
 		sh.runs = append(sh.runs, nil)
 	}
 	sh.runs = sh.runs[:nb]
-	for len(sh.scratches) < nb {
-		sh.scratches = append(sh.scratches, nil)
-	}
-	sh.scratches = sh.scratches[:nb]
 	for r := 0; r < nb; r++ {
 		total := 0
 		for _, st := range states {

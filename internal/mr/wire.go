@@ -104,8 +104,10 @@ type jobFrame struct {
 	Spec        []byte
 	NumReducers int
 	// NB is the shuffle bucket count (1 for map-only jobs).
-	NB       int
-	MapOnly  bool
+	NB      int
+	MapOnly bool
+	// Poison forwards Config.DebugPoisonPools into the worker's pools.
+	Poison   bool
 	SpillDir string
 	// SpillLimit is the mid-task spill threshold in buffered record bytes.
 	SpillLimit int64

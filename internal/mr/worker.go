@@ -43,12 +43,6 @@ const workerEnv = "P3CMR_MR_WORKER"
 // and never writes an fTelemetry frame.
 const telemetryEnv = "P3CMR_MR_TELEMETRY"
 
-// poisonEnv forwards Config.DebugPoisonPools: a worker spawned with it set
-// poisons its pooled map states on return, as the engine's pools do.
-// Poisoning is an engine-wide setting, so it rides the spawn, once per
-// worker, not each job frame.
-const poisonEnv = "P3CMR_MR_POISON_POOLS"
-
 // MaybeWorkerProcess turns the current process into a multiprocess-backend
 // worker if it was spawned as one (workerEnv set), never returning in that
 // case. Binaries that might act as multiprocess drivers — cmd/p3crun, test
@@ -92,8 +86,9 @@ type workerState struct {
 	// when the driver goes, concurrently with the task loop.
 	spillDir atomic.Pointer[string]
 	// pools recycles map states across the worker's tasks and jobs,
-	// mirroring the engine pools — including poison-on-return when the
-	// driver forwards DebugPoisonPools (poisonEnv).
+	// mirroring the engine pools. The first job frame builds it, poisoning
+	// on return when that frame forwards DebugPoisonPools: the flag is
+	// engine-wide, so every later frame of the worker carries the same.
 	pools *enginePools
 	// batch is the reduce merge's reused per-key buffer.
 	batch []rec
@@ -126,9 +121,8 @@ type ctlFrame struct {
 // handed and then returns exit's argument.
 func runWorker(ctl io.Reader, res io.Writer, exit func(error)) error {
 	w := &workerState{
-		br:    bufio.NewReaderSize(ctl, 256<<10),
-		bw:    bufio.NewWriterSize(res, 256<<10),
-		pools: newEnginePools(os.Getenv(poisonEnv) != ""),
+		br: bufio.NewReaderSize(ctl, 256<<10),
+		bw: bufio.NewWriterSize(res, 256<<10),
 	}
 	if v := os.Getenv(telemetryEnv); v != "" {
 		w.tel = obs.NewWorkerTelemetry()
@@ -313,6 +307,9 @@ func (w *workerState) setJob(data []byte) error {
 	w.mapOnly = jf.MapOnly
 	w.spillDir.Store(&jf.SpillDir)
 	w.spillLimit = jf.SpillLimit
+	if w.pools == nil {
+		w.pools = newEnginePools(jf.Poison)
+	}
 	// (Re)start the resource sampler against this job's spill directory. The
 	// sampler writes into the telemetry buffer only; its snapshots reach the
 	// driver with the next task-boundary flush.

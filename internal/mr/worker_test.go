@@ -185,6 +185,35 @@ func TestWorkerStopsAfterTaskError(t *testing.T) {
 	})
 }
 
+// TestWorkerPoolsOutliveJobs pins that a worker builds its pools once, from
+// its first job frame, poisoning them when that frame forwards
+// DebugPoisonPools, and keeps them for every later job.
+func TestWorkerPoolsOutliveJobs(t *testing.T) {
+	w := &workerState{}
+	var first *enginePools
+	for i, impl := range []string{"test-unwired-maponly", "test-unwired-reduce"} {
+		jf := workerJobFrame(impl, i == 0, t.TempDir())
+		jf.Poison = true
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, fJob, jf); err != nil {
+			t.Fatal(err)
+		}
+		_, data, err := readFrame(bufio.NewReader(&buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.setJob(data); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = w.pools
+		}
+		if w.pools == nil || w.pools != first || !w.pools.poison {
+			t.Fatalf("job %d: pools = %p (poison %v), want the first job's poisoned pools %p", i, w.pools, w.pools != nil && w.pools.poison, first)
+		}
+	}
+}
+
 // runChildDriver runs a multiprocess job to completion in this process,
 // as the driver a test kills mid-job. Its workers write their pids into
 // dir/pids; its spill directory goes under dir/spill.
