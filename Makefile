@@ -122,13 +122,15 @@ loc:
 
 # One pass of each micro-benchmark, a compile, smoke and allocation pass
 # rather than a timing (`make bench-diff` times the engine's): the engine
-# benchmarks, then the a-priori join and maximality filter, the per-point
-# and block moments kernels, the per-component moments fold, Light's
-# word-by-word member lists and unique labels, and the data set's
-# non-finite scan, binary reader and binary writer. Writes no file.
+# benchmarks, then the a-priori join, the speculated join a proving job
+# carries (its shares plus the driver's parent filter), the maximality
+# filter, the per-point and block moments kernels, the per-component
+# moments fold, Light's word-by-word member lists and unique labels, and
+# the data set's non-finite scan, binary reader and binary writer. Writes
+# no file.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/mr/
-	$(GO) test -run xxx -bench 'GenerateCandidates|FilterMaximal' -benchtime 1x -benchmem ./internal/signature/
+	$(GO) test -run xxx -bench 'GenerateCandidates|SpeculativeJoin|FilterMaximal' -benchtime 1x -benchmem ./internal/signature/
 	$(GO) test -run xxx -bench 'MomentsAdd|MomentsFold' -benchtime 1x -benchmem ./internal/linalg/
 	$(GO) test -run xxx -bench 'CollectMembers|UniqueLabels' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'Validate|ReadBinary|WriteBinary' -benchtime 1x -benchmem ./internal/dataset/

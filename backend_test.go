@@ -14,13 +14,20 @@ import (
 // (members included).
 func renderJSON(t *testing.T, data *Dataset, alg Algorithm, engine *mr.Engine) []byte {
 	t.Helper()
+	return renderConfigJSON(t, data, Config{Algorithm: alg}, engine)
+}
+
+// renderConfigJSON is renderJSON for a configuration, run on engine.
+func renderConfigJSON(t *testing.T, data *Dataset, cfg Config, engine *mr.Engine) []byte {
+	t.Helper()
 	defer engine.Close()
-	res, err := Run(data, Config{Algorithm: alg, Engine: engine})
+	cfg.Engine = engine
+	res, err := Run(data, cfg)
 	if err != nil {
-		t.Fatalf("%s on %s: %v", alg, engine.BackendName(), err)
+		t.Fatalf("%s on %s: %v", cfg.Algorithm, engine.BackendName(), err)
 	}
 	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf, alg, true); err != nil {
+	if err := res.WriteJSON(&buf, cfg.Algorithm, true); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -33,22 +40,35 @@ func renderJSON(t *testing.T, data *Dataset, alg Algorithm, engine *mr.Engine) [
 // re-exec'd worker processes with a disk-spilled shuffle), at parallelism
 // 1 and 8, with and without seeded faults — which on the multiprocess
 // backend SIGKILL real workers. One always-spill multiprocess row per
-// algorithm pushes every map output through the sorted-run merge.
+// algorithm pushes every map output through the sorted-run merge. A
+// deep-lattice Light run at a small Tgen (deepLattice) adds the sharded
+// join, standalone and carried by a proving job, whose shares then cross
+// the worker pipes.
 func TestBackendJSONResultBitIdentical(t *testing.T) {
 	data, _ := genAPITestData(t, 2000, 6)
 	data.Normalize()
 	plan := mr.RateFaultPlan{MapRate: 0.3, ReduceRate: 0.3, Seed: 19}
 
-	algs := []Algorithm{P3CPlusMRLight, P3CPlusMR, P3CPlusMRMVE}
-	if raceDetectorEnabled {
-		// Race runs keep Light's in-process rows; the MVB and MVE rows and
-		// every multiprocess row run in the non-race suite (the
-		// engine-level conformance matrix covers the multiprocess driver
-		// under race).
-		algs = algs[:1]
+	type pipeline struct {
+		name string
+		data *Dataset
+		cfg  Config
 	}
-	for _, alg := range algs {
-		baseline := renderJSON(t, data, alg, mr.NewEngine(mr.Config{Parallelism: 4}))
+	var pipelines []pipeline
+	for _, alg := range []Algorithm{P3CPlusMRLight, P3CPlusMR, P3CPlusMRMVE} {
+		pipelines = append(pipelines, pipeline{alg.String(), data, Config{Algorithm: alg}})
+	}
+	deep, deepCfg := deepLattice(t)
+	pipelines = append(pipelines, pipeline{"deep-lattice " + deepCfg.Algorithm.String(), deep, deepCfg})
+	if raceDetectorEnabled {
+		// Race runs keep Light's in-process rows; the MVB, MVE and
+		// deep-lattice rows and every multiprocess row run in the non-race
+		// suite (the engine-level conformance matrix covers the
+		// multiprocess driver under race).
+		pipelines = pipelines[:1]
+	}
+	for _, pl := range pipelines {
+		baseline := renderConfigJSON(t, pl.data, pl.cfg, mr.NewEngine(mr.Config{Parallelism: 4}))
 		type row struct {
 			name string
 			cfg  mr.Config
@@ -61,7 +81,7 @@ func TestBackendJSONResultBitIdentical(t *testing.T) {
 			for _, par := range []int{1, 8} {
 				for _, faulty := range []bool{false, true} {
 					cfg := mr.Config{Backend: backend, Parallelism: par, SpillDir: t.TempDir()}
-					name := fmt.Sprintf("%s/%s/par=%d", alg, backend, par)
+					name := fmt.Sprintf("%s/%s/par=%d", pl.name, backend, par)
 					if faulty {
 						cfg.Faults, cfg.MaxAttempts = plan, 12
 						name += "/chaos"
@@ -71,14 +91,14 @@ func TestBackendJSONResultBitIdentical(t *testing.T) {
 			}
 		}
 		if !raceDetectorEnabled {
-			rows = append(rows, row{fmt.Sprintf("%s/multiprocess/always-spill/chaos", alg), mr.Config{
+			rows = append(rows, row{fmt.Sprintf("%s/multiprocess/always-spill/chaos", pl.name), mr.Config{
 				Backend: "multiprocess", Parallelism: 4, SpillDir: t.TempDir(), SpillThresholdBytes: 1,
 				Faults: plan, MaxAttempts: 12,
 			}})
 		}
 		for _, r := range rows {
 			engine := mr.NewEngine(r.cfg)
-			if got := renderJSON(t, data, alg, engine); !bytes.Equal(got, baseline) {
+			if got := renderConfigJSON(t, pl.data, pl.cfg, engine); !bytes.Equal(got, baseline) {
 				t.Errorf("%s: JSON result differs from in-process fault-free baseline", r.name)
 			}
 			if r.cfg.Faults != nil && engine.TotalCounters().TaskRetries == 0 {

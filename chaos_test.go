@@ -153,3 +153,38 @@ func TestChaosSpeculatedRescueJSONBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosSpeculatedJoinJSONBitIdentical runs the deep lattice of
+// deepLattice, where three candidate-generation jobs join level 1 and the
+// unproven levels collected after it and the second proving job carries
+// its top level's join, on every backend under faults: the first map
+// attempt of every prove-candidates and candidate-generation task fails,
+// before its first record, mid-split or before Cleanup, so every task's
+// join share comes from a retry. The WriteJSON output must equal the
+// fault-free in-process run's.
+func TestChaosSpeculatedJoinJSONBitIdentical(t *testing.T) {
+	data, cfg := deepLattice(t)
+	plan := mr.FaultPlanFunc(func(job string, phase mr.TaskPhase, task, attempt int) mr.FaultDecision {
+		if (job != "prove-candidates" && job != "candidate-generation") || phase != mr.PhaseMap || attempt > 0 {
+			return mr.FaultDecision{}
+		}
+		return mr.FaultDecision{Fail: true, FailFrac: float64(task%3) / 2}
+	})
+	baseline := renderConfigJSON(t, data, cfg, mr.NewEngine(mr.Config{Parallelism: 4}))
+	for _, backend := range mr.BackendNames() {
+		if backend == "multiprocess" && raceDetectorEnabled {
+			continue
+		}
+		trace := obs.NewForest()
+		engine := mr.NewEngine(mr.Config{Backend: backend, Parallelism: 4, SpillDir: t.TempDir(), Faults: plan, MaxAttempts: 2, Tracer: trace})
+		if got := renderConfigJSON(t, data, cfg, engine); !bytes.Equal(got, baseline) {
+			t.Errorf("%s: JSON result differs from the fault-free in-process run", backend)
+		}
+		if engine.TotalCounters().TaskRetries == 0 {
+			t.Errorf("%s: no retries injected — oracle exercised nothing", backend)
+		}
+		if gen, prove := jobRuns(trace, "candidate-generation"), jobRuns(trace, "prove-candidates"); gen != 3 || prove != 2 {
+			t.Errorf("%s: %d candidate-generation and %d prove-candidates runs, want 3 and 2", backend, gen, prove)
+		}
+	}
+}

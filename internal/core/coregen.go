@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"p3cmr/internal/mr"
 	"p3cmr/internal/obs"
 	"p3cmr/internal/signature"
@@ -98,6 +100,10 @@ type batch struct {
 // run executes the generation loop and returns all proven signatures.
 func (g *coreGenerator) run(intervals []signature.Interval, supports []int64) ([]signature.Signature, error) {
 	current := g.proveLevel1(intervals, supports)
+	// next is current's join when the proving job that proved current
+	// carried it (joined); otherwise the sweep joins current itself.
+	var next []signature.Signature
+	joined := false
 	k := 2
 	for len(current) > 0 {
 		// Multi-level candidate collection (§5.3): generate successive
@@ -109,10 +115,14 @@ func (g *coreGenerator) run(intervals []signature.Interval, supports []int64) ([
 		prevSize := -1
 		basis := current
 		for {
-			cands, err := generateCandidatesMR(g.engine, basis, g.params.Tgen, g.trace)
-			if err != nil {
-				return nil, err
+			cands := next
+			if !joined {
+				var err error
+				if cands, err = generateCandidatesMR(g.engine, basis, g.params.Tgen, g.trace); err != nil {
+					return nil, err
+				}
 			}
+			next, joined = nil, false
 			cands = g.filterKnown(cands)
 			if len(cands) > levelCap {
 				// Pathologically wide lattice (see levelCap): keep a
@@ -144,14 +154,13 @@ func (g *coreGenerator) run(intervals []signature.Interval, supports []int64) ([
 		if len(collected) == 0 {
 			break
 		}
-		newTop, err := g.proveBatches(collected)
-		if err != nil {
+		var err error
+		if current, next, joined, err = g.proveBatches(collected); err != nil {
 			return nil, err
 		}
 		// Continue the a-priori sweep from the proven signatures of the
 		// topmost collected level; when that set is empty no higher level
 		// can satisfy the downward closure and the loop terminates.
-		current = newTop
 		k = collected[len(collected)-1].level + 1
 	}
 	return g.proven, nil
@@ -174,18 +183,35 @@ func (g *coreGenerator) filterKnown(cands []signature.Signature) []signature.Sig
 // immediate (p−1)-sub-signature is itself proven and the candidate's
 // support is significant against each of them (Eq. 1). The candidates are
 // distinct: each level is deduplicated when generated and filtered against
-// the lattice, and levels differ in p. It returns the proven signatures of
-// the topmost batch level.
-func (g *coreGenerator) proveBatches(collected []batch) ([]signature.Signature, error) {
+// the lattice, and levels differ in p. It returns the proven signatures P
+// of the topmost batch level C.
+//
+// When C's join would run sharded (shardedJoin), the job also speculates
+// it: its map tasks join C in shares after counting. P ⊆ C, so C's join
+// holds P's, and signature.KeepJoinsOf cuts it to exactly P's join, in
+// canonical order. Where P's own join would run sharded, that is what the
+// next sweep would have run a candidate-generation job for, and
+// proveBatches returns it as next with joined set. Otherwise P's join
+// runs inline, and the speculated shares are dropped undecoded. Either
+// way the next sweep starts from the same candidates, so a speculated
+// join moves no verdict; a miss costs only the shares' bytes.
+func (g *coreGenerator) proveBatches(collected []batch) (top, next []signature.Signature, joined bool, err error) {
 	var need []signature.Signature
 	for _, b := range collected {
 		need = append(need, b.cands...)
 	}
-	counts, err := countSupports(g.engine, g.splits, need, "prove-candidates", g.trace)
-	if err != nil {
-		return nil, err
+	join := 0
+	if c := collected[len(collected)-1].cands; len(g.splits) > 0 && shardedJoin(len(c), g.params.Tgen) {
+		// The join is only exact over a valid level (generateCandidatesMR).
+		if err := signature.CheckLevel(c); err != nil {
+			return nil, nil, false, fmt.Errorf("core: speculated join: %w", err)
+		}
+		join = len(c)
 	}
-	var top []signature.Signature
+	counts, shares, err := countSupports(g.engine, g.splits, need, join, "prove-candidates", g.trace)
+	if err != nil {
+		return nil, nil, false, err
+	}
 	for _, b := range collected {
 		top = nil
 		for _, cand := range b.cands {
@@ -200,7 +226,14 @@ func (g *coreGenerator) proveBatches(collected []batch) ([]signature.Signature, 
 		}
 	}
 	signature.Sort(top)
-	return top, nil
+	if join == 0 || !shardedJoin(len(top), g.params.Tgen) {
+		return top, nil, false, nil
+	}
+	cands, err := collectJoin(shares, len(g.splits))
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return top, signature.KeepJoinsOf(cands, top), true, nil
 }
 
 // candidatePasses evaluates Eq. 1 for a candidate of support supp against

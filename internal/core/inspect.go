@@ -354,7 +354,7 @@ func (p *pipeline) proveSuggestions(suggestions []aiSuggestion) ([]bool, error) 
 	for i, s := range suggestions {
 		augmented[i] = p.cores[s.cluster].With(s.iv)
 	}
-	counts, err := countSupports(p.engine, p.splits, augmented, "ai-proving", p.phaseSpan)
+	counts, _, err := countSupports(p.engine, p.splits, augmented, 0, "ai-proving", p.phaseSpan)
 	if err != nil {
 		return nil, err
 	}

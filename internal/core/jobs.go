@@ -22,10 +22,9 @@ import (
 // sigSpec for signature sets), decoded once per job in the builder, which
 // also builds derived structures such as the support index. A job that
 // reads a per-point result derives it from its split's rows and its own
-// spec (memberSource); none is shipped to it. Values that cross the shuffle outside the wire codec's built-in
-// lanes are registered here too.
+// spec (memberSource); none is shipped to it. Every value a core job
+// emits rides one of the wire codec's built-in lanes.
 func init() {
-	mr.RegisterWireValue(signature.Signature{})
 	mr.RegisterJobImpl("histograms", buildHistogramJob)
 	mr.RegisterJobImpl("count-supports", buildSupportJob)
 	mr.RegisterJobImpl("candidate-generation", buildCandidateJob)
@@ -38,20 +37,25 @@ func init() {
 // sigSpec is the Spec of the jobs parameterized by a signature set:
 // support counting, the redundancy filter (plus the signatures' interest
 // ratios and its rounds, as a rescueSpec), light membership, and
-// candidate generation (an a-priori level plus its sharding of the pair
-// space). It travels in signature.AppendSet form rather than gob:
-// candidate sets run to hundreds of thousands of intervals, and gob's
-// buffers and per-signature decoding raised the 50-d workload's peak RSS
-// by about a tenth.
+// candidate generation. It travels in signature.AppendSet form rather
+// than gob: candidate sets run to hundreds of thousands of intervals, and
+// gob's buffers and per-signature decoding raised the 50-d workload's peak
+// RSS by about a tenth.
+//
+// Join > 0 makes the job's map tasks share the a-priori join of the
+// level formed by the last Join signatures, Per pair indices each
+// (emitJoinShare): the candidate-generation job's whole work, and the
+// speculated join a proving job carries for its top level.
 type sigSpec struct {
-	Sigs       []signature.Signature
-	Ratios     []float64
-	Per, Total int64
+	Sigs   []signature.Signature
+	Ratios []float64
+	Per    int64
+	Join   int
 }
 
 func (sp sigSpec) encode() []byte {
 	b := binary.AppendUvarint(nil, uint64(sp.Per))
-	b = binary.AppendUvarint(b, uint64(sp.Total))
+	b = binary.AppendUvarint(b, uint64(sp.Join))
 	b = binary.AppendUvarint(b, uint64(len(sp.Ratios)))
 	for _, r := range sp.Ratios {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r))
@@ -62,7 +66,7 @@ func (sp sigSpec) encode() []byte {
 var errBadSigSpec = errors.New("core: corrupt signature-set spec")
 
 func decodeSigSpec(spec []byte) (sigSpec, error) {
-	var head [3]uint64 // Per, Total, len(Ratios)
+	var head [3]uint64 // Per, Join, len(Ratios)
 	for i := range head {
 		v, n := binary.Uvarint(spec)
 		if n <= 0 {
@@ -73,7 +77,7 @@ func decodeSigSpec(spec []byte) (sigSpec, error) {
 	if head[2] > uint64(len(spec))/8 {
 		return sigSpec{}, errBadSigSpec
 	}
-	sp := sigSpec{Per: int64(head[0]), Total: int64(head[1])}
+	sp := sigSpec{Per: int64(head[0])}
 	if head[2] > 0 {
 		sp.Ratios = make([]float64, head[2])
 		for i := range sp.Ratios {
@@ -85,10 +89,10 @@ func decodeSigSpec(spec []byte) (sigSpec, error) {
 	if err != nil {
 		return sigSpec{}, err
 	}
-	if len(rest) != 0 {
+	if len(rest) != 0 || head[1] > uint64(len(sigs)) {
 		return sigSpec{}, errBadSigSpec
 	}
-	sp.Sigs = sigs
+	sp.Sigs, sp.Join = sigs, int(head[1])
 	return sp, nil
 }
 
@@ -196,22 +200,38 @@ var sumVectors = mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, value
 // mappers count their split vertically (signature.SupportIndex) and emit
 // local counts; a single reducer sums the count vectors. name is the job
 // name: the same impl proves core candidates and attribute-inspection
-// suggestions.
-func countSupports(engine *mr.Engine, splits []*mr.Split, sigs []signature.Signature, name string, trace obs.SpanID) ([]int64, error) {
+// suggestions. join > 0 makes the job also carry the a-priori join of the
+// level formed by the last join signatures, sharded over its map tasks
+// (sigSpec.Join); splits must then be non-empty, and shares holds the
+// tasks' join shares for collectJoin.
+func countSupports(engine *mr.Engine, splits []*mr.Split, sigs []signature.Signature, join int, name string, trace obs.SpanID) (counts []int64, shares []mr.Pair, err error) {
 	if len(sigs) == 0 {
-		return nil, nil
+		return nil, nil, nil
+	}
+	sp := sigSpec{Sigs: sigs}
+	if join > 0 {
+		sp.Join, sp.Per = join, ceilDiv(pairCount(join), len(splits))
 	}
 	out, err := engine.Run(&mr.Job{
 		Name:        name,
 		Splits:      splits,
 		Impl:        "count-supports",
-		Spec:        sigSpec{Sigs: sigs}.encode(),
+		Spec:        sp.encode(),
 		TraceParent: trace,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return countVector(out, "supports", len(sigs))
+	supports := &mr.Output{}
+	for _, p := range out.Pairs {
+		if p.Key == joinKey {
+			shares = append(shares, p)
+		} else {
+			supports.Pairs = append(supports.Pairs, p)
+		}
+	}
+	counts, err = countVector(supports, "supports", len(sigs))
+	return counts, shares, err
 }
 
 // countVector reads the one vector of n counts a counting job's reducer
@@ -238,10 +258,22 @@ func buildSupportJob(spec []byte) (mr.JobFuncs, error) {
 	}
 	ixs := []*signature.SupportIndex{signature.NewSupportIndex(sp.Sigs)}
 	return mr.JobFuncs{
-		NewMapper:    func() mr.Mapper { return &countingMapper{ixs: ixs, key: "supports"} },
-		TypedReducer: sumVectors,
+		NewMapper:    func() mr.Mapper { return &countingMapper{ixs: ixs, key: "supports", join: sp} },
+		TypedReducer: proveReducer,
 	}, nil
 }
+
+// proveReducer sums the support vectors (sumVectors) and passes the join
+// shares through as they came, in map-task order.
+var proveReducer = mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
+	if key != joinKey {
+		return sumVectors(ctx, key, values)
+	}
+	for i := range values.Len() {
+		ctx.Emit(key, values.Value(i))
+	}
+	return nil
+})
 
 // countingMapper counts its split vertically with each of its indexes and
 // emits their counts, concatenated in index order, as one vector under
@@ -249,10 +281,11 @@ func buildSupportJob(spec []byte) (mr.JobFuncs, error) {
 // indexes. It reads the split's interval bitmaps from the split's memo,
 // which the first counting job over the split builds and every later one
 // reuses, so Map has nothing to do: the engine's record loop still charges
-// the scan.
+// the scan. When join.Join > 0, the task then emits its join share.
 type countingMapper struct {
-	ixs []*signature.SupportIndex
-	key string
+	ixs  []*signature.SupportIndex
+	key  string
+	join sigSpec
 }
 
 // rowBitsKey is the Split.Memo key of a split's *signature.RowBits.
@@ -395,61 +428,69 @@ func (m *countingMapper) Cleanup(ctx *mr.TaskContext) error {
 		counts = append(slices.Clip(counts), ix.NewCounter().Count(rb)...)
 	}
 	ctx.Emit(m.key, counts)
+	if m.join.Join > 0 {
+		m.join.emitJoinShare(ctx)
+	}
 	return nil
 }
 
-// --- Candidate generation job (§5.3) ----------------------------------------------
+// --- Candidate generation (§5.3) ---------------------------------------------------
+
+// joinKey is the key of every join share.
+const joinKey = "candidates"
+
+// pairCount returns the size k(k−1)/2 of a k-signature level's pair space.
+func pairCount(k int) int64 { return int64(k) * int64(k-1) / 2 }
+
+// ceilDiv returns ⌈c/n⌉ for n > 0.
+func ceilDiv(c int64, n int) int64 { return (c + int64(n) - 1) / int64(n) }
+
+// shardedJoin reports whether the join of a level of k signatures runs on
+// map tasks, the paper's distributed generation, rather than inline in the
+// driver: when its pair count exceeds 2·Tgen.
+func shardedJoin(k int, tgen int64) bool { return tgen > 0 && pairCount(k) > 2*tgen }
 
 // generateCandidatesMR joins all compatible signature pairs of one a-priori
-// level and returns the candidates in canonical order. When the pair count
-// c exceeds 2·Tgen the pair space is sharded over ⌊c/Tgen⌋ map-only tasks
-// (the paper's distributed-cache scheme); otherwise the serial kernel runs
-// inline. The level must be of one p and strictly sorted, as every level
-// of the generator is (proveLevel1 and proveBatches sort theirs, and a
-// join of a sorted level comes out sorted); any other level is an error,
-// since the join would silently miss candidates of it.
+// level and returns the candidates in canonical order. When shardedJoin
+// holds, the c pairs are sharded over ⌊c/Tgen⌋ map-only tasks of the
+// candidate-generation job (the paper's distributed-cache scheme);
+// otherwise the serial kernel runs inline. The driver runs the job for
+// level 1 and for unproven collected levels; the join of a level a
+// proving job proved rides that job (coreGenerator.proveBatches). The
+// level must be of one p and strictly sorted, as every level of the
+// generator is (proveLevel1 and proveBatches sort theirs, and a join of a
+// sorted level comes out sorted); any other level is an error, since the
+// join would silently miss candidates of it.
 func generateCandidatesMR(engine *mr.Engine, level []signature.Signature, tgen int64, trace obs.SpanID) ([]signature.Signature, error) {
-	k := int64(len(level))
-	c := k * (k - 1) / 2
+	c := pairCount(len(level))
 	if c == 0 {
 		return nil, nil
 	}
 	if err := signature.CheckLevel(level); err != nil {
 		return nil, fmt.Errorf("core: candidate generation: %w", err)
 	}
-	if tgen <= 0 || c <= 2*tgen {
+	if !shardedJoin(len(level), tgen) {
 		return signature.GenerateCandidates(level, 0, c), nil
 	}
-	numMappers := int(c / tgen)
-	if numMappers < 2 {
-		numMappers = 2
-	}
+	numMappers := max(int(c/tgen), 2)
 	// Synthetic zero-row splits: the work is defined by the task id, the
 	// level itself travels in the spec.
 	splits := make([]*mr.Split, numMappers)
 	for i := range splits {
 		splits[i] = &mr.Split{ID: i, Dim: 1}
 	}
-	per := (c + int64(numMappers) - 1) / int64(numMappers)
 	out, err := engine.Run(&mr.Job{
 		Name:        "candidate-generation",
 		Splits:      splits,
 		Impl:        "candidate-generation",
-		Spec:        sigSpec{Sigs: level, Per: per, Total: c}.encode(),
+		Spec:        sigSpec{Sigs: level, Per: ceilDiv(c, numMappers), Join: len(level)}.encode(),
 		TraceParent: trace,
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The main program collects the candidates (§5.3). Each task's are
-	// distinct and sorted, and the tasks own ascending pair ranges, so the
-	// map-only output, in split order, holds no duplicates across mappers
-	// and is already in canonical order.
-	cands := make([]signature.Signature, len(out.Pairs))
-	for i, p := range out.Pairs {
-		cands[i] = p.Value.(signature.Signature)
-	}
-	return cands, nil
+	// The main program collects the candidates (§5.3).
+	return collectJoin(out.Pairs, numMappers)
 }
 
 func buildCandidateJob(spec []byte) (mr.JobFuncs, error) {
@@ -457,28 +498,63 @@ func buildCandidateJob(spec []byte) (mr.JobFuncs, error) {
 	if err != nil {
 		return mr.JobFuncs{}, err
 	}
-	return mr.JobFuncs{NewMapper: func() mr.Mapper { return genMapper{sp} }}, nil
+	return mr.JobFuncs{NewMapper: func() mr.Mapper { return joinMapper{sp} }}, nil
 }
 
-// genMapper generates the candidates of pair-index range
-// [TaskID·Per, (TaskID+1)·Per) of the level in Sigs.
-type genMapper struct{ sigSpec }
+// joinMapper emits its task's join share and does nothing else.
+type joinMapper struct{ sigSpec }
 
-func (genMapper) Setup(*mr.TaskContext) error { return nil }
+func (joinMapper) Setup(*mr.TaskContext) error { return nil }
 
-func (genMapper) Map(*mr.TaskContext, int, []float64) error { return nil }
+func (joinMapper) Map(*mr.TaskContext, int, []float64) error { return nil }
 
-func (m genMapper) Cleanup(ctx *mr.TaskContext) error {
-	lo := int64(ctx.TaskID) * m.Per
-	hi := lo + m.Per
-	if hi > m.Total {
-		hi = m.Total
-	}
-	var keys signature.KeyCache
-	for _, cand := range signature.GenerateCandidates(m.Sigs, lo, hi) {
-		ctx.Emit(keys.Key(cand), cand)
-	}
+func (m joinMapper) Cleanup(ctx *mr.TaskContext) error {
+	m.emitJoinShare(ctx)
 	return nil
+}
+
+// emitJoinShare emits the map task's share of the join sp carries: the
+// candidates of pair indices [TaskID·Per, (TaskID+1)·Per) of the level in
+// the last Join signatures, distinct and in canonical order, as one string
+// under joinKey: the task ID as a uvarint, then the candidates in
+// signature.AppendSet form. A string rides a built-in wire lane and the
+// shuffle charges its length. A task whose range is empty emits an empty
+// share, since collectJoin wants one share per task.
+func (sp sigSpec) emitJoinShare(ctx *mr.TaskContext) {
+	level := sp.Sigs[len(sp.Sigs)-sp.Join:]
+	lo := int64(ctx.TaskID) * sp.Per
+	b := binary.AppendUvarint(nil, uint64(ctx.TaskID))
+	ctx.Emit(joinKey, string(signature.AppendSet(b, signature.GenerateCandidates(level, lo, lo+sp.Per))))
+}
+
+var errBadShare = errors.New("core: corrupt join share")
+
+// collectJoin reads the join shares of tasks map tasks: exactly one per
+// task, in task order. It returns their candidates in canonical order:
+// each task's are distinct and sorted, and the tasks own ascending pair
+// ranges. A missing, repeated, misplaced or corrupt share is an error.
+func collectJoin(shares []mr.Pair, tasks int) ([]signature.Signature, error) {
+	if len(shares) != tasks {
+		return nil, fmt.Errorf("core: %d join shares from %d tasks", len(shares), tasks)
+	}
+	var cands []signature.Signature
+	for t, p := range shares {
+		s, ok := p.Value.(string)
+		if !ok || p.Key != joinKey {
+			return nil, errBadShare
+		}
+		b := []byte(s)
+		id, n := binary.Uvarint(b)
+		if n <= 0 || id != uint64(t) {
+			return nil, fmt.Errorf("core: join share %d is not task %d's", t, t)
+		}
+		sigs, rest, err := signature.DecodeSet(b[n:])
+		if err != nil || len(rest) != 0 {
+			return nil, errBadShare
+		}
+		cands = append(cands, sigs...)
+	}
+	return cands, nil
 }
 
 // --- Redundancy filter job (§4.2.1) ------------------------------------------------

@@ -76,7 +76,7 @@ func TestCountSupportsMatchesNaive(t *testing.T) {
 			))
 		}
 	}
-	counts, err := countSupports(mr.Default(), splitsFor(d, 5), sigs, "test-count", 0)
+	counts, _, err := countSupports(mr.Default(), splitsFor(d, 5), sigs, 0, "test-count", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCountSupportsMatchesNaive(t *testing.T) {
 		}
 	}
 	// Empty candidate set short-circuits.
-	empty, err := countSupports(mr.Default(), splitsFor(d, 5), nil, "empty", 0)
+	empty, _, err := countSupports(mr.Default(), splitsFor(d, 5), nil, 0, "empty", 0)
 	if err != nil || empty != nil {
 		t.Fatal("empty candidate set must return nil, nil")
 	}
@@ -124,6 +124,69 @@ func TestGenerateCandidatesMRParallelMatchesSerial(t *testing.T) {
 	// Empty level.
 	if got, err := generateCandidatesMR(engine, nil, 50, 0); err != nil || got != nil {
 		t.Fatal("empty level must be nil, nil")
+	}
+}
+
+// TestCountSupportsCarriesJoin runs a proving job that carries the join
+// of its last signatures over five splits: the counts must be the naive
+// ones, and the shares, one per map task, must hold the level's whole
+// join in canonical order. collectJoin must reject a missing, repeated,
+// misplaced, mistyped or corrupt share.
+func TestCountSupportsCarriesJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const n, dim, tasks = 600, 12, 5
+	d := dataset.New(dim)
+	row := make([]float64, dim)
+	for range n {
+		for j := range row {
+			row[j] = rng.Float64()
+		}
+		d.Append(row)
+	}
+	var level []signature.Signature
+	for a := range dim {
+		for r := range 3 {
+			lo := float64(r) / 4
+			level = append(level, signature.New(signature.Interval{Attr: a, Lo: lo, Hi: lo + 0.25}))
+		}
+	}
+	signature.Sort(level)
+	sigs := append([]signature.Signature{signature.New(signature.Interval{Attr: 0, Lo: 0, Hi: 1})}, level...)
+	counts, shares, err := countSupports(mr.Default(), splitsFor(d, tasks), sigs, len(level), "prove-join", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(counts, signature.CountSupportsNaive(sigs, d.Rows, dim)) {
+		t.Fatal("counts differ from the naive ones")
+	}
+	got, err := collectJoin(shares, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := int64(len(level))
+	want := signature.GenerateCandidates(level, 0, k*(k-1)/2)
+	if !slices.EqualFunc(got, want, signature.Signature.Equal) {
+		t.Fatalf("collected %d candidates, want the level's %d in order", len(got), len(want))
+	}
+	if _, shares, _ := countSupports(mr.Default(), splitsFor(d, tasks), sigs, 0, "prove", 0); shares != nil {
+		t.Errorf("a job without a join emitted %d shares", len(shares))
+	}
+
+	corrupt := slices.Clone(shares)
+	corrupt[2].Value = corrupt[2].Value.(string)[:len(corrupt[2].Value.(string))-1]
+	mistyped := slices.Clone(shares)
+	mistyped[1].Value = []byte(mistyped[1].Value.(string))
+	for name, bad := range map[string][]mr.Pair{
+		"missing":   shares[:tasks-1],
+		"repeated":  append(slices.Clone(shares[:2]), shares[1], shares[3], shares[4]),
+		"misplaced": append(slices.Clone(shares[:1]), shares[2], shares[1], shares[3], shares[4]),
+		"extra":     append(slices.Clone(shares), shares[0]),
+		"corrupt":   corrupt,
+		"mistyped":  mistyped,
+	} {
+		if got, err := collectJoin(bad, tasks); err == nil {
+			t.Errorf("%s share: %d candidates, want an error", name, len(got))
+		}
 	}
 }
 

@@ -95,10 +95,14 @@ type Params struct {
 	SkipRefinement bool
 	// EM tunes the refinement loop.
 	EM em.FitOptions
-	// Tgen is the candidate-pair count above which candidate generation is
-	// parallelized with a MapReduce job. The paper tuned 4·10⁷ for its
-	// Hadoop cluster; the in-process default is 10⁶ because task startup
-	// is thousands of times cheaper here.
+	// Tgen sets when candidate generation runs on map tasks: a level of
+	// more than 2·Tgen pairs is joined there, smaller ones inline in the
+	// driver. Level 1 and unproven collected levels are joined by a
+	// candidate-generation job of ⌊pairs/Tgen⌋ tasks; the top level of a
+	// proving job is joined by that job's own map tasks, one share each,
+	// before its verdicts are known (DESIGN.md §5b). The paper tuned 4·10⁷
+	// for its Hadoop cluster; the in-process default is 10⁶ because task
+	// startup is thousands of times cheaper here.
 	Tgen int64
 	// Tc is the collected-candidate threshold of the multi-level candidate
 	// collection heuristic. The paper tuned 3·10⁴ on Hadoop where each

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"p3cmr/internal/dataset"
 	"p3cmr/internal/mr"
 	"p3cmr/internal/obs"
 )
@@ -105,7 +106,9 @@ func TestPipelineTraceStructure(t *testing.T) {
 // and without AI proving, on data whose attribute inspection suggests
 // intervals. Interval tightening runs no job: the attribute-inspection
 // phase runs the histogram job, which folds the extrema, and ai-proving
-// when proving is on.
+// when proving is on. A 50-attribute case pins that no
+// candidate-generation job runs after a proving job that carried its top
+// level's join.
 func TestPipelineJobGraph(t *testing.T) {
 	data, _ := genData(t, 1500, 10, 3, 0.1, 2)
 	noProving := LightParams()
@@ -157,6 +160,50 @@ func TestPipelineJobGraph(t *testing.T) {
 			}
 		})
 	}
+	t.Run("light-50d", func(t *testing.T) {
+		// Levels of thousands of signatures, each over 2·Tgen pairs: every
+		// proving job but the first carries its top level's join, two of
+		// them for a proven level small enough to join inline. Such a
+		// job's map tasks each emit a join share beside their counts.
+		const splits = 2
+		data, _, err := dataset.Generate(dataset.GenConfig{N: 20000, Dim: 50, Clusters: 5, MaxClusterDims: 20, Overlap: true, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := LightParams()
+		params.NumSplits = splits
+		mem := obs.NewMemTracer()
+		if _, err := Run(mr.NewEngine(mr.Config{Parallelism: 2, Tracer: mem}), data, params); err != nil {
+			t.Fatal(err)
+		}
+		var phase obs.SpanID
+		for _, s := range mem.SpansOf(obs.KindPhase) {
+			if s.Name == "core-generation" {
+				phase = s.ID
+			}
+		}
+		var jobs []string
+		carried, carrying := 0, false
+		for _, s := range mem.SpansOf(obs.KindJob) {
+			if s.Parent != phase {
+				continue
+			}
+			if carrying && s.Name == "candidate-generation" {
+				t.Errorf("job %d: candidate-generation after a proving job that carried the join", len(jobs))
+			}
+			end, _ := mem.EndOf(s.ID)
+			carrying = s.Name == "prove-candidates" && end.Counters.MapOutputRecords == 2*splits
+			if carrying {
+				carried++
+			}
+			jobs = append(jobs, s.Name)
+		}
+		want := []string{"prove-candidates", "prove-candidates", "prove-candidates", "prove-candidates",
+			"prove-candidates", "prove-candidates", "prove-candidates"}
+		if !slices.Equal(jobs, want) || carried != 6 {
+			t.Errorf("core generation ran %q, %d proving jobs carrying a join; want %q, 6", jobs, carried, want)
+		}
+	})
 }
 
 // TestRescueJobGraph pins the redundancy filter's passes, Light and MVB,

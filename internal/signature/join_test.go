@@ -1,10 +1,8 @@
 package signature
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 )
 
@@ -179,84 +177,73 @@ func TestSubKeys(t *testing.T) {
 	}
 }
 
-// fmtKey is the fmt form Key reproduces.
-func fmtKey(s Signature) string {
-	var b strings.Builder
-	for i, x := range s.Intervals {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		fmt.Fprintf(&b, "%d:%.17g:%.17g", x.Attr, x.Lo, x.Hi)
-	}
-	return b.String()
-}
-
-// TestKeyMatchesFmt pins Key byte-equal to the fmt form on special values
-// and on random bit patterns, which cover every float64 class.
-func TestKeyMatchesFmt(t *testing.T) {
-	special := []float64{
-		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-		0x1p-1030, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64,
-		1, 0.1, 1.0 / 3, 1e21, 1e-7, 123456789012345678,
-	}
-	for _, lo := range special {
-		for _, hi := range special {
-			s := Signature{Intervals: []Interval{iv(7, lo, hi), iv(-3, hi, lo), iv(math.MaxInt, lo, lo)}}
-			if got, want := s.Key(), fmtKey(s); got != want {
-				t.Fatalf("Key = %q, fmt form %q", got, want)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(17))
-	for range 100000 {
-		s := Signature{Intervals: []Interval{{
-			Attr: rng.Intn(1000),
-			Lo:   math.Float64frombits(rng.Uint64()),
-			Hi:   math.Float64frombits(rng.Uint64()),
-		}}}
-		if got, want := s.Key(), fmtKey(s); got != want {
-			t.Fatalf("Key = %q, fmt form %q", got, want)
-		}
-	}
-	if got := (Signature{}).Key(); got != "" {
-		t.Fatalf("empty signature's Key = %q", got)
-	}
-}
-
-// TestKeyCacheMatchesKey pins KeyCache.Key byte-equal to Key over the
-// candidates GenerateCandidates emits from random levels, with one cache
-// per level as a candidate-generation task keeps, and over intervals that
-// compare equal but differ in bits (±0) or never compare equal (NaN).
-func TestKeyCacheMatchesKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	cands := 0
+// TestKeepJoinsOfMatchesSubsetJoin holds the speculated join to its oracle:
+// the join of a level C, generated in the shares of 1…7 map tasks whose pair
+// ranges start and end mid-row and concatenated in task order, cut by
+// KeepJoinsOf to a proven subset P of C, must equal GenerateCandidates over
+// P element by element, in order. Levels: random ones of mixed runs, one
+// long run, runs of one (no pair joins), and a levelCap-style cut of a
+// sorted join (a prefix of the next level); subsets: empty, one signature,
+// all of C, and random ones of every density.
+func TestKeepJoinsOfMatchesSubsetJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var levels [][]Signature
 	for p := 1; p <= 4; p++ {
-		for range 20 {
-			level := randomLevel(rng, 60, 12, 4, p)
-			k := int64(len(level))
-			var c KeyCache
-			for _, cand := range GenerateCandidates(level, 0, k*(k-1)/2) {
-				cands++
-				if got, want := c.Key(cand), cand.Key(); got != want {
-					t.Fatalf("KeyCache.Key = %q, Key = %q", got, want)
+		levels = append(levels, randomLevel(rng, 50, 12, 3, p), randomLevel(rng, 120, 16, 4, p))
+	}
+	var run, singles []Signature
+	for a := 1; a < 40; a++ {
+		run = append(run, New(iv(0, 0, 0.5), iv(a, 0, 0.5)))
+		singles = append(singles, New(iv(a, 0, 0.5), iv(a+1, 0.25, 0.5)))
+	}
+	Sort(singles)
+	levels = append(levels, run, Dedup(singles))
+	for _, base := range levels[:4] {
+		k := int64(len(base))
+		if next := GenerateCandidates(base, 0, k*(k-1)/2); len(next) > 4 {
+			levels = append(levels, next[:len(next)/2])
+		}
+	}
+	total := 0
+	for li, c := range levels {
+		if err := CheckLevel(c); err != nil {
+			t.Fatalf("level %d: %v", li, err)
+		}
+		k := int64(len(c))
+		pairs := k * (k - 1) / 2
+		subsets := [][]Signature{nil, c[len(c)/2 : len(c)/2+1], c}
+		for _, keep := range []float64{0.1, 0.5, 0.9} {
+			var sub []Signature
+			for _, s := range c {
+				if rng.Float64() < keep {
+					sub = append(sub, s)
 				}
 			}
+			subsets = append(subsets, sub)
+		}
+		for tasks := int64(1); tasks <= 7; tasks++ {
+			per := (pairs + tasks - 1) / tasks
+			var shares []Signature
+			for task := range tasks {
+				shares = append(shares, GenerateCandidates(c, task*per, (task+1)*per)...)
+			}
+			for si, sub := range subsets {
+				q := int64(len(sub))
+				want := GenerateCandidates(sub, 0, q*(q-1)/2)
+				got := KeepJoinsOf(slices.Clone(shares), sub)
+				if len(got) != len(want) {
+					t.Fatalf("level %d, %d tasks, subset %d: %d candidates, want %d", li, tasks, si, len(got), len(want))
+				}
+				for i := range want {
+					if !got[i].Equal(want[i]) {
+						t.Fatalf("level %d, %d tasks, subset %d: candidate %d is %v, want %v", li, tasks, si, i, got[i], want[i])
+					}
+				}
+				total += len(want)
+			}
 		}
 	}
-	if cands == 0 {
-		t.Fatal("the levels generated no candidates")
-	}
-	negZero := math.Copysign(0, -1)
-	var c KeyCache
-	for _, s := range []Signature{
-		{Intervals: []Interval{iv(1, 0, 0.5), iv(2, 0, 1)}},
-		{Intervals: []Interval{iv(1, negZero, 0.5), iv(2, 0, negZero)}},
-		{Intervals: []Interval{iv(1, math.NaN(), 0.5), iv(2, math.Inf(-1), math.NaN())}},
-		{Intervals: []Interval{iv(1, math.NaN(), 0.5)}},
-		{},
-	} {
-		if got, want := c.Key(s), s.Key(); got != want {
-			t.Fatalf("KeyCache.Key = %q, Key = %q", got, want)
-		}
+	if total == 0 {
+		t.Fatal("no subset joined: the oracle compared nothing")
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -166,68 +165,15 @@ func (s Signature) Equal(t Signature) bool {
 	return true
 }
 
-// Key returns a canonical text identity: the candidate-generation job's
-// shuffle key. Each interval is written as fmt's "%d:%.17g:%.17g" would,
-// joined by ';'. The driver keys signatures on Interner keys instead.
-func (s Signature) Key() string {
-	b := make([]byte, 0, 56*len(s.Intervals))
-	for i, iv := range s.Intervals {
-		if i > 0 {
-			b = append(b, ';')
-		}
-		b = appendIntervalKey(b, iv)
-	}
-	return string(b)
-}
-
-// appendIntervalKey appends one interval's part of Key.
-func appendIntervalKey(b []byte, iv Interval) []byte {
-	b = strconv.AppendInt(b, int64(iv.Attr), 10)
-	b = append(b, ':')
-	b = strconv.AppendFloat(b, iv.Lo, 'g', 17, 64)
-	b = append(b, ':')
-	return strconv.AppendFloat(b, iv.Hi, 'g', 17, 64)
-}
-
 // intervalBits is an interval's identity: its attribute and endpoint bits.
 func intervalBits(iv Interval) [3]uint64 {
 	return [3]uint64{uint64(iv.Attr), math.Float64bits(iv.Lo), math.Float64bits(iv.Hi)}
 }
 
-// KeyCache returns the same keys as Key, formatting each distinct interval
-// (by bits, as in Interner) once: a level's candidates share a few hundred
-// intervals. The zero value is ready to use; a KeyCache is not safe for
-// concurrent use.
-type KeyCache struct {
-	text map[[3]uint64]string
-	buf  []byte
-}
-
-// Key returns s.Key().
-func (c *KeyCache) Key(s Signature) string {
-	if c.text == nil {
-		c.text = make(map[[3]uint64]string)
-	}
-	c.buf = c.buf[:0]
-	for i, iv := range s.Intervals {
-		if i > 0 {
-			c.buf = append(c.buf, ';')
-		}
-		k := intervalBits(iv)
-		t, ok := c.text[k]
-		if !ok {
-			t = string(appendIntervalKey(nil, iv))
-			c.text[k] = t
-		}
-		c.buf = append(c.buf, t...)
-	}
-	return string(c.buf)
-}
-
 // Interner assigns dense IDs to intervals in first-seen order, making a
 // signature's identity the list of its interval IDs. Intervals are equal
-// when their attribute and endpoint bits are, as in Key. The zero value is
-// ready to use; an Interner is not safe for concurrent use.
+// when their attribute and endpoint bits are. The zero value is ready to
+// use; an Interner is not safe for concurrent use.
 type Interner struct {
 	ids map[[3]uint64]uint32
 	buf []byte
@@ -336,18 +282,38 @@ func Less(a, b Signature) bool { return compare(a, b) < 0 }
 // the order is total.
 func compare(a, b Signature) int {
 	for k := range min(len(a.Intervals), len(b.Intervals)) {
-		x, y := a.Intervals[k], b.Intervals[k]
-		if c := cmp.Compare(x.Attr, y.Attr); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.Lo, y.Lo); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.Hi, y.Hi); c != 0 {
+		if c := compareInterval(a.Intervals[k], b.Intervals[k]); c != 0 {
 			return c
 		}
 	}
 	return cmp.Compare(len(a.Intervals), len(b.Intervals))
+}
+
+// compareWithout is compare(a, b.Without(skip)), without building the
+// subset.
+func compareWithout(a, b Signature, skip int) int {
+	n := len(b.Intervals) - 1
+	for k := range min(len(a.Intervals), n) {
+		y := b.Intervals[k]
+		if k >= skip {
+			y = b.Intervals[k+1]
+		}
+		if c := compareInterval(a.Intervals[k], y); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a.Intervals), n)
+}
+
+// compareInterval orders intervals by attribute, Lo, then Hi.
+func compareInterval(x, y Interval) int {
+	if c := cmp.Compare(x.Attr, y.Attr); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.Lo, y.Lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.Hi, y.Hi)
 }
 
 // Sort orders a slice of signatures canonically, in place.
@@ -421,6 +387,53 @@ func GenerateCandidates(level []Signature, lo, hi int64) []Signature {
 func samePrefix(a, b Signature) bool {
 	p := len(a.Intervals)
 	return p > 0 && p == len(b.Intervals) && slices.Equal(a.Intervals[:p-1], b.Intervals[:p-1])
+}
+
+// KeepJoinsOf keeps, in order and in place, the candidates whose two
+// generating parents are both in level: the candidate without its last
+// interval and without its second-to-last, the two signatures Join joined.
+// When cands is the join of a level C (GenerateCandidates over C's whole
+// pair space, in one range or in consecutive ones) and level is a subset of
+// C, the result is level's own join, element by element: every joinable
+// pair of level is a joinable pair of C, a candidate names its pair, and
+// the filter keeps C's order, which on level's pairs is level's.
+//
+// Precondition: cands and level are in canonical order. Then the first
+// parents of cands ascend, and the second parents of the candidates that
+// share a first parent ascend after it, so one merge walk finds both.
+func KeepJoinsOf(cands, level []Signature) []Signature {
+	out := cands[:0]
+	// i is level's first row not below the candidate's first parent, and
+	// j, for the candidates whose first parent is row group, the first row
+	// not below the second parent.
+	i, j, group := 0, 0, -1
+	for _, c := range cands {
+		p := len(c.Intervals)
+		if p < 2 {
+			continue
+		}
+		for i < len(level) && compareWithout(level[i], c, p-1) < 0 {
+			i++
+		}
+		if i == len(level) {
+			break
+		}
+		if compareWithout(level[i], c, p-1) != 0 {
+			continue
+		}
+		if i != group {
+			// The second parent's last interval sits on a higher
+			// attribute than the first's, so it follows it.
+			group, j = i, i+1
+		}
+		for j < len(level) && compareWithout(level[j], c, p-2) < 0 {
+			j++
+		}
+		if j < len(level) && compareWithout(level[j], c, p-2) == 0 {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // PairFromIndex maps a linear index in [0, k(k−1)/2) to the (i,j) pair with

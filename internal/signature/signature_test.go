@@ -122,14 +122,22 @@ func TestSubsetOfAndEqual(t *testing.T) {
 	}
 }
 
+// TestKeyUniqueness checks that an Interner's keys tell signatures apart
+// by every interval field and its endpoint bits, and name equal
+// signatures alike.
 func TestKeyUniqueness(t *testing.T) {
+	var in Interner
+	key := func(s Signature) string { return string(in.Key(s, -1)) }
 	a := New(iv(1, 0, 0.5))
-	b := New(iv(1, 0, 0.500001))
-	c := New(iv(2, 0, 0.5))
-	if a.Key() == b.Key() || a.Key() == c.Key() {
-		t.Error("distinct signatures share a key")
+	for _, other := range []Signature{
+		New(iv(1, 0, 0.500001)), New(iv(2, 0, 0.5)), New(iv(1, math.Copysign(0, -1), 0.5)),
+		New(iv(1, 0, 0.5), iv(2, 0, 0.5)),
+	} {
+		if key(a) == key(other) {
+			t.Errorf("%v and %v share a key", a, other)
+		}
 	}
-	if a.Key() != New(iv(1, 0, 0.5)).Key() {
+	if key(a) != key(New(iv(1, 0, 0.5))) {
 		t.Error("equal signatures have different keys")
 	}
 }
@@ -244,8 +252,7 @@ func TestFilterMaximal(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("maximal count = %d", len(got))
 	}
-	keys := map[string]bool{got[0].Key(): true, got[1].Key(): true}
-	if !keys[s123.Key()] || !keys[s4.Key()] {
+	if !got[0].Equal(s123) || !got[1].Equal(s4) {
 		t.Fatal("wrong maximal set")
 	}
 }

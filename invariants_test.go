@@ -1,6 +1,7 @@
 package p3cmr
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"reflect"
@@ -221,7 +222,7 @@ func TestPermutedAttributesInvariant(t *testing.T) {
 					for k := range ivs {
 						ivs[k].Attr = attr(ivs[k].Attr)
 					}
-					m[signature.New(ivs...).Key()] = res.Core.CoreSupports[i]
+					m[fmt.Sprint(signature.New(ivs...).Intervals)] = res.Core.CoreSupports[i]
 				}
 				return m
 			}

@@ -13,16 +13,11 @@ import (
 	"p3cmr/internal/obs"
 )
 
-// lightDigest runs P3C+-MR-Light over the generated data set on a two-slot
-// engine with the default cost model and returns the result, the run's
-// trace and the SHA-256 of the result's WriteJSON output, members
-// included.
-func lightDigest(t *testing.T, cfg dataset.GenConfig, params core.Params) (*Result, *obs.Forest, string) {
+// lightDigest runs P3C+-MR-Light over data on a two-slot engine with the
+// default cost model and returns the result, the run's trace and the
+// SHA-256 of the result's WriteJSON output, members included.
+func lightDigest(t *testing.T, data *Dataset, params core.Params) (*Result, *obs.Forest, string) {
 	t.Helper()
-	data, _, err := dataset.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	trace := obs.NewForest()
 	engine := mr.NewEngine(mr.Config{Cost: mr.DefaultCostModel(), Parallelism: 2, Tracer: trace})
 	res, err := Run(data, Config{Algorithm: P3CPlusMRLight, Params: &params, Engine: engine})
@@ -65,29 +60,45 @@ func metricValue(trace *obs.Forest, name string) float64 {
 	return v
 }
 
+// deepLattice returns the data and Light configuration of
+// TestDeepLatticeDigestPinned: a lattice up to 10 attributes deep at
+// Tgen = 500, where candidate-generation jobs join level 1 and unproven
+// collected levels and a proving job carries its top level's join.
+func deepLattice(t *testing.T) (*Dataset, Config) {
+	t.Helper()
+	data, _, err := dataset.Generate(dataset.GenConfig{
+		N: 20000, Dim: 30, Clusters: 3, MaxClusterDims: 10,
+		NoiseFraction: 0.1, Overlap: true, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := core.LightParams()
+	params.Tgen = 500
+	return data, Config{Algorithm: P3CPlusMRLight, Params: &params}
+}
+
 // TestDeepLatticeDigestPinned pins the WriteJSON output of a Light run
 // whose a-priori lattice is deep (up to 10 relevant attributes per hidden
 // cluster, ~2.4k tested candidates) and whose candidate generation runs
-// sharded as an MR job (Tgen = 500). The digest covers clusters, members,
-// the job list and the modeled seconds, so any change to how the driver
-// keys, joins, proves or filters signatures that moves a single byte of
-// the result fails here.
+// sharded (Tgen = 500): three candidate-generation jobs join level 1 and
+// the unproven levels collected after it, and the second proving job
+// carries its top level's join, so no generation job follows it. The
+// digest covers clusters, members, the job list and the modeled seconds,
+// so any change to how the driver keys, joins, proves or filters
+// signatures that moves a single byte of the result fails here.
 func TestDeepLatticeDigestPinned(t *testing.T) {
-	params := core.LightParams()
-	params.Tgen = 500
-	res, trace, got := lightDigest(t, dataset.GenConfig{
-		N: 20000, Dim: 30, Clusters: 3, MaxClusterDims: 10,
-		NoiseFraction: 0.1, Overlap: true, Seed: 1,
-	}, params)
+	data, cfg := deepLattice(t)
+	res, trace, got := lightDigest(t, data, *cfg.Params)
 	st := res.Core.Stats
-	if res.Jobs != 12 || st.CandidatesProven != 2424 || st.CoresBeforeRedundancy != 37 || st.Cores != 3 {
-		t.Errorf("jobs %d, candidates %d, cores before redundancy %d, cores %d; want 12, 2424, 37, 3",
+	if res.Jobs != 11 || st.CandidatesProven != 2424 || st.CoresBeforeRedundancy != 37 || st.Cores != 3 {
+		t.Errorf("jobs %d, candidates %d, cores before redundancy %d, cores %d; want 11, 2424, 37, 3",
 			res.Jobs, st.CandidatesProven, st.CoresBeforeRedundancy, st.Cores)
 	}
-	if jobRuns(trace, "candidate-generation") == 0 {
-		t.Error("candidate generation never ran as an MR job")
+	if gen, prove := jobRuns(trace, "candidate-generation"), jobRuns(trace, "prove-candidates"); gen != 3 || prove != 2 {
+		t.Errorf("%d candidate-generation and %d prove-candidates runs, want 3 and 2", gen, prove)
 	}
-	const want = "8e25af58a7e539c0bda43d5a34d3faf18bea74e960118f3f6b9a4f2d9e74f810"
+	const want = "770e1b9afb5752d2fa76716dee0a61c373545fab6075cee83195f677585e8aa8"
 	if got != want {
 		t.Errorf("WriteJSON sha256 = %s, want %s", got, want)
 	}
@@ -103,20 +114,28 @@ func TestDeepLatticeDigestPinned(t *testing.T) {
 // pinned when that counting still listed every signature's coverers pair
 // by pair and ran one pass per round, so the digest also pins that the
 // running OR over the rescue's antichains and the speculated chains count
-// the same.
+// the same. Every level above the first is joined in the proving job that
+// proved the level below it, so no candidate-generation job runs.
 func TestNoiseFreeLatticeDigestPinned(t *testing.T) {
-	res, trace, got := lightDigest(t, dataset.GenConfig{
+	data, _, err := dataset.Generate(dataset.GenConfig{
 		N: 20000, Dim: 50, Clusters: 5, MaxClusterDims: 20,
 		NoiseFraction: 0, Overlap: true, Seed: 1,
-	}, core.LightParams())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, trace, got := lightDigest(t, data, core.LightParams())
 	st := res.Core.Stats
 	rounds := metricValue(trace, "quality_rescue_rounds")
 	passes := jobRuns(trace, "redundancy-uncovered")
-	if res.Jobs != 17 || st.CandidatesProven != 28092 || st.CoresBeforeRedundancy != 1210 || st.Cores != 5 || rounds != 9 || passes != 2 {
-		t.Errorf("jobs %d, candidates %d, cores before redundancy %d, cores %d, rescue rounds %v in %d passes; want 17, 28092, 1210, 5, 9 in 2",
+	if res.Jobs != 13 || st.CandidatesProven != 28092 || st.CoresBeforeRedundancy != 1210 || st.Cores != 5 || rounds != 9 || passes != 2 {
+		t.Errorf("jobs %d, candidates %d, cores before redundancy %d, cores %d, rescue rounds %v in %d passes; want 13, 28092, 1210, 5, 9 in 2",
 			res.Jobs, st.CandidatesProven, st.CoresBeforeRedundancy, st.Cores, rounds, passes)
 	}
-	const want = "ec5ac6af84e4110c6090811a483faf0a2bddf9298f52b20c0fbaa15c2cea9563"
+	if gen := jobRuns(trace, "candidate-generation"); gen != 0 {
+		t.Errorf("%d candidate-generation runs, want 0", gen)
+	}
+	const want = "475ac2ba0bbff3fdd26eaebbe995376deae3c6629160cae317cdae71afedd10c"
 	if got != want {
 		t.Errorf("WriteJSON sha256 = %s, want %s", got, want)
 	}
